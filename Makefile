@@ -32,8 +32,8 @@ tier1:
 vet:
 	$(GO) vet ./...
 
-# lint runs nescheck, the house static-analysis suite: nine analyzers
-# (determinism, boundary, lockorder, attribution, errcheck, spanpair, plus
+# lint runs nescheck, the house static-analysis suite: eight analyzers
+# (determinism, boundary, lockorder, errcheck, spanpair, plus
 # the interprocedural secretflow, atomicsafety, and lockgraph rules over the
 # module-wide call graph) that enforce the simulator's own invariants at
 # compile time. -stale-allows additionally fails on //nescheck:allow

@@ -125,7 +125,6 @@ func experiments() []experiment {
 				return err
 			}
 			fmt.Print(p.RenderTree())
-			fmt.Print(p.RenderAgreements())
 			return nil
 		}},
 		{"mlservice", "nested ML (LibSVM) service", func(full bool) error {

@@ -3,7 +3,7 @@
 // harnesses (the model-checking oracle, the chaos soak) verify the paper's
 // isolation properties at runtime, but they silently rely on preconditions —
 // deterministic replay, the trusted/untrusted boundary, lock ordering,
-// complete cost attribution, surfaced faults — that nothing else guards. The
+// surfaced faults, closed spans — that nothing else guards. The
 // analyzers here pin those preconditions at the source level:
 //
 //	determinism  — no wall clock, global RNG state, or order-dependent map
@@ -12,12 +12,11 @@
 //	               sinks without sealing
 //	lockorder    — machine-level locks are acquired before EPCM/page-table
 //	               locks, never the reverse
-//	attribution  — calls into the billed memory hierarchy (epc, mee) thread
-//	               BillEID/ChargeTo so per-enclave accounting stays complete
 //	errcheck     — fault-returning APIs (mee.New, kos allocation, the sdk
 //	               ECall family) may not have their errors discarded
-//	spanpair     — every Recorder.BeginSpan in the span-opening layers (sdk,
-//	               sgx, core) has its End called on all paths
+//	spanpair     — every Recorder.BeginSpan/BeginOp in the span-opening
+//	               layers (sdk, sgx, core, switchless) has its End called on
+//	               all paths
 //
 // Findings carry a rule ID (family/check) and can be suppressed with an
 // explicit, reasoned directive:
@@ -82,7 +81,6 @@ func All() []*Analyzer {
 		Determinism,
 		Boundary,
 		LockOrder,
-		Attribution,
 		ErrCheck,
 		SpanPair,
 		SecretFlow,

@@ -5,23 +5,25 @@ import (
 	"go/types"
 )
 
-// SpanPair guards the causal-tracing invariant behind the PR-6 span layer: a
-// span opened with Recorder.BeginSpan must be closed. An unclosed span stays
-// on its core's stack forever — every later event on that core is stamped
-// with it, the profiler keeps sampling it, and AggregateSpans inflates its
-// inclusive cycles — so a single leak quietly corrupts the whole call tree.
+// SpanPair guards the causal-tracing invariant behind the span layer: a span
+// opened with Recorder.BeginSpan, or an op opened with Recorder.BeginOp, must
+// be closed. An unclosed span stays on its core's stack forever — every
+// later event on that core is stamped with it, the profiler keeps sampling
+// it, and AggregateSpans inflates its inclusive cycles — so a single leak
+// quietly corrupts the whole call tree. An unclosed op also loses its
+// latency-histogram sample.
 //
 // The check is intraprocedural over the packages that open spans on hot
-// simulator paths (sdk, sgx, core). A BeginSpan result must be bound to a
-// variable and that variable must have its End called either deferred
-// (covers every exit, including the panic-unwind crash paths) or linearly in
-// the same block as the BeginSpan (the straight-line pattern transition.go
-// uses). An End reachable only inside a nested block is conditional — some
-// path skips it — and discarding the SpanRef outright makes the span
-// permanently unclosable.
+// simulator paths (sdk, sgx, core, switchless). A BeginSpan/BeginOp result
+// must be bound to a variable and that variable must have its End called
+// either deferred (covers every exit, including the panic-unwind crash
+// paths) or linearly in the same block as the opening call (the
+// straight-line pattern transition.go uses). An End reachable only inside a
+// nested block is conditional — some path skips it — and discarding the
+// result outright makes the span permanently unclosable.
 var SpanPair = &Analyzer{
 	Name: "spanpair",
-	Doc:  "every Recorder.BeginSpan result has its End called (deferred, or linearly in the same block)",
+	Doc:  "every Recorder.BeginSpan/BeginOp result has its End called (deferred, or linearly in the same block)",
 	Run:  runSpanPair,
 }
 
@@ -42,7 +44,7 @@ func runSpanPair(p *Pass) {
 	}
 }
 
-// spanVar tracks one variable bound to a BeginSpan result.
+// spanVar tracks one variable bound to a BeginSpan/BeginOp result.
 type spanVar struct {
 	pos   ast.Node
 	name  string
@@ -56,7 +58,7 @@ type spanVar struct {
 func checkSpanPair(p *Pass, fname string, body *ast.BlockStmt) {
 	vars := map[*types.Var]*spanVar{}
 
-	// Pass 1: find BeginSpan calls and classify how each result is consumed.
+	// Pass 1: find opening calls and classify how each result is consumed.
 	// Walk blocks explicitly so every binding knows its directly enclosing
 	// block; nested function literals are visited on their own by funcBodies.
 	var walkBlock func(b *ast.BlockStmt)
@@ -71,16 +73,17 @@ func checkSpanPair(p *Pass, fname string, body *ast.BlockStmt) {
 		case *ast.AssignStmt:
 			for i, rhs := range s.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !isBeginSpanCall(p.Pkg.Info, call) {
+				if !ok {
 					continue
 				}
-				if i >= len(s.Lhs) {
+				opener := spanOpener(p.Pkg.Info, call)
+				if opener == "" || i >= len(s.Lhs) {
 					continue
 				}
 				id, ok := s.Lhs[i].(*ast.Ident)
 				if !ok || id.Name == "_" {
 					p.Reportf(call.Pos(), "spanpair/discarded",
-						"%s discards the BeginSpan result; the span can never be closed", fname)
+						"%s discards the %s result; the span can never be closed", fname, opener)
 					continue
 				}
 				var obj *types.Var
@@ -95,9 +98,11 @@ func checkSpanPair(p *Pass, fname string, body *ast.BlockStmt) {
 				vars[obj] = &spanVar{pos: call, name: id.Name, block: b}
 			}
 		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isBeginSpanCall(p.Pkg.Info, call) {
-				p.Reportf(call.Pos(), "spanpair/discarded",
-					"%s discards the BeginSpan result; the span can never be closed", fname)
+			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
+				if opener := spanOpener(p.Pkg.Info, call); opener != "" {
+					p.Reportf(call.Pos(), "spanpair/discarded",
+						"%s discards the %s result; the span can never be closed", fname, opener)
+				}
 			}
 		case *ast.BlockStmt:
 			walkBlock(s)
@@ -241,15 +246,19 @@ func checkSpanPair(p *Pass, fname string, body *ast.BlockStmt) {
 	}
 }
 
-// isBeginSpanCall matches rec.BeginSpan(...) where rec is the trace.Recorder.
-func isBeginSpanCall(info *types.Info, call *ast.CallExpr) bool {
+// spanOpener returns "BeginSpan" or "BeginOp" when the call is that method
+// of the trace.Recorder, "" otherwise.
+func spanOpener(info *types.Info, call *ast.CallExpr) string {
 	obj := calleeObject(info, call)
-	if obj == nil || obj.Name() != "BeginSpan" {
-		return false
+	if obj == nil || (obj.Name() != "BeginSpan" && obj.Name() != "BeginOp") {
+		return ""
 	}
 	recv := methodRecvNamed(obj)
 	if recv == nil || recv.Obj().Pkg() == nil {
-		return false
+		return ""
 	}
-	return recv.Obj().Name() == "Recorder" && pathMatches(recv.Obj().Pkg().Path(), "internal/trace")
+	if recv.Obj().Name() != "Recorder" || !pathMatches(recv.Obj().Pkg().Path(), "internal/trace") {
+		return ""
+	}
+	return obj.Name()
 }

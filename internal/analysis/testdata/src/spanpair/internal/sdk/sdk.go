@@ -1,7 +1,7 @@
-// Fixture: BeginSpan results in the span-opening layers must be closed on
-// all paths — deferred, or linearly in the binding's own block. An End
-// reachable only inside a nested block, a missing End, and a discarded
-// SpanRef are findings.
+// Fixture: BeginSpan and BeginOp results in the span-opening layers must be
+// closed on all paths — deferred, or linearly in the binding's own block. An
+// End reachable only inside a nested block, a missing End, and a discarded
+// result are findings.
 package sdk
 
 import "fix/internal/trace"
@@ -77,4 +77,42 @@ func Suppressed(rec *trace.Recorder) {
 	//nescheck:allow spanpair fixture exercises the allow path for span leaks
 	sp := rec.BeginSpan(0, 1, "ecall:q")
 	_ = sp.ID()
+}
+
+// A deferred op End sees a reclassification made after the defer. Clean.
+func OpDeferredOK(rec *trace.Recorder, nested bool) {
+	walk := rec.BeginOp(trace.OpPageWalk, 0, 1, "")
+	defer walk.End()
+	if nested {
+		walk.Op = trace.OpNestedWalk
+	}
+}
+
+// Straight-line op close in the binding's block. Clean.
+func OpLinearOK(rec *trace.Recorder) {
+	op := rec.BeginOp(trace.OpECall, 0, 1, "q")
+	op.End()
+}
+
+func OpUnclosed(rec *trace.Recorder) {
+	op := rec.BeginOp(trace.OpECall, 0, 1, "q") // want "spanpair/unclosed: .*opens span op but never calls op.End"
+	_ = op.Op
+}
+
+// The failure path returns before the only End: the op loses its span and
+// its histogram sample.
+func OpConditionalEnd(rec *trace.Recorder, fail bool) error {
+	op := rec.BeginOp(trace.OpECall, 0, 1, "q") // want "spanpair/conditional: .*ends span op only inside a nested block"
+	if !fail {
+		op.End()
+	}
+	return nil
+}
+
+func OpDiscarded(rec *trace.Recorder) {
+	rec.BeginOp(trace.OpECall, 0, 1, "q") // want "spanpair/discarded: .*discards the BeginOp result"
+}
+
+func OpDiscardedBlank(rec *trace.Recorder) {
+	_ = rec.BeginOp(trace.OpPageWalk, 0, 1, "") // want "spanpair/discarded: .*discards the BeginOp result"
 }

@@ -1,5 +1,6 @@
 // Fixture stand-in for the span API: the path suffix internal/trace makes
-// Recorder.BeginSpan classify exactly like the real one.
+// Recorder.BeginSpan and Recorder.BeginOp classify exactly like the real
+// ones.
 package trace
 
 const (
@@ -15,3 +16,17 @@ func (r *Recorder) BeginSpan(core int, eid uint64, name string) SpanRef { return
 
 func (s SpanRef) End()       {}
 func (s SpanRef) ID() uint64 { return s.id }
+
+type Op int
+
+const (
+	OpECall Op = iota
+	OpPageWalk
+	OpNestedWalk
+)
+
+type OpRef struct{ Op Op }
+
+func (r *Recorder) BeginOp(op Op, core int, eid uint64, name string) OpRef { return OpRef{Op: op} }
+
+func (o *OpRef) End() {}

@@ -5,7 +5,9 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
@@ -98,7 +100,8 @@ func (r *ChaosReport) String() string {
 	fmt.Fprintf(&b, "chaos soak: %d ops, %d failed (typed errors), svc restarts %d, client restarts %d\n",
 		r.Ops, r.Failed, r.SvcRestarts, r.ClientRestarts)
 	fmt.Fprintf(&b, "side channel: %d sent, %d delivered\n", r.ChannelSent, r.ChannelDelivered)
-	for site, s := range r.Stats {
+	for _, site := range slices.Sorted(maps.Keys(r.Stats)) {
+		s := r.Stats[site]
 		fmt.Fprintf(&b, "  %-12s injected %4d  recovered %4d\n", site, s.Injected, s.Recovered)
 	}
 	if len(r.Violations) == 0 {

@@ -78,5 +78,8 @@ func TestChaosSoakReplaysDeterministically(t *testing.T) {
 			t.Errorf("site %s: %+v vs %+v", site, sa, sb)
 		}
 	}
+	if a.String() != b.String() {
+		t.Errorf("report text diverged:\n%s\nvs\n%s", a, b)
+	}
 	_ = chaos.ErrTransient
 }

@@ -28,8 +28,8 @@ type ProfileConfig struct {
 	// (0 → 2000, a few samples per ecall round trip).
 	Interval int64
 	// LogCap sizes the event log and span ring (0 → 1<<15). It must hold
-	// every span of the run for the span/counter agreement check to be
-	// exact; ProfileSQLService fails loudly when spans were evicted.
+	// every span of the run for the call tree to be complete;
+	// ProfileSQLService fails loudly when spans were evicted.
 	LogCap int
 }
 
@@ -127,87 +127,8 @@ func BuildSQLServiceStaged(r *Rig) (*SQLService, error) {
 	return s, nil
 }
 
-// Agreement is one row of the span-vs-counter cross-check: the summed
-// inclusive cycles of an operation's spans against the sum of the same
-// operation's flat latency histogram. Both measure the identical intervals
-// (spans open and close exactly where the histograms sample), so the
-// relative error is ~0 unless spans were lost.
-type Agreement struct {
-	Op      string
-	SpanCyc int64
-	HistCyc int64
-	RelErr  float64
-}
-
-// Agreements cross-checks every operation present in the histograms.
-func (p *ProfileResult) Agreements() []Agreement {
-	// Span name prefix per op; page walks are one span kind covering both
-	// the regular and the Figure-6 nested histogram.
-	spanSum := func(prefixes ...string) int64 {
-		var sum int64
-		for _, s := range p.Spans {
-			for _, pre := range prefixes {
-				if s.Name == pre || strings.HasPrefix(s.Name, pre+":") {
-					sum += s.Cycles()
-					break
-				}
-			}
-		}
-		return sum
-	}
-	histSum := func(names ...string) int64 {
-		var sum int64
-		for _, n := range names {
-			if h, ok := p.Hists[n]; ok {
-				sum += h.Sum
-			}
-		}
-		return sum
-	}
-	rows := []struct {
-		op       string
-		prefixes []string
-		hists    []string
-	}{
-		{"ecall", []string{"ecall"}, []string{"ecall"}},
-		{"ocall", []string{"ocall"}, []string{"ocall"}},
-		{"n_ecall", []string{"n_ecall"}, []string{"n_ecall"}},
-		{"n_ocall", []string{"n_ocall"}, []string{"n_ocall"}},
-		{"page_walk", []string{"page_walk"}, []string{"page_walk", "nested_page_walk"}},
-		{"ewb", []string{"ewb"}, []string{"ewb"}},
-		{"eld", []string{"eld"}, []string{"eld"}},
-	}
-	var out []Agreement
-	for _, r := range rows {
-		h := histSum(r.hists...)
-		if h == 0 {
-			continue
-		}
-		s := spanSum(r.prefixes...)
-		out = append(out, Agreement{
-			Op: r.op, SpanCyc: s, HistCyc: h,
-			RelErr: relErr(float64(s), float64(h)),
-		})
-	}
-	return out
-}
-
-func relErr(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 0
-		}
-		return 1
-	}
-	d := (a - b) / b
-	if d < 0 {
-		return -d
-	}
-	return d
-}
-
 // ProfileSQLService runs the profiling workload and returns the call tree,
-// the folded-stack profile, and the flat counters for cross-checking.
+// the folded-stack profile, the histograms, and the flat counters.
 func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 	if cfg.Queries <= 0 {
 		cfg.Queries = 200
@@ -252,8 +173,8 @@ func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 		Counters: rec.Snapshot(),
 	}
 	res.Tree = trace.AggregateSpans(res.Spans)
-	// The agreement check is only meaningful when the span ring held every
-	// span; a run big enough to wrap must use a larger LogCap.
+	// The call tree is only complete when the span ring held every span; a
+	// run big enough to wrap must use a larger LogCap.
 	if wantSpans := int64(len(res.Spans)); wantSpans >= int64(cfg.LogCap) {
 		return nil, fmt.Errorf("profile: span ring wrapped (%d spans at capacity %d); raise LogCap", wantSpans, cfg.LogCap)
 	}
@@ -280,17 +201,6 @@ func (p *ProfileResult) RenderTree() string {
 		}
 		fmt.Fprintf(&b, "  %-42s %10d %14d %6.1f%%\n", name, n.Count, n.Cycles, share)
 	})
-	return b.String()
-}
-
-// RenderAgreements formats the span-vs-histogram cross-check.
-func (p *ProfileResult) RenderAgreements() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "span/counter agreement (tolerance 1%%):\n")
-	fmt.Fprintf(&b, "  %-12s %14s %14s %8s\n", "op", "span cycles", "hist cycles", "rel err")
-	for _, a := range p.Agreements() {
-		fmt.Fprintf(&b, "  %-12s %14d %14d %7.3f%%\n", a.Op, a.SpanCyc, a.HistCyc, 100*a.RelErr)
-	}
 	return b.String()
 }
 

@@ -19,13 +19,14 @@ import (
 )
 
 // Backend is the next level of the memory hierarchy (the MEE in front of
-// DRAM). Lines crossing it are subject to protection.
+// DRAM). Lines crossing it are subject to protection, and the work is billed
+// to the payer of the cache operation that moved them.
 type Backend interface {
 	// ReadLine fetches the 64-byte line at the (line-aligned) address.
 	// It may return an integrity fault.
-	ReadLine(p isa.PAddr) ([]byte, error)
+	ReadLine(p isa.PAddr, payer trace.Payer) ([]byte, error)
 	// WriteLine stores the 64-byte line at the (line-aligned) address.
-	WriteLine(p isa.PAddr, data []byte) error
+	WriteLine(p isa.PAddr, data []byte, payer trace.Payer) error
 }
 
 type line struct {
@@ -96,11 +97,11 @@ func MustNew(cfg Config, backend Backend, rec *trace.Recorder) *Cache {
 	return c
 }
 
-// charge bills LLC hits/misses to the enclave the access path named via
-// SetBillHint — the cache itself runs below the protection context.
-func (c *Cache) charge(e trace.Event, cost int64) {
+// charge bills an LLC hit/miss to the payer the caller named — the cache
+// itself runs below the protection context.
+func (c *Cache) charge(e trace.Event, cost int64, payer trace.Payer) {
 	if c.rec != nil {
-		c.rec.ChargeHint(e, cost)
+		c.rec.ChargeTo(payer.EID, payer.Core, e, cost)
 	}
 }
 
@@ -116,7 +117,7 @@ func (c *Cache) lookup(idx uint64) *line {
 }
 
 // victim picks the LRU way in the line's set, writing it back if dirty.
-func (c *Cache) victim(idx uint64) (*line, error) {
+func (c *Cache) victim(idx uint64, payer trace.Payer) (*line, error) {
 	set := c.sets[idx&(c.nsets-1)]
 	v := &set[0]
 	for i := range set {
@@ -129,7 +130,7 @@ func (c *Cache) victim(idx uint64) (*line, error) {
 		}
 	}
 	if v.valid && v.dirty {
-		if err := c.backend.WriteLine(isa.PAddr(v.tag<<isa.LineShift), v.data[:]); err != nil {
+		if err := c.backend.WriteLine(isa.PAddr(v.tag<<isa.LineShift), v.data[:], payer); err != nil {
 			return nil, err
 		}
 	}
@@ -139,12 +140,12 @@ func (c *Cache) victim(idx uint64) (*line, error) {
 }
 
 // fill brings the line at idx into the cache and returns it.
-func (c *Cache) fill(idx uint64) (*line, error) {
-	data, err := c.backend.ReadLine(isa.PAddr(idx << isa.LineShift))
+func (c *Cache) fill(idx uint64, payer trace.Payer) (*line, error) {
+	data, err := c.backend.ReadLine(isa.PAddr(idx<<isa.LineShift), payer)
 	if err != nil {
 		return nil, err
 	}
-	v, err := c.victim(idx)
+	v, err := c.victim(idx, payer)
 	if err != nil {
 		return nil, err
 	}
@@ -154,11 +155,11 @@ func (c *Cache) fill(idx uint64) (*line, error) {
 	return v, nil
 }
 
-func (c *Cache) access(p isa.PAddr, write bool) (*line, error) {
+func (c *Cache) access(p isa.PAddr, write bool, payer trace.Payer) (*line, error) {
 	idx := uint64(p) >> isa.LineShift
 	if !c.Enabled {
 		// Uncached mode: synthesize a transient line per access.
-		data, err := c.backend.ReadLine(p.LineBase())
+		data, err := c.backend.ReadLine(p.LineBase(), payer)
 		if err != nil {
 			return nil, err
 		}
@@ -168,15 +169,15 @@ func (c *Cache) access(p isa.PAddr, write bool) (*line, error) {
 	}
 	c.tick++
 	if l := c.lookup(idx); l != nil {
-		c.charge(trace.EvLLCHit, trace.CostLLCHit)
+		c.charge(trace.EvLLCHit, trace.CostLLCHit, payer)
 		l.lru = c.tick
 		if write {
 			l.dirty = true
 		}
 		return l, nil
 	}
-	c.charge(trace.EvLLCMiss, trace.CostDRAMAccess)
-	l, err := c.fill(idx)
+	c.charge(trace.EvLLCMiss, trace.CostDRAMAccess, payer)
+	l, err := c.fill(idx, payer)
 	if err != nil {
 		return nil, err
 	}
@@ -188,39 +189,22 @@ func (c *Cache) access(p isa.PAddr, write bool) (*line, error) {
 }
 
 // Read copies n bytes at physical address p through the cache.
-func (c *Cache) Read(p isa.PAddr, n int) ([]byte, error) {
+func (c *Cache) Read(p isa.PAddr, n int, payer trace.Payer) ([]byte, error) {
 	out := make([]byte, n)
-	if err := c.ReadInto(p, out); err != nil {
+	if err := c.ReadInto(p, out, payer); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ReadInto fills dst from physical address p through the cache.
-func (c *Cache) ReadInto(p isa.PAddr, dst []byte) error {
+// ReadInto fills dst from physical address p through the cache. The
+// hit/miss and MEE charges bill to payer.
+func (c *Cache) ReadInto(p isa.PAddr, dst []byte, payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.readIntoLocked(p, dst)
-}
-
-// ReadIntoFor is ReadInto with the billing context set atomically with the
-// line operations: the hit/miss and MEE charges bill to eid and parent under
-// the span, even while other cores drive the cache concurrently. This is the
-// read-locked access path's entry point.
-func (c *Cache) ReadIntoFor(p isa.PAddr, dst []byte, eid uint64, span uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rec != nil {
-		c.rec.SetBillHint(eid)
-		c.rec.SetSpanHint(span)
-	}
-	return c.readIntoLocked(p, dst)
-}
-
-func (c *Cache) readIntoLocked(p isa.PAddr, dst []byte) error {
 	for off := 0; off < len(dst); {
 		cur := p + isa.PAddr(off)
-		l, err := c.access(cur, false)
+		l, err := c.access(cur, false, payer)
 		if err != nil {
 			return err
 		}
@@ -231,29 +215,13 @@ func (c *Cache) readIntoLocked(p isa.PAddr, dst []byte) error {
 	return nil
 }
 
-// Write stores b at physical address p through the cache.
-func (c *Cache) Write(p isa.PAddr, b []byte) error {
+// Write stores b at physical address p through the cache, billing payer.
+func (c *Cache) Write(p isa.PAddr, b []byte, payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.writeLocked(p, b)
-}
-
-// WriteFor is Write with the billing context set atomically with the line
-// operations (see ReadIntoFor).
-func (c *Cache) WriteFor(p isa.PAddr, b []byte, eid uint64, span uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rec != nil {
-		c.rec.SetBillHint(eid)
-		c.rec.SetSpanHint(span)
-	}
-	return c.writeLocked(p, b)
-}
-
-func (c *Cache) writeLocked(p isa.PAddr, b []byte) error {
 	for off := 0; off < len(b); {
 		cur := p + isa.PAddr(off)
-		l, err := c.access(cur, true)
+		l, err := c.access(cur, true, payer)
 		if err != nil {
 			return err
 		}
@@ -261,7 +229,7 @@ func (c *Cache) writeLocked(p isa.PAddr, b []byte) error {
 		nn := copy(l.data[lo:], b[off:])
 		if !c.Enabled {
 			// Uncached: write through immediately.
-			if err := c.backend.WriteLine(cur.LineBase(), l.data[:]); err != nil {
+			if err := c.backend.WriteLine(cur.LineBase(), l.data[:], payer); err != nil {
 				return err
 			}
 		}
@@ -271,14 +239,14 @@ func (c *Cache) writeLocked(p isa.PAddr, b []byte) error {
 }
 
 // FlushAll writes back every dirty line and invalidates the cache (WBINVD).
-func (c *Cache) FlushAll() error {
+func (c *Cache) FlushAll(payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for si := range c.sets {
 		for wi := range c.sets[si] {
 			l := &c.sets[si][wi]
 			if l.valid && l.dirty {
-				if err := c.backend.WriteLine(isa.PAddr(l.tag<<isa.LineShift), l.data[:]); err != nil {
+				if err := c.backend.WriteLine(isa.PAddr(l.tag<<isa.LineShift), l.data[:], payer); err != nil {
 					return err
 				}
 			}
@@ -290,19 +258,19 @@ func (c *Cache) FlushAll() error {
 }
 
 // FlushLine writes back and invalidates the line containing p (CLFLUSH).
-func (c *Cache) FlushLine(p isa.PAddr) error {
+func (c *Cache) FlushLine(p isa.PAddr, payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.flushLineLocked(p)
+	return c.flushLineLocked(p, payer)
 }
 
-func (c *Cache) flushLineLocked(p isa.PAddr) error {
+func (c *Cache) flushLineLocked(p isa.PAddr, payer trace.Payer) error {
 	l := c.lookup(uint64(p) >> isa.LineShift)
 	if l == nil {
 		return nil
 	}
 	if l.dirty {
-		if err := c.backend.WriteLine(p.LineBase(), l.data[:]); err != nil {
+		if err := c.backend.WriteLine(p.LineBase(), l.data[:], payer); err != nil {
 			return err
 		}
 	}
@@ -326,11 +294,11 @@ func (c *Cache) InvalidateRange(p isa.PAddr, n int) {
 }
 
 // FlushRange flushes every line overlapping [p, p+n).
-func (c *Cache) FlushRange(p isa.PAddr, n int) error {
+func (c *Cache) FlushRange(p isa.PAddr, n int, payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for cur := p.LineBase(); cur < p+isa.PAddr(n); cur += isa.LineSize {
-		if err := c.flushLineLocked(cur); err != nil {
+		if err := c.flushLineLocked(cur, payer); err != nil {
 			return err
 		}
 	}

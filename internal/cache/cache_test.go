@@ -23,7 +23,7 @@ func newMemBackend() *memBackend {
 	return &memBackend{data: make(map[uint64][isa.LineSize]byte)}
 }
 
-func (b *memBackend) ReadLine(p isa.PAddr) ([]byte, error) {
+func (b *memBackend) ReadLine(p isa.PAddr, _ trace.Payer) ([]byte, error) {
 	if b.failReads {
 		return nil, fmt.Errorf("injected read failure")
 	}
@@ -32,7 +32,7 @@ func (b *memBackend) ReadLine(p isa.PAddr) ([]byte, error) {
 	return line[:], nil
 }
 
-func (b *memBackend) WriteLine(p isa.PAddr, data []byte) error {
+func (b *memBackend) WriteLine(p isa.PAddr, data []byte, _ trace.Payer) error {
 	if b.failWrites {
 		return fmt.Errorf("injected write failure")
 	}
@@ -49,10 +49,10 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	b := newMemBackend()
 	c := MustNew(tiny(), b, &trace.Recorder{})
 	data := []byte("some data crossing a line boundary......................xyz")
-	if err := c.Write(60, data); err != nil {
+	if err := c.Write(60, data, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(60, len(data))
+	got, err := c.Read(60, len(data), trace.NoPayer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +64,13 @@ func TestReadWriteRoundTrip(t *testing.T) {
 func TestWriteBackOnlyOnEviction(t *testing.T) {
 	b := newMemBackend()
 	c := MustNew(tiny(), b, nil)
-	if err := c.Write(0, []byte{1, 2, 3}); err != nil {
+	if err := c.Write(0, []byte{1, 2, 3}, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	if b.writes != 0 {
 		t.Fatalf("write-back cache wrote through: %d writes", b.writes)
 	}
-	if err := c.FlushAll(); err != nil {
+	if err := c.FlushAll(trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	if b.writes != 1 {
@@ -86,12 +86,12 @@ func TestHitAvoidsBackend(t *testing.T) {
 	b := newMemBackend()
 	rec := &trace.Recorder{}
 	c := MustNew(tiny(), b, rec)
-	if _, err := c.Read(0x100, 8); err != nil {
+	if _, err := c.Read(0x100, 8, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	readsAfterMiss := b.reads
 	for i := 0; i < 10; i++ {
-		if _, err := c.Read(0x100, 8); err != nil {
+		if _, err := c.Read(0x100, 8, trace.NoPayer); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestEvictionWritesDirtyVictim(t *testing.T) {
 	// Fill one set beyond associativity with dirty lines.
 	for w := 0; w <= cfg.Ways; w++ {
 		addr := isa.PAddr(w * nsets * isa.LineSize) // same set, different tags
-		if err := c.Write(addr, []byte{byte(w + 1)}); err != nil {
+		if err := c.Write(addr, []byte{byte(w + 1)}, trace.NoPayer); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestEvictionWritesDirtyVictim(t *testing.T) {
 	}
 	// The evicted line (LRU: the first written) must be readable with its
 	// data intact.
-	got, err := c.Read(0, 1)
+	got, err := c.Read(0, 1, trace.NoPayer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestEvictionWritesDirtyVictim(t *testing.T) {
 func TestFlushLineAndRange(t *testing.T) {
 	b := newMemBackend()
 	c := MustNew(tiny(), b, nil)
-	if err := c.Write(0x200, []byte{9}); err != nil {
+	if err := c.Write(0x200, []byte{9}, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.FlushLine(0x200); err != nil {
+	if err := c.FlushLine(0x200, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	if b.writes != 1 {
@@ -146,13 +146,13 @@ func TestFlushLineAndRange(t *testing.T) {
 		t.Fatalf("line still cached after flush")
 	}
 	// Flushing a clean or absent line is a no-op.
-	if err := c.FlushLine(0x8000); err != nil {
+	if err := c.FlushLine(0x8000, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(0x400, bytes.Repeat([]byte{7}, 256)); err != nil {
+	if err := c.Write(0x400, bytes.Repeat([]byte{7}, 256), trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.FlushRange(0x400, 256); err != nil {
+	if err := c.FlushRange(0x400, 256, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	if _, dirty := c.Stats(); dirty != 0 {
@@ -164,13 +164,13 @@ func TestDisabledCacheWritesThrough(t *testing.T) {
 	b := newMemBackend()
 	c := MustNew(tiny(), b, nil)
 	c.Enabled = false
-	if err := c.Write(0, []byte{5}); err != nil {
+	if err := c.Write(0, []byte{5}, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	if b.writes == 0 {
 		t.Fatal("disabled cache did not write through")
 	}
-	got, err := c.Read(0, 1)
+	got, err := c.Read(0, 1, trace.NoPayer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,15 +183,15 @@ func TestBackendErrorsPropagate(t *testing.T) {
 	b := newMemBackend()
 	c := MustNew(tiny(), b, nil)
 	b.failReads = true
-	if _, err := c.Read(0, 1); err == nil {
+	if _, err := c.Read(0, 1, trace.NoPayer); err == nil {
 		t.Fatal("read error swallowed")
 	}
 	b.failReads = false
-	if err := c.Write(0, []byte{1}); err != nil {
+	if err := c.Write(0, []byte{1}, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	b.failWrites = true
-	if err := c.FlushAll(); err == nil {
+	if err := c.FlushAll(trace.NoPayer); err == nil {
 		t.Fatal("write-back error swallowed")
 	}
 }
@@ -225,12 +225,12 @@ func TestCacheTransparency(t *testing.T) {
 		ref := make(map[uint16]byte)
 		for _, o := range ops {
 			if o.Write {
-				if err := c.Write(isa.PAddr(o.Addr), []byte{o.Data}); err != nil {
+				if err := c.Write(isa.PAddr(o.Addr), []byte{o.Data}, trace.NoPayer); err != nil {
 					return false
 				}
 				ref[o.Addr] = o.Data
 			} else {
-				got, err := c.Read(isa.PAddr(o.Addr), 1)
+				got, err := c.Read(isa.PAddr(o.Addr), 1, trace.NoPayer)
 				if err != nil {
 					return false
 				}
@@ -240,7 +240,7 @@ func TestCacheTransparency(t *testing.T) {
 			}
 		}
 		// After a full flush, the backend holds the same contents.
-		if err := c.FlushAll(); err != nil {
+		if err := c.FlushAll(trace.NoPayer); err != nil {
 			return false
 		}
 		for a, v := range ref {

@@ -33,7 +33,7 @@ type Validator struct{}
 // and charged as one batched record on every exit path — together with the
 // cached outer-closure (see outerChain) this keeps the nested walk free of
 // per-step recording overhead and per-walk allocations.
-func (Validator) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, *sgx.Outcome) {
+func (Validator) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, sgx.Verdict) {
 	m := c.Machine()
 	paddr := isa.PAddr(pte.PPN << isa.PageShift)
 	var steps int64
@@ -49,7 +49,7 @@ func (Validator) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (
 		if m.DRAM.PageInPRM(paddr) {
 			return abort()
 		}
-		return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: pte.Perms}, nil
+		return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: pte.Perms}, sgx.Verdict{}
 	}
 
 	s := c.Current()
@@ -79,7 +79,7 @@ func (Validator) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (
 				return fault(isa.PF(v, op, "EPCM permission"))
 			}
 			return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
-				FilledInEnclave: true, FilledEID: s.EID}, nil
+				FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
 		}
 		// Steps ③④⑤: the owner is not the current enclave — if the current
 		// enclave is an inner enclave, re-validate against its outer
@@ -99,11 +99,9 @@ func (Validator) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (
 			if !eff.Allows(op) {
 				return fault(isa.PF(v, op, "EPCM permission (outer page)"))
 			}
-			// The nested-accept marker stays an immediate charge: the walk's
-			// classification (OpNestedWalk) reads this counter's delta.
 			m.Rec.ChargeToDetail(uint64(s.EID), c.ID, trace.EvNestedValidate, 0, v.VPN())
 			return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
-				FilledInEnclave: true, FilledEID: s.EID}, nil
+				FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{Path: sgx.PathOuter}
 		}
 		// Peer inner enclave, unrelated enclave, or non-enclave attacker
 		// mapping: abort. This is the line that confines the outer enclave
@@ -131,11 +129,11 @@ func (Validator) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (
 		return fault(isa.PF(v, op, "execute from unsecure memory in enclave mode"))
 	}
 	return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: perms,
-		FilledInEnclave: true, FilledEID: s.EID}, nil
+		FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
 }
 
-func abort() (tlb.Entry, *sgx.Outcome) { return tlb.Entry{}, &sgx.Outcome{Abort: true} }
+func abort() (tlb.Entry, sgx.Verdict) { return tlb.Entry{}, sgx.Verdict{Path: sgx.PathAbort} }
 
-func fault(f *isa.Fault) (tlb.Entry, *sgx.Outcome) {
-	return tlb.Entry{}, &sgx.Outcome{Fault: f}
+func fault(f *isa.Fault) (tlb.Entry, sgx.Verdict) {
+	return tlb.Entry{}, sgx.Verdict{Path: sgx.PathFault, Fault: f}
 }

@@ -9,6 +9,7 @@ import (
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sgx"
+	"nestedenclave/internal/trace"
 )
 
 // Driver is the SGX kernel driver: the privileged side of enclave
@@ -133,7 +134,7 @@ func (d *Driver) withPressure(s *sgx.SECS, alloc func() (int, error)) (int, erro
 		if d.k.m.FreeEPCPages() > 0 {
 			return 0, err // not a pressure failure
 		}
-		if derr := d.makeRoom(s.EID); derr != nil {
+		if derr := d.makeRoom(s.EID, trace.NoCore); derr != nil {
 			return 0, fmt.Errorf("kos: EPC exhausted and paging daemon failed: %v (alloc: %w)", derr, err)
 		}
 	}
@@ -142,8 +143,9 @@ func (d *Driver) withPressure(s *sgx.SECS, alloc func() (int, error)) (int, erro
 
 // makeRoom is the paging daemon: it picks a resident regular page (rotating
 // across the EPC, skipping the enclave currently being served when
-// possible) and evicts it through the full architectural protocol.
-func (d *Driver) makeRoom(avoid isa.EID) error {
+// possible) and evicts it through the full architectural protocol on the
+// given core (trace.NoCore outside a fault).
+func (d *Driver) makeRoom(avoid isa.EID, core int) error {
 	m := d.k.m
 	n := m.EPC.NumPages()
 	tryEvict := func(skipAvoid bool) error {
@@ -174,7 +176,7 @@ func (d *Driver) makeRoom(avoid isa.EID) error {
 			if proc == nil {
 				continue
 			}
-			if err := d.EvictPage(proc, owner, ent.Vaddr); err != nil {
+			if err := d.evictPage(proc, owner, ent.Vaddr, core); err != nil {
 				continue // e.g. live translations on a busy enclave; try another victim
 			}
 			d.victimCursor = (idx + 1) % n
@@ -215,6 +217,11 @@ func (d *Driver) DestroyEnclave(p *Process, s *sgx.SECS) error {
 // the cores the Tracker reports, then EWB. The process mapping is marked
 // not-present so the next access faults into reloadIfEvicted.
 func (d *Driver) EvictPage(p *Process, s *sgx.SECS, vaddr isa.VAddr) error {
+	return d.evictPage(p, s, vaddr, trace.NoCore)
+}
+
+// evictPage is EvictPage with EWB run on the given core.
+func (d *Driver) evictPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, core int) error {
 	m := d.k.m
 	pageIdx, found := m.FindRegPage(s, vaddr)
 	if !found {
@@ -230,7 +237,7 @@ func (d *Driver) EvictPage(p *Process, s *sgx.SECS, vaddr isa.VAddr) error {
 		}
 		m.ShootdownFor(c, s.EID)
 	}
-	blob, err := m.EWB(pageIdx)
+	blob, err := m.EWB(pageIdx, core)
 	if err != nil {
 		return err
 	}
@@ -277,13 +284,14 @@ func (d *Driver) reloadIfEvicted(c *sgx.Core, f *isa.Fault) bool {
 	}
 
 	// Under EPC pressure the reload itself may need the paging daemon to
-	// make room first.
-	page, err := m.ELDU(load)
+	// make room first. All of it runs on the faulting core, so its EWB/ELD
+	// spans parent under the faulting call.
+	page, err := m.ELDU(load, c.ID)
 	for attempt := 0; err != nil && m.FreeEPCPages() == 0 && attempt < 4; attempt++ {
-		if d.makeRoom(load.Owner) != nil {
+		if d.makeRoom(load.Owner, c.ID) != nil {
 			break
 		}
-		page, err = m.ELDU(load)
+		page, err = m.ELDU(load, c.ID)
 	}
 	if err != nil {
 		// Put the genuine blob back so the page is not lost; the access will

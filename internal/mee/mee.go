@@ -94,11 +94,11 @@ func MustNew(mem *phys.Memory, rec *trace.Recorder) *Engine {
 	return e
 }
 
-// charge bills MEE line work to the enclave the access path named via
-// SetBillHint — the engine itself runs below the protection context.
-func (e *Engine) charge(ev trace.Event, cost int64) {
+// charge bills MEE line work to the payer the cache named — the engine
+// itself runs below the protection context.
+func (e *Engine) charge(ev trace.Event, cost int64, payer trace.Payer) {
 	if e.rec != nil {
-		e.rec.ChargeHint(ev, cost)
+		e.rec.ChargeTo(payer.EID, payer.Core, ev, cost)
 	}
 }
 
@@ -117,7 +117,7 @@ func (e *Engine) Memory() *phys.Memory { return e.mem }
 
 // WriteLine implements cache.Backend: a dirty-line writeback. PRM lines are
 // encrypted and their integrity metadata versioned; others stored raw.
-func (e *Engine) WriteLine(p isa.PAddr, data []byte) error {
+func (e *Engine) WriteLine(p isa.PAddr, data []byte, payer trace.Payer) error {
 	if len(data) != isa.LineSize {
 		return fmt.Errorf("mee: writeback of %d bytes, want %d", len(data), isa.LineSize)
 	}
@@ -139,13 +139,13 @@ func (e *Engine) WriteLine(p isa.PAddr, data []byte) error {
 	ct := e.aead.Seal(nil, e.nonce(idx, m.version), data, nil)
 	copy(m.tag[:], ct[isa.LineSize:])
 	e.mem.Write(p, ct[:isa.LineSize])
-	e.charge(trace.EvMEEEncrypt, trace.CostMEELine)
+	e.charge(trace.EvMEEEncrypt, trace.CostMEELine, payer)
 	return nil
 }
 
 // ReadLine implements cache.Backend: a line fetch. PRM lines are decrypted
 // and integrity-verified; tampering raises a machine-check fault.
-func (e *Engine) ReadLine(p isa.PAddr) ([]byte, error) {
+func (e *Engine) ReadLine(p isa.PAddr, payer trace.Payer) ([]byte, error) {
 	if p.Offset()&isa.LineMask != 0 {
 		return nil, fmt.Errorf("mee: unaligned line fetch at %#x", uint64(p))
 	}
@@ -174,13 +174,13 @@ func (e *Engine) ReadLine(p isa.PAddr) ([]byte, error) {
 	}
 	pt, err := e.aead.Open(nil, e.nonce(idx, m.version), ct, nil)
 	if err != nil {
-		e.charge(trace.EvFaultMC, 0)
+		e.charge(trace.EvFaultMC, 0, payer)
 		if e.Poison != nil {
 			e.Poison(p)
 		}
 		return nil, isa.MC("MEE integrity failure on line %#x", uint64(p))
 	}
-	e.charge(trace.EvMEEDecrypt, trace.CostMEELine)
+	e.charge(trace.EvMEEDecrypt, trace.CostMEELine, payer)
 	return pt, nil
 }
 

@@ -25,10 +25,10 @@ func line(fill byte) []byte { return bytes.Repeat([]byte{fill}, isa.LineSize) }
 func TestPRMRoundTrip(t *testing.T) {
 	e, _, _ := newEngine()
 	p := layout().PRMBase
-	if err := e.WriteLine(p, line(0x42)); err != nil {
+	if err := e.WriteLine(p, line(0x42), trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.ReadLine(p)
+	got, err := e.ReadLine(p, trace.NoPayer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestPRMIsCiphertextInDRAM(t *testing.T) {
 	e, mem, _ := newEngine()
 	p := layout().PRMBase
 	pt := line(0x42)
-	if err := e.WriteLine(p, pt); err != nil {
+	if err := e.WriteLine(p, pt, trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	raw := mem.Read(p, isa.LineSize)
@@ -53,7 +53,7 @@ func TestPRMIsCiphertextInDRAM(t *testing.T) {
 func TestNonPRMPassesThrough(t *testing.T) {
 	e, mem, rec := newEngine()
 	p := isa.PAddr(0x1000)
-	if err := e.WriteLine(p, line(0x17)); err != nil {
+	if err := e.WriteLine(p, line(0x17), trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mem.Read(p, isa.LineSize), line(0x17)) {
@@ -67,11 +67,11 @@ func TestNonPRMPassesThrough(t *testing.T) {
 func TestTamperDetection(t *testing.T) {
 	e, mem, rec := newEngine()
 	p := layout().PRMBase + 4096
-	if err := e.WriteLine(p, line(0x99)); err != nil {
+	if err := e.WriteLine(p, line(0x99), trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	mem.TamperByte(p+5, 0x01) // physical attacker flips a bit
-	_, err := e.ReadLine(p)
+	_, err := e.ReadLine(p, trace.NoPayer)
 	if err == nil {
 		t.Fatal("tampered line read succeeded")
 	}
@@ -85,7 +85,7 @@ func TestTamperDetection(t *testing.T) {
 
 func TestFreshLineReadsZero(t *testing.T) {
 	e, _, _ := newEngine()
-	got, err := e.ReadLine(layout().PRMBase + 8192)
+	got, err := e.ReadLine(layout().PRMBase+8192, trace.NoPayer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +97,15 @@ func TestFreshLineReadsZero(t *testing.T) {
 func TestVersioningPreventsCiphertextReplay(t *testing.T) {
 	e, mem, _ := newEngine()
 	p := layout().PRMBase
-	if err := e.WriteLine(p, line(0x01)); err != nil {
+	if err := e.WriteLine(p, line(0x01), trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	old := mem.Read(p, isa.LineSize) // attacker snapshots ciphertext v1
-	if err := e.WriteLine(p, line(0x02)); err != nil {
+	if err := e.WriteLine(p, line(0x02), trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	mem.Write(p, old) // attacker replays the stale ciphertext
-	if _, err := e.ReadLine(p); err == nil {
+	if _, err := e.ReadLine(p, trace.NoPayer); err == nil {
 		t.Fatal("replayed stale ciphertext accepted")
 	}
 }
@@ -114,7 +114,7 @@ func TestDisabledEngineStoresPlaintext(t *testing.T) {
 	e, mem, _ := newEngine()
 	e.Enabled = false
 	p := layout().PRMBase
-	if err := e.WriteLine(p, line(0x33)); err != nil {
+	if err := e.WriteLine(p, line(0x33), trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mem.Read(p, isa.LineSize), line(0x33)) {
@@ -125,14 +125,14 @@ func TestDisabledEngineStoresPlaintext(t *testing.T) {
 func TestDropPageForgetsMetadata(t *testing.T) {
 	e, mem, _ := newEngine()
 	p := layout().PRMBase
-	if err := e.WriteLine(p, line(0x55)); err != nil {
+	if err := e.WriteLine(p, line(0x55), trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	// Page recycled: DRAM zeroed, metadata dropped; the next read must not
 	// fail integrity, it must see a fresh zero line.
 	mem.Zero(p, isa.PageSize)
 	e.DropPage(p)
-	got, err := e.ReadLine(p)
+	got, err := e.ReadLine(p, trace.NoPayer)
 	if err != nil {
 		t.Fatalf("recycled page read: %v", err)
 	}
@@ -143,13 +143,13 @@ func TestDropPageForgetsMetadata(t *testing.T) {
 
 func TestUnalignedRejected(t *testing.T) {
 	e, _, _ := newEngine()
-	if err := e.WriteLine(layout().PRMBase+1, line(0)); err == nil {
+	if err := e.WriteLine(layout().PRMBase+1, line(0), trace.NoPayer); err == nil {
 		t.Fatal("unaligned write accepted")
 	}
-	if _, err := e.ReadLine(layout().PRMBase + 7); err == nil {
+	if _, err := e.ReadLine(layout().PRMBase+7, trace.NoPayer); err == nil {
 		t.Fatal("unaligned read accepted")
 	}
-	if err := e.WriteLine(layout().PRMBase, []byte{1, 2}); err == nil {
+	if err := e.WriteLine(layout().PRMBase, []byte{1, 2}, trace.NoPayer); err == nil {
 		t.Fatal("short write accepted")
 	}
 }
@@ -160,10 +160,10 @@ func TestRoundTripProperty(t *testing.T) {
 	e, mem, _ := newEngine()
 	f := func(content [isa.LineSize]byte, idx uint16) bool {
 		p := layout().PRMBase + isa.PAddr(idx)*isa.LineSize
-		if err := e.WriteLine(p, content[:]); err != nil {
+		if err := e.WriteLine(p, content[:], trace.NoPayer); err != nil {
 			return false
 		}
-		got, err := e.ReadLine(p)
+		got, err := e.ReadLine(p, trace.NoPayer)
 		if err != nil {
 			return false
 		}

@@ -173,16 +173,15 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 	defer e.releaseTCS(tcsV)
 
 	m := e.host.K.Machine()
-	sp := m.Rec.BeginSpan(c.ID, uint64(e.secs.EID), "ecall:"+name)
-	defer sp.End()
+	op := m.Rec.BeginOp(trace.OpECall, c.ID, uint64(e.secs.EID), name)
+	defer op.End()
 	m.Rec.ChargeTo(uint64(e.secs.EID), c.ID, trace.EvECall, 0)
-	callStart := m.Rec.Cycles()
 	if err := m.EEnter(c, e.secs, tcsV, false); err != nil {
 		return err
 	}
 	env := &Env{E: e, C: c, tcsV: tcsV}
 	if budget > 0 {
-		env.deadline = callStart + budget
+		env.deadline = op.Start() + budget
 		env.budget = budget
 	}
 	ferr := body(env)
@@ -196,7 +195,6 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 		if t, terr := e.secs.FindTCS(tcsV); terr == nil {
 			m.ScrubTCS(t)
 		}
-		m.Rec.Observe(trace.OpECall, m.Rec.Cycles()-callStart)
 		if ferr == nil {
 			ferr = fmt.Errorf("sdk: enclave evacuated mid-call")
 		}
@@ -208,7 +206,6 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 	if err := m.EExit(c, true); err != nil {
 		return err
 	}
-	m.Rec.Observe(trace.OpECall, m.Rec.Cycles()-callStart)
 	if ferr != nil {
 		if _, isCrash := IsCrash(ferr); isCrash {
 			return ferr

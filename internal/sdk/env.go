@@ -163,10 +163,9 @@ func (env *Env) OCall(name string, args []byte) ([]byte, error) {
 		return nil, fmt.Errorf("sdk: host has no ocall handler %q", name)
 	}
 	m := env.E.host.K.Machine()
-	sp := m.Rec.BeginSpan(env.C.ID, uint64(env.E.secs.EID), "ocall:"+name)
-	defer sp.End()
+	op := m.Rec.BeginOp(trace.OpOCall, env.C.ID, uint64(env.E.secs.EID), name)
+	defer op.End()
 	m.Rec.ChargeTo(uint64(env.E.secs.EID), env.C.ID, trace.EvOCall, 0)
-	callStart := m.Rec.Cycles()
 	// The tRTS scrubs registers and marshals arguments out before EEXIT.
 	marshalled := append([]byte(nil), args...)
 	env.C.Regs.Scrub()
@@ -177,7 +176,6 @@ func (env *Env) OCall(name string, args []byte) ([]byte, error) {
 	if err := m.EEnter(env.C, env.E.secs, env.tcsV, true); err != nil {
 		return nil, err
 	}
-	m.Rec.Observe(trace.OpOCall, m.Rec.Cycles()-callStart)
 	if ferr != nil {
 		return nil, ferr
 	}
@@ -213,19 +211,17 @@ func (env *Env) OCallAsync(name string, args []byte) ([]byte, error) {
 	}
 	m := env.E.host.K.Machine()
 	eid := uint64(env.E.secs.EID)
-	sp := m.Rec.BeginSpan(env.C.ID, eid, "switchless_ocall:"+name)
-	defer sp.End()
-	callStart := m.Rec.Cycles()
+	op := m.Rec.BeginOp(trace.OpSwitchlessOCall, env.C.ID, eid, name)
+	defer op.End()
 	// One marshalling copy into the shared (untrusted) ring buffer; the
 	// response buffer is produced by the host and ownership transfers here.
 	marshalled := append([]byte(nil), args...)
 	out, ferr, ok := eng.Submit(env.C.ID, eid, name, marshalled)
 	if !ok {
 		// Ring full, engine stopped, or starved past the wait budget: pay the
-		// transition after all.
+		// transition after all, inside this op.
 		return env.OCall(name, args)
 	}
-	m.Rec.Observe(trace.OpSwitchlessOCall, m.Rec.Cycles()-callStart)
 	return out, ferr
 }
 
@@ -246,10 +242,9 @@ func (env *Env) NECall(inner *Enclave, name string, args []byte) ([]byte, error)
 		return nil, fmt.Errorf("sdk: inner enclave %s has no entry %q", inner.img.Name, name)
 	}
 	m := env.E.host.K.Machine()
-	sp := m.Rec.BeginSpan(env.C.ID, uint64(inner.secs.EID), "n_ecall:"+name)
-	defer sp.End()
+	op := m.Rec.BeginOp(trace.OpNECall, env.C.ID, uint64(inner.secs.EID), name)
+	defer op.End()
 	m.Rec.ChargeTo(uint64(inner.secs.EID), env.C.ID, trace.EvNECall, 0)
-	callStart := m.Rec.Cycles()
 	tcsV := inner.claimTCS()
 	defer inner.releaseTCS(tcsV)
 	marshalled := append([]byte(nil), args...)
@@ -267,7 +262,6 @@ func (env *Env) NECall(inner *Enclave, name string, args []byte) ([]byte, error)
 	if err := ext.NEEXIT(env.C); err != nil {
 		return nil, err
 	}
-	m.Rec.Observe(trace.OpNECall, m.Rec.Cycles()-callStart)
 	if ferr != nil {
 		return nil, ferr
 	}
@@ -296,10 +290,9 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 		return nil, nil
 	}
 	m := env.E.host.K.Machine()
-	sp := m.Rec.BeginSpan(env.C.ID, uint64(inner.secs.EID), "n_ecall_batch:"+name)
-	defer sp.End()
+	op := m.Rec.BeginOp(trace.OpNECallBatch, env.C.ID, uint64(inner.secs.EID), name)
+	defer op.End()
 	m.Rec.ChargeTo(uint64(inner.secs.EID), env.C.ID, trace.EvNECall, 0)
-	callStart := m.Rec.Cycles()
 	tcsV := inner.claimTCS()
 	defer inner.releaseTCS(tcsV)
 	if err := ext.NEENTER(env.C, inner.secs, tcsV); err != nil {
@@ -325,7 +318,6 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 	if err := ext.NEEXIT(env.C); err != nil {
 		return nil, err
 	}
-	m.Rec.Observe(trace.OpNECall, m.Rec.Cycles()-callStart)
 	if ferr != nil {
 		return nil, ferr
 	}
@@ -387,10 +379,9 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 		return nil, fmt.Errorf("sdk: no outer enclave of %s exposes %q", env.E.img.Name, name)
 	}
 	m := env.E.host.K.Machine()
-	sp := m.Rec.BeginSpan(env.C.ID, uint64(outer.secs.EID), "n_ocall:"+name)
-	defer sp.End()
+	op := m.Rec.BeginOp(trace.OpNOCall, env.C.ID, uint64(outer.secs.EID), name)
+	defer op.End()
 	m.Rec.ChargeTo(uint64(outer.secs.EID), env.C.ID, trace.EvNOCall, 0)
-	callStart := m.Rec.Cycles()
 	marshalled := append([]byte(nil), args...)
 
 	// Fast path: this inner was NEENTERed from the outer enclave, so NEEXIT
@@ -412,7 +403,6 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 		if err := ext.NEENTER(env.C, env.E.secs, env.tcsV); err != nil {
 			return nil, err
 		}
-		m.Rec.Observe(trace.OpNOCall, m.Rec.Cycles()-callStart)
 		if ferr != nil {
 			return nil, ferr
 		}
@@ -437,7 +427,6 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 	if err := ext.NEEXIT(env.C); err != nil {
 		return nil, err
 	}
-	m.Rec.Observe(trace.OpNOCall, m.Rec.Cycles()-callStart)
 	if ferr != nil {
 		return nil, ferr
 	}

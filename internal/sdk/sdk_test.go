@@ -164,7 +164,7 @@ func TestSecretIsCiphertextInDRAM(t *testing.T) {
 		t.Fatalf("stash: %v", err)
 	}
 	// Force writeback so the line reaches DRAM, then probe the bus.
-	if err := r.m.LLC.FlushAll(); err != nil {
+	if err := r.m.LLC.FlushAll(trace.NoPayer); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 	pa, ok := r.host.Proc.PageTable().Translate(addr)

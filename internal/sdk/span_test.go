@@ -24,7 +24,6 @@ func spansByName(spans []trace.Span) map[string][]trace.Span {
 // the crash/timeout tests below guard dynamically.
 func assertNoOpenSpans(t *testing.T, rec *trace.Recorder, cores int) {
 	t.Helper()
-	rec.SetSpanHint(0) // CurrentSpan(NoCore) falls back to the hint
 	for c := -1; c < cores; c++ {
 		if id := rec.CurrentSpan(c); id != 0 {
 			t.Errorf("core %d still has open span %d after unwind", c, id)

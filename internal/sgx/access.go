@@ -59,24 +59,17 @@ func (c *Core) maybeChaos() error {
 // goroutine, so concurrent translations on different cores proceed in
 // parallel while mutating instructions hold the write lock.
 func (c *Core) translateLocked(v isa.VAddr, op isa.Access) (pa isa.PAddr, abort bool, err error) {
-	rec := c.m.Rec
-	eid := c.BillEID()
-	// The memory hierarchy below (LLC, MEE) has no protection context of its
-	// own; bill its line operations to the enclave driving this access, and
-	// parent them under the innermost span of the driving core.
-	rec.SetBillHint(eid)
-	rec.SetSpanHint(rec.CurrentSpan(c.ID))
 	if e, ok := c.TLB.Lookup(v); ok && e.Perms.Allows(op) {
 		return isa.PAddr(e.PPN<<isa.PageShift | v.Offset()), false, nil
 	}
 	// TLB miss: walk the (untrusted) page table, then validate. The whole
-	// miss-handling sequence is observed as one page-walk latency sample,
-	// classified as nested when the Figure-6 outer-enclave branch fired.
-	walkStart := rec.Cycles()
-	nested0 := rec.Get(trace.EvNestedValidate)
-	sp := rec.BeginSpan(c.ID, eid, "page_walk")
-	defer sp.End()
-	rec.SetSpanHint(sp.ID())
+	// miss-handling sequence is one walk op, faulting and aborting walks
+	// included; the verdict reclassifies it as nested when the Figure-6
+	// outer-enclave branch approved it.
+	rec := c.m.Rec
+	eid := c.BillEID()
+	walk := rec.BeginOp(trace.OpPageWalk, c.ID, eid, "")
+	defer walk.End()
 	rec.ChargeToDetail(eid, c.ID, trace.EvPageWalk, trace.CostPageWalk, v.VPN())
 	if c.PT == nil {
 		return 0, false, isa.PF(v, op, "no address space installed")
@@ -88,25 +81,27 @@ func (c *Core) translateLocked(v isa.VAddr, op isa.Access) (pa isa.PAddr, abort 
 	if !pte.Present {
 		return 0, false, isa.PF(v, op, "not present")
 	}
-	entry, outcome := c.m.Validator.Validate(c, v, pte, op)
-	if outcome != nil {
-		if outcome.Abort {
-			return 0, true, nil
-		}
-		switch outcome.Fault.Class {
+	// The kernel owns the page table: a frame past the end of DRAM must be
+	// refused here, before the cache hierarchy dereferences it.
+	if pte.PPN >= c.m.DRAM.Size()>>isa.PageShift {
+		return 0, false, isa.PF(v, op, "frame %#x outside DRAM", pte.PPN)
+	}
+	entry, verdict := c.m.Validator.Validate(c, v, pte, op)
+	switch verdict.Path {
+	case PathAbort:
+		return 0, true, nil
+	case PathFault:
+		switch verdict.Fault.Class {
 		case isa.FaultGP:
 			rec.ChargeToDetail(eid, c.ID, trace.EvFaultGP, 0, v.VPN())
 		case isa.FaultPF:
 			rec.ChargeToDetail(eid, c.ID, trace.EvFaultPF, 0, v.VPN())
 		}
-		return 0, false, outcome.Fault
+		return 0, false, verdict.Fault
+	case PathOuter:
+		walk.Op = trace.OpNestedWalk
 	}
 	c.TLB.Insert(entry)
-	walkOp := trace.OpPageWalk
-	if rec.Get(trace.EvNestedValidate) != nested0 {
-		walkOp = trace.OpNestedWalk
-	}
-	rec.Observe(walkOp, rec.Cycles()-walkStart)
 	return isa.PAddr(entry.PPN<<isa.PageShift | v.Offset()), false, nil
 }
 
@@ -131,9 +126,6 @@ func (c *Core) handleFault(err error) bool {
 	if c.inEnclave {
 		c.m.Rec.ChargeTo(c.BillEID(), c.ID, trace.EvAEX, trace.CostAEX)
 	}
-	// The kernel pager runs below any core context (its EWB/ELD spans open
-	// on NoCore); parent them under the faulting call's span.
-	c.m.Rec.SetSpanHint(c.m.Rec.CurrentSpan(c.ID))
 	return c.PFHandler(c, f)
 }
 
@@ -157,7 +149,7 @@ func (c *Core) ReadInto(v isa.VAddr, dst []byte) error {
 					}
 					break
 				}
-				err = c.m.LLC.ReadIntoFor(pa, dst[off:off+n], c.BillEID(), c.m.Rec.CurrentSpan(c.ID))
+				err = c.m.LLC.ReadInto(pa, dst[off:off+n], c.payer())
 				c.m.mu.RUnlock()
 				if err != nil {
 					return err // MEE integrity machine check
@@ -198,7 +190,7 @@ func (c *Core) Write(v isa.VAddr, b []byte) error {
 			pa, abort, err := c.translateLocked(cur, isa.Write)
 			if err == nil {
 				if !abort {
-					err = c.m.LLC.WriteFor(pa, b[off:off+n], c.BillEID(), c.m.Rec.CurrentSpan(c.ID))
+					err = c.m.LLC.Write(pa, b[off:off+n], c.payer())
 				}
 				c.m.mu.RUnlock()
 				if err != nil {

@@ -101,19 +101,19 @@ func FuzzAccessValidate(f *testing.F) {
 		case !mapped || !pte.Present:
 			got = model.VPF
 		default:
-			entry, outcome := m.Validator.Validate(m.Core(coreID), v, pte, op)
+			entry, verdict := m.Validator.Validate(m.Core(coreID), v, pte, op)
 			switch {
-			case outcome == nil:
+			case verdict.Path == sgx.PathBaseline || verdict.Path == sgx.PathOuter:
 				got = model.VOK
 				gotEntry = model.TLBEntry{PPN: entry.PPN, Perms: entry.Perms}
-			case outcome.Abort:
+			case verdict.Path == sgx.PathAbort:
 				got = model.VAbort
-			case outcome.Fault.Class == isa.FaultPF:
+			case verdict.Fault.Class == isa.FaultPF:
 				got = model.VPF
-			case outcome.Fault.Class == isa.FaultGP:
+			case verdict.Fault.Class == isa.FaultGP:
 				got = model.VGP
 			default:
-				t.Fatalf("validator returned unclassifiable outcome %+v", outcome)
+				t.Fatalf("validator returned unclassifiable verdict %+v", verdict)
 			}
 		}
 

@@ -5,6 +5,7 @@ import (
 
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
+	"nestedenclave/internal/trace"
 )
 
 // This file implements the privileged enclave-building instructions:
@@ -22,9 +23,6 @@ func (m *Machine) ECreate(base isa.VAddr, size uint64, attributes uint64) (*SECS
 	}
 	eid := m.nextEID
 	m.nextEID++
-	// Enclave-build work (the SECS page, its eventual MEE metadata) bills to
-	// the enclave being created.
-	m.Rec.SetBillHint(uint64(eid))
 	page, err := m.EPC.Alloc(eid, isa.PTSECS, 0, 0)
 	if err != nil {
 		return nil, isa.GP("ECREATE: %v", err)
@@ -86,19 +84,17 @@ func (m *Machine) EAdd(s *SECS, a AddPageArgs) (int, error) {
 	default:
 		return 0, isa.GP("EADD: page type %v not addable", a.Type)
 	}
-	// Page-add work (EPC slot, content writeback through the MEE) bills to
-	// the enclave under construction.
-	m.Rec.SetBillHint(uint64(s.EID))
 	page, err := m.EPC.Alloc(s.EID, a.Type, a.Vaddr, perms)
 	if err != nil {
 		return 0, isa.GP("EADD: %v", err)
 	}
 	// Microcode writes the initial content into the EPC page through the
-	// cache hierarchy (so it lands encrypted in DRAM on writeback).
+	// cache hierarchy (so it lands encrypted in DRAM on writeback), billed
+	// to the enclave under construction.
 	content := make([]byte, isa.PageSize)
 	copy(content, a.Content)
 	pa := m.EPC.AddrOf(page)
-	if err := m.LLC.Write(pa, content); err != nil {
+	if err := m.LLC.Write(pa, content, trace.Payer{EID: uint64(s.EID), Core: trace.NoCore}); err != nil {
 		_ = m.EPC.Free(page)
 		return 0, err
 	}
@@ -140,13 +136,12 @@ func (m *Machine) EAug(s *SECS, vaddr isa.VAddr, perms isa.Perm) (int, error) {
 			return 0, isa.GP("EAUG: vaddr %#x already backed", uint64(vaddr))
 		}
 	}
-	// Dynamic growth bills to the enclave the page is augmented into.
-	m.Rec.SetBillHint(uint64(s.EID))
 	page, err := m.EPC.Alloc(s.EID, isa.PTReg, vaddr, perms)
 	if err != nil {
 		return 0, isa.GP("EAUG: %v", err)
 	}
-	if err := m.LLC.Write(m.EPC.AddrOf(page), make([]byte, isa.PageSize)); err != nil {
+	// Dynamic growth bills to the enclave the page is augmented into.
+	if err := m.LLC.Write(m.EPC.AddrOf(page), make([]byte, isa.PageSize), trace.Payer{EID: uint64(s.EID), Core: trace.NoCore}); err != nil {
 		_ = m.EPC.Free(page)
 		return 0, err
 	}
@@ -189,9 +184,6 @@ func (m *Machine) ERemove(page int) error {
 	if !ent.Valid {
 		return isa.GP("EREMOVE: page %d not valid", page)
 	}
-	// Teardown work (cache scrub, MEE metadata drop, EPC free) bills to the
-	// enclave that owned the page.
-	m.Rec.SetBillHint(uint64(ent.Owner))
 	if ent.Type == isa.PTSECS {
 		owner := ent.Owner
 		for _, i := range m.EPC.PagesOf(owner) {

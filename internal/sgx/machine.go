@@ -36,21 +36,37 @@ import (
 
 // Validator is the access-validation flow run during TLB-miss handling.
 // Implementations receive the faulting core, the requested virtual address,
-// the (untrusted) page-table entry, and the access kind, and either return
-// the TLB entry to insert or reject the access.
+// the (untrusted) page-table entry, and the access kind, and return a
+// verdict together with the TLB entry to insert when the verdict accepts.
 type Validator interface {
-	Validate(c *Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, *Outcome)
+	Validate(c *Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, Verdict)
 }
 
-// Outcome describes a rejected translation.
-type Outcome struct {
-	// Abort means the access gets abort-page semantics: reads return all
+// Path names the branch of the validation flow that decided a walk.
+type Path uint8
+
+const (
+	// PathBaseline accepts through a check baseline SGX also makes: an
+	// untrusted access to unsecure memory, an enclave's own EPC page, or an
+	// enclave access to unsecure memory.
+	PathBaseline Path = iota
+	// PathOuter accepts through the Figure-6 outer-enclave branch (steps
+	// ③④⑤): an inner enclave reaching an EPC page of one of its outers.
+	PathOuter
+	// PathAbort gives the access abort-page semantics: reads return all
 	// ones, writes are dropped, execution faults. This is how SGX handles
 	// unauthorized accesses to protected memory.
-	Abort bool
-	// Fault, when non-nil, is delivered instead (page faults for evicted
-	// pages, permission violations, non-present mappings).
-	Fault *isa.Fault
+	PathAbort
+	// PathFault delivers Verdict.Fault instead (page faults for evicted
+	// pages, permission violations).
+	PathFault
+)
+
+// Verdict is a validator's decision on one translation. The zero Verdict
+// accepts on the baseline path.
+type Verdict struct {
+	Path  Path
+	Fault *isa.Fault // set exactly when Path is PathFault
 }
 
 // Tracker decides which cores must receive a TLB-shootdown IPI when the
@@ -307,6 +323,9 @@ func (c *Core) BillEID() uint64 {
 	}
 	return trace.NoEID
 }
+
+// payer bills memory-hierarchy work to the core's current execution.
+func (c *Core) payer() trace.Payer { return trace.Payer{EID: c.BillEID(), Core: c.ID} }
 
 // NestingDepth returns how many enclave frames are active on the core
 // (1 inside a top-level enclave, 2 inside an inner enclave, ...).

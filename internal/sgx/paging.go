@@ -145,8 +145,11 @@ func (m *Machine) ShootdownFor(c *Core, eid isa.EID) {
 
 // EWB evicts a blocked EPC page: verifies no TLB anywhere still maps it
 // (the hardware's conservative check — a failed shootdown protocol surfaces
-// here as an error), seals content+metadata, frees the page.
-func (m *Machine) EWB(page int) (*EvictedPage, error) {
+// here as an error), seals content+metadata, frees the page. core is the
+// processor running the instruction (trace.NoCore for the paging daemon):
+// the eviction is one op on that core's span stack, so on the kernel's #PF
+// path it parents under the faulting call.
+func (m *Machine) EWB(page int, core int) (*EvictedPage, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ent := m.EPC.Entry(page)
@@ -158,13 +161,11 @@ func (m *Machine) EWB(page int) (*EvictedPage, error) {
 	}
 	pa := m.EPC.AddrOf(page)
 	ppn := pa.PPN()
-	// Bill the flush/seal memory traffic to the page's owner and observe the
-	// whole eviction as one latency sample. The span opens on NoCore, so it
-	// parents under the faulting call the pager is serving (the span hint).
-	m.Rec.SetBillHint(uint64(ent.Owner))
-	sp := m.Rec.BeginSpan(trace.NoCore, uint64(ent.Owner), "ewb")
-	defer sp.End()
-	ewbStart := m.Rec.Cycles()
+	// The flush/seal memory traffic bills to the page's owner.
+	owner, vaddr := uint64(ent.Owner), ent.Vaddr
+	payer := trace.Payer{EID: owner, Core: core}
+	op := m.Rec.BeginOp(trace.OpEWB, core, owner, "")
+	defer op.End()
 	for _, c := range m.cores {
 		for _, e := range c.TLB.Entries() {
 			if e.PPN == ppn {
@@ -172,11 +173,11 @@ func (m *Machine) EWB(page int) (*EvictedPage, error) {
 			}
 		}
 	}
-	content, err := m.LLC.Read(pa, isa.PageSize)
+	content, err := m.LLC.Read(pa, isa.PageSize, payer)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.LLC.FlushRange(pa, isa.PageSize); err != nil {
+	if err := m.LLC.FlushRange(pa, isa.PageSize, payer); err != nil {
 		return nil, err
 	}
 	m.vaSlotNext++
@@ -198,14 +199,10 @@ func (m *Machine) EWB(page int) (*EvictedPage, error) {
 	m.vaSlots[slot] = true
 	m.MEE.DropPage(pa)
 	m.DRAM.Zero(pa, isa.PageSize)
-	if ent.Type == isa.PTTCS {
-		// Keep the TCS structure; it is restored when the page reloads.
-	}
 	if err := m.EPC.Free(page); err != nil {
 		return nil, err
 	}
-	m.Rec.ChargeToDetail(uint64(ent.Owner), trace.NoCore, trace.EvEWB, 0, uint64(ent.Vaddr))
-	m.Rec.Observe(trace.OpEWB, m.Rec.Cycles()-ewbStart)
+	m.Rec.ChargeToDetail(owner, core, trace.EvEWB, 0, uint64(vaddr))
 	return blob, nil
 }
 
@@ -214,7 +211,8 @@ func (m *Machine) EWB(page int) (*EvictedPage, error) {
 // must equal the current counter for its (owner, vaddr) lane, and its
 // one-time slot must be unspent. Either mismatch is a typed *BlobReplayError
 // (errors.Is ErrBlobReplay) — a detection verdict, not a generic fault.
-func (m *Machine) ELDU(blob *EvictedPage) (int, error) {
+// core is the processor running the instruction, as for EWB.
+func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if cur := m.blobVer[blobKey{blob.Owner, blob.Vaddr}]; blob.Version != cur {
@@ -234,21 +232,19 @@ func (m *Machine) ELDU(blob *EvictedPage) (int, error) {
 	if _, ok := m.secsByEID[blob.Owner]; !ok {
 		return 0, isa.GP("ELDU: owner enclave %d no longer exists", blob.Owner)
 	}
-	m.Rec.SetBillHint(uint64(blob.Owner))
-	sp := m.Rec.BeginSpan(trace.NoCore, uint64(blob.Owner), "eld")
-	defer sp.End()
-	eldStart := m.Rec.Cycles()
+	owner := uint64(blob.Owner)
+	op := m.Rec.BeginOp(trace.OpELD, core, owner, "")
+	defer op.End()
 	page, err := m.EPC.Alloc(blob.Owner, blob.Type, blob.Vaddr, blob.Perms)
 	if err != nil {
 		return 0, isa.GP("ELDU: %v", err)
 	}
-	if err := m.LLC.Write(m.EPC.AddrOf(page), content); err != nil {
+	if err := m.LLC.Write(m.EPC.AddrOf(page), content, trace.Payer{EID: owner, Core: core}); err != nil {
 		_ = m.EPC.Free(page)
 		return 0, err
 	}
 	delete(m.vaSlots, blob.Slot)
-	m.Rec.ChargeToDetail(uint64(blob.Owner), trace.NoCore, trace.EvELD, 0, uint64(blob.Vaddr))
-	m.Rec.Observe(trace.OpELD, m.Rec.Cycles()-eldStart)
+	m.Rec.ChargeToDetail(owner, core, trace.EvELD, 0, uint64(blob.Vaddr))
 	return page, nil
 }
 

@@ -74,7 +74,7 @@ func TestEvictedBlobIsOpaqueToKernel(t *testing.T) {
 	for _, c := range r.m.ETrack(s) {
 		r.m.Shootdown(c)
 	}
-	blob, err := r.m.EWB(idx)
+	blob, err := r.m.EWB(idx, trace.NoCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,16 +83,16 @@ func TestEvictedBlobIsOpaqueToKernel(t *testing.T) {
 	}
 	// Tampering with the blob is detected at reload.
 	blob.Cipher[0] ^= 1
-	if _, err := r.m.ELDU(blob); err == nil {
+	if _, err := r.m.ELDU(blob, trace.NoCore); err == nil {
 		t.Fatal("tampered blob reloaded")
 	}
 	blob.Cipher[0] ^= 1
-	page, err := r.m.ELDU(blob)
+	page, err := r.m.ELDU(blob, trace.NoCore)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Replay of the consumed blob is rejected (freshness).
-	if _, err := r.m.ELDU(blob); err == nil {
+	if _, err := r.m.ELDU(blob, trace.NoCore); err == nil {
 		t.Fatal("replayed blob reloaded")
 	}
 	_ = page
@@ -164,7 +164,7 @@ func TestBlockedPageFaultsInsteadOfAborting(t *testing.T) {
 			tcsIdx = i
 		}
 	}
-	if _, err := r.m.EWB(tcsIdx); err == nil {
+	if _, err := r.m.EWB(tcsIdx, trace.NoCore); err == nil {
 		t.Fatal("EWB of unblocked page accepted")
 	}
 }

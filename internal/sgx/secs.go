@@ -92,19 +92,6 @@ type NestedInfo struct {
 	InnerEIDs []isa.EID
 }
 
-// OuterEID returns the single outer association, or NoEnclave.
-// It panics if the multiple-outer extension put more than one entry here;
-// callers that support the extension must use OuterEIDs directly.
-func (n *NestedInfo) OuterEID() isa.EID {
-	switch len(n.OuterEIDs) {
-	case 0:
-		return isa.NoEnclave
-	case 1:
-		return n.OuterEIDs[0]
-	}
-	panic("sgx: OuterEID called on multi-outer enclave")
-}
-
 // IsInner reports whether the enclave is bound to at least one outer.
 func (n *NestedInfo) IsInner() bool { return len(n.OuterEIDs) > 0 }
 

@@ -9,6 +9,7 @@ import (
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sgx"
+	"nestedenclave/internal/trace"
 )
 
 // buildEnclave constructs a minimal enclave by hand: nData RW data pages and
@@ -161,7 +162,7 @@ func TestEnclaveReadWriteAndTamper(t *testing.T) {
 	r.exit(t)
 
 	// Physical tamper of the EPC page is detected as #MC on next access.
-	if err := r.m.LLC.FlushAll(); err != nil {
+	if err := r.m.LLC.FlushAll(trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	pa, ok := r.p.PageTable().Translate(0x100010)

@@ -15,12 +15,14 @@ import (
 // BaselineValidator is the unmodified SGX check.
 type BaselineValidator struct{}
 
-// abortOutcome is the shared "silently abort the access" result: reads
+// abortVerdict is the shared "silently abort the access" result: reads
 // return all ones, writes are dropped — SGX's abort-page semantics for
 // unauthorized accesses to protected memory.
-func abortOutcome() (tlb.Entry, *Outcome) { return tlb.Entry{}, &Outcome{Abort: true} }
+func abortVerdict() (tlb.Entry, Verdict) { return tlb.Entry{}, Verdict{Path: PathAbort} }
 
-func faultOutcome(f *isa.Fault) (tlb.Entry, *Outcome) { return tlb.Entry{}, &Outcome{Fault: f} }
+func faultVerdict(f *isa.Fault) (tlb.Entry, Verdict) {
+	return tlb.Entry{}, Verdict{Path: PathFault, Fault: f}
+}
 
 // ChargeValidateSteps charges n validation steps as a single batched record:
 // global and per-enclave counters advance by n and the clock by
@@ -32,7 +34,7 @@ func ChargeValidateSteps(c *Core, n int64) {
 
 // Validate implements Validator. Validation steps are counted locally and
 // charged as one batch on every exit path.
-func (BaselineValidator) Validate(c *Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, *Outcome) {
+func (BaselineValidator) Validate(c *Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, Verdict) {
 	m := c.m
 	paddr := isa.PAddr(pte.PPN << isa.PageShift)
 	var steps int64
@@ -41,16 +43,16 @@ func (BaselineValidator) Validate(c *Core, v isa.VAddr, pte pt.PTE, op isa.Acces
 	// The page-table permission applies in every mode; an OS-underpermitted
 	// page is an ordinary page fault.
 	if !pte.Perms.Allows(op) {
-		return faultOutcome(isa.PF(v, op, "page-table permission"))
+		return faultVerdict(isa.PF(v, op, "page-table permission"))
 	}
 
 	// (A) Non-enclave execution must never touch the protected region.
 	steps++
 	if !c.inEnclave {
 		if m.DRAM.PageInPRM(paddr) {
-			return abortOutcome()
+			return abortVerdict()
 		}
-		return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: pte.Perms}, nil
+		return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: pte.Perms}, Verdict{}
 	}
 
 	s := c.cur
@@ -67,61 +69,57 @@ func (BaselineValidator) Validate(c *Core, v isa.VAddr, pte pt.PTE, op isa.Acces
 		// A virtual page inside ELRANGE must be backed by an EPC page; this
 		// translation points elsewhere, so the page was evicted (or the OS
 		// lies). Page fault — the kernel may reload and retry.
-		return faultOutcome(isa.PF(v, op, "ELRANGE page not backed by EPC (evicted?)"))
+		return faultVerdict(isa.PF(v, op, "ELRANGE page not backed by EPC (evicted?)"))
 	}
 	// An enclave access to ordinary unsecure memory: permitted for data,
 	// but never executable (enclaves must not run untrusted code).
 	perms := pte.Perms &^ isa.PermX
 	if !perms.Allows(op) {
-		return faultOutcome(isa.PF(v, op, "execute from unsecure memory in enclave mode"))
+		return faultVerdict(isa.PF(v, op, "execute from unsecure memory in enclave mode"))
 	}
 	return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: perms,
-		FilledInEnclave: true, FilledEID: s.EID}, nil
+		FilledInEnclave: true, FilledEID: s.EID}, Verdict{}
 }
 
 // validateEPCM performs the owner-enclave EPCM checks shared by the baseline
 // and nested flows: the entry must be a valid, unblocked, regular page owned
 // by enclave s and recorded at exactly this virtual address, and both the
 // EPCM and page-table permissions must admit the access.
-func validateEPCM(c *Core, s *SECS, v isa.VAddr, pte pt.PTE, op isa.Access, steps *int64) (tlb.Entry, *Outcome) {
+func validateEPCM(c *Core, s *SECS, v isa.VAddr, pte pt.PTE, op isa.Access, steps *int64) (tlb.Entry, Verdict) {
 	m := c.m
 	paddr := isa.PAddr(pte.PPN << isa.PageShift)
 	ent, ok := m.EPC.EntryAt(paddr)
 	*steps++
 	if !ok || !ent.Valid {
-		return abortOutcome()
+		return abortVerdict()
 	}
 	if ent.Blocked {
 		// Blocked pages are in eviction; no new translations may be
 		// created. Deliver a page fault so the kernel can finish paging.
-		return faultOutcome(isa.PF(v, op, "EPC page blocked for eviction"))
+		return faultVerdict(isa.PF(v, op, "EPC page blocked for eviction"))
 	}
 	if ent.Type != isa.PTReg {
 		// SECS/TCS/VA pages are never software-accessible.
-		return abortOutcome()
+		return abortVerdict()
 	}
 	*steps++
 	if ent.Owner != s.EID {
-		return abortOutcome()
+		return abortVerdict()
 	}
 	*steps++
 	if ent.Vaddr != v.PageBase() {
 		// The invariant: an EPC page is accessible only through the single
 		// virtual address fixed by the enclave author. The OS aliasing it
 		// elsewhere is an attack; abort.
-		return abortOutcome()
+		return abortVerdict()
 	}
 	eff := ent.Perms & pte.Perms
 	if !eff.Allows(op) {
-		return faultOutcome(isa.PF(v, op, "EPCM permission"))
+		return faultVerdict(isa.PF(v, op, "EPCM permission"))
 	}
 	return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
-		FilledInEnclave: true, FilledEID: s.EID}, nil
+		FilledInEnclave: true, FilledEID: s.EID}, Verdict{}
 }
-
-// ChargeValidateStep charges a single validation step; package core's nested
-// flow uses the batched ChargeValidateSteps instead on its hot path.
-func ChargeValidateStep(c *Core) { ChargeValidateSteps(c, 1) }
 
 // BaselineTracker implements SGX's ETRACK thread tracking: the cores that
 // may hold stale translations for enclave eid are those with live execution

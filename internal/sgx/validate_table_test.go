@@ -8,16 +8,18 @@ import (
 	"nestedenclave/internal/sgx"
 )
 
-// verdictOf collapses a validator outcome into a comparable label.
-func verdictOf(outcome *sgx.Outcome) string {
-	switch {
-	case outcome == nil:
+// verdictOf collapses a validator verdict into a comparable label.
+func verdictOf(v sgx.Verdict) string {
+	switch v.Path {
+	case sgx.PathBaseline, sgx.PathOuter:
 		return "ok"
-	case outcome.Abort:
+	case sgx.PathAbort:
 		return "abort"
-	case outcome.Fault != nil && outcome.Fault.Class == isa.FaultPF:
+	}
+	switch v.Fault.Class {
+	case isa.FaultPF:
 		return "#PF"
-	case outcome.Fault != nil && outcome.Fault.Class == isa.FaultGP:
+	case isa.FaultGP:
 		return "#GP"
 	}
 	return "?"
@@ -107,9 +109,9 @@ func TestBaselineValidateTable(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			pte := pt.PTE{PPN: tc.ppn, Perms: tc.perms, Present: true}
-			entry, outcome := m.Validator.Validate(tc.c, tc.v, pte, tc.op)
-			if got := verdictOf(outcome); got != tc.want {
-				t.Fatalf("got %s, want %s (outcome %+v)", got, tc.want, outcome)
+			entry, verdict := m.Validator.Validate(tc.c, tc.v, pte, tc.op)
+			if got := verdictOf(verdict); got != tc.want {
+				t.Fatalf("got %s, want %s (verdict %+v)", got, tc.want, verdict)
 			}
 			if tc.want == "ok" && entry.PPN != tc.ppn {
 				t.Fatalf("fills ppn %#x, want %#x", entry.PPN, tc.ppn)
@@ -129,8 +131,8 @@ func TestBaselineValidateTable(t *testing.T) {
 	if err := m.EBlock(bIdx); err != nil {
 		t.Fatalf("EBLOCK: %v", err)
 	}
-	_, outcome := m.Validator.Validate(inA, baseB, pt.PTE{PPN: bData0, Perms: isa.PermRW, Present: true}, isa.Read)
-	if got := verdictOf(outcome); got != "#PF" {
+	_, verdict := m.Validator.Validate(inA, baseB, pt.PTE{PPN: bData0, Perms: isa.PermRW, Present: true}, isa.Read)
+	if got := verdictOf(verdict); got != "#PF" {
 		t.Fatalf("blocked page: got %s, want #PF", got)
 	}
 }

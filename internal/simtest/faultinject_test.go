@@ -17,12 +17,13 @@ import (
 	"nestedenclave/internal/pt"
 	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/tlb"
+	"nestedenclave/internal/trace"
 )
 
-func sgxAbort() (tlb.Entry, *sgx.Outcome) { return tlb.Entry{}, &sgx.Outcome{Abort: true} }
+func sgxAbort() (tlb.Entry, sgx.Verdict) { return tlb.Entry{}, sgx.Verdict{Path: sgx.PathAbort} }
 
-func sgxFault(f *isa.Fault) (tlb.Entry, *sgx.Outcome) {
-	return tlb.Entry{}, &sgx.Outcome{Fault: f}
+func sgxFault(f *isa.Fault) (tlb.Entry, sgx.Verdict) {
+	return tlb.Entry{}, sgx.Verdict{Path: sgx.PathFault, Fault: f}
 }
 
 // outerChainOf mirrors core's outer-closure walk for the broken validators
@@ -56,7 +57,7 @@ func outerChainOf(m *sgx.Machine, s *sgx.SECS) []*sgx.SECS {
 // The lockstep harness must catch this as a verdict divergence.
 type flippedOuterELRANGE struct{}
 
-func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, *sgx.Outcome) {
+func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, sgx.Verdict) {
 	m := c.Machine()
 	paddr := isa.PAddr(pte.PPN << isa.PageShift)
 	if !pte.Perms.Allows(op) {
@@ -66,7 +67,7 @@ func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa
 		if m.DRAM.PageInPRM(paddr) {
 			return sgxAbort()
 		}
-		return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: pte.Perms}, nil
+		return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: pte.Perms}, sgx.Verdict{}
 	}
 	s := c.Current()
 	if m.DRAM.PageInPRM(paddr) {
@@ -89,7 +90,7 @@ func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa
 				return sgxFault(isa.PF(v, op, "EPCM permission"))
 			}
 			return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
-				FilledInEnclave: true, FilledEID: s.EID}, nil
+				FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
 		}
 		for _, outer := range outerChainOf(m, s) {
 			if ent.Owner != outer.EID {
@@ -105,7 +106,7 @@ func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa
 				return sgxFault(isa.PF(v, op, "EPCM permission (outer page)"))
 			}
 			return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
-				FilledInEnclave: true, FilledEID: s.EID}, nil
+				FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{Path: sgx.PathOuter}
 		}
 		return sgxAbort()
 	}
@@ -122,7 +123,7 @@ func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa
 		return sgxFault(isa.PF(v, op, "execute from unsecure memory in enclave mode"))
 	}
 	return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: perms,
-		FilledInEnclave: true, FilledEID: s.EID}, nil
+		FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
 }
 
 // leakyOuterRangeC is the Figure-6 flow with the path-C steps ①② dropped:
@@ -132,7 +133,7 @@ func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa
 // state into attacker memory).
 type leakyOuterRangeC struct{}
 
-func (leakyOuterRangeC) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, *sgx.Outcome) {
+func (leakyOuterRangeC) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, sgx.Verdict) {
 	m := c.Machine()
 	paddr := isa.PAddr(pte.PPN << isa.PageShift)
 	if !c.InEnclave() || m.DRAM.PageInPRM(paddr) {
@@ -152,7 +153,7 @@ func (leakyOuterRangeC) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Ac
 		return sgxFault(isa.PF(v, op, "execute from unsecure memory in enclave mode"))
 	}
 	return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: perms,
-		FilledInEnclave: true, FilledEID: s.EID}, nil
+		FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
 }
 
 // flippedOuterELRANGECorrectB is the correct Figure-6 flow, used by
@@ -160,7 +161,7 @@ func (leakyOuterRangeC) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Ac
 // flippedOuterELRANGE with the flip undone.)
 type flippedOuterELRANGECorrectB struct{}
 
-func (flippedOuterELRANGECorrectB) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, *sgx.Outcome) {
+func (flippedOuterELRANGECorrectB) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, sgx.Verdict) {
 	m := c.Machine()
 	paddr := isa.PAddr(pte.PPN << isa.PageShift)
 	if !pte.Perms.Allows(op) {
@@ -170,7 +171,7 @@ func (flippedOuterELRANGECorrectB) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE
 		if m.DRAM.PageInPRM(paddr) {
 			return sgxAbort()
 		}
-		return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: pte.Perms}, nil
+		return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: pte.Perms}, sgx.Verdict{}
 	}
 	s := c.Current()
 	if m.DRAM.PageInPRM(paddr) {
@@ -193,7 +194,7 @@ func (flippedOuterELRANGECorrectB) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE
 				return sgxFault(isa.PF(v, op, "EPCM permission"))
 			}
 			return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
-				FilledInEnclave: true, FilledEID: s.EID}, nil
+				FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
 		}
 		for _, outer := range outerChainOf(m, s) {
 			if ent.Owner != outer.EID {
@@ -207,7 +208,7 @@ func (flippedOuterELRANGECorrectB) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE
 				return sgxFault(isa.PF(v, op, "EPCM permission (outer page)"))
 			}
 			return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
-				FilledInEnclave: true, FilledEID: s.EID}, nil
+				FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{Path: sgx.PathOuter}
 		}
 		return sgxAbort()
 	}
@@ -224,7 +225,7 @@ func (flippedOuterELRANGECorrectB) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE
 		return sgxFault(isa.PF(v, op, "execute from unsecure memory in enclave mode"))
 	}
 	return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: perms,
-		FilledInEnclave: true, FilledEID: s.EID}, nil
+		FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
 }
 
 // TestInjectedOuterELRANGEBugCaught is the acceptance criterion's self-test:
@@ -395,7 +396,7 @@ func TestInnerAwareTrackingRequired(t *testing.T) {
 	for _, c := range baseCores {
 		m.ShootdownFor(c, outer.EID)
 	}
-	if _, err := m.EWB(pageIdx); !isa.IsFault(err, isa.FaultGP) {
+	if _, err := m.EWB(pageIdx, trace.NoCore); !isa.IsFault(err, isa.FaultGP) {
 		t.Fatalf("EWB with baseline tracking: got %v, want #GP (incomplete shootdown)", err)
 	}
 }
@@ -443,10 +444,10 @@ func TestELDUReplayDenied(t *testing.T) {
 		t.Fatalf("eviction produced no blob")
 	}
 	m := r.Machine()
-	if _, err := m.ELDU(blob); err != nil {
+	if _, err := m.ELDU(blob, trace.NoCore); err != nil {
 		t.Fatalf("first ELDU: %v", err)
 	}
-	if _, err := m.ELDU(blob); !errors.Is(err, sgx.ErrBlobReplay) {
+	if _, err := m.ELDU(blob, trace.NoCore); !errors.Is(err, sgx.ErrBlobReplay) {
 		t.Fatalf("replayed ELDU: got %v, want ErrBlobReplay", err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"nestedenclave/internal/phys"
 	"nestedenclave/internal/pt"
 	"nestedenclave/internal/sgx"
+	"nestedenclave/internal/trace"
 )
 
 // The static topology every schedule runs against. Four enclave slots with
@@ -553,7 +554,7 @@ func (r *Runner) evict(slot int, op Op) error {
 		if stale == nil {
 			return nil // nothing captured yet: the attack has no ammunition
 		}
-		page, err := r.m.ELDU(stale)
+		page, err := r.m.ELDU(stale, trace.NoCore)
 		idx := page
 		if err != nil {
 			idx = -1
@@ -563,7 +564,7 @@ func (r *Runner) evict(slot int, op Op) error {
 	}
 
 	if blob, out := r.blobs[target]; out {
-		page, err := r.m.ELDU(blob)
+		page, err := r.m.ELDU(blob, trace.NoCore)
 		if err != nil {
 			return fmt.Errorf("ELDU %#x: %v", uint64(target), err)
 		}
@@ -613,7 +614,7 @@ func (r *Runner) evict(slot int, op Op) error {
 	}
 	// else: fault injection — skip the IPIs; EWB below must catch it.
 
-	blob, err := r.m.EWB(pageIdx)
+	blob, err := r.m.EWB(pageIdx, trace.NoCore)
 	if derr := diffVerdict(fmt.Sprintf("EWB slot%d %#x", slot, uint64(target)),
 		err, r.o.EWB(pageIdx)); derr != nil {
 		return derr

@@ -107,8 +107,8 @@ func TestWritePrometheus(t *testing.T) {
 	r.ChargeTo(1, 0, EvEENTER, CostEENTER)
 	r.ChargeTo(2, 0, EvNEENTER, CostNEENTER)
 	r.Charge(EvTLBMiss, 0)
-	r.Observe(OpECall, 14000)
-	r.Observe(OpECall, 13000)
+	r.Hist(OpECall).Observe(14000)
+	r.Hist(OpECall).Observe(13000)
 
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, &r); err != nil {
@@ -145,10 +145,10 @@ func TestWritePrometheusQuantiles(t *testing.T) {
 	// 98 fast samples (bucket le=127), one mid (le=1023), one tail
 	// (le=131071): p50 hits the fast bucket, p99 the mid, p999 the tail.
 	for i := 0; i < 98; i++ {
-		r.Observe(OpECall, 100)
+		r.Hist(OpECall).Observe(100)
 	}
-	r.Observe(OpECall, 1000)
-	r.Observe(OpECall, 100_000)
+	r.Hist(OpECall).Observe(1000)
+	r.Hist(OpECall).Observe(100_000)
 
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, &r); err != nil {

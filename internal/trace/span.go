@@ -86,30 +86,17 @@ func (st *spanStack) top() uint64 {
 }
 
 // spanState is the span half of the observation sink: the ID allocator, the
-// per-core stacks of open spans, the ring of completed spans, and the parent
-// hint for spans opened below the protection context (paging, MEE-level
-// work), which runs on NoCore and inherits the faulting call's span the same
-// way billHint carries its enclave.
+// per-core stacks of open spans, the ring of completed spans, and the
+// sampling profiler.
 type spanState struct {
 	seq    atomic.Uint64
 	stacks [spanSlots]spanStack
 	done   *spanRing
-	hint   atomic.Uint64
 	prof   atomic.Pointer[profState]
 }
 
-// spanTop returns the innermost open span for a core, falling back to the
-// hint for machine-global (NoCore) charges with no open machine-global span.
-func (ss *spanState) spanTop(core int) uint64 {
-	slot := spanSlot(core)
-	if id := ss.stacks[slot].top(); id != 0 {
-		return id
-	}
-	if slot == 0 {
-		return ss.hint.Load()
-	}
-	return 0
-}
+// spanTop returns the innermost open span on the core's stack, 0 when empty.
+func (ss *spanState) spanTop(core int) uint64 { return ss.stacks[spanSlot(core)].top() }
 
 // SpanRef is a handle to an open span. The zero SpanRef (returned when
 // observation is off) is valid and End is a no-op on it.
@@ -124,15 +111,18 @@ type SpanRef struct {
 func (ref SpanRef) ID() uint64 { return ref.id }
 
 // BeginSpan opens a span on the core's stack. Its parent is the innermost
-// span already open on that stack — or, for machine-global (NoCore) spans,
-// the span named by the last SetSpanHint. Returns the zero SpanRef when
-// observation is disabled.
+// span already open on that stack. Returns the zero SpanRef when observation
+// is disabled.
 func (r *Recorder) BeginSpan(core int, eid uint64, name string) SpanRef {
 	s := r.sink.Load()
 	if s == nil {
 		return SpanRef{}
 	}
-	ss := &s.spans
+	return s.spans.open(r, core, eid, name, r.Cycles())
+}
+
+// open pushes a frame that began at the given clock reading.
+func (ss *spanState) open(r *Recorder, core int, eid uint64, name string, start int64) SpanRef {
 	id := ss.seq.Add(1)
 	slot := spanSlot(core)
 	st := &ss.stacks[slot]
@@ -140,12 +130,10 @@ func (r *Recorder) BeginSpan(core int, eid uint64, name string) SpanRef {
 	var parent uint64
 	if n := len(st.frames); n > 0 {
 		parent = st.frames[n-1].id
-	} else if slot == 0 {
-		parent = ss.hint.Load()
 	}
 	st.frames = append(st.frames, spanFrame{
 		id: id, parent: parent, name: name,
-		eid: eid, core: int32(core), start: r.Cycles(),
+		eid: eid, core: int32(core), start: start,
 	})
 	st.mu.Unlock()
 	return SpanRef{rec: r, st: ss, id: id, slot: int32(slot)}
@@ -155,6 +143,13 @@ func (r *Recorder) BeginSpan(core int, eid uint64, name string) SpanRef {
 // is appended to the span ring. End tolerates a missing frame (the sink was
 // swapped, or the frame was already closed) and out-of-order closure.
 func (ref SpanRef) End() {
+	if ref.st != nil {
+		ref.endAt(ref.rec.Cycles())
+	}
+}
+
+// endAt is End with the closing clock reading supplied by the caller.
+func (ref SpanRef) endAt(end int64) {
 	if ref.st == nil {
 		return
 	}
@@ -177,18 +172,47 @@ func (ref SpanRef) End() {
 	ref.st.done.append(Span{
 		ID: frame.id, Parent: frame.parent, Name: frame.name,
 		EID: frame.eid, Core: frame.core,
-		Start: frame.start, End: ref.rec.Cycles(),
+		Start: frame.start, End: end,
 	})
 }
 
-// SetSpanHint names the span that machine-global (NoCore) spans and charges
-// attach under — the span-tree analogue of SetBillHint. The fault path
-// stores the faulting call's span here before invoking the kernel pager so
-// EWB/ELD work stays inside the call tree that triggered it.
-func (r *Recorder) SetSpanHint(id uint64) {
+// OpRef is a composite operation in flight. Its End adds the latency
+// histogram sample and closes the span from the same two clock reads, so
+// the span tree and the histograms agree by construction.
+type OpRef struct {
+	// Op is the histogram End samples. A page walk begins as OpPageWalk
+	// and is reclassified once the validator's verdict is known.
+	Op    Op
+	rec   *Recorder
+	start int64
+	span  SpanRef
+}
+
+// BeginOp starts a composite operation on the core. The histogram is always
+// sampled; the span, named after the op ("ecall", or "ecall:name" when name
+// is non-empty), is opened and its name built only while observation is on.
+func (r *Recorder) BeginOp(op Op, core int, eid uint64, name string) OpRef {
+	o := OpRef{Op: op, rec: r, start: r.Cycles()}
 	if s := r.sink.Load(); s != nil {
-		s.spans.hint.Store(id)
+		label := op.String()
+		if name != "" {
+			label += ":" + name
+		}
+		o.span = s.spans.open(r, core, eid, label, o.start)
 	}
+	return o
+}
+
+// Start returns the clock reading the operation began at.
+func (o *OpRef) Start() int64 { return o.start }
+
+// End samples the histogram and closes the span. Every path samples, failed
+// operations included. The pointer receiver lets `defer op.End()` see a
+// reclassification made after the defer statement.
+func (o *OpRef) End() {
+	end := o.rec.Cycles()
+	o.rec.hist[o.Op].Observe(end - o.start)
+	o.span.endAt(end)
 }
 
 // CurrentSpan returns the innermost open span on the core, 0 when none (or

@@ -70,30 +70,25 @@ func TestSpanDisabled(t *testing.T) {
 	if got := r.Spans(); len(got) != 0 {
 		t.Errorf("disabled recorder has %d spans, want 0", len(got))
 	}
-	r.SetSpanHint(7) // no-op, must not panic
 	if r.CurrentSpan(0) != 0 {
 		t.Error("disabled CurrentSpan != 0")
 	}
 }
 
-// TestSpanHint verifies the NoCore parenting path the kernel pager relies on:
-// a machine-global span with no open machine-global parent attaches under the
-// hinted span, exactly like billHint carries attribution across the
-// protection boundary.
-func TestSpanHint(t *testing.T) {
+// TestPagerSpanParenting pins how paging work lands in the call tree: an
+// eviction run on the faulting core parents under that core's open call
+// through the stack, while the paging daemon's NoCore work is a root even
+// with a call open elsewhere.
+func TestPagerSpanParenting(t *testing.T) {
 	var r Recorder
 	r.EnableObservation(256)
 
 	call := r.BeginSpan(2, 1, "ecall:q")
-	r.SetSpanHint(call.ID())
-
-	ewb := r.BeginSpan(NoCore, 3, "ewb")
-	r.ChargeTo(3, NoCore, EvEWB, CostDRAMAccess)
+	ewb := r.BeginOp(OpEWB, 2, 3, "")
+	r.ChargeTo(3, 2, EvEWB, CostDRAMAccess)
 	ewb.End()
-
-	r.SetSpanHint(0)
-	orphan := r.BeginSpan(NoCore, 3, "eld")
-	orphan.End()
+	daemon := r.BeginOp(OpELD, NoCore, 3, "")
+	daemon.End()
 	call.End()
 
 	byName := map[string]Span{}
@@ -101,10 +96,50 @@ func TestSpanHint(t *testing.T) {
 		byName[s.Name] = s
 	}
 	if got := byName["ewb"].Parent; got != call.ID() {
-		t.Errorf("hinted NoCore span parent = %d, want %d", got, call.ID())
+		t.Errorf("faulting-core ewb parent = %d, want %d", got, call.ID())
 	}
 	if got := byName["eld"].Parent; got != 0 {
-		t.Errorf("unhinted NoCore span parent = %d, want 0", got)
+		t.Errorf("daemon eld parent = %d, want 0 (root)", got)
+	}
+}
+
+// TestBeginOpOneTimingPoint pins the one-timing-point contract: an op's span
+// and its histogram sample come from the same two clock reads, a
+// reclassified op samples its final histogram under its original span name,
+// and with observation off the histogram still samples.
+func TestBeginOpOneTimingPoint(t *testing.T) {
+	var r Recorder
+	off := r.BeginOp(OpECall, 0, 1, "q")
+	r.ChargeTo(1, 0, EvEENTER, CostEENTER)
+	off.End()
+	if h := r.Hist(OpECall); h.Count() != 1 || h.Sum() != CostEENTER {
+		t.Fatalf("unobserved op sampled count %d sum %d, want 1 and %d", h.Count(), h.Sum(), CostEENTER)
+	}
+
+	r.EnableObservation(256)
+	call := r.BeginOp(OpECall, 0, 1, "q")
+	r.ChargeTo(1, 0, EvEENTER, CostEENTER)
+	walk := r.BeginOp(OpPageWalk, 0, 1, "")
+	r.ChargeTo(1, 0, EvPageWalk, CostPageWalk)
+	walk.Op = OpNestedWalk
+	walk.End()
+	call.End()
+
+	byName := map[string]Span{}
+	for _, s := range r.Spans() {
+		byName[s.Name] = s
+	}
+	if got := byName["ecall:q"].Cycles(); got != CostEENTER+CostPageWalk {
+		t.Errorf("ecall:q span = %d cycles, want %d", got, CostEENTER+CostPageWalk)
+	}
+	if got, want := r.Hist(OpECall).Sum(), int64(2*CostEENTER+CostPageWalk); got != want {
+		t.Errorf("ecall histogram sum = %d, want %d", got, want)
+	}
+	if got := byName["page_walk"].Cycles(); got != CostPageWalk {
+		t.Errorf("page_walk span = %d cycles, want %d", got, CostPageWalk)
+	}
+	if n, p := r.Hist(OpNestedWalk).Count(), r.Hist(OpPageWalk).Count(); n != 1 || p != 0 {
+		t.Errorf("walk samples: nested %d, baseline %d; want 1 and 0", n, p)
 	}
 }
 
@@ -277,10 +312,10 @@ func TestProfilerInterval(t *testing.T) {
 }
 
 // TestSpanRaceHammer mirrors TestRecorderRaceHammer for the span layer: many
-// goroutines open/close nested spans on distinct and shared cores, charge
-// inside them, and flip the span hint, while readers snapshot spans, folded
-// stacks, and the log, and the profiler samples throughout — all against a
-// small, constantly wrapping span ring. Run under -race in tier2.
+// goroutines open/close nested spans and ops on distinct and shared cores
+// and charge inside them, while readers snapshot spans, folded stacks, and
+// the log, and the profiler samples throughout — all against a small,
+// constantly wrapping span ring. Run under -race in tier2.
 func TestSpanRaceHammer(t *testing.T) {
 	var r Recorder
 	r.EnableObservation(64)
@@ -304,13 +339,12 @@ func TestSpanRaceHammer(t *testing.T) {
 					in.End()
 					sp.End()
 				case 1:
-					r.SetSpanHint(uint64(i))
-					sp := r.BeginSpan(NoCore, eid, "ewb")
+					op := r.BeginOp(OpEWB, NoCore, eid, "")
 					r.ChargeTo(eid, NoCore, EvEWB, CostDRAMAccess)
-					sp.End()
+					op.End()
 				case 2:
 					_ = r.CurrentSpan(core)
-					r.Observe(OpECall, int64(i))
+					r.Hist(OpECall).Observe(int64(i))
 				}
 			}
 		}(w)

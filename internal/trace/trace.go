@@ -308,6 +308,18 @@ const NoCore = -1
 // NoEID is the attribution identity for non-enclave (untrusted) execution.
 const NoEID uint64 = 0
 
+// Payer names who a charge bills: the enclave whose execution caused it and
+// the core that drove it. Layers below the protection context (LLC, MEE,
+// EPC paging) have no context of their own, so every charging entry point
+// there takes the payer as an argument.
+type Payer struct {
+	EID  uint64
+	Core int
+}
+
+// NoPayer bills untrusted, machine-global work.
+var NoPayer = Payer{EID: NoEID, Core: NoCore}
+
 // sink is the enabled-observation state: per-enclave counter sets, the
 // optional event log, and the span layer (stacks, completed-span ring,
 // profiler — see span.go). A Recorder points at one only while observation
@@ -354,11 +366,6 @@ type Recorder struct {
 	// sink is non-nil only while observation (per-enclave attribution and
 	// the event log) is enabled.
 	sink atomic.Pointer[sink]
-	// billHint names the enclave to bill for memory-hierarchy charges made
-	// by layers that have no protection context of their own (LLC, MEE).
-	// The access path stores the current enclave here before touching
-	// memory; all such accesses are serialized by the machine lock.
-	billHint atomic.Uint64
 }
 
 // EnableObservation turns on per-enclave attribution, span tracing, and —
@@ -410,9 +417,6 @@ func (r *Recorder) PerEnclave() map[uint64]CounterSet {
 	return out
 }
 
-// SetBillHint names the enclave subsequent memory-hierarchy charges bill to.
-func (r *Recorder) SetBillHint(eid uint64) { r.billHint.Store(eid) }
-
 // Charge records the event and advances the clock by the given cost without
 // attribution (billed to NoEID).
 func (r *Recorder) Charge(e Event, cycles int64) {
@@ -456,20 +460,6 @@ func (r *Recorder) ChargeBatchTo(eid uint64, core int, e Event, n int64, cyclesE
 		s.record(eid, core, e, n*cyclesEach, r.Cycles(), uint64(n))
 	}
 }
-
-// ChargeHint is ChargeTo billed to the enclave named by the last SetBillHint.
-// The memory hierarchy (LLC, MEE) uses it because those layers run below the
-// protection context.
-func (r *Recorder) ChargeHint(e Event, cycles int64) {
-	r.Inc(e)
-	r.Advance(cycles)
-	if s := r.sink.Load(); s != nil {
-		s.record(r.billHint.Load(), NoCore, e, cycles, r.Cycles(), 0)
-	}
-}
-
-// Observe adds one sample to the composite-operation latency histogram.
-func (r *Recorder) Observe(op Op, cycles int64) { r.hist[op].Observe(cycles) }
 
 // Hist returns the histogram for the operation.
 func (r *Recorder) Hist(op Op) *Histogram { return &r.hist[op] }

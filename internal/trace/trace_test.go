@@ -147,8 +147,7 @@ func TestRecorderAttribution(t *testing.T) {
 	r.ChargeTo(1, 0, EvEENTER, CostEENTER)
 	r.ChargeTo(2, 1, EvNEENTER, CostNEENTER)
 	r.ChargeToDetail(2, 1, EvPageWalk, CostPageWalk, 0x123)
-	r.SetBillHint(2)
-	r.ChargeHint(EvLLCHit, CostLLCHit)
+	r.ChargeTo(2, NoCore, EvLLCHit, CostLLCHit)
 
 	per := r.PerEnclave()
 	if e1 := per[1]; e1.Get(EvEENTER) != 1 {
@@ -169,9 +168,9 @@ func TestRecorderAttribution(t *testing.T) {
 	if len(walk) != 1 || walk[0].Detail != 0x123 || walk[0].EID != 2 || walk[0].Core != 1 {
 		t.Fatalf("page walk record: %+v", walk)
 	}
-	hint := FilterRecords(recs, ByEvent(EvLLCHit))
-	if len(hint) != 1 || hint[0].EID != 2 || hint[0].Core != int32(NoCore) {
-		t.Fatalf("hinted record: %+v", hint)
+	llc := FilterRecords(recs, ByEvent(EvLLCHit))
+	if len(llc) != 1 || llc[0].EID != 2 || llc[0].Core != int32(NoCore) {
+		t.Fatalf("machine-global record: %+v", llc)
 	}
 
 	// Global counters kept counting throughout (2 EENTER total).
@@ -186,8 +185,8 @@ func TestRecorderAttribution(t *testing.T) {
 }
 
 // TestRecorderRaceHammer drives one Recorder from many goroutines across
-// every concurrent surface — attributed charges, hinted charges, histogram
-// observations, and concurrent snapshot readers — while observation with a
+// every concurrent surface — attributed charges, machine-global charges,
+// histogram observations, and concurrent snapshot readers — while observation with a
 // small (constantly wrapping) event log is enabled. Run under -race (the
 // tier-2 target) this is the data-race proof for the observability layer.
 func TestRecorderRaceHammer(t *testing.T) {
@@ -207,10 +206,9 @@ func TestRecorderRaceHammer(t *testing.T) {
 				case 1:
 					r.ChargeToDetail(eid, id, EvPageWalk, CostPageWalk, uint64(i))
 				case 2:
-					r.SetBillHint(eid)
-					r.ChargeHint(EvLLCHit, CostLLCHit)
+					r.ChargeTo(eid, NoCore, EvLLCHit, CostLLCHit)
 				case 3:
-					r.Observe(OpECall, int64(i))
+					r.Hist(OpECall).Observe(int64(i))
 				}
 			}
 		}(w)

@@ -135,11 +135,12 @@ adversary-smoke:
 	$(GO) test ./internal/bench -run 'TestAttackCampaign$$|TestAttackReplayDeterminism$$' -count=1 -v
 
 # bench runs the paper-experiment benchmarks (root package) once each, and
-# the transition-path microbenchmarks (internal/bench: ECall, OCall, NECall,
-# PageWalk, SwitchlessOCall) with ns/op and allocs/op reporting.
+# the host-cost microbenchmarks (internal/bench: ECall, OCall, NECall,
+# PageWalk, SwitchlessOCall, and EPCFault — one evict-and-reload round trip)
+# with ns/op and allocs/op reporting.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='ECall|OCall|PageWalk' -benchtime=200x -run=^$$ ./internal/bench
+	$(GO) test -bench='ECall|OCall|PageWalk|EPCFault' -benchtime=200x -run=^$$ ./internal/bench
 
 clean:
 	$(GO) clean ./...

@@ -5,8 +5,7 @@ import (
 	"go/types"
 )
 
-// LockOrder pins the lock hierarchy the PR-2 copy-on-write work
-// established: the machine-level mutexes (sgx.Machine.mu, kos.Kernel.mu)
+// LockOrder pins the simulator's lock hierarchy: the machine-level mutexes (sgx.Machine.mu, kos.Kernel.mu)
 // are acquired BEFORE the EPCM/page-table locks (pt.Table.mu,
 // epc.Manager.mu), never the reverse. Page-table writers run under the
 // machine's world view; a thread that takes a page lock and then blocks on

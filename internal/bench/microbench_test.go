@@ -141,3 +141,38 @@ func BenchmarkPageWalk(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkEPCFault is one evict-and-reload round trip of an outer-enclave
+// heap page: EBLOCK, ETRACK with shootdowns, EWB, then the faulting read's
+// #PF, ELDU, and remap.
+func BenchmarkEPCFault(b *testing.B) {
+	mr := newMicroRig(b)
+	r := mr.r
+	c := r.M.Core(0)
+	if err := r.K.Schedule(c, r.Host.Proc); err != nil {
+		b.Fatal(err)
+	}
+	s := mr.outer.SECS()
+	heap := mr.outer.Image().HeapBase()
+	if err := r.M.EEnter(c, s, s.TCSs()[0].Vaddr, false); err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]byte, 8)
+	if err := c.ReadInto(heap, dst); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.K.Driver.EvictPage(r.Host.Proc, s, heap); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.ReadInto(heap, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := r.M.EExit(c, true); err != nil {
+		b.Fatal(err)
+	}
+}

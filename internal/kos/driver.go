@@ -8,6 +8,7 @@ import (
 	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
+	"nestedenclave/internal/pt"
 	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/trace"
 )
@@ -20,7 +21,7 @@ type Driver struct {
 	mu sync.Mutex
 
 	// evicted stores sealed EPC pages swapped to "disk" (kernel memory),
-	// keyed by owner and virtual address.
+	// keyed by the address space and page base a fault will name.
 	evicted map[evictKey]*sgx.EvictedPage
 
 	// procs remembers which process each enclave is mapped in, so the
@@ -60,48 +61,59 @@ type Driver struct {
 	detect error
 }
 
+// evictKey names an evicted page the way the faulting core sees it: the
+// page table it was mapped in and its page base.
 type evictKey struct {
-	owner isa.EID
+	as    *pt.Table
 	vaddr isa.VAddr
 }
 
-// CreateEnclave performs ECREATE on behalf of the loader.
+// CreateEnclave performs ECREATE on behalf of the loader, letting the paging
+// daemon make room when the EPC is full.
 func (d *Driver) CreateEnclave(base isa.VAddr, size uint64, attrs uint64) (*sgx.SECS, error) {
-	return d.k.m.ECreate(base, size, attrs)
+	var s *sgx.SECS
+	err := d.withPressure(isa.NoEnclave, func() (err error) {
+		s, err = d.k.m.ECreate(base, size, attrs)
+		return err
+	})
+	return s, err
 }
 
 // AddPage performs EADD and maps the new EPC page into the process address
 // space at its declared virtual address. TCS pages are mapped read-only for
 // the page walk; the EPCM makes them inaccessible to software regardless.
 func (d *Driver) AddPage(p *Process, s *sgx.SECS, a sgx.AddPageArgs) error {
-	d.mu.Lock()
-	if d.procs == nil {
-		d.procs = make(map[isa.EID]*Process)
-	}
-	d.procs[s.EID] = p
-	d.mu.Unlock()
-	page, err := d.withPressure(s, func() (int, error) { return d.k.m.EAdd(s, a) })
-	if err != nil {
-		return err
-	}
 	ptePerms := a.Perms
 	if a.Type == isa.PTTCS {
 		ptePerms = isa.PermR
 	}
-	p.MapFixed(a.Vaddr, d.k.m.EPC.AddrOf(page), ptePerms)
-	return nil
+	return d.addPage(p, s, a.Vaddr, ptePerms, func() (int, error) { return d.k.m.EAdd(s, a) })
 }
 
 // AugPage adds a zeroed page to an initialized enclave (SGX2 EAUG) and maps
 // it into the process.
 func (d *Driver) AugPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, perms isa.Perm) error {
+	return d.addPage(p, s, vaddr, perms, func() (int, error) { return d.k.m.EAug(s, vaddr, perms) })
+}
+
+// addPage runs one EADD/EAUG for s under EPC pressure and maps the new page
+// into p at vaddr with the given PTE permissions.
+func (d *Driver) addPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, perms isa.Perm, alloc func() (int, error)) error {
 	d.mu.Lock()
-	if d.procs == nil {
-		d.procs = make(map[isa.EID]*Process)
-	}
 	d.procs[s.EID] = p
 	d.mu.Unlock()
-	page, err := d.withPressure(s, func() (int, error) { return d.k.m.EAug(s, vaddr, perms) })
+	// An injected allocation failure fails the ioctl outright — no
+	// driver-internal retry — so recovery is observable at the SDK's retry
+	// layer rather than silently self-healing here. ECREATE is not an
+	// injection point.
+	if err := d.k.chaos.FireErr(chaos.SiteEPCAlloc, true); err != nil {
+		return fmt.Errorf("kos: EPC allocation failed: %w", err)
+	}
+	var page int
+	err := d.withPressure(s.EID, func() (err error) {
+		page, err = alloc()
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -115,30 +127,25 @@ func (d *Driver) AugPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, perms isa.Per
 var ErrEPCPressure = fmt.Errorf("kos: EPC pressure: %w", chaos.ErrTransient)
 
 // withPressure runs an EPC allocation, letting the paging daemon evict
-// victim pages and retry when the EPC is exhausted.
-func (d *Driver) withPressure(s *sgx.SECS, alloc func() (int, error)) (int, error) {
-	// An injected allocation failure fails the ioctl outright — no
-	// driver-internal retry — so recovery is observable at the SDK's retry
-	// layer rather than silently self-healing here.
-	if err := d.k.chaos.FireErr(chaos.SiteEPCAlloc, true); err != nil {
-		return 0, fmt.Errorf("kos: EPC allocation failed: %w", err)
-	}
+// victim pages (preferring enclaves other than avoid; isa.NoEnclave for
+// ECREATE) and retry when the EPC is exhausted.
+func (d *Driver) withPressure(avoid isa.EID, alloc func() error) error {
 	const maxAttempts = 8
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		page, err := alloc()
+		err := alloc()
 		if err == nil {
-			return page, nil
+			return nil
 		}
 		lastErr = err
 		if d.k.m.FreeEPCPages() > 0 {
-			return 0, err // not a pressure failure
+			return err // not a pressure failure
 		}
-		if derr := d.makeRoom(s.EID, trace.NoCore); derr != nil {
-			return 0, fmt.Errorf("kos: EPC exhausted and paging daemon failed: %v (alloc: %w)", derr, err)
+		if derr := d.makeRoom(avoid, trace.NoCore); derr != nil {
+			return fmt.Errorf("kos: EPC exhausted and paging daemon failed: %v (alloc: %w)", derr, err)
 		}
 	}
-	return 0, fmt.Errorf("kos: EPC allocation failed after paging: %v: %w", lastErr, ErrEPCPressure)
+	return fmt.Errorf("kos: EPC allocation failed after paging: %v: %w", lastErr, ErrEPCPressure)
 }
 
 // makeRoom is the paging daemon: it picks a resident regular page (rotating
@@ -148,24 +155,14 @@ func (d *Driver) withPressure(s *sgx.SECS, alloc func() (int, error)) (int, erro
 func (d *Driver) makeRoom(avoid isa.EID, core int) error {
 	m := d.k.m
 	n := m.EPC.NumPages()
-	tryEvict := func(skipAvoid bool) error {
-		resident := make(map[int]sgx.EPCSnapshot, n)
-		for _, s := range m.SnapshotEPCM() {
-			resident[s.Index] = s
-		}
-		for off := 0; off < n; off++ {
-			idx := (d.victimCursor + off) % n
-			snap, ok := resident[idx]
+	tryEvict := func(skip isa.EID) error {
+		start := d.victimCursor
+		for off := 0; off < n; {
+			idx, ent, ok := m.EvictionCandidate((start+off)%n, n-off, skip)
 			if !ok {
-				continue
+				break
 			}
-			ent := snap.Entry
-			if ent.Blocked || ent.Type != isa.PTReg {
-				continue
-			}
-			if skipAvoid && ent.Owner == avoid {
-				continue
-			}
+			off = (idx-start+n)%n + 1 // a refused candidate resumes the scan past it
 			owner, ok := m.Enclave(ent.Owner)
 			if !ok {
 				continue
@@ -184,10 +181,10 @@ func (d *Driver) makeRoom(avoid isa.EID, core int) error {
 		}
 		return fmt.Errorf("no evictable EPC page found")
 	}
-	if err := tryEvict(true); err == nil {
+	if err := tryEvict(avoid); err == nil {
 		return nil
 	}
-	return tryEvict(false)
+	return tryEvict(isa.NoEnclave)
 }
 
 // InitEnclave performs EINIT.
@@ -198,8 +195,8 @@ func (d *Driver) InitEnclave(s *sgx.SECS, cert *measure.SigStruct) error {
 // DestroyEnclave unmaps and removes every page of the enclave.
 func (d *Driver) DestroyEnclave(p *Process, s *sgx.SECS) error {
 	d.mu.Lock()
-	for key := range d.evicted {
-		if key.owner == s.EID {
+	for key, blob := range d.evicted {
+		if blob.Owner == s.EID {
 			delete(d.evicted, key)
 		}
 	}
@@ -242,7 +239,7 @@ func (d *Driver) evictPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, core int) e
 		return err
 	}
 	d.mu.Lock()
-	d.evicted[evictKey{owner: s.EID, vaddr: vaddr.PageBase()}] = blob
+	d.evicted[evictKey{as: p.pt, vaddr: vaddr.PageBase()}] = blob
 	d.mu.Unlock()
 	if d.OnEvict != nil {
 		d.OnEvict(s.EID, vaddr.PageBase(), blob)
@@ -251,22 +248,17 @@ func (d *Driver) evictPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, core int) e
 	return nil
 }
 
-// reloadIfEvicted is the page-fault path: if the faulting address names an
-// evicted EPC page of the faulting enclave (or, with nesting, of one of its
-// outer enclaves), reload it with ELDU and fix the mapping.
+// reloadIfEvicted is the page-fault path: if the faulting address names a
+// page evicted from the faulting core's address space (an EPC page of the
+// faulting enclave or, with nesting, of one of its outer enclaves), reload
+// it with ELDU and fix the mapping.
 func (d *Driver) reloadIfEvicted(c *sgx.Core, f *isa.Fault) bool {
 	m := d.k.m
 	vpage := f.Addr.PageBase()
+	key := evictKey{as: c.PT, vaddr: vpage}
 	d.mu.Lock()
-	var blob *sgx.EvictedPage
-	var key evictKey
-	for k, b := range d.evicted {
-		if k.vaddr == vpage {
-			blob, key = b, k
-			break
-		}
-	}
-	if blob == nil {
+	blob, ok := d.evicted[key]
+	if !ok {
 		d.mu.Unlock()
 		return false
 	}
@@ -312,23 +304,16 @@ func (d *Driver) reloadIfEvicted(c *sgx.Core, f *isa.Fault) bool {
 		d.evicted[key] = blob
 		d.mu.Unlock()
 	}
-	// Re-establish the mapping in the owning process (and hence the
-	// faulting core's address space). RemapReload models the last lie: the
-	// PTE pointing somewhere other than the page ELDU just loaded.
+	// Re-establish the mapping in the address space the page was evicted
+	// from, the faulting core's. RemapReload models the last lie: the PTE
+	// pointing somewhere other than the page ELDU just loaded.
 	pa := m.EPC.AddrOf(page)
 	if d.RemapReload != nil {
 		if apa, ok := d.RemapReload(blob.Owner, vpage); ok {
 			pa = apa
 		}
 	}
-	d.mu.Lock()
-	proc := d.procs[blob.Owner]
-	d.mu.Unlock()
-	if proc != nil {
-		proc.pt.Map(vpage, pa, blob.Perms)
-	} else if c.PT != nil {
-		c.PT.Map(vpage, pa, blob.Perms)
-	}
+	key.as.Map(vpage, pa, blob.Perms)
 	return true
 }
 

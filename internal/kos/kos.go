@@ -60,7 +60,7 @@ func New(m *sgx.Machine) *Kernel {
 		//nescheck:allow atomicsafety constructor fills the free list before k is published; no other goroutine can hold a reference yet
 		k.freeFrames = append(k.freeFrames, ppn)
 	}
-	k.Driver = &Driver{k: k, evicted: make(map[evictKey]*sgx.EvictedPage)}
+	k.Driver = &Driver{k: k, evicted: make(map[evictKey]*sgx.EvictedPage), procs: make(map[isa.EID]*Process)}
 	k.IPC = NewIPCService(k)
 	for _, c := range m.Cores() {
 		c.PFHandler = k.handleFault

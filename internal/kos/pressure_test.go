@@ -15,13 +15,17 @@ import (
 
 // tinyEPCMachine has room for only a few dozen EPC pages, forcing the
 // paging daemon to work.
-func tinyEPCMachine() *sgx.Machine {
+func tinyEPCMachine() *sgx.Machine { return epcMachine(256) }
+
+// epcMachine is a two-core machine with an EPC of the given number of pages
+// (at most 1,536, the PRM's room in its 8 MiB of DRAM).
+func epcMachine(pages int) *sgx.Machine {
 	return sgx.MustNew(sgx.Config{
 		Cores: 2,
 		Phys: phys.Layout{
 			DRAMSize: 8 << 20,
 			PRMBase:  2 << 20,
-			PRMSize:  256 * isa.PageSize, // 256 EPC pages
+			PRMSize:  uint64(pages) * isa.PageSize,
 		},
 		LLC: cache.Config{SizeBytes: 256 << 10, Ways: 8},
 	})

@@ -11,7 +11,6 @@ package pt
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"nestedenclave/internal/isa"
 )
@@ -25,86 +24,70 @@ type PTE struct {
 
 // Table is a single-level map-backed page table for one address space.
 // Walks happen on every TLB miss from any core while the kernel remaps or
-// evicts pages from another, so the structure is copy-on-write: readers
-// atomically load an immutable snapshot (a page-table walk reads a
-// consistent radix tree on real hardware, too), and the rare writers —
-// mmap/munmap/eviction — copy, mutate, and republish under a writer lock.
+// evicts pages from another: readers take the read lock, so walks on
+// different cores run in parallel, and the rare writers — mmap/munmap/
+// eviction — edit one entry under the write lock. Every reader reads one
+// entry whole (a page-table walk reads one PTE on real hardware, too). mu is
+// a leaf lock: nothing is acquired under it.
 type Table struct {
-	mu      sync.Mutex   // serializes writers (the kernel's mmap lock)
-	entries atomic.Value // map[uint64]PTE, immutable once published
+	mu      sync.RWMutex
+	entries map[uint64]PTE //nescheck:guard mu
 }
 
 // New creates an empty page table.
 func New() *Table {
-	t := &Table{}
-	t.entries.Store(map[uint64]PTE{})
-	return t
-}
-
-func (t *Table) snapshot() map[uint64]PTE {
-	return t.entries.Load().(map[uint64]PTE)
-}
-
-// mutate runs f on a private copy of the entries and publishes the result.
-func (t *Table) mutate(f func(map[uint64]PTE)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := t.snapshot()
-	next := make(map[uint64]PTE, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	f(next)
-	t.entries.Store(next)
+	return &Table{entries: map[uint64]PTE{}}
 }
 
 // Map installs a translation from the virtual page containing v to the
 // physical page containing p with the given permissions.
 func (t *Table) Map(v isa.VAddr, p isa.PAddr, perms isa.Perm) {
-	t.mutate(func(m map[uint64]PTE) {
-		m[v.VPN()] = PTE{PPN: p.PPN(), Perms: perms, Present: true}
-	})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.entries[v.VPN()] = PTE{PPN: p.PPN(), Perms: perms, Present: true}
 }
 
 // Unmap removes the translation for the virtual page containing v.
 func (t *Table) Unmap(v isa.VAddr) {
-	t.mutate(func(m map[uint64]PTE) {
-		delete(m, v.VPN())
-	})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.entries, v.VPN())
 }
 
 // MarkNotPresent keeps the entry but clears its present bit (the state the
 // kernel sets while an EPC page is evicted).
 func (t *Table) MarkNotPresent(v isa.VAddr) {
-	t.mutate(func(m map[uint64]PTE) {
-		if e, ok := m[v.VPN()]; ok {
-			e.Present = false
-			m[v.VPN()] = e
-		}
-	})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := t.entries[v.VPN()]; ok {
+		e.Present = false
+		t.entries[v.VPN()] = e
+	}
 }
 
 // Protect changes the permissions of an existing mapping.
 func (t *Table) Protect(v isa.VAddr, perms isa.Perm) {
-	t.mutate(func(m map[uint64]PTE) {
-		if e, ok := m[v.VPN()]; ok {
-			e.Perms = perms
-			m[v.VPN()] = e
-		}
-	})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := t.entries[v.VPN()]; ok {
+		e.Perms = perms
+		t.entries[v.VPN()] = e
+	}
 }
 
 // Walk performs the page-table walk for v. ok is false when no entry exists;
 // a present=false entry is returned with ok true so the fault handler can
 // distinguish "never mapped" from "paged out".
 func (t *Table) Walk(v isa.VAddr) (PTE, bool) {
-	e, ok := t.snapshot()[v.VPN()]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	e, ok := t.entries[v.VPN()]
 	return e, ok
 }
 
 // Lookup returns the present translation for v, if any.
 func (t *Table) Lookup(v isa.VAddr) (PTE, bool) {
-	e, ok := t.snapshot()[v.VPN()]
+	e, ok := t.Walk(v)
 	if !ok || !e.Present {
 		return PTE{}, false
 	}
@@ -122,13 +105,18 @@ func (t *Table) Translate(v isa.VAddr) (isa.PAddr, bool) {
 }
 
 // Len returns the number of entries (present or not).
-func (t *Table) Len() int { return len(t.snapshot()) }
+func (t *Table) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.entries)
+}
 
 // VPNs returns all mapped virtual page numbers (for audits).
 func (t *Table) VPNs() []uint64 {
-	snap := t.snapshot()
-	out := make([]uint64, 0, len(snap))
-	for vpn := range snap {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]uint64, 0, len(t.entries))
+	for vpn := range t.entries {
 		out = append(out, vpn)
 	}
 	return out

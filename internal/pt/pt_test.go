@@ -1,6 +1,8 @@
 package pt
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nestedenclave/internal/isa"
@@ -78,5 +80,68 @@ func TestKernelRemap(t *testing.T) {
 	pa, _ := tab.Translate(0x1000)
 	if pa != 0x7000 {
 		t.Fatalf("remap not applied: %#x", uint64(pa))
+	}
+}
+
+// TestConcurrentWalksAndWrites races one writer — map, mark not-present,
+// protect, unmap, remap — against readers that walk, translate, and list
+// the table. Page i only ever maps frame i+1 (PermRW) or frame i+1+pages
+// (PermRX), later protected to PermR, so every entry a reader sees must be
+// one the writer wrote whole. Meant for `go test -race`.
+func TestConcurrentWalksAndWrites(t *testing.T) {
+	const pages = 32
+	tab := New()
+	frame := func(i, k int) isa.PAddr { return isa.PAddr(i+1+k*pages) * isa.PageSize }
+	for i := 0; i < pages; i++ {
+		tab.Map(isa.VAddr(i)*isa.PageSize, frame(i, 0), isa.PermRW)
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				for i := 0; i < pages; i++ {
+					v := isa.VAddr(i) * isa.PageSize
+					if e, ok := tab.Walk(v); ok {
+						okEntry := e.Perms == isa.PermR ||
+							(e.PPN == frame(i, 0).PPN() && e.Perms == isa.PermRW) ||
+							(e.PPN == frame(i, 1).PPN() && e.Perms == isa.PermRX)
+						if !okEntry || (e.PPN != frame(i, 0).PPN() && e.PPN != frame(i, 1).PPN()) {
+							t.Errorf("page %d: torn entry %+v", i, e)
+							return
+						}
+					}
+					if pa, ok := tab.Translate(v + 0x10); ok && pa != frame(i, 0)+0x10 && pa != frame(i, 1)+0x10 {
+						t.Errorf("page %d: translated to %#x", i, uint64(pa))
+						return
+					}
+				}
+				if n, vpns := tab.Len(), tab.VPNs(); n > pages || len(vpns) > pages {
+					t.Errorf("table grew: Len %d, %d VPNs", n, len(vpns))
+					return
+				}
+			}
+		}()
+	}
+	for round := 0; round < 100; round++ {
+		for i := 0; i < pages; i++ {
+			v := isa.VAddr(i) * isa.PageSize
+			tab.MarkNotPresent(v)
+			tab.Protect(v, isa.PermR)
+			tab.Unmap(v)
+			k := round % 2
+			perms := isa.PermRW
+			if k == 1 {
+				perms = isa.PermRX
+			}
+			tab.Map(v, frame(i, k), perms)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if tab.Len() != pages {
+		t.Fatalf("Len = %d after the writer finished, want %d", tab.Len(), pages)
 	}
 }

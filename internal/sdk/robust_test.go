@@ -4,14 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"nestedenclave/internal/cache"
 	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/core"
+	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
+	"nestedenclave/internal/trace"
 )
 
 // --- Panic containment ---
@@ -100,6 +105,66 @@ func TestNestedPanicPoisonsOnlyCrashedEnclave(t *testing.T) {
 	}
 	if v := r.m.AuditInvariants(); len(v) > 0 {
 		t.Fatalf("invariants violated: %v", v)
+	}
+}
+
+// panicBackend passes line traffic through to the MEE but panics on the
+// first line fetch after it is armed: a fault below the cache, raised on
+// the access path while the core holds the machine read lock.
+type panicBackend struct {
+	cache.Backend
+	armed atomic.Bool
+}
+
+func (b *panicBackend) ReadLine(p isa.PAddr, payer trace.Payer) ([]byte, error) {
+	if b.armed.CompareAndSwap(true, false) {
+		panic("memory backend fault")
+	}
+	return b.Backend.ReadLine(p, payer)
+}
+
+// TestPanicBelowCacheReleasesMachineLock: a panic raised under the cache
+// during a trusted heap read must unwind through the access path's read
+// lock, so the crash containment (which takes the write lock to evacuate
+// the core) completes and the machine keeps serving other enclaves.
+func TestPanicBelowCacheReleasesMachineLock(t *testing.T) {
+	r := newRig(t, core.TwoLevel())
+	backend := &panicBackend{Backend: r.m.MEE}
+	readHeap := func(env *sdk.Env, args []byte) ([]byte, error) {
+		return env.Read(env.E.Image().HeapBase(), 8)
+	}
+	victimImg := sdk.NewImage("victim", 0x1000_0000, sdk.DefaultLayout())
+	victimImg.RegisterECall("read", func(env *sdk.Env, args []byte) ([]byte, error) {
+		backend.armed.Store(true)
+		return readHeap(env, args)
+	})
+	otherImg := sdk.NewImage("bystander", 0x2000_0000, sdk.DefaultLayout())
+	otherImg.RegisterECall("read", readHeap)
+	victim := mustLoad(t, r.host, victimImg.Sign(measure.MustNewAuthor(), nil, nil))
+	other := mustLoad(t, r.host, otherImg.Sign(measure.MustNewAuthor(), nil, nil))
+
+	// Write every dirty line back, then put a cold LLC over the backend so
+	// the victim's heap read reaches it.
+	if err := r.m.LLC.FlushAll(trace.NoPayer); err != nil {
+		t.Fatal(err)
+	}
+	r.m.LLC = cache.MustNew(sgx.SmallConfig().LLC, backend, r.m.Rec)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := victim.ECall("read", nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if _, ok := sdk.IsCrash(err); !ok {
+			t.Fatalf("want *EnclaveCrashed, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ECall did not return: the panic stranded the machine read lock")
+	}
+	if _, err := other.ECall("read", nil); err != nil {
+		t.Fatalf("second enclave after the contained crash: %v", err)
 	}
 }
 

@@ -54,10 +54,11 @@ func (c *Core) maybeChaos() error {
 // translateLocked resolves v for the given access kind. It returns either a
 // physical address, abort=true (abort-page semantics), or a fault.
 // Caller holds at least the read side of m.mu: the whole miss-handling
-// sequence only reads machine-global structures (COW page table, EPCM, SECS
-// association lists) and touches per-core state (TLB) owned by the calling
-// goroutine, so concurrent translations on different cores proceed in
-// parallel while mutating instructions hold the write lock.
+// sequence only reads machine-global structures (the page table, under its
+// own read lock; the EPCM; SECS association lists) and touches per-core
+// state (TLB) owned by the calling goroutine, so concurrent translations on
+// different cores proceed in parallel while mutating instructions hold the
+// write lock.
 func (c *Core) translateLocked(v isa.VAddr, op isa.Access) (pa isa.PAddr, abort bool, err error) {
 	if e, ok := c.TLB.Lookup(v); ok && e.Perms.Allows(op) {
 		return isa.PAddr(e.PPN<<isa.PageShift | v.Offset()), false, nil
@@ -139,32 +140,64 @@ func (c *Core) ReadInto(v isa.VAddr, dst []byte) error {
 			return err
 		}
 		for attempt := 0; ; attempt++ {
-			c.m.mu.RLock()
-			pa, abort, err := c.translateLocked(cur, isa.Read)
-			if err == nil {
-				if abort {
-					c.m.mu.RUnlock()
-					for i := 0; i < n; i++ {
-						dst[off+i] = 0xFF
-					}
-					break
-				}
-				err = c.m.LLC.ReadInto(pa, dst[off:off+n], c.payer())
-				c.m.mu.RUnlock()
-				if err != nil {
-					return err // MEE integrity machine check
-				}
+			fault, err := c.readChunk(cur, dst[off:off+n])
+			if err != nil {
+				return err // MEE integrity machine check
+			}
+			if fault == nil {
 				break
 			}
-			c.m.mu.RUnlock()
-			if attempt < maxFaultRetries && c.handleFault(err) {
+			if attempt < maxFaultRetries && c.handleFault(fault) {
 				continue
 			}
-			return err
+			return fault
 		}
 		off += n
 	}
 	return nil
+}
+
+// The three helpers below run one translate-and-access step under the
+// machine read lock. The deferred unlock releases it even when the cache
+// hierarchy panics, so a contained enclave crash can still take the write
+// lock to evacuate the core. A translation fault comes back as fault (the
+// caller may let the kernel repair it and retry); a memory-system error as
+// err.
+
+// readChunk reads one page-bounded chunk at v into dst.
+func (c *Core) readChunk(v isa.VAddr, dst []byte) (fault, err error) {
+	c.m.mu.RLock()
+	defer c.m.mu.RUnlock()
+	pa, abort, fault := c.translateLocked(v, isa.Read)
+	if fault != nil {
+		return fault, nil
+	}
+	if abort {
+		for i := range dst {
+			dst[i] = 0xFF
+		}
+		return nil, nil
+	}
+	return nil, c.m.LLC.ReadInto(pa, dst, c.payer())
+}
+
+// writeChunk writes one page-bounded chunk b at v.
+func (c *Core) writeChunk(v isa.VAddr, b []byte) (fault, err error) {
+	c.m.mu.RLock()
+	defer c.m.mu.RUnlock()
+	pa, abort, fault := c.translateLocked(v, isa.Write)
+	if fault != nil || abort {
+		return fault, nil
+	}
+	return nil, c.m.LLC.Write(pa, b, c.payer())
+}
+
+// fetchChunk translates v for execution.
+func (c *Core) fetchChunk(v isa.VAddr) (abort bool, fault error) {
+	c.m.mu.RLock()
+	defer c.m.mu.RUnlock()
+	_, abort, fault = c.translateLocked(v, isa.Execute)
+	return abort, fault
 }
 
 // Read returns n bytes at virtual address v.
@@ -186,23 +219,17 @@ func (c *Core) Write(v isa.VAddr, b []byte) error {
 			return err
 		}
 		for attempt := 0; ; attempt++ {
-			c.m.mu.RLock()
-			pa, abort, err := c.translateLocked(cur, isa.Write)
-			if err == nil {
-				if !abort {
-					err = c.m.LLC.Write(pa, b[off:off+n], c.payer())
-				}
-				c.m.mu.RUnlock()
-				if err != nil {
-					return err
-				}
+			fault, err := c.writeChunk(cur, b[off:off+n])
+			if err != nil {
+				return err
+			}
+			if fault == nil {
 				break
 			}
-			c.m.mu.RUnlock()
-			if attempt < maxFaultRetries && c.handleFault(err) {
+			if attempt < maxFaultRetries && c.handleFault(fault) {
 				continue
 			}
-			return err
+			return fault
 		}
 		off += n
 	}
@@ -217,9 +244,7 @@ func (c *Core) Fetch(v isa.VAddr) error {
 		return err
 	}
 	for attempt := 0; ; attempt++ {
-		c.m.mu.RLock()
-		_, abort, err := c.translateLocked(v, isa.Execute)
-		c.m.mu.RUnlock()
+		abort, err := c.fetchChunk(v)
 		if err == nil {
 			if abort {
 				return isa.PF(v, isa.Execute, "fetch from abort page")

@@ -22,11 +22,11 @@ func (m *Machine) ECreate(base isa.VAddr, size uint64, attributes uint64) (*SECS
 		return nil, isa.GP("ECREATE: ELRANGE [%#x,+%#x) not page-aligned", uint64(base), size)
 	}
 	eid := m.nextEID
-	m.nextEID++
 	page, err := m.EPC.Alloc(eid, isa.PTSECS, 0, 0)
 	if err != nil {
 		return nil, isa.GP("ECREATE: %v", err)
 	}
+	m.nextEID++
 	s := &SECS{
 		EID:          eid,
 		Base:         base,

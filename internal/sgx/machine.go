@@ -17,6 +17,7 @@
 package sgx
 
 import (
+	"crypto/cipher"
 	"crypto/rand"
 	"fmt"
 	"sort"
@@ -106,7 +107,8 @@ type Machine struct {
 	// mu guards the shared memory system and machine-global state. The hot
 	// data-access path (translate + validate on TLB miss) only *reads*
 	// machine-global structures — the EPCM, SECS association lists, and the
-	// COW page tables — so it runs under the read lock and cores proceed in
+	// page tables (each behind its own leaf read-write lock, taken under
+	// this one) — so it runs under the read lock and cores proceed in
 	// parallel; every instruction that mutates machine state (lifecycle,
 	// transitions, paging, NASSO) takes the write lock and so still excludes
 	// all accesses, exactly like the old exclusive lock did. Per-core state
@@ -135,6 +137,9 @@ type Machine struct {
 	assocEpoch atomic.Uint64
 
 	platformSecret []byte
+	// pagingAEAD seals EWB blobs and opens them at ELDU, under the paging
+	// key derived from platformSecret.
+	pagingAEAD cipher.AEAD
 
 	// Version-array state for EPC paging freshness (see paging.go).
 	vaSlots    map[uint64]bool
@@ -187,6 +192,10 @@ func New(cfg Config) (*Machine, error) {
 	if _, err := rand.Read(secret); err != nil {
 		return nil, fmt.Errorf("sgx: platform secret: %v", err)
 	}
+	aead, err := newPagingAEAD(secret)
+	if err != nil {
+		return nil, err
+	}
 	m := &Machine{
 		DRAM:           dram,
 		MEE:            eng,
@@ -196,6 +205,7 @@ func New(cfg Config) (*Machine, error) {
 		secsByEID:      make(map[isa.EID]*SECS),
 		nextEID:        1,
 		platformSecret: secret,
+		pagingAEAD:     aead,
 		poisoned:       make(map[isa.EID]string),
 	}
 	// An MEE integrity failure is contained to the enclave owning the

@@ -71,9 +71,11 @@ func (e *BlobReplayError) Error() string {
 // Is makes errors.Is(err, ErrBlobReplay) true for every freshness rejection.
 func (e *BlobReplayError) Is(target error) bool { return target == ErrBlobReplay }
 
-// pagingAEAD builds the AEAD under the platform paging key.
-func (m *Machine) pagingAEAD() (cipher.AEAD, error) {
-	key := measure.DeriveKey(m.platformSecret, measure.KeySeal, measure.Digest{}, measure.Digest{}, []byte("epc-paging"))
+// newPagingAEAD builds the AES-GCM AEAD under the platform paging key. The
+// machine builds it once, at New; every EWB seals and every ELDU opens with
+// it.
+func newPagingAEAD(platformSecret []byte) (cipher.AEAD, error) {
+	key := measure.DeriveKey(platformSecret, measure.KeySeal, measure.Digest{}, measure.Digest{}, []byte("epc-paging"))
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("sgx: paging cipher: %w", err)
@@ -188,11 +190,7 @@ func (m *Machine) EWB(page int, core int) (*EvictedPage, error) {
 	bk := blobKey{ent.Owner, ent.Vaddr}
 	m.blobVer[bk]++
 	blob := &EvictedPage{Owner: ent.Owner, Vaddr: ent.Vaddr, Type: ent.Type, Perms: ent.Perms, Slot: slot, Version: m.blobVer[bk]}
-	aead, err := m.pagingAEAD()
-	if err != nil {
-		return nil, err
-	}
-	blob.Cipher = aead.Seal(nil, pagingNonce(slot), content, blob.aad())
+	blob.Cipher = m.pagingAEAD.Seal(nil, pagingNonce(slot), content, blob.aad())
 	if m.vaSlots == nil {
 		m.vaSlots = make(map[uint64]bool)
 	}
@@ -221,11 +219,7 @@ func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	if !m.vaSlots[blob.Slot] {
 		return 0, &BlobReplayError{Owner: blob.Owner, Vaddr: blob.Vaddr, Have: blob.Version, Want: blob.Version, Consumed: true}
 	}
-	aead, err := m.pagingAEAD()
-	if err != nil {
-		return 0, err
-	}
-	content, err := aead.Open(nil, pagingNonce(blob.Slot), blob.Cipher, blob.aad())
+	content, err := m.pagingAEAD.Open(nil, pagingNonce(blob.Slot), blob.Cipher, blob.aad())
 	if err != nil {
 		return 0, isa.GP("ELDU: integrity check failed: %v", err)
 	}
@@ -253,37 +247,34 @@ func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 // its own thread of execution) must use this instead of scanning m.EPC
 // directly, which is only safe while holding the instruction lock.
 func (m *Machine) FindRegPage(s *SECS, vaddr isa.VAddr) (int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, i := range m.EPC.PagesOf(s.EID) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for i := 0; i < m.EPC.NumPages(); i++ {
 		ent := m.EPC.Entry(i)
-		if ent.Type == isa.PTReg && ent.Vaddr == vaddr.PageBase() {
+		if ent.Valid && ent.Owner == s.EID && ent.Type == isa.PTReg && ent.Vaddr == vaddr.PageBase() {
 			return i, true
 		}
 	}
 	return 0, false
 }
 
-// SnapshotEPCM returns value copies of every valid EPCM entry with its page
-// index, taken under the machine lock — the kernel's racy-read-free view for
-// victim selection.
-func (m *Machine) SnapshotEPCM() []EPCSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]EPCSnapshot, 0, m.EPC.NumPages())
-	for i := 0; i < m.EPC.NumPages(); i++ {
-		if ent := m.EPC.Entry(i); ent.Valid {
-			out = append(out, EPCSnapshot{Index: i, Entry: *ent})
+// EvictionCandidate scans the EPCM in place under the machine lock: from
+// page start it covers count pages, wrapping at the end of the EPC, and
+// returns the first valid, unblocked regular page not owned by skip
+// (isa.NoEnclave skips no owner) with a copy of its EPCM entry. It is the
+// paging daemon's victim search and allocates nothing.
+func (m *Machine) EvictionCandidate(start, count int, skip isa.EID) (int, epc.Entry, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := m.EPC.NumPages()
+	for off := 0; off < count; off++ {
+		i := (start + off) % n
+		ent := m.EPC.Entry(i)
+		if ent.Valid && !ent.Blocked && ent.Type == isa.PTReg && ent.Owner != skip {
+			return i, *ent, true
 		}
 	}
-	return out
-}
-
-// EPCSnapshot is one SnapshotEPCM element: a page index with a copy of its
-// EPCM entry.
-type EPCSnapshot struct {
-	Index int
-	Entry epc.Entry
+	return 0, epc.Entry{}, false
 }
 
 // FreeEPCPages returns the free-page count under the machine lock.

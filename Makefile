@@ -6,9 +6,10 @@
 # depth-6 exhaustive-exploration smoke; tier3 is the differential
 # model-checking pass: 5000 randomized schedules against the reference
 # oracle, the full depth-8 exhaustive enumeration (`make modelcheck`), a
-# short native-fuzz smoke over the op encoding, access validator, and report
-# codec, plus a chaos-soak smoke (fault injection + self-healing
-# supervision, see `make chaos`). See TESTING.md.
+# short native-fuzz smoke over every Fuzz target (the op encoding, access
+# validator, report codec, and MEE tamper model), plus a chaos-soak smoke
+# (fault injection + self-healing supervision, see `make chaos`). See
+# TESTING.md.
 
 GO ?= go
 SIMTEST_SCHEDULES ?= 5000
@@ -96,10 +97,17 @@ modelcheck:
 modelcheck-smoke:
 	MODELCHECK_DEPTH=6 $(GO) test ./internal/simtest -run 'TestModelCheckSmoke$$' -count=1 -v
 
+# fuzz-smoke runs every native fuzz target in the module for FUZZTIME each,
+# found with `go test -list '^Fuzz'` rather than listed by hand, so a new
+# fuzzer joins the smoke by existing.
 fuzz-smoke:
-	$(GO) test ./internal/simtest -run '^$$' -fuzz '^FuzzScheduleOps$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sgx -run '^$$' -fuzz '^FuzzAccessValidate$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sgx -run '^$$' -fuzz '^FuzzReportParse$$' -fuzztime $(FUZZTIME)
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list"; exit 1; }; \
+	targets="$$(echo "$$list" | awk '/^Fuzz/ { names = names " " $$1 } /^ok/ { n = split(names, a, " "); for (i = 1; i <= n; i++) print $$2, a[i]; names = "" }')"; \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets found"; exit 1; }; \
+	echo "$$targets" | while read -r pkg name; do \
+		echo "fuzz-smoke: $$name ($$pkg)"; \
+		$(GO) test "$$pkg" -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # chaos runs the deterministic fault-injection soak: the nested SQL service
 # under DRAM bit flips, EPC-allocation failures, IPC loss/duplication/
@@ -136,11 +144,12 @@ adversary-smoke:
 
 # bench runs the paper-experiment benchmarks (root package) once each, and
 # the host-cost microbenchmarks (internal/bench: ECall, OCall, NECall,
-# PageWalk, SwitchlessOCall, and EPCFault — one evict-and-reload round trip)
-# with ns/op and allocs/op reporting.
+# PageWalk, SwitchlessOCall, EPCFault — one evict-and-reload round trip —
+# and LLCMiss — one 256 B write whose four lines all miss and evict dirty
+# victims through the MEE) with ns/op and allocs/op reporting.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='ECall|OCall|PageWalk|EPCFault' -benchtime=200x -run=^$$ ./internal/bench
+	$(GO) test -bench='ECall|OCall|PageWalk|EPCFault|LLCMiss' -benchtime=200x -run=^$$ ./internal/bench
 
 clean:
 	$(GO) clean ./...

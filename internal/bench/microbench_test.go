@@ -176,3 +176,50 @@ func BenchmarkEPCFault(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkLLCMiss is one 256 B write into an enclave heap twice the LLC,
+// swept in address order so every line misses: four fills, each an MEE
+// decrypt, and four dirty victims written back, each an MEE encrypt.
+func BenchmarkLLCMiss(b *testing.B) {
+	r, err := NewRig(SmallMachine())
+	if err != nil {
+		b.Fatal(err)
+	}
+	heapBytes := 2 * SmallMachine().LLC.SizeBytes
+	img := sdk.NewImage("mb-stream", 0x3000_0000,
+		sdk.Layout{CodePages: 1, DataPages: 1, HeapPages: heapBytes / isa.PageSize, NumTCS: 1})
+	e, err := r.LoadSolo(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := r.M.Core(0)
+	if err := r.K.Schedule(c, r.Host.Proc); err != nil {
+		b.Fatal(err)
+	}
+	s := e.SECS()
+	if err := r.M.EEnter(c, s, s.TCSs()[0].Vaddr, false); err != nil {
+		b.Fatal(err)
+	}
+	heap := img.HeapBase()
+	buf := make([]byte, 256)
+	// One warm sweep seals every heap line in DRAM and leaves the LLC full
+	// of dirty heap lines.
+	for off := 0; off < heapBytes; off += len(buf) {
+		if err := c.Write(heap+isa.VAddr(off), buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	off := 0
+	for i := 0; i < b.N; i++ {
+		if err := c.Write(heap+isa.VAddr(off), buf); err != nil {
+			b.Fatal(err)
+		}
+		off = (off + len(buf)) % heapBytes
+	}
+	b.StopTimer()
+	if err := r.M.EExit(c, true); err != nil {
+		b.Fatal(err)
+	}
+}

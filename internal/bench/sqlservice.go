@@ -206,31 +206,22 @@ func TableVI(cfg ycsb.Config, seed int64) ([]TableVIRow, error) {
 	for _, mix := range ycsb.TableVIMixes() {
 		w := ycsb.Generate(mix, cfg, rand.New(rand.NewSource(seed)))
 		row := TableVIRow{Workload: mix.Name}
-		for _, nested := range []bool{false, true} {
-			r, err := NewRig(SmallMachine())
-			if err != nil {
-				return nil, err
-			}
-			s, err := BuildSQLService(r, nested)
-			if err != nil {
-				return nil, err
-			}
-			for _, q := range w.Setup {
-				if _, err := s.Query(q); err != nil {
-					return nil, fmt.Errorf("%s setup (%s): %w", mix.Name, variantName(nested), err)
+		// A short query stream (the shape test's 400 queries) runs for a
+		// millisecond or two, less than a scheduler time slice, so one stall
+		// from a co-scheduled process can skew a single timing several-fold.
+		// Each variant is timed tableVIRuns times, alternating, each on a
+		// fresh service; the fastest run counts.
+		for range tableVIRuns {
+			for _, nested := range []bool{false, true} {
+				qps, err := tableVIRun(w, nested)
+				if err != nil {
+					return nil, err
 				}
-			}
-			start := time.Now()
-			for _, q := range w.Queries {
-				if _, err := s.Query(q); err != nil {
-					return nil, fmt.Errorf("%s (%s): %w", mix.Name, variantName(nested), err)
+				if nested {
+					row.NestQPS = max(row.NestQPS, qps)
+				} else {
+					row.MonoQPS = max(row.MonoQPS, qps)
 				}
-			}
-			qps := float64(len(w.Queries)) / time.Since(start).Seconds()
-			if nested {
-				row.NestQPS = qps
-			} else {
-				row.MonoQPS = qps
 			}
 		}
 		row.Normalized = row.NestQPS / row.MonoQPS
@@ -239,6 +230,34 @@ func TableVI(cfg ycsb.Config, seed int64) ([]TableVIRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// tableVIRuns is how many times TableVI times each variant of a mix.
+const tableVIRuns = 3
+
+// tableVIRun builds a fresh SQL service, loads w's records, and returns the
+// queries per second of w's query stream.
+func tableVIRun(w *ycsb.Workload, nested bool) (float64, error) {
+	r, err := NewRig(SmallMachine())
+	if err != nil {
+		return 0, err
+	}
+	s, err := BuildSQLService(r, nested)
+	if err != nil {
+		return 0, err
+	}
+	for _, q := range w.Setup {
+		if _, err := s.Query(q); err != nil {
+			return 0, fmt.Errorf("%s setup (%s): %w", w.Mix.Name, variantName(nested), err)
+		}
+	}
+	start := time.Now()
+	for _, q := range w.Queries {
+		if _, err := s.Query(q); err != nil {
+			return 0, fmt.Errorf("%s (%s): %w", w.Mix.Name, variantName(nested), err)
+		}
+	}
+	return float64(len(w.Queries)) / time.Since(start).Seconds(), nil
 }
 
 // RenderTableVI formats the rows.

@@ -22,9 +22,10 @@ import (
 // DRAM). Lines crossing it are subject to protection, and the work is billed
 // to the payer of the cache operation that moved them.
 type Backend interface {
-	// ReadLine fetches the 64-byte line at the (line-aligned) address.
-	// It may return an integrity fault.
-	ReadLine(p isa.PAddr, payer trace.Payer) ([]byte, error)
+	// ReadLine fetches the 64-byte line at the (line-aligned) address into
+	// dst, which is LineSize bytes long and owned by the caller. It may
+	// return an integrity fault, leaving dst's contents unspecified.
+	ReadLine(p isa.PAddr, dst []byte, payer trace.Payer) error
 	// WriteLine stores the 64-byte line at the (line-aligned) address.
 	WriteLine(p isa.PAddr, data []byte, payer trace.Payer) error
 }
@@ -61,6 +62,8 @@ type Cache struct {
 	sets    [][]line
 	nsets   uint64
 	tick    uint64
+	// fetch receives a missing line before fill picks its victim.
+	fetch [isa.LineSize]byte //nescheck:guard mu
 
 	// Enabled can be cleared to model an uncached (write-through to MEE)
 	// path; used by ablation benches. Set before workloads run.
@@ -139,10 +142,11 @@ func (c *Cache) victim(idx uint64, payer trace.Payer) (*line, error) {
 	return v, nil
 }
 
-// fill brings the line at idx into the cache and returns it.
+// fill brings the line at idx into the cache and returns it. The line is
+// fetched before the victim is written back, so a fetch that faults leaves
+// the victim in place.
 func (c *Cache) fill(idx uint64, payer trace.Payer) (*line, error) {
-	data, err := c.backend.ReadLine(isa.PAddr(idx<<isa.LineShift), payer)
-	if err != nil {
+	if err := c.backend.ReadLine(isa.PAddr(idx<<isa.LineShift), c.fetch[:], payer); err != nil {
 		return nil, err
 	}
 	v, err := c.victim(idx, payer)
@@ -151,7 +155,7 @@ func (c *Cache) fill(idx uint64, payer trace.Payer) (*line, error) {
 	}
 	v.tag = idx
 	v.valid = true
-	copy(v.data[:], data)
+	v.data = c.fetch
 	return v, nil
 }
 
@@ -159,12 +163,10 @@ func (c *Cache) access(p isa.PAddr, write bool, payer trace.Payer) (*line, error
 	idx := uint64(p) >> isa.LineShift
 	if !c.Enabled {
 		// Uncached mode: synthesize a transient line per access.
-		data, err := c.backend.ReadLine(p.LineBase(), payer)
-		if err != nil {
+		l := &line{tag: idx, valid: true}
+		if err := c.backend.ReadLine(p.LineBase(), l.data[:], payer); err != nil {
 			return nil, err
 		}
-		l := &line{tag: idx, valid: true}
-		copy(l.data[:], data)
 		return l, nil
 	}
 	c.tick++

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"nestedenclave/internal/isa"
+	"nestedenclave/internal/mee"
+	"nestedenclave/internal/phys"
 	"nestedenclave/internal/trace"
 )
 
@@ -23,13 +25,14 @@ func newMemBackend() *memBackend {
 	return &memBackend{data: make(map[uint64][isa.LineSize]byte)}
 }
 
-func (b *memBackend) ReadLine(p isa.PAddr, _ trace.Payer) ([]byte, error) {
+func (b *memBackend) ReadLine(p isa.PAddr, dst []byte, _ trace.Payer) error {
 	if b.failReads {
-		return nil, fmt.Errorf("injected read failure")
+		return fmt.Errorf("injected read failure")
 	}
 	b.reads++
 	line := b.data[uint64(p)>>isa.LineShift]
-	return line[:], nil
+	copy(dst, line[:])
+	return nil
 }
 
 func (b *memBackend) WriteLine(p isa.PAddr, data []byte, _ trace.Payer) error {
@@ -253,5 +256,43 @@ func TestCacheTransparency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMissPathAllocatesNothing: a PRM line miss that evicts a dirty PRM
+// victim (one MEE seal for the writeback, one open for the fetch) costs the
+// host no allocation, through a real engine.
+func TestMissPathAllocatesNothing(t *testing.T) {
+	l := phys.Layout{DRAMSize: 64 << 10, PRMBase: 32 << 10, PRMSize: 16 << 10}
+	rec := &trace.Recorder{}
+	// One set, one way: each write to the other line misses and evicts.
+	c := MustNew(Config{SizeBytes: isa.LineSize, Ways: 1}, mee.MustNew(phys.MustNew(l), rec), rec)
+	lines := [2]isa.PAddr{l.PRMBase, l.PRMBase + isa.PageSize}
+	b := []byte{0x5a}
+	payer := trace.Payer{EID: 1, Core: 0}
+	for _, p := range lines {
+		if err := c.Write(p, b, payer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 100
+	miss0, enc0, dec0 := rec.Get(trace.EvLLCMiss), rec.Get(trace.EvMEEEncrypt), rec.Get(trace.EvMEEDecrypt)
+	var err error
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		i++ // the warm-up call hits the line written last; every later one misses
+		if e := c.Write(lines[i%2], b, payer); e != nil && err == nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("PRM miss with dirty PRM victim allocates %.0f times, want 0", allocs)
+	}
+	miss, enc, dec := rec.Get(trace.EvLLCMiss)-miss0, rec.Get(trace.EvMEEEncrypt)-enc0, rec.Get(trace.EvMEEDecrypt)-dec0
+	if miss != runs || enc != runs || dec != runs {
+		t.Errorf("%d misses, %d seals, %d opens; want %d of each", miss, enc, dec, runs)
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
+	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/trace"
 )
@@ -107,6 +109,91 @@ func TestLLCBillingUnderParallelWalks(t *testing.T) {
 		cs := per[uint64(e.SECS().EID)]
 		if got := cs.Get(trace.EvLLCHit) + cs.Get(trace.EvLLCMiss); got != walkCalls {
 			t.Errorf("enclave %d billed %d LLC accesses, want %d", e.SECS().EID, got, walkCalls)
+		}
+	}
+}
+
+// TestParallelMissesThroughOneEngine: two cores each write and read back
+// their own region of one enclave's heap, each region twice the LLC, so every
+// line they touch misses and the LLC fills and dirty writebacks of both
+// cores pass through the one MEE and its scratch buffers at once. Each core
+// must read back exactly the bytes it wrote, and the LLC and MEE counters
+// must move by exactly the lines streamed.
+func TestParallelMissesThroughOneEngine(t *testing.T) {
+	r := newRig(t, core.TwoLevel())
+	const region = 2 << 20 // per core: twice SmallConfig's 1 MiB LLC
+	img := sdk.NewImage("streams", 0x3000_0000,
+		sdk.Layout{CodePages: 1, DataPages: 1, HeapPages: 2 * region / isa.PageSize, NumTCS: 2})
+	heap := img.HeapBase()
+	pattern := func(w, off int) byte { return byte(w*101 + off/isa.LineSize*7 + off) }
+	img.RegisterECall("stream", func(env *sdk.Env, args []byte) ([]byte, error) {
+		w := int(args[0])
+		base := heap + isa.VAddr(w*region)
+		page := make([]byte, isa.PageSize)
+		for off := 0; off < region; off += isa.PageSize {
+			for j := range page {
+				page[j] = pattern(w, off+j)
+			}
+			if err := env.Write(base+isa.VAddr(off), page); err != nil {
+				return nil, err
+			}
+		}
+		for off := 0; off < region; off += isa.PageSize {
+			got, err := env.Read(base+isa.VAddr(off), isa.PageSize)
+			if err != nil {
+				return nil, err
+			}
+			for j, b := range got {
+				if want := pattern(w, off+j); b != want {
+					return nil, fmt.Errorf("region %d byte %d reads %#x, want %#x", w, off+j, b, want)
+				}
+			}
+		}
+		return nil, nil
+	})
+	e, err := r.host.Load(img.Sign(measure.MustNewAuthor(), nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Start from an empty LLC with every heap line sealed in DRAM, so each
+	// fetch is one MEE decrypt.
+	if err := r.m.LLC.FlushAll(trace.NoPayer); err != nil {
+		t.Fatal(err)
+	}
+	rec := r.m.Rec
+	events := []trace.Event{trace.EvLLCHit, trace.EvLLCMiss, trace.EvMEEDecrypt, trace.EvMEEEncrypt}
+	before := make([]int64, len(events))
+	for i, ev := range events {
+		before[i] = rec.Get(ev)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.ECall("stream", []byte{byte(w)}); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// Write back what is still dirty: every line written is then sealed
+	// exactly once.
+	if err := r.m.LLC.FlushAll(trace.NoPayer); err != nil {
+		t.Fatal(err)
+	}
+
+	const lines = region / isa.LineSize
+	want := []int64{0, 2 * 2 * lines, 2 * 2 * lines, 2 * lines} // hit, miss, decrypt, encrypt
+	for i, ev := range events {
+		if got := rec.Get(ev) - before[i]; got != want[i] {
+			t.Errorf("%v moved by %d, want %d", ev, got, want[i])
 		}
 	}
 }

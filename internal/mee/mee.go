@@ -20,7 +20,8 @@
 // key, using the line index and a monotonically increasing version counter
 // as the nonce, and keeps the 16-byte tags and counters in engine-private
 // state (modelling the on-chip tree root plus stolen metadata memory that the
-// physical attacker cannot forge).
+// physical attacker cannot forge): one table per PRM page, made on the page's
+// first writeback.
 package mee
 
 import (
@@ -36,19 +37,35 @@ import (
 	"nestedenclave/internal/trace"
 )
 
+// lineMeta is one PRM line's integrity state: the version its nonce
+// carries, the GCM tag of its current ciphertext, and whether it holds
+// ciphertext at all.
 type lineMeta struct {
 	version uint64
 	tag     [16]byte
 	written bool
 }
 
+// pageMeta is the integrity state of every line of one PRM page.
+type pageMeta [isa.PageSize / isa.LineSize]lineMeta
+
 // Engine is the memory encryption engine. It implements cache.Backend.
-// Not safe for concurrent use; the machine serializes memory operations.
+//
+// Not safe for concurrent use: the nonce and ciphertext scratch buffers are
+// shared by every line operation. Every ReadLine and WriteLine runs under
+// the LLC's mutex (the cache is the engine's only line caller), and DropPage
+// runs under the machine's write lock, which excludes every access.
 type Engine struct {
 	mem  *phys.Memory
 	rec  *trace.Recorder
 	aead cipher.AEAD
-	meta map[uint64]*lineMeta // line index -> integrity metadata
+	prm  isa.PAddr // PRM base
+	// pages has one slot per PRM page, nil until the page's first
+	// writeback; the line at p is pages[(p-prm)>>PageShift][p.Offset()>>LineShift].
+	pages []*pageMeta
+
+	nonce [12]byte                // scratch: the current line's nonce
+	buf   [isa.LineSize + 16]byte // scratch: ciphertext plus tag
 
 	// Enabled can be cleared to model a machine without memory encryption
 	// (plaintext PRM), used by tests that contrast physical attacks.
@@ -81,7 +98,13 @@ func New(mem *phys.Memory, rec *trace.Recorder) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mee: gcm: %w", err)
 	}
-	return &Engine{mem: mem, rec: rec, aead: aead, meta: make(map[uint64]*lineMeta), Enabled: true}, nil
+	l := mem.Layout()
+	return &Engine{
+		mem: mem, rec: rec, aead: aead,
+		prm:     l.PRMBase,
+		pages:   make([]*pageMeta, l.PRMSize>>isa.PageShift),
+		Enabled: true,
+	}, nil
 }
 
 // MustNew is New panicking on error, for tests and fixed-configuration
@@ -102,8 +125,10 @@ func (e *Engine) charge(ev trace.Event, cost int64, payer trace.Payer) {
 	}
 }
 
-func (e *Engine) nonce(idx, version uint64) []byte {
-	n := make([]byte, 12)
+// nonceFor writes the nonce of line idx at version into the engine's nonce
+// buffer and returns it.
+func (e *Engine) nonceFor(idx, version uint64) []byte {
+	n := e.nonce[:]
 	binary.LittleEndian.PutUint64(n[:8], idx)
 	binary.LittleEndian.PutUint32(n[8:], uint32(version))
 	// Version counters exceed 2^32 only after 4 billion writebacks of a
@@ -128,41 +153,46 @@ func (e *Engine) WriteLine(p isa.PAddr, data []byte, payer trace.Payer) error {
 		e.mem.Write(p, data)
 		return nil
 	}
-	idx := uint64(p) >> isa.LineShift
-	m := e.meta[idx]
-	if m == nil {
-		m = &lineMeta{}
-		e.meta[idx] = m
+	pi := (p - e.prm) >> isa.PageShift
+	if e.pages[pi] == nil {
+		e.pages[pi] = new(pageMeta)
 	}
+	m := &e.pages[pi][p.Offset()>>isa.LineShift]
 	m.version++
 	m.written = true
-	ct := e.aead.Seal(nil, e.nonce(idx, m.version), data, nil)
+	ct := e.aead.Seal(e.buf[:0], e.nonceFor(uint64(p)>>isa.LineShift, m.version), data, nil)
 	copy(m.tag[:], ct[isa.LineSize:])
 	e.mem.Write(p, ct[:isa.LineSize])
 	e.charge(trace.EvMEEEncrypt, trace.CostMEELine, payer)
 	return nil
 }
 
-// ReadLine implements cache.Backend: a line fetch. PRM lines are decrypted
-// and integrity-verified; tampering raises a machine-check fault.
-func (e *Engine) ReadLine(p isa.PAddr, payer trace.Payer) ([]byte, error) {
+// ReadLine implements cache.Backend: a line fetch into dst. PRM lines are
+// decrypted and integrity-verified; tampering raises a machine-check fault.
+func (e *Engine) ReadLine(p isa.PAddr, dst []byte, payer trace.Payer) error {
+	if len(dst) != isa.LineSize {
+		return fmt.Errorf("mee: fetch into %d bytes, want %d", len(dst), isa.LineSize)
+	}
 	if p.Offset()&isa.LineMask != 0 {
-		return nil, fmt.Errorf("mee: unaligned line fetch at %#x", uint64(p))
+		return fmt.Errorf("mee: unaligned line fetch at %#x", uint64(p))
 	}
-	raw := e.mem.Read(p, isa.LineSize)
 	if !e.mem.InPRM(p) || !e.Enabled {
-		return raw, nil
+		e.mem.ReadInto(p, dst)
+		return nil
 	}
-	idx := uint64(p) >> isa.LineShift
-	m := e.meta[idx]
+	var m *lineMeta
+	if pm := e.pages[(p-e.prm)>>isa.PageShift]; pm != nil {
+		m = &pm[p.Offset()>>isa.LineShift]
+	}
 	if m == nil || !m.written {
 		// Never written through the engine: architecturally the content of a
 		// fresh EPC page is undefined; the simulator returns zeroes (EPC
 		// pages are zeroed by EADD/EAUG before use anyway).
-		return make([]byte, isa.LineSize), nil
+		clear(dst)
+		return nil
 	}
-	ct := make([]byte, 0, isa.LineSize+16)
-	ct = append(ct, raw...)
+	ct := e.buf[:isa.LineSize]
+	e.mem.ReadInto(p, ct)
 	ct = append(ct, m.tag[:]...)
 	if e.Chaos.Fire(chaos.SiteDRAMBitFlip) {
 		// A disturbance hit this line while it sat in DRAM. Flipping the
@@ -172,29 +202,29 @@ func (e *Engine) ReadLine(p isa.PAddr, payer trace.Payer) ([]byte, error) {
 		bit := e.Chaos.Rand(uint64(isa.LineSize * 8))
 		ct[bit/8] ^= 1 << (bit % 8)
 	}
-	pt, err := e.aead.Open(nil, e.nonce(idx, m.version), ct, nil)
-	if err != nil {
+	if _, err := e.aead.Open(dst[:0], e.nonceFor(uint64(p)>>isa.LineShift, m.version), ct, nil); err != nil {
 		e.charge(trace.EvFaultMC, 0, payer)
 		if e.Poison != nil {
 			e.Poison(p)
 		}
-		return nil, isa.MC("MEE integrity failure on line %#x", uint64(p))
+		return isa.MC("MEE integrity failure on line %#x", uint64(p))
 	}
 	e.charge(trace.EvMEEDecrypt, trace.CostMEELine, payer)
-	return pt, nil
+	return nil
 }
 
-// DropLine forgets the integrity metadata of the line containing p. Used when
-// an EPC page is returned to the free pool so stale metadata does not abort
-// reads of a recycled page.
-func (e *Engine) DropLine(p isa.PAddr) {
-	delete(e.meta, uint64(p)>>isa.LineShift)
-}
-
-// DropPage forgets integrity metadata for every line of the page at p.
+// DropPage marks every line of the PRM page at p unwritten, so reads of the
+// recycled page see zeroes instead of failing integrity. Each line keeps its
+// version: its next writeback seals under a nonce the page's previous
+// contents never used (GCM under a repeated nonce and key leaks the XOR of
+// the two plaintexts). A no-op outside PRM.
 func (e *Engine) DropPage(p isa.PAddr) {
-	base := p.PageBase()
-	for off := isa.PAddr(0); off < isa.PageSize; off += isa.LineSize {
-		e.DropLine(base + off)
+	if !e.mem.InPRM(p) {
+		return
+	}
+	if pm := e.pages[(p-e.prm)>>isa.PageShift]; pm != nil {
+		for i := range pm {
+			pm[i].written = false
+		}
 	}
 }

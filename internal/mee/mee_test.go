@@ -22,13 +22,22 @@ func newEngine() (*Engine, *phys.Memory, *trace.Recorder) {
 
 func line(fill byte) []byte { return bytes.Repeat([]byte{fill}, isa.LineSize) }
 
+// readLine fetches the line at p into a fresh buffer.
+func readLine(e *Engine, p isa.PAddr) ([]byte, error) {
+	dst := make([]byte, isa.LineSize)
+	if err := e.ReadLine(p, dst, trace.NoPayer); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 func TestPRMRoundTrip(t *testing.T) {
 	e, _, _ := newEngine()
 	p := layout().PRMBase
 	if err := e.WriteLine(p, line(0x42), trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.ReadLine(p, trace.NoPayer)
+	got, err := readLine(e, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +80,7 @@ func TestTamperDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem.TamperByte(p+5, 0x01) // physical attacker flips a bit
-	_, err := e.ReadLine(p, trace.NoPayer)
+	_, err := readLine(e, p)
 	if err == nil {
 		t.Fatal("tampered line read succeeded")
 	}
@@ -85,7 +94,7 @@ func TestTamperDetection(t *testing.T) {
 
 func TestFreshLineReadsZero(t *testing.T) {
 	e, _, _ := newEngine()
-	got, err := e.ReadLine(layout().PRMBase+8192, trace.NoPayer)
+	got, err := readLine(e, layout().PRMBase+8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +114,7 @@ func TestVersioningPreventsCiphertextReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem.Write(p, old) // attacker replays the stale ciphertext
-	if _, err := e.ReadLine(p, trace.NoPayer); err == nil {
+	if _, err := readLine(e, p); err == nil {
 		t.Fatal("replayed stale ciphertext accepted")
 	}
 }
@@ -132,7 +141,7 @@ func TestDropPageForgetsMetadata(t *testing.T) {
 	// fail integrity, it must see a fresh zero line.
 	mem.Zero(p, isa.PageSize)
 	e.DropPage(p)
-	got, err := e.ReadLine(p, trace.NoPayer)
+	got, err := readLine(e, p)
 	if err != nil {
 		t.Fatalf("recycled page read: %v", err)
 	}
@@ -141,16 +150,53 @@ func TestDropPageForgetsMetadata(t *testing.T) {
 	}
 }
 
+// TestRecycledPageNeverReusesNonce: a recycled EPC page's lines must not be
+// sealed under nonces the page's previous contents used. Under a repeated
+// GCM nonce and key, the two DRAM ciphertexts XOR to the XOR of the two
+// plaintexts, so a physical attacker who knows the old contents reads the
+// new ones.
+func TestRecycledPageNeverReusesNonce(t *testing.T) {
+	e, mem, _ := newEngine()
+	p := layout().PRMBase + 3*isa.LineSize
+	a, b := line(0xA5), line(0x3C)
+	if err := e.WriteLine(p, a, trace.NoPayer); err != nil {
+		t.Fatal(err)
+	}
+	ctA := mem.Read(p, isa.LineSize)
+	mem.Zero(p.PageBase(), isa.PageSize)
+	e.DropPage(p)
+	if err := e.WriteLine(p, b, trace.NoPayer); err != nil {
+		t.Fatal(err)
+	}
+	ctB := mem.Read(p, isa.LineSize)
+	leak := true
+	for i := range ctA {
+		if ctA[i]^ctB[i] != a[i]^b[i] {
+			leak = false
+			break
+		}
+	}
+	if leak {
+		t.Fatal("recycled line resealed under a used nonce: ciphertexts XOR to the plaintexts' XOR")
+	}
+	if got, err := readLine(e, p); err != nil || !bytes.Equal(got, b) {
+		t.Fatalf("recycled line reads %v, %v; want the new contents", got[:8], err)
+	}
+}
+
 func TestUnalignedRejected(t *testing.T) {
 	e, _, _ := newEngine()
 	if err := e.WriteLine(layout().PRMBase+1, line(0), trace.NoPayer); err == nil {
 		t.Fatal("unaligned write accepted")
 	}
-	if _, err := e.ReadLine(layout().PRMBase+7, trace.NoPayer); err == nil {
+	if _, err := readLine(e, layout().PRMBase+7); err == nil {
 		t.Fatal("unaligned read accepted")
 	}
 	if err := e.WriteLine(layout().PRMBase, []byte{1, 2}, trace.NoPayer); err == nil {
 		t.Fatal("short write accepted")
+	}
+	if err := e.ReadLine(layout().PRMBase, make([]byte, 2), trace.NoPayer); err == nil {
+		t.Fatal("short fetch buffer accepted")
 	}
 }
 
@@ -163,7 +209,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := e.WriteLine(p, content[:], trace.NoPayer); err != nil {
 			return false
 		}
-		got, err := e.ReadLine(p, trace.NoPayer)
+		got, err := readLine(e, p)
 		if err != nil {
 			return false
 		}

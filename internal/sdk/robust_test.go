@@ -116,11 +116,11 @@ type panicBackend struct {
 	armed atomic.Bool
 }
 
-func (b *panicBackend) ReadLine(p isa.PAddr, payer trace.Payer) ([]byte, error) {
+func (b *panicBackend) ReadLine(p isa.PAddr, dst []byte, payer trace.Payer) error {
 	if b.armed.CompareAndSwap(true, false) {
 		panic("memory backend fault")
 	}
-	return b.Backend.ReadLine(p, payer)
+	return b.Backend.ReadLine(p, dst, payer)
 }
 
 // TestPanicBelowCacheReleasesMachineLock: a panic raised under the cache

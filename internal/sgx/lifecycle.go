@@ -215,9 +215,9 @@ func (m *Machine) ERemove(page int) error {
 		delete(m.poisoned, owner)
 		m.pmu.Unlock()
 	}
-	// Scrub the page: drop cached lines without writeback, forget the MEE
-	// metadata, zero the DRAM ciphertext. Order matters — a writeback after
-	// DropPage would recreate integrity metadata for a dead page.
+	// Scrub the page: drop cached lines without writeback, mark its MEE
+	// lines unwritten, zero the DRAM ciphertext. Order matters — a writeback
+	// after DropPage would mark a line of the dead page written again.
 	m.LLC.InvalidateRange(m.EPC.AddrOf(page), isa.PageSize)
 	m.MEE.DropPage(m.EPC.AddrOf(page))
 	m.DRAM.Zero(m.EPC.AddrOf(page), isa.PageSize)

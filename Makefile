@@ -145,11 +145,12 @@ adversary-smoke:
 # bench runs the paper-experiment benchmarks (root package) once each, and
 # the host-cost microbenchmarks (internal/bench: ECall, OCall, NECall,
 # PageWalk, SwitchlessOCall, EPCFault — one evict-and-reload round trip —
-# and LLCMiss — one 256 B write whose four lines all miss and evict dirty
-# victims through the MEE) with ns/op and allocs/op reporting.
+# LLCMiss — one 256 B write whose four lines all miss and evict dirty
+# victims through the MEE — and SQLQuery — one nested YCSB-A query through
+# Table VI's service) with ns/op and allocs/op reporting.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='ECall|OCall|PageWalk|EPCFault|LLCMiss' -benchtime=200x -run=^$$ ./internal/bench
+	$(GO) test -bench='ECall|OCall|PageWalk|EPCFault|LLCMiss|SQLQuery' -benchtime=200x -run=^$$ ./internal/bench
 
 clean:
 	$(GO) clean ./...

@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"math/rand"
 	"testing"
 
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/switchless"
+	"nestedenclave/internal/ycsb"
 )
 
 // Transition-path microbenchmarks (`make bench`): ns/op and allocs/op for
@@ -221,5 +223,34 @@ func BenchmarkLLCMiss(b *testing.B) {
 	b.StopTimer()
 	if err := r.M.EExit(c, true); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkSQLQuery is one nested YCSB-A query (50% SELECT, 50% UPDATE of a
+// 100-byte value) through Table VI's service: the client enclave parses the
+// query, encrypts its text values and formats it again, and the shared
+// engine parses and executes it behind an n_ocall.
+func BenchmarkSQLQuery(b *testing.B) {
+	r, err := NewRig(SmallMachine())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := BuildSQLService(r, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mix := ycsb.Mix{Name: "YCSB-A", SelectP: 50, UpdateP: 50}
+	w := ycsb.Generate(mix, ycsb.Config{Records: 1000, Operations: 1000, FieldLen: 100}, rand.New(rand.NewSource(1)))
+	for _, q := range w.Setup {
+		if _, err := s.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Query(w.Queries[i%len(w.Queries)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -147,14 +147,17 @@ func (p *Process) MapFixed(v isa.VAddr, pa isa.PAddr, perms isa.Perm) {
 }
 
 // Schedule installs the process on a core (context switch: CR3 load). The
-// core must not be executing in enclave mode.
+// core must not be executing in enclave mode. The switch runs under the
+// machine lock, because EWB reads every core's TLB under it.
 func (k *Kernel) Schedule(c *sgx.Core, p *Process) error {
-	if c.InEnclave() {
-		return fmt.Errorf("kos: cannot switch address space under an enclave")
-	}
-	c.PT = p.pt
-	c.TLB.FlushAll()
-	return nil
+	return k.m.Atomically(func() error {
+		if c.InEnclave() {
+			return fmt.Errorf("kos: cannot switch address space under an enclave")
+		}
+		c.PT = p.pt
+		c.TLB.FlushAll()
+		return nil
+	})
 }
 
 // handleFault is the kernel page-fault handler: it repairs faults it is

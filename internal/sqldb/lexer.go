@@ -22,103 +22,154 @@ const (
 
 type token struct {
 	kind tokKind
-	text string // keywords upper-cased
+	text string // keywords: the canonical upper-case spelling
 	i    int64
 	f    float64
 }
 
-var keywords = map[string]bool{
-	"CREATE": true, "TABLE": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "SELECT": true, "FROM": true, "WHERE": true,
-	"UPDATE": true, "SET": true, "DELETE": true, "AND": true,
-	"INT": true, "INTEGER": true, "FLOAT": true, "REAL": true,
-	"TEXT": true, "VARCHAR": true, "PRIMARY": true, "KEY": true,
-	"NULL": true, "LIMIT": true, "ORDER": true, "BY": true,
-	"COUNT": true, "ASC": true, "DESC": true,
+// keywords maps each keyword's upper-case spelling to itself, so a keyword
+// token carries the canonical string whatever case the query used.
+var keywords = map[string]string{
+	"CREATE": "CREATE", "TABLE": "TABLE", "INSERT": "INSERT", "INTO": "INTO",
+	"VALUES": "VALUES", "SELECT": "SELECT", "FROM": "FROM", "WHERE": "WHERE",
+	"UPDATE": "UPDATE", "SET": "SET", "DELETE": "DELETE", "AND": "AND",
+	"INT": "INT", "INTEGER": "INTEGER", "FLOAT": "FLOAT", "REAL": "REAL",
+	"TEXT": "TEXT", "VARCHAR": "VARCHAR", "PRIMARY": "PRIMARY", "KEY": "KEY",
+	"NULL": "NULL", "LIMIT": "LIMIT", "ORDER": "ORDER", "BY": "BY",
+	"COUNT": "COUNT", "ASC": "ASC", "DESC": "DESC",
 }
 
-func lex(sql string) ([]token, error) {
-	var toks []token
-	i := 0
-	for i < len(sql) {
-		c := sql[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
-				if j >= len(sql) {
-					return nil, fmt.Errorf("sqldb: unterminated string literal")
-				}
-				if sql[j] == '\'' {
-					if j+1 < len(sql) && sql[j+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				sb.WriteByte(sql[j])
-				j++
-			}
-			toks = append(toks, token{kind: tkString, text: sb.String()})
-			i = j + 1
-		case c >= '0' && c <= '9' || (c == '-' && i+1 < len(sql) && sql[i+1] >= '0' && sql[i+1] <= '9'):
-			j := i + 1
-			isFloat := false
-			for j < len(sql) && (sql[j] >= '0' && sql[j] <= '9' || sql[j] == '.' || sql[j] == 'e' || sql[j] == 'E' ||
-				((sql[j] == '+' || sql[j] == '-') && (sql[j-1] == 'e' || sql[j-1] == 'E'))) {
-				if sql[j] == '.' || sql[j] == 'e' || sql[j] == 'E' {
-					isFloat = true
-				}
-				j++
-			}
-			text := sql[i:j]
-			if isFloat {
-				f, err := strconv.ParseFloat(text, 64)
-				if err != nil {
-					return nil, fmt.Errorf("sqldb: bad number %q", text)
-				}
-				toks = append(toks, token{kind: tkFloat, f: f, text: text})
-			} else {
-				n, err := strconv.ParseInt(text, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("sqldb: bad integer %q", text)
-				}
-				toks = append(toks, token{kind: tkInt, i: n, text: text})
-			}
-			i = j
-		case unicode.IsLetter(rune(c)) || c == '_':
-			j := i + 1
-			for j < len(sql) && (unicode.IsLetter(rune(sql[j])) || unicode.IsDigit(rune(sql[j])) || sql[j] == '_') {
-				j++
-			}
-			word := sql[i:j]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, token{kind: tkKeyword, text: up})
-			} else {
-				toks = append(toks, token{kind: tkIdent, text: word})
-			}
-			i = j
-		case c == '<' || c == '>' || c == '!':
-			if i+1 < len(sql) && (sql[i+1] == '=' || (c == '<' && sql[i+1] == '>')) {
-				toks = append(toks, token{kind: tkPunct, text: sql[i : i+2]})
-				i += 2
-			} else if c == '!' {
-				return nil, fmt.Errorf("sqldb: unexpected '!'")
-			} else {
-				toks = append(toks, token{kind: tkPunct, text: string(c)})
-				i++
-			}
-		case c == '(' || c == ')' || c == ',' || c == ';' || c == '*' || c == '=':
-			toks = append(toks, token{kind: tkPunct, text: string(c)})
-			i++
-		default:
-			return nil, fmt.Errorf("sqldb: unexpected character %q", c)
+// maxKeywordLen is the length of the longest keyword (INTEGER, PRIMARY,
+// VARCHAR).
+const maxKeywordLen = 7
+
+// isLetter and isDigit classify a byte b as unicode.IsLetter(rune(b)) and
+// unicode.IsDigit(rune(b)) do, so Latin-1 letter bytes lex as identifier
+// bytes.
+var isLetter, isDigit [256]bool
+
+func init() {
+	for c := range isLetter {
+		isLetter[c] = unicode.IsLetter(rune(c))
+		isDigit[c] = unicode.IsDigit(rune(c))
+	}
+}
+
+// scan lexes the token that starts at or after off in src, skipping
+// whitespace, and returns it with the offset just past it. At the end of
+// src it returns a tkEOF token.
+func scan(src string, off int) (token, int, error) {
+	for off < len(src) && (src[off] == ' ' || src[off] == '\t' || src[off] == '\n' || src[off] == '\r') {
+		off++
+	}
+	if off == len(src) {
+		return token{kind: tkEOF}, off, nil
+	}
+	c := src[off]
+	switch {
+	case c == '\'':
+		return scanString(src, off)
+	case c >= '0' && c <= '9' || (c == '-' && off+1 < len(src) && src[off+1] >= '0' && src[off+1] <= '9'):
+		return scanNumber(src, off)
+	case isLetter[c] || c == '_':
+		j := off + 1
+		for j < len(src) && (isLetter[src[j]] || isDigit[src[j]] || src[j] == '_') {
+			j++
+		}
+		word := src[off:j]
+		if kw, ok := keyword(word); ok {
+			return token{kind: tkKeyword, text: kw}, j, nil
+		}
+		return token{kind: tkIdent, text: word}, j, nil
+	case c == '<' || c == '>' || c == '!':
+		if off+1 < len(src) && (src[off+1] == '=' || (c == '<' && src[off+1] == '>')) {
+			return token{kind: tkPunct, text: src[off : off+2]}, off + 2, nil
+		}
+		if c == '!' {
+			return token{}, off, fmt.Errorf("sqldb: unexpected '!'")
+		}
+		return token{kind: tkPunct, text: src[off : off+1]}, off + 1, nil
+	case c == '(' || c == ')' || c == ',' || c == ';' || c == '*' || c == '=':
+		return token{kind: tkPunct, text: src[off : off+1]}, off + 1, nil
+	}
+	return token{}, off, fmt.Errorf("sqldb: unexpected character %q", c)
+}
+
+// scanString lexes the quoted literal at src[off]. A doubled quote inside
+// it stands for one quote. The value is copied out of src, so a stored
+// value does not keep its whole query alive.
+func scanString(src string, off int) (token, int, error) {
+	start := off + 1
+	end, doubled := start, false
+	for {
+		k := strings.IndexByte(src[end:], '\'')
+		if k < 0 {
+			return token{}, off, fmt.Errorf("sqldb: unterminated string literal")
+		}
+		end += k
+		if end+1 < len(src) && src[end+1] == '\'' {
+			doubled = true
+			end += 2
+			continue
+		}
+		break
+	}
+	text := src[start:end]
+	if doubled {
+		text = strings.ReplaceAll(text, "''", "'")
+	} else {
+		text = strings.Clone(text)
+	}
+	return token{kind: tkString, text: text}, end + 1, nil
+}
+
+// scanNumber lexes the integer or float at src[off]: digits with an
+// optional leading minus, and a '.' or exponent making it a float.
+func scanNumber(src string, off int) (token, int, error) {
+	j := off + 1
+	isFloat := false
+	for ; j < len(src); j++ {
+		c := src[j]
+		if c == '.' || c == 'e' || c == 'E' {
+			isFloat = true
+		} else if !(c >= '0' && c <= '9' || (c == '+' || c == '-') && (src[j-1] == 'e' || src[j-1] == 'E')) {
+			break
 		}
 	}
-	return append(toks, token{kind: tkEOF}), nil
+	text := src[off:j]
+	if isFloat {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return token{}, off, fmt.Errorf("sqldb: bad number %q", text)
+		}
+		return token{kind: tkFloat, f: f, text: text}, j, nil
+	}
+	n, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return token{}, off, fmt.Errorf("sqldb: bad integer %q", text)
+	}
+	return token{kind: tkInt, i: n, text: text}, j, nil
+}
+
+// keyword reports whether word is a keyword in any letter case and returns
+// its canonical spelling. Only ASCII words can be keywords: a word's bytes
+// >= 0x80 are Latin-1 letters, and no word made of them upper-cases to
+// ASCII text.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var up [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 0x80 {
+			return "", false
+		}
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
 }

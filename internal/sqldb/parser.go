@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // AST node types.
 
@@ -71,19 +68,24 @@ func (*SelectStmt) stmt() {}
 func (*UpdateStmt) stmt() {}
 func (*DeleteStmt) stmt() {}
 
+// parser reads one token ahead: tok is the current token, and off is the
+// offset just past it in src.
 type parser struct {
-	toks []token
-	pos  int
+	src string
+	off int
+	tok token
+	// lexErr is the first lex error; tok stays tkEOF from there on.
+	lexErr error
 }
 
 // Parse compiles one SQL statement.
 func Parse(sql string) (Stmt, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	var st Stmt
+	p := parser{src: sql}
+	p.advance()
+	var (
+		st  Stmt
+		err error
+	)
 	switch {
 	case p.acceptKw("CREATE"):
 		st, err = p.parseCreate()
@@ -96,23 +98,56 @@ func Parse(sql string) (Stmt, error) {
 	case p.acceptKw("DELETE"):
 		st, err = p.parseDelete()
 	default:
-		return nil, fmt.Errorf("sqldb: expected statement, got %q", p.cur().text)
+		err = fmt.Errorf("sqldb: expected statement, got %q", p.tok.text)
+	}
+	if err == nil {
+		p.acceptPunct(";")
+		if p.tok.kind != tkEOF {
+			err = fmt.Errorf("sqldb: trailing input at %q", p.tok.text)
+		}
+	}
+	// A lex error anywhere in the input beats a parse error, as if the
+	// whole statement were lexed before parsing.
+	if lexErr := p.firstLexErr(); lexErr != nil {
+		return nil, lexErr
 	}
 	if err != nil {
 		return nil, err
 	}
-	p.acceptPunct(";")
-	if p.cur().kind != tkEOF {
-		return nil, fmt.Errorf("sqldb: trailing input at %q", p.cur().text)
-	}
 	return st, nil
 }
 
-func (p *parser) cur() token { return p.toks[p.pos] }
+// advance moves to the next token.
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	tok, off, err := scan(p.src, p.off)
+	if err != nil {
+		p.lexErr, p.tok = err, token{kind: tkEOF}
+		return
+	}
+	p.tok, p.off = tok, off
+}
+
+// firstLexErr returns the lex error advance stopped at, or else the first
+// one in the input past the current token.
+func (p *parser) firstLexErr() error {
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	for off := p.off; ; {
+		tok, next, err := scan(p.src, off)
+		if err != nil || tok.kind == tkEOF {
+			return err
+		}
+		off = next
+	}
+}
 
 func (p *parser) acceptKw(kw string) bool {
-	if p.cur().kind == tkKeyword && p.cur().text == kw {
-		p.pos++
+	if p.tok.kind == tkKeyword && p.tok.text == kw {
+		p.advance()
 		return true
 	}
 	return false
@@ -120,14 +155,14 @@ func (p *parser) acceptKw(kw string) bool {
 
 func (p *parser) expectKw(kw string) error {
 	if !p.acceptKw(kw) {
-		return fmt.Errorf("sqldb: expected %s, got %q", kw, p.cur().text)
+		return fmt.Errorf("sqldb: expected %s, got %q", kw, p.tok.text)
 	}
 	return nil
 }
 
 func (p *parser) acceptPunct(s string) bool {
-	if p.cur().kind == tkPunct && p.cur().text == s {
-		p.pos++
+	if p.tok.kind == tkPunct && p.tok.text == s {
+		p.advance()
 		return true
 	}
 	return false
@@ -135,35 +170,35 @@ func (p *parser) acceptPunct(s string) bool {
 
 func (p *parser) expectPunct(s string) error {
 	if !p.acceptPunct(s) {
-		return fmt.Errorf("sqldb: expected %q, got %q", s, p.cur().text)
+		return fmt.Errorf("sqldb: expected %q, got %q", s, p.tok.text)
 	}
 	return nil
 }
 
 func (p *parser) ident() (string, error) {
-	if p.cur().kind != tkIdent {
-		return "", fmt.Errorf("sqldb: expected identifier, got %q", p.cur().text)
+	if p.tok.kind != tkIdent {
+		return "", fmt.Errorf("sqldb: expected identifier, got %q", p.tok.text)
 	}
-	name := p.cur().text
-	p.pos++
+	name := p.tok.text
+	p.advance()
 	return name, nil
 }
 
 func (p *parser) literal() (Value, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.kind {
 	case tkInt:
-		p.pos++
+		p.advance()
 		return Int(t.i), nil
 	case tkFloat:
-		p.pos++
+		p.advance()
 		return Float(t.f), nil
 	case tkString:
-		p.pos++
+		p.advance()
 		return Text(t.text), nil
 	case tkKeyword:
 		if t.text == "NULL" {
-			p.pos++
+			p.advance()
 			return Null(), nil
 		}
 	}
@@ -204,7 +239,7 @@ func (p *parser) parseCreate() (Stmt, error) {
 				}
 			}
 		default:
-			return nil, fmt.Errorf("sqldb: unknown column type %q", p.cur().text)
+			return nil, fmt.Errorf("sqldb: unknown column type %q", p.tok.text)
 		}
 		if p.acceptKw("PRIMARY") {
 			if err := p.expectKw("KEY"); err != nil {
@@ -274,21 +309,37 @@ func (p *parser) parseWhere() ([]Cond, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := p.cur()
-		if t.kind != tkPunct || !strings.Contains("= < > <= >= != <>", t.text) {
-			return nil, fmt.Errorf("sqldb: expected comparison operator, got %q", t.text)
+		op := compareOp(p.tok)
+		if op == "" {
+			return nil, fmt.Errorf("sqldb: expected comparison operator, got %q", p.tok.text)
 		}
-		p.pos++
+		p.advance()
 		v, err := p.literal()
 		if err != nil {
 			return nil, err
 		}
-		conds = append(conds, Cond{Col: col, Op: t.text, Val: v})
+		conds = append(conds, Cond{Col: col, Op: op, Val: v})
 		if !p.acceptKw("AND") {
 			break
 		}
 	}
 	return conds, nil
+}
+
+// compareOps are the comparison operators a WHERE clause accepts.
+var compareOps = [...]string{"=", "<", ">", "<=", ">=", "!=", "<>"}
+
+// compareOp returns the operator t spells, from compareOps so a Cond never
+// holds a slice of its query, or "" when t is not one.
+func compareOp(t token) string {
+	if t.kind == tkPunct {
+		for _, op := range compareOps {
+			if t.text == op {
+				return op
+			}
+		}
+	}
+	return ""
 }
 
 func (p *parser) parseSelect() (Stmt, error) {

@@ -83,19 +83,30 @@ func (h *Heap) Free(addr isa.VAddr) error {
 		return fmt.Errorf("talloc: free of unallocated address %#x", uint64(addr))
 	}
 	delete(h.live, addr)
-	h.free = append(h.free, extent{addr: addr, len: n})
-	sort.Slice(h.free, func(i, j int) bool { return h.free[i].addr < h.free[j].addr })
-	// Coalesce adjacent extents.
-	out := h.free[:0]
-	for _, e := range h.free {
-		if len(out) > 0 && out[len(out)-1].addr+isa.VAddr(out[len(out)-1].len) == e.addr {
-			out[len(out)-1].len += e.len
-		} else {
-			out = append(out, e)
-		}
-	}
-	h.free = out
+	h.insertFree(extent{addr: addr, len: n})
 	return nil
+}
+
+// insertFree adds e, which overlaps no free extent, to the sorted free
+// list, merging it with the neighbours it touches.
+func (h *Heap) insertFree(e extent) {
+	i := sort.Search(len(h.free), func(i int) bool { return h.free[i].addr > e.addr })
+	joinPrev := i > 0 && h.free[i-1].addr+isa.VAddr(h.free[i-1].len) == e.addr
+	joinNext := i < len(h.free) && e.addr+isa.VAddr(e.len) == h.free[i].addr
+	switch {
+	case joinPrev && joinNext:
+		h.free[i-1].len += e.len + h.free[i].len
+		h.free = append(h.free[:i], h.free[i+1:]...)
+	case joinPrev:
+		h.free[i-1].len += e.len
+	case joinNext:
+		h.free[i].addr = e.addr
+		h.free[i].len += e.len
+	default:
+		h.free = append(h.free, extent{})
+		copy(h.free[i+1:], h.free[i:])
+		h.free[i] = e
+	}
 }
 
 // Extend donates a new address range to the heap (dynamic enclave memory:
@@ -120,17 +131,7 @@ func (h *Heap) Extend(addr isa.VAddr, size uint64) error {
 		}
 	}
 	h.size += size
-	h.free = append(h.free, extent{addr: addr, len: size})
-	sort.Slice(h.free, func(i, j int) bool { return h.free[i].addr < h.free[j].addr })
-	out := h.free[:0]
-	for _, e := range h.free {
-		if len(out) > 0 && out[len(out)-1].addr+isa.VAddr(out[len(out)-1].len) == e.addr {
-			out[len(out)-1].len += e.len
-		} else {
-			out = append(out, e)
-		}
-	}
-	h.free = out
+	h.insertFree(extent{addr: addr, len: size})
 	return nil
 }
 

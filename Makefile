@@ -137,10 +137,11 @@ adversary:
 		$(GO) run ./cmd/repro -adversary -seed $$seed || exit 1; \
 	done
 
-# adversary-smoke is the single-seed slice folded into tier2: the campaign
-# plus the byte-identical replay check, as Go tests.
+# adversary-smoke is the single-seed slice folded into tier2: the campaign,
+# the byte-identical replay check, and the recorded golden scoreboard and
+# transcripts, as Go tests.
 adversary-smoke:
-	$(GO) test ./internal/bench -run 'TestAttackCampaign$$|TestAttackReplayDeterminism$$' -count=1 -v
+	$(GO) test ./internal/bench -run 'TestAttackCampaign$$|TestAttackReplayDeterminism$$|TestCampaignGolden$$' -count=1 -v
 
 # bench runs the paper-experiment benchmarks (root package) once each, and
 # the host-cost microbenchmarks (internal/bench: ECall, OCall, NECall,

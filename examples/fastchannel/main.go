@@ -20,10 +20,15 @@ import (
 	ne "nestedenclave"
 	"nestedenclave/internal/channel"
 	"nestedenclave/internal/isa"
-	"nestedenclave/internal/kos"
+	"nestedenclave/internal/sgx"
 )
 
 const ringSize = 4096
+
+// dropIPC is a kernel whose IPC router drops every send.
+type dropIPC struct{ sgx.Honest }
+
+func (dropIPC) Route(string, [][]byte, []byte) [][]byte { return nil }
 
 func chanArgs(base isa.VAddr, payload []byte) []byte {
 	b := make([]byte, 16, 16+len(payload))
@@ -136,9 +141,7 @@ func main() {
 	// --- The monolithic-SGX path: kernel IPC + AES-GCM. ---
 	// The kernel selectively drops the very message that registers the
 	// verification callback.
-	sys.Kernel.IPC.SetAdversary("verify", &kos.IPCAdversary{
-		DropIf: func(p []byte) bool { return true },
-	})
+	sys.Machine.SetHostile(dropIPC{})
 	key := [16]byte{7}
 	tx, err := channel.NewGCM(sys.Kernel.IPC, "verify", key)
 	if err != nil {

@@ -6,24 +6,28 @@ import (
 	"sync"
 
 	"nestedenclave/internal/isa"
-	"nestedenclave/internal/kos"
 	"nestedenclave/internal/pt"
 	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/trace"
 )
 
-// Engine executes one attack Program. It is installed into the simulator's
-// kernel-controlled hook sites (the pager's blob handling, the scheduler's
-// preemption point, the IPC router) and fires attack actions until its Ops
-// budget is spent. Every fired action is recorded with the simulated cycle
-// it landed on; the resulting transcript is a pure function of the Program,
-// so `nesclave repro -adversary` replays a run byte-identically.
+// Engine executes one attack Program. It is the machine's untrusted
+// platform (sgx.Hostile, installed with Machine.SetHostile): each decision
+// point switches on the program's strategy, lies where the strategy attacks
+// (the pager's blob handling and shootdowns, the scheduler's preemption
+// point, the IPC router) and stays honest everywhere else, firing attack
+// actions until its Ops budget is spent. Every fired action is recorded with
+// the simulated cycle it landed on; the resulting transcript is a pure
+// function of the Program, so `nesclave repro -adversary` replays a run
+// byte-identically.
 //
 // All randomness comes from a splitmix64 stream seeded by Program.Seed and
 // drawn in a fixed order at construction time — never from the clock, the
 // scheduler, or map iteration (the package is in nescheck's replay-critical
 // set).
 type Engine struct {
+	sgx.Honest
+
 	prog Program
 	rec  *trace.Recorder
 
@@ -53,7 +57,9 @@ type Engine struct {
 	redirPA  isa.PAddr
 	redirSet bool
 
-	// IPC man-in-the-middle state.
+	// IPC man-in-the-middle target (SetChannel) and state.
+	ipcName  string
+	ipcWin   int      // the channel's retransmit window
 	held     [][]byte // frames withheld for a shallow reorder
 	deepHeld bool     // a frame has been withheld permanently
 }
@@ -162,9 +168,13 @@ func (e *Engine) Transcript() string {
 	return sb.String()
 }
 
-// captureBlob is the OnEvict tap: hoard a private copy of every sealed blob
-// the pager stores, remembering the first (oldest) capture per page lane.
-func (e *Engine) captureBlob(owner isa.EID, vpage isa.VAddr, blob *sgx.EvictedPage) {
+// Evicted is the blob strategies' tap: hoard a private copy of every sealed
+// blob the pager stores, remembering the first (oldest) capture per page
+// lane.
+func (e *Engine) Evicted(owner isa.EID, vpage isa.VAddr, blob *sgx.EvictedPage) {
+	if e.prog.Strategy != StratBlobReplay && e.prog.Strategy != StratBlobCrossWire {
+		return
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cp := *blob
@@ -176,73 +186,70 @@ func (e *Engine) captureBlob(owner isa.EID, vpage isa.VAddr, blob *sgx.EvictedPa
 	}
 }
 
-// InstallPager wires the engine into the driver's paging hook sites. Only
-// the hooks the strategy needs are installed; everything else stays nil
-// (and therefore free).
-func (e *Engine) InstallPager(d *kos.Driver) {
+// Reload answers a page fault with a hoarded blob instead of the genuine
+// one: the page's oldest capture (blob_replay) or the newest capture of any
+// other page lane, a fresh, authentic blob wired to the wrong fault
+// (blob_crosswire).
+func (e *Engine) Reload(owner isa.EID, vpage isa.VAddr, genuine *sgx.EvictedPage) *sgx.EvictedPage {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	k := capKey{owner, vpage}
 	switch e.prog.Strategy {
 	case StratBlobReplay:
-		d.OnEvict = e.captureBlob
-		d.ReloadFilter = func(owner isa.EID, vpage isa.VAddr, genuine *sgx.EvictedPage) *sgx.EvictedPage {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			idx, ok := e.firstCap[capKey{owner, vpage}]
-			if !ok {
-				return nil
-			}
-			stale := e.captures[idx].blob
-			if stale.Version >= genuine.Version {
-				return nil // the oldest capture is still the current blob
-			}
-			if !e.spendLocked("pager.reload",
-				fmt.Sprintf("replay stale blob v%d over genuine v%d for eid %d page %#x",
-					stale.Version, genuine.Version, owner, uint64(vpage))) {
-				return nil
-			}
+		idx, ok := e.firstCap[k]
+		if !ok {
+			return genuine
+		}
+		stale := e.captures[idx].blob
+		if stale.Version >= genuine.Version {
+			return genuine // the oldest capture is still the current blob
+		}
+		if e.spendLocked("pager.reload",
+			fmt.Sprintf("replay stale blob v%d over genuine v%d for eid %d page %#x",
+				stale.Version, genuine.Version, owner, uint64(vpage))) {
 			return stale
 		}
 	case StratBlobCrossWire:
-		d.OnEvict = e.captureBlob
-		d.ReloadFilter = func(owner isa.EID, vpage isa.VAddr, genuine *sgx.EvictedPage) *sgx.EvictedPage {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			k := capKey{owner, vpage}
-			// Newest capture of any OTHER page lane: a fresh, authentic blob
-			// wired to the wrong fault.
-			for i := len(e.captures) - 1; i >= 0; i-- {
-				c := e.captures[i]
-				if c.key == k {
-					continue
-				}
-				if !e.spendLocked("pager.reload",
-					fmt.Sprintf("cross-wire blob of eid %d page %#x into fault of eid %d page %#x",
-						c.key.owner, uint64(c.key.vaddr), owner, uint64(vpage))) {
-					return nil
-				}
+		for i := len(e.captures) - 1; i >= 0; i-- {
+			c := e.captures[i]
+			if c.key == k {
+				continue
+			}
+			if e.spendLocked("pager.reload",
+				fmt.Sprintf("cross-wire blob of eid %d page %#x into fault of eid %d page %#x",
+					c.key.owner, uint64(c.key.vaddr), owner, uint64(vpage))) {
 				return c.blob
 			}
-			return nil
-		}
-	case StratDropShootdown, StratReorderShootdown:
-		d.SuppressIPI = func(victim isa.EID, core int) bool {
-			return e.Spend("pager.shootdown",
-				fmt.Sprintf("suppress ETRACK IPI for eid %d -> core %d", victim, core))
-		}
-	case StratEldRedirect:
-		d.RemapReload = func(owner isa.EID, vpage isa.VAddr) (isa.PAddr, bool) {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if !e.redirSet {
-				return 0, false
-			}
-			if !e.spendLocked("pager.remap",
-				fmt.Sprintf("point reloaded PTE of eid %d page %#x at attacker pa %#x",
-					owner, uint64(vpage), uint64(e.redirPA))) {
-				return 0, false
-			}
-			return e.redirPA, true
+			break
 		}
 	}
+	return genuine
+}
+
+// DeliverIPI suppresses the ETRACK shootdown IPIs while the budget lasts
+// (drop_shootdown, reorder_shootdown).
+func (e *Engine) DeliverIPI(victim isa.EID, core int) bool {
+	if e.prog.Strategy != StratDropShootdown && e.prog.Strategy != StratReorderShootdown {
+		return true
+	}
+	return !e.Spend("pager.shootdown",
+		fmt.Sprintf("suppress ETRACK IPI for eid %d -> core %d", victim, core))
+}
+
+// Remap points the reloaded PTE at the SetRedirect frame instead of the page
+// ELDU just loaded (eld_redirect).
+func (e *Engine) Remap(owner isa.EID, vpage isa.VAddr, loaded isa.PAddr) isa.PAddr {
+	if e.prog.Strategy != StratEldRedirect {
+		return loaded
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.redirSet && e.spendLocked("pager.remap",
+		fmt.Sprintf("point reloaded PTE of eid %d page %#x at attacker pa %#x",
+			owner, uint64(vpage), uint64(e.redirPA))) {
+		return e.redirPA
+	}
+	return loaded
 }
 
 // SetRedirect arms eld_redirect with the attacker-chosen physical frame.
@@ -260,157 +267,126 @@ func (e *Engine) SetRemapTarget(t *pt.Table, v isa.VAddr, pa isa.PAddr, perms is
 	e.remapPT, e.remapV, e.remapPA, e.remapPerms, e.remapSet = t, v, pa, perms, true
 }
 
-// InstallScheduler wires the engine into the machine's preemption hook for
-// the scheduler-level strategies. victimCore < 0 targets whichever core the
-// victim lands on (the SDK rotates ECalls across cores, so a fixed target
-// would usually miss).
-func (e *Engine) InstallScheduler(m *sgx.Machine, victimCore int) {
-	match := func(c *sgx.Core) bool { return victimCore < 0 || c.ID == victimCore }
+// Preempt is the scheduler strategies' interposition point, consulted before
+// each access chunk; it acts only on a core in enclave mode, on whichever
+// core the victim lands on (the SDK rotates ECalls across cores, so a fixed
+// target would usually miss).
+func (e *Engine) Preempt(c *sgx.Core) error {
+	if !c.InEnclave() {
+		return nil
+	}
 	switch e.prog.Strategy {
 	case StratAEXPreempt:
-		m.Preempt = func(c *sgx.Core) {
-			if !match(c) {
-				return
-			}
-			e.mu.Lock()
-			e.preemptN++
-			fire := e.preemptN >= e.aexDelay &&
-				e.spendLocked("sched.preempt",
-					fmt.Sprintf("targeted AEX+ERESUME on core %d at in-enclave access #%d", c.ID, e.preemptN))
-			e.mu.Unlock()
-			if !fire {
-				return
-			}
-			t := c.CurrentTCS()
-			if t == nil {
-				return
-			}
-			if m.AEX(c) != nil {
-				return
-			}
-			_ = m.EResume(c, t)
+		e.mu.Lock()
+		e.preemptN++
+		fire := e.preemptN >= e.aexDelay &&
+			e.spendLocked("sched.preempt",
+				fmt.Sprintf("targeted AEX+ERESUME on core %d at in-enclave access #%d", c.ID, e.preemptN))
+		e.mu.Unlock()
+		if fire {
+			aexResume(c, c)
 		}
 	case StratEresumeWrongCore:
-		m.Preempt = func(c *sgx.Core) {
-			if !match(c) {
-				return
+		for _, alt := range c.Machine().Cores() {
+			if alt.ID == c.ID || alt.InEnclave() {
+				continue
 			}
-			var alt *sgx.Core
-			for _, cc := range m.Cores() {
-				if cc.ID != c.ID && !cc.InEnclave() {
-					alt = cc
-					break
-				}
-			}
-			if alt == nil {
-				return
-			}
-			if !e.Spend("sched.resume",
+			if e.Spend("sched.resume",
 				fmt.Sprintf("AEX core %d, ERESUME its TCS on core %d", c.ID, alt.ID)) {
-				return
+				aexResume(c, alt)
 			}
-			t := c.CurrentTCS()
-			if t == nil {
-				return
-			}
-			if m.AEX(c) != nil {
-				return
-			}
-			_ = m.EResume(alt, t)
+			break
 		}
 	case StratRemapUnderTLB:
-		m.Preempt = func(c *sgx.Core) {
-			if !match(c) {
-				return
+		e.mu.Lock()
+		if !e.remapSet {
+			e.mu.Unlock()
+			return nil
+		}
+		e.preemptN++
+		switch e.preemptN {
+		case 2:
+			// Access #1 walked the honest PTE and warmed the TLB (the core
+			// entered with a cold TLB); now the rewrite hides behind the
+			// cached translation until the TLB drops it.
+			if e.spendLocked("sched.remap",
+				fmt.Sprintf("rewrite PTE %#x -> pa %#x under live TLB of core %d",
+					uint64(e.remapV), uint64(e.remapPA), c.ID)) {
+				e.remapPT.Map(e.remapV, e.remapPA, e.remapPerms)
 			}
-			e.mu.Lock()
-			if !e.remapSet {
-				e.mu.Unlock()
-				return
+			e.mu.Unlock()
+		case 4:
+			// Force a flush so the poisoned PTE gets re-walked.
+			fire := e.spendLocked("sched.preempt",
+				fmt.Sprintf("targeted AEX+ERESUME on core %d to flush its TLB", c.ID))
+			e.mu.Unlock()
+			if fire {
+				aexResume(c, c)
 			}
-			e.preemptN++
-			n := e.preemptN
-			switch n {
-			case 2:
-				// Access #1 walked the honest PTE and warmed the TLB (the core
-				// entered with a cold TLB); now the rewrite hides behind the
-				// cached translation until the TLB drops it.
-				if e.spendLocked("sched.remap",
-					fmt.Sprintf("rewrite PTE %#x -> pa %#x under live TLB of core %d",
-						uint64(e.remapV), uint64(e.remapPA), c.ID)) {
-					e.remapPT.Map(e.remapV, e.remapPA, e.remapPerms)
-				}
-				e.mu.Unlock()
-			case 4:
-				// Force a flush so the poisoned PTE gets re-walked.
-				fire := e.spendLocked("sched.preempt",
-					fmt.Sprintf("targeted AEX+ERESUME on core %d to flush its TLB", c.ID))
-				e.mu.Unlock()
-				if !fire {
-					return
-				}
-				t := c.CurrentTCS()
-				if t == nil {
-					return
-				}
-				if m.AEX(c) != nil {
-					return
-				}
-				_ = m.EResume(c, t)
-			default:
-				e.mu.Unlock()
-			}
+		default:
+			e.mu.Unlock()
 		}
 	}
+	return nil
 }
 
-// InstallIPC wires the engine into the kernel IPC router as a full
-// man-in-the-middle on the named channel. winSize must match the reliable
-// channel's retransmit window so the deep strategies aim past it.
-func (e *Engine) InstallIPC(svc *kos.IPCService, channelName string, winSize int) {
-	adv := &kos.IPCAdversary{}
-	switch e.prog.Strategy {
-	case StratIPCReplay:
-		trigger := winSize + 3 + e.ipcTrigger
-		adv.Scramble = func(log, queue [][]byte, incoming []byte) [][]byte {
-			out := append(queue, incoming)
-			if len(log) >= trigger &&
-				e.Spend("ipc.replay", fmt.Sprintf("re-deliver frame 0 after %d sends", len(log))) {
-				out = append(out, log[0])
-			}
-			return out
-		}
-	case StratIPCReorder:
-		adv.Scramble = func(log, queue [][]byte, incoming []byte) [][]byte {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if len(e.held) == 0 {
-				if e.spendLocked("ipc.reorder",
-					fmt.Sprintf("withhold frame %d for one send", len(log)-1)) {
-					e.held = append(e.held, incoming)
-					return queue
-				}
-				return append(queue, incoming)
-			}
-			out := append(queue, incoming)
-			out = append(out, e.held...)
-			e.held = nil
-			return out
-		}
-	case StratIPCReorderDeep:
-		adv.Scramble = func(log, queue [][]byte, incoming []byte) [][]byte {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if !e.deepHeld && len(log) >= 2 &&
-				e.spendLocked("ipc.drop",
-					fmt.Sprintf("withhold frame %d past the retransmit window", len(log)-1)) {
-				e.deepHeld = true
-				return queue
-			}
-			return append(queue, incoming)
-		}
-	default:
+// aexResume interrupts the thread on c and resumes it on core to. The
+// hardware may refuse either step; the attack simply does not land then.
+func aexResume(c, to *sgx.Core) {
+	t := c.CurrentTCS()
+	if t == nil {
 		return
 	}
-	svc.SetAdversary(channelName, adv)
+	m := c.Machine()
+	if m.AEX(c) != nil {
+		return
+	}
+	_ = m.EResume(to, t)
+}
+
+// SetChannel arms the IPC strategies as a full man-in-the-middle on the
+// named channel. winSize must match the reliable channel's retransmit
+// window so the deep strategies aim past it.
+func (e *Engine) SetChannel(name string, winSize int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.ipcName, e.ipcWin = name, winSize
+}
+
+// Route re-delivers frame 0 once the stream is past the window
+// (ipc_replay), withholds a frame for one send (ipc_reorder), or withholds
+// one for good (ipc_reorder_deep) on the SetChannel channel.
+func (e *Engine) Route(channel string, log [][]byte, msg []byte) [][]byte {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if channel != e.ipcName {
+		return [][]byte{msg}
+	}
+	switch e.prog.Strategy {
+	case StratIPCReplay:
+		if len(log) >= e.ipcWin+3+e.ipcTrigger &&
+			e.spendLocked("ipc.replay", fmt.Sprintf("re-deliver frame 0 after %d sends", len(log))) {
+			return [][]byte{msg, log[0]}
+		}
+	case StratIPCReorder:
+		if len(e.held) == 0 {
+			if e.spendLocked("ipc.reorder",
+				fmt.Sprintf("withhold frame %d for one send", len(log)-1)) {
+				e.held = append(e.held, msg)
+				return nil
+			}
+			break
+		}
+		out := append([][]byte{msg}, e.held...)
+		e.held = nil
+		return out
+	case StratIPCReorderDeep:
+		if !e.deepHeld && len(log) >= 2 &&
+			e.spendLocked("ipc.drop",
+				fmt.Sprintf("withhold frame %d past the retransmit window", len(log)-1)) {
+			e.deepHeld = true
+			return nil
+		}
+	}
+	return [][]byte{msg}
 }

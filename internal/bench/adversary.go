@@ -379,7 +379,7 @@ func scnRemapUnderTLB(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 		return out, err
 	}
 	eng.SetRemapTarget(r.Host.Proc.PageTable(), kv.vpage(), attackerFrame(), isa.PermRW)
-	eng.InstallScheduler(r.M, -1)
+	r.M.SetHostile(eng)
 	_, cerr := kv.encl.ECall("churn", want)
 	out.detectAt = r.M.Rec.Cycles()
 	if cerr == nil {
@@ -412,7 +412,7 @@ func scnRemapUnderTLB(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 // still in the EPC, so an honest mapping recovers the data.
 func scnEldRedirect(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 	var out attackOutcome
-	eng.InstallPager(r.K.Driver)
+	r.M.SetHostile(eng)
 	eng.SetRedirect(attackerFrame())
 	kv, err := buildKV(r, "victim", 0x1000_0000)
 	if err != nil {
@@ -451,7 +451,7 @@ func scnEldRedirect(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 // the honest retry recovers the current data.
 func scnBlobReplay(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 	var out attackOutcome
-	eng.InstallPager(r.K.Driver)
+	r.M.SetHostile(eng)
 	kv, err := buildKV(r, "victim", 0x1000_0000)
 	if err != nil {
 		return out, err
@@ -505,7 +505,7 @@ func scnBlobReplay(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 // kernel afterwards.
 func scnBlobCrossWire(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 	var out attackOutcome
-	eng.InstallPager(r.K.Driver)
+	r.M.SetHostile(eng)
 	kvA, err := buildKV(r, "victim-a", 0x1000_0000)
 	if err != nil {
 		return out, err
@@ -611,7 +611,7 @@ func pinReader(r *Rig, kv *kvVictim, want []byte) (*sgx.Core, error) {
 // invariant audit — detected.
 func scnDropShootdown(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 	var out attackOutcome
-	eng.InstallPager(r.K.Driver)
+	r.M.SetHostile(eng)
 	kv, err := buildKV(r, "victim", 0x1000_0000)
 	if err != nil {
 		return out, err
@@ -660,7 +660,7 @@ func scnDropShootdown(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 // correct data end to end.
 func scnReorderShootdown(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 	var out attackOutcome
-	eng.InstallPager(r.K.Driver)
+	r.M.SetHostile(eng)
 	kv, err := buildKV(r, "victim", 0x1000_0000)
 	if err != nil {
 		return out, err
@@ -707,7 +707,7 @@ func scnAEXPreempt(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 	if _, err := kv.encl.ECall("put", want); err != nil {
 		return out, err
 	}
-	eng.InstallScheduler(r.M, -1)
+	r.M.SetHostile(eng)
 	got, cerr := kv.encl.ECall("churn", want)
 	if cerr != nil {
 		out.violations = append(out.violations, fmt.Sprintf("targeted preemption broke an honest call: %v", cerr))
@@ -733,7 +733,7 @@ func scnEresumeWrongCore(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 	if _, err := kv.encl.ECall("put", want); err != nil {
 		return out, err
 	}
-	eng.InstallScheduler(r.M, -1)
+	r.M.SetHostile(eng)
 	got, gerr := kv.encl.ECall("get", nil)
 	out.detectAt = r.M.Rec.Cycles()
 	if gerr == nil {
@@ -778,7 +778,8 @@ func scnIPCReorderDeep(r *Rig, eng *adversary.Engine) (attackOutcome, error) {
 	if err != nil {
 		return out, err
 	}
-	eng.InstallIPC(r.K.IPC, "adv-reorder-deep", winSize)
+	eng.SetChannel("adv-reorder-deep", winSize)
+	r.M.SetHostile(eng)
 	// Burst past the window before draining, so the withheld frame is
 	// unrecoverable by the time its gap is discovered.
 	for i := 0; i < 2*winSize; i++ {
@@ -818,7 +819,8 @@ func runIPCScenario(r *Rig, eng *adversary.Engine, name string, n int, expectDet
 	if err != nil {
 		return out, err
 	}
-	eng.InstallIPC(r.K.IPC, name, winSize)
+	eng.SetChannel(name, winSize)
+	r.M.SetHostile(eng)
 	next := 0
 	for i := 0; i < n; i++ {
 		tx.Send([]byte(fmt.Sprintf("msg-%03d", i)))

@@ -132,7 +132,7 @@ func TestStaleBlobReplayTwoEnclavesRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.InstallPager(r.K.Driver)
+	r.M.SetHostile(eng)
 
 	victims := make([]*kvVictim, 2)
 	for i, base := range []isa.VAddr{0x1000_0000, 0x2000_0000} {

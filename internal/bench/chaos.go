@@ -438,9 +438,7 @@ func ChaosSoak(cfg ChaosConfig) (*ChaosReport, error) {
 
 	// Phase 2: soak under active injection.
 	inj := chaos.New(chaos.Config{Seed: cfg.Seed, Sites: sites}, r.M.Rec)
-	r.M.SetChaos(inj)
-	r.K.SetChaos(inj)
-	rx.SetChaos(inj)
+	r.M.SetHostile(inj)
 
 	rep := &ChaosReport{Ops: cfg.Ops}
 	recvHeartbeats := func() {
@@ -519,9 +517,7 @@ func ChaosSoak(cfg ChaosConfig) (*ChaosReport, error) {
 
 	// Phase 3: injection off, audit the surviving state against the oracle.
 	rep.Stats = inj.Stats()
-	r.M.SetChaos(nil)
-	r.K.SetChaos(nil)
-	rx.SetChaos(nil)
+	r.M.SetHostile(nil)
 
 	for key, acceptable := range oracle {
 		out, cerr := h.call(fmt.Sprintf("SELECT field0 FROM usertable WHERE ycsb_key = %d", key))

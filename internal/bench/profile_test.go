@@ -82,7 +82,7 @@ func TestChaosInjectionAnnotatesSpan(t *testing.T) {
 	}
 	rec := r.M.Rec
 	rec.EnableObservation(1 << 14)
-	r.M.SetChaos(chaos.New(chaos.Config{
+	r.M.SetHostile(chaos.New(chaos.Config{
 		Seed: 1,
 		Sites: map[chaos.Site]chaos.SiteConfig{
 			chaos.SiteSlowCore: {Prob: 1, Budget: 32},

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"nestedenclave/internal/channel"
-	"nestedenclave/internal/kos"
+	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/ssl"
 )
 
@@ -144,6 +144,11 @@ func libraryReadAttack() (*TableVIIRow, error) {
 	}, nil
 }
 
+// dropIPC is a kernel whose IPC router drops every send.
+type dropIPC struct{ sgx.Honest }
+
+func (dropIPC) Route(string, [][]byte, []byte) [][]byte { return nil }
+
 // ipcControlAttack reproduces §VI-C/§VII-B: the OS selectively drops the
 // initialization message of an enclave-to-enclave channel (the Panoply
 // certificate-check attack), and eavesdrops on everything it routes.
@@ -154,9 +159,7 @@ func ipcControlAttack() (*TableVIIRow, error) {
 		return nil, err
 	}
 	key := [16]byte{5}
-	baseR.K.IPC.SetAdversary("verify", &kos.IPCAdversary{
-		DropIf: func(p []byte) bool { return true }, // drop the init call
-	})
+	baseR.M.SetHostile(dropIPC{}) // drop the init call
 	tx, err := channel.NewGCM(baseR.K.IPC, "verify", key)
 	if err != nil {
 		return nil, err

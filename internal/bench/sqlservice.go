@@ -59,21 +59,6 @@ func encryptTextDet(aead cipher.AEAD, pt string) string {
 	return hex.EncodeToString(aead.Seal(nil, nonce, []byte(pt), nil))
 }
 
-func (s *SQLService) encryptText(pt string) string { return encryptTextDet(s.aead, pt) }
-
-func (s *SQLService) decryptText(ct string) (string, error) {
-	raw, err := hex.DecodeString(ct)
-	if err != nil {
-		return "", err
-	}
-	nonce := make([]byte, s.aead.NonceSize())
-	pt, err := s.aead.Open(nil, nonce, raw, nil)
-	if err != nil {
-		return "", err
-	}
-	return string(pt), nil
-}
-
 // rewriteEncrypted parses the SQL and encrypts every text literal — the
 // inner enclave's "parse the queries and encrypt data" step.
 func rewriteEncrypted(aead cipher.AEAD, sql string) (string, error) {

@@ -107,7 +107,7 @@ func TestSendBatchAmortizesGCMFixedCost(t *testing.T) {
 // the retransmit loop redelivers every payload in it.
 func TestBatchFrameRepairsAsAUnit(t *testing.T) {
 	k, tx, rx := reliablePair(t, 0)
-	k.IPC.SetAdversary("rel", &kos.IPCAdversary{DropNext: 1})
+	k.Machine().SetHostile(dropFirst)
 	batch := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}
 	tx.SendBatch(batch) // dropped by the kernel
 	tx.Send([]byte("tail"))

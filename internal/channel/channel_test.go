@@ -13,6 +13,15 @@ import (
 	"nestedenclave/internal/sgx"
 )
 
+// routeFunc is a kernel whose IPC router runs f; every other decision is
+// honest.
+type routeFunc struct {
+	sgx.Honest
+	f func(log [][]byte, msg []byte) [][]byte
+}
+
+func (r routeFunc) Route(_ string, log [][]byte, msg []byte) [][]byte { return r.f(log, msg) }
+
 func TestGCMRoundTrip(t *testing.T) {
 	k := kos.New(sgx.MustNew(sgx.SmallConfig()))
 	key := [16]byte{1, 2, 3}
@@ -53,8 +62,8 @@ func TestGCMDetectsForgeAndReplay(t *testing.T) {
 	k := kos.New(sgx.MustNew(sgx.SmallConfig()))
 	key := [16]byte{7}
 	// Forge: kernel substitutes its own bytes.
-	k.IPC.SetAdversary("a2b", &kos.IPCAdversary{Forge: func(p []byte) []byte {
-		return []byte("forged-ciphertext")
+	k.Machine().SetHostile(routeFunc{f: func(log [][]byte, msg []byte) [][]byte {
+		return [][]byte{[]byte("forged-ciphertext")}
 	}})
 	tx, _ := channel.NewGCM(k.IPC, "a2b", key)
 	rx, _ := channel.NewGCM(k.IPC, "a2b", key)
@@ -65,7 +74,12 @@ func TestGCMDetectsForgeAndReplay(t *testing.T) {
 	// Replay: kernel re-delivers the previous ciphertext; the sequence
 	// number in the nonce rejects it.
 	k2 := kos.New(sgx.MustNew(sgx.SmallConfig()))
-	k2.IPC.SetAdversary("c", &kos.IPCAdversary{ReplayLast: true})
+	k2.Machine().SetHostile(routeFunc{f: func(log [][]byte, msg []byte) [][]byte {
+		if len(log) >= 2 {
+			return [][]byte{log[len(log)-2]} // the previous send again
+		}
+		return [][]byte{msg}
+	}})
 	tx2, _ := channel.NewGCM(k2.IPC, "c", key)
 	rx2, _ := channel.NewGCM(k2.IPC, "c", key)
 	tx2.Send([]byte("first"))
@@ -82,7 +96,7 @@ func TestGCMCannotDetectSilentDrop(t *testing.T) {
 	// The residual weakness of the baseline: a dropped message looks
 	// exactly like no message.
 	k := kos.New(sgx.MustNew(sgx.SmallConfig()))
-	k.IPC.SetAdversary("a2b", &kos.IPCAdversary{DropNext: 1})
+	k.Machine().SetHostile(routeFunc{f: func([][]byte, []byte) [][]byte { return nil }})
 	key := [16]byte{3}
 	tx, _ := channel.NewGCM(k.IPC, "a2b", key)
 	rx, _ := channel.NewGCM(k.IPC, "a2b", key)

@@ -36,10 +36,6 @@ type ReliableChannel struct {
 	// stash holds authenticated frames that arrived ahead of a gap.
 	stash map[uint64][]byte
 
-	// chaos, when set, is credited a recovery each time a repair loop
-	// cures an injected drop/corruption/duplicate.
-	chaos *chaos.Injector
-
 	// rec, when set (Trace), opens a span per send/receive/retransmit, so
 	// kernel-level IPC fault injections — which fire inside ipc.Send, below
 	// any core context — attach to the channel operation that carried them,
@@ -72,8 +68,11 @@ func NewReliable(ipc *kos.IPCService, name string, key [16]byte, window int) (*R
 	}, nil
 }
 
-// SetChaos attributes repaired faults to the injector's IPC sites.
-func (ch *ReliableChannel) SetChaos(inj *chaos.Injector) { ch.chaos = inj }
+// credit attributes a repaired fault to the site when the chaos injector is
+// the machine's platform.
+func (ch *ReliableChannel) credit(site chaos.Site) {
+	chaos.From(ch.ipc.Kernel().Machine().Hostile()).Recovered(site)
+}
 
 // Trace opens spans for channel operations on the recorder (nil disables).
 func (ch *ReliableChannel) Trace(rec *trace.Recorder) { ch.rec = rec }
@@ -282,7 +281,7 @@ func (ch *ReliableChannel) Recv() (payload []byte, ok bool, err error) {
 				return nil, true, &ReplayError{Channel: ch.name, Seq: seq, Latest: ch.recvSeq}
 			}
 			// Duplicate of an already-delivered frame: drop and keep going.
-			ch.chaos.Recovered(chaos.SiteIPCDup)
+			ch.credit(chaos.SiteIPCDup)
 			continue
 		case seq > ch.recvSeq:
 			// Arrived ahead of a gap: stash it, report the missing frame.
@@ -336,7 +335,7 @@ func (ch *ReliableChannel) RecvRepaired(sender *ReliableChannel, maxRepairs int)
 				if ge, isGap := err.(*GapError); isGap && ge.Corrupt {
 					site = chaos.SiteIPCCorrupt
 				}
-				ch.chaos.Recovered(site)
+				ch.credit(site)
 			}
 			return pt, got, nil
 		}

@@ -25,6 +25,23 @@ func reliablePair(t *testing.T, window int) (*kos.Kernel, *ReliableChannel, *Rel
 	return k, tx, rx
 }
 
+// routeFunc is a kernel whose IPC router runs f; every other decision is
+// honest.
+type routeFunc struct {
+	sgx.Honest
+	f func(log [][]byte, msg []byte) [][]byte
+}
+
+func (r routeFunc) Route(_ string, log [][]byte, msg []byte) [][]byte { return r.f(log, msg) }
+
+// dropFirst drops the first send on the channel.
+var dropFirst = routeFunc{f: func(log [][]byte, msg []byte) [][]byte {
+	if len(log) == 1 {
+		return nil
+	}
+	return [][]byte{msg}
+}}
+
 func TestReliableRoundTrip(t *testing.T) {
 	_, tx, rx := reliablePair(t, 0)
 	for i := 0; i < 10; i++ {
@@ -46,7 +63,7 @@ func TestReliableRoundTrip(t *testing.T) {
 
 func TestReliableDetectsAndRepairsDrop(t *testing.T) {
 	k, tx, rx := reliablePair(t, 0)
-	k.IPC.SetAdversary("rel", &kos.IPCAdversary{DropNext: 1})
+	k.Machine().SetHostile(dropFirst)
 	tx.Send([]byte("first"))  // dropped by the kernel
 	tx.Send([]byte("second")) // arrives, revealing the gap
 
@@ -81,8 +98,7 @@ func TestReliableRepairLoopUnderChaos(t *testing.T) {
 		chaos.SiteIPCDup:     {Prob: 0.15},
 		chaos.SiteIPCCorrupt: {Prob: 0.15},
 	}}, nil)
-	k.SetChaos(inj)
-	rx.SetChaos(inj)
+	k.Machine().SetHostile(inj)
 
 	// Interleave sending and receiving (the realistic pattern — repair
 	// frames must not land behind an unbounded backlog).

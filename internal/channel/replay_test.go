@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nestedenclave/internal/chaos"
-	"nestedenclave/internal/kos"
 	"nestedenclave/internal/sdk"
 )
 
@@ -20,16 +19,13 @@ func TestReplayBeyondWindowDetected(t *testing.T) {
 	// The kernel hoards every raw frame; arm it to re-deliver frame 0 long
 	// after the stream has moved past the retransmit window.
 	replay := false
-	k.IPC.SetAdversary("rel", &kos.IPCAdversary{
-		Scramble: func(log, queue [][]byte, incoming []byte) [][]byte {
-			out := append(queue, incoming)
-			if replay && len(log) > 0 {
-				out = append(out, log[0])
-				replay = false
-			}
-			return out
-		},
-	})
+	k.Machine().SetHostile(routeFunc{f: func(log [][]byte, msg []byte) [][]byte {
+		if replay {
+			replay = false
+			return [][]byte{msg, log[0]}
+		}
+		return [][]byte{msg}
+	}})
 	drain := func(want int) {
 		t.Helper()
 		for i := 0; i < want; i++ {
@@ -67,15 +63,13 @@ func TestDeepReorderDetected(t *testing.T) {
 	// Withhold frame 1 permanently: by the time its gap is discovered the
 	// sender's window has slid past it, which no honest kernel can cause.
 	withheld := false
-	k.IPC.SetAdversary("rel", &kos.IPCAdversary{
-		Scramble: func(log, queue [][]byte, incoming []byte) [][]byte {
-			if !withheld && len(log) == 2 {
-				withheld = true
-				return queue
-			}
-			return append(queue, incoming)
-		},
-	})
+	k.Machine().SetHostile(routeFunc{f: func(log [][]byte, msg []byte) [][]byte {
+		if !withheld && len(log) == 2 {
+			withheld = true
+			return nil
+		}
+		return [][]byte{msg}
+	}})
 	for i := 0; i < 10; i++ {
 		tx.Send([]byte(fmt.Sprintf("m%d", i)))
 	}

@@ -1,15 +1,18 @@
 // Package chaos is the deterministic, seed-driven runtime fault injector.
 //
-// The rest of the stack carries cheap hook points — one nil check plus, when
-// an injector is installed, one PRNG draw — at the places where real systems
-// fail: the MEE's DRAM fetch path (bit flips), the kernel driver's EPC
-// allocator (pressure failures), the IPC router (drop/duplicate/corrupt),
-// and the core's memory-access loop (spurious interrupt storms, stalled
-// cores). Every decision derives from a splitmix64 stream seeded by the
-// caller, so a failing soak run replays exactly from its seed.
+// An Injector is one implementation of the machine's untrusted platform,
+// sgx.Hostile: installed with Machine.SetHostile, it fails the hook points
+// where real systems fail. The MEE's DRAM fetch path gets bit flips
+// (Disturb), the kernel driver's EPC allocator pressure failures
+// (AllocEPC), the IPC router drops, duplicates and corruption (Route), and
+// the core's memory-access loop spurious interrupt storms and stalled cores
+// (Preempt). Every other decision stays honest. Each decision derives from
+// a splitmix64 stream seeded by the caller, so a failing soak run replays
+// exactly from its seed.
 //
-// A nil *Injector is a valid injector that never fires; hook points call
-// methods on it directly without guarding, keeping the disabled path free.
+// The runtime's repair paths credit cures back to the injector found with
+// From; on any other platform From returns nil, and the recovery-accounting
+// methods are no-ops on a nil *Injector.
 package chaos
 
 import (
@@ -17,6 +20,7 @@ import (
 	"fmt"
 	"sync"
 
+	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/trace"
 )
 
@@ -114,8 +118,10 @@ type SiteStats struct {
 }
 
 // Injector decides, deterministically from its seed, whether each hook
-// evaluation fires. Safe for concurrent use; a nil *Injector never fires.
+// evaluation fires. Safe for concurrent use.
 type Injector struct {
+	sgx.Honest
+
 	mu    sync.Mutex
 	state uint64
 	sites [numSites]siteState
@@ -180,7 +186,7 @@ func (inj *Injector) next() uint64 {
 }
 
 // Fire reports whether the site fires at this hook evaluation, consuming one
-// PRNG draw and one budget unit when it does. Nil-safe.
+// PRNG draw and one budget unit when it does.
 func (inj *Injector) Fire(site Site) bool {
 	return inj.FireOn(site, trace.NoCore)
 }
@@ -189,11 +195,9 @@ func (inj *Injector) Fire(site Site) bool {
 // injection record is charged on that core, which attaches it to the
 // innermost span open there — a soak trace then shows which call tree each
 // injected fault landed in. Hook points without a core (kernel IPC, MEE)
-// use Fire; their records attach via the recorder's span hint. Nil-safe.
+// use Fire; their records attach to the innermost machine-global (NoCore)
+// span, such as a reliable channel's send.
 func (inj *Injector) FireOn(site Site, core int) bool {
-	if inj == nil {
-		return false
-	}
 	inj.mu.Lock()
 	st := &inj.sites[site]
 	if st.threshold == 0 || st.budget == 0 {
@@ -217,7 +221,7 @@ func (inj *Injector) FireOn(site Site, core int) bool {
 }
 
 // FireErr returns the typed injected error when the site fires, nil
-// otherwise. Nil-safe.
+// otherwise.
 func (inj *Injector) FireErr(site Site, transient bool) error {
 	if inj.Fire(site) {
 		return &Injected{Site: site, Transient: transient}
@@ -261,10 +265,9 @@ func (inj *Injector) RecoverFrom(err error) bool {
 	return true
 }
 
-// Rand returns a deterministic value in [0, n). A nil injector (or n == 0)
-// returns 0.
+// Rand returns a deterministic value in [0, n); n == 0 returns 0.
 func (inj *Injector) Rand(n uint64) uint64 {
-	if inj == nil || n == 0 {
+	if n == 0 {
 		return 0
 	}
 	inj.mu.Lock()
@@ -275,9 +278,6 @@ func (inj *Injector) Rand(n uint64) uint64 {
 
 // Burst returns the configured burst length for the site (at least 1).
 func (inj *Injector) Burst(site Site) int {
-	if inj == nil {
-		return 1
-	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return inj.sites[site].burst
@@ -285,31 +285,15 @@ func (inj *Injector) Burst(site Site) int {
 
 // Injected returns how many times the site has fired.
 func (inj *Injector) Injected(site Site) int64 {
-	if inj == nil {
-		return 0
-	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return inj.sites[site].injected
-}
-
-// RecoveredCount returns how many recoveries have been credited to the site.
-func (inj *Injector) RecoveredCount(site Site) int64 {
-	if inj == nil {
-		return 0
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.sites[site].recovered
 }
 
 // Stats snapshots every site's injection/recovery tally, keyed by site name.
 // Sites with no activity are omitted.
 func (inj *Injector) Stats() map[string]SiteStats {
 	out := make(map[string]SiteStats)
-	if inj == nil {
-		return out
-	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	for i := range inj.sites {
@@ -319,4 +303,69 @@ func (inj *Injector) Stats() map[string]SiteStats {
 		}
 	}
 	return out
+}
+
+// From returns the injector installed as the machine's platform, or nil when
+// the platform is anything else.
+func From(h sgx.Hostile) *Injector {
+	inj, _ := h.(*Injector)
+	return inj
+}
+
+// slowCoreStallCycles is the simulated-cycle cost of one injected core stall.
+const slowCoreStallCycles = 20000
+
+// Preempt injects core stalls and, on a core in enclave mode, spurious
+// interrupt storms: real AEX + ERESUME round trips that exercise the
+// save/scrub/restore machinery. It returns an error only when an
+// interrupted enclave could not be resumed (it was poisoned mid-storm).
+func (inj *Injector) Preempt(c *sgx.Core) error {
+	m := c.Machine()
+	if inj.FireOn(SiteSlowCore, c.ID) {
+		m.Rec.Advance(slowCoreStallCycles * int64(inj.Burst(SiteSlowCore)))
+	}
+	if c.InEnclave() && inj.FireOn(SiteAEXStorm, c.ID) {
+		for i := inj.Burst(SiteAEXStorm); i > 0 && c.InEnclave(); i-- {
+			t := c.CurrentTCS()
+			if err := m.AEX(c); err != nil {
+				return err
+			}
+			if err := m.EResume(c, t); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Disturb flips one bit of a protected line's ciphertext as the MEE fetches
+// it from DRAM: a physical disturbance the integrity check always catches.
+func (inj *Injector) Disturb(ct []byte) {
+	if inj.Fire(SiteDRAMBitFlip) {
+		bit := inj.Rand(uint64(len(ct) * 8))
+		ct[bit/8] ^= 1 << (bit % 8)
+	}
+}
+
+// AllocEPC fails an EPC allocation as if the EPC were exhausted; the error
+// is transient, so a retry after backoff recovers.
+func (inj *Injector) AllocEPC() error {
+	return inj.FireErr(SiteEPCAlloc, true)
+}
+
+// Route models the unreliable transport real IPC is under load: a send may
+// be dropped, have one bit corrupted, or be delivered twice.
+func (inj *Injector) Route(_ string, _ [][]byte, msg []byte) [][]byte {
+	if inj.Fire(SiteIPCDrop) {
+		return nil
+	}
+	if inj.Fire(SiteIPCCorrupt) && len(msg) > 0 {
+		msg = append([]byte(nil), msg...)
+		bit := inj.Rand(uint64(len(msg) * 8))
+		msg[bit/8] ^= 1 << (bit % 8)
+	}
+	if inj.Fire(SiteIPCDup) {
+		return [][]byte{msg, msg}
+	}
+	return [][]byte{msg}
 }

@@ -3,6 +3,8 @@ package chaos
 import (
 	"errors"
 	"testing"
+
+	"nestedenclave/internal/sgx"
 )
 
 // Same seed, same config → identical firing sequence.
@@ -45,23 +47,17 @@ func TestBudget(t *testing.T) {
 	}
 }
 
+// The runtime credits cures through From, which is nil on any platform
+// other than the injector: recovery accounting must be a no-op then.
 func TestNilInjectorIsInert(t *testing.T) {
-	var inj *Injector
-	if inj.Fire(SiteAEXStorm) {
-		t.Fatal("nil injector fired")
-	}
-	if err := inj.FireErr(SiteEPCAlloc, true); err != nil {
-		t.Fatalf("nil injector produced error %v", err)
+	inj := From(sgx.Honest{})
+	if inj != nil {
+		t.Fatal("From found an injector on the honest platform")
 	}
 	inj.Recovered(SiteIPCDrop) // must not panic
-	if inj.RecoverFrom(errors.New("x")) {
+	inj.RecoveredOn(SiteDRAMBitFlip, 0)
+	if inj.RecoverFrom(&Injected{Site: SiteEPCAlloc, Transient: true}) {
 		t.Fatal("nil injector credited a recovery")
-	}
-	if inj.Rand(10) != 0 || inj.Burst(SiteSlowCore) != 1 {
-		t.Fatal("nil injector defaults wrong")
-	}
-	if len(inj.Stats()) != 0 {
-		t.Fatal("nil injector has stats")
 	}
 }
 

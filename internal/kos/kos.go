@@ -4,18 +4,19 @@
 // service.
 //
 // Everything in this package is *inside the attacker's power* under the SGX
-// threat model. The adversarial entry points are explicit: the kernel can
-// rewrite page tables (Process.PageTable), skip TLB shootdowns
-// (Driver.SkipShootdown), and drop/replay/forge IPC messages
-// (IPCAdversary) — the attack reproductions in the case studies use exactly
-// these knobs, and the hardware model is expected to contain them.
+// threat model. The kernel can rewrite page tables (Process.PageTable)
+// directly; every other decision it makes (failing an EPC allocation,
+// withholding a shootdown IPI, choosing the blob ELDU reloads and the frame
+// it is mapped at, and what the IPC router delivers) is asked of the
+// machine's sgx.Hostile platform. The attack reproductions, the chaos
+// injector and the adversary engine install theirs with
+// Machine.SetHostile, and the hardware model is expected to contain them.
 package kos
 
 import (
 	"fmt"
 	"sync"
 
-	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/pt"
 	"nestedenclave/internal/sgx"
@@ -31,17 +32,6 @@ type Kernel struct {
 
 	Driver *Driver
 	IPC    *IPCService
-
-	// chaos, when set, injects kernel-level faults: EPC-allocation
-	// failures in the driver and drop/duplicate/corrupt in the IPC
-	// router. Install with SetChaos before driving workloads.
-	chaos *chaos.Injector
-}
-
-// SetChaos installs (or, with nil, removes) the runtime fault injector on
-// the kernel's hook points. Must be called before workloads start.
-func (k *Kernel) SetChaos(inj *chaos.Injector) {
-	k.chaos = inj
 }
 
 // New boots a kernel on the machine: builds the frame allocator over
@@ -81,12 +71,6 @@ func (k *Kernel) allocFrame() (uint64, error) {
 	ppn := k.freeFrames[len(k.freeFrames)-1]
 	k.freeFrames = k.freeFrames[:len(k.freeFrames)-1]
 	return ppn, nil
-}
-
-func (k *Kernel) freeFrame(ppn uint64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.freeFrames = append(k.freeFrames, ppn)
 }
 
 // Process is one user address space.

@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/phys"
 	"nestedenclave/internal/trace"
@@ -71,10 +70,12 @@ type Engine struct {
 	// (plaintext PRM), used by tests that contrast physical attacks.
 	Enabled bool
 
-	// Chaos, when set, injects DRAM bit flips into protected lines as they
-	// are fetched — before integrity verification, so every flip surfaces
-	// as a detected machine check, never silent corruption.
-	Chaos *chaos.Injector
+	// Disturb, when set, receives each protected line's ciphertext as it is
+	// fetched from DRAM and may flip its bits. It runs before integrity
+	// verification, so every flip surfaces as a detected machine check,
+	// never silent corruption. The machine sets it to its platform's
+	// Disturb (sgx.Machine.SetHostile).
+	Disturb func(ct []byte)
 
 	// Poison, when set, is called with the physical address of a line that
 	// failed integrity verification, letting the machine contain the fault
@@ -194,13 +195,8 @@ func (e *Engine) ReadLine(p isa.PAddr, dst []byte, payer trace.Payer) error {
 	ct := e.buf[:isa.LineSize]
 	e.mem.ReadInto(p, ct)
 	ct = append(ct, m.tag[:]...)
-	if e.Chaos.Fire(chaos.SiteDRAMBitFlip) {
-		// A disturbance hit this line while it sat in DRAM. Flipping the
-		// ciphertext (only on PRM lines, only before Open) guarantees the
-		// integrity check catches it — the fault is always detected, never
-		// silent corruption.
-		bit := e.Chaos.Rand(uint64(isa.LineSize * 8))
-		ct[bit/8] ^= 1 << (bit % 8)
+	if e.Disturb != nil {
+		e.Disturb(ct[:isa.LineSize])
 	}
 	if _, err := e.aead.Open(dst[:0], e.nonceFor(uint64(p)>>isa.LineShift, m.version), ct, nil); err != nil {
 		e.charge(trace.EvFaultMC, 0, payer)

@@ -46,7 +46,7 @@ type Supervisor struct {
 func Supervise(h *Host, si *SignedImage, cfg SupervisorConfig) (*Supervisor, error) {
 	s := &Supervisor{h: h, si: si, cfg: cfg}
 	m := h.K.Machine()
-	err := cfg.Retry.Run(m.Rec, m.Chaos, func() error {
+	err := cfg.Retry.Run(m.Rec, chaos.From(m.Hostile()), func() error {
 		e, lerr := h.Load(si)
 		if lerr != nil {
 			return lerr
@@ -89,13 +89,6 @@ func (s *Supervisor) Checkpoint(sealed []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sealed = append(s.sealed[:0:0], sealed...)
-}
-
-// Sealed returns the latest checkpoint blob.
-func (s *Supervisor) Sealed() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.sealed...)
 }
 
 // Crashed reports whether err indicates that THIS supervisor's enclave is
@@ -173,7 +166,7 @@ func (s *Supervisor) Restart() error {
 		}
 	}
 	var fresh *Enclave
-	err := s.cfg.Retry.Run(m.Rec, m.Chaos, func() error {
+	err := s.cfg.Retry.Run(m.Rec, chaos.From(m.Hostile()), func() error {
 		e, lerr := s.h.Load(s.si)
 		if lerr != nil {
 			return lerr
@@ -202,7 +195,7 @@ func (s *Supervisor) Restart() error {
 	// A restart that cures an MEE-integrity poisoning is the recovery arm
 	// of the DRAM bit-flip fault site.
 	if strings.Contains(poisonReason, "MEE integrity") {
-		m.Chaos.Recovered(chaos.SiteDRAMBitFlip)
+		chaos.From(m.Hostile()).Recovered(chaos.SiteDRAMBitFlip)
 	}
 	return nil
 }
@@ -215,7 +208,7 @@ func (s *Supervisor) Restart() error {
 func (s *Supervisor) Call(name string, args []byte) ([]byte, error) {
 	m := s.h.K.Machine()
 	var out []byte
-	err := s.cfg.Retry.Run(m.Rec, m.Chaos, func() error {
+	err := s.cfg.Retry.Run(m.Rec, chaos.From(m.Hostile()), func() error {
 		e := s.Enclave()
 		if e == nil {
 			// A previous restart attempt failed (e.g. reload hit injected

@@ -1,7 +1,6 @@
 package sgx
 
 import (
-	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/trace"
 )
@@ -11,45 +10,6 @@ import (
 // the cache/MEE hierarchy.
 
 const maxFaultRetries = 4
-
-// slowCoreStallCycles is the simulated-cycle cost of one injected core stall.
-const slowCoreStallCycles = 20000
-
-// maybeChaos runs the core-level fault-injection hooks before a memory
-// access: artificial core stalls and spurious interrupt storms (real AEX +
-// ERESUME round trips, exercising the save/scrub/restore machinery). Must be
-// called WITHOUT the machine lock — AEX and ERESUME take it. Returns a
-// non-nil error only when an interrupted enclave could not be resumed (it
-// was poisoned mid-storm); the core is then out of enclave mode and the
-// caller must propagate the fault.
-func (c *Core) maybeChaos() error {
-	// The adversarial scheduler hook runs first: a malicious kernel uses it to
-	// deliver *targeted* preemptions (AEX in a chosen critical window, ERESUME
-	// on a core of its choosing) rather than the random storms below. Nil-cost
-	// when unset — a single pointer load.
-	if h := c.m.Preempt; h != nil && c.inEnclave {
-		h(c)
-	}
-	inj := c.m.Chaos
-	if inj == nil {
-		return nil
-	}
-	if inj.FireOn(chaos.SiteSlowCore, c.ID) {
-		c.m.Rec.Advance(slowCoreStallCycles * int64(inj.Burst(chaos.SiteSlowCore)))
-	}
-	if c.inEnclave && inj.FireOn(chaos.SiteAEXStorm, c.ID) {
-		for i := inj.Burst(chaos.SiteAEXStorm); i > 0 && c.inEnclave; i-- {
-			t := c.curTCS
-			if err := c.m.AEX(c); err != nil {
-				return err
-			}
-			if err := c.m.EResume(c, t); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
 
 // translateLocked resolves v for the given access kind. It returns either a
 // physical address, abort=true (abort-page semantics), or a fault.
@@ -136,7 +96,7 @@ func (c *Core) ReadInto(v isa.VAddr, dst []byte) error {
 	for off := 0; off < len(dst); {
 		cur := v + isa.VAddr(off)
 		n := chunkLen(cur, len(dst)-off)
-		if err := c.maybeChaos(); err != nil {
+		if err := c.m.hostile.Preempt(c); err != nil {
 			return err
 		}
 		for attempt := 0; ; attempt++ {
@@ -215,7 +175,7 @@ func (c *Core) Write(v isa.VAddr, b []byte) error {
 	for off := 0; off < len(b); {
 		cur := v + isa.VAddr(off)
 		n := chunkLen(cur, len(b)-off)
-		if err := c.maybeChaos(); err != nil {
+		if err := c.m.hostile.Preempt(c); err != nil {
 			return err
 		}
 		for attempt := 0; ; attempt++ {
@@ -240,7 +200,7 @@ func (c *Core) Write(v isa.VAddr, b []byte) error {
 // permission. Enclave entry points and the NX-on-unsecure-memory rule are
 // exercised through it.
 func (c *Core) Fetch(v isa.VAddr) error {
-	if err := c.maybeChaos(); err != nil {
+	if err := c.m.hostile.Preempt(c); err != nil {
 		return err
 	}
 	for attempt := 0; ; attempt++ {

@@ -1,7 +1,6 @@
 package sgx
 
 import (
-	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/trace"
 )
@@ -15,15 +14,6 @@ import (
 // finer-grained per-enclave containment modeled here is what lets the
 // self-healing supervisor (package sdk) tear down and restart only the
 // victim.
-
-// SetChaos installs (or, with nil, removes) the runtime fault injector on the
-// machine's hook points, including the MEE's DRAM-fetch path. Must be called
-// before workloads start driving cores — the hook points read the injector
-// without synchronization.
-func (m *Machine) SetChaos(inj *chaos.Injector) {
-	m.Chaos = inj
-	m.MEE.Chaos = inj
-}
 
 // poison marks an enclave poisoned. The map lives under its own leaf lock
 // (pmu), so this is callable from any context — including the MEE's

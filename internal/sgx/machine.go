@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 
 	"nestedenclave/internal/cache"
-	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/mee"
@@ -146,17 +145,10 @@ type Machine struct {
 	vaSlotNext uint64
 	blobVer    map[blobKey]uint64 // monotonic eviction counter per (owner, vaddr)
 
-	// Chaos, when set, injects runtime faults at the machine's hook points
-	// (AEX storms, core stalls). Install with SetChaos before driving
-	// workloads; the field is read without the machine lock.
-	Chaos *chaos.Injector
-
-	// Preempt, when set, is the adversarial scheduler's interposition point:
-	// consulted (without the machine lock — AEX/EResume take it) before each
-	// access chunk on a core executing in enclave mode. A malicious kernel
-	// uses it for targeted AEX preemption and wrong-core ERESUME. Install
-	// before driving workloads; nil-cost when unset.
-	Preempt func(c *Core)
+	// hostile is the untrusted platform consulted at every hook point
+	// (hostile.go); never nil. Set with SetHostile, read without the
+	// machine lock.
+	hostile Hostile
 
 	// poisoned marks enclaves whose protected memory failed MEE integrity
 	// verification (or whose trusted code crashed): entry and resumption
@@ -220,6 +212,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.Validator = BaselineValidator{}
 	m.Tracker = BaselineTracker{}
+	m.SetHostile(nil)
 	for i := 0; i < cfg.Cores; i++ {
 		t := tlb.New(rec)
 		t.CoreID = i

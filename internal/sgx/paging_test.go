@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nestedenclave/internal/isa"
+	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/trace"
 )
 
@@ -98,6 +99,11 @@ func TestEvictedBlobIsOpaqueToKernel(t *testing.T) {
 	_ = page
 }
 
+// noShootdown is a kernel that skips every TLB-shootdown IPI.
+type noShootdown struct{ sgx.Honest }
+
+func (noShootdown) DeliverIPI(isa.EID, int) bool { return false }
+
 func TestEWBRefusesWithStaleTranslations(t *testing.T) {
 	r := newRig(t)
 	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 1)
@@ -107,12 +113,12 @@ func TestEWBRefusesWithStaleTranslations(t *testing.T) {
 	if _, err := r.c.Read(0x100000, 8); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Driver.SkipShootdown = true
+	r.m.SetHostile(noShootdown{})
 	err := r.k.Driver.EvictPage(r.p, s, 0x100000)
 	if err == nil {
 		t.Fatal("EWB succeeded with a live TLB translation and no shootdown")
 	}
-	r.k.Driver.SkipShootdown = false
+	r.m.SetHostile(nil)
 	// With the protocol followed, the same eviction succeeds: ETRACK names
 	// this core, the IPI flushes its TLB.
 	// First unblock: the failed attempt left the page blocked, which is

@@ -197,10 +197,6 @@ func (r *Runner) Slot(i int) *sgx.SECS { return r.slots[i].secs }
 // Blob returns the sealed blob of an evicted page, if v is currently out.
 func (r *Runner) Blob(v isa.VAddr) *sgx.EvictedPage { return r.blobs[v.PageBase()] }
 
-// StaleBlob returns the most recent consumed blob of v — the capture the
-// adversarial replay op presents to ELDU — or nil if never reloaded.
-func (r *Runner) StaleBlob(v isa.VAddr) *sgx.EvictedPage { return r.stale[v.PageBase()] }
-
 // SetValidator swaps the machine's access validator — the hook the
 // injected-bug self-test uses to prove the harness catches a broken Figure-6
 // implementation.

@@ -6,10 +6,9 @@
 # depth-6 exhaustive-exploration smoke; tier3 is the differential
 # model-checking pass: 5000 randomized schedules against the reference
 # oracle, the full depth-8 exhaustive enumeration (`make modelcheck`), a
-# short native-fuzz smoke over every Fuzz target (the op encoding, access
-# validator, report codec, and MEE tamper model), plus a chaos-soak smoke
-# (fault injection + self-healing supervision, see `make chaos`). See
-# TESTING.md.
+# short native-fuzz smoke over every Fuzz target in the module (see
+# `fuzz-smoke`), plus a chaos-soak smoke (fault injection + self-healing
+# supervision, see `make chaos`). See TESTING.md.
 
 GO ?= go
 SIMTEST_SCHEDULES ?= 5000
@@ -33,10 +32,10 @@ tier1:
 vet:
 	$(GO) vet ./...
 
-# lint runs nescheck, the house static-analysis suite: eight analyzers
-# (determinism, boundary, lockorder, errcheck, spanpair, plus
-# the interprocedural secretflow, atomicsafety, and lockgraph rules over the
-# module-wide call graph) that enforce the simulator's own invariants at
+# lint runs nescheck, the house static-analysis suite: seven analyzers
+# (determinism, boundary, errcheck, spanpair, plus the interprocedural
+# secretflow, atomicsafety, and lockgraph rules over the module-wide call
+# graph) that enforce the simulator's own invariants at
 # compile time. -stale-allows additionally fails on //nescheck:allow
 # directives that no longer suppress anything. `go run ./cmd/nescheck -rules`
 # prints the catalog; suppress a finding with //nescheck:allow <rule> <reason>.

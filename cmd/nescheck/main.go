@@ -1,9 +1,9 @@
 // Command nescheck runs the house static-analysis suite (internal/analysis)
-// over the module: eight analyzers that enforce the simulator's own
-// invariants — deterministic replay, the trusted/untrusted boundary, lock
-// ordering, surfaced faults, span pairing, and
-// the interprocedural rules (secret flow, atomic/guarded field safety, the
-// global lock graph) — at compile time. See DESIGN.md, "Static analysis
+// over the module: seven analyzers that enforce the simulator's own
+// invariants — deterministic replay, the trusted/untrusted boundary,
+// surfaced faults, span pairing, and the interprocedural rules (secret flow,
+// atomic/guarded field safety, the global lock graph and its lock
+// hierarchy) — at compile time. See DESIGN.md, "Static analysis
 // (nescheck)".
 //
 // Usage:

@@ -3,7 +3,6 @@
 //	nesclave info              # print the machine model and cost model
 //	nesclave demo              # run a minimal nested-enclave round trip
 //	nesclave selftest          # execute the Table VII attacks and report outcomes
-//	nesclave attack            # run the adversarial-kernel campaign scoreboard
 //	nesclave stats             # run the demo workload, print per-enclave counters
 //	nesclave trace [-o f.json] # run the demo workload, emit Chrome trace JSON
 //	nesclave profile           # profile the nested SQL service: call tree,
@@ -27,8 +26,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: nesclave <info|demo|selftest|attack|stats|trace|profile> [args]")
-	fmt.Fprintln(os.Stderr, "  attack flags:  -seed N, -v (print per-strategy transcripts)")
+	fmt.Fprintln(os.Stderr, "usage: nesclave <info|demo|selftest|stats|trace|profile> [args]")
 	fmt.Fprintln(os.Stderr, "  stats flags:   -n ITERS, -prom (Prometheus text exposition)")
 	fmt.Fprintln(os.Stderr, "  trace flags:   -o FILE (default stdout), -n ITERS, -log N (ring capacity)")
 	fmt.Fprintln(os.Stderr, "  profile flags: -queries N, -interval CYC, -folded FILE, -o FILE (flame JSON)")
@@ -310,38 +308,6 @@ func selftest() error {
 	return nil
 }
 
-// attack runs the adversarial-kernel campaign: every strategy in the
-// catalog, each classified defended or detected. Any breach (or a strategy
-// that never lands its attack) is exit status 1.
-func attack(args []string) error {
-	fs := flag.NewFlagSet("attack", flag.ExitOnError)
-	seed := fs.Uint64("seed", 0xad5eed, "campaign seed (same seed replays the same campaign)")
-	verbose := fs.Bool("v", false, "print each strategy's attack transcript")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	results, err := bench.RunCampaign(*seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println(bench.Scoreboard(results))
-	breaches := 0
-	for _, r := range results {
-		if *verbose {
-			fmt.Printf("--- %s ---\n%s", r.Program.Strategy, r.Transcript)
-		}
-		if r.Verdict == bench.VerdictBreach {
-			breaches++
-			fmt.Printf("BREACH %s: %v\n", r.Program.Strategy, r.Err)
-		}
-	}
-	if breaches > 0 {
-		return fmt.Errorf("%d of %d strategies breached the defend-or-detect contract", breaches, len(results))
-	}
-	fmt.Printf("campaign clean: %d strategies, every one defended or detected\n", len(results))
-	return nil
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -354,8 +320,6 @@ func main() {
 		err = demo()
 	case "selftest":
 		err = selftest()
-	case "attack":
-		err = attack(os.Args[2:])
 	case "stats":
 		err = stats(os.Args[2:])
 	case "trace":

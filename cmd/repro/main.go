@@ -9,6 +9,7 @@
 //	repro -http :6060          # expose expvar + pprof while running
 //	repro -chaos -seed 7       # fault-injection soak (see TESTING.md)
 //	repro -adversary           # adversarial-kernel campaign (see TESTING.md)
+//	repro -adversary -v        # ... plus every strategy's attack transcript
 //	repro -adversary -strategy blob_replay -seed 7 -ops 1   # replay one attack
 //	repro -gate baselines      # perf regression gate against committed BENCH_*.json
 //	repro -exhaustive          # exhaustive small-scope model checking (see TESTING.md)
@@ -35,7 +36,6 @@ import (
 	"nestedenclave/internal/adversary"
 	"nestedenclave/internal/bench"
 	"nestedenclave/internal/simtest"
-	"nestedenclave/internal/trace"
 	"nestedenclave/internal/ycsb"
 )
 
@@ -103,18 +103,6 @@ func experiments() []experiment {
 			fmt.Println(bench.RenderFigure7(rows))
 			return nil
 		}},
-		{"fig9", "LibSVM train/predict", func(full bool) error {
-			scale := 0.02
-			if full {
-				scale = 0.2 // full Table V sizes are hours of SMO; 0.2 preserves the ratios
-			}
-			rows, err := bench.Figure9(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Println(bench.RenderFigure9(rows, scale))
-			return nil
-		}},
 		{"sqlservice", "nested SQL service under the span profiler", func(full bool) error {
 			q := 300
 			if full {
@@ -127,10 +115,10 @@ func experiments() []experiment {
 			fmt.Print(p.RenderTree())
 			return nil
 		}},
-		{"mlservice", "nested ML (LibSVM) service", func(full bool) error {
+		{"mlservice", "Figure 9: LibSVM train/predict in the nested ML service", func(full bool) error {
 			scale := 0.02
 			if full {
-				scale = 0.2
+				scale = 0.2 // full Table V sizes are hours of SMO; 0.2 preserves the ratios
 			}
 			rows, err := bench.Figure9(scale)
 			if err != nil {
@@ -288,10 +276,11 @@ func runChaos(seed uint64, ops int) error {
 }
 
 // runAdversary is the -adversary mode: the malicious-kernel campaign. With
-// no -strategy, every catalog strategy runs and the scoreboard is printed;
-// with one, that single attack program runs and its transcript is printed —
-// the replay path for a scoreboard row. Exit status 1 on any breach.
-func runAdversary(strategy string, seed uint64, ops int, opsSet bool) error {
+// no -strategy, every catalog strategy runs and the scoreboard is printed,
+// followed with verbose by each strategy's transcript; with one, that single
+// attack program runs and its transcript is printed — the replay path for a
+// scoreboard row. Exit status 1 on any breach.
+func runAdversary(strategy string, seed uint64, ops int, opsSet, verbose bool) error {
 	if strategy == "" {
 		fmt.Printf("--- adversarial kernel campaign: seed %#x ---\n", seed)
 		results, err := bench.RunCampaign(seed)
@@ -299,6 +288,11 @@ func runAdversary(strategy string, seed uint64, ops int, opsSet bool) error {
 			return err
 		}
 		fmt.Println(bench.Scoreboard(results))
+		if verbose {
+			for _, r := range results {
+				fmt.Printf("--- %s ---\n%s", r.Program.Strategy, r.Transcript)
+			}
+		}
 		for _, r := range results {
 			if r.Verdict == bench.VerdictBreach {
 				return fmt.Errorf("strategy %s breached the defend-or-detect contract: %v",
@@ -374,10 +368,11 @@ func main() {
 	jsonDir := flag.String("json", "", "directory to write per-experiment BENCH_<name>.json snapshots")
 	httpAddr := flag.String("http", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address")
 	chaosMode := flag.Bool("chaos", false, "run the fault-injection soak instead of the experiments")
-	chaosSeed := flag.Uint64("seed", 0xC0FFEE, "chaos soak: injector seed (same seed replays the same run)")
+	chaosSeed := flag.Uint64("seed", 0xC0FFEE, "chaos soak: injector seed; adversary: campaign seed, 0xad5eed when not given (the same seed replays the same run)")
 	chaosOps := flag.Int("ops", 1000, "chaos soak: number of YCSB operations; adversary: attack op budget")
 	advMode := flag.Bool("adversary", false, "run the adversarial-kernel campaign instead of the experiments")
 	advStrategy := flag.String("strategy", "", "adversary: run a single strategy ("+strings.Join(adversary.StrategyNames(), ", ")+")")
+	advVerbose := flag.Bool("v", false, "adversary: print each strategy's transcript after the scoreboard")
 	gateDir := flag.String("gate", "", "compare gated metrics against BENCH_*.json baselines in this directory (perf regression gate)")
 	gateTol := flag.Float64("gate-tol", bench.GateTolerance, "gate: relative regression tolerance")
 	exhaustive := flag.Bool("exhaustive", false, "run the exhaustive small-scope model check instead of the experiments")
@@ -396,13 +391,16 @@ func main() {
 		return
 	}
 	if *advMode {
-		opsSet := false
+		seed, opsSet := uint64(0xad5eed), false
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "ops" {
+			switch f.Name {
+			case "seed":
+				seed = *chaosSeed
+			case "ops":
 				opsSet = true
 			}
 		})
-		if err := runAdversary(*advStrategy, *chaosSeed, *chaosOps, opsSet); err != nil {
+		if err := runAdversary(*advStrategy, seed, *chaosOps, opsSet, *advVerbose); err != nil {
 			fmt.Fprintf(os.Stderr, "adversary: %v\n", err)
 			os.Exit(1)
 		}
@@ -425,38 +423,12 @@ func main() {
 
 	if *httpAddr != "" {
 		bench.PublishExpvar()
-		// The span profiler's output from the most recent sqlservice run:
-		// folded stacks (flamegraph.pl/speedscope input) and Chrome
-		// trace_event flame data (chrome://tracing, ui.perfetto.dev).
-		http.HandleFunc("/debug/nesclave/profile", func(w http.ResponseWriter, _ *http.Request) {
-			p := bench.LastProfile()
-			if p == nil {
-				http.Error(w, "no profile collected yet (run the sqlservice experiment)", http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, p.RenderFolded())
-		})
-		http.HandleFunc("/debug/nesclave/flame", func(w http.ResponseWriter, _ *http.Request) {
-			p := bench.LastProfile()
-			if p == nil {
-				http.Error(w, "no profile collected yet (run the sqlservice experiment)", http.StatusNotFound)
-				return
-			}
-			b, err := trace.SpansToChrome(p.Spans, 0)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(b)
-		})
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "repro: http endpoint: %v\n", err)
 			}
 		}()
-		fmt.Printf("debug endpoint on %s (/debug/vars, /debug/pprof, /debug/nesclave/{profile,flame})\n", *httpAddr)
+		fmt.Printf("debug endpoint on %s (/debug/vars, /debug/pprof)\n", *httpAddr)
 	}
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {

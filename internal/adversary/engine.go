@@ -18,7 +18,7 @@ import (
 // point, the IPC router) and stays honest everywhere else, firing attack
 // actions until its Ops budget is spent. Every fired action is recorded with
 // the simulated cycle it landed on; the resulting transcript is a pure
-// function of the Program, so `nesclave repro -adversary` replays a run
+// function of the Program, so `repro -adversary` replays a run
 // byte-identically.
 //
 // All randomness comes from a splitmix64 stream seeded by Program.Seed and

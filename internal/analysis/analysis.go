@@ -10,13 +10,22 @@
 //	               iteration in replay-critical packages
 //	boundary     — trusted enclave code must not write secrets to untrusted
 //	               sinks without sealing
-//	lockorder    — machine-level locks are acquired before EPCM/page-table
-//	               locks, never the reverse
 //	errcheck     — fault-returning APIs (mee.New, kos allocation, the sdk
 //	               ECall family) may not have their errors discarded
 //	spanpair     — every Recorder.BeginSpan/BeginOp in the span-opening
 //	               layers (sdk, sgx, core, switchless) has its End called on
 //	               all paths
+//
+// and three program rules over the module-wide call graph:
+//
+//	secretflow   — secrets (seal keys, the REPORT MAC key, unsealed
+//	               plaintext) reach no kernel- or host-visible sink unsealed
+//	atomicsafety — a field accessed atomically anywhere is never accessed
+//	               plainly, and //nescheck:guard fields are touched only
+//	               under their lock
+//	lockgraph    — the lock graph is acyclic, machine-level locks are
+//	               acquired before page-table locks, and no lock is held
+//	               across a domain transition
 //
 // Findings carry a rule ID (family/check) and can be suppressed with an
 // explicit, reasoned directive:
@@ -62,7 +71,7 @@ func ruleFamily(rule string) string {
 // rules set RunProgram and receive the module-wide call graph and summaries.
 // Exactly one of the two must be set.
 type Analyzer struct {
-	// Name is the rule family ("determinism", "lockorder", ...). Every
+	// Name is the rule family ("determinism", "lockgraph", ...). Every
 	// finding the analyzer reports must use "Name" or "Name/<check>" as its
 	// rule ID.
 	Name string
@@ -80,7 +89,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		Boundary,
-		LockOrder,
 		ErrCheck,
 		SpanPair,
 		SecretFlow,

@@ -75,8 +75,8 @@ func TestAllCatalogIsWellFormed(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 8 {
-		t.Errorf("expected the 8 house analyzers, got %d", len(seen))
+	if len(seen) != 7 {
+		t.Errorf("expected the 7 house analyzers, got %d", len(seen))
 	}
 }
 

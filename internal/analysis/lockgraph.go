@@ -1,11 +1,14 @@
 package analysis
 
-// lockgraph: the global lock-acquisition graph. Where lockorder checks the
-// machine→page class ordering inside single functions, this rule sees every
-// mutex field of every module struct, adds the edges a function creates
-// *through its callees* (f holds A and calls g, which may acquire B — edge
-// A→B even though no single function holds both), and reports:
+// lockgraph: the global lock-acquisition graph. This rule sees every mutex
+// field of every module struct, adds the edges a function creates *through
+// its callees* (f holds A and calls g, which may acquire B — edge A→B even
+// though no single function holds both), and reports:
 //
+//   - rank:            an acquisition that inverts the declared hierarchy of
+//                      lockRanks (a machine-level lock taken while a
+//                      page-table lock is held), at every site, naming the
+//                      callee chain when the acquisition is in a callee;
 //   - cycle:           a cross-function cycle among distinct locks, with the
 //                      full path (each edge cites the function, position,
 //                      and callee that realizes it);
@@ -29,9 +32,26 @@ import (
 // LockGraph is the interprocedural lock-ordering and transition rule.
 var LockGraph = &Analyzer{
 	Name: "lockgraph",
-	Doc:  "the module-wide lock graph is acyclic and no lock is held across a domain transition",
+	Doc:  "the module-wide lock graph is acyclic, takes sgx.Machine and kos.Kernel locks before pt.Table locks, and holds no lock across a domain transition",
 	RunProgram: func(pass *ProgramPass) {
 		p := pass.Prog
+
+		// Rank inversions: every site, not one witness per lock pair.
+		forEachLockEdge(p, func(e lockEdge) {
+			held, heldOK := lockRank(e.from)
+			acq, acqOK := lockRank(e.to)
+			if !heldOK || !acqOK || acq >= held {
+				return
+			}
+			via := ""
+			if e.via != nil {
+				via = " via " + acquireChain(e.via, e.to)
+			}
+			pass.Reportf(e.pos, "lockgraph/rank",
+				"%s acquires %s while holding %s%s — the hierarchy is machine-level locks before page-table locks",
+				e.fn.name, lockDisplay(e.to), lockDisplay(e.from), via)
+		})
+
 		edges := collectLockEdges(p)
 
 		// Self-cycles first: direct or via-call re-acquisition.
@@ -73,22 +93,66 @@ var LockGraph = &Analyzer{
 	},
 }
 
-// collectLockEdges builds the deduplicated global edge list: direct edges
-// from each function's scan, plus held×callee-mayAcquire edges at each call
-// site. The first witness (in deterministic node/source order) represents
-// each (from, to) pair.
+// lockRanks is the simulator's declared lock hierarchy, keyed by the struct
+// that owns the mutex: no lock may be acquired while one of a higher rank is
+// held. Page-table writers run under the machine's world view, so a thread
+// that takes a page-table lock and then blocks on a machine-level lock
+// deadlocks against the eviction path, which holds the machine lock while it
+// publishes page-table updates.
+var lockRanks = []struct {
+	pkgSuffix, owner string
+	rank             int
+}{
+	{"internal/sgx", "Machine", 0},
+	{"internal/kos", "Kernel", 0},
+	{"internal/pt", "Table", 1},
+}
+
+// lockRank returns the rank of the struct that owns lock, if lockRanks
+// lists it.
+func lockRank(lock *types.Var) (int, bool) {
+	owner := fieldOwner(lock)
+	for _, r := range lockRanks {
+		if r.owner == owner && pathMatches(lock.Pkg().Path(), r.pkgSuffix) {
+			return r.rank, true
+		}
+	}
+	return 0, false
+}
+
+// acquireChain names the calls from via down to the function that acquires
+// lock: "a.F -> b.G". A witness only points at a callee whose own witness
+// was recorded earlier, so the chain ends at a direct acquisition.
+func acquireChain(via *funcNode, lock *types.Var) string {
+	var names []string
+	for n := via; n != nil; n = n.mayAcquire[lock].next {
+		names = append(names, n.name)
+	}
+	return strings.Join(names, " -> ")
+}
+
+// collectLockEdges builds the deduplicated global edge list from
+// forEachLockEdge. The first witness (in deterministic node/source order)
+// represents each (from, to) pair.
 func collectLockEdges(p *Program) []lockEdge {
 	type key struct{ from, to *types.Var }
 	seen := make(map[key]bool)
 	var out []lockEdge
-	add := func(e lockEdge) {
+	forEachLockEdge(p, func(e lockEdge) {
 		k := key{e.from, e.to}
 		if seen[k] {
 			return
 		}
 		seen[k] = true
 		out = append(out, e)
-	}
+	})
+	return out
+}
+
+// forEachLockEdge visits every raw edge in deterministic node/source order:
+// the direct edges from each function's scan, plus held×callee-mayAcquire
+// edges at each call site.
+func forEachLockEdge(p *Program, add func(lockEdge)) {
 	for _, n := range p.nodes {
 		for _, e := range n.localEdges {
 			add(e)
@@ -112,7 +176,6 @@ func collectLockEdges(p *Program) []lockEdge {
 			}
 		}
 	}
-	return out
 }
 
 // reportLockCycles finds strongly connected components with more than one

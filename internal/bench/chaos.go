@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -158,6 +156,14 @@ func splitChaosFrame(raw []byte) (result, sealed []byte, err error) {
 	return raw[8 : 8+n], raw[8+n:], nil
 }
 
+// chaosScratch is how many heap bytes each side of the soak stages a query
+// through. It exceeds the soak machine's LLC, so every call streams lines
+// through the MEE, where bit flips, interrupt storms and core stalls land.
+// The engine stages as much as the client, so injected faults hit service
+// pages with comparable odds: that is what makes the sealed-checkpoint
+// recovery path fire, not just client reloads.
+const chaosScratch = 8 << 10
+
 // chaosHarness wires the supervised service pair.
 type chaosHarness struct {
 	r      *Rig
@@ -171,42 +177,15 @@ type chaosHarness struct {
 // OnRestart hooks whenever either side is replaced.
 func buildChaosService(r *Rig) (*chaosHarness, error) {
 	h := &chaosHarness{r: r}
-
-	block, err := aes.NewCipher((&[16]byte{7})[:])
-	if err != nil {
-		return nil, err
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
+	aead := sqlAEAD()
 
 	state := &chaosSvcState{byEID: make(map[isa.EID]*chaosSvcDB)}
 	svcImg := sdk.NewImage("chaos-sqlite-svc", 0x2000_0000, sdk.DefaultLayout())
 	svcImg.RegisterNOCall("sql_exec", func(env *sdk.Env, args []byte) ([]byte, error) {
 		st := state.get(env.E.SECS().EID)
-		// Stage the incoming query through an engine-side scratch region as
-		// large as the client's, so injected faults land on service pages
-		// with comparable odds — that is what makes the sealed-checkpoint
-		// recovery path fire, not just client reloads.
-		const scratch = 8 << 10
-		buf, merr := env.Malloc(scratch)
-		if merr != nil {
-			return nil, merr
-		}
-		page := make([]byte, scratch)
-		for i := range page {
-			page[i] = args[i%len(args)]
-		}
-		if werr := env.Write(buf, page); werr != nil {
-			return nil, werr
-		}
-		staged, gerr := env.Read(buf, len(args))
+		staged, gerr := stage(env, args, chaosScratch)
 		if gerr != nil {
 			return nil, gerr
-		}
-		if ferr := env.Free(buf); ferr != nil {
-			return nil, ferr
 		}
 		q := string(staged)
 		parsed, perr := sqldb.Parse(q)
@@ -263,28 +242,9 @@ func buildChaosService(r *Rig) (*chaosHarness, error) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		// Stage the query through a trusted-heap scratch region larger than
-		// the soak machine's LLC, so every call streams lines through the
-		// MEE — the surface where bit flips, interrupt storms, and core
-		// stalls land.
-		const scratch = 8 << 10
-		buf, merr := env.Malloc(scratch)
-		if merr != nil {
-			return nil, merr
-		}
-		page := make([]byte, scratch)
-		for i := range page {
-			page[i] = rewritten[i%len(rewritten)]
-		}
-		if werr := env.Write(buf, page); werr != nil {
-			return nil, werr
-		}
-		staged, gerr := env.Read(buf, len(rewritten))
+		staged, gerr := stage(env, []byte(rewritten), chaosScratch)
 		if gerr != nil {
 			return nil, gerr
-		}
-		if ferr := env.Free(buf); ferr != nil {
-			return nil, ferr
 		}
 		if string(staged) != rewritten {
 			return nil, fmt.Errorf("chaos: staged query corrupted in enclave heap")
@@ -295,6 +255,7 @@ func buildChaosService(r *Rig) (*chaosHarness, error) {
 	si, so := SignPair(cliImg, svcImg)
 	retry := sdk.RetryPolicy{MaxAttempts: 6, Seed: 0xC4A05}
 
+	var err error
 	h.svcSup, err = sdk.Supervise(r.Host, so, sdk.SupervisorConfig{
 		Retry:        retry,
 		MaxRestarts:  64,
@@ -390,14 +351,7 @@ func ChaosSoak(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, err
 	}
 
-	block, err := aes.NewCipher((&[16]byte{7})[:])
-	if err != nil {
-		return nil, err
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
+	aead := sqlAEAD()
 	enc := func(pt string) string { return encryptTextDet(aead, pt) }
 
 	// Reliable side stream over kernel IPC — the soak's zero-message-loss

@@ -66,8 +66,9 @@ func TestChaosReportGolden(t *testing.T) {
 }
 
 // TestCampaignGolden replays the adversary campaign for seed 0xad5eed and
-// compares the scoreboard and all transcripts, rendered as `nesclave attack
-// -v` prints them, with the recorded ones.
+// compares the scoreboard and all transcripts, rendered as `repro -adversary
+// -v` prints them between its header and summary lines, with the recorded
+// ones.
 func TestCampaignGolden(t *testing.T) {
 	results, err := RunCampaign(0xad5eed)
 	if err != nil {

@@ -235,7 +235,7 @@ func BenchmarkSQLQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := BuildSQLService(r, true)
+	s, err := BuildSQLService(r, true, false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"nestedenclave/internal/sdk"
-	"nestedenclave/internal/sqldb"
 	"nestedenclave/internal/trace"
 )
 
@@ -77,54 +75,32 @@ func profileQueries(n int) (setup, queries []string) {
 
 // stage round-trips b through the enclave's trusted heap via the
 // hardware-validated access path, forcing the TLB refills and page walks the
-// transition flushes make inevitable.
-func stage(env *sdk.Env, b []byte) ([]byte, error) {
+// transition flushes make inevitable. It fills a buffer of at least minLen
+// bytes with b repeated, reads len(b) bytes back, and frees the buffer after
+// a successful read.
+func stage(env *sdk.Env, b []byte, minLen int) ([]byte, error) {
 	if len(b) == 0 {
 		return b, nil
 	}
-	buf, err := env.Malloc(len(b))
+	fill := make([]byte, max(len(b), minLen))
+	for i := range fill {
+		fill[i] = b[i%len(b)]
+	}
+	buf, err := env.Malloc(len(fill))
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = env.Free(buf) }()
-	if err := env.Write(buf, b); err != nil {
+	if err := env.Write(buf, fill); err != nil {
 		return nil, err
 	}
-	return env.Read(buf, len(b))
-}
-
-// BuildSQLServiceStaged deploys the nested SQL service with heap staging on
-// both sides: the client stages the query before parse+encrypt+forward, and
-// the shared engine stages the rewritten query before executing it.
-func BuildSQLServiceStaged(r *Rig) (*SQLService, error) {
-	s := &SQLService{Nested: true, db: sqldb.New(), key: [16]byte{7}}
-	s.initCrypto()
-	svcImg := sdk.NewImage("sqlite-svc", 0x2000_0000, sdk.DefaultLayout())
-	clientImg := sdk.NewImage("sql-client", 0x1000_0000, sdk.DefaultLayout())
-	svcImg.RegisterNOCall("sql_exec", func(env *sdk.Env, args []byte) ([]byte, error) {
-		staged, err := stage(env, args)
-		if err != nil {
-			return nil, err
-		}
-		return execAndRender(s.db, string(staged))
-	})
-	clientImg.RegisterECall("query", func(env *sdk.Env, args []byte) ([]byte, error) {
-		staged, err := stage(env, args)
-		if err != nil {
-			return nil, err
-		}
-		rewritten, err := s.rewriteQuery(string(staged))
-		if err != nil {
-			return nil, err
-		}
-		return env.NOCall("sql_exec", []byte(rewritten))
-	})
-	client, svc, err := r.LoadPair(clientImg, svcImg)
+	out, err := env.Read(buf, len(b))
 	if err != nil {
 		return nil, err
 	}
-	s.Client, s.Svc = client, svc
-	return s, nil
+	if err := env.Free(buf); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ProfileSQLService runs the profiling workload and returns the call tree,
@@ -147,7 +123,7 @@ func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 	rec.EnableObservation(cfg.LogCap)
 	rec.EnableProfiler(cfg.Interval)
 
-	s, err := BuildSQLServiceStaged(r)
+	s, err := BuildSQLService(r, true, true)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +154,6 @@ func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 	if wantSpans := int64(len(res.Spans)); wantSpans >= int64(cfg.LogCap) {
 		return nil, fmt.Errorf("profile: span ring wrapped (%d spans at capacity %d); raise LogCap", wantSpans, cfg.LogCap)
 	}
-	setLastProfile(res)
 	return res, nil
 }
 
@@ -221,25 +196,4 @@ func (p *ProfileResult) RenderFolded() string {
 		fmt.Fprintf(&b, "%s %d\n", k, p.Folded[k])
 	}
 	return b.String()
-}
-
-// lastProfile feeds the repro -http endpoints: the most recent profiling
-// run's folded stacks and span flame data.
-var (
-	profMu      sync.Mutex
-	lastProfile *ProfileResult
-)
-
-func setLastProfile(p *ProfileResult) {
-	profMu.Lock()
-	lastProfile = p
-	profMu.Unlock()
-}
-
-// LastProfile returns the most recent ProfileSQLService result, nil if none
-// ran yet.
-func LastProfile() *ProfileResult {
-	profMu.Lock()
-	defer profMu.Unlock()
-	return lastProfile
 }

@@ -89,7 +89,7 @@ func TestChaosInjectionAnnotatesSpan(t *testing.T) {
 		},
 	}, rec))
 
-	s, err := BuildSQLServiceStaged(r)
+	s, err := BuildSQLService(r, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,26 +29,25 @@ import (
 
 // SQLService is a deployed database service.
 type SQLService struct {
-	Nested bool
 	// Client is the enclave queries enter through.
 	Client *sdk.Enclave
-	// Svc hosts the database engine (== Client when monolithic).
-	Svc *sdk.Enclave
 
-	db   *sqldb.DB
-	key  [16]byte
-	aead cipher.AEAD
+	db *sqldb.DB
 }
 
-func (s *SQLService) initCrypto() {
-	block, err := aes.NewCipher(s.key[:])
+// sqlAEAD is the client's AES-GCM for text values. Every deployment uses the
+// same key, so the chaos soak's oracle can compute the ciphertexts its
+// service stores.
+func sqlAEAD() cipher.AEAD {
+	block, err := aes.NewCipher((&[16]byte{7})[:])
+	if err != nil {
+		panic(err) // a 16-byte key is always accepted
+	}
+	aead, err := cipher.NewGCM(block)
 	if err != nil {
 		panic(err)
 	}
-	s.aead, err = cipher.NewGCM(block)
-	if err != nil {
-		panic(err)
-	}
+	return aead
 }
 
 // encryptTextDet seals a text value deterministically under the per-client
@@ -94,10 +93,6 @@ func rewriteEncrypted(aead cipher.AEAD, sql string) (string, error) {
 	return sqldb.FormatStmt(st)
 }
 
-func (s *SQLService) rewriteQuery(sql string) (string, error) {
-	return rewriteEncrypted(s.aead, sql)
-}
-
 // execAndRender runs a query on the engine and flattens the result.
 func execAndRender(db *sqldb.DB, sql string) ([]byte, error) {
 	res, err := db.Exec(sql)
@@ -113,10 +108,11 @@ func execAndRender(db *sqldb.DB, sql string) ([]byte, error) {
 	return []byte(out), nil
 }
 
-// BuildSQLService deploys the case study.
-func BuildSQLService(r *Rig, nested bool) (*SQLService, error) {
-	s := &SQLService{Nested: nested, db: sqldb.New(), key: [16]byte{7}}
-	s.initCrypto()
+// BuildSQLService deploys the case study. With staged, the nested build
+// round-trips every query through the trusted heap on both sides (see stage):
+// the client before it parses and encrypts, the engine before it executes.
+func BuildSQLService(r *Rig, nested, staged bool) (*SQLService, error) {
+	s := &SQLService{db: sqldb.New()}
 
 	if !nested {
 		img := sdk.NewImage("sql-service", 0x1000_0000, sdk.DefaultLayout())
@@ -127,27 +123,40 @@ func BuildSQLService(r *Rig, nested bool) (*SQLService, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Client, s.Svc = e, e
+		s.Client = e
 		return s, nil
 	}
 
+	aead := sqlAEAD()
 	svcImg := sdk.NewImage("sqlite-svc", 0x2000_0000, sdk.DefaultLayout())              // PORT: shared service image
 	clientImg := sdk.NewImage("sql-client", 0x1000_0000, sdk.DefaultLayout())           // PORT: per-client image
 	svcImg.RegisterNOCall("sql_exec", func(env *sdk.Env, args []byte) ([]byte, error) { // PORT: service entry via n_ocall
+		if staged {
+			var err error
+			if args, err = stage(env, args, 0); err != nil {
+				return nil, err
+			}
+		}
 		return execAndRender(s.db, string(args))
 	})
 	clientImg.RegisterECall("query", func(env *sdk.Env, args []byte) ([]byte, error) {
-		rewritten, err := s.rewriteQuery(string(args)) // PORT: parse + encrypt values in the inner enclave
-		if err != nil {                                // PORT:
+		if staged {
+			var err error
+			if args, err = stage(env, args, 0); err != nil {
+				return nil, err
+			}
+		}
+		rewritten, err := rewriteEncrypted(aead, string(args)) // PORT: parse + encrypt values in the inner enclave
+		if err != nil {                                        // PORT:
 			return nil, err // PORT:
 		}
 		return env.NOCall("sql_exec", []byte(rewritten)) // PORT: forward to the shared service
 	})
-	client, svc, err := r.LoadPair(clientImg, svcImg) // PORT: NASSO association
+	client, _, err := r.LoadPair(clientImg, svcImg) // PORT: NASSO association
 	if err != nil {
 		return nil, err
 	}
-	s.Client, s.Svc = client, svc
+	s.Client = client
 	return s, nil
 }
 
@@ -227,7 +236,7 @@ func tableVIRun(w *ycsb.Workload, nested bool) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s, err := BuildSQLService(r, nested)
+	s, err := BuildSQLService(r, nested, false)
 	if err != nil {
 		return 0, err
 	}

@@ -145,6 +145,8 @@ adversary-smoke:
 # bench runs the paper-experiment benchmarks (root package) once each, and
 # the host-cost microbenchmarks (internal/bench: ECall, OCall, NECall,
 # PageWalk, SwitchlessOCall, EPCFault — one evict-and-reload round trip —
+# EPCFaultUnderPressure — one demand fault through the paging daemon's
+# victim search, EWB and ELDU, with an enclave heap twice the EPC —
 # LLCMiss — one 256 B write whose four lines all miss and evict dirty
 # victims through the MEE — and SQLQuery — one nested YCSB-A query through
 # Table VI's service) with ns/op and allocs/op reporting.

@@ -145,12 +145,15 @@ func chaosFrame(result, sealed []byte) []byte {
 	return append(out, sealed...)
 }
 
+// splitChaosFrame unpacks a chaosFrame. The length word arrives through
+// untrusted IPC, so it is checked against the bytes that follow it in a form
+// that cannot overflow.
 func splitChaosFrame(raw []byte) (result, sealed []byte, err error) {
 	if len(raw) < 8 {
 		return nil, nil, fmt.Errorf("chaos: short reply (%d bytes)", len(raw))
 	}
 	n := binary.LittleEndian.Uint64(raw)
-	if 8+n > uint64(len(raw)) {
+	if n > uint64(len(raw)-8) {
 		return nil, nil, fmt.Errorf("chaos: corrupt reply framing")
 	}
 	return raw[8 : 8+n], raw[8+n:], nil

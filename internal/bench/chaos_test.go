@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"strconv"
 	"testing"
@@ -82,4 +84,26 @@ func TestChaosSoakReplaysDeterministically(t *testing.T) {
 		t.Errorf("report text diverged:\n%s\nvs\n%s", a, b)
 	}
 	_ = chaos.ErrTransient
+}
+
+// FuzzSplitChaosFrame feeds the soak's reply-frame decoder arbitrary bytes.
+// It must not panic, and a frame it accepts must re-encode with chaosFrame
+// to exactly its input.
+func FuzzSplitChaosFrame(f *testing.F) {
+	f.Add(chaosFrame([]byte("result"), []byte("sealed")))
+	f.Add(chaosFrame(nil, nil))
+	f.Add([]byte{1, 2, 3})
+	// Length words of 2^64-8 and more wrap 8+n past zero.
+	for _, n := range []uint64{1<<64 - 8, 1<<64 - 1} {
+		f.Add(binary.LittleEndian.AppendUint64(nil, n))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		result, sealed, err := splitChaosFrame(raw)
+		if err != nil {
+			return
+		}
+		if re := chaosFrame(result, sealed); !bytes.Equal(re, raw) {
+			t.Fatalf("accepted %x, which re-encodes as %x", raw, re)
+		}
+	})
 }

@@ -6,7 +6,9 @@ import (
 
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/sdk"
+	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/switchless"
+	"nestedenclave/internal/trace"
 	"nestedenclave/internal/ycsb"
 )
 
@@ -179,17 +181,18 @@ func BenchmarkEPCFault(b *testing.B) {
 	}
 }
 
-// BenchmarkLLCMiss is one 256 B write into an enclave heap twice the LLC,
-// swept in address order so every line misses: four fills, each an MEE
-// decrypt, and four dirty victims written back, each an MEE encrypt.
-func BenchmarkLLCMiss(b *testing.B) {
-	r, err := NewRig(SmallMachine())
+// enterSolo builds a machine from cfg, loads one enclave with a heap of
+// heapPages pages, and enters it on core 0 from the host process. It
+// returns the rig, the core and the heap base; the caller exits with
+// r.M.EExit.
+func enterSolo(b *testing.B, cfg sgx.Config, name string, heapPages int) (*Rig, *sgx.Core, isa.VAddr) {
+	b.Helper()
+	r, err := NewRig(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	heapBytes := 2 * SmallMachine().LLC.SizeBytes
-	img := sdk.NewImage("mb-stream", 0x3000_0000,
-		sdk.Layout{CodePages: 1, DataPages: 1, HeapPages: heapBytes / isa.PageSize, NumTCS: 1})
+	img := sdk.NewImage(name, 0x3000_0000,
+		sdk.Layout{CodePages: 1, DataPages: 1, HeapPages: heapPages, NumTCS: 1})
 	e, err := r.LoadSolo(img)
 	if err != nil {
 		b.Fatal(err)
@@ -202,7 +205,51 @@ func BenchmarkLLCMiss(b *testing.B) {
 	if err := r.M.EEnter(c, s, s.TCSs()[0].Vaddr, false); err != nil {
 		b.Fatal(err)
 	}
-	heap := img.HeapBase()
+	return r, c, img.HeapBase()
+}
+
+// BenchmarkEPCFaultUnderPressure is one demand fault through the paging
+// daemon: an enclave whose heap is twice the EPC reads the next heap page
+// each iteration, so every read faults, makeRoom's first pass (which skips
+// the faulting enclave) finds no other owner, and its second pass evicts
+// one of the enclave's own pages with EBLOCK, ETRACK, shootdowns and EWB
+// before ELDU reloads the page read.
+func BenchmarkEPCFaultUnderPressure(b *testing.B) {
+	cfg := SmallMachine()
+	cfg.Phys.PRMSize = 1 << 20 // 256 EPC pages
+	heapPages := 2 * int(cfg.Phys.PRMSize/isa.PageSize)
+	r, c, heap := enterSolo(b, cfg, "mb-thrash", heapPages)
+	dst := make([]byte, 8)
+	page := func(i int) isa.VAddr { return heap + isa.VAddr(i%heapPages)*isa.PageSize }
+	// One warm sweep leaves the EPC full of the heap's second half.
+	for i := 0; i < heapPages; i++ {
+		if err := c.ReadInto(page(i), dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ewb := r.M.Rec.Get(trace.EvEWB)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.ReadInto(page(i), dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := r.M.Rec.Get(trace.EvEWB) - ewb; n != int64(b.N) {
+		b.Fatalf("%d reads evicted %d pages, want one each", b.N, n)
+	}
+	if err := r.M.EExit(c, true); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkLLCMiss is one 256 B write into an enclave heap twice the LLC,
+// swept in address order so every line misses: four fills, each an MEE
+// decrypt, and four dirty victims written back, each an MEE encrypt.
+func BenchmarkLLCMiss(b *testing.B) {
+	heapBytes := 2 * SmallMachine().LLC.SizeBytes
+	r, c, heap := enterSolo(b, SmallMachine(), "mb-stream", heapBytes/isa.PageSize)
 	buf := make([]byte, 256)
 	// One warm sweep seals every heap line in DRAM and leaves the LLC full
 	// of dirty heap lines.

@@ -19,15 +19,16 @@ import (
 )
 
 // Backend is the next level of the memory hierarchy (the MEE in front of
-// DRAM). Lines crossing it are subject to protection, and the work is billed
-// to the payer of the cache operation that moved them.
+// DRAM). Lines crossing it are subject to protection, and the work is
+// charged to tab, the tab of the cache operation that moved them, which
+// bills that operation's payer.
 type Backend interface {
 	// ReadLine fetches the 64-byte line at the (line-aligned) address into
 	// dst, which is LineSize bytes long and owned by the caller. It may
 	// return an integrity fault, leaving dst's contents unspecified.
-	ReadLine(p isa.PAddr, dst []byte, payer trace.Payer) error
+	ReadLine(p isa.PAddr, dst []byte, tab *trace.Tab) error
 	// WriteLine stores the 64-byte line at the (line-aligned) address.
-	WriteLine(p isa.PAddr, data []byte, payer trace.Payer) error
+	WriteLine(p isa.PAddr, data []byte, tab *trace.Tab) error
 }
 
 type line struct {
@@ -64,6 +65,9 @@ type Cache struct {
 	tick    uint64
 	// fetch receives a missing line before fill picks its victim.
 	fetch [isa.LineSize]byte //nescheck:guard mu
+	// tab collects every LLC and MEE charge of the operation in progress;
+	// the operation settles it before it unlocks (see settle).
+	tab trace.Tab //nescheck:guard mu
 
 	// Enabled can be cleared to model an uncached (write-through to MEE)
 	// path; used by ablation benches. Set before workloads run.
@@ -100,12 +104,17 @@ func MustNew(cfg Config, backend Backend, rec *trace.Recorder) *Cache {
 	return c
 }
 
-// charge bills an LLC hit/miss to the payer the caller named — the cache
-// itself runs below the protection context.
-func (c *Cache) charge(e trace.Event, cost int64, payer trace.Payer) {
-	if c.rec != nil {
-		c.rec.ChargeTo(payer.EID, payer.Core, e, cost)
+// settle publishes the operation's tab to the recorder; without one the tab
+// is dropped. Each operation names its payer on the tab after locking — the
+// cache itself runs below the protection context — and defers settle after
+// its deferred unlock, so the tab settles before the unlock on every path,
+// panics included.
+func (c *Cache) settle() {
+	if c.rec == nil {
+		c.tab = trace.Tab{}
+		return
 	}
+	c.rec.Settle(&c.tab)
 }
 
 // lookup returns the way holding the line index, or nil.
@@ -120,7 +129,7 @@ func (c *Cache) lookup(idx uint64) *line {
 }
 
 // victim picks the LRU way in the line's set, writing it back if dirty.
-func (c *Cache) victim(idx uint64, payer trace.Payer) (*line, error) {
+func (c *Cache) victim(idx uint64) (*line, error) {
 	set := c.sets[idx&(c.nsets-1)]
 	v := &set[0]
 	for i := range set {
@@ -133,7 +142,7 @@ func (c *Cache) victim(idx uint64, payer trace.Payer) (*line, error) {
 		}
 	}
 	if v.valid && v.dirty {
-		if err := c.backend.WriteLine(isa.PAddr(v.tag<<isa.LineShift), v.data[:], payer); err != nil {
+		if err := c.backend.WriteLine(isa.PAddr(v.tag<<isa.LineShift), v.data[:], &c.tab); err != nil {
 			return nil, err
 		}
 	}
@@ -145,11 +154,11 @@ func (c *Cache) victim(idx uint64, payer trace.Payer) (*line, error) {
 // fill brings the line at idx into the cache and returns it. The line is
 // fetched before the victim is written back, so a fetch that faults leaves
 // the victim in place.
-func (c *Cache) fill(idx uint64, payer trace.Payer) (*line, error) {
-	if err := c.backend.ReadLine(isa.PAddr(idx<<isa.LineShift), c.fetch[:], payer); err != nil {
+func (c *Cache) fill(idx uint64) (*line, error) {
+	if err := c.backend.ReadLine(isa.PAddr(idx<<isa.LineShift), c.fetch[:], &c.tab); err != nil {
 		return nil, err
 	}
-	v, err := c.victim(idx, payer)
+	v, err := c.victim(idx)
 	if err != nil {
 		return nil, err
 	}
@@ -159,27 +168,27 @@ func (c *Cache) fill(idx uint64, payer trace.Payer) (*line, error) {
 	return v, nil
 }
 
-func (c *Cache) access(p isa.PAddr, write bool, payer trace.Payer) (*line, error) {
+func (c *Cache) access(p isa.PAddr, write bool) (*line, error) {
 	idx := uint64(p) >> isa.LineShift
 	if !c.Enabled {
 		// Uncached mode: synthesize a transient line per access.
 		l := &line{tag: idx, valid: true}
-		if err := c.backend.ReadLine(p.LineBase(), l.data[:], payer); err != nil {
+		if err := c.backend.ReadLine(p.LineBase(), l.data[:], &c.tab); err != nil {
 			return nil, err
 		}
 		return l, nil
 	}
 	c.tick++
 	if l := c.lookup(idx); l != nil {
-		c.charge(trace.EvLLCHit, trace.CostLLCHit, payer)
+		c.tab.Charge(trace.EvLLCHit, trace.CostLLCHit)
 		l.lru = c.tick
 		if write {
 			l.dirty = true
 		}
 		return l, nil
 	}
-	c.charge(trace.EvLLCMiss, trace.CostDRAMAccess, payer)
-	l, err := c.fill(idx, payer)
+	c.tab.Charge(trace.EvLLCMiss, trace.CostDRAMAccess)
+	l, err := c.fill(idx)
 	if err != nil {
 		return nil, err
 	}
@@ -204,9 +213,11 @@ func (c *Cache) Read(p isa.PAddr, n int, payer trace.Payer) ([]byte, error) {
 func (c *Cache) ReadInto(p isa.PAddr, dst []byte, payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.tab.Payer = payer
+	defer c.settle()
 	for off := 0; off < len(dst); {
 		cur := p + isa.PAddr(off)
-		l, err := c.access(cur, false, payer)
+		l, err := c.access(cur, false)
 		if err != nil {
 			return err
 		}
@@ -221,9 +232,11 @@ func (c *Cache) ReadInto(p isa.PAddr, dst []byte, payer trace.Payer) error {
 func (c *Cache) Write(p isa.PAddr, b []byte, payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.tab.Payer = payer
+	defer c.settle()
 	for off := 0; off < len(b); {
 		cur := p + isa.PAddr(off)
-		l, err := c.access(cur, true, payer)
+		l, err := c.access(cur, true)
 		if err != nil {
 			return err
 		}
@@ -231,7 +244,7 @@ func (c *Cache) Write(p isa.PAddr, b []byte, payer trace.Payer) error {
 		nn := copy(l.data[lo:], b[off:])
 		if !c.Enabled {
 			// Uncached: write through immediately.
-			if err := c.backend.WriteLine(cur.LineBase(), l.data[:], payer); err != nil {
+			if err := c.backend.WriteLine(cur.LineBase(), l.data[:], &c.tab); err != nil {
 				return err
 			}
 		}
@@ -244,11 +257,13 @@ func (c *Cache) Write(p isa.PAddr, b []byte, payer trace.Payer) error {
 func (c *Cache) FlushAll(payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.tab.Payer = payer
+	defer c.settle()
 	for si := range c.sets {
 		for wi := range c.sets[si] {
 			l := &c.sets[si][wi]
 			if l.valid && l.dirty {
-				if err := c.backend.WriteLine(isa.PAddr(l.tag<<isa.LineShift), l.data[:], payer); err != nil {
+				if err := c.backend.WriteLine(isa.PAddr(l.tag<<isa.LineShift), l.data[:], &c.tab); err != nil {
 					return err
 				}
 			}
@@ -263,16 +278,18 @@ func (c *Cache) FlushAll(payer trace.Payer) error {
 func (c *Cache) FlushLine(p isa.PAddr, payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.flushLineLocked(p, payer)
+	c.tab.Payer = payer
+	defer c.settle()
+	return c.flushLineLocked(p)
 }
 
-func (c *Cache) flushLineLocked(p isa.PAddr, payer trace.Payer) error {
+func (c *Cache) flushLineLocked(p isa.PAddr) error {
 	l := c.lookup(uint64(p) >> isa.LineShift)
 	if l == nil {
 		return nil
 	}
 	if l.dirty {
-		if err := c.backend.WriteLine(p.LineBase(), l.data[:], payer); err != nil {
+		if err := c.backend.WriteLine(p.LineBase(), l.data[:], &c.tab); err != nil {
 			return err
 		}
 	}
@@ -299,8 +316,10 @@ func (c *Cache) InvalidateRange(p isa.PAddr, n int) {
 func (c *Cache) FlushRange(p isa.PAddr, n int, payer trace.Payer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.tab.Payer = payer
+	defer c.settle()
 	for cur := p.LineBase(); cur < p+isa.PAddr(n); cur += isa.LineSize {
-		if err := c.flushLineLocked(cur, payer); err != nil {
+		if err := c.flushLineLocked(cur); err != nil {
 			return err
 		}
 	}

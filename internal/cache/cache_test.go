@@ -25,7 +25,7 @@ func newMemBackend() *memBackend {
 	return &memBackend{data: make(map[uint64][isa.LineSize]byte)}
 }
 
-func (b *memBackend) ReadLine(p isa.PAddr, dst []byte, _ trace.Payer) error {
+func (b *memBackend) ReadLine(p isa.PAddr, dst []byte, _ *trace.Tab) error {
 	if b.failReads {
 		return fmt.Errorf("injected read failure")
 	}
@@ -35,7 +35,7 @@ func (b *memBackend) ReadLine(p isa.PAddr, dst []byte, _ trace.Payer) error {
 	return nil
 }
 
-func (b *memBackend) WriteLine(p isa.PAddr, data []byte, _ trace.Payer) error {
+func (b *memBackend) WriteLine(p isa.PAddr, data []byte, _ *trace.Tab) error {
 	if b.failWrites {
 		return fmt.Errorf("injected write failure")
 	}
@@ -266,7 +266,7 @@ func TestMissPathAllocatesNothing(t *testing.T) {
 	l := phys.Layout{DRAMSize: 64 << 10, PRMBase: 32 << 10, PRMSize: 16 << 10}
 	rec := &trace.Recorder{}
 	// One set, one way: each write to the other line misses and evicts.
-	c := MustNew(Config{SizeBytes: isa.LineSize, Ways: 1}, mee.MustNew(phys.MustNew(l), rec), rec)
+	c := MustNew(Config{SizeBytes: isa.LineSize, Ways: 1}, mee.MustNew(phys.MustNew(l)), rec)
 	lines := [2]isa.PAddr{l.PRMBase, l.PRMBase + isa.PageSize}
 	b := []byte{0x5a}
 	payer := trace.Payer{EID: 1, Core: 0}
@@ -294,5 +294,55 @@ func TestMissPathAllocatesNothing(t *testing.T) {
 	miss, enc, dec := rec.Get(trace.EvLLCMiss)-miss0, rec.Get(trace.EvMEEEncrypt)-enc0, rec.Get(trace.EvMEEDecrypt)-dec0
 	if miss != runs || enc != runs || dec != runs {
 		t.Errorf("%d misses, %d seals, %d opens; want %d of each", miss, enc, dec, runs)
+	}
+}
+
+// TestSettleOncePerCacheOp: one cache operation reaches the recorder as one
+// batched charge per event. A cold 4 KiB read of sealed PRM lines logs one
+// llc_miss and one mee_decrypt record, each carrying the 64 lines in its
+// detail word, while the payer's counters and the clock move exactly as 64
+// separate line charges would move them.
+func TestSettleOncePerCacheOp(t *testing.T) {
+	l := phys.Layout{DRAMSize: 64 << 10, PRMBase: 32 << 10, PRMSize: 16 << 10}
+	rec := &trace.Recorder{}
+	c := MustNew(tiny(), mee.MustNew(phys.MustNew(l)), rec)
+	page := bytes.Repeat([]byte{0xa7}, isa.PageSize)
+	if err := c.Write(l.PRMBase, page, trace.NoPayer); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushAll(trace.NoPayer); err != nil { // seal every line, empty the LLC
+		t.Fatal(err)
+	}
+	rec.EnableObservation(64)
+	defer rec.DisableObservation()
+	const lines = isa.PageSize / isa.LineSize
+	payer := trace.Payer{EID: 3, Core: 1}
+	clock := rec.Cycles()
+	got := make([]byte, isa.PageSize)
+	if err := c.ReadInto(l.PRMBase, got, payer); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, page) {
+		t.Fatal("read back different bytes")
+	}
+	want := map[trace.Event]int64{trace.EvLLCMiss: trace.CostDRAMAccess, trace.EvMEEDecrypt: trace.CostMEELine}
+	recs := rec.Log().Snapshot()
+	if len(recs) != len(want) {
+		t.Fatalf("one read logged %d records, want %d: %+v", len(recs), len(want), recs)
+	}
+	per := rec.PerEnclave()[payer.EID]
+	var cycles int64
+	for e, each := range want {
+		r := trace.FilterRecords(recs, trace.ByEvent(e))
+		if len(r) != 1 || r[0].Detail != lines || r[0].Cost != lines*each || r[0].EID != payer.EID || r[0].Core != int32(payer.Core) {
+			t.Errorf("%v records %+v, want one of %d lines costing %d for %+v", e, r, lines, lines*each, payer)
+		}
+		if n := per.Get(e); n != lines {
+			t.Errorf("payer's %v counter %d, want %d", e, n, lines)
+		}
+		cycles += lines * each
+	}
+	if d := rec.Cycles() - clock; d != cycles {
+		t.Errorf("clock moved %d cycles, want %d", d, cycles)
 	}
 }

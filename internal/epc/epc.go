@@ -41,13 +41,18 @@ type Manager struct {
 	npages  int
 	entries []Entry
 	free    []int // free page indices, LIFO
+	// regs counts the valid regular pages of each owner and nregs all of
+	// them. Alloc and Free, the only writers of Valid, Type and Owner,
+	// keep both; blocked pages stay counted.
+	regs  map[isa.EID]int
+	nregs int
 }
 
 // NewManager creates a manager covering the PRM of the given memory.
 func NewManager(mem *phys.Memory) *Manager {
 	l := mem.Layout()
 	n := int(l.PRMSize / isa.PageSize)
-	m := &Manager{base: l.PRMBase, npages: n, entries: make([]Entry, n), free: make([]int, 0, n)}
+	m := &Manager{base: l.PRMBase, npages: n, entries: make([]Entry, n), free: make([]int, 0, n), regs: make(map[isa.EID]int)}
 	for i := n - 1; i >= 0; i-- {
 		m.free = append(m.free, i)
 	}
@@ -102,15 +107,26 @@ func (m *Manager) Alloc(owner isa.EID, t isa.PageType, vaddr isa.VAddr, perms is
 	i := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
 	m.entries[i] = Entry{Valid: true, Type: t, Owner: owner, Vaddr: vaddr, Perms: perms}
+	if t == isa.PTReg {
+		m.regs[owner]++
+		m.nregs++
+	}
 	return i, nil
 }
 
 // Free releases EPC page i back to the pool (EREMOVE).
 func (m *Manager) Free(i int) error {
-	if !m.entries[i].Valid {
+	e := &m.entries[i]
+	if !e.Valid {
 		return fmt.Errorf("epc: double free of page %d", i)
 	}
-	m.entries[i] = Entry{}
+	if e.Type == isa.PTReg {
+		if m.regs[e.Owner]--; m.regs[e.Owner] == 0 {
+			delete(m.regs, e.Owner)
+		}
+		m.nregs--
+	}
+	*e = Entry{}
 	m.free = append(m.free, i)
 	return nil
 }
@@ -124,4 +140,24 @@ func (m *Manager) PagesOf(eid isa.EID) []int {
 		}
 	}
 	return out
+}
+
+// EvictionCandidate scans the EPCM from page start over count pages,
+// wrapping at the end of the EPC, and returns the first valid, unblocked
+// regular page not owned by skip (isa.NoEnclave skips no owner). When no
+// regular page outside skip exists it returns at once, without a scan.
+func (m *Manager) EvictionCandidate(start, count int, skip isa.EID) (int, bool) {
+	if m.nregs == m.regs[skip] {
+		return 0, false
+	}
+	i := start % m.npages
+	for ; count > 0; count-- {
+		if e := &m.entries[i]; e.Valid && !e.Blocked && e.Type == isa.PTReg && e.Owner != skip {
+			return i, true
+		}
+		if i++; i == m.npages {
+			i = 0
+		}
+	}
+	return 0, false
 }

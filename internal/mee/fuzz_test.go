@@ -40,7 +40,8 @@ func FuzzMEETamper(f *testing.F) {
 			ops = ops[:3*512]
 		}
 		mem := phys.MustNew(fuzzLayout)
-		e := MustNew(mem, nil)
+		e := MustNew(mem)
+		tab := &trace.Tab{}
 		prm := fuzzLayout.PRMBase
 		lines := []*fuzzLine{
 			{p: prm, prm: true},
@@ -58,12 +59,12 @@ func FuzzMEETamper(f *testing.F) {
 				for j := range data {
 					data[j] = a + byte(j)*b
 				}
-				if err := e.WriteLine(l.p, data[:], trace.NoPayer); err != nil {
+				if err := e.WriteLine(l.p, data[:], tab); err != nil {
 					t.Fatalf("op %d: writeback of %#x: %v", i/3, uint64(l.p), err)
 				}
 				l.pt, l.written, l.flip = data, true, [isa.LineSize]byte{}
 			case 1: // fetch
-				err := e.ReadLine(l.p, got, trace.NoPayer)
+				err := e.ReadLine(l.p, got, tab)
 				if l.prm && l.written && l.tampered() {
 					var fault *isa.Fault
 					if !errors.As(err, &fault) || fault.Class != isa.FaultMC {

@@ -56,7 +56,6 @@ type pageMeta [isa.PageSize / isa.LineSize]lineMeta
 // runs under the machine's write lock, which excludes every access.
 type Engine struct {
 	mem  *phys.Memory
-	rec  *trace.Recorder
 	aead cipher.AEAD
 	prm  isa.PAddr // PRM base
 	// pages has one slot per PRM page, nil until the page's first
@@ -85,8 +84,7 @@ type Engine struct {
 }
 
 // New builds an engine over the DRAM with a fresh random platform key.
-// rec may be nil.
-func New(mem *phys.Memory, rec *trace.Recorder) (*Engine, error) {
+func New(mem *phys.Memory) (*Engine, error) {
 	key := make([]byte, 16)
 	if _, err := rand.Read(key); err != nil {
 		return nil, fmt.Errorf("mee: key generation: %w", err)
@@ -101,7 +99,7 @@ func New(mem *phys.Memory, rec *trace.Recorder) (*Engine, error) {
 	}
 	l := mem.Layout()
 	return &Engine{
-		mem: mem, rec: rec, aead: aead,
+		mem: mem, aead: aead,
 		prm:     l.PRMBase,
 		pages:   make([]*pageMeta, l.PRMSize>>isa.PageShift),
 		Enabled: true,
@@ -110,20 +108,12 @@ func New(mem *phys.Memory, rec *trace.Recorder) (*Engine, error) {
 
 // MustNew is New panicking on error, for tests and fixed-configuration
 // callers where key-generation failure is unrecoverable anyway.
-func MustNew(mem *phys.Memory, rec *trace.Recorder) *Engine {
-	e, err := New(mem, rec)
+func MustNew(mem *phys.Memory) *Engine {
+	e, err := New(mem)
 	if err != nil {
 		panic(err)
 	}
 	return e
-}
-
-// charge bills MEE line work to the payer the cache named — the engine
-// itself runs below the protection context.
-func (e *Engine) charge(ev trace.Event, cost int64, payer trace.Payer) {
-	if e.rec != nil {
-		e.rec.ChargeTo(payer.EID, payer.Core, ev, cost)
-	}
 }
 
 // nonceFor writes the nonce of line idx at version into the engine's nonce
@@ -142,8 +132,10 @@ func (e *Engine) nonceFor(idx, version uint64) []byte {
 func (e *Engine) Memory() *phys.Memory { return e.mem }
 
 // WriteLine implements cache.Backend: a dirty-line writeback. PRM lines are
-// encrypted and their integrity metadata versioned; others stored raw.
-func (e *Engine) WriteLine(p isa.PAddr, data []byte, payer trace.Payer) error {
+// encrypted and their integrity metadata versioned; others stored raw. The
+// line work is charged to tab, the calling cache operation's tab: the
+// engine itself runs below the protection context.
+func (e *Engine) WriteLine(p isa.PAddr, data []byte, tab *trace.Tab) error {
 	if len(data) != isa.LineSize {
 		return fmt.Errorf("mee: writeback of %d bytes, want %d", len(data), isa.LineSize)
 	}
@@ -164,13 +156,14 @@ func (e *Engine) WriteLine(p isa.PAddr, data []byte, payer trace.Payer) error {
 	ct := e.aead.Seal(e.buf[:0], e.nonceFor(uint64(p)>>isa.LineShift, m.version), data, nil)
 	copy(m.tag[:], ct[isa.LineSize:])
 	e.mem.Write(p, ct[:isa.LineSize])
-	e.charge(trace.EvMEEEncrypt, trace.CostMEELine, payer)
+	tab.Charge(trace.EvMEEEncrypt, trace.CostMEELine)
 	return nil
 }
 
 // ReadLine implements cache.Backend: a line fetch into dst. PRM lines are
 // decrypted and integrity-verified; tampering raises a machine-check fault.
-func (e *Engine) ReadLine(p isa.PAddr, dst []byte, payer trace.Payer) error {
+// The line work is charged to tab, as for WriteLine.
+func (e *Engine) ReadLine(p isa.PAddr, dst []byte, tab *trace.Tab) error {
 	if len(dst) != isa.LineSize {
 		return fmt.Errorf("mee: fetch into %d bytes, want %d", len(dst), isa.LineSize)
 	}
@@ -199,13 +192,13 @@ func (e *Engine) ReadLine(p isa.PAddr, dst []byte, payer trace.Payer) error {
 		e.Disturb(ct[:isa.LineSize])
 	}
 	if _, err := e.aead.Open(dst[:0], e.nonceFor(uint64(p)>>isa.LineShift, m.version), ct, nil); err != nil {
-		e.charge(trace.EvFaultMC, 0, payer)
+		tab.Charge(trace.EvFaultMC, 0)
 		if e.Poison != nil {
 			e.Poison(p)
 		}
 		return isa.MC("MEE integrity failure on line %#x", uint64(p))
 	}
-	e.charge(trace.EvMEEDecrypt, trace.CostMEELine, payer)
+	tab.Charge(trace.EvMEEDecrypt, trace.CostMEELine)
 	return nil
 }
 

@@ -116,11 +116,11 @@ type panicBackend struct {
 	armed atomic.Bool
 }
 
-func (b *panicBackend) ReadLine(p isa.PAddr, dst []byte, payer trace.Payer) error {
+func (b *panicBackend) ReadLine(p isa.PAddr, dst []byte, tab *trace.Tab) error {
 	if b.armed.CompareAndSwap(true, false) {
 		panic("memory backend fault")
 	}
-	return b.Backend.ReadLine(p, dst, payer)
+	return b.Backend.ReadLine(p, dst, tab)
 }
 
 // TestPanicBelowCacheReleasesMachineLock: a panic raised under the cache

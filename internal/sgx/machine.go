@@ -140,6 +140,10 @@ type Machine struct {
 	// key derived from platformSecret.
 	pagingAEAD cipher.AEAD
 
+	// pageBuf carries page content through EWB (LLC to seal) and ELDU
+	// (open to LLC), both of which hold the write lock.
+	pageBuf [isa.PageSize]byte //nescheck:guard mu
+
 	// Version-array state for EPC paging freshness (see paging.go).
 	vaSlots    map[uint64]bool
 	vaSlotNext uint64
@@ -170,7 +174,7 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := mee.New(dram, rec)
+	eng, err := mee.New(dram)
 	if err != nil {
 		return nil, err
 	}

@@ -87,14 +87,14 @@ func newPagingAEAD(platformSecret []byte) (cipher.AEAD, error) {
 	return aead, nil
 }
 
-func pagingNonce(slot uint64) []byte {
-	n := make([]byte, 12)
-	binary.LittleEndian.PutUint64(n, slot)
+// pagingNonce is the GCM nonce of a blob: its one-time slot.
+func pagingNonce(slot uint64) (n [12]byte) {
+	binary.LittleEndian.PutUint64(n[:], slot)
 	return n
 }
 
-func (p *EvictedPage) aad() []byte {
-	a := make([]byte, 8*5)
+// aad is the blob metadata the seal authenticates.
+func (p *EvictedPage) aad() (a [8 * 5]byte) {
 	binary.LittleEndian.PutUint64(a[0:], uint64(p.Owner))
 	binary.LittleEndian.PutUint64(a[8:], uint64(p.Vaddr))
 	binary.LittleEndian.PutUint64(a[16:], uint64(p.Type))
@@ -175,8 +175,7 @@ func (m *Machine) EWB(page int, core int) (*EvictedPage, error) {
 			}
 		}
 	}
-	content, err := m.LLC.Read(pa, isa.PageSize, payer)
-	if err != nil {
+	if err := m.LLC.ReadInto(pa, m.pageBuf[:], payer); err != nil {
 		return nil, err
 	}
 	if err := m.LLC.FlushRange(pa, isa.PageSize, payer); err != nil {
@@ -190,7 +189,9 @@ func (m *Machine) EWB(page int, core int) (*EvictedPage, error) {
 	bk := blobKey{ent.Owner, ent.Vaddr}
 	m.blobVer[bk]++
 	blob := &EvictedPage{Owner: ent.Owner, Vaddr: ent.Vaddr, Type: ent.Type, Perms: ent.Perms, Slot: slot, Version: m.blobVer[bk]}
-	blob.Cipher = m.pagingAEAD.Seal(nil, pagingNonce(slot), content, blob.aad())
+	nonce, aad := pagingNonce(slot), blob.aad()
+	// The kernel keeps the ciphertext, so it gets a buffer of its own.
+	blob.Cipher = m.pagingAEAD.Seal(nil, nonce[:], m.pageBuf[:], aad[:])
 	if m.vaSlots == nil {
 		m.vaSlots = make(map[uint64]bool)
 	}
@@ -219,7 +220,8 @@ func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	if !m.vaSlots[blob.Slot] {
 		return 0, &BlobReplayError{Owner: blob.Owner, Vaddr: blob.Vaddr, Have: blob.Version, Want: blob.Version, Consumed: true}
 	}
-	content, err := m.pagingAEAD.Open(nil, pagingNonce(blob.Slot), blob.Cipher, blob.aad())
+	nonce, aad := pagingNonce(blob.Slot), blob.aad()
+	content, err := m.pagingAEAD.Open(m.pageBuf[:0], nonce[:], blob.Cipher, aad[:])
 	if err != nil {
 		return 0, isa.GP("ELDU: integrity check failed: %v", err)
 	}
@@ -258,23 +260,17 @@ func (m *Machine) FindRegPage(s *SECS, vaddr isa.VAddr) (int, bool) {
 	return 0, false
 }
 
-// EvictionCandidate scans the EPCM in place under the machine lock: from
-// page start it covers count pages, wrapping at the end of the EPC, and
-// returns the first valid, unblocked regular page not owned by skip
-// (isa.NoEnclave skips no owner) with a copy of its EPCM entry. It is the
-// paging daemon's victim search and allocates nothing.
+// EvictionCandidate is the paging daemon's victim search: it runs
+// epc.Manager.EvictionCandidate under the machine lock and returns the
+// victim with a copy of its EPCM entry. It allocates nothing.
 func (m *Machine) EvictionCandidate(start, count int, skip isa.EID) (int, epc.Entry, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	n := m.EPC.NumPages()
-	for off := 0; off < count; off++ {
-		i := (start + off) % n
-		ent := m.EPC.Entry(i)
-		if ent.Valid && !ent.Blocked && ent.Type == isa.PTReg && ent.Owner != skip {
-			return i, *ent, true
-		}
+	i, ok := m.EPC.EvictionCandidate(start, count, skip)
+	if !ok {
+		return 0, epc.Entry{}, false
 	}
-	return 0, epc.Entry{}, false
+	return i, *m.EPC.Entry(i), true
 }
 
 // FreeEPCPages returns the free-page count under the machine lock.

@@ -20,6 +20,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -338,8 +339,11 @@ func (s *sink) counters(eid uint64) *Counters {
 	return c.(*Counters)
 }
 
-func (s *sink) record(eid uint64, core int, e Event, cost int64, clock int64, detail uint64) {
-	s.counters(eid).Inc(e)
+// record bills n occurrences of the event, costing cost cycles in all, to
+// the enclave, appends one log record for them and gives the profiler its
+// chance to sample.
+func (s *sink) record(eid uint64, core int, e Event, n, cost, clock int64, detail uint64) {
+	s.counters(eid).Add(e, n)
 	if s.log != nil {
 		s.log.Append(Record{
 			Cycles: clock,
@@ -429,7 +433,7 @@ func (r *Recorder) ChargeTo(eid uint64, core int, e Event, cycles int64) {
 	r.Inc(e)
 	r.Advance(cycles)
 	if s := r.sink.Load(); s != nil {
-		s.record(eid, core, e, cycles, r.Cycles(), 0)
+		s.record(eid, core, e, 1, cycles, r.Cycles(), 0)
 	}
 }
 
@@ -439,7 +443,7 @@ func (r *Recorder) ChargeToDetail(eid uint64, core int, e Event, cycles int64, d
 	r.Inc(e)
 	r.Advance(cycles)
 	if s := r.sink.Load(); s != nil {
-		s.record(eid, core, e, cycles, r.Cycles(), detail)
+		s.record(eid, core, e, 1, cycles, r.Cycles(), detail)
 	}
 }
 
@@ -456,9 +460,64 @@ func (r *Recorder) ChargeBatchTo(eid uint64, core int, e Event, n int64, cyclesE
 	r.Add(e, n)
 	r.Advance(n * cyclesEach)
 	if s := r.sink.Load(); s != nil {
-		s.counters(eid).Add(e, n-1) // record() adds the final one
-		s.record(eid, core, e, n*cyclesEach, r.Cycles(), uint64(n))
+		s.record(eid, core, e, n, n*cyclesEach, r.Cycles(), uint64(n))
 	}
+}
+
+// Tab collects the charges of one operation below the protection context —
+// one LLC operation and the MEE line work under it — so they reach the
+// recorder once per operation instead of twice per line (see Settle). Not
+// safe for concurrent use: its owner fills and settles it under its own
+// lock.
+type Tab struct {
+	// Payer is who every charge on the tab bills.
+	Payer  Payer
+	n      [numEvents]int64
+	cycles [numEvents]int64
+	// touched has bit e set while event e is on the tab.
+	touched uint64
+}
+
+// Every event needs a bit in the touched mask; this fails to compile when
+// there are more than 64 events.
+var _ [64 - numEvents]struct{}
+
+// Charge adds one occurrence of the event, costing cycles, to the tab.
+func (t *Tab) Charge(e Event, cycles int64) {
+	t.n[e]++
+	t.cycles[e] += cycles
+	t.touched |= 1 << uint(e)
+}
+
+// Settle publishes the tab and zeroes it: one clock advance for the tab's
+// total and one counter add per event on it. When observation is enabled,
+// each event also raises the payer's counter by its count and appends one
+// log record whose Detail is the count and whose Cost is the event's
+// cycles, the ChargeBatchTo convention. Counters and clock end exactly
+// where charging every occurrence on its own would leave them.
+func (r *Recorder) Settle(t *Tab) {
+	if t.touched == 0 {
+		return
+	}
+	var total int64
+	for m := t.touched; m != 0; m &= m - 1 {
+		e := bits.TrailingZeros64(m)
+		r.Add(Event(e), t.n[e])
+		total += t.cycles[e]
+	}
+	r.Advance(total)
+	if s := r.sink.Load(); s != nil {
+		clock := r.Cycles()
+		for m := t.touched; m != 0; m &= m - 1 {
+			e := bits.TrailingZeros64(m)
+			s.record(t.Payer.EID, t.Payer.Core, Event(e), t.n[e], t.cycles[e], clock, uint64(t.n[e]))
+		}
+	}
+	for m := t.touched; m != 0; m &= m - 1 {
+		e := bits.TrailingZeros64(m)
+		t.n[e], t.cycles[e] = 0, 0
+	}
+	t.touched = 0
 }
 
 // Hist returns the histogram for the operation.

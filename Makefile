@@ -19,7 +19,7 @@ CHAOS_OPS ?= 2000
 
 ADVERSARY_SEED ?= 0xad5eed
 
-.PHONY: all build tier1 vet lint lint-fast fmt-check race tier2 tier3 fuzz-smoke chaos chaos-smoke adversary adversary-smoke modelcheck modelcheck-smoke perf-gate baselines bench clean
+.PHONY: all build tier1 vet lint fmt-check race tier2 tier3 fuzz-smoke chaos chaos-smoke adversary adversary-smoke modelcheck modelcheck-smoke perf-gate baselines bench clean
 
 all: tier1
 
@@ -41,12 +41,6 @@ vet:
 # prints the catalog; suppress a finding with //nescheck:allow <rule> <reason>.
 lint:
 	$(GO) run ./cmd/nescheck -stale-allows ./...
-
-# lint-fast analyzes only the packages with Go files changed vs git HEAD
-# (plus their dependency closure) — the edit-check loop during development.
-# Cross-package rules see only the subset, so CI and tier2 run full `lint`.
-lint-fast:
-	$(GO) run ./cmd/nescheck -fast ./...
 
 # fmt-check fails (listing the offenders) when any tracked Go file is not
 # gofmt-clean; it never rewrites files.

@@ -9,7 +9,6 @@
 // Usage:
 //
 //	nescheck [-root dir] [-stale-allows] [./...]   # analyze the module
-//	nescheck -fast [./...]     # only packages changed vs git HEAD (+ deps)
 //	nescheck -graph            # dump the call/lock graph and exit
 //	nescheck -rules            # print the rule catalog
 //
@@ -24,9 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 
 	"nestedenclave/internal/analysis"
 )
@@ -35,10 +32,9 @@ func main() {
 	rules := flag.Bool("rules", false, "print the rule catalog and exit")
 	root := flag.String("root", "", "module root to analyze (default: the module containing the working directory)")
 	staleAllows := flag.Bool("stale-allows", false, "also report //nescheck:allow directives that suppress nothing")
-	fast := flag.Bool("fast", false, "analyze only packages with files changed vs git HEAD (plus their dependency closure); cross-package rules see only the subset, so CI still runs the full suite")
 	graph := flag.Bool("graph", false, "dump the interprocedural call/lock graph summary and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: nescheck [-root dir] [-stale-allows] [-fast] [./...]\n       nescheck -graph\n       nescheck -rules\n")
+		fmt.Fprintf(os.Stderr, "usage: nescheck [-root dir] [-stale-allows] [./...]\n       nescheck -graph\n       nescheck -rules\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -76,28 +72,7 @@ func main() {
 		}
 	}
 
-	var pkgs []*analysis.Package
-	var err error
-	if *fast {
-		changed, gerr := changedDirs(dir)
-		if gerr != nil {
-			fatal(fmt.Errorf("-fast needs a git checkout: %w", gerr))
-		}
-		if len(changed) == 0 {
-			fmt.Fprintln(os.Stderr, "nescheck: no changed Go files vs HEAD")
-			return
-		}
-		modPath, merr := analysis.ModulePathOf(dir)
-		if merr != nil {
-			fatal(merr)
-		}
-		pkgs, err = analysis.LoadTreeSubset(dir, modPath, func(pkgPath string) bool {
-			rel := strings.TrimPrefix(strings.TrimPrefix(pkgPath, modPath), "/")
-			return changed[rel]
-		})
-	} else {
-		pkgs, err = analysis.LoadModule(dir)
-	}
+	pkgs, err := analysis.LoadModule(dir)
 	if err != nil {
 		fatal(err)
 	}
@@ -119,36 +94,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nescheck: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-}
-
-// changedDirs returns the set of module-relative directories (slash-separated,
-// "" for the root package) holding Go files that differ from HEAD — staged,
-// unstaged, and untracked.
-func changedDirs(root string) (map[string]bool, error) {
-	out := make(map[string]bool)
-	for _, args := range [][]string{
-		{"diff", "--name-only", "HEAD"},
-		{"ls-files", "--others", "--exclude-standard"},
-	} {
-		cmd := exec.Command("git", args...)
-		cmd.Dir = root
-		b, err := cmd.Output()
-		if err != nil {
-			return nil, err
-		}
-		for _, line := range strings.Split(string(b), "\n") {
-			line = strings.TrimSpace(line)
-			if !strings.HasSuffix(line, ".go") || strings.HasSuffix(line, "_test.go") {
-				continue
-			}
-			d := filepath.ToSlash(filepath.Dir(line))
-			if d == "." {
-				d = ""
-			}
-			out[d] = true
-		}
-	}
-	return out, nil
 }
 
 func findModuleRoot(dir string) (string, error) {

@@ -167,9 +167,6 @@ type Options struct {
 	// Only set it when running the FULL catalog: a partial run cannot tell a
 	// stale directive from one whose rule was skipped.
 	ReportStale bool
-	// Prog, when non-nil, is reused instead of building the call graph from
-	// scratch (the loader's memoized program for lint-fast).
-	Prog *Program
 }
 
 // Result is Analyze's outcome.
@@ -211,10 +208,7 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 			continue
 		}
 		if prog == nil {
-			prog = opts.Prog
-			if prog == nil {
-				prog = BuildProgram(pkgs)
-			}
+			prog = BuildProgram(pkgs)
 			findings = append(findings, prog.badGuards...)
 		}
 		pass := &ProgramPass{Prog: prog, analyzer: a, allow: merged, fset: prog.fset, sink: &findings}

@@ -62,20 +62,6 @@ func LoadTree(root, modPath string) ([]*Package, error) {
 // Used by the fault-injection tests to plant a bug in the real module and
 // prove the analyzers catch it, without touching the working tree.
 func LoadTreeOverlay(root, modPath string, overlay map[string][]byte) ([]*Package, error) {
-	return loadTree(root, modPath, overlay, nil)
-}
-
-// LoadTreeSubset type-checks only the packages satisfying keep plus their
-// intra-module dependency closure, and returns just those. Parsing still
-// covers the whole tree (it is cheap and the import graph needs it); the
-// savings are in type-checking, which dominates a full load. Used by
-// `nescheck -fast` to analyze only changed packages — cross-package rules see
-// only the subset, so a full run remains the authority.
-func LoadTreeSubset(root, modPath string, keep func(pkgPath string) bool) ([]*Package, error) {
-	return loadTree(root, modPath, nil, keep)
-}
-
-func loadTree(root, modPath string, overlay map[string][]byte, keep func(string) bool) ([]*Package, error) {
 	fset := token.NewFileSet()
 	dirs, err := packageDirs(root)
 	if err != nil {
@@ -164,32 +150,6 @@ func loadTree(root, modPath string, overlay map[string][]byte, keep func(string)
 	sorted, err := topoSort(order, func(path string) []string { return byPath[path].imports })
 	if err != nil {
 		return nil, err
-	}
-
-	// Subset filter: keep the requested packages plus their dependency
-	// closure. Reverse topo order marks importers before their imports.
-	if keep != nil {
-		needed := make(map[string]bool)
-		for i := len(sorted) - 1; i >= 0; i-- {
-			path := sorted[i]
-			if keep(path) {
-				needed[path] = true
-			}
-			if needed[path] {
-				for _, dep := range byPath[path].imports {
-					if byPath[dep] != nil {
-						needed[dep] = true
-					}
-				}
-			}
-		}
-		subset := sorted[:0]
-		for _, path := range sorted {
-			if needed[path] {
-				subset = append(subset, path)
-			}
-		}
-		sorted = subset
 	}
 
 	imp := &moduleImporter{

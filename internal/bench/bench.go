@@ -64,17 +64,40 @@ func SignPair(inner, outer *sdk.Image) (*sdk.SignedImage, *sdk.SignedImage) {
 
 // LoadPair loads and associates an inner/outer pair.
 func (r *Rig) LoadPair(innerImg, outerImg *sdk.Image) (inner, outer *sdk.Enclave, err error) {
-	si, so := SignPair(innerImg, outerImg)
-	if outer, err = r.Host.Load(so); err != nil {
+	outer, inners, err := r.LoadShared(outerImg, innerImg)
+	if err != nil {
 		return nil, nil, err
 	}
-	if inner, err = r.Host.Load(si); err != nil {
+	return inners[0], outer, nil
+}
+
+// LoadShared deploys one outer enclave shared by several inners: it signs
+// all of them with one author, the outer expecting every inner and each
+// inner expecting the outer, then loads the outer, then loads and
+// associates each inner in order.
+func (r *Rig) LoadShared(outerImg *sdk.Image, innerImgs ...*sdk.Image) (outer *sdk.Enclave, inners []*sdk.Enclave, err error) {
+	author := measure.MustNewAuthor()
+	innerDigests := make([]measure.Digest, len(innerImgs))
+	for i, img := range innerImgs {
+		innerDigests[i] = img.Measure()
+	}
+	if outer, err = r.Host.Load(outerImg.Sign(author, nil, innerDigests)); err != nil {
 		return nil, nil, err
 	}
-	if err = r.Host.Associate(inner, outer); err != nil {
-		return nil, nil, err
+	outerDigest := []measure.Digest{outerImg.Measure()}
+	for _, img := range innerImgs {
+		inner, err := r.Host.Load(img.Sign(author, outerDigest, nil))
+		if err != nil {
+			return nil, nil, err
+		}
+		inners = append(inners, inner)
 	}
-	return inner, outer, nil
+	for _, inner := range inners {
+		if err := r.Host.Associate(inner, outer); err != nil {
+			return nil, nil, err
+		}
+	}
+	return outer, inners, nil
 }
 
 // LoadSolo loads a standalone enclave.

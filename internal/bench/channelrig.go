@@ -5,7 +5,6 @@ import (
 
 	"nestedenclave/internal/channel"
 	"nestedenclave/internal/isa"
-	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
 )
 
@@ -19,27 +18,8 @@ func newChannelRig(r *Rig) (*deployedChannel, error) {
 	for _, img := range []*sdk.Image{outerImg, in1Img, in2Img} {
 		registerChannelEntries(img)
 	}
-
-	author := measure.MustNewAuthor()
-	so := outerImg.Sign(author, nil, []measure.Digest{in1Img.Measure(), in2Img.Measure()})
-	s1 := in1Img.Sign(author, []measure.Digest{outerImg.Measure()}, nil)
-	s2 := in2Img.Sign(author, []measure.Digest{outerImg.Measure()}, nil)
-	outer, err := r.Host.Load(so)
+	outer, peers, err := r.LoadShared(outerImg, in1Img, in2Img)
 	if err != nil {
-		return nil, err
-	}
-	in1, err := r.Host.Load(s1)
-	if err != nil {
-		return nil, err
-	}
-	in2, err := r.Host.Load(s2)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Host.Associate(in1, outer); err != nil {
-		return nil, err
-	}
-	if err := r.Host.Associate(in2, outer); err != nil {
 		return nil, err
 	}
 
@@ -54,8 +34,8 @@ func newChannelRig(r *Rig) (*deployedChannel, error) {
 		return nil, err
 	}
 	return &deployedChannel{
-		in1:     in1.ECall,
-		in2:     in2.ECall,
+		in1:     peers[0].ECall,
+		in2:     peers[1].ECall,
 		argsFor: argsFor,
 		snoopBase: func(n int) ([]byte, error) {
 			c := r.M.Core(0)

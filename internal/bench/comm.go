@@ -9,7 +9,6 @@ import (
 
 	"nestedenclave/internal/cache"
 	"nestedenclave/internal/isa"
-	"nestedenclave/internal/measure"
 	"nestedenclave/internal/phys"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
@@ -196,32 +195,13 @@ func figure11MEE(footprint, chunk, count int) (int64, error) {
 	consImg := sdk.NewImage("consumer", 0x5000_0000, sdk.DefaultLayout())
 	registerMEEPump(prodImg)
 	registerMEEPump(consImg)
-
-	author := measure.MustNewAuthor()
-	so := outerImg.Sign(author, nil, []measure.Digest{prodImg.Measure(), consImg.Measure()})
-	sp := prodImg.Sign(author, []measure.Digest{outerImg.Measure()}, nil)
-	sc := consImg.Sign(author, []measure.Digest{outerImg.Measure()}, nil)
-	outer, err := r.Host.Load(so)
+	_, peers, err := r.LoadShared(outerImg, prodImg, consImg)
 	if err != nil {
-		return 0, err
-	}
-	prod, err := r.Host.Load(sp)
-	if err != nil {
-		return 0, err
-	}
-	cons, err := r.Host.Load(sc)
-	if err != nil {
-		return 0, err
-	}
-	if err := r.Host.Associate(prod, outer); err != nil {
-		return 0, err
-	}
-	if err := r.Host.Associate(cons, outer); err != nil {
 		return 0, err
 	}
 	base := outerImg.HeapBase()
 	start := r.M.Rec.Cycles()
-	if err := runPump(prod, cons, base, footprint, chunk, count); err != nil {
+	if err := runPump(peers[0], peers[1], base, footprint, chunk, count); err != nil {
 		return 0, err
 	}
 	return r.M.Rec.Cycles() - start, nil

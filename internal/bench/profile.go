@@ -25,11 +25,12 @@ type ProfileConfig struct {
 	// Interval is the profiler's sampling interval in simulated cycles
 	// (0 → 2000, a few samples per ecall round trip).
 	Interval int64
-	// LogCap sizes the event log and span ring (0 → 1<<15). It must hold
-	// every span of the run for the call tree to be complete;
-	// ProfileSQLService fails loudly when spans were evicted.
-	LogCap int
 }
+
+// profileLogCap sizes the profiling run's event log and span ring. It must
+// hold every span of the run for the call tree to be complete (3,000 queries
+// make 12,164 spans); ProfileSQLService fails loudly when spans were evicted.
+const profileLogCap = 1 << 15
 
 // ProfileResult is one profiling run's output.
 type ProfileResult struct {
@@ -112,15 +113,12 @@ func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2000
 	}
-	if cfg.LogCap <= 0 {
-		cfg.LogCap = 1 << 15
-	}
 	r, err := NewRig(SmallMachine())
 	if err != nil {
 		return nil, err
 	}
 	rec := r.M.Rec
-	rec.EnableObservation(cfg.LogCap)
+	rec.EnableObservation(profileLogCap)
 	rec.EnableProfiler(cfg.Interval)
 
 	s, err := BuildSQLService(r, true, true)
@@ -149,10 +147,9 @@ func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 		Counters: rec.Snapshot(),
 	}
 	res.Tree = trace.AggregateSpans(res.Spans)
-	// The call tree is only complete when the span ring held every span; a
-	// run big enough to wrap must use a larger LogCap.
-	if wantSpans := int64(len(res.Spans)); wantSpans >= int64(cfg.LogCap) {
-		return nil, fmt.Errorf("profile: span ring wrapped (%d spans at capacity %d); raise LogCap", wantSpans, cfg.LogCap)
+	// The call tree is only complete when the span ring held every span.
+	if n := len(res.Spans); n >= profileLogCap {
+		return nil, fmt.Errorf("profile: span ring wrapped (%d spans at capacity %d); profile fewer queries", n, profileLogCap)
 	}
 	return res, nil
 }

@@ -181,7 +181,7 @@ func ipcControlAttack() (*TableVIIRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	es, err := buildChannelPair(nestR)
+	es, err := newChannelRig(nestR)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func ipcControlAttack() (*TableVIIRow, error) {
 		return nil, err
 	}
 	// Kernel-side snooping sees only abort-page bytes.
-	snoop, err := es.kernelSnoop(64)
+	snoop, err := es.snoopBase(64)
 	if err != nil {
 		return nil, err
 	}
@@ -218,10 +218,6 @@ type deployedChannel struct {
 	snoopBase func(n int) ([]byte, error)
 }
 
-func buildChannelPair(r *Rig) (*deployedChannel, error) {
-	return newChannelRig(r)
-}
-
 func (d *deployedChannel) send(payload []byte) error {
 	out, err := d.in1("ch_send", d.argsFor(payload))
 	if err != nil {
@@ -242,10 +238,6 @@ func (d *deployedChannel) recv() ([]byte, error) {
 		return nil, fmt.Errorf("channel empty")
 	}
 	return out[1:], nil
-}
-
-func (d *deployedChannel) kernelSnoop(n int) ([]byte, error) {
-	return d.snoopBase(n)
 }
 
 func outcome(hit bool, ifHit, ifMiss string) string {

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +12,7 @@ import (
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
+	"nestedenclave/internal/tlb"
 )
 
 // This file property-tests the paper's §VII-A security invariants: after
@@ -24,75 +27,15 @@ import (
 //  4. (nested) In enclave mode, a vaddr inside an outer enclave's ELRANGE
 //     maps only through an EPCM entry owned by that outer and recorded at
 //     exactly this vaddr.
+//
+// The auditor is sgx.Machine.AuditInvariants; this file drives it over a
+// nested pair, and pins that it is nested-aware.
 
-// auditInvariants walks every core's TLB and checks the four invariants.
+// auditInvariants runs the machine's own four-invariant audit and returns
+// its first finding.
 func auditInvariants(m *sgx.Machine) error {
-	for _, c := range m.Cores() {
-		cur := c.Current()
-		for _, e := range c.TLB.Entries() {
-			pa := isa.PAddr(e.PPN << isa.PageShift)
-			v := isa.VAddr(e.VPN << isa.PageShift)
-			inPRM := m.DRAM.PageInPRM(pa)
-			if cur == nil {
-				if inPRM {
-					return fmt.Errorf("inv1: core %d out of enclave maps %#x -> PRM %#x",
-						c.ID, uint64(v), uint64(pa))
-				}
-				continue
-			}
-			// Identify which protection region the vaddr claims.
-			owner := regionOwner(m, cur, e.VPN)
-			if owner == nil {
-				if inPRM {
-					return fmt.Errorf("inv2: core %d enclave %d maps out-of-ELRANGE %#x -> PRM",
-						c.ID, cur.EID, uint64(v))
-				}
-				continue
-			}
-			if !inPRM {
-				return fmt.Errorf("inv3/4: core %d enclave %d maps ELRANGE %#x outside PRM",
-					c.ID, cur.EID, uint64(v))
-			}
-			ent, ok := m.EPC.EntryAt(pa)
-			if !ok || !ent.Valid {
-				return fmt.Errorf("inv3/4: core %d maps %#x to invalid EPC page", c.ID, uint64(v))
-			}
-			if ent.Owner != owner.EID {
-				return fmt.Errorf("inv3/4: core %d enclave %d maps %#x to EPC of enclave %d, region owner %d",
-					c.ID, cur.EID, uint64(v), ent.Owner, owner.EID)
-			}
-			if ent.Vaddr != v {
-				return fmt.Errorf("inv3/4: core %d maps %#x to EPC page recorded at %#x",
-					c.ID, uint64(v), uint64(ent.Vaddr))
-			}
-		}
-	}
-	return nil
-}
-
-// regionOwner returns the enclave whose ELRANGE contains the vpn: the
-// current enclave, one of its transitive outers, or nil.
-func regionOwner(m *sgx.Machine, cur *sgx.SECS, vpn uint64) *sgx.SECS {
-	if cur.ContainsVPN(vpn) {
-		return cur
-	}
-	frontier := append([]isa.EID(nil), cur.Nested.OuterEIDs...)
-	seen := map[isa.EID]bool{}
-	for len(frontier) > 0 {
-		eid := frontier[0]
-		frontier = frontier[1:]
-		if seen[eid] {
-			continue
-		}
-		seen[eid] = true
-		o, ok := m.ResolveEID(eid)
-		if !ok {
-			continue
-		}
-		if o.ContainsVPN(vpn) {
-			return o
-		}
-		frontier = append(frontier, o.Nested.OuterEIDs...)
+	if v := m.AuditInvariants(); len(v) > 0 {
+		return errors.New(v[0])
 	}
 	return nil
 }
@@ -215,5 +158,62 @@ func TestSecurityInvariantsUnderRandomOperations(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAuditIsNestedAware runs the machine's audit while an inner enclave,
+// entered by NECall, is on the core. The inner's legitimate translation of
+// its outer's heap (Figure 6 path C) must audit clean; a planted entry that
+// maps an outer-ELRANGE address to the inner's own EPC page must be an
+// invariant-4 finding that names the outer as the region owner.
+func TestAuditIsNestedAware(t *testing.T) {
+	r := newRig(t, core.TwoLevel())
+	innerImg := sdk.NewImage("inner", 0x1000_0000, sdk.DefaultLayout())
+	outerImg := sdk.NewImage("outer", 0x2000_0000, sdk.DefaultLayout())
+	var innerPA isa.PAddr
+	var clean, planted []string
+	innerImg.RegisterECall("probe", func(env *sdk.Env, _ []byte) ([]byte, error) {
+		if _, err := env.Read(outerImg.HeapBase(), 8); err != nil {
+			return nil, err
+		}
+		clean = r.m.AuditInvariants()
+		env.C.TLB.Insert(tlb.Entry{VPN: outerImg.Base.VPN(), PPN: innerPA.PPN(), Perms: isa.PermRW})
+		planted = r.m.AuditInvariants()
+		return nil, nil
+	})
+	outerImg.RegisterECall("enter_inner", func(env *sdk.Env, _ []byte) ([]byte, error) {
+		return env.NECall(env.E.Inners()[0], "probe", nil)
+	})
+	si := innerImg.Sign(measure.MustNewAuthor(), []measure.Digest{outerImg.Measure()}, nil)
+	so := outerImg.Sign(measure.MustNewAuthor(), nil, []measure.Digest{innerImg.Measure()})
+	outer, err := r.host.Load(so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := r.host.Load(si)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.host.Associate(inner, outer); err != nil {
+		t.Fatal(err)
+	}
+	pa, ok := r.host.Proc.PageTable().Translate(innerImg.HeapBase())
+	if !ok {
+		t.Fatal("inner heap unmapped")
+	}
+	innerPA = pa
+	if _, err := outer.ECall("enter_inner", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(clean) != 0 {
+		t.Errorf("inner's translation of its outer's heap audits dirty: %v", clean)
+	}
+	want := fmt.Sprintf("to EPC of enclave %d, region owner %d", inner.SECS().EID, outer.SECS().EID)
+	if len(planted) != 1 || !strings.HasPrefix(planted[0], "inv4:") || !strings.Contains(planted[0], want) {
+		t.Errorf("planted outer-ELRANGE -> inner EPC entry: findings %v, want one inv4 %q", planted, want)
+	}
+	if v := r.m.AuditInvariants(); len(v) != 0 {
+		t.Errorf("audit after the call returned: %v", v)
 	}
 }

@@ -120,7 +120,7 @@ func (e *Enclave) eCall(name string, args []byte, budget int64) ([]byte, error) 
 	var out []byte
 	err := e.enterRun(name, budget, func(env *Env) error {
 		var ferr error
-		out, ferr = runTrusted(env, name, fn, marshalled)
+		out, ferr = runNested(env, name, fn, marshalled)
 		return ferr
 	})
 	if err != nil {
@@ -146,7 +146,7 @@ func (e *Enclave) ECallBatch(name string, batch [][]byte) ([][]byte, error) {
 	err := e.enterRun(name, 0, func(env *Env) error {
 		for i, args := range batch {
 			marshalled := append([]byte(nil), args...)
-			out, ferr := runTrusted(env, name, fn, marshalled)
+			out, ferr := runNested(env, name, fn, marshalled)
 			if ferr != nil {
 				return fmt.Errorf("batch item %d: %w", i, ferr)
 			}
@@ -181,8 +181,7 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 	}
 	env := &Env{E: e, C: c, tcsV: tcsV}
 	if budget > 0 {
-		env.deadline = op.Start() + budget
-		env.budget = budget
+		env.budget = &callBudget{deadline: op.Start() + budget, cycles: budget}
 	}
 	ferr := body(env)
 	// The tRTS scrubs the register file before leaving the enclave.
@@ -213,23 +212,6 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 		return &EnclaveError{Enclave: e.img.Name, Call: name, Err: ferr}
 	}
 	return nil
-}
-
-// runTrusted runs a trusted function with panic containment: a panic inside
-// the enclave poisons it, force-evacuates the core (scrubbing registers and
-// every suspended frame of the nested chain, so no secrets survive), and
-// converts the crash into a typed error.
-func runTrusted(env *Env, call string, fn TrustedFunc, args []byte) (out []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m := env.E.host.K.Machine()
-			eid := env.E.secs.EID
-			m.PoisonEnclave(eid, fmt.Sprintf("trusted code panic in %s: %v", call, r))
-			m.EmergencyExit(env.C)
-			out, err = nil, &EnclaveCrashed{Enclave: env.E.img.Name, Call: call, EID: eid, Panic: r}
-		}
-	}()
-	return fn(env, args)
 }
 
 // EnclaveError marks failures raised by enclave code (as opposed to

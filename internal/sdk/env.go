@@ -24,31 +24,46 @@ type Env struct {
 
 	tcsV isa.VAddr
 
-	// deadline is the absolute simulated-cycle bound of the enclosing call
-	// (ECallWithin), 0 = unbounded; budget is the original allowance, kept
-	// for the error message. Inherited by nested-call environments.
+	// budget bounds the enclosing call (ECallWithin), nil = unbounded. Every
+	// environment of one call chain shares it.
+	budget *callBudget
+}
+
+// callBudget is the simulated-cycle allowance of one ECallWithin call and
+// every nested call it makes.
+type callBudget struct {
+	// deadline is the absolute simulated-cycle bound; cycles is the original
+	// allowance, kept for the error message.
 	deadline int64
-	budget   int64
+	cycles   int64
 	// expired latches once the deadline fires: the first expiry delivers a
 	// real AEX + ERESUME preemption, later checks fail fast.
 	expired bool
 }
 
+// nested returns the environment of enclave e entered through TCS tcsV on
+// this call chain's core. It shares the chain's budget.
+func (env *Env) nested(e *Enclave, tcsV isa.VAddr) *Env {
+	return &Env{E: e, C: env.C, tcsV: tcsV, budget: env.budget}
+}
+
 // preempt enforces the call deadline at every trusted-runtime operation.
-// The first time the budget is exceeded, the enclave is preempted with a
-// real AEX (context saved and scrubbed, TLB flushed) and ERESUMEd so the
-// trusted code observes the timeout error; from then on every operation
-// fails with the same *CallTimeout until the call unwinds.
+// The first time the budget is exceeded anywhere in the call chain, the
+// enclave is preempted with a real AEX (context saved and scrubbed, TLB
+// flushed) and ERESUMEd so the trusted code observes the timeout error;
+// from then on every operation of the chain fails with the same
+// *CallTimeout until the call unwinds.
 func (env *Env) preempt() error {
-	if env.deadline == 0 {
+	b := env.budget
+	if b == nil {
 		return nil
 	}
-	if !env.expired {
+	if !b.expired {
 		m := env.E.host.K.Machine()
-		if m.Rec.Cycles() < env.deadline {
+		if m.Rec.Cycles() < b.deadline {
 			return nil
 		}
-		env.expired = true
+		b.expired = true
 		if env.C.InEnclave() {
 			t := env.C.CurrentTCS()
 			if err := m.AEX(env.C); err == nil {
@@ -58,7 +73,7 @@ func (env *Env) preempt() error {
 			}
 		}
 	}
-	return &CallTimeout{Enclave: env.E.img.Name, Budget: env.budget}
+	return &CallTimeout{Enclave: env.E.img.Name, Budget: b.cycles}
 }
 
 // --- Memory ---
@@ -251,9 +266,7 @@ func (env *Env) NECall(inner *Enclave, name string, args []byte) ([]byte, error)
 	if err := ext.NEENTER(env.C, inner.secs, tcsV); err != nil {
 		return nil, err
 	}
-	// The nested environment inherits the enclosing call's deadline.
-	innerEnv := &Env{E: inner, C: env.C, tcsV: tcsV, deadline: env.deadline, budget: env.budget, expired: env.expired}
-	out, ferr := runNested(innerEnv, name, fn, marshalled)
+	out, ferr := runNested(env.nested(inner, tcsV), name, fn, marshalled)
 	if _, crashed := IsCrash(ferr); crashed {
 		// The inner crashed; runNested already popped back to this frame
 		// (or evacuated the core). Surface the typed error to the caller.
@@ -298,7 +311,7 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 	if err := ext.NEENTER(env.C, inner.secs, tcsV); err != nil {
 		return nil, err
 	}
-	innerEnv := &Env{E: inner, C: env.C, tcsV: tcsV, deadline: env.deadline, budget: env.budget, expired: env.expired}
+	innerEnv := env.nested(inner, tcsV)
 	outs := make([][]byte, 0, len(batch))
 	var ferr error
 	for i, args := range batch {
@@ -324,11 +337,14 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 	return outs, nil
 }
 
-// runNested runs a trusted function at a nested-transition boundary with
-// panic containment: a panic poisons the executing (inner or outer) enclave
-// and — when a suspended caller frame exists — NEEXITs back to it, which
-// scrubs the register file so no crashed-enclave state leaks into the
-// caller. Without a frame to return to, the core is force-evacuated.
+// runNested runs a trusted function with panic containment: a panic poisons
+// the executing enclave and converts the crash into a typed
+// *EnclaveCrashed. When a suspended caller frame exists (an n_ecall or
+// n_ocall), it NEEXITs back to it, which scrubs the register file so no
+// crashed-enclave state leaks into the caller. Without a frame to return to
+// — always so under an ecall, because EENTER refuses a TCS that holds one —
+// the core is force-evacuated, scrubbing registers and every suspended frame
+// of the nested chain.
 func runNested(env *Env, call string, fn TrustedFunc, args []byte) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -391,9 +407,7 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 		if err := ext.NEEXIT(env.C); err != nil {
 			return nil, err
 		}
-		outerTCS := env.C.CurrentTCS()
-		outerEnv := &Env{E: outer, C: env.C, tcsV: outerTCS.Vaddr, deadline: env.deadline, budget: env.budget, expired: env.expired}
-		out, ferr := runNested(outerEnv, name, fn, marshalled)
+		out, ferr := runNested(env.nested(outer, env.C.CurrentTCS().Vaddr), name, fn, marshalled)
 		if _, crashed := IsCrash(ferr); crashed {
 			// The outer crashed while serving this call; there is no frame
 			// to NEENTER back through (runNested evacuated the core).
@@ -418,8 +432,7 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 	if err := ext.NEENTER(env.C, outer.secs, outerTCSV); err != nil {
 		return nil, err
 	}
-	outerEnv := &Env{E: outer, C: env.C, tcsV: outerTCSV, deadline: env.deadline, budget: env.budget, expired: env.expired}
-	out, ferr := runNested(outerEnv, name, fn, marshalled)
+	out, ferr := runNested(env.nested(outer, outerTCSV), name, fn, marshalled)
 	if _, crashed := IsCrash(ferr); crashed {
 		// The outer crashed; runNested already NEEXITed back to this inner.
 		return nil, ferr

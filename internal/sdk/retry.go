@@ -54,10 +54,9 @@ func (e *CallTimeout) Error() string {
 type RetryPolicy struct {
 	// MaxAttempts caps total tries (0 → 4).
 	MaxAttempts int
-	// BaseBackoff is the first retry's backoff in simulated cycles (0 → 1000).
+	// BaseBackoff is the first retry's backoff in simulated cycles (0 →
+	// 1000); backoff doubles per retry up to 64 × BaseBackoff.
 	BaseBackoff int64
-	// MaxBackoff caps the exponential growth (0 → 64 × BaseBackoff).
-	MaxBackoff int64
 	// Seed drives the jitter stream.
 	Seed uint64
 }
@@ -75,10 +74,7 @@ func (p RetryPolicy) Run(rec *trace.Recorder, inj *chaos.Injector, f func() erro
 	if base <= 0 {
 		base = 1000
 	}
-	maxB := p.MaxBackoff
-	if maxB <= 0 {
-		maxB = 64 * base
-	}
+	maxB := 64 * base
 	state := p.Seed
 	var lastErr error
 	for a := 0; a < attempts; a++ {

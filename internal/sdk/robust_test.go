@@ -206,6 +206,56 @@ func TestECallWithinDeadline(t *testing.T) {
 	}
 }
 
+// TestECallWithinDeadlineSharedByCallChain pins that one call chain shares
+// one budget: an expiry inside an inner enclave is delivered as a single AEX
+// + ERESUME, and the outer, once control returns to it, fails fast with the
+// same *CallTimeout instead of being preempted a second time.
+func TestECallWithinDeadlineSharedByCallChain(t *testing.T) {
+	r := newRig(t, core.TwoLevel())
+	innerImg := sdk.NewImage("inner", 0x1000_0000, sdk.DefaultLayout())
+	innerImg.RegisterECall("spin", func(env *sdk.Env, args []byte) ([]byte, error) {
+		buf, err := env.Malloc(64)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < 1_000_000; i++ {
+			if err := env.Write(buf, make([]byte, 64)); err != nil {
+				return nil, err
+			}
+		}
+		return []byte("done"), nil
+	})
+	outerImg := sdk.NewImage("outer", 0x2000_0000, sdk.DefaultLayout())
+	var innerErr, outerErr error
+	outerImg.RegisterECall("run", func(env *sdk.Env, args []byte) ([]byte, error) {
+		_, innerErr = env.NECall(env.E.Inners()[0], "spin", nil)
+		// Back in the outer enclave, past the chain's deadline.
+		_, outerErr = env.Malloc(64)
+		return nil, outerErr
+	})
+	si, so := signPair(t, innerImg, outerImg)
+	outer := mustLoad(t, r.host, so)
+	inner := mustLoad(t, r.host, si)
+	if err := r.host.Associate(inner, outer); err != nil {
+		t.Fatal(err)
+	}
+
+	aex0 := r.m.Rec.Get(trace.EvAEX)
+	_, err := outer.ECallWithin("run", nil, 50_000)
+	var to *sdk.CallTimeout
+	for _, e := range []error{innerErr, outerErr, err} {
+		if !errors.As(e, &to) || to.Budget != 50_000 {
+			t.Fatalf("want *CallTimeout of 50000 cycles from inner, outer and call; got %v, %v, %v", innerErr, outerErr, err)
+		}
+	}
+	if got := r.m.Rec.Get(trace.EvAEX) - aex0; got != 1 {
+		t.Fatalf("one expired budget delivered %d AEX, want 1", got)
+	}
+	if v := r.m.AuditInvariants(); len(v) > 0 {
+		t.Fatalf("invariants violated after timeout: %v", v)
+	}
+}
+
 // --- Retry policy ---
 
 func TestRetryPolicyRetriesTransientsOnly(t *testing.T) {

@@ -9,11 +9,13 @@ import (
 	"nestedenclave/internal/sgx"
 )
 
-// Property test of the BASELINE validator (Costan & Devadas' invariants
-// 1–3, paper §VII-A) under random accesses, transitions and kernel
-// page-table attacks. The nested variant (including invariant 4) lives in
-// internal/core/invariants_test.go; this one pins the unmodified SGX
-// behaviour that nested enclave claims to leave intact.
+// Property test of the BASELINE validator under random accesses,
+// transitions and kernel page-table attacks, audited by
+// Machine.AuditInvariants (paper §VII-A). With no enclave associated, the
+// audit's fourth, nested invariant has no outer region to check, so this
+// pins Costan & Devadas' invariants 1–3: the unmodified SGX behaviour that
+// nested enclave claims to leave intact. internal/core/invariants_test.go
+// drives the same audit over a nested pair.
 
 func auditBaseline(m *sgx.Machine) error {
 	if v := m.AuditInvariants(); len(v) > 0 {

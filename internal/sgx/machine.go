@@ -80,10 +80,6 @@ type Config struct {
 	Cores int
 	Phys  phys.Layout
 	LLC   cache.Config
-	// DisableLLC models an uncached machine (ablation).
-	DisableLLC bool
-	// DisableMEE models plaintext PRM (ablation / attack contrast).
-	DisableMEE bool
 }
 
 // DefaultConfig models the paper's 4-core i7-7700 testbed.
@@ -178,12 +174,10 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.Enabled = !cfg.DisableMEE
 	llc, err := cache.New(cfg.LLC, eng, rec)
 	if err != nil {
 		return nil, err
 	}
-	llc.Enabled = !cfg.DisableLLC
 	secret := make([]byte, 32)
 	if _, err := rand.Read(secret); err != nil {
 		return nil, fmt.Errorf("sgx: platform secret: %v", err)

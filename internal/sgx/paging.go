@@ -280,8 +280,9 @@ func (m *Machine) FreeEPCPages() int {
 	return m.EPC.FreePages()
 }
 
-// auditNoStaleTranslations is a test hook: it walks every TLB and reports
-// entries whose physical page is a freed or blocked EPC page.
+// AuditTLBs walks every TLB and reports entries whose physical page is a
+// freed or blocked EPC page. Tests and the adversary campaign run it next to
+// AuditInvariants.
 func (m *Machine) AuditTLBs() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()

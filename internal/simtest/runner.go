@@ -573,14 +573,8 @@ func (r *Runner) evict(slot int, op Op) error {
 		return nil
 	}
 
-	pageIdx := -1
-	for _, i := range r.m.EPC.PagesOf(st.eid) {
-		if ent := r.m.EPC.Entry(i); ent.Type == isa.PTReg && ent.Vaddr == target {
-			pageIdx = i
-			break
-		}
-	}
-	if pageIdx < 0 {
+	pageIdx, found := r.m.FindRegPage(st.secs, target)
+	if !found {
 		return nil
 	}
 
@@ -670,85 +664,13 @@ func (r *Runner) diffState() error {
 	return nil
 }
 
-// AuditInvariants walks every core's live TLB and checks the paper's four
-// §VII-A security invariants against the machine's own EPCM — independently
-// of the oracle, so a bug that fools both the validator and the model still
-// has to evade this structural check.
-//
-//  1. Out of enclave mode, no TLB entry maps a PRM physical page.
-//  2. In enclave mode, a vaddr outside the enclave's ELRANGE (and outside
-//     every associated outer's ELRANGE) never maps to PRM.
-//  3. In enclave mode, a vaddr inside ELRANGE maps only through an EPCM
-//     entry owned by this enclave and recorded at exactly this vaddr.
-//  4. (nested) In enclave mode, a vaddr inside an outer enclave's ELRANGE
-//     maps only through an EPCM entry owned by that outer at this vaddr.
+// AuditInvariants checks the paper's four §VII-A security invariants with
+// the machine's own auditor (sgx.Machine.AuditInvariants), independently of
+// the oracle, so a bug that fools both the validator and the model still has
+// to evade this structural check. It returns the first finding.
 func (r *Runner) AuditInvariants() error {
-	m := r.m
-	for _, c := range m.Cores() {
-		cur := c.Current()
-		for _, e := range c.TLB.Entries() {
-			pa := isa.PAddr(e.PPN << isa.PageShift)
-			v := isa.VAddr(e.VPN << isa.PageShift)
-			inPRM := m.DRAM.PageInPRM(pa)
-			if cur == nil {
-				if inPRM {
-					return fmt.Errorf("inv1: core %d out of enclave maps %#x -> PRM %#x",
-						c.ID, uint64(v), uint64(pa))
-				}
-				continue
-			}
-			owner := regionOwner(m, cur, e.VPN)
-			if owner == nil {
-				if inPRM {
-					return fmt.Errorf("inv2: core %d enclave %d maps out-of-ELRANGE %#x -> PRM",
-						c.ID, cur.EID, uint64(v))
-				}
-				continue
-			}
-			if !inPRM {
-				return fmt.Errorf("inv3/4: core %d enclave %d maps ELRANGE %#x outside PRM",
-					c.ID, cur.EID, uint64(v))
-			}
-			ent, ok := m.EPC.EntryAt(pa)
-			if !ok || !ent.Valid {
-				return fmt.Errorf("inv3/4: core %d maps %#x to invalid EPC page", c.ID, uint64(v))
-			}
-			if ent.Owner != owner.EID {
-				return fmt.Errorf("inv3/4: core %d enclave %d maps %#x to EPC of enclave %d, region owner %d",
-					c.ID, cur.EID, uint64(v), ent.Owner, owner.EID)
-			}
-			if ent.Vaddr != v {
-				return fmt.Errorf("inv3/4: core %d maps %#x to EPC page recorded at %#x",
-					c.ID, uint64(v), uint64(ent.Vaddr))
-			}
-		}
-	}
-	return nil
-}
-
-// regionOwner returns the enclave whose ELRANGE contains the vpn: the
-// current enclave, one of its transitive outers, or nil.
-func regionOwner(m *sgx.Machine, cur *sgx.SECS, vpn uint64) *sgx.SECS {
-	if cur.ContainsVPN(vpn) {
-		return cur
-	}
-	frontier := append([]isa.EID(nil), cur.Nested.OuterEIDs...)
-	seen := map[isa.EID]bool{}
-	for len(frontier) > 0 {
-		eid := frontier[0]
-		frontier = frontier[1:]
-		if seen[eid] {
-			continue
-		}
-		seen[eid] = true
-		o, ok := m.ResolveEID(eid)
-		if !ok {
-			continue
-		}
-		if o.ContainsVPN(vpn) {
-			return o
-		}
-		frontier = append(frontier, o.Nested.OuterEIDs...)
+	if v := r.m.AuditInvariants(); len(v) > 0 {
+		return errors.New(v[0])
 	}
 	return nil
 }

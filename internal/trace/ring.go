@@ -6,16 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the bounded ring-buffer event log behind the
-// observability layer: an ordered record of every transition, fault, paging
-// and validation event, each stamped with a global sequence number, the
-// simulated-cycle clock, the core, and the enclave billed. The log is sized
-// at EnableObservation time and overwrites its oldest records when full, so
-// long runs keep the most recent window.
+// This file implements the bounded ring buffer behind the observability
+// layer, and the event log built on it: an ordered record of every
+// transition, fault, paging and validation event, each stamped with a global
+// sequence number, the simulated-cycle clock, the core, and the enclave
+// billed. The log is sized at EnableObservation time and overwrites its
+// oldest records when full, so long runs keep the most recent window. The
+// completed-span ring (span.go) is the same ring over Spans.
 //
 // Writers contend only on one atomic fetch-add (the sequence allocator) plus
 // a per-slot mutex; two writers hit the same slot mutex only when the ring
-// wraps within their race window, so the log is lock-free in practice while
+// wraps within their race window, so the ring is lock-free in practice while
 // staying race-clean by construction (the tier-2 `-race` target hammers it).
 
 // Record is one logged event.
@@ -42,70 +43,98 @@ type Record struct {
 	Span uint64
 }
 
-type logSlot struct {
-	mu  sync.Mutex
-	rec Record // rec.Seq == 0 means never written
-}
-
-// EventLog is a bounded ring buffer of Records, safe for concurrent append.
-type EventLog struct {
+// ring is a bounded ring buffer of T, safe for concurrent append.
+type ring[T any] struct {
 	mask  uint64
 	seq   atomic.Uint64
-	slots []logSlot
+	slots []ringSlot[T]
 }
 
-// NewEventLog builds a log holding the most recent `capacity` records
-// (rounded up to a power of two, minimum 64).
-func NewEventLog(capacity int) *EventLog {
+type ringSlot[T any] struct {
+	mu  sync.Mutex
+	seq uint64 // 0 means never written
+	v   T
+}
+
+// init sizes the ring to hold the most recent `capacity` values (rounded up
+// to a power of two, minimum 64).
+func (l *ring[T]) init(capacity int) {
 	n := 64
 	for n < capacity {
 		n <<= 1
 	}
-	return &EventLog{mask: uint64(n - 1), slots: make([]logSlot, n)}
+	l.mask, l.slots = uint64(n-1), make([]ringSlot[T], n)
 }
 
-// Cap returns the number of records the log retains.
-func (l *EventLog) Cap() int { return len(l.slots) }
+// Cap returns the number of values the ring retains.
+func (l *ring[T]) Cap() int { return len(l.slots) }
 
-// Seq returns the total number of records ever appended.
-func (l *EventLog) Seq() uint64 { return l.seq.Load() }
+// Seq returns the total number of values ever appended.
+func (l *ring[T]) Seq() uint64 { return l.seq.Load() }
 
-// Len returns the number of records currently held.
-func (l *EventLog) Len() int {
-	if s := l.seq.Load(); s < uint64(len(l.slots)) {
-		return int(s)
-	}
-	return len(l.slots)
-}
+// Len returns the number of values currently held.
+func (l *ring[T]) Len() int { return int(min(l.seq.Load(), uint64(len(l.slots)))) }
 
-// Append stamps rec with the next sequence number and stores it, overwriting
-// the oldest record when the ring is full. It returns the assigned sequence.
-func (l *EventLog) Append(rec Record) uint64 {
+// put stores v under the next sequence number (1-based), overwriting the
+// oldest value when the ring is full, and returns that sequence number.
+func (l *ring[T]) put(v T) uint64 {
 	s := l.seq.Add(1)
-	rec.Seq = s
 	slot := &l.slots[(s-1)&l.mask]
 	slot.mu.Lock()
-	// A slower writer from a previous lap must not clobber a newer record.
-	if slot.rec.Seq < s {
-		slot.rec = rec
+	// A slower writer from a previous lap must not clobber a newer value.
+	if slot.seq < s {
+		slot.seq, slot.v = s, v
 	}
 	slot.mu.Unlock()
 	return s
 }
 
-// Snapshot copies the live records in sequence order.
-func (l *EventLog) Snapshot() []Record {
-	out := make([]Record, 0, len(l.slots))
+// snapshot copies the live values in sequence order. stamp, when non-nil,
+// receives each copy with its sequence number.
+func (l *ring[T]) snapshot(stamp func(*T, uint64)) []T {
+	type entry struct {
+		seq uint64
+		v   T
+	}
+	tmp := make([]entry, 0, len(l.slots))
 	for i := range l.slots {
-		l.slots[i].mu.Lock()
-		rec := l.slots[i].rec
-		l.slots[i].mu.Unlock()
-		if rec.Seq != 0 {
-			out = append(out, rec)
+		sl := &l.slots[i]
+		sl.mu.Lock()
+		if sl.seq != 0 {
+			tmp = append(tmp, entry{sl.seq, sl.v})
+		}
+		sl.mu.Unlock()
+	}
+	sort.Slice(tmp, func(i, j int) bool { return tmp[i].seq < tmp[j].seq })
+	out := make([]T, len(tmp))
+	for i, e := range tmp {
+		out[i] = e.v
+		if stamp != nil {
+			stamp(&out[i], e.seq)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
+}
+
+// EventLog is a bounded ring buffer of Records, safe for concurrent append.
+type EventLog struct{ ring[Record] }
+
+// NewEventLog builds a log holding the most recent `capacity` records
+// (rounded up to a power of two, minimum 64).
+func NewEventLog(capacity int) *EventLog {
+	l := &EventLog{}
+	l.init(capacity)
+	return l
+}
+
+// Append stores rec under the next sequence number, its Seq in snapshots,
+// overwriting the oldest record when the ring is full. It returns the
+// assigned sequence.
+func (l *EventLog) Append(rec Record) uint64 { return l.put(rec) }
+
+// Snapshot copies the live records in sequence order.
+func (l *EventLog) Snapshot() []Record {
+	return l.snapshot(func(r *Record, seq uint64) { r.Seq = seq })
 }
 
 // RecordFilter selects records; see ByEID/ByCore/ByEvent.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -91,7 +90,7 @@ func (st *spanStack) top() uint64 {
 type spanState struct {
 	seq    atomic.Uint64
 	stacks [spanSlots]spanStack
-	done   *spanRing
+	done   ring[Span]
 	prof   atomic.Pointer[profState]
 }
 
@@ -169,7 +168,7 @@ func (ref SpanRef) endAt(end int64) {
 	if !found {
 		return
 	}
-	ref.st.done.append(Span{
+	ref.st.done.put(Span{
 		ID: frame.id, Parent: frame.parent, Name: frame.name,
 		EID: frame.eid, Core: frame.core,
 		Start: frame.start, End: end,
@@ -228,65 +227,9 @@ func (r *Recorder) CurrentSpan(core int) uint64 {
 // observation is disabled.
 func (r *Recorder) Spans() []Span {
 	if s := r.sink.Load(); s != nil {
-		return s.spans.done.snapshot()
+		return s.spans.done.snapshot(nil)
 	}
 	return nil
-}
-
-// spanRing is a bounded ring of completed spans, the span-tree counterpart
-// of EventLog: one atomic sequence allocator plus a per-slot mutex, oldest
-// spans overwritten when full.
-type spanRing struct {
-	mask  uint64
-	seq   atomic.Uint64
-	slots []spanRingSlot
-}
-
-type spanRingSlot struct {
-	mu   sync.Mutex
-	seq  uint64 // 0 means never written
-	span Span
-}
-
-func newSpanRing(capacity int) *spanRing {
-	n := 64
-	for n < capacity {
-		n <<= 1
-	}
-	return &spanRing{mask: uint64(n - 1), slots: make([]spanRingSlot, n)}
-}
-
-func (l *spanRing) append(sp Span) {
-	s := l.seq.Add(1)
-	slot := &l.slots[(s-1)&l.mask]
-	slot.mu.Lock()
-	// A slower writer from a previous lap must not clobber a newer span.
-	if slot.seq < s {
-		slot.seq = s
-		slot.span = sp
-	}
-	slot.mu.Unlock()
-}
-
-func (l *spanRing) snapshot() []Span {
-	type entry struct {
-		seq  uint64
-		span Span
-	}
-	tmp := make([]entry, 0, len(l.slots))
-	for i := range l.slots {
-		l.slots[i].mu.Lock()
-		if l.slots[i].seq != 0 {
-			tmp = append(tmp, entry{l.slots[i].seq, l.slots[i].span})
-		}
-		l.slots[i].mu.Unlock()
-	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i].seq < tmp[j].seq })
-	out := make([]Span, len(tmp))
-	for i, e := range tmp {
-		out[i] = e.span
-	}
-	return out
 }
 
 // profState is the simulated-cycle sampling profiler. Every observed charge

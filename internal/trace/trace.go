@@ -385,7 +385,7 @@ func (r *Recorder) EnableObservation(logCapacity int) {
 	if spanCap < 1024 {
 		spanCap = 1024
 	}
-	s.spans.done = newSpanRing(spanCap)
+	s.spans.done.init(spanCap)
 	r.sink.Store(s)
 }
 

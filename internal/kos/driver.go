@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/pt"
@@ -19,22 +18,23 @@ import (
 type Driver struct {
 	k *Kernel
 
-	// pager serializes the paging protocol: an eviction (EBLOCK through the
-	// stored blob), a fault-path reload (blob lookup through the new PTE) and
-	// an enclave's teardown never interleave. Without it a walk could reach
-	// a frame EWB just freed through a still-present PTE, and a reload could
-	// map a frame that a concurrent eviction had already taken back. It is
-	// taken before mu.
+	// pager is the driver's one lock. It serializes every EPC allocation
+	// (ECREATE, EADD, EAUG, ELDU) with the paging protocol: an eviction
+	// (EBLOCK through the stored blob), a fault-path reload (blob lookup
+	// through the new PTE) and an enclave's teardown never interleave, and
+	// no allocation can lose the frame the paging daemon freed for it.
+	// Without it a walk could reach a frame EWB just freed through a
+	// still-present PTE, and a reload could map a frame that a concurrent
+	// eviction had already taken back.
 	pager sync.Mutex
-	mu    sync.Mutex
 
 	// evicted stores sealed EPC pages swapped to "disk" (kernel memory),
 	// keyed by the address space and page base a fault will name.
-	evicted map[evictKey]*sgx.EvictedPage
+	evicted map[evictKey]*sgx.EvictedPage //nescheck:guard pager
 
 	// procs remembers which process each enclave is mapped in, so the
 	// paging daemon can fix page tables when it evicts a victim.
-	procs map[isa.EID]*Process
+	procs map[isa.EID]*Process //nescheck:guard pager
 	// victimCursor rotates victim selection across the EPC.
 	victimCursor int //nescheck:guard pager
 
@@ -42,7 +42,7 @@ type Driver struct {
 	// ELDU on the reload path. The architectural interface can only deliver
 	// #PF to the faulting core, so the driver keeps the hardware's detection
 	// evidence here for the audit harness (DetectionEvidence).
-	detect error
+	detect error //nescheck:guard pager
 }
 
 // evictKey names an evicted page the way the faulting core sees it: the
@@ -55,12 +55,11 @@ type evictKey struct {
 // CreateEnclave performs ECREATE on behalf of the loader, letting the paging
 // daemon make room when the EPC is full.
 func (d *Driver) CreateEnclave(base isa.VAddr, size uint64, attrs uint64) (*sgx.SECS, error) {
-	var s *sgx.SECS
-	err := d.withPressure(isa.NoEnclave, func() (err error) {
-		s, err = d.k.m.ECreate(base, size, attrs)
-		return err
+	d.pager.Lock()
+	defer d.pager.Unlock()
+	return withRoom(d, isa.NoEnclave, trace.NoCore, func() (*sgx.SECS, error) {
+		return d.k.m.ECreate(base, size, attrs)
 	})
-	return s, err
 }
 
 // AddPage performs EADD and maps the new EPC page into the process address
@@ -81,11 +80,12 @@ func (d *Driver) AugPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, perms isa.Per
 }
 
 // addPage runs one EADD/EAUG for s under EPC pressure and maps the new page
-// into p at vaddr with the given PTE permissions.
+// into p at vaddr with the given PTE permissions. d.pager is held to the new
+// PTE, so no eviction can take the page back before it is mapped.
 func (d *Driver) addPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, perms isa.Perm, alloc func() (int, error)) error {
-	d.mu.Lock()
+	d.pager.Lock()
+	defer d.pager.Unlock()
 	d.procs[s.EID] = p
-	d.mu.Unlock()
 	// A platform-failed allocation fails the ioctl outright — no
 	// driver-internal retry — so recovery is observable at the SDK's retry
 	// layer rather than silently self-healing here. ECREATE is not a
@@ -93,11 +93,7 @@ func (d *Driver) addPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, perms isa.Per
 	if err := d.k.m.Hostile().AllocEPC(); err != nil {
 		return fmt.Errorf("kos: EPC allocation failed: %w", err)
 	}
-	var page int
-	err := d.withPressure(s.EID, func() (err error) {
-		page, err = alloc()
-		return err
-	})
+	page, err := withRoom(d, s.EID, trace.NoCore, alloc)
 	if err != nil {
 		return err
 	}
@@ -105,34 +101,23 @@ func (d *Driver) addPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, perms isa.Per
 	return nil
 }
 
-// ErrEPCPressure marks an EPC allocation that failed under memory pressure.
-// It is transient: the caller can retry after backoff (resident pages get
-// evicted in the meantime). errors.Is(err, chaos.ErrTransient) holds.
-var ErrEPCPressure = fmt.Errorf("kos: EPC pressure: %w", chaos.ErrTransient)
-
-// withPressure runs an EPC allocation, letting the paging daemon evict
-// victim pages (preferring enclaves other than avoid; isa.NoEnclave for
-// ECREATE) and retry when the EPC is exhausted.
-func (d *Driver) withPressure(avoid isa.EID, alloc func() error) error {
-	const maxAttempts = 8
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		err := alloc()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if d.k.m.FreeEPCPages() > 0 {
-			return err // not a pressure failure
-		}
-		d.pager.Lock()
-		derr := d.makeRoom(avoid, trace.NoCore)
-		d.pager.Unlock()
-		if derr != nil {
-			return fmt.Errorf("kos: EPC exhausted and paging daemon failed: %v (alloc: %w)", derr, err)
-		}
+// withRoom issues one EPC-allocating instruction. When the EPC is full, the
+// paging daemon first evicts a victim on core (trace.NoCore outside a
+// fault), preferring enclaves other than avoid (isa.NoEnclave for
+// ECREATE), as the SGX driver hands these instructions a free page. The
+// caller holds d.pager, so no other allocation can take the freed frame.
+// When no victim can be evicted the instruction still runs, and its #GP
+// comes back wrapped with the daemon's failure.
+func withRoom[T any](d *Driver, avoid isa.EID, core int, alloc func() (T, error)) (T, error) {
+	if d.k.m.FreeEPCPages() > 0 {
+		return alloc()
 	}
-	return fmt.Errorf("kos: EPC allocation failed after paging: %v: %w", lastErr, ErrEPCPressure)
+	derr := d.makeRoom(avoid, core)
+	v, err := alloc()
+	if err != nil && derr != nil {
+		return v, fmt.Errorf("kos: EPC exhausted and paging daemon failed: %v (alloc: %w)", derr, err)
+	}
+	return v, err
 }
 
 // makeRoom is the paging daemon: it picks a resident regular page (rotating
@@ -154,9 +139,7 @@ func (d *Driver) makeRoom(avoid isa.EID, core int) error {
 			if !ok {
 				continue
 			}
-			d.mu.Lock()
 			proc := d.procs[ent.Owner]
-			d.mu.Unlock()
 			if proc == nil {
 				continue
 			}
@@ -183,13 +166,11 @@ func (d *Driver) InitEnclave(s *sgx.SECS, cert *measure.SigStruct) error {
 func (d *Driver) DestroyEnclave(p *Process, s *sgx.SECS) error {
 	d.pager.Lock()
 	defer d.pager.Unlock()
-	d.mu.Lock()
 	for key, blob := range d.evicted {
 		if blob.Owner == s.EID {
 			delete(d.evicted, key)
 		}
 	}
-	d.mu.Unlock()
 	if p != nil {
 		for v := s.Base; v < s.Base+isa.VAddr(s.Size); v += isa.PageSize {
 			p.pt.Unmap(v)
@@ -237,9 +218,7 @@ func (d *Driver) evictPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, core int) e
 		}
 		return err
 	}
-	d.mu.Lock()
 	d.evicted[evictKey{as: p.pt, vaddr: vaddr.PageBase()}] = blob
-	d.mu.Unlock()
 	h.Evicted(s.EID, vaddr.PageBase(), blob)
 	return nil
 }
@@ -255,50 +234,32 @@ func (d *Driver) reloadIfEvicted(c *sgx.Core, f *isa.Fault) bool {
 	m := d.k.m
 	vpage := f.Addr.PageBase()
 	key := evictKey{as: c.PT, vaddr: vpage}
-	d.mu.Lock()
 	blob, ok := d.evicted[key]
 	if !ok {
-		d.mu.Unlock()
 		return false
 	}
-	delete(d.evicted, key)
-	d.mu.Unlock()
 
 	// A lying kernel may hand ELDU something other than the page's genuine
-	// blob. The genuine one is kept aside either way, so a later honest
-	// retry can still cure the fault.
+	// blob. The genuine one stays in the store until ELDU loads it, so a
+	// later honest retry can still cure the fault.
 	h := m.Hostile()
 	load := h.Reload(blob.Owner, vpage, blob)
-	malicious := load != blob
 
-	// Under EPC pressure the reload itself may need the paging daemon to
-	// make room first. All of it runs on the faulting core, so its EWB/ELD
-	// spans parent under the faulting call.
-	page, err := m.ELDU(load, c.ID)
-	for attempt := 0; err != nil && m.FreeEPCPages() == 0 && attempt < 4; attempt++ {
-		if d.makeRoom(load.Owner, c.ID) != nil {
-			break
-		}
-		page, err = m.ELDU(load, c.ID)
-	}
+	// Under EPC pressure the paging daemon makes room first. All of it runs
+	// on the faulting core, so its EWB/ELD spans parent under the faulting
+	// call.
+	page, err := withRoom(d, load.Owner, c.ID, func() (int, error) { return m.ELDU(load, c.ID) })
 	if err != nil {
-		// Put the genuine blob back so the page is not lost; the access will
-		// fail but a later retry can still succeed.
-		d.mu.Lock()
-		d.evicted[key] = blob
 		if errors.Is(err, sgx.ErrBlobReplay) {
 			d.detect = err
 		}
-		d.mu.Unlock()
 		return false
 	}
-	if malicious {
-		// The hardware accepted the substitute (a fresh, authentic blob of
-		// some OTHER page): the EPC now holds that page, but the victim's
-		// data is still only in its genuine blob — keep it.
-		d.mu.Lock()
-		d.evicted[key] = blob
-		d.mu.Unlock()
+	// A substitute the hardware accepted (a fresh, authentic blob of some
+	// OTHER page) is in the EPC now, but the victim's data is still only in
+	// its genuine blob, which stays stored.
+	if load == blob {
+		delete(d.evicted, key)
 	}
 	// Re-establish the mapping in the address space the page was evicted
 	// from, the faulting core's. Remap is the last lie: the PTE pointing
@@ -311,14 +272,14 @@ func (d *Driver) reloadIfEvicted(c *sgx.Core, f *isa.Fault) bool {
 // the reload path recorded (nil when none): the audit harness's window into
 // detections that the architectural fault interface flattens into #PF.
 func (d *Driver) DetectionEvidence() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.pager.Lock()
+	defer d.pager.Unlock()
 	return d.detect
 }
 
 // EvictedCount reports how many pages are currently swapped out (tests).
 func (d *Driver) EvictedCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.pager.Lock()
+	defer d.pager.Unlock()
 	return len(d.evicted)
 }

@@ -2,6 +2,7 @@ package kos_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -16,19 +17,28 @@ import (
 // pattern.
 func readPage(t *testing.T, m *sgx.Machine, c *sgx.Core, s *sgx.SECS, n, pg int) {
 	t.Helper()
+	if err := checkPage(m, c, s, n, pg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkPage is readPage returning its failure, for use off the test's
+// goroutine.
+func checkPage(m *sgx.Machine, c *sgx.Core, s *sgx.SECS, n, pg int) error {
 	if err := m.EEnter(c, s, s.Base+isa.VAddr(n)*isa.PageSize, false); err != nil {
-		t.Fatalf("enter enclave %d: %v", s.EID, err)
+		return fmt.Errorf("enter enclave %d: %v", s.EID, err)
 	}
 	got, err := c.Read(s.Base+isa.VAddr(pg)*isa.PageSize, 2)
 	if eerr := m.EExit(c, true); eerr != nil {
-		t.Fatalf("exit enclave %d: %v", s.EID, eerr)
+		return fmt.Errorf("exit enclave %d: %v", s.EID, eerr)
 	}
 	if err != nil {
-		t.Fatalf("enclave %d page %d: %v", s.EID, pg, err)
+		return fmt.Errorf("enclave %d page %d: %v", s.EID, pg, err)
 	}
 	if want := bytes.Repeat([]byte{byte(pg + 1)}, 2); !bytes.Equal(got, want) {
-		t.Fatalf("enclave %d page %d: content %v, want %v", s.EID, pg, got, want)
+		return fmt.Errorf("enclave %d page %d: content %v, want %v", s.EID, pg, got, want)
 	}
+	return nil
 }
 
 // TestReloadStaysInFaultingAddressSpace gives two processes an enclave at

@@ -2,15 +2,18 @@ package kos_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"nestedenclave/internal/cache"
+	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/phys"
 	"nestedenclave/internal/sgx"
+	"nestedenclave/internal/trace"
 )
 
 // tinyEPCMachine has room for only a few dozen EPC pages, forcing the
@@ -164,5 +167,109 @@ func TestPagingDaemonThrashing(t *testing.T) {
 	}
 	if bad := m.AuditTLBs(); len(bad) != 0 {
 		t.Fatalf("stale translations after thrash: %v", bad)
+	}
+}
+
+// TestPressuredFaultRunsOneELDU demand-faults an enclave twice the size of
+// the EPC. The paging daemon makes room before the reload, so each reload
+// runs ELDU once: no refused ELDU opens the sealed blob, or samples the eld
+// histogram, before the EPC has a free page.
+func TestPressuredFaultRunsOneELDU(t *testing.T) {
+	m := epcMachine(64)
+	k := kos.New(m)
+	p := k.NewProcess()
+	c := m.Core(0)
+	if err := k.Schedule(c, p); err != nil {
+		t.Fatal(err)
+	}
+	const pages = 128
+	s := buildEnclaveN(t, k, p, 0x1000_0000, pages)
+	runs, reloads := m.Rec.Hist(trace.OpELD).Count(), m.Rec.Get(trace.EvELD)
+	for i := 0; i < 200; i++ {
+		readPage(t, m, c, s, pages, (i*37)%pages)
+	}
+	runs, reloads = m.Rec.Hist(trace.OpELD).Count()-runs, m.Rec.Get(trace.EvELD)-reloads
+	if reloads == 0 {
+		t.Fatal("200 reads of an enclave twice the EPC reloaded nothing")
+	}
+	if runs != reloads {
+		t.Fatalf("%d ELDU runs for %d reloads", runs, reloads)
+	}
+}
+
+// TestBuildUnderPressureRacesFaults builds enclave B while another
+// goroutine demand-faults enclave A on core 1; the two do not fit in the
+// EPC together, so each side's paging daemon evicts the other's pages. No
+// allocation may lose the frame its daemon freed to a concurrent one, and
+// no eviction may take a new page before it is mapped: every build step
+// succeeds and every read returns its fill pattern. Each round also reads
+// B back on core 0 while A faults, then destroys it.
+func TestBuildUnderPressureRacesFaults(t *testing.T) {
+	m := epcMachine(64)
+	k := kos.New(m)
+	p := k.NewProcess()
+	c0, c1 := m.Core(0), m.Core(1)
+	for _, c := range []*sgx.Core{c0, c1} {
+		if err := k.Schedule(c, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const pages, rounds = 48, 4
+	a := buildEnclaveN(t, k, p, 0x1000_0000, pages)
+	done, errc := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				errc <- nil
+				return
+			default:
+			}
+			if err := checkPage(m, c1, a, pages, (i*7)%pages); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(done)
+		if err := <-errc; err != nil {
+			t.Error(err)
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		b := buildEnclaveN(t, k, p, 0x2000_0000, pages)
+		for pg := 0; pg < pages; pg++ {
+			if err := checkPage(m, c0, b, pages, pg); err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
+		if err := k.Driver.DestroyEnclave(p, b); err != nil {
+			t.Fatalf("round %d: destroy: %v", r, err)
+		}
+	}
+}
+
+// TestFullEPCWithoutVictimRefuses fills the EPC with SECS pages, which the
+// paging daemon cannot evict. ECREATE must then fail permanently with the
+// instruction's #GP, not with an error a retry policy would retry.
+func TestFullEPCWithoutVictimRefuses(t *testing.T) {
+	m := epcMachine(8)
+	k := kos.New(m)
+	for i := 0; i < 8; i++ {
+		if _, err := k.Driver.CreateEnclave(isa.VAddr(0x1000_0000*(i+1)), 2*isa.PageSize, 0); err != nil {
+			t.Fatalf("ECREATE %d: %v", i, err)
+		}
+	}
+	if free := m.FreeEPCPages(); free != 0 {
+		t.Fatalf("%d EPC pages free after eight ECREATEs, want a full EPC", free)
+	}
+	_, err := k.Driver.CreateEnclave(0x9000_0000, 2*isa.PageSize, 0)
+	var f *isa.Fault
+	if !errors.As(err, &f) || f.Class != isa.FaultGP {
+		t.Fatalf("ECREATE on an EPC of SECS pages: %v, want a #GP", err)
+	}
+	if errors.Is(err, chaos.ErrTransient) {
+		t.Fatalf("ECREATE on an EPC of SECS pages: %v is transient, want permanent", err)
 	}
 }

@@ -47,10 +47,10 @@ func (e *CallTimeout) Error() string {
 	return fmt.Sprintf("enclave %s: call exceeded budget of %d cycles", e.Enclave, e.Budget)
 }
 
-// RetryPolicy retries transient faults (EPC pressure, injected channel loss)
-// with exponential backoff and deterministic jitter. Backoff is simulated
-// time — it advances the machine clock, not the wall clock — so retried runs
-// replay exactly.
+// RetryPolicy retries transient faults (injected EPC-allocation failures,
+// injected channel loss) with exponential backoff and deterministic jitter.
+// Backoff is simulated time — it advances the machine clock, not the wall
+// clock — so retried runs replay exactly.
 type RetryPolicy struct {
 	// MaxAttempts caps total tries (0 → 4).
 	MaxAttempts int

@@ -12,7 +12,6 @@ import (
 	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
-	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
@@ -291,14 +290,6 @@ func TestRetryPolicyBackoffAdvancesSimulatedClock(t *testing.T) {
 	})
 	if got := r.m.Rec.Cycles() - before; got < 30_000 {
 		t.Fatalf("backoff advanced only %d cycles", got)
-	}
-}
-
-// --- EPC pressure as a transient fault ---
-
-func TestEPCPressureIsTransient(t *testing.T) {
-	if !errors.Is(kos.ErrEPCPressure, chaos.ErrTransient) {
-		t.Fatal("EPC pressure not classified transient")
 	}
 }
 

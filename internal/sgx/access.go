@@ -90,29 +90,38 @@ func (c *Core) handleFault(err error) bool {
 	return c.PFHandler(c, f)
 }
 
+// repairFaults runs step, one translate-and-access of a chunk, and hands a
+// #PF it returns to the kernel's handler, running step again after each
+// repair, at most maxFaultRetries times. A memory-system error ends it at
+// once.
+func (c *Core) repairFaults(step func() (fault, err error)) error {
+	for attempt := 0; ; attempt++ {
+		fault, err := step()
+		if err != nil {
+			return err // MEE integrity machine check
+		}
+		if fault == nil {
+			return nil
+		}
+		if attempt >= maxFaultRetries || !c.handleFault(fault) {
+			return fault
+		}
+	}
+}
+
 // ReadInto reads len(dst) bytes at virtual address v into dst through the
 // full translation + protection path. Aborted regions read as 0xFF.
 func (c *Core) ReadInto(v isa.VAddr, dst []byte) error {
 	for off := 0; off < len(dst); {
 		cur := v + isa.VAddr(off)
-		n := chunkLen(cur, len(dst)-off)
+		chunk := dst[off : off+chunkLen(cur, len(dst)-off)]
 		if err := c.m.hostile.Preempt(c); err != nil {
 			return err
 		}
-		for attempt := 0; ; attempt++ {
-			fault, err := c.readChunk(cur, dst[off:off+n])
-			if err != nil {
-				return err // MEE integrity machine check
-			}
-			if fault == nil {
-				break
-			}
-			if attempt < maxFaultRetries && c.handleFault(fault) {
-				continue
-			}
-			return fault
+		if err := c.repairFaults(func() (fault, err error) { return c.readChunk(cur, chunk) }); err != nil {
+			return err
 		}
-		off += n
+		off += len(chunk)
 	}
 	return nil
 }
@@ -174,24 +183,14 @@ func (c *Core) Read(v isa.VAddr, n int) ([]byte, error) {
 func (c *Core) Write(v isa.VAddr, b []byte) error {
 	for off := 0; off < len(b); {
 		cur := v + isa.VAddr(off)
-		n := chunkLen(cur, len(b)-off)
+		chunk := b[off : off+chunkLen(cur, len(b)-off)]
 		if err := c.m.hostile.Preempt(c); err != nil {
 			return err
 		}
-		for attempt := 0; ; attempt++ {
-			fault, err := c.writeChunk(cur, b[off:off+n])
-			if err != nil {
-				return err
-			}
-			if fault == nil {
-				break
-			}
-			if attempt < maxFaultRetries && c.handleFault(fault) {
-				continue
-			}
-			return fault
+		if err := c.repairFaults(func() (fault, err error) { return c.writeChunk(cur, chunk) }); err != nil {
+			return err
 		}
-		off += n
+		off += len(chunk)
 	}
 	return nil
 }
@@ -203,19 +202,17 @@ func (c *Core) Fetch(v isa.VAddr) error {
 	if err := c.m.hostile.Preempt(c); err != nil {
 		return err
 	}
-	for attempt := 0; ; attempt++ {
-		abort, err := c.fetchChunk(v)
-		if err == nil {
-			if abort {
-				return isa.PF(v, isa.Execute, "fetch from abort page")
-			}
-			return nil
-		}
-		if attempt < maxFaultRetries && c.handleFault(err) {
-			continue
-		}
+	var abort bool
+	if err := c.repairFaults(func() (fault, err error) {
+		abort, fault = c.fetchChunk(v)
+		return fault, nil
+	}); err != nil {
 		return err
 	}
+	if abort {
+		return isa.PF(v, isa.Execute, "fetch from abort page")
+	}
+	return nil
 }
 
 // ReadU64 reads a little-endian uint64 at v.

@@ -131,13 +131,11 @@ func (m *Machine) ETrack(s *SECS) []*Core {
 	return m.Tracker.CoresToShootdown(m, s.EID)
 }
 
-// Shootdown flushes the target core's TLB, modelling the effect of the
+// ShootdownFor flushes the target core's TLB, modelling the effect of the
 // TLB-shootdown IPI (on real hardware the IPI causes an AEX, whose exit path
-// flushes). Called by the kernel (kos) for each core ETrack returned.
-func (m *Machine) Shootdown(c *Core) { m.ShootdownFor(c, isa.NoEnclave) }
-
-// ShootdownFor is Shootdown billing the IPI to the enclave whose page
-// tracking caused it (the eviction victim's owner).
+// flushes), and bills the IPI to the enclave whose page tracking caused it
+// (the eviction victim's owner). The kernel (kos) calls it for each core
+// ETrack returned whose IPI the platform delivers.
 func (m *Machine) ShootdownFor(c *Core, eid isa.EID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -273,10 +271,10 @@ func (m *Machine) EvictionCandidate(start, count int, skip isa.EID) (int, epc.En
 	return i, *m.EPC.Entry(i), true
 }
 
-// FreeEPCPages returns the free-page count under the machine lock.
+// FreeEPCPages returns the free-page count under the machine read lock.
 func (m *Machine) FreeEPCPages() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	return m.EPC.FreePages()
 }
 

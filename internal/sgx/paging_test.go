@@ -73,7 +73,7 @@ func TestEvictedBlobIsOpaqueToKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range r.m.ETrack(s) {
-		r.m.Shootdown(c)
+		r.m.ShootdownFor(c, isa.NoEnclave)
 	}
 	blob, err := r.m.EWB(idx, trace.NoCore)
 	if err != nil {

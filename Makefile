@@ -77,7 +77,7 @@ tier3:
 	$(MAKE) adversary
 
 # modelcheck exhaustively enumerates every schedule at the 2-core x 2-slot
-# scope up to MODELCHECK_DEPTH ops (default 8, ~3 minutes): each
+# scope up to MODELCHECK_DEPTH ops (default 8, ~1.5 minutes): each
 # interleaving is diffed against the oracle and audited against the §VII-A
 # invariants. Fails on any divergence (printing the ddmin-minimal schedule
 # in the regress_test.go replay format) or if pruning falls below 50% of the
@@ -85,7 +85,7 @@ tier3:
 modelcheck:
 	$(GO) run ./cmd/repro -exhaustive -mc-depth $(MODELCHECK_DEPTH)
 
-# modelcheck-smoke is the depth-6 slice of the same enumeration (~15s),
+# modelcheck-smoke is the depth-6 slice of the same enumeration (~10s),
 # folded into tier2 alongside the explorer's own unit tests.
 modelcheck-smoke:
 	MODELCHECK_DEPTH=6 $(GO) test ./internal/simtest -run 'TestModelCheckSmoke$$' -count=1 -v
@@ -142,11 +142,13 @@ adversary-smoke:
 # EPCFaultUnderPressure — one demand fault through the paging daemon's
 # victim search, EWB and ELDU, with an enclave heap twice the EPC —
 # LLCMiss — one 256 B write whose four lines all miss and evict dirty
-# victims through the MEE — and SQLQuery — one nested YCSB-A query through
-# Table VI's service) with ns/op and allocs/op reporting.
+# victims through the MEE — SQLQuery — one nested YCSB-A query through
+# Table VI's service — and NewMachine — one sgx.New of SmallConfig and of
+# DefaultConfig, whose B/op is a machine's host memory before it runs
+# anything) with ns/op and allocs/op reporting.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='ECall|OCall|PageWalk|EPCFault|LLCMiss|SQLQuery' -benchtime=200x -run=^$$ ./internal/bench
+	$(GO) test -bench='ECall|OCall|PageWalk|EPCFault|LLCMiss|SQLQuery|NewMachine' -benchtime=200x -run=^$$ ./internal/bench
 
 clean:
 	$(GO) clean ./...

@@ -116,8 +116,9 @@ func Figure10(cfg Figure10Config) ([]Figure10Row, error) {
 		return float64(used) * isa.PageSize / (1 << 20)
 	}
 	slot := vaSlots(cfg)
-	// Each configuration allocates hundreds of MB of simulated DRAM; reclaim
-	// between configurations so Go GC pressure does not bias later rows.
+	// Each configuration's machine holds a DRAM frame for every page its
+	// enclaves touched, plus the full-size LLC's line array; reclaim between
+	// configurations so Go GC pressure does not bias later rows.
 	reclaim := func() { runtime.GC() }
 
 	// Baseline 1: N SSL enclaves + N App enclaves, all separate.

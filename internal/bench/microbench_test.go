@@ -301,3 +301,22 @@ func BenchmarkSQLQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewMachine is one machine construction: the DRAM frame table, the
+// MEE's per-page table, the LLC's line array and the cores. B/op is the
+// host memory a machine costs before it runs anything.
+func BenchmarkNewMachine(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cfg  sgx.Config
+	}{{"SmallConfig", sgx.SmallConfig()}, {"DefaultConfig", sgx.DefaultConfig()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sgx.New(tc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -119,7 +119,7 @@ type outerRig struct {
 	outerImg *sdk.Image
 }
 
-func newOuterRig(t *testing.T, heapPages int) *outerRig {
+func newOuterRig(t testing.TB, heapPages int) *outerRig {
 	t.Helper()
 	m := sgx.MustNew(sgx.SmallConfig())
 	ext := core.Enable(m, core.TwoLevel())
@@ -135,6 +135,7 @@ func newOuterRig(t *testing.T, heapPages int) *outerRig {
 	registerChannelCalls(in1Img)
 	registerChannelCalls(in2Img)
 	registerChannelCalls(outerImg)
+	registerOuterMemCalls(outerImg)
 
 	author := measure.MustNewAuthor()
 	so := outerImg.Sign(author, nil, []measure.Digest{in1Img.Measure(), in2Img.Measure()})

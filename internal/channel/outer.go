@@ -2,6 +2,7 @@ package channel
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"nestedenclave/internal/isa"
@@ -23,12 +24,31 @@ import (
 // data area. Offsets monotonically increase; head==tail means empty. The
 // structure itself carries no crypto: hardware protection of the outer
 // enclave's memory is the whole point.
+//
+// Both ends still check the ring's words before trusting them, since the
+// outer enclave can rewrite them: a header whose tail is more than a ring
+// ahead of its head (or behind it), or a frame that runs past the tail, is
+// an error wrapping ErrCorruptRing, never a payload or a ring that reads
+// as full forever. The ring cannot tell a lie that stays inside the window
+// [head, tail), such as a length word rewritten smaller.
 type OuterChannel struct {
 	base isa.VAddr
 	size uint64 // data area size
 }
 
 const hdrSize = 16
+
+// ErrCorruptRing is wrapped by every error that reports ring words no honest
+// sender or receiver could have written.
+var ErrCorruptRing = errors.New("channel: corrupt ring")
+
+// window checks the header's claim that tail-head bytes are queued.
+func (ch *OuterChannel) window(head, tail uint64) (uint64, error) {
+	if tail-head > ch.size {
+		return 0, fmt.Errorf("%w: tail %d is not within %d bytes after head %d", ErrCorruptRing, tail, ch.size, head)
+	}
+	return tail - head, nil
+}
 
 // NewOuter creates a channel descriptor over [base, base+hdrSize+size) of
 // outer-enclave memory. The creator (outer enclave code) must zero the
@@ -101,7 +121,11 @@ func (ch *OuterChannel) Send(c *sgx.Core, payload []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if tail-head+need > ch.size {
+	queued, err := ch.window(head, tail)
+	if err != nil {
+		return false, err
+	}
+	if queued+need > ch.size {
 		return false, nil // full
 	}
 	var lenBuf [4]byte
@@ -128,13 +152,17 @@ func (ch *OuterChannel) Recv(c *sgx.Core) ([]byte, bool, error) {
 	if head == tail {
 		return nil, false, nil
 	}
+	queued, err := ch.window(head, tail)
+	if err != nil {
+		return nil, false, err
+	}
 	lenBuf, err := ch.dataRead(c, head, 4)
 	if err != nil {
 		return nil, false, err
 	}
 	n := uint64(binary.LittleEndian.Uint32(lenBuf))
-	if n > ch.size {
-		return nil, false, fmt.Errorf("channel: corrupt frame length %d", n)
+	if 4+n > queued {
+		return nil, false, fmt.Errorf("%w: frame of %d bytes at %d runs past tail %d", ErrCorruptRing, n, head, tail)
 	}
 	payload, err := ch.dataRead(c, head+4, n)
 	if err != nil {

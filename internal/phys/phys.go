@@ -1,4 +1,4 @@
-// Package phys models the physical memory of the simulated machine: a flat
+// Package phys models the physical memory of the simulated machine: a
 // DRAM with a Processor Reserved Memory (PRM) range carved out for the
 // Enclave Page Cache. The package knows nothing about enclaves; it only
 // answers "is this physical address inside PRM?" and moves bytes.
@@ -52,18 +52,29 @@ func (l Layout) Validate() error {
 	return nil
 }
 
-// Memory is the simulated DRAM device.
+// Memory is the simulated DRAM device. Its contents are a table of page
+// frames, one slot per physical page. A nil slot is a frame that has never
+// been written and reads as zeros, so a machine's host memory grows with
+// the pages it touches, not with its DRAM size.
+//
+// The table takes no lock of its own. Only Write and the attacker's
+// TamperByte fill a slot, and Write's one caller, the MEE, runs under the
+// LLC's mutex, which also covers the writebacks EWB and ELDU cause under
+// the machine's write lock. Zero and the reads only load a slot: EWB and
+// EREMOVE zero under the machine's write lock, and the kernel's Mmap
+// zeroes a frame no one else holds yet.
 type Memory struct {
 	layout Layout
-	data   []byte
+	frames []*[isa.PageSize]byte
 }
 
-// New allocates a DRAM with the given layout.
+// New builds a DRAM with the given layout. No frame is allocated until it
+// is first written.
 func New(layout Layout) (*Memory, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
-	return &Memory{layout: layout, data: make([]byte, layout.DRAMSize)}, nil
+	return &Memory{layout: layout, frames: make([]*[isa.PageSize]byte, layout.DRAMSize>>isa.PageShift)}, nil
 }
 
 // MustNew is New for known-good layouts; it panics on error.
@@ -102,32 +113,67 @@ func (m *Memory) check(p isa.PAddr, n int) {
 	}
 }
 
+// inFrame returns how many of the n bytes at p lie in p's frame.
+func inFrame(p isa.PAddr, n int) int { return min(n, isa.PageSize-int(p.Offset())) }
+
+// frame returns the frame holding p, allocating it on its first write.
+func (m *Memory) frame(p isa.PAddr) *[isa.PageSize]byte {
+	f := m.frames[p.PPN()]
+	if f == nil {
+		f = new([isa.PageSize]byte)
+		m.frames[p.PPN()] = f
+	}
+	return f
+}
+
 // Read copies n bytes at physical address p into a fresh slice. This is the
 // "memory bus" view: PRM contents are returned exactly as stored (ciphertext
 // once an MEE is attached to the write path).
 func (m *Memory) Read(p isa.PAddr, n int) []byte {
 	m.check(p, n)
 	out := make([]byte, n)
-	copy(out, m.data[p:uint64(p)+uint64(n)])
+	m.ReadInto(p, out)
 	return out
 }
 
 // ReadInto copies len(dst) bytes at physical address p into dst.
 func (m *Memory) ReadInto(p isa.PAddr, dst []byte) {
 	m.check(p, len(dst))
-	copy(dst, m.data[p:uint64(p)+uint64(len(dst))])
+	for len(dst) > 0 {
+		k := inFrame(p, len(dst))
+		if f := m.frames[p.PPN()]; f != nil {
+			copy(dst[:k], f[p.Offset():])
+		} else {
+			clear(dst[:k])
+		}
+		dst = dst[k:]
+		p += isa.PAddr(k)
+	}
 }
 
 // Write stores b at physical address p.
 func (m *Memory) Write(p isa.PAddr, b []byte) {
 	m.check(p, len(b))
-	copy(m.data[p:uint64(p)+uint64(len(b))], b)
+	for len(b) > 0 {
+		k := copy(m.frame(p)[p.Offset():], b)
+		b = b[k:]
+		p += isa.PAddr(k)
+	}
 }
 
-// Zero clears n bytes at physical address p.
+// Zero clears n bytes at physical address p. A frame that was never written
+// is already zero and stays unallocated; a frame that exists is cleared in
+// place and kept, since the next write to it would allocate it again.
 func (m *Memory) Zero(p isa.PAddr, n int) {
 	m.check(p, n)
-	clear(m.data[p : uint64(p)+uint64(n)])
+	for n > 0 {
+		k := inFrame(p, n)
+		if f := m.frames[p.PPN()]; f != nil {
+			clear(f[p.Offset():][:k])
+		}
+		n -= k
+		p += isa.PAddr(k)
+	}
 }
 
 // Line returns a copy of the 64-byte cacheline containing p.
@@ -141,5 +187,5 @@ func (m *Memory) Line(p isa.PAddr) []byte {
 // next protected read.
 func (m *Memory) TamperByte(p isa.PAddr, xor byte) {
 	m.check(p, 1)
-	m.data[p] ^= xor
+	m.frame(p)[p.Offset()] ^= xor
 }

@@ -110,3 +110,81 @@ func TestLine(t *testing.T) {
 		}
 	}
 }
+
+func TestAccessAcrossFrameBoundary(t *testing.T) {
+	m := MustNew(small())
+	// Three frames: the write starts 10 bytes before the end of the first
+	// and ends 10 bytes into the third.
+	p := isa.PAddr(0x5000 - 10)
+	data := make([]byte, 10+isa.PageSize+10)
+	for i := range data {
+		data[i] = byte(i%251) + 1
+	}
+	m.Write(p, data)
+	if got := m.Read(p, len(data)); !bytes.Equal(got, data) {
+		t.Fatal("Read across frames differs from what was written")
+	}
+	dst := make([]byte, len(data)+20)
+	m.ReadInto(p-10, dst)
+	if !bytes.Equal(dst[10:len(data)+10], data) || !bytes.Equal(dst[:10], make([]byte, 10)) ||
+		!bytes.Equal(dst[len(data)+10:], make([]byte, 10)) {
+		t.Fatal("ReadInto across frames differs from what was written")
+	}
+	m.Zero(p+5, len(data)-10)
+	want := append(append(append([]byte(nil), data[:5]...), make([]byte, len(data)-10)...), data[len(data)-5:]...)
+	if got := m.Read(p, len(data)); !bytes.Equal(got, want) {
+		t.Fatal("Zero across frames cleared the wrong bytes")
+	}
+}
+
+func TestUnwrittenFrameReadsZero(t *testing.T) {
+	m := MustNew(small())
+	m.Write(0x6000, []byte{0xAA}) // a neighbour exists; 0x7000's frame does not
+	zero := make([]byte, isa.PageSize)
+	if got := m.Read(0x7000, isa.PageSize); !bytes.Equal(got, zero) {
+		t.Error("Read of an unwritten frame is not zero")
+	}
+	dst := bytes.Repeat([]byte{0xFF}, isa.PageSize)
+	m.ReadInto(0x7000, dst)
+	if !bytes.Equal(dst, zero) {
+		t.Error("ReadInto of an unwritten frame left stale bytes in dst")
+	}
+	if got := m.Line(0x7040); !bytes.Equal(got, zero[:isa.LineSize]) {
+		t.Error("Line of an unwritten frame is not zero")
+	}
+	if m.frames[0x7] != nil {
+		t.Error("reading an unwritten frame allocated it")
+	}
+}
+
+func TestTamperUnwrittenFrame(t *testing.T) {
+	m := MustNew(small())
+	m.TamperByte(0x8010, 0x5A)
+	got := m.Read(0x8000, isa.LineSize)
+	for i, b := range got {
+		want := byte(0)
+		if i == 0x10 {
+			want = 0x5A
+		}
+		if b != want {
+			t.Fatalf("byte %#x = %#x, want %#x", i, b, want)
+		}
+	}
+}
+
+func TestZeroAllocatesNothing(t *testing.T) {
+	m := MustNew(small())
+	m.Write(0x9000, bytes.Repeat([]byte{0xAB}, isa.PageSize))
+	if n := testing.AllocsPerRun(100, func() { m.Zero(0x9000, isa.PageSize) }); n != 0 {
+		t.Errorf("Zero of an existing frame: %v allocs", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Zero(0xA000, isa.PageSize) }); n != 0 {
+		t.Errorf("Zero of an unwritten frame: %v allocs", n)
+	}
+	if m.frames[0x9] == nil {
+		t.Error("Zero freed an existing frame")
+	}
+	if m.frames[0xA] != nil {
+		t.Error("Zero allocated an unwritten frame")
+	}
+}

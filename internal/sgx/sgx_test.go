@@ -2,6 +2,7 @@ package sgx_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -476,4 +477,23 @@ func TestERemoveConstraints(t *testing.T) {
 	if err := r.m.ERemove(secsPage); err == nil {
 		t.Fatal("SECS removed while enclave pages remain")
 	}
+}
+
+// TestNewMachineFootprint bounds the host bytes one full-size machine costs
+// to build. DRAM frames are allocated on first write, so a fresh machine's
+// 256 MiB of simulated DRAM costs only its frame table; the bound leaves room
+// for the LLC's line array and the MEE's per-page table.
+func TestNewMachineFootprint(t *testing.T) {
+	const bound = 32 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := sgx.New(sgx.DefaultConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("sgx.New(DefaultConfig()) allocated %d bytes, want at most %d", got, bound)
+	}
+	runtime.KeepAlive(m)
 }

@@ -162,7 +162,7 @@ func RenderAblationShootdown(a *AblationShootdownResult) *Table {
 		Headers: []string{"Policy", "shootdown IPIs", "per eviction"},
 		Notes:   []string{"IV-E: broadcast 'can potentially cause exceptions even for unrelated cores, but the tracking becomes simpler'"},
 	}
-	t.AddRow("precise (TrackerExt)", fmt.Sprint(a.PreciseIPIs), f2(float64(a.PreciseIPIs)/float64(a.Evictions)))
+	t.AddRow("precise (InnerAwareTracker)", fmt.Sprint(a.PreciseIPIs), f2(float64(a.PreciseIPIs)/float64(a.Evictions)))
 	t.AddRow("broadcast", fmt.Sprint(a.BroadcastIPIs), f2(float64(a.BroadcastIPIs)/float64(a.Evictions)))
 	return t
 }

@@ -14,9 +14,11 @@
 //     out-of-ELRANGE virtual address, an inner enclave's access is
 //     re-validated against its outer enclave(s), giving the asymmetric
 //     permission at the heart of the model (inner reads outer; never the
-//     reverse).
+//     reverse). The flow is sgx.Figure6Validator, which every machine runs;
+//     this package only creates the links it follows.
 //   - Thread tracking (§IV-E): EPC eviction of an outer page must shoot down
-//     TLBs of cores running its inner enclaves too.
+//     TLBs of cores running its inner enclaves too. The policy is
+//     sgx.InnerAwareTracker, also every machine's own.
 //
 // Section VIII's extensions are both implemented and feature-gated by
 // Config: multi-level nesting (the validator follows the chain of
@@ -41,20 +43,20 @@ type Config struct {
 // TwoLevel is the paper's base configuration: two levels, single outer.
 func TwoLevel() Config { return Config{MaxDepth: 2} }
 
-// Extension is an extension point for nesting-aware machines.
+// Extension carries the nested-enclave instructions (NASSO, NEENTER/NEEXIT,
+// NEREPORT) for one machine under one nesting model.
 type Extension struct {
 	m   *sgx.Machine
 	cfg Config
 }
 
-// Enable installs nested-enclave support on the machine: the Figure-6
-// validator and the inner-aware ETRACK tracker. It returns the extension
-// handle through which the new instructions are issued.
+// Enable returns the handle for the new instructions on m under the given
+// nesting model. It installs nothing: the Figure-6 validator and the
+// inner-aware tracker are every machine's own (sgx.Figure6Validator,
+// sgx.InnerAwareTracker), and they differ from baseline SGX only once NASSO
+// has linked a pair.
 func Enable(m *sgx.Machine, cfg Config) *Extension {
-	ext := &Extension{m: m, cfg: cfg}
-	m.Validator = &Validator{}
-	m.Tracker = &TrackerExt{}
-	return ext
+	return &Extension{m: m, cfg: cfg}
 }
 
 // Machine returns the underlying machine.
@@ -62,50 +64,6 @@ func (e *Extension) Machine() *sgx.Machine { return e.m }
 
 // Config returns the active nesting configuration.
 func (e *Extension) Config() Config { return e.cfg }
-
-// outerChain collects the transitive outer closure of the enclave: every
-// enclave reachable by following OuterEIDs links, breadth-first, cycles
-// guarded. With the base single-outer configuration this is a simple chain;
-// with the lattice extension it is a DAG traversal.
-//
-// This sits on the page-walk hot path (the Figure-6 validator consults it on
-// every nested-relevant TLB miss), so the common cases are allocation-free:
-// a non-inner enclave returns nil immediately, and an inner enclave reuses a
-// closure cached on its SECS until the association graph changes (NASSO or
-// EREMOVE bump the machine's association epoch).
-//
-// Must run with the machine lock held, at least shared (it is called from
-// the validator and from Atomically sections).
-func outerChain(m *sgx.Machine, s *sgx.SECS) []*sgx.SECS {
-	if len(s.Nested.OuterEIDs) == 0 {
-		return nil
-	}
-	epoch := m.AssocEpoch()
-	if chain, ok := s.CachedOuterChain(epoch); ok {
-		return chain
-	}
-	var out []*sgx.SECS
-	seen := map[isa.EID]bool{s.EID: true}
-	frontier := []*sgx.SECS{s}
-	for len(frontier) > 0 {
-		next := frontier[0]
-		frontier = frontier[1:]
-		for _, oe := range next.Nested.OuterEIDs {
-			if seen[oe] {
-				continue
-			}
-			seen[oe] = true
-			o, ok := m.ResolveEID(oe)
-			if !ok {
-				continue
-			}
-			out = append(out, o)
-			frontier = append(frontier, o)
-		}
-	}
-	s.StoreOuterChain(epoch, out)
-	return out
-}
 
 // depthOf returns the nesting depth of the enclave: 1 for a top-level
 // enclave, 2 for an inner of a top-level outer, etc. With the lattice

@@ -410,7 +410,7 @@ func TestNestedTrackerRequiredForOuterEviction(t *testing.T) {
 
 	// With the nested-aware tracker the camping core is shot down and the
 	// eviction completes.
-	r.m.Tracker = core.TrackerExt{}
+	r.m.Tracker = sgx.InnerAwareTracker{}
 	if err := r.k.Driver.EvictPage(r.host.Proc, outer.SECS(), outerHeap); err != nil {
 		t.Fatalf("eviction with nested tracker: %v", err)
 	}

@@ -45,7 +45,7 @@ func (e *Extension) NASSO(inner, outer *sgx.SECS) error {
 
 		// The association must not create a cycle: the outer's own outer
 		// closure must not contain the inner.
-		for _, o := range outerChain(e.m, outer) {
+		for _, o := range e.m.OuterChain(outer) {
 			if o.EID == inner.EID {
 				return isa.GP("NASSO: association would create a nesting cycle")
 			}
@@ -63,7 +63,7 @@ func (e *Extension) NASSO(inner, outer *sgx.SECS) error {
 		// and must not overlap, or the validator's region tests would be
 		// ambiguous. (Real deployments guarantee this by construction; the
 		// instruction makes it explicit.)
-		for _, o := range append(outerChain(e.m, outer), outer) {
+		for _, o := range append(e.m.OuterChain(outer), outer) {
 			if rangesOverlap(inner, o) {
 				return isa.GP("NASSO: ELRANGE of inner %d overlaps enclave %d", inner.EID, o.EID)
 			}
@@ -87,11 +87,7 @@ func (e *Extension) NASSO(inner, outer *sgx.SECS) error {
 			}
 		}
 
-		inner.Nested.OuterEIDs = append(inner.Nested.OuterEIDs, outer.EID)
-		outer.Nested.InnerEIDs = append(outer.Nested.InnerEIDs, inner.EID)
-		// The association graph changed: invalidate every cached
-		// outer-closure (see outerChain).
-		e.m.BumpAssocEpoch()
+		e.m.AssociateLocked(inner, outer)
 		return nil
 	})
 }

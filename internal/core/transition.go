@@ -71,41 +71,3 @@ func (e *Extension) NEEXIT(c *sgx.Core) error {
 		return nil
 	})
 }
-
-// TrackerExt is the §IV-E thread-tracking extension. Evicting an EPC page of
-// an outer enclave must shoot down not only cores with live context in that
-// enclave, but also cores running any of its (transitive) inner enclaves —
-// those cores legitimately hold translations for outer pages via the
-// Figure-6 nested validation branch.
-type TrackerExt struct{}
-
-// CoresToShootdown implements sgx.Tracker.
-func (TrackerExt) CoresToShootdown(m *sgx.Machine, eid isa.EID) []*sgx.Core {
-	var out []*sgx.Core
-	for _, c := range m.Cores() {
-		if coreTouches(m, c, eid) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// coreTouches reports whether the core has live context in enclave eid or in
-// any enclave whose outer closure contains eid.
-func coreTouches(m *sgx.Machine, c *sgx.Core, eid isa.EID) bool {
-	for _, e := range c.ExecutingEIDs() {
-		if e == eid {
-			return true
-		}
-		s, ok := m.ResolveEID(e)
-		if !ok {
-			continue
-		}
-		for _, o := range outerChain(m, s) {
-			if o.EID == eid {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -6,9 +6,12 @@ import (
 
 	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
+	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/pt"
 	"nestedenclave/internal/sgx"
+	"nestedenclave/internal/tlb"
+	"nestedenclave/internal/trace"
 )
 
 // buildRaw constructs an enclave through the raw driver path (no SDK): two RW
@@ -208,4 +211,73 @@ func verdictOf(v sgx.Verdict) string {
 		return "#GP"
 	}
 	return "?"
+}
+
+// TestOneFlowWithOrWithoutEnable builds the same enclave on two machines,
+// one with core.Enable and one without, and runs the same accesses through
+// each machine's installed validator. Both run the one Figure-6 flow, so
+// each access must return the same verdict and TLB entry and charge the
+// same validation steps on both — the cycles a machine charges for a walk
+// do not depend on whether the nesting instructions are enabled.
+func TestOneFlowWithOrWithoutEnable(t *testing.T) {
+	base := isa.VAddr(0x1000_0000)
+	nested := newRig(t, core.TwoLevel())
+	m := sgx.MustNew(sgx.SmallConfig())
+	plainSGX := &rig{m: m, k: kos.New(m)}
+
+	type access struct {
+		name  string
+		v     isa.VAddr
+		page  int // the enclave's data page to map; -1 maps plain DRAM
+		want  string
+		steps int64
+	}
+	accesses := []access{
+		{"own page read", base, 0, "ok", 4},
+		{"EPC page at the wrong vaddr", base, 1, "abort", 4},
+		{"evicted ELRANGE page", base, -1, "#PF", 3},
+		{"unsecure read", 0x0040_0000, -1, "ok", 3},
+	}
+	type outcome struct {
+		verdict string
+		fault   string
+		entry   tlb.Entry
+		steps   int64
+	}
+	run := func(r *rig) []outcome {
+		s := buildRaw(t, r, base)
+		c := r.m.Core(1)
+		if err := r.m.EEnter(c, s, rawTCS(s, 0), false); err != nil {
+			t.Fatalf("EENTER: %v", err)
+		}
+		plain := uint64(0x0010_0000) >> isa.PageShift // DRAM below the PRM
+		var out []outcome
+		for _, a := range accesses {
+			ppn := plain
+			if a.page >= 0 {
+				for _, i := range r.m.EPC.PagesOf(s.EID) {
+					if ent := r.m.EPC.Entry(i); ent.Vaddr == base+isa.VAddr(a.page)*isa.PageSize {
+						ppn = uint64(r.m.EPC.AddrOf(i)) >> isa.PageShift
+					}
+				}
+			}
+			before := r.m.Rec.Get(trace.EvValidateStep)
+			entry, verdict := r.m.Validator.Validate(c, a.v, pt.PTE{PPN: ppn, Perms: isa.PermRW, Present: true}, isa.Read)
+			o := outcome{verdict: verdictOf(verdict), entry: entry, steps: r.m.Rec.Get(trace.EvValidateStep) - before}
+			if verdict.Fault != nil {
+				o.fault = verdict.Fault.Error()
+			}
+			out = append(out, o)
+		}
+		return out
+	}
+	with, without := run(nested), run(plainSGX)
+	for i, a := range accesses {
+		if with[i] != without[i] {
+			t.Errorf("%s: with core.Enable %+v, without %+v", a.name, with[i], without[i])
+		}
+		if with[i].verdict != a.want || with[i].steps != a.steps {
+			t.Errorf("%s: got %s in %d steps, want %s in %d", a.name, with[i].verdict, with[i].steps, a.want, a.steps)
+		}
+	}
 }

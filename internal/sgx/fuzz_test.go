@@ -40,7 +40,8 @@ func fuzzContexts(f *testing.F) *simtest.Runner {
 }
 
 // FuzzAccessValidate differentially fuzzes the machine's installed access
-// validator (the Figure-6 implementation in internal/core) against the model
+// validator (sgx.Figure6Validator, the one flow every machine runs) against
+// the model
 // oracle's pure Validate: for every (core, vaddr, fabricated PTE, access)
 // tuple the fuzzer invents, both must agree on the verdict and — when the
 // access is allowed — on the physical page and effective permissions of the

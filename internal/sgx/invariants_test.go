@@ -25,7 +25,7 @@ func auditBaseline(m *sgx.Machine) error {
 }
 
 func TestBaselineInvariantsUnderRandomOperations(t *testing.T) {
-	r := newRig(t) // baseline validator: core.Enable never called
+	r := newRig(t) // no NASSO: the Figure-6 flow runs as Figure 2
 	e1, t1 := buildEnclave(t, r.k, r.p, 0x100000, 3)
 	e2, _ := buildEnclave(t, r.k, r.p, 0x200000, 2)
 	unsec, err := r.p.Mmap(2*isa.PageSize, isa.PermRW)

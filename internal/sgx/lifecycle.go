@@ -208,7 +208,7 @@ func (m *Machine) ERemove(page int) error {
 		delete(m.secsByEID, owner)
 		// The association graph changed (even for a lone enclave, its EID is
 		// now dead): invalidate every cached outer-closure.
-		m.BumpAssocEpoch()
+		m.assocEpoch.Add(1)
 		// Removing the SECS clears the poison mark: the identity can be
 		// rebuilt from the image by a fresh ECREATE.
 		m.pmu.Lock()

@@ -1,19 +1,27 @@
-// Package sgx implements the baseline SGX machine simulator: the enclave
+// Package sgx implements the SGX machine simulator: the enclave
 // lifecycle instructions (ECREATE/EADD/EEXTEND/EINIT/EREMOVE), enclave
 // entry/exit (EENTER/EEXIT/AEX/ERESUME), local attestation (EREPORT/EGETKEY),
 // EPC paging (EBLOCK/ETRACK/EWB/ELDU), and — at the heart of everything —
 // the TLB-miss access validator.
 //
-// Two extension points let package core add the paper's nested-enclave
-// support without forking the baseline, mirroring how the proposal itself is
-// "mostly limited to the access control mechanism" (paper §I):
+// The paper's change to SGX's access control is "one extra branch in the
+// TLB-miss access-validation flow" plus inner-aware ETRACK, so both live
+// here, once, and every machine runs them:
 //
 //   - Machine.Validator: the access-validation flow consulted on TLB misses.
-//     The baseline validator implements SGX's Figure-2 checks; package core
-//     installs the Figure-6 flow with the inner→outer branches.
+//     New installs Figure6Validator. Until NASSO links an inner to an outer
+//     no enclave has an outer, the flow's outer branches are empty, and it
+//     makes exactly SGX's Figure-2 checks.
 //   - Machine.Tracker: the ETRACK thread-tracking policy that decides which
-//     cores need TLB shootdowns when an EPC mapping changes. Package core
-//     installs the inner-enclave-aware tracker of §IV-E.
+//     cores need TLB shootdowns when an EPC mapping changes. New installs
+//     InnerAwareTracker, the §IV-E policy.
+//
+// Both fields stay swappable, so tests can plant a broken flow or the
+// inner-oblivious BaselineTracker, and the ablation can broadcast. Package
+// core adds the new instructions (NASSO, NEENTER/NEEXIT, NEREPORT); NASSO
+// links a pair through Machine.AssociateLocked, and EREMOVE unlinks it, so
+// the outer-closure cache behind Machine.OuterChain is invalidated only
+// here.
 package sgx
 
 import (
@@ -126,9 +134,9 @@ type Machine struct {
 	secsByEID map[isa.EID]*SECS
 	nextEID   isa.EID
 
-	// assocEpoch versions the machine's enclave-association graph: NASSO and
-	// EREMOVE bump it, invalidating the outer-closure caches the Figure-6
-	// validator keeps on each SECS (see SECS.CachedOuterChain).
+	// assocEpoch versions the machine's enclave-association graph:
+	// AssociateLocked and EREMOVE bump it, invalidating the outer-closure
+	// caches kept on each SECS (see OuterChain).
 	assocEpoch atomic.Uint64
 
 	platformSecret []byte
@@ -160,7 +168,8 @@ type Machine struct {
 	poisoned map[isa.EID]string //nescheck:guard pmu
 }
 
-// New builds a machine with the baseline SGX validator and tracker.
+// New builds a machine with the Figure-6 validator and the inner-aware
+// tracker installed.
 func New(cfg Config) (*Machine, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("sgx: need at least one core")
@@ -208,8 +217,8 @@ func New(cfg Config) (*Machine, error) {
 			m.poison(ent.Owner, fmt.Sprintf("MEE integrity failure at %#x", uint64(p)))
 		}
 	}
-	m.Validator = BaselineValidator{}
-	m.Tracker = BaselineTracker{}
+	m.Validator = Figure6Validator{}
+	m.Tracker = InnerAwareTracker{}
 	m.SetHostile(nil)
 	for i := 0; i < cfg.Cores; i++ {
 		t := tlb.New(rec)
@@ -242,17 +251,10 @@ func (m *Machine) Enclave(eid isa.EID) (*SECS, bool) {
 	return s, ok
 }
 
-// AssocEpoch returns the current version of the enclave-association graph.
-// Validator-side caches keyed by it are invalid once it moves.
-func (m *Machine) AssocEpoch() uint64 { return m.assocEpoch.Load() }
-
-// BumpAssocEpoch invalidates every cached outer-closure: called by NASSO and
-// EREMOVE, the two operations that change the association graph.
-func (m *Machine) BumpAssocEpoch() { m.assocEpoch.Add(1) }
-
 // ResolveEID looks up an enclave without taking the machine lock. It exists
-// for Validator and Tracker implementations, which always run with the lock
-// already held; other callers must use Enclave.
+// for code that already holds it: the nesting instructions inside
+// Atomically, and Validator and Tracker implementations; other callers must
+// use Enclave.
 func (m *Machine) ResolveEID(eid isa.EID) (*SECS, bool) {
 	s, ok := m.secsByEID[eid]
 	return s, ok

@@ -122,7 +122,7 @@ func (m *Machine) EBlock(page int) error {
 // ETrack opens a tracking epoch for the enclave and returns the cores whose
 // TLBs may hold stale translations and therefore need shootdown IPIs. The
 // selection policy is Machine.Tracker — baseline SGX scans threads of the
-// enclave itself; the nested extension (package core) adds cores running its
+// enclave itself; the installed InnerAwareTracker adds cores running its
 // inner enclaves.
 func (m *Machine) ETrack(s *SECS) []*Core {
 	m.mu.Lock()

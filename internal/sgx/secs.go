@@ -51,9 +51,9 @@ type SECS struct {
 	epochEntries map[int]uint64 // coreID -> epoch at which it entered
 
 	// outerChain caches this enclave's transitive outer closure, keyed to
-	// the machine's association epoch (see Machine.AssocEpoch). The page-walk
-	// hot path reads it lock-free; NASSO and EREMOVE invalidate it by bumping
-	// the epoch.
+	// the machine's association epoch (see Machine.OuterChain). The
+	// page-walk hot path reads it lock-free; AssociateLocked and EREMOVE
+	// invalidate it by bumping the epoch.
 	outerChain atomic.Pointer[outerClosure]
 }
 
@@ -62,22 +62,6 @@ type SECS struct {
 type outerClosure struct {
 	epoch uint64
 	chain []*SECS
-}
-
-// CachedOuterChain returns the outer closure cached at the given association
-// epoch, or false if absent/stale. The chain must not be mutated.
-func (s *SECS) CachedOuterChain(epoch uint64) ([]*SECS, bool) {
-	if oc := s.outerChain.Load(); oc != nil && oc.epoch == epoch {
-		return oc.chain, true
-	}
-	return nil, false
-}
-
-// StoreOuterChain caches the outer closure computed at the given association
-// epoch. Racing stores for the same epoch carry identical content, so last
-// writer winning is fine.
-func (s *SECS) StoreOuterChain(epoch uint64, chain []*SECS) {
-	s.outerChain.Store(&outerClosure{epoch: epoch, chain: chain})
 }
 
 // NestedInfo is the reserved-field extension of Figure 3.

@@ -28,9 +28,9 @@ func verdictOf(v sgx.Verdict) string {
 // TestBaselineValidateTable walks every branch of the baseline (Figure-2)
 // access-validation flow by fabricating PTEs directly — requester mode ×
 // EPCM owner match/mismatch × vaddr match/alias × in/out-ELRANGE × page type
-// × permission intersection. The nested Figure-6 cross-product lives in
-// internal/core; this table pins the baseline semantics the extension builds
-// on.
+// × permission intersection. With no enclave associated, the installed
+// Figure-6 validator must make exactly these checks; its nested
+// cross-product lives in internal/core.
 func TestBaselineValidateTable(t *testing.T) {
 	r := newRig(t)
 	m := r.m

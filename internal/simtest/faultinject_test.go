@@ -26,31 +26,6 @@ func sgxFault(f *isa.Fault) (tlb.Entry, sgx.Verdict) {
 	return tlb.Entry{}, sgx.Verdict{Path: sgx.PathFault, Fault: f}
 }
 
-// outerChainOf mirrors core's outer-closure walk for the broken validators
-// below (which cannot reuse core's unexported helper).
-func outerChainOf(m *sgx.Machine, s *sgx.SECS) []*sgx.SECS {
-	var out []*sgx.SECS
-	seen := map[isa.EID]bool{s.EID: true}
-	frontier := []*sgx.SECS{s}
-	for len(frontier) > 0 {
-		next := frontier[0]
-		frontier = frontier[1:]
-		for _, oe := range next.Nested.OuterEIDs {
-			if seen[oe] {
-				continue
-			}
-			seen[oe] = true
-			o, ok := m.ResolveEID(oe)
-			if !ok {
-				continue
-			}
-			out = append(out, o)
-			frontier = append(frontier, o)
-		}
-	}
-	return out
-}
-
 // flippedOuterELRANGE is the Figure-6 flow with exactly one bug: the step-⑤
 // outer-ELRANGE condition is inverted, so a legitimate inner→outer access
 // whose vaddr lies inside the outer's ELRANGE aborts instead of validating.
@@ -92,7 +67,7 @@ func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa
 			return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
 				FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
 		}
-		for _, outer := range outerChainOf(m, s) {
+		for _, outer := range m.OuterChain(s) {
 			if ent.Owner != outer.EID {
 				continue
 			}
@@ -113,7 +88,7 @@ func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa
 	if s.ContainsVPN(v.VPN()) {
 		return sgxFault(isa.PF(v, op, "ELRANGE page not backed by EPC (evicted?)"))
 	}
-	for _, outer := range outerChainOf(m, s) {
+	for _, outer := range m.OuterChain(s) {
 		if outer.ContainsVPN(v.VPN()) {
 			return sgxFault(isa.PF(v, op, "outer ELRANGE page not backed by EPC (evicted?)"))
 		}
@@ -138,7 +113,7 @@ func (leakyOuterRangeC) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Ac
 	paddr := isa.PAddr(pte.PPN << isa.PageShift)
 	if !c.InEnclave() || m.DRAM.PageInPRM(paddr) {
 		// In-PRM and non-enclave paths: defer to the correct validator.
-		return (flippedOuterELRANGECorrectB{}).Validate(c, v, pte, op)
+		return sgx.Figure6Validator{}.Validate(c, v, pte, op)
 	}
 	if !pte.Perms.Allows(op) {
 		return sgxFault(isa.PF(v, op, "page-table permission"))
@@ -148,78 +123,6 @@ func (leakyOuterRangeC) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Ac
 		return sgxFault(isa.PF(v, op, "ELRANGE page not backed by EPC (evicted?)"))
 	}
 	// THE INJECTED BUG: the outer-ELRANGE walk (steps ①②) is missing here.
-	perms := pte.Perms &^ isa.PermX
-	if !perms.Allows(op) {
-		return sgxFault(isa.PF(v, op, "execute from unsecure memory in enclave mode"))
-	}
-	return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: perms,
-		FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
-}
-
-// flippedOuterELRANGECorrectB is the correct Figure-6 flow, used by
-// leakyOuterRangeC for the paths it does not break. (It is the same code as
-// flippedOuterELRANGE with the flip undone.)
-type flippedOuterELRANGECorrectB struct{}
-
-func (flippedOuterELRANGECorrectB) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, sgx.Verdict) {
-	m := c.Machine()
-	paddr := isa.PAddr(pte.PPN << isa.PageShift)
-	if !pte.Perms.Allows(op) {
-		return sgxFault(isa.PF(v, op, "page-table permission"))
-	}
-	if !c.InEnclave() {
-		if m.DRAM.PageInPRM(paddr) {
-			return sgxAbort()
-		}
-		return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: pte.Perms}, sgx.Verdict{}
-	}
-	s := c.Current()
-	if m.DRAM.PageInPRM(paddr) {
-		ent, ok := m.EPC.EntryAt(paddr)
-		if !ok || !ent.Valid {
-			return sgxAbort()
-		}
-		if ent.Blocked {
-			return sgxFault(isa.PF(v, op, "EPC page blocked for eviction"))
-		}
-		if ent.Type != isa.PTReg {
-			return sgxAbort()
-		}
-		if ent.Owner == s.EID {
-			if ent.Vaddr != v.PageBase() {
-				return sgxAbort()
-			}
-			eff := ent.Perms & pte.Perms
-			if !eff.Allows(op) {
-				return sgxFault(isa.PF(v, op, "EPCM permission"))
-			}
-			return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
-				FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{}
-		}
-		for _, outer := range outerChainOf(m, s) {
-			if ent.Owner != outer.EID {
-				continue
-			}
-			if ent.Vaddr != v.PageBase() || !outer.ContainsVPN(v.VPN()) {
-				return sgxAbort()
-			}
-			eff := ent.Perms & pte.Perms
-			if !eff.Allows(op) {
-				return sgxFault(isa.PF(v, op, "EPCM permission (outer page)"))
-			}
-			return tlb.Entry{VPN: v.VPN(), PPN: pte.PPN, Perms: eff,
-				FilledInEnclave: true, FilledEID: s.EID}, sgx.Verdict{Path: sgx.PathOuter}
-		}
-		return sgxAbort()
-	}
-	if s.ContainsVPN(v.VPN()) {
-		return sgxFault(isa.PF(v, op, "ELRANGE page not backed by EPC (evicted?)"))
-	}
-	for _, outer := range outerChainOf(m, s) {
-		if outer.ContainsVPN(v.VPN()) {
-			return sgxFault(isa.PF(v, op, "outer ELRANGE page not backed by EPC (evicted?)"))
-		}
-	}
 	perms := pte.Perms &^ isa.PermX
 	if !perms.Allows(op) {
 		return sgxFault(isa.PF(v, op, "execute from unsecure memory in enclave mode"))

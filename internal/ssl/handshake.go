@@ -126,7 +126,8 @@ func NewServer(cfg Config, mem Mem) (*Server, error) {
 	return &Server{cfg: cfg, mem: mem, priv: priv}, nil
 }
 
-// HandleClientHello consumes the ClientHello and returns the ServerHello.
+// HandleClientHello consumes the ClientHello and returns the ServerHello. A
+// refused hello leaves the server's state as it was.
 func (s *Server) HandleClientHello(msg []byte) ([]byte, error) {
 	if len(msg) != helloLen {
 		return nil, fmt.Errorf("ssl: malformed ClientHello (%d bytes)", len(msg))
@@ -148,19 +149,21 @@ func (s *Server) HandleClientHello(msg []byte) ([]byte, error) {
 	copy(reply[2:34], randomBytes(32))
 	copy(reply[34:66], s.priv.PublicKey().Bytes())
 
-	s.transcript = append(append([]byte(nil), msg...), reply[:66]...)
+	transcript := append(append([]byte(nil), msg...), reply[:66]...)
 	var vb [2]byte
 	binary.BigEndian.PutUint16(vb[:], version)
-	s.master = hkdfLike(shared, s.transcript, "master"+string(vb[:]))
-	fin := hmac.New(sha256.New, s.master)
-	fin.Write(s.transcript)
+	master := hkdfLike(shared, transcript, "master"+string(vb[:]))
+	fin := hmac.New(sha256.New, master)
+	fin.Write(transcript)
 	copy(reply[66:98], fin.Sum(nil))
 
-	st, err := deriveSuite(shared, s.transcript, version, false)
+	st, err := deriveSuite(shared, transcript, version, false)
 	if err != nil {
 		return nil, err
 	}
-	s.suite = st
+	// An accepted hello starts a new handshake: records are refused until
+	// its ClientFinished verifies, even after an earlier handshake finished.
+	s.transcript, s.master, s.suite, s.done = transcript, master, st, false
 	return reply, nil
 }
 

@@ -243,6 +243,59 @@ func TestRecordBeforeHandshakeRejected(t *testing.T) {
 	}
 }
 
+// TestSecondHelloRestartsHandshake pins that a hello the server accepts
+// starts a new handshake even after one finished: a record sealed under the
+// new keys is refused until that handshake's ClientFinished verifies, while
+// a refused hello leaves the finished session as it was.
+func TestSecondHelloRestartsHandshake(t *testing.T) {
+	c, s, _ := newPair(t, Config{}, Config{})
+	if err := handshake(t, c, s); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	var got []string
+	handler := func(req []byte) []byte { got = append(got, string(req)); return nil }
+
+	if _, err := s.HandleClientHello([]byte("short")); err == nil {
+		t.Fatal("short ClientHello accepted")
+	}
+	rec, err := c.Send([]byte("finished"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ProcessRecord(rec, handler); err != nil {
+		t.Fatalf("record after a refused hello: %v", err)
+	}
+
+	c2, err := NewClient(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := s.HandleClientHello(c2.Hello())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := c2.HandleServerHello(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Handshaken() {
+		t.Fatal("server reports a handshake whose ClientFinished it never saw")
+	}
+	rec, err = c2.Send([]byte("unfinished"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ProcessRecord(rec, handler); err == nil {
+		t.Fatal("record under unfinished handshake keys accepted")
+	}
+	if err := s.HandleClientFinished(cf); err != nil || !s.Handshaken() {
+		t.Fatalf("ClientFinished of the new handshake: %v", err)
+	}
+	if len(got) != 1 || got[0] != "finished" {
+		t.Fatalf("handler received %q, want [finished]", got)
+	}
+}
+
 func TestMalformedMessages(t *testing.T) {
 	c, s, _ := newPair(t, Config{}, Config{})
 	if _, err := s.HandleClientHello([]byte("short")); err == nil {

@@ -108,8 +108,9 @@ type Options struct {
 	// Nesting selects the nesting model; zero value means the paper's
 	// two-level single-outer model.
 	Nesting NestingConfig
-	// DisableNesting builds a baseline-SGX system (no new instructions,
-	// baseline access validation) — the paper's monolithic comparison.
+	// DisableNesting builds a baseline-SGX system — the paper's monolithic
+	// comparison. It has no nesting instructions, so no enclave ever gets an
+	// outer, and the machine's Figure-6 validation makes Figure 2's checks.
 	DisableNesting bool
 }
 

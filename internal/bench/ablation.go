@@ -245,7 +245,7 @@ func RenderAblationTLBFlush(a *AblationTLBFlushResult) *Table {
 type AblationDepthRow struct {
 	Depth         int
 	ValidateSteps int64 // steps for one innermost->outermost page fill
-	NECallChainUS float64
+	ChainCycles   int64 // simulated cycles of one chain round trip
 }
 
 // AblationNestingDepth builds chains of the given depths; for each, the
@@ -314,8 +314,7 @@ func AblationNestingDepth(depths []int) ([]AblationDepthRow, error) {
 		if _, err := encls[depth-1].ECall(entry, nil); err != nil {
 			return nil, err
 		}
-		steps0 := m.Rec.Get(trace.EvValidateStep)
-		start := time.Now()
+		steps0, cycles0 := m.Rec.Get(trace.EvValidateStep), m.Rec.Cycles()
 		const iters = 300
 		for i := 0; i < iters; i++ {
 			if _, err := encls[depth-1].ECall(entry, nil); err != nil {
@@ -325,7 +324,7 @@ func AblationNestingDepth(depths []int) ([]AblationDepthRow, error) {
 		rows = append(rows, AblationDepthRow{
 			Depth:         depth,
 			ValidateSteps: (m.Rec.Get(trace.EvValidateStep) - steps0) / iters,
-			NECallChainUS: us(time.Since(start), iters),
+			ChainCycles:   (m.Rec.Cycles() - cycles0) / iters,
 		})
 	}
 	return rows, nil
@@ -335,11 +334,11 @@ func AblationNestingDepth(depths []int) ([]AblationDepthRow, error) {
 func RenderAblationDepth(rows []AblationDepthRow) *Table {
 	t := &Table{
 		Title:   "Ablation — multi-level nesting depth vs validation cost",
-		Headers: []string{"Depth", "validate steps/round-trip", "chain round-trip (us)"},
+		Headers: []string{"Depth", "validate steps/round-trip", "chain round-trip (cycles)"},
 		Notes:   []string{"VIII: deeper nesting only lengthens TLB-miss validation; no extra hardware"},
 	}
 	for _, r := range rows {
-		t.AddRow(fmt.Sprint(r.Depth), fmt.Sprint(r.ValidateSteps), f2(r.NECallChainUS))
+		t.AddRow(fmt.Sprint(r.Depth), fmt.Sprint(r.ValidateSteps), fmt.Sprint(r.ChainCycles))
 	}
 	return t
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nestedenclave/internal/datasets"
 	"nestedenclave/internal/ssl"
 	"nestedenclave/internal/ycsb"
 )
@@ -76,26 +77,50 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	rows, err := Figure9(0.01)
+	const scale = 0.01
+	rows, err := Figure9(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}
+	checked := map[string]bool{}
 	for _, r := range rows {
 		if r.TrainNorm <= 0 || r.PredNorm <= 0 {
 			t.Errorf("%s: non-positive normalized (%.2f / %.2f)", r.Dataset, r.TrainNorm, r.PredNorm)
 		}
 		// The paper's claim is asymptotic — compute dwarfs transitions — so
-		// only band-check runs long enough for the ratio to be meaningful.
-		if r.MonoTrainMS >= 5 && (r.TrainNorm < 0.4 || r.TrainNorm > 2.0) {
+		// only band-check datasets whose training does enough work for the
+		// ratio to be meaningful. The work is counted, not timed, so every
+		// host checks the same datasets.
+		spec, err := datasets.ByName(r.Dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trainKernelEvals(spec.Scale(scale)) < 1_000_000 {
+			continue
+		}
+		checked[r.Dataset] = true
+		if r.TrainNorm < 0.4 || r.TrainNorm > 2.0 {
 			t.Errorf("%s: train normalized %.2f at %.1f ms baseline", r.Dataset, r.TrainNorm, r.MonoTrainMS)
 		}
 	}
-	if RenderFigure9(rows, 0.01).String() == "" {
+	if !checked["cod-rna"] || !checked["protein"] {
+		t.Errorf("band-checked %v, want cod-rna and protein among them", checked)
+	}
+	if RenderFigure9(rows, scale).String() == "" {
 		t.Error("empty render")
 	}
+}
+
+// trainKernelEvals counts the kernel evaluations of one SMO pass over a
+// dataset's training set, n² × features: the training work that the nested
+// build's transitions and request copies are measured against. At Figure 9's
+// 0.01 scale it is 11.2 M for protein and 2.8 M for cod-rna, and below
+// 0.9 M for the other three; colon-cancer's 4 samples make 32 k.
+func trainKernelEvals(s datasets.Spec) int {
+	return s.Train * s.Train * s.Features
 }
 
 func TestTableVIShape(t *testing.T) {
@@ -260,12 +285,18 @@ func TestAblations(t *testing.T) {
 	if sd.PreciseIPIs >= sd.BroadcastIPIs {
 		t.Errorf("precise tracking (%d IPIs) not cheaper than broadcast (%d)", sd.PreciseIPIs, sd.BroadcastIPIs)
 	}
-	dp, err := AblationNestingDepth([]int{2, 4})
+	dp, err := AblationNestingDepth([]int{2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp[1].ValidateSteps <= dp[0].ValidateSteps {
-		t.Errorf("validation steps did not grow with depth: %d -> %d", dp[0].ValidateSteps, dp[1].ValidateSteps)
+	for i := 1; i < len(dp); i++ {
+		if dp[i].ValidateSteps <= dp[i-1].ValidateSteps {
+			t.Errorf("validation steps did not grow with depth: %d -> %d", dp[i-1].ValidateSteps, dp[i].ValidateSteps)
+		}
+		if dp[i].ChainCycles <= dp[i-1].ChainCycles {
+			t.Errorf("chain round-trip cycles did not grow with depth: %d at depth %d -> %d at depth %d",
+				dp[i-1].ChainCycles, dp[i-1].Depth, dp[i].ChainCycles, dp[i].Depth)
+		}
 	}
 	tf, err := AblationTLBFlush(500)
 	if err != nil {

@@ -190,17 +190,27 @@ func (f *Fault) Error() string {
 
 // GP constructs a general-protection fault.
 func GP(reason string, args ...any) *Fault {
-	return &Fault{Class: FaultGP, Reason: fmt.Sprintf(reason, args...)}
+	return &Fault{Class: FaultGP, Reason: reasonf(reason, args)}
 }
 
 // PF constructs a page fault at the given address.
 func PF(addr VAddr, op Access, reason string, args ...any) *Fault {
-	return &Fault{Class: FaultPF, Addr: addr, Op: op, Reason: fmt.Sprintf(reason, args...)}
+	return &Fault{Class: FaultPF, Addr: addr, Op: op, Reason: reasonf(reason, args)}
 }
 
 // MC constructs a machine-check fault (integrity failure).
 func MC(reason string, args ...any) *Fault {
-	return &Fault{Class: FaultMC, Reason: fmt.Sprintf(reason, args...)}
+	return &Fault{Class: FaultMC, Reason: reasonf(reason, args)}
+}
+
+// reasonf formats a fault's reason. A reason given no arguments is used as
+// it is, so a fault on the demand-paging path ("not present") allocates only
+// itself.
+func reasonf(reason string, args []any) string {
+	if len(args) == 0 {
+		return reason
+	}
+	return fmt.Sprintf(reason, args...)
 }
 
 // IsFault reports whether err is a simulated hardware fault of class c.

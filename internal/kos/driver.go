@@ -31,6 +31,14 @@ type Driver struct {
 	// evicted stores sealed EPC pages swapped to "disk" (kernel memory),
 	// keyed by the address space and page base a fault will name.
 	evicted map[evictKey]*sgx.EvictedPage //nescheck:guard pager
+	// spare holds spent blobs for EWB to seal into, the kernel-named
+	// destination of SGX's EWB. A blob enters it only when it leaves
+	// evicted as spent: its page reloaded from it, or its enclave was torn
+	// down. So no blob in spare is still stored, and none is one an
+	// sgx.Hostile substituted at a reload.
+	spare []*sgx.EvictedPage //nescheck:guard pager
+	// shoot is the ETRACK shootdown set of the eviction in progress.
+	shoot []*sgx.Core //nescheck:guard pager
 
 	// procs remembers which process each enclave is mapped in, so the
 	// paging daemon can fix page tables when it evicts a victim.
@@ -120,6 +128,9 @@ func withRoom[T any](d *Driver, avoid isa.EID, core int, alloc func() (T, error)
 	return v, err
 }
 
+// errNoVictim is the paging daemon's failure to find a page it could evict.
+var errNoVictim = errors.New("no evictable EPC page found")
+
 // makeRoom is the paging daemon: it picks a resident regular page (rotating
 // across the EPC, skipping the enclave currently being served when
 // possible) and evicts it through the full architectural protocol on the
@@ -149,7 +160,7 @@ func (d *Driver) makeRoom(avoid isa.EID, core int) error {
 			d.victimCursor = (idx + 1) % n
 			return nil
 		}
-		return fmt.Errorf("no evictable EPC page found")
+		return errNoVictim
 	}
 	if err := tryEvict(avoid); err == nil {
 		return nil
@@ -169,6 +180,7 @@ func (d *Driver) DestroyEnclave(p *Process, s *sgx.SECS) error {
 	for key, blob := range d.evicted {
 		if blob.Owner == s.EID {
 			delete(d.evicted, key)
+			d.spare = append(d.spare, blob)
 		}
 	}
 	if p != nil {
@@ -201,7 +213,8 @@ func (d *Driver) evictPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, core int) e
 		return err
 	}
 	h := m.Hostile()
-	for _, c := range m.ETrack(s) {
+	d.shoot = m.ETrack(s, d.shoot[:0])
+	for _, c := range d.shoot {
 		if h.DeliverIPI(s.EID, c.ID) {
 			m.ShootdownFor(c, s.EID)
 		}
@@ -211,8 +224,12 @@ func (d *Driver) evictPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, core int) e
 	// blob, instead of reading the freed frame as the abort page.
 	pte, mapped := p.pt.Walk(vaddr)
 	p.pt.MarkNotPresent(vaddr)
-	blob, err := m.EWB(pageIdx, core)
+	dst := d.takeSpare()
+	blob, err := m.EWB(pageIdx, core, dst)
 	if err != nil {
+		if dst != nil {
+			d.spare = append(d.spare, dst)
+		}
 		if mapped && pte.Present {
 			p.pt.Map(vaddr, isa.PAddr(pte.PPN<<isa.PageShift), pte.Perms) // the page stays resident
 		}
@@ -257,15 +274,31 @@ func (d *Driver) reloadIfEvicted(c *sgx.Core, f *isa.Fault) bool {
 	}
 	// A substitute the hardware accepted (a fresh, authentic blob of some
 	// OTHER page) is in the EPC now, but the victim's data is still only in
-	// its genuine blob, which stays stored.
+	// its genuine blob, which stays stored. The genuine blob, once loaded,
+	// is spent, and the next eviction seals into it.
+	owner, perms := blob.Owner, blob.Perms
 	if load == blob {
 		delete(d.evicted, key)
+		d.spare = append(d.spare, blob)
 	}
 	// Re-establish the mapping in the address space the page was evicted
 	// from, the faulting core's. Remap is the last lie: the PTE pointing
 	// somewhere other than the page ELDU just loaded.
-	key.as.Map(vpage, h.Remap(blob.Owner, vpage, m.EPC.AddrOf(page)), blob.Perms)
+	key.as.Map(vpage, h.Remap(owner, vpage, m.EPC.AddrOf(page)), perms)
 	return true
+}
+
+// takeSpare returns a spent blob for EWB to seal into, or nil (EWB then
+// allocates one). The caller holds d.pager.
+func (d *Driver) takeSpare() *sgx.EvictedPage {
+	n := len(d.spare)
+	if n == 0 {
+		return nil
+	}
+	b := d.spare[n-1]
+	d.spare[n-1] = nil
+	d.spare = d.spare[:n-1]
+	return b
 }
 
 // DetectionEvidence returns the most recent typed blob-freshness rejection

@@ -377,19 +377,22 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 	if ext == nil {
 		return nil, fmt.Errorf("sdk: machine has no nested-enclave support")
 	}
-	outers := env.E.Outers()
-	if len(outers) == 0 {
-		return nil, fmt.Errorf("sdk: enclave %s has no outer enclave", env.E.img.Name)
-	}
 	// Resolve the function across the associated outer enclaves (one, in
-	// the base model).
+	// the base model), under the enclave's lock instead of on a copy of its
+	// outer list.
 	var outer *Enclave
 	var fn TrustedFunc
-	for _, o := range outers {
+	env.E.mu.Lock()
+	nouters := len(env.E.outers)
+	for _, o := range env.E.outers {
 		if f, ok := o.img.NOCalls[name]; ok {
 			outer, fn = o, f
 			break
 		}
+	}
+	env.E.mu.Unlock()
+	if nouters == 0 {
+		return nil, fmt.Errorf("sdk: enclave %s has no outer enclave", env.E.img.Name)
 	}
 	if outer == nil {
 		return nil, fmt.Errorf("sdk: no outer enclave of %s exposes %q", env.E.img.Name, name)

@@ -26,7 +26,12 @@ func (e *EnclaveCrashed) Error() string {
 }
 
 // IsCrash reports whether err (or anything it wraps) marks an enclave crash.
+// Every n_ocall and n_ecall asks it of a call's result; a nil error returns
+// before errors.As moves its target to the heap.
 func IsCrash(err error) (*EnclaveCrashed, bool) {
+	if err == nil {
+		return nil, false
+	}
 	var ec *EnclaveCrashed
 	if errors.As(err, &ec) {
 		return ec, true

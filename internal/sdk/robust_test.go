@@ -20,6 +20,14 @@ import (
 
 // --- Panic containment ---
 
+// TestIsCrashOfNilAllocatesNothing pins the crash check every n_ocall and
+// n_ecall makes of a successful call at zero allocations.
+func TestIsCrashOfNilAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { sdk.IsCrash(nil) }); n != 0 {
+		t.Fatalf("IsCrash(nil) allocates %.0f times, want 0", n)
+	}
+}
+
 func TestECallPanicContained(t *testing.T) {
 	r := newRig(t, core.TwoLevel())
 	img := sdk.NewImage("crashy", 0x1000_0000, sdk.DefaultLayout())

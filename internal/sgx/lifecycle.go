@@ -206,6 +206,7 @@ func (m *Machine) ERemove(page int) error {
 			}
 		}
 		delete(m.secsByEID, owner)
+		m.forgetPaging(owner)
 		// The association graph changed (even for a lone enclave, its EID is
 		// now dead): invalidate every cached outer-closure.
 		m.assocEpoch.Add(1)

@@ -79,8 +79,10 @@ type Verdict struct {
 
 // Tracker decides which cores must receive a TLB-shootdown IPI when the
 // virtual-to-physical mapping of an EPC page owned by enclave eid changes.
+// CoresToShootdown appends them to dst, in core order, and returns the
+// extended slice. Caller holds m.mu.
 type Tracker interface {
-	CoresToShootdown(m *Machine, eid isa.EID) []*Core
+	CoresToShootdown(m *Machine, eid isa.EID, dst []*Core) []*Core
 }
 
 // Config sizes a machine.
@@ -147,11 +149,18 @@ type Machine struct {
 	// pageBuf carries page content through EWB (LLC to seal) and ELDU
 	// (open to LLC), both of which hold the write lock.
 	pageBuf [isa.PageSize]byte //nescheck:guard mu
+	// nonce and aad carry a blob's GCM nonce and authenticated metadata into
+	// EWB's seal and ELDU's open (see sealParams).
+	nonce [12]byte    //nescheck:guard mu
+	aad   [8 * 5]byte //nescheck:guard mu
 
-	// Version-array state for EPC paging freshness (see paging.go).
-	vaSlots    map[uint64]bool
-	vaSlotNext uint64
-	blobVer    map[blobKey]uint64 // monotonic eviction counter per (owner, vaddr)
+	// Version-array state for EPC paging freshness (see paging.go): the
+	// owner of each unspent one-time slot, the last slot handed out, and the
+	// monotonic eviction counter per (owner, vaddr). EREMOVE of a SECS drops
+	// the enclave's slots and lanes (forgetPaging).
+	vaSlots    map[uint64]isa.EID //nescheck:guard mu
+	vaSlotNext uint64             //nescheck:guard mu
+	blobVer    map[blobKey]uint64 //nescheck:guard mu
 
 	// hostile is the untrusted platform consulted at every hook point
 	// (hostile.go); never nil. Set with SetHostile, read without the
@@ -339,12 +348,33 @@ func (c *Core) NestingDepth() int {
 	return 1 + len(c.curTCS.retChainEIDs())
 }
 
-// ExecutingEIDs returns the EIDs of every enclave with live context on the
-// core: the current enclave and all suspended outer frames. Used by the
-// ETRACK thread-tracking policies.
-func (c *Core) ExecutingEIDs() []isa.EID {
+// anyFrame reports whether match holds for an enclave with live context on
+// the core, visiting the current enclave first and then each suspended
+// outer frame, and stopping at the first match. It builds no slice, so
+// ETRACK's thread tracking allocates nothing.
+func (c *Core) anyFrame(match func(isa.EID) bool) bool {
 	if !c.inEnclave || c.cur == nil {
-		return nil
+		return false
 	}
-	return append([]isa.EID{c.cur.EID}, c.curTCS.retChainEIDs()...)
+	if match(c.cur.EID) {
+		return true
+	}
+	for t := c.curTCS; t != nil && t.ret != nil; t = t.ret.tcs {
+		if match(t.ret.secs.EID) {
+			return true
+		}
+	}
+	return false
+}
+
+// ExecutingEIDs returns the EIDs of every enclave with live context on the
+// core: the current enclave and all suspended outer frames, in the order
+// the ETRACK thread-tracking policies walk them (anyFrame).
+func (c *Core) ExecutingEIDs() []isa.EID {
+	var out []isa.EID
+	c.anyFrame(func(e isa.EID) bool {
+		out = append(out, e)
+		return false
+	})
+	return out
 }

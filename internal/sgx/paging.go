@@ -87,20 +87,19 @@ func newPagingAEAD(platformSecret []byte) (cipher.AEAD, error) {
 	return aead, nil
 }
 
-// pagingNonce is the GCM nonce of a blob: its one-time slot.
-func pagingNonce(slot uint64) (n [12]byte) {
-	binary.LittleEndian.PutUint64(n[:], slot)
-	return n
-}
-
-// aad is the blob metadata the seal authenticates.
-func (p *EvictedPage) aad() (a [8 * 5]byte) {
-	binary.LittleEndian.PutUint64(a[0:], uint64(p.Owner))
-	binary.LittleEndian.PutUint64(a[8:], uint64(p.Vaddr))
-	binary.LittleEndian.PutUint64(a[16:], uint64(p.Type))
-	binary.LittleEndian.PutUint64(a[24:], uint64(p.Perms))
-	binary.LittleEndian.PutUint64(a[32:], p.Version)
-	return a
+// sealParams fills the machine's nonce and AAD scratch for blob p and
+// returns them: the GCM nonce is the blob's one-time slot, and the AAD is the
+// metadata the seal authenticates. As machine fields they cost no
+// allocation, where locals would escape through the cipher.AEAD interface.
+// Caller holds m.mu exclusively.
+func (m *Machine) sealParams(p *EvictedPage) (nonce, aad []byte) {
+	binary.LittleEndian.PutUint64(m.nonce[:], p.Slot)
+	binary.LittleEndian.PutUint64(m.aad[0:], uint64(p.Owner))
+	binary.LittleEndian.PutUint64(m.aad[8:], uint64(p.Vaddr))
+	binary.LittleEndian.PutUint64(m.aad[16:], uint64(p.Type))
+	binary.LittleEndian.PutUint64(m.aad[24:], uint64(p.Perms))
+	binary.LittleEndian.PutUint64(m.aad[32:], p.Version)
+	return m.nonce[:], m.aad[:]
 }
 
 // EBlock marks an EPC page blocked: no new TLB translations can be created
@@ -119,16 +118,17 @@ func (m *Machine) EBlock(page int) error {
 	return nil
 }
 
-// ETrack opens a tracking epoch for the enclave and returns the cores whose
-// TLBs may hold stale translations and therefore need shootdown IPIs. The
-// selection policy is Machine.Tracker — baseline SGX scans threads of the
-// enclave itself; the installed InnerAwareTracker adds cores running its
-// inner enclaves.
-func (m *Machine) ETrack(s *SECS) []*Core {
+// ETrack opens a tracking epoch for the enclave and appends to dst the cores
+// whose TLBs may hold stale translations and therefore need shootdown IPIs,
+// returning the extended slice (nil dst is fine). The selection policy is
+// Machine.Tracker — baseline SGX scans threads of the enclave itself; the
+// installed InnerAwareTracker adds cores running its inner enclaves. The
+// kernel passes a buffer of its own, so ETRACK allocates nothing.
+func (m *Machine) ETrack(s *SECS, dst []*Core) []*Core {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s.trackEpoch++
-	return m.Tracker.CoresToShootdown(m, s.EID)
+	return m.Tracker.CoresToShootdown(m, s.EID, dst)
 }
 
 // ShootdownFor flushes the target core's TLB, modelling the effect of the
@@ -149,7 +149,12 @@ func (m *Machine) ShootdownFor(c *Core, eid isa.EID) {
 // processor running the instruction (trace.NoCore for the paging daemon):
 // the eviction is one op on that core's span stack, so on the kernel's #PF
 // path it parents under the faulting call.
-func (m *Machine) EWB(page int, core int) (*EvictedPage, error) {
+//
+// The sealed blob goes where the kernel says, as SGX's EWB writes to the page
+// PAGEINFO.SRCPGE names: dst is overwritten, struct and ciphertext, reusing
+// the ciphertext's capacity, and returned; a nil dst gets a fresh blob. On
+// error dst is left to the caller.
+func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ent := m.EPC.Entry(page)
@@ -167,10 +172,8 @@ func (m *Machine) EWB(page int, core int) (*EvictedPage, error) {
 	op := m.Rec.BeginOp(trace.OpEWB, core, owner, "")
 	defer op.End()
 	for _, c := range m.cores {
-		for _, e := range c.TLB.Entries() {
-			if e.PPN == ppn {
-				return nil, isa.GP("EWB: core %d still holds a translation for EPC page %d (incomplete shootdown)", c.ID, page)
-			}
+		if c.TLB.MapsFrame(ppn) {
+			return nil, isa.GP("EWB: core %d still holds a translation for EPC page %d (incomplete shootdown)", c.ID, page)
 		}
 	}
 	if err := m.LLC.ReadInto(pa, m.pageBuf[:], payer); err != nil {
@@ -186,45 +189,49 @@ func (m *Machine) EWB(page int, core int) (*EvictedPage, error) {
 	}
 	bk := blobKey{ent.Owner, ent.Vaddr}
 	m.blobVer[bk]++
-	blob := &EvictedPage{Owner: ent.Owner, Vaddr: ent.Vaddr, Type: ent.Type, Perms: ent.Perms, Slot: slot, Version: m.blobVer[bk]}
-	nonce, aad := pagingNonce(slot), blob.aad()
-	// The kernel keeps the ciphertext, so it gets a buffer of its own.
-	blob.Cipher = m.pagingAEAD.Seal(nil, nonce[:], m.pageBuf[:], aad[:])
-	if m.vaSlots == nil {
-		m.vaSlots = make(map[uint64]bool)
+	if dst == nil {
+		dst = new(EvictedPage)
 	}
-	m.vaSlots[slot] = true
+	*dst = EvictedPage{Owner: ent.Owner, Vaddr: ent.Vaddr, Type: ent.Type, Perms: ent.Perms, Slot: slot, Version: m.blobVer[bk], Cipher: dst.Cipher[:0]}
+	nonce, aad := m.sealParams(dst)
+	dst.Cipher = m.pagingAEAD.Seal(dst.Cipher, nonce, m.pageBuf[:], aad)
+	if m.vaSlots == nil {
+		m.vaSlots = make(map[uint64]isa.EID)
+	}
+	m.vaSlots[slot] = ent.Owner
 	m.MEE.DropPage(pa)
 	m.DRAM.Zero(pa, isa.PageSize)
 	if err := m.EPC.Free(page); err != nil {
 		return nil, err
 	}
 	m.Rec.ChargeToDetail(owner, core, trace.EvEWB, 0, uint64(vaddr))
-	return blob, nil
+	return dst, nil
 }
 
 // ELDU reloads an evicted page into a fresh EPC page, verifying integrity
-// and freshness. Freshness is double-checked: the blob's monotonic version
-// must equal the current counter for its (owner, vaddr) lane, and its
-// one-time slot must be unspent. Either mismatch is a typed *BlobReplayError
-// (errors.Is ErrBlobReplay) — a detection verdict, not a generic fault.
-// core is the processor running the instruction, as for EWB.
+// and freshness. Its owner must still exist: as SGX checks the SECS operand
+// first, a blob of a removed enclave is a #GP. Freshness is double-checked:
+// the blob's monotonic version must equal the current counter for its
+// (owner, vaddr) lane, and its one-time slot must be unspent. Either
+// mismatch is a typed *BlobReplayError (errors.Is ErrBlobReplay) — a
+// detection verdict, not a generic fault. core is the processor running the
+// instruction, as for EWB.
 func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if _, ok := m.secsByEID[blob.Owner]; !ok {
+		return 0, isa.GP("ELDU: owner enclave %d no longer exists", blob.Owner)
+	}
 	if cur := m.blobVer[blobKey{blob.Owner, blob.Vaddr}]; blob.Version != cur {
 		return 0, &BlobReplayError{Owner: blob.Owner, Vaddr: blob.Vaddr, Have: blob.Version, Want: cur}
 	}
-	if !m.vaSlots[blob.Slot] {
+	if _, unspent := m.vaSlots[blob.Slot]; !unspent {
 		return 0, &BlobReplayError{Owner: blob.Owner, Vaddr: blob.Vaddr, Have: blob.Version, Want: blob.Version, Consumed: true}
 	}
-	nonce, aad := pagingNonce(blob.Slot), blob.aad()
-	content, err := m.pagingAEAD.Open(m.pageBuf[:0], nonce[:], blob.Cipher, aad[:])
+	nonce, aad := m.sealParams(blob)
+	content, err := m.pagingAEAD.Open(m.pageBuf[:0], nonce, blob.Cipher, aad)
 	if err != nil {
 		return 0, isa.GP("ELDU: integrity check failed: %v", err)
-	}
-	if _, ok := m.secsByEID[blob.Owner]; !ok {
-		return 0, isa.GP("ELDU: owner enclave %d no longer exists", blob.Owner)
 	}
 	owner := uint64(blob.Owner)
 	op := m.Rec.BeginOp(trace.OpELD, core, owner, "")
@@ -240,6 +247,23 @@ func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	delete(m.vaSlots, blob.Slot)
 	m.Rec.ChargeToDetail(owner, core, trace.EvELD, 0, uint64(blob.Vaddr))
 	return page, nil
+}
+
+// forgetPaging drops a removed enclave's paging bookkeeping: its version
+// lanes and its unspent version-array slots. EIDs are never reused, so
+// nothing can consult them again; ELDU refuses any blob of the enclave for
+// want of its SECS. Caller holds m.mu exclusively.
+func (m *Machine) forgetPaging(owner isa.EID) {
+	for k := range m.blobVer {
+		if k.owner == owner {
+			delete(m.blobVer, k)
+		}
+	}
+	for slot, o := range m.vaSlots {
+		if o == owner {
+			delete(m.vaSlots, slot)
+		}
+	}
 }
 
 // FindRegPage returns, under the machine lock, the index of the valid

@@ -72,10 +72,10 @@ func TestEvictedBlobIsOpaqueToKernel(t *testing.T) {
 	if err := r.m.EBlock(idx); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range r.m.ETrack(s) {
+	for _, c := range r.m.ETrack(s, nil) {
 		r.m.ShootdownFor(c, isa.NoEnclave)
 	}
-	blob, err := r.m.EWB(idx, trace.NoCore)
+	blob, err := r.m.EWB(idx, trace.NoCore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBlockedPageFaultsInsteadOfAborting(t *testing.T) {
 			tcsIdx = i
 		}
 	}
-	if _, err := r.m.EWB(tcsIdx, trace.NoCore); err == nil {
+	if _, err := r.m.EWB(tcsIdx, trace.NoCore, nil); err == nil {
 		t.Fatal("EWB of unblocked page accepted")
 	}
 }
@@ -197,4 +197,99 @@ func TestAuditTLBsDetectsStaleEntries(t *testing.T) {
 		t.Fatal("stale translation not detected")
 	}
 	r.exit(t)
+}
+
+// evictByHand runs EBLOCK, ETRACK with its shootdowns, and EWB on the
+// enclave's regular page at vaddr, sealing into dst, and returns the blob.
+// The page table is left as it is.
+func evictByHand(t *testing.T, r *rig, s *sgx.SECS, vaddr isa.VAddr, dst *sgx.EvictedPage) *sgx.EvictedPage {
+	t.Helper()
+	idx, ok := r.m.FindRegPage(s, vaddr)
+	if !ok {
+		t.Fatalf("enclave %d has no regular page at %#x", s.EID, uint64(vaddr))
+	}
+	if err := r.m.EBlock(idx); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range r.m.ETrack(s, nil) {
+		r.m.ShootdownFor(c, s.EID)
+	}
+	blob, err := r.m.EWB(idx, trace.NoCore, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestEWBSealsIntoCallerBlob reloads a page and evicts another into the
+// first page's spent blob: EWB returns that blob, reuses its ciphertext's
+// backing array, and ELDU reloads the second page's bytes from it.
+func TestEWBSealsIntoCallerBlob(t *testing.T) {
+	r := newRig(t)
+	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 2)
+	spent := evictByHand(t, r, s, 0x100000, nil)
+	page, err := r.m.ELDU(spent, trace.NoCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.p.MapFixed(0x100000, r.m.EPC.AddrOf(page), isa.PermRW)
+	backing := &spent.Cipher[0]
+	blob := evictByHand(t, r, s, 0x101000, spent)
+	if blob != spent || &blob.Cipher[0] != backing {
+		t.Fatal("EWB did not seal into the blob it was given")
+	}
+	if blob.Owner != s.EID || blob.Vaddr != 0x101000 || blob.Version != 1 {
+		t.Fatalf("reused blob describes enclave %d page %#x version %d", blob.Owner, uint64(blob.Vaddr), blob.Version)
+	}
+	page, err = r.m.ELDU(blob, trace.NoCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.p.MapFixed(0x101000, r.m.EPC.AddrOf(page), isa.PermRW)
+	r.enter(t, s, tcsV)
+	got, err := r.c.Read(0x101000, 4)
+	r.exit(t)
+	if err != nil || !bytes.Equal(got, []byte{0x5a, 0x5a, 0x5a, 0x5a}) {
+		t.Fatalf("page reloaded from a reused blob reads %v, %v", got, err)
+	}
+}
+
+// TestTeardownForgetsPagingState swaps pages of two enclaves out and
+// destroys one of them. The machine then keeps no version lane and no
+// unspent slot for the dead EID, ELDU still refuses its last blob without
+// taking an EPC page, and the live enclave's lane, slot and blob are
+// untouched.
+func TestTeardownForgetsPagingState(t *testing.T) {
+	r := newRig(t)
+	s, _ := buildEnclave(t, r.k, r.p, 0x100000, 2)
+	o, _ := buildEnclave(t, r.k, r.p, 0x200000, 1)
+	first := evictByHand(t, r, s, 0x100000, nil)
+	if _, err := r.m.ELDU(first, trace.NoCore); err != nil {
+		t.Fatal(err)
+	}
+	last := evictByHand(t, r, s, 0x100000, nil)
+	evictByHand(t, r, s, 0x101000, nil)
+	kept := evictByHand(t, r, o, 0x200000, nil)
+	if lanes, slots := r.m.PagingStateOf(s.EID); lanes != 2 || slots != 2 {
+		t.Fatalf("before teardown: %d lanes and %d slots, want 2 and 2", lanes, slots)
+	}
+	if err := r.m.DestroyEnclave(s); err != nil {
+		t.Fatal(err)
+	}
+	if lanes, slots := r.m.PagingStateOf(s.EID); lanes != 0 || slots != 0 {
+		t.Fatalf("after teardown: %d lanes and %d slots left for enclave %d", lanes, slots, s.EID)
+	}
+	free := r.m.FreeEPCPages()
+	if _, err := r.m.ELDU(last, trace.NoCore); !isa.IsFault(err, isa.FaultGP) {
+		t.Fatalf("ELDU of a destroyed enclave's blob: %v, want #GP", err)
+	}
+	if n := r.m.FreeEPCPages(); n != free {
+		t.Fatalf("refused ELDU moved the free EPC pages from %d to %d", free, n)
+	}
+	if lanes, slots := r.m.PagingStateOf(o.EID); lanes != 1 || slots != 1 {
+		t.Fatalf("live enclave: %d lanes and %d slots, want 1 and 1", lanes, slots)
+	}
+	if _, err := r.m.ELDU(kept, trace.NoCore); err != nil {
+		t.Fatalf("live enclave's blob after another's teardown: %v", err)
+	}
 }

@@ -220,34 +220,33 @@ func (m *Machine) AssociateLocked(inner, outer *SECS) {
 type InnerAwareTracker struct{}
 
 // CoresToShootdown implements Tracker.
-func (InnerAwareTracker) CoresToShootdown(m *Machine, eid isa.EID) []*Core {
-	var out []*Core
+func (InnerAwareTracker) CoresToShootdown(m *Machine, eid isa.EID, dst []*Core) []*Core {
 	for _, c := range m.cores {
 		if m.coreTouches(c, eid) {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // coreTouches reports whether the core has live context in enclave eid or in
 // any enclave whose outer closure contains eid.
 func (m *Machine) coreTouches(c *Core, eid isa.EID) bool {
-	for _, e := range c.ExecutingEIDs() {
+	return c.anyFrame(func(e isa.EID) bool {
 		if e == eid {
 			return true
 		}
 		s, ok := m.secsByEID[e]
 		if !ok {
-			continue
+			return false
 		}
 		for _, o := range m.OuterChain(s) {
 			if o.EID == eid {
 				return true
 			}
 		}
-	}
-	return false
+		return false
+	})
 }
 
 // BaselineTracker implements SGX's ETRACK thread tracking, oblivious of
@@ -257,17 +256,13 @@ func (m *Machine) coreTouches(c *Core, eid isa.EID) bool {
 type BaselineTracker struct{}
 
 // CoresToShootdown implements Tracker.
-func (BaselineTracker) CoresToShootdown(m *Machine, eid isa.EID) []*Core {
-	var out []*Core
+func (BaselineTracker) CoresToShootdown(m *Machine, eid isa.EID, dst []*Core) []*Core {
 	for _, c := range m.cores {
-		for _, e := range c.ExecutingEIDs() {
-			if e == eid {
-				out = append(out, c)
-				break
-			}
+		if c.anyFrame(func(e isa.EID) bool { return e == eid }) {
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // BroadcastTracker is the paper's "simplified, but potentially more costly
@@ -276,8 +271,6 @@ func (BaselineTracker) CoresToShootdown(m *Machine, eid isa.EID) []*Core {
 type BroadcastTracker struct{}
 
 // CoresToShootdown implements Tracker.
-func (BroadcastTracker) CoresToShootdown(m *Machine, eid isa.EID) []*Core {
-	out := make([]*Core, len(m.cores))
-	copy(out, m.cores)
-	return out
+func (BroadcastTracker) CoresToShootdown(m *Machine, _ isa.EID, dst []*Core) []*Core {
+	return append(dst, m.cores...)
 }

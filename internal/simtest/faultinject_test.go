@@ -274,13 +274,13 @@ func TestInnerAwareTrackingRequired(t *testing.T) {
 		}
 		return false
 	}
-	if !hasCore(m.ETrack(outer), 1) {
+	if !hasCore(m.ETrack(outer, nil), 1) {
 		t.Fatalf("nested tracker does not include core 1, which holds an outer translation")
 	}
 
 	// Baseline SGX tracking misses the inner core entirely.
 	m.Tracker = sgx.BaselineTracker{}
-	baseCores := m.ETrack(outer)
+	baseCores := m.ETrack(outer, nil)
 	if hasCore(baseCores, 1) {
 		t.Fatalf("baseline tracker unexpectedly includes core 1 (it has no context in the outer)")
 	}
@@ -299,7 +299,7 @@ func TestInnerAwareTrackingRequired(t *testing.T) {
 	for _, c := range baseCores {
 		m.ShootdownFor(c, outer.EID)
 	}
-	if _, err := m.EWB(pageIdx, trace.NoCore); !isa.IsFault(err, isa.FaultGP) {
+	if _, err := m.EWB(pageIdx, trace.NoCore, nil); !isa.IsFault(err, isa.FaultGP) {
 		t.Fatalf("EWB with baseline tracking: got %v, want #GP (incomplete shootdown)", err)
 	}
 }

@@ -586,7 +586,7 @@ func (r *Runner) evict(slot int, op Op) error {
 	// ETRACK: the shootdown sets themselves are a diffed observable — this is
 	// where the §IV-E inner-aware tracking must match the oracle's closure
 	// walk.
-	cores := r.m.ETrack(st.secs)
+	cores := r.m.ETrack(st.secs, nil)
 	gotSet := make([]int, 0, len(cores))
 	for _, c := range cores {
 		gotSet = append(gotSet, c.ID)
@@ -604,7 +604,7 @@ func (r *Runner) evict(slot int, op Op) error {
 	}
 	// else: fault injection — skip the IPIs; EWB below must catch it.
 
-	blob, err := r.m.EWB(pageIdx, trace.NoCore)
+	blob, err := r.m.EWB(pageIdx, trace.NoCore, nil)
 	if derr := diffVerdict(fmt.Sprintf("EWB slot%d %#x", slot, uint64(target)),
 		err, r.o.EWB(pageIdx)); derr != nil {
 		return derr

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -155,6 +156,49 @@ func TestDeclaredPrimaryKeyColumn(t *testing.T) {
 	r := db.MustExec("SELECT payload FROM kv WHERE k = 10")
 	if len(r.Rows) != 1 || r.Rows[0][0].S != "v1" {
 		t.Fatalf("lookup on declared PK: %v", r.Rows)
+	}
+}
+
+// TestLargeIntegerKeysStayDistinct stores two primary keys that differ
+// only past float64's 53-bit mantissa: both insert, and each point lookup
+// finds its own row. Compare orders ints exactly, and ints against floats
+// without rounding the int.
+func TestLargeIntegerKeysStayDistinct(t *testing.T) {
+	db := New()
+	db.MustExec("CREATE TABLE t (k INT PRIMARY KEY, v TEXT)")
+	db.MustExec("INSERT INTO t VALUES (9007199254740992, 'a')")
+	if _, err := db.Exec("INSERT INTO t VALUES (9007199254740993, 'b')"); err != nil {
+		t.Fatalf("distinct key past 2^53 refused: %v", err)
+	}
+	for k, want := range map[string]string{"9007199254740992": "a", "9007199254740993": "b"} {
+		r := db.MustExec("SELECT v FROM t WHERE k = " + k)
+		if len(r.Rows) != 1 || r.Rows[0][0].S != want {
+			t.Errorf("k = %s: rows %v, want %q", k, r.Rows, want)
+		}
+	}
+	const big = 1 << 53
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{Int(big), Int(big + 1), -1},
+		{Int(big + 1), Float(big), 1},
+		{Float(big), Int(big + 1), -1},
+		{Int(big), Float(big), 0},
+		{Int(2), Float(2.5), -1},
+		{Int(-2), Float(-2.5), 1},
+		{Int(-3), Float(-2.5), -1},
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Int(math.MinInt64), Float(-(1 << 63)), 0},
+		{Int(math.MinInt64), Float(-(1 << 64)), 1},
+	}
+	for _, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := Compare(c.b, c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
 	}
 }
 

@@ -7,7 +7,9 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -75,30 +77,48 @@ func Compare(a, b Value) int {
 	case KNull:
 		return 0
 	case KText:
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		}
-		return 0
-	default:
-		af, bf := a.num(), b.num()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.S, b.S)
 	}
+	switch {
+	case a.Kind == KInt && b.Kind == KInt:
+		return cmp.Compare(a.I, b.I)
+	case a.Kind == KInt:
+		return compareIntFloat(a.I, b.F)
+	case b.Kind == KInt:
+		return -compareIntFloat(b.I, a.F)
+	}
+	return compareFloat(a.F, b.F)
 }
 
-func (v Value) num() float64 {
-	if v.Kind == KInt {
-		return float64(v.I)
+// compareFloat orders two floats, a NaN equal to everything.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
-	return v.F
+	return 0
+}
+
+// compareIntFloat orders an int against a float exactly. Converting i to
+// float64 would round it above 2^53, so distinct ints would compare equal;
+// instead f's integer part, which is exact as an int64 within int64's
+// range, is compared with i, and its fraction breaks a tie.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 0 // as compareFloat has it
+	case f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return compareFloat(t, f)
 }
 
 // coerce converts v to the column's declared kind where lossless.

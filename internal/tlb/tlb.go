@@ -89,6 +89,18 @@ func (t *TLB) FlushVPN(vpn uint64) { delete(t.entries, vpn) }
 // Len returns the number of cached translations.
 func (t *TLB) Len() int { return len(t.entries) }
 
+// MapsFrame reports whether any cached translation points at physical page
+// ppn. EWB asks it of every TLB before it frees a frame; unlike Entries it
+// copies nothing.
+func (t *TLB) MapsFrame(ppn uint64) bool {
+	for _, e := range t.entries {
+		if e.PPN == ppn {
+			return true
+		}
+	}
+	return false
+}
+
 // Entries returns a snapshot of all cached translations, for invariant
 // audits in tests.
 func (t *TLB) Entries() []Entry {

@@ -67,10 +67,10 @@ benchmark-smoke:
 # means/counts, walk and paging counters, total cycles, and the gated extras
 # (per-op ocall cycles on both paths, allocations per nested walk, ring
 # occupancy) — against the committed baselines/ snapshots. Gated metrics are
-# deterministic functions of the cost model and workloads, so the default 5%
-# tolerance is pure headroom for intentional drift; regenerate baselines with
-# `make baselines` when a cost-model change is deliberate (see
-# EXPERIMENTS.md).
+# deterministic functions of the cost model and workloads, so the gate is
+# exact: a metric that differs from its baseline in either direction fails;
+# regenerate baselines with `make baselines` when a cost-model change is
+# deliberate (see EXPERIMENTS.md).
 perf-gate:
 	$(GO) run ./cmd/repro -gate baselines
 

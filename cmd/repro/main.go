@@ -213,8 +213,8 @@ var gateExperiments = []string{"table2", "sqlservice", "mlservice", "switchless"
 
 // runGate is the -gate mode: re-run the headline experiments and compare
 // their cycle-derived metrics against the BENCH_<name>.json baselines in
-// dir, failing on any regression beyond tol.
-func runGate(dir string, tol float64) error {
+// dir, failing on any gated metric that differs from its baseline.
+func runGate(dir string) error {
 	exps := experiments()
 	byName := map[string]experiment{}
 	for _, e := range exps {
@@ -241,16 +241,16 @@ func runGate(dir string, tol float64) error {
 		if snap == nil {
 			return fmt.Errorf("%s produced no snapshot", name)
 		}
-		results := bench.CompareGate(base, snap, tol)
+		results := bench.CompareGate(base, snap)
 		fmt.Print(bench.RenderGate(name, results, false))
 		if bench.GateFailed(results) {
 			failed = true
 		}
 	}
 	if failed {
-		return fmt.Errorf("gated metrics regressed beyond tolerance")
+		return fmt.Errorf("gated metrics differ from the baselines (rerun make baselines if the change is deliberate)")
 	}
-	fmt.Println("perf gate: all gated metrics within tolerance")
+	fmt.Println("perf gate: all gated metrics equal their baselines")
 	return nil
 }
 
@@ -374,7 +374,6 @@ func main() {
 	advStrategy := flag.String("strategy", "", "adversary: run a single strategy ("+strings.Join(adversary.StrategyNames(), ", ")+")")
 	advVerbose := flag.Bool("v", false, "adversary: print each strategy's transcript after the scoreboard")
 	gateDir := flag.String("gate", "", "compare gated metrics against BENCH_*.json baselines in this directory (perf regression gate)")
-	gateTol := flag.Float64("gate-tol", bench.GateTolerance, "gate: relative regression tolerance")
 	exhaustive := flag.Bool("exhaustive", false, "run the exhaustive small-scope model check instead of the experiments")
 	mcDepth := flag.Int("mc-depth", 8, "exhaustive: schedule horizon (ops per interleaving)")
 	mcMaxDepth := flag.Int("mc-maxdepth", 2, "exhaustive: maximum enclave nesting depth")
@@ -414,7 +413,7 @@ func main() {
 		return
 	}
 	if *gateDir != "" {
-		if err := runGate(*gateDir, *gateTol); err != nil {
+		if err := runGate(*gateDir); err != nil {
 			fmt.Fprintf(os.Stderr, "perf gate: %v\n", err)
 			os.Exit(1)
 		}

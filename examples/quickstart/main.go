@@ -133,7 +133,7 @@ func main() {
 	innerImg.RegisterECall("attest", func(env *ne.Env, args []byte) ([]byte, error) {
 		var data [64]byte
 		copy(data[:], args)
-		rep, err := sys.Ext.NEREPORT(env.C, qs.Measurement(), data)
+		rep, err := sys.Machine.NEREPORT(env.C, qs.Measurement(), data)
 		if err != nil {
 			return nil, err
 		}

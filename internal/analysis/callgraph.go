@@ -197,8 +197,8 @@ var transitionOps = []struct {
 	{"internal/sgx", "Machine", "EResume"},
 	{"internal/sgx", "Machine", "AEX"},
 	{"internal/sgx", "Machine", "EmergencyExit"},
-	{"internal/core", "Extension", "NEENTER"},
-	{"internal/core", "Extension", "NEEXIT"},
+	{"internal/sgx", "Machine", "NEENTER"},
+	{"internal/sgx", "Machine", "NEEXIT"},
 }
 
 // guardDirective is the field annotation grammar:

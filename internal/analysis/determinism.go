@@ -11,7 +11,6 @@ import (
 // map-iteration check is confined to these, where iteration order feeding
 // state or output would silently diverge replays.
 var replayCriticalPkgs = []string{
-	"internal/core",
 	"internal/sgx",
 	"internal/model",
 	"internal/simtest",

@@ -1,11 +1,12 @@
 package analysis
 
-// The module-level fault-injection proof: plant two bugs in the REAL tree via
-// a load-time file overlay (nothing on disk changes) and require that each
+// The module-level fault-injection proof: plant three bugs in the REAL tree
+// via a load-time file overlay (nothing on disk changes) and require that each
 // produces exactly one finding, with a correct cross-function trace. This is
 // the end-to-end demonstration that the interprocedural rules guard the
-// lock-free hot path: a plain read of a switchless ring slot state word, and
-// the host lock held across an ECall reached through a helper.
+// lock-free hot path: a plain read of a switchless ring slot state word, the
+// host lock held across an ECall reached through a helper, and the kernel
+// driver's lock held across the machine's NEENTER reached through a helper.
 import (
 	"path/filepath"
 	"regexp"
@@ -48,6 +49,22 @@ func (h *Host) injectedHeldCall(e *Enclave) {
 	h.injectedRestore(e)
 }
 `),
+		// Fault 3: a module lock held across the nested transition itself,
+		// the sgx.Machine instruction, reached through a helper.
+		"internal/kos/zz_injected_fault.go": []byte(`package kos
+
+import "nestedenclave/internal/sgx"
+
+func (d *Driver) injectedEnter(c *sgx.Core, s *sgx.SECS) {
+	_ = d.k.m.NEENTER(c, s, s.Base)
+}
+
+func (d *Driver) injectedHeldEnter(c *sgx.Core, s *sgx.SECS) {
+	d.pager.Lock()
+	defer d.pager.Unlock()
+	d.injectedEnter(c, s)
+}
+`),
 	}
 
 	pkgs, err := LoadTreeOverlay(root, modPath, overlay)
@@ -78,19 +95,35 @@ func (h *Host) injectedHeldCall(e *Enclave) {
 			file:   "internal/sdk/zz_injected_fault.go",
 			msgRE:  `sdk\.Host\.mu held across domain transition sdk\.Enclave\.ECall \(via sdk\.Host\.injectedRestore -> sdk\.Enclave\.ECall\)`,
 		},
+		{
+			family: "lockgraph",
+			file:   "internal/kos/zz_injected_fault.go",
+			msgRE:  `kos\.Driver\.pager held across domain transition sgx\.Machine\.NEENTER \(via kos\.Driver\.injectedEnter -> sgx\.Machine\.NEENTER\)`,
+		},
+	}
+	// Each injected fault yields exactly one finding, and the real tree none.
+	perFamily := map[string]int{}
+	for _, c := range cases {
+		perFamily[c.family]++
+	}
+	for family, n := range perFamily {
+		if got := len(byFamily[family]); got != n {
+			t.Errorf("%s: want exactly %d findings, one per injected fault, got %d: %v", family, n, got, byFamily[family])
+		}
 	}
 	for _, c := range cases {
-		fs := byFamily[c.family]
+		var fs []Finding
+		for _, f := range byFamily[c.family] {
+			if strings.HasSuffix(filepath.ToSlash(f.Pos.Filename), c.file) {
+				fs = append(fs, f)
+			}
+		}
 		if len(fs) != 1 {
-			t.Errorf("%s: want exactly 1 finding from the injected fault, got %d: %v", c.family, len(fs), fs)
+			t.Errorf("%s: want exactly 1 finding anchored in %s, got %d: %v", c.family, c.file, len(fs), byFamily[c.family])
 			continue
 		}
-		f := fs[0]
-		if !strings.HasSuffix(filepath.ToSlash(f.Pos.Filename), c.file) {
-			t.Errorf("%s: finding at %s, want it anchored in %s", c.family, f.Pos.Filename, c.file)
-		}
-		if !regexp.MustCompile(c.msgRE).MatchString(f.Msg) {
-			t.Errorf("%s: message %q does not match %q", c.family, f.Msg, c.msgRE)
+		if !regexp.MustCompile(c.msgRE).MatchString(fs[0].Msg) {
+			t.Errorf("%s: message %q does not match %q", c.family, fs[0].Msg, c.msgRE)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // latency-histogram sample.
 //
 // The check is intraprocedural over the packages that open spans on hot
-// simulator paths (sdk, sgx, core, switchless). A BeginSpan/BeginOp result
+// simulator paths (sdk, sgx, switchless). A BeginSpan/BeginOp result
 // must be bound to a variable and that variable must have its End called
 // either deferred (covers every exit, including the panic-unwind crash
 // paths) or linearly in the same block as the opening call (the
@@ -31,7 +31,7 @@ var SpanPair = &Analyzer{
 // spans around transitions, walks, and paging. trace itself (the
 // implementation), channel (its helper hands SpanRefs to callers), and tests
 // are out of scope.
-var spanPairPkgs = []string{"internal/sdk", "internal/sgx", "internal/core", "internal/switchless"}
+var spanPairPkgs = []string{"internal/sdk", "internal/sgx", "internal/switchless"}
 
 func runSpanPair(p *Pass) {
 	if !pathMatchesAny(p.Pkg.Path, spanPairPkgs) {

@@ -13,27 +13,27 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/measure"
+	"nestedenclave/internal/sgx"
 )
 
 // QuotingService models the platform's quoting enclave: it holds the
 // attestation signing key (provisioned at "manufacturing") and a
 // well-known measurement that enclaves target their reports at.
 type QuotingService struct {
-	ext  *core.Extension
+	m    *sgx.Machine
 	meas measure.Digest
 	pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
 }
 
 // NewQuotingService provisions a quoting service on the machine.
-func NewQuotingService(ext *core.Extension) (*QuotingService, error) {
+func NewQuotingService(m *sgx.Machine) (*QuotingService, error) {
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	qs := &QuotingService{ext: ext, pub: pub, priv: priv}
+	qs := &QuotingService{m: m, pub: pub, priv: priv}
 	qs.meas = sha256.Sum256([]byte("quoting-enclave"))
 	return qs, nil
 }
@@ -47,11 +47,11 @@ func (qs *QuotingService) PlatformKey() ed25519.PublicKey { return qs.pub }
 
 // Quote is a remotely-verifiable attestation statement.
 type Quote struct {
-	Report core.NestedReport
+	Report sgx.NestedReport
 	Sig    []byte
 }
 
-func quoteBody(r *core.NestedReport) []byte {
+func quoteBody(r *sgx.NestedReport) []byte {
 	h := sha256.New()
 	h.Write([]byte("QUOTE"))
 	h.Write(r.MRENCLAVE[:])
@@ -73,44 +73,17 @@ func quoteBody(r *core.NestedReport) []byte {
 	return h.Sum(nil)
 }
 
-// MakeQuote verifies the nested report's MAC (the quoting service derives
-// the report key for its own measurement, like the real QE does with
-// EGETKEY) and signs a quote over it.
-func (qs *QuotingService) MakeQuote(r *core.NestedReport) (*Quote, error) {
+// MakeQuote verifies the nested report's MAC (the machine checks it under
+// the report key of the quoting service's own measurement, the key the real
+// QE derives with EGETKEY) and signs a quote over it.
+func (qs *QuotingService) MakeQuote(r *sgx.NestedReport) (*Quote, error) {
 	if r.TargetMRENCLAVE != qs.meas {
 		return nil, fmt.Errorf("attest: report not targeted at the quoting service")
 	}
-	// Re-derive the MAC the hardware would have produced for us.
-	want := qs.ext.Machine().MACWithReportKey(qs.meas, macInput(r))
-	if want != r.MAC {
+	if !qs.m.NestedReportValid(qs.meas, r) {
 		return nil, fmt.Errorf("attest: report MAC invalid — not produced by NEREPORT on this platform")
 	}
 	return &Quote{Report: *r, Sig: ed25519.Sign(qs.priv, quoteBody(r))}, nil
-}
-
-// macInput mirrors the NEREPORT MAC body (kept in sync with package core via
-// the round-trip tests).
-func macInput(r *core.NestedReport) []byte {
-	h := sha256.New()
-	h.Write([]byte("NEREPORT"))
-	h.Write(r.MRENCLAVE[:])
-	h.Write(r.MRSIGNER[:])
-	var a [8]byte
-	binary.LittleEndian.PutUint64(a[:], r.Attributes)
-	h.Write(a[:])
-	h.Write(r.ReportData[:])
-	binary.LittleEndian.PutUint64(a[:], uint64(len(r.OuterMeasurements)))
-	h.Write(a[:])
-	for _, d := range r.OuterMeasurements {
-		h.Write(d[:])
-	}
-	binary.LittleEndian.PutUint64(a[:], uint64(len(r.InnerMeasurements)))
-	h.Write(a[:])
-	for _, d := range r.InnerMeasurements {
-		h.Write(d[:])
-	}
-	h.Write(r.TargetMRENCLAVE[:])
-	return h.Sum(nil)
 }
 
 // Expectation is what a remote challenger requires of a quote.

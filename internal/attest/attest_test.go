@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nestedenclave/internal/attest"
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
@@ -13,7 +12,7 @@ import (
 )
 
 type rig struct {
-	ext   *core.Extension
+	m     *sgx.Machine
 	host  *sdk.Host
 	qs    *attest.QuotingService
 	inner *sdk.Enclave
@@ -23,10 +22,9 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	m := sgx.MustNew(sgx.SmallConfig())
-	ext := core.Enable(m, core.TwoLevel())
 	k := kos.New(m)
-	host := sdk.NewHost(k, ext)
-	qs, err := attest.NewQuotingService(ext)
+	host := sdk.NewHost(k)
+	qs, err := attest.NewQuotingService(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +45,7 @@ func newRig(t *testing.T) *rig {
 	if err := host.Associate(inner, outer); err != nil {
 		t.Fatal(err)
 	}
-	return &rig{ext: ext, host: host, qs: qs, inner: inner, outer: outer}
+	return &rig{m: m, host: host, qs: qs, inner: inner, outer: outer}
 }
 
 // quoteFromInner runs the full remote-attestation flow from inside the
@@ -58,7 +56,7 @@ func quoteFromInner(t *testing.T, r *rig, nonce []byte) *attest.Quote {
 	r.inner.Image().RegisterECall("attest", func(env *sdk.Env, args []byte) ([]byte, error) {
 		var data [64]byte
 		copy(data[:], args)
-		rep, err := r.ext.NEREPORT(env.C, r.qs.Measurement(), data)
+		rep, err := r.m.NEREPORT(env.C, r.qs.Measurement(), data)
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +129,7 @@ func TestQuoteTamperDetected(t *testing.T) {
 func TestQuotingServiceRejectsForgedReport(t *testing.T) {
 	r := newRig(t)
 	// A report fabricated by the (untrusted) host, without NEREPORT.
-	forged := &core.NestedReport{
+	forged := &sgx.NestedReport{
 		MRENCLAVE:       r.inner.SECS().MRENCLAVE,
 		TargetMRENCLAVE: r.qs.Measurement(),
 	}
@@ -151,7 +149,7 @@ func TestOuterQuoteListsInners(t *testing.T) {
 	r := newRig(t)
 	var quote *attest.Quote
 	r.outer.Image().RegisterECall("attest", func(env *sdk.Env, args []byte) ([]byte, error) {
-		rep, err := r.ext.NEREPORT(env.C, r.qs.Measurement(), [64]byte{})
+		rep, err := r.m.NEREPORT(env.C, r.qs.Measurement(), [64]byte{})
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/datasets"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
@@ -257,13 +256,14 @@ func AblationNestingDepth(depths []int) ([]AblationDepthRow, error) {
 	}
 	var rows []AblationDepthRow
 	for _, depth := range depths {
-		m, err := sgx.New(SmallMachine())
+		cfg := SmallMachine()
+		cfg.Nesting = sgx.NestingConfig{} // unlimited depth
+		m, err := sgx.New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		ext := core.Enable(m, core.Config{}) // unlimited depth
 		k := kos.New(m)
-		host := sdk.NewHost(k, ext)
+		host := sdk.NewHost(k)
 
 		imgs := make([]*sdk.Image, depth) // imgs[0] innermost
 		for i := range imgs {

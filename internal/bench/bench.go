@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"strings"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
@@ -33,12 +32,11 @@ import (
 type Rig struct {
 	M    *sgx.Machine
 	K    *kos.Kernel
-	Ext  *core.Extension
 	Host *sdk.Host
 }
 
-// NewRig boots a nested-enabled machine with the given machine config
-// (zero-value: the default i7-7700-like machine).
+// NewRig boots a machine with the given config, whose Nesting selects the
+// nesting model (zero value: the default i7-7700-like, two-level machine).
 func NewRig(cfg sgx.Config) (*Rig, error) {
 	if cfg.Cores == 0 {
 		cfg = sgx.DefaultConfig()
@@ -47,10 +45,9 @@ func NewRig(cfg sgx.Config) (*Rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext := core.Enable(m, core.TwoLevel())
 	k := kos.New(m)
 	registerRecorder(m.Rec)
-	return &Rig{M: m, K: k, Ext: ext, Host: sdk.NewHost(k, ext)}, nil
+	return &Rig{M: m, K: k, Host: sdk.NewHost(k)}, nil
 }
 
 // SignPair signs an inner/outer image pair with mutual expected

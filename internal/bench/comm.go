@@ -61,7 +61,8 @@ func figure11Machine(footprintMB int) sgx.Config {
 			PRMBase:  32 << 20,
 			PRMSize:  prm,
 		},
-		LLC: cache.DefaultConfig(), // 8 MiB
+		LLC:     cache.DefaultConfig(), // 8 MiB
+		Nesting: sgx.TwoLevel(),
 	}
 }
 

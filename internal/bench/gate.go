@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -12,20 +13,14 @@ import (
 // re-runs the headline experiments and compares their cycle-derived metrics
 // against the committed BENCH_<name>.json baselines. Everything gated is a
 // function of the simulated clock and the deterministic workloads, so the
-// tolerance can be tight; wall-clock fields (wall_ms, QPS columns) are
-// never gated.
-
-// GateTolerance is the default relative regression allowed before the gate
-// fails. Gated metrics are deterministic, so 5% is pure headroom for
-// intentional cost-model drift caught in review.
-const GateTolerance = 0.05
+// gate is exact; wall-clock fields (wall_ms, QPS columns) are never gated.
 
 // GateResult is one gated metric's comparison.
 type GateResult struct {
 	Metric string
 	Base   float64
 	Cur    float64
-	// Ratio is Cur/Base (1 = unchanged; +Inf rendered when Base is 0).
+	// Ratio is Cur/Base (1 = unchanged; +Inf when only Base is 0).
 	Ratio  float64
 	Failed bool
 	Reason string
@@ -54,16 +49,14 @@ func GateMetrics(s *ExperimentSnapshot) map[string]float64 {
 	return m
 }
 
-// CompareGate gates cur against base with the given relative tolerance
-// (<= 0 → GateTolerance). The gate is one-sided — only an increase beyond
-// tolerance fails — except that a metric present in the baseline and absent
-// (or zero) in the current run also fails: the gated path silently stopped
-// being exercised, which would otherwise let a regression hide behind a
-// workload change.
-func CompareGate(base, cur *ExperimentSnapshot, tol float64) []GateResult {
-	if tol <= 0 {
-		tol = GateTolerance
-	}
+// CompareGate gates cur against base exactly: a gated metric that differs
+// from its baseline in either direction fails, until the baselines are
+// regenerated on purpose (`make baselines`). A metric present in the
+// baseline and absent (or zero) in the current run fails as vanished: the
+// gated path silently stopped being exercised, which would otherwise let a
+// regression hide behind a workload change. Metrics absent from the
+// baseline are not gated.
+func CompareGate(base, cur *ExperimentSnapshot) []GateResult {
 	bm, cm := GateMetrics(base), GateMetrics(cur)
 	names := make([]string, 0, len(bm))
 	for n := range bm {
@@ -73,22 +66,20 @@ func CompareGate(base, cur *ExperimentSnapshot, tol float64) []GateResult {
 	var out []GateResult
 	for _, n := range names {
 		b, c := bm[n], cm[n]
-		r := GateResult{Metric: n, Base: b, Cur: c}
+		r := GateResult{Metric: n, Base: b, Cur: c, Ratio: 1}
+		if b != 0 {
+			r.Ratio = c / b
+		} else if c != 0 {
+			r.Ratio = math.Inf(1)
+		}
 		switch {
-		case b == 0:
-			r.Ratio = 1
-			if c != 0 {
-				r.Ratio = 0 // rendered as "new"; a metric appearing is not a regression
-			}
+		case c == b:
 		case c == 0:
 			r.Failed = true
 			r.Reason = "metric vanished (gated path no longer exercised)"
 		default:
-			r.Ratio = c / b
-			if r.Ratio > 1+tol {
-				r.Failed = true
-				r.Reason = fmt.Sprintf("regressed %.1f%% (tolerance %.1f%%)", 100*(r.Ratio-1), 100*tol)
-			}
+			r.Failed = true
+			r.Reason = fmt.Sprintf("changed by %+g from the baseline", c-b)
 		}
 		out = append(out, r)
 	}

@@ -43,7 +43,7 @@ func (s *ExperimentSnapshot) clone() *ExperimentSnapshot {
 // ratio exactly 1 — the committed-baseline workflow's steady state.
 func TestGateSelfComparison(t *testing.T) {
 	base := gateSnapshot()
-	results := CompareGate(base, base.clone(), 0)
+	results := CompareGate(base, base.clone())
 	if GateFailed(results) {
 		t.Fatalf("self-comparison failed:\n%s", RenderGate("self", results, true))
 	}
@@ -77,7 +77,7 @@ func TestGateCatchesWalkSlowdown(t *testing.T) {
 	cur.Histograms["ecall"] = h
 	cur.Cycles = int64(float64(cur.Cycles) * 1.8)
 
-	results := CompareGate(base, cur, 0.05)
+	results := CompareGate(base, cur)
 	if !GateFailed(results) {
 		t.Fatal("gate passed a 2× walk-path slowdown")
 	}
@@ -99,28 +99,29 @@ func TestGateCatchesWalkSlowdown(t *testing.T) {
 	}
 }
 
-// TestGateTolerance pins the one-sided band: regressions inside tolerance
-// and improvements of any size pass.
+// TestGateTolerance pins the exact, two-sided rule: there is no tolerance,
+// so a drift of 0.1% in either direction fails and names the metric, and
+// only an identical snapshot passes.
 func TestGateTolerance(t *testing.T) {
 	base := gateSnapshot()
 
-	within := base.clone()
-	within.Cycles = int64(float64(base.Cycles) * 1.04) // +4% < 5%
-	if results := CompareGate(base, within, 0.05); GateFailed(results) {
-		t.Errorf("+4%% regression failed a 5%% gate:\n%s", RenderGate("within", results, true))
+	if results := CompareGate(base, base.clone()); GateFailed(results) {
+		t.Errorf("identical snapshot failed the gate:\n%s", RenderGate("same", results, true))
 	}
-
-	beyond := base.clone()
-	beyond.Cycles = int64(float64(base.Cycles) * 1.06) // +6% > 5%
-	if results := CompareGate(base, beyond, 0.05); !GateFailed(results) {
-		t.Error("+6% regression passed a 5% gate")
-	}
-
-	faster := base.clone()
-	faster.Cycles = base.Cycles / 2
-	faster.Counters["page_walk"] = 1
-	if results := CompareGate(base, faster, 0.05); GateFailed(results) {
-		t.Errorf("improvement failed the gate:\n%s", RenderGate("faster", results, true))
+	for _, drift := range []float64{1.001, 0.999} {
+		cur := base.clone()
+		cur.Cycles = int64(float64(base.Cycles) * drift)
+		results := CompareGate(base, cur)
+		var failed []string
+		for _, r := range results {
+			if r.Failed {
+				failed = append(failed, r.Metric)
+			}
+		}
+		if len(failed) != 1 || failed[0] != "cycles" {
+			t.Errorf("%+.1f%% cycles drift failed %v, want exactly [cycles]:\n%s",
+				100*(drift-1), failed, RenderGate("drift", results, false))
+		}
 	}
 }
 
@@ -131,7 +132,7 @@ func TestGateVanishedMetric(t *testing.T) {
 	cur := base.clone()
 	cur.Counters["page_walk"] = 0
 
-	results := CompareGate(base, cur, 0.05)
+	results := CompareGate(base, cur)
 	var vanished bool
 	for _, r := range results {
 		if r.Metric == "counter.page_walk" && r.Failed && strings.Contains(r.Reason, "vanished") {
@@ -145,7 +146,7 @@ func TestGateVanishedMetric(t *testing.T) {
 	// A metric new in the current run (absent from baseline) is not gated.
 	grown := base.clone()
 	grown.Counters["ipi"] = 40
-	if results := CompareGate(base, grown, 0.05); GateFailed(results) {
+	if results := CompareGate(base, grown); GateFailed(results) {
 		t.Errorf("new metric failed the gate:\n%s", RenderGate("new", results, true))
 	}
 }
@@ -162,7 +163,7 @@ func TestGateAgainstLiveRun(t *testing.T) {
 		return EndExperiment()
 	}
 	base, cur := run(), run()
-	results := CompareGate(base, cur, 0.05)
+	results := CompareGate(base, cur)
 	if GateFailed(results) {
 		t.Fatalf("two identical runs failed the gate:\n%s", RenderGate("live", results, true))
 	}

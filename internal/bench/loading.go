@@ -76,7 +76,8 @@ func figure10Machine(cfg Figure10Config) sgx.Config {
 			PRMBase:  32 << 20,
 			PRMSize:  prm,
 		},
-		LLC: cache.DefaultConfig(),
+		LLC:     cache.DefaultConfig(),
+		Nesting: sgx.TwoLevel(),
 	}
 }
 

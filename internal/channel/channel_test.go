@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nestedenclave/internal/channel"
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
@@ -122,9 +121,8 @@ type outerRig struct {
 func newOuterRig(t testing.TB, heapPages int) *outerRig {
 	t.Helper()
 	m := sgx.MustNew(sgx.SmallConfig())
-	ext := core.Enable(m, core.TwoLevel())
 	k := kos.New(m)
-	host := sdk.NewHost(k, ext)
+	host := sdk.NewHost(k)
 
 	l := sdk.DefaultLayout()
 	l.HeapPages = heapPages

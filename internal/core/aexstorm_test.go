@@ -5,10 +5,10 @@ import (
 	"sync"
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
+	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/trace"
 )
 
@@ -128,7 +128,7 @@ func loadStormPair(t *testing.T, r *rig, name string, innerBase, outerBase isa.V
 }
 
 func TestAEXStormAcrossNestedChain(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadStormPair(t, r, "storm", 0x1000_0000, 0x2000_0000, 5)
 
 	aex0 := r.m.Rec.Get(trace.EvAEX)
@@ -162,7 +162,7 @@ func TestAEXStormAcrossNestedChain(t *testing.T) {
 // different cores at once; meaningful under -race, and checks that per-core
 // suspended-frame state never bleeds across cores.
 func TestAEXStormConcurrentChains(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	type pair struct{ inner, outer *sdk.Enclave }
 	pairs := make([]pair, 3)
 	for i := range pairs {

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/sdk"
+	"nestedenclave/internal/sgx"
 )
 
 // TestConcurrentOuterEvictionShootsDownInnerTLBs runs the §IV-E scenario at
@@ -19,7 +19,7 @@ import (
 // before each EWB, so no worker may ever observe stale or wrong data, and no
 // TLB may map the page's old frame after the dust settles.
 func TestConcurrentOuterEvictionShootsDownInnerTLBs(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadPair(t, r, 0x1000_0000, 0x2000_0000)
 	outerHeap := outer.Image().HeapBase()
 	payload := []byte("nested-shared-state")

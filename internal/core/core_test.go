@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
@@ -17,16 +16,16 @@ import (
 type rig struct {
 	m    *sgx.Machine
 	k    *kos.Kernel
-	ext  *core.Extension
 	host *sdk.Host
 }
 
-func newRig(t *testing.T, cfg core.Config) *rig {
+func newRig(t *testing.T, nesting sgx.NestingConfig) *rig {
 	t.Helper()
-	m := sgx.MustNew(sgx.SmallConfig())
-	ext := core.Enable(m, cfg)
+	cfg := sgx.SmallConfig()
+	cfg.Nesting = nesting
+	m := sgx.MustNew(cfg)
 	k := kos.New(m)
-	return &rig{m: m, k: k, ext: ext, host: sdk.NewHost(k, ext)}
+	return &rig{m: m, k: k, host: sdk.NewHost(k)}
 }
 
 // loadPair builds, signs (with mutual expectations) and loads an inner/outer
@@ -90,7 +89,7 @@ func writeArgs(v isa.VAddr, data []byte) []byte {
 }
 
 func TestNASSORequiresInitializedEnclaves(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	s1, err := r.m.ECreate(0x100000, isa.PageSize, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -99,28 +98,28 @@ func TestNASSORequiresInitializedEnclaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ext.NASSO(s1, s2); err == nil {
+	if err := r.m.NASSO(s1, s2); err == nil {
 		t.Fatal("NASSO of uninitialized enclaves accepted")
 	}
-	if err := r.ext.NASSO(nil, s2); err == nil {
+	if err := r.m.NASSO(nil, s2); err == nil {
 		t.Fatal("NASSO with nil enclave accepted")
 	}
-	if err := r.ext.NASSO(s1, s1); err == nil {
+	if err := r.m.NASSO(s1, s1); err == nil {
 		t.Fatal("self-nesting accepted")
 	}
 }
 
 func TestNASSODoubleAssociationRejected(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadPair(t, r, 0x1000_0000, 0x2000_0000)
-	err := r.ext.NASSO(inner.SECS(), outer.SECS())
+	err := r.m.NASSO(inner.SECS(), outer.SECS())
 	if err == nil || !strings.Contains(err.Error(), "already associated") {
 		t.Fatalf("re-association: %v", err)
 	}
 }
 
 func TestNASSOSingleOuterModel(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	innerImg := sdk.NewImage("inner", 0x1000_0000, sdk.DefaultLayout())
 	o1Img := sdk.NewImage("o1", 0x2000_0000, sdk.DefaultLayout())
 	o2Img := sdk.NewImage("o2", 0x3000_0000, sdk.DefaultLayout())
@@ -142,7 +141,7 @@ func TestNASSOSingleOuterModel(t *testing.T) {
 
 func TestNASSOCycleRejected(t *testing.T) {
 	// Unlimited depth so the depth check doesn't trip first.
-	r := newRig(t, core.Config{})
+	r := newRig(t, sgx.NestingConfig{})
 	aImg := sdk.NewImage("a", 0x1000_0000, sdk.DefaultLayout())
 	bImg := sdk.NewImage("b", 0x2000_0000, sdk.DefaultLayout())
 	// Sign both directions so only the cycle check can refuse.
@@ -166,7 +165,7 @@ func TestNASSOCycleRejected(t *testing.T) {
 }
 
 func TestNASSODepthLimit(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	aImg := sdk.NewImage("a", 0x1000_0000, sdk.DefaultLayout())
 	bImg := sdk.NewImage("b", 0x2000_0000, sdk.DefaultLayout())
 	cImg := sdk.NewImage("c", 0x3000_0000, sdk.DefaultLayout())
@@ -186,7 +185,7 @@ func TestNASSODepthLimit(t *testing.T) {
 }
 
 func TestNASSOOverlappingELRANGERejected(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	innerImg := sdk.NewImage("inner", 0x1000_0000, sdk.DefaultLayout())
 	outerImg := sdk.NewImage("outer", 0x1000_0000, sdk.DefaultLayout()) // same base
 	si := innerImg.Sign(measure.MustNewAuthor(), []measure.Digest{outerImg.Measure()}, nil)
@@ -197,19 +196,19 @@ func TestNASSOOverlappingELRANGERejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host2 := sdk.NewHost(r.k, r.ext)
+	host2 := sdk.NewHost(r.k)
 	outer, err := host2.Load(so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.ext.NASSO(inner.SECS(), outer.SECS())
+	err = r.m.NASSO(inner.SECS(), outer.SECS())
 	if err == nil || !strings.Contains(err.Error(), "overlaps") {
 		t.Fatalf("overlapping ELRANGE association: %v", err)
 	}
 }
 
 func TestMultiLevelNesting(t *testing.T) {
-	r := newRig(t, core.Config{}) // unlimited depth
+	r := newRig(t, sgx.NestingConfig{}) // unlimited depth
 	// C is outermost, B inside C, A inside B.
 	aImg := sdk.NewImage("a", 0x1000_0000, sdk.DefaultLayout())
 	bImg := sdk.NewImage("b", 0x2000_0000, sdk.DefaultLayout())
@@ -264,7 +263,7 @@ func TestMultiLevelNesting(t *testing.T) {
 }
 
 func TestMultipleOuterEnclaves(t *testing.T) {
-	r := newRig(t, core.Config{MaxDepth: 2, AllowMultipleOuters: true})
+	r := newRig(t, sgx.NestingConfig{MaxDepth: 2, AllowMultipleOuters: true})
 	innerImg := sdk.NewImage("inner", 0x1000_0000, sdk.DefaultLayout())
 	o1Img := sdk.NewImage("o1", 0x2000_0000, sdk.DefaultLayout())
 	o2Img := sdk.NewImage("o2", 0x3000_0000, sdk.DefaultLayout())
@@ -318,7 +317,7 @@ func TestMultipleOuterEnclaves(t *testing.T) {
 }
 
 func TestNEENTERChecks(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadPair(t, r, 0x1000_0000, 0x2000_0000)
 	c := r.m.Core(0)
 	if err := r.k.Schedule(c, r.host.Proc); err != nil {
@@ -326,11 +325,11 @@ func TestNEENTERChecks(t *testing.T) {
 	}
 	// NEENTER outside enclave mode is a #GP.
 	tcsV := inner.Image().HeapBase() + isa.VAddr(inner.Image().HeapSize())
-	if err := r.ext.NEENTER(c, inner.SECS(), tcsV); err == nil {
+	if err := r.m.NEENTER(c, inner.SECS(), tcsV); err == nil {
 		t.Fatal("NEENTER outside enclave accepted")
 	}
 	// NEEXIT outside enclave mode is a #GP.
-	if err := r.ext.NEEXIT(c); err == nil {
+	if err := r.m.NEEXIT(c); err == nil {
 		t.Fatal("NEEXIT outside enclave accepted")
 	}
 	// An unrelated enclave is never a valid NEENTER target, in either
@@ -343,19 +342,19 @@ func TestNEENTERChecks(t *testing.T) {
 	outerImg := outer.Image()
 	inner.Image().RegisterECall("bad_neenter", func(env *sdk.Env, args []byte) ([]byte, error) {
 		strangerTCS := strangerImg.HeapBase() + isa.VAddr(strangerImg.HeapSize())
-		if err := r.ext.NEENTER(env.C, stranger.SECS(), strangerTCS); err == nil {
+		if err := r.m.NEENTER(env.C, stranger.SECS(), strangerTCS); err == nil {
 			t.Error("NEENTER into unassociated enclave accepted")
 		}
 		// NEEXIT from a top-level entry is a #GP.
-		if err := r.ext.NEEXIT(env.C); err == nil {
+		if err := r.m.NEEXIT(env.C); err == nil {
 			t.Error("NEEXIT without nested frame accepted")
 		}
 		// Upward NEENTER into the associated outer IS valid (it carries no
 		// new authority — the inner already reads all outer memory).
 		outerTCS := outerImg.HeapBase() + isa.VAddr(outerImg.HeapSize())
-		if err := r.ext.NEENTER(env.C, outer.SECS(), outerTCS); err != nil {
+		if err := r.m.NEENTER(env.C, outer.SECS(), outerTCS); err != nil {
 			t.Errorf("upward NEENTER into associated outer rejected: %v", err)
-		} else if err := r.ext.NEEXIT(env.C); err != nil {
+		} else if err := r.m.NEEXIT(env.C); err != nil {
 			t.Errorf("NEEXIT back from upward entry: %v", err)
 		}
 		return nil, nil
@@ -370,7 +369,7 @@ func TestNEENTERChecks(t *testing.T) {
 // The baseline thread tracker misses that core, the shootdown protocol
 // under-flushes, and the hardware refuses EWB; the nested tracker finds it.
 func TestNestedTrackerRequiredForOuterEviction(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadPair(t, r, 0x1000_0000, 0x2000_0000)
 	outerHeap := outer.Image().HeapBase()
 
@@ -426,7 +425,7 @@ func TestValidationDepthCost(t *testing.T) {
 	// validate-step count for an inner access to outer memory at depth 2
 	// vs depth 3.
 	steps := func(depth int) int64 {
-		r := newRig(t, core.Config{})
+		r := newRig(t, sgx.NestingConfig{})
 		imgs := make([]*sdk.Image, depth)
 		encls := make([]*sdk.Enclave, depth)
 		authors := make([]*measure.Author, depth)

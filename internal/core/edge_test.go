@@ -3,15 +3,15 @@ package core_test
 import (
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
+	"nestedenclave/internal/sgx"
 )
 
 // Edge cases of the nested transition machinery.
 
 func TestAEXFromInnerEnclavePreservesNestedContext(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadPair(t, r, 0x1000_0000, 0x2000_0000)
 	_ = inner
 
@@ -56,7 +56,7 @@ func TestAEXFromInnerEnclavePreservesNestedContext(t *testing.T) {
 }
 
 func TestReleaseExitFromNestedContextRejected(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadPair(t, r, 0x1000_0000, 0x2000_0000)
 	outer.Image().RegisterECall("drive", func(env *sdk.Env, args []byte) ([]byte, error) {
 		return env.NECall(env.E.Inners()[0], "try_exit", nil)
@@ -78,26 +78,26 @@ func TestReleaseExitFromNestedContextRejected(t *testing.T) {
 }
 
 func TestNEREPORTOutsideEnclaveRejected(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	c := r.m.Core(0)
-	if _, err := r.ext.NEREPORT(c, measure.Digest{}, [64]byte{}); err == nil {
+	if _, err := r.m.NEREPORT(c, measure.Digest{}, [64]byte{}); err == nil {
 		t.Fatal("NEREPORT outside enclave accepted")
 	}
 }
 
 func TestVerifyNestedReportWrongTarget(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadPair(t, r, 0x1000_0000, 0x2000_0000)
-	var rep *core.NestedReport
+	var rep *sgx.NestedReport
 	inner.Image().RegisterECall("report", func(env *sdk.Env, args []byte) ([]byte, error) {
 		var err error
-		rep, err = r.ext.NEREPORT(env.C, outer.SECS().MRENCLAVE, [64]byte{})
+		rep, err = r.m.NEREPORT(env.C, outer.SECS().MRENCLAVE, [64]byte{})
 		return nil, err
 	})
 	// An unrelated enclave tries to verify a report addressed to the outer.
 	strangerImg := sdk.NewImage("stranger", 0x6000_0000, sdk.DefaultLayout())
 	strangerImg.RegisterECall("verify", func(env *sdk.Env, args []byte) ([]byte, error) {
-		return nil, r.ext.VerifyNestedReport(env.C, rep)
+		return nil, r.m.VerifyNestedReport(env.C, rep)
 	})
 	stranger, err := r.host.Load(strangerImg.Sign(measure.MustNewAuthor(), nil, nil))
 	if err != nil {
@@ -110,7 +110,7 @@ func TestVerifyNestedReportWrongTarget(t *testing.T) {
 		t.Fatal("wrong-target verification succeeded")
 	}
 	// Verification outside enclave mode fails too.
-	if err := r.ext.VerifyNestedReport(r.m.Core(0), rep); err == nil {
+	if err := r.m.VerifyNestedReport(r.m.Core(0), rep); err == nil {
 		t.Fatal("verification outside enclave accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
@@ -49,7 +48,7 @@ type fuzzStep struct {
 }
 
 func TestSecurityInvariantsUnderRandomOperations(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	innerImg := sdk.NewImage("inner", 0x1000_0000, sdk.DefaultLayout())
 	outerImg := sdk.NewImage("outer", 0x2000_0000, sdk.DefaultLayout())
 	si := innerImg.Sign(measure.MustNewAuthor(), []measure.Digest{outerImg.Measure()}, nil)
@@ -120,7 +119,7 @@ func TestSecurityInvariantsUnderRandomOperations(t *testing.T) {
 						depth = 1
 					}
 				case 1:
-					if err := r.ext.NEENTER(c, inner.SECS(), innerTCS); err == nil {
+					if err := r.m.NEENTER(c, inner.SECS(), innerTCS); err == nil {
 						depth = 2
 					}
 				}
@@ -131,7 +130,7 @@ func TestSecurityInvariantsUnderRandomOperations(t *testing.T) {
 						depth = 0
 					}
 				case 2:
-					if err := r.ext.NEEXIT(c); err == nil {
+					if err := r.m.NEEXIT(c); err == nil {
 						depth = 1
 					}
 				}
@@ -167,7 +166,7 @@ func TestSecurityInvariantsUnderRandomOperations(t *testing.T) {
 // maps an outer-ELRANGE address to the inner's own EPC page must be an
 // invariant-4 finding that names the outer as the region owner.
 func TestAuditIsNestedAware(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	innerImg := sdk.NewImage("inner", 0x1000_0000, sdk.DefaultLayout())
 	outerImg := sdk.NewImage("outer", 0x2000_0000, sdk.DefaultLayout())
 	var innerPA isa.PAddr

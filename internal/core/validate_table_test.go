@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
-	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/pt"
 	"nestedenclave/internal/sgx"
@@ -69,15 +67,15 @@ func rawTCS(s *sgx.SECS, k int) isa.VAddr { return s.Base + isa.VAddr(2+k)*isa.P
 // ELRANGE, and unsecure space. It pins the paper's §III asymmetry: inner→
 // outer is permitted (steps ③④⑤), outer→inner and peer→peer abort.
 func TestFigure6ValidateTable(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	m := r.m
 	innerA := buildRaw(t, r, 0x1000_0000)
 	outerO := buildRaw(t, r, 0x2000_0000)
 	innerB := buildRaw(t, r, 0x3000_0000)
-	if err := r.ext.NASSO(innerA, outerO); err != nil {
+	if err := r.m.NASSO(innerA, outerO); err != nil {
 		t.Fatalf("NASSO A->O: %v", err)
 	}
-	if err := r.ext.NASSO(innerB, outerO); err != nil {
+	if err := r.m.NASSO(innerB, outerO); err != nil {
 		t.Fatalf("NASSO B->O: %v", err)
 	}
 
@@ -86,7 +84,7 @@ func TestFigure6ValidateTable(t *testing.T) {
 	if err := m.EEnter(m.Core(1), outerO, rawTCS(outerO, 0), false); err != nil {
 		t.Fatalf("EENTER O: %v", err)
 	}
-	if err := r.ext.NEENTER(m.Core(1), innerA, rawTCS(innerA, 0)); err != nil {
+	if err := r.m.NEENTER(m.Core(1), innerA, rawTCS(innerA, 0)); err != nil {
 		t.Fatalf("NEENTER A: %v", err)
 	}
 	if err := m.EEnter(m.Core(2), outerO, rawTCS(outerO, 1), false); err != nil {
@@ -214,16 +212,16 @@ func verdictOf(v sgx.Verdict) string {
 }
 
 // TestOneFlowWithOrWithoutEnable builds the same enclave on two machines,
-// one with core.Enable and one without, and runs the same accesses through
-// each machine's installed validator. Both run the one Figure-6 flow, so
-// each access must return the same verdict and TLB entry and charge the
-// same validation steps on both — the cycles a machine charges for a walk
-// do not depend on whether the nesting instructions are enabled.
+// one under the two-level nesting model and one under baseline SGX's
+// (MaxDepth 1, where NASSO refuses every association), and runs the same
+// accesses through each machine's installed validator. Both run the one
+// Figure-6 flow, so each access must return the same verdict and TLB entry
+// and charge the same validation steps on both — the cycles a machine
+// charges for a walk do not depend on whether nesting is possible.
 func TestOneFlowWithOrWithoutEnable(t *testing.T) {
 	base := isa.VAddr(0x1000_0000)
-	nested := newRig(t, core.TwoLevel())
-	m := sgx.MustNew(sgx.SmallConfig())
-	plainSGX := &rig{m: m, k: kos.New(m)}
+	nested := newRig(t, sgx.TwoLevel())
+	plainSGX := newRig(t, sgx.NestingConfig{MaxDepth: 1})
 
 	type access struct {
 		name  string
@@ -274,7 +272,7 @@ func TestOneFlowWithOrWithoutEnable(t *testing.T) {
 	with, without := run(nested), run(plainSGX)
 	for i, a := range accesses {
 		if with[i] != without[i] {
-			t.Errorf("%s: with core.Enable %+v, without %+v", a.name, with[i], without[i])
+			t.Errorf("%s: two-level %+v, baseline %+v", a.name, with[i], without[i])
 		}
 		if with[i].verdict != a.want || with[i].steps != a.steps {
 			t.Errorf("%s: got %s in %d steps, want %s in %d", a.name, with[i].verdict, with[i].steps, a.want, a.steps)

@@ -8,10 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
+	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/trace"
 )
 
@@ -73,7 +73,7 @@ func runWalkLoad(t *testing.T, inner, outer *sdk.Enclave) {
 // baseline walks into the nested histogram whenever the other core's nested
 // walk lands inside them.
 func TestWalkClassifierUnderParallelWalks(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer, _ := loadWalkPair(t, r)
 	rec := r.m.Rec
 	nested0, base0 := rec.Hist(trace.OpNestedWalk).Count(), rec.Hist(trace.OpPageWalk).Count()
@@ -96,7 +96,7 @@ func TestWalkClassifierUnderParallelWalks(t *testing.T) {
 // state bills one core's line to whichever enclave the other core named
 // last.
 func TestLLCBillingUnderParallelWalks(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer, _ := loadWalkPair(t, r)
 	rec := r.m.Rec
 	rec.EnableObservation(0)
@@ -120,7 +120,7 @@ func TestLLCBillingUnderParallelWalks(t *testing.T) {
 // must read back exactly the bytes it wrote, and the LLC and MEE counters
 // must move by exactly the lines streamed.
 func TestParallelMissesThroughOneEngine(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	const region = 2 << 20 // per core: twice SmallConfig's 1 MiB LLC
 	img := sdk.NewImage("streams", 0x3000_0000,
 		sdk.Layout{CodePages: 1, DataPages: 1, HeapPages: 2 * region / isa.PageSize, NumTCS: 2})
@@ -203,7 +203,7 @@ func TestParallelMissesThroughOneEngine(t *testing.T) {
 // that call through the core's span stack, even while a second core keeps
 // opening and closing walk spans of its own.
 func TestPagerSpanParentsUnderFaultingCall(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer, heap := loadWalkPair(t, r)
 	outer.Image().RegisterECall("read_next", func(env *sdk.Env, args []byte) ([]byte, error) {
 		return env.Read(heap+isa.PageSize, 8)
@@ -264,7 +264,7 @@ func TestPagerSpanParentsUnderFaultingCall(t *testing.T) {
 // machine's read lock; the crash would poison the victim enclave and its
 // evacuation would deadlock on the machine lock, hence the timeout.
 func TestPTEOutsideDRAMFaults(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadPair(t, r, 0x1000_0000, 0x2000_0000)
 	const v = isa.VAddr(0x7000_0000) // outside every ELRANGE: "unsecure" memory
 	r.host.Proc.MapFixed(v, isa.PAddr(r.m.DRAM.Size())+isa.PageSize, isa.PermRW)

@@ -76,7 +76,7 @@ type Config struct {
 	Cores   int
 	PRMBase uint64 // also the EPC base, as in epc.NewManager
 	PRMSize uint64
-	// MaxDepth and MultiOuter mirror core.Config.
+	// MaxDepth and MultiOuter mirror sgx.NestingConfig.
 	MaxDepth   int
 	MultiOuter bool
 }

@@ -6,9 +6,9 @@ import (
 	"sync"
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
+	"nestedenclave/internal/sgx"
 )
 
 func mustAuthor(t *testing.T) *measure.Author {
@@ -20,7 +20,7 @@ func mustAuthor(t *testing.T) *measure.Author {
 // multiplexes them over the machine's cores and the enclave's TCS pool, and
 // the machine's memory system stays consistent under the shared lock.
 func TestParallelECalls(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	layout := sdk.DefaultLayout()
 	layout.NumTCS = 4
 	img := sdk.NewImage("parallel", 0x1000_0000, layout)
@@ -77,7 +77,7 @@ func TestParallelECalls(t *testing.T) {
 // TestParallelNestedCalls drives concurrent outer->inner chains: two outer
 // ecalls each NECall into the shared inner enclave on separate TCSes.
 func TestParallelNestedCalls(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	il := sdk.DefaultLayout()
 	il.NumTCS = 4
 	ol := sdk.DefaultLayout()
@@ -137,7 +137,7 @@ func TestParallelNestedCalls(t *testing.T) {
 // TestTCSExhaustionBlocks checks that calls queue rather than fail when all
 // TCSes are busy.
 func TestTCSExhaustionBlocks(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	layout := sdk.DefaultLayout()
 	layout.NumTCS = 1
 	img := sdk.NewImage("single-tcs", 0x1000_0000, layout)

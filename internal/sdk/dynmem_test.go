@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
@@ -14,7 +13,7 @@ import (
 // storage.
 
 func TestGrowHeap(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	l := sdk.DefaultLayout()
 	l.HeapPages = 1
 	l.ReservedHeapPages = 4
@@ -77,7 +76,7 @@ func TestGrowHeap(t *testing.T) {
 }
 
 func TestEAugRejections(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("x", 0x1000_0000, sdk.DefaultLayout())
 	e := mustLoad(t, r.host, img.Sign(mustAuthor(t), nil, nil))
 	m := r.m
@@ -111,7 +110,7 @@ func TestEAugRejections(t *testing.T) {
 }
 
 func TestSealUnseal(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	author := mustAuthor(t)
 	imgA := sdk.NewImage("seal-a", 0x1000_0000, sdk.DefaultLayout())
 	imgB := sdk.NewImage("seal-b", 0x2000_0000, sdk.DefaultLayout())

@@ -248,10 +248,6 @@ func (env *Env) NECall(inner *Enclave, name string, args []byte) ([]byte, error)
 	if err := env.preempt(); err != nil {
 		return nil, err
 	}
-	ext := env.E.host.Ext
-	if ext == nil {
-		return nil, fmt.Errorf("sdk: machine has no nested-enclave support")
-	}
 	fn, ok := inner.img.ECalls[name]
 	if !ok {
 		return nil, fmt.Errorf("sdk: inner enclave %s has no entry %q", inner.img.Name, name)
@@ -263,7 +259,7 @@ func (env *Env) NECall(inner *Enclave, name string, args []byte) ([]byte, error)
 	tcsV := inner.claimTCS()
 	defer inner.releaseTCS(tcsV)
 	marshalled := append([]byte(nil), args...)
-	if err := ext.NEENTER(env.C, inner.secs, tcsV); err != nil {
+	if err := m.NEENTER(env.C, inner.secs, tcsV); err != nil {
 		return nil, err
 	}
 	out, ferr := runNested(env.nested(inner, tcsV), name, fn, marshalled)
@@ -272,7 +268,7 @@ func (env *Env) NECall(inner *Enclave, name string, args []byte) ([]byte, error)
 		// (or evacuated the core). Surface the typed error to the caller.
 		return nil, ferr
 	}
-	if err := ext.NEEXIT(env.C); err != nil {
+	if err := m.NEEXIT(env.C); err != nil {
 		return nil, err
 	}
 	if ferr != nil {
@@ -291,10 +287,6 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 	if err := env.preempt(); err != nil {
 		return nil, err
 	}
-	ext := env.E.host.Ext
-	if ext == nil {
-		return nil, fmt.Errorf("sdk: machine has no nested-enclave support")
-	}
 	fn, ok := inner.img.ECalls[name]
 	if !ok {
 		return nil, fmt.Errorf("sdk: inner enclave %s has no entry %q", inner.img.Name, name)
@@ -308,7 +300,7 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 	m.Rec.ChargeTo(uint64(inner.secs.EID), env.C.ID, trace.EvNECall, 0)
 	tcsV := inner.claimTCS()
 	defer inner.releaseTCS(tcsV)
-	if err := ext.NEENTER(env.C, inner.secs, tcsV); err != nil {
+	if err := m.NEENTER(env.C, inner.secs, tcsV); err != nil {
 		return nil, err
 	}
 	innerEnv := env.nested(inner, tcsV)
@@ -328,7 +320,7 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 		}
 		outs = append(outs, out)
 	}
-	if err := ext.NEEXIT(env.C); err != nil {
+	if err := m.NEEXIT(env.C); err != nil {
 		return nil, err
 	}
 	if ferr != nil {
@@ -351,9 +343,8 @@ func runNested(env *Env, call string, fn TrustedFunc, args []byte) (out []byte, 
 			m := env.E.host.K.Machine()
 			eid := env.E.secs.EID
 			m.PoisonEnclave(eid, fmt.Sprintf("trusted code panic in %s: %v", call, r))
-			ext := env.E.host.Ext
-			if t := env.C.CurrentTCS(); t != nil && t.Ret() && ext != nil {
-				if nerr := ext.NEEXIT(env.C); nerr != nil {
+			if t := env.C.CurrentTCS(); t != nil && t.Ret() {
+				if nerr := m.NEEXIT(env.C); nerr != nil {
 					m.EmergencyExit(env.C)
 				}
 			} else {
@@ -372,10 +363,6 @@ func runNested(env *Env, call string, fn TrustedFunc, args []byte) (out []byte, 
 func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 	if err := env.preempt(); err != nil {
 		return nil, err
-	}
-	ext := env.E.host.Ext
-	if ext == nil {
-		return nil, fmt.Errorf("sdk: machine has no nested-enclave support")
 	}
 	// Resolve the function across the associated outer enclaves (one, in
 	// the base model), under the enclave's lock instead of on a copy of its
@@ -407,7 +394,7 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 	// restores the suspended outer context directly (scrubbing registers
 	// and flushing the TLB)...
 	if t := env.C.CurrentTCS(); t != nil && t.Ret() {
-		if err := ext.NEEXIT(env.C); err != nil {
+		if err := m.NEEXIT(env.C); err != nil {
 			return nil, err
 		}
 		out, ferr := runNested(env.nested(outer, env.C.CurrentTCS().Vaddr), name, fn, marshalled)
@@ -417,7 +404,7 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 			return nil, ferr
 		}
 		// ...then NEENTER back into this inner enclave on the same TCS.
-		if err := ext.NEENTER(env.C, env.E.secs, env.tcsV); err != nil {
+		if err := m.NEENTER(env.C, env.E.secs, env.tcsV); err != nil {
 			return nil, err
 		}
 		if ferr != nil {
@@ -432,7 +419,7 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 	// leaving protected mode.
 	outerTCSV := outer.claimTCS()
 	defer outer.releaseTCS(outerTCSV)
-	if err := ext.NEENTER(env.C, outer.secs, outerTCSV); err != nil {
+	if err := m.NEENTER(env.C, outer.secs, outerTCSV); err != nil {
 		return nil, err
 	}
 	out, ferr := runNested(env.nested(outer, outerTCSV), name, fn, marshalled)
@@ -440,7 +427,7 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 		// The outer crashed; runNested already NEEXITed back to this inner.
 		return nil, ferr
 	}
-	if err := ext.NEEXIT(env.C); err != nil {
+	if err := m.NEEXIT(env.C); err != nil {
 		return nil, err
 	}
 	if ferr != nil {

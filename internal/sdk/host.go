@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/sgx"
@@ -17,9 +16,6 @@ import (
 type Host struct {
 	K    *kos.Kernel
 	Proc *kos.Process
-	// Ext is the nested-enclave extension handle, nil on a baseline-SGX
-	// machine. Association and n_ecall/n_ocall require it.
-	Ext *core.Extension
 
 	mu     sync.Mutex
 	ocalls map[string]HostFunc
@@ -28,13 +24,11 @@ type Host struct {
 	cores chan *sgx.Core
 }
 
-// NewHost creates a host process on the kernel. ext may be nil for a
-// baseline machine.
-func NewHost(k *kos.Kernel, ext *core.Extension) *Host {
+// NewHost creates a host process on the kernel.
+func NewHost(k *kos.Kernel) *Host {
 	h := &Host{
 		K:      k,
 		Proc:   k.NewProcess(),
-		Ext:    ext,
 		ocalls: make(map[string]HostFunc),
 		cores:  make(chan *sgx.Core, len(k.Machine().Cores())),
 	}
@@ -160,10 +154,7 @@ func (h *Host) Load(si *SignedImage) (*Enclave, error) {
 // Associate binds inner to outer with NASSO (kernel privilege) and links the
 // SDK handles so n_ecall/n_ocall can route.
 func (h *Host) Associate(inner, outer *Enclave) error {
-	if h.Ext == nil {
-		return fmt.Errorf("sdk: machine has no nested-enclave support")
-	}
-	if err := h.Ext.NASSO(inner.secs, outer.secs); err != nil {
+	if err := h.K.Machine().NASSO(inner.secs, outer.secs); err != nil {
 		return err
 	}
 	inner.mu.Lock()

@@ -10,7 +10,6 @@ import (
 
 	"nestedenclave/internal/cache"
 	"nestedenclave/internal/chaos"
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
@@ -29,7 +28,7 @@ func TestIsCrashOfNilAllocatesNothing(t *testing.T) {
 }
 
 func TestECallPanicContained(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("crashy", 0x1000_0000, sdk.DefaultLayout())
 	img.RegisterECall("boom", func(env *sdk.Env, args []byte) ([]byte, error) {
 		panic("trusted bug")
@@ -75,7 +74,7 @@ func TestECallPanicContained(t *testing.T) {
 }
 
 func TestNestedPanicPoisonsOnlyCrashedEnclave(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	outerImg := sdk.NewImage("outer", 0x2000_0000, sdk.DefaultLayout())
 	outerImg.RegisterNOCall("svc", func(env *sdk.Env, args []byte) ([]byte, error) {
 		panic("outer service bug")
@@ -135,7 +134,7 @@ func (b *panicBackend) ReadLine(p isa.PAddr, dst []byte, tab *trace.Tab) error {
 // lock, so the crash containment (which takes the write lock to evacuate
 // the core) completes and the machine keeps serving other enclaves.
 func TestPanicBelowCacheReleasesMachineLock(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	backend := &panicBackend{Backend: r.m.MEE}
 	readHeap := func(env *sdk.Env, args []byte) ([]byte, error) {
 		return env.Read(env.E.Image().HeapBase(), 8)
@@ -178,7 +177,7 @@ func TestPanicBelowCacheReleasesMachineLock(t *testing.T) {
 // --- Deadlines ---
 
 func TestECallWithinDeadline(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("slow", 0x1000_0000, sdk.DefaultLayout())
 	img.RegisterECall("spin", func(env *sdk.Env, args []byte) ([]byte, error) {
 		// A loop of trusted-runtime operations: the preemption hook on each
@@ -218,7 +217,7 @@ func TestECallWithinDeadline(t *testing.T) {
 // + ERESUME, and the outer, once control returns to it, fails fast with the
 // same *CallTimeout instead of being preempted a second time.
 func TestECallWithinDeadlineSharedByCallChain(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	innerImg := sdk.NewImage("inner", 0x1000_0000, sdk.DefaultLayout())
 	innerImg.RegisterECall("spin", func(env *sdk.Env, args []byte) ([]byte, error) {
 		buf, err := env.Malloc(64)
@@ -266,7 +265,7 @@ func TestECallWithinDeadlineSharedByCallChain(t *testing.T) {
 // --- Retry policy ---
 
 func TestRetryPolicyRetriesTransientsOnly(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	calls := 0
 	err := sdk.RetryPolicy{MaxAttempts: 5}.Run(r.m.Rec, nil, func() error {
 		calls++
@@ -291,7 +290,7 @@ func TestRetryPolicyRetriesTransientsOnly(t *testing.T) {
 }
 
 func TestRetryPolicyBackoffAdvancesSimulatedClock(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	before := r.m.Rec.Cycles()
 	_ = sdk.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10_000}.Run(r.m.Rec, nil, func() error {
 		return fmt.Errorf("always: %w", chaos.ErrTransient)
@@ -304,7 +303,7 @@ func TestRetryPolicyBackoffAdvancesSimulatedClock(t *testing.T) {
 // --- Supervisor: restart with sealed-state recovery ---
 
 func TestSupervisorRestartRecoversSealedState(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 
 	// A stateful counter service, keyed by EID so a reloaded instance starts
 	// from zero unless the sealed checkpoint is replayed into it.
@@ -374,7 +373,7 @@ func TestSupervisorRestartRecoversSealedState(t *testing.T) {
 }
 
 func TestSupervisorCallRestartsThroughCrashes(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	crashuntil := 2 // the first N calls crash
 	calls := 0
 	img := sdk.NewImage("wobbly", 0x1000_0000, sdk.DefaultLayout())

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
@@ -19,16 +18,16 @@ import (
 type testRig struct {
 	m    *sgx.Machine
 	k    *kos.Kernel
-	ext  *core.Extension
 	host *sdk.Host
 }
 
-func newRig(t *testing.T, cfg core.Config) *testRig {
+func newRig(t *testing.T, nesting sgx.NestingConfig) *testRig {
 	t.Helper()
-	m := sgx.MustNew(sgx.SmallConfig())
-	ext := core.Enable(m, cfg)
+	cfg := sgx.SmallConfig()
+	cfg.Nesting = nesting
+	m := sgx.MustNew(cfg)
 	k := kos.New(m)
-	return &testRig{m: m, k: k, ext: ext, host: sdk.NewHost(k, ext)}
+	return &testRig{m: m, k: k, host: sdk.NewHost(k)}
 }
 
 func mustLoad(t *testing.T, h *sdk.Host, si *sdk.SignedImage) *sdk.Enclave {
@@ -52,7 +51,7 @@ func signPair(t *testing.T, inner, outer *sdk.Image) (*sdk.SignedImage, *sdk.Sig
 }
 
 func TestECallRoundTrip(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
 	img.RegisterECall("echo", func(env *sdk.Env, args []byte) ([]byte, error) {
 		return append([]byte("echo:"), args...), nil
@@ -71,7 +70,7 @@ func TestECallRoundTrip(t *testing.T) {
 }
 
 func TestEnclaveErrorsAreWrapped(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("failer", 0x1000_0000, sdk.DefaultLayout())
 	sentinel := errors.New("trusted function failed")
 	img.RegisterECall("boom", func(env *sdk.Env, args []byte) ([]byte, error) {
@@ -89,7 +88,7 @@ func TestEnclaveErrorsAreWrapped(t *testing.T) {
 }
 
 func TestEnclaveMemoryIsolationFromHost(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
 	secret := []byte("top-secret-value-0123456789abcdef")
 	var addr isa.VAddr
@@ -147,7 +146,7 @@ func TestEnclaveMemoryIsolationFromHost(t *testing.T) {
 }
 
 func TestSecretIsCiphertextInDRAM(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
 	secret := []byte("plaintext-never-in-dram-ABCDEFGH")
 	var addr isa.VAddr
@@ -178,7 +177,7 @@ func TestSecretIsCiphertextInDRAM(t *testing.T) {
 }
 
 func TestNestedCallAndAsymmetricAccess(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 
 	outerImg := sdk.NewImage("lib", 0x2000_0000, sdk.DefaultLayout())
 	innerImg := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
@@ -261,7 +260,7 @@ func TestNestedCallAndAsymmetricAccess(t *testing.T) {
 }
 
 func TestPeerInnerIsolation(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 
 	outerImg := sdk.NewImage("lib", 0x2000_0000, sdk.DefaultLayout())
 	user1Img := sdk.NewImage("user1", 0x1000_0000, sdk.DefaultLayout())
@@ -316,7 +315,7 @@ func TestPeerInnerIsolation(t *testing.T) {
 }
 
 func TestNASSORejectsUnauthorizedPairing(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	outerImg := sdk.NewImage("lib", 0x2000_0000, sdk.DefaultLayout())
 	evilImg := sdk.NewImage("evil", 0x1000_0000, sdk.DefaultLayout())
 
@@ -338,7 +337,7 @@ func TestNASSORejectsUnauthorizedPairing(t *testing.T) {
 }
 
 func TestRegisterScrubOnNEEXIT(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	outerImg := sdk.NewImage("lib", 0x2000_0000, sdk.DefaultLayout())
 	innerImg := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
 
@@ -376,7 +375,7 @@ func TestRegisterScrubOnNEEXIT(t *testing.T) {
 }
 
 func TestOCallFromInnerEnclave(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	outerImg := sdk.NewImage("lib", 0x2000_0000, sdk.DefaultLayout())
 	innerImg := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
 	innerImg.AllowOCall("host_log")
@@ -417,20 +416,20 @@ func TestOCallFromInnerEnclave(t *testing.T) {
 }
 
 func TestNEREPORTCoversAssociations(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	outerImg := sdk.NewImage("lib", 0x2000_0000, sdk.DefaultLayout())
 	innerImg := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
 
-	var rep *core.NestedReport
+	var rep *sgx.NestedReport
 	innerImg.RegisterECall("attest", func(env *sdk.Env, args []byte) ([]byte, error) {
 		var data [64]byte
 		copy(data[:], "channel-binding-nonce")
 		var err error
-		rep, err = r.ext.NEREPORT(env.C, env.E.Outers()[0].SECS().MRENCLAVE, data)
+		rep, err = r.m.NEREPORT(env.C, env.E.Outers()[0].SECS().MRENCLAVE, data)
 		return nil, err
 	})
 	outerImg.RegisterECall("verify", func(env *sdk.Env, args []byte) ([]byte, error) {
-		return nil, r.ext.VerifyNestedReport(env.C, rep)
+		return nil, r.m.VerifyNestedReport(env.C, rep)
 	})
 
 	si, so := signPair(t, innerImg, outerImg)

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
+	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/trace"
 )
 
@@ -35,7 +35,7 @@ func assertNoOpenSpans(t *testing.T, rec *trace.Recorder, cores int) {
 // service call tree of the nested SQL pattern from the span log alone:
 // ecall:run is a root span and n_ocall:svc is its child, once per query.
 func TestSpanNestedCallChain(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	rec := r.m.Rec
 	rec.EnableObservation(1 << 12)
 
@@ -93,7 +93,7 @@ func TestSpanNestedCallChain(t *testing.T) {
 // closed by the deferred End — no frame may stay open on the core stack, or
 // every later event on that core would be misattributed to a dead call.
 func TestSpanClosedOnCrash(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	rec := r.m.Rec
 	rec.EnableObservation(1 << 10)
 
@@ -122,7 +122,7 @@ func TestSpanClosedOnCrash(t *testing.T) {
 // TestSpanClosedOnTimeout pins span closure through the deadline path: an
 // expired call budget unwinds with *CallTimeout and still closes the span.
 func TestSpanClosedOnTimeout(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	rec := r.m.Rec
 	rec.EnableObservation(1 << 10)
 
@@ -159,7 +159,7 @@ func TestSpanClosedOnTimeout(t *testing.T) {
 // produces a machine-global restart span enclosing the reload, so recovery
 // cost is visible in the call tree.
 func TestSpanSupervisorRestart(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	rec := r.m.Rec
 	rec.EnableObservation(1 << 12)
 

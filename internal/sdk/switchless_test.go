@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
+	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/switchless"
 	"nestedenclave/internal/trace"
 )
@@ -19,7 +19,7 @@ import (
 // per-call cycle cost is the fixed ring protocol cost rather than the full
 // transition cost.
 func TestOCallAsyncElidesTransition(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout()).
 		AllowSwitchless("upper")
 	const n = 32
@@ -72,7 +72,7 @@ func TestOCallAsyncElidesTransition(t *testing.T) {
 // unmarked function and a stopped engine both route through the ordinary
 // transition-paying OCall with identical results.
 func TestOCallAsyncFallsBackSynchronously(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout()).
 		AllowOCall("plain").
 		AllowSwitchless("fast")
@@ -119,7 +119,7 @@ func TestSwitchlessMarkingIsMeasured(t *testing.T) {
 // EENTER/EEXIT pair, with item errors annotated by index and crash typing
 // preserved through the wrapping.
 func TestECallBatchAmortizesTransition(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
 	img.RegisterECall("double", func(env *sdk.Env, args []byte) ([]byte, error) {
 		if len(args) == 1 && args[0] == 0xEE {
@@ -164,7 +164,7 @@ func TestECallBatchAmortizesTransition(t *testing.T) {
 // TestNECallBatchAmortizesNestedTransition: the outer enclave invokes an
 // inner entry N times over a single NEENTER/NEEXIT round trip.
 func TestNECallBatchAmortizesNestedTransition(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	inner := sdk.NewImage("inner", 0x2000_0000, sdk.DefaultLayout())
 	inner.RegisterECall("inc", func(env *sdk.Env, args []byte) ([]byte, error) {
 		return []byte{args[0] + 1}, nil
@@ -219,7 +219,7 @@ func TestNECallBatchAmortizesNestedTransition(t *testing.T) {
 // both an inbound and an outbound copy per boundary (7 allocs/op for this
 // shape); with output ownership transfer it must stay at or below 5.
 func TestCallMarshallingAllocs(t *testing.T) {
-	r := newRig(t, core.TwoLevel())
+	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout()).AllowOCall("echo")
 	img.RegisterECall("relay", func(env *sdk.Env, args []byte) ([]byte, error) {
 		return env.OCall("echo", args)

@@ -28,7 +28,7 @@ func (c *Core) translateLocked(v isa.VAddr, op isa.Access) (pa isa.PAddr, abort 
 	// included; the verdict reclassifies it as nested when the Figure-6
 	// outer-enclave branch approved it.
 	rec := c.m.Rec
-	eid := c.BillEID()
+	eid := c.billEID()
 	walk := rec.BeginOp(trace.OpPageWalk, c.ID, eid, "")
 	defer walk.End()
 	rec.ChargeToDetail(eid, c.ID, trace.EvPageWalk, trace.CostPageWalk, v.VPN())
@@ -85,7 +85,7 @@ func (c *Core) handleFault(err error) bool {
 		return false
 	}
 	if c.inEnclave {
-		c.m.Rec.ChargeTo(c.BillEID(), c.ID, trace.EvAEX, trace.CostAEX)
+		c.m.Rec.ChargeTo(c.billEID(), c.ID, trace.EvAEX, trace.CostAEX)
 	}
 	return c.PFHandler(c, f)
 }

@@ -45,17 +45,6 @@ func (m *Machine) PoisonedReason(eid isa.EID) (string, bool) {
 	return r, ok
 }
 
-// PoisonedLocked reports poisoning from callers already inside Atomically
-// (the NEENTER flow in package core). The poison mark lives under its own
-// leaf lock, so the machine lock is not required — the name records the
-// calling convention, not the implementation.
-func (m *Machine) PoisonedLocked(eid isa.EID) bool {
-	m.pmu.Lock()
-	defer m.pmu.Unlock()
-	_, ok := m.poisoned[eid]
-	return ok
-}
-
 // EmergencyExit force-evacuates a core from enclave mode after a contained
 // crash: registers are scrubbed, the TLB flushed, the current TCS and every
 // TCS holding a suspended frame of the nested chain are scrubbed and

@@ -19,3 +19,19 @@ func (m *Machine) PagingStateOf(eid isa.EID) (lanes, slots int) {
 	}
 	return lanes, slots
 }
+
+// Link records inner as an inner enclave of outer, as NASSO's last step
+// does, without NASSO's certificate and layout checks.
+func (m *Machine) Link(inner, outer *SECS) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	inner.Nested.OuterEIDs = append(inner.Nested.OuterEIDs, outer.EID)
+	outer.Nested.InnerEIDs = append(outer.Nested.InnerEIDs, inner.EID)
+	m.assocEpoch.Add(1)
+}
+
+// HasInner reports whether eid is one of the enclave's inner enclaves.
+func (n *NestedInfo) HasInner(eid isa.EID) bool { return n.hasInner(eid) }
+
+// HasOuter reports whether eid is one of the enclave's outer enclaves.
+func (n *NestedInfo) HasOuter(eid isa.EID) bool { return n.hasOuter(eid) }

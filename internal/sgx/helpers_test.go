@@ -8,8 +8,8 @@ import (
 	"nestedenclave/internal/sgx"
 )
 
-// Direct tests of the nested "microcode support" surface sgx exports to
-// package core, and of small accessors.
+// Direct tests of the nested transitions' machine state, and of small
+// accessors.
 
 func TestNestedInfoHelpers(t *testing.T) {
 	var n sgx.NestedInfo
@@ -34,12 +34,10 @@ func TestSwitchToFromNestedLocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.m.Link(inner, outer)
 	r.enter(t, outer, outerTCSV)
 	r.c.Regs.GPR[0] = 111
-	if err := r.m.Atomically(func() error {
-		r.c.SwitchToNestedLocked(inner, innerTCS)
-		return nil
-	}); err != nil {
+	if err := r.m.NEENTER(r.c, inner, innerTCSV); err != nil {
 		t.Fatal(err)
 	}
 	if r.c.Current() != inner || !innerTCS.Busy || !innerTCS.Ret() {
@@ -55,10 +53,7 @@ func TestSwitchToFromNestedLocked(t *testing.T) {
 		t.Fatalf("executing EIDs %v", got)
 	}
 	r.c.Regs.GPR[0] = 222 // inner-enclave register state
-	if err := r.m.Atomically(func() error {
-		r.c.SwitchFromNestedLocked()
-		return nil
-	}); err != nil {
+	if err := r.m.NEEXIT(r.c); err != nil {
 		t.Fatal(err)
 	}
 	if r.c.Current() != outer || innerTCS.Busy || innerTCS.Ret() {
@@ -116,8 +111,11 @@ func TestDefaultConfigBoots(t *testing.T) {
 	if m.Core(0).Machine() != m {
 		t.Fatal("core back-pointer")
 	}
-	if _, ok := m.ResolveEID(999); ok {
+	if _, ok := m.Enclave(999); ok {
 		t.Fatal("phantom enclave resolved")
+	}
+	if got := sgx.DefaultConfig().Nesting; got != sgx.TwoLevel() {
+		t.Fatalf("default nesting model %+v, want the paper's two levels", got)
 	}
 	if _, err := sgx.New(sgx.Config{}); err == nil {
 		t.Fatal("zero config accepted")

@@ -97,7 +97,7 @@ func TestBaselineInvariantsUnderRandomOperations(t *testing.T) {
 }
 
 // TestReleaseExitWithPendingFrameRejected pins the #GP on EEXIT(release)
-// from a nested context — the machine-level contract core.NEEXIT relies on.
+// from a nested context — the machine-level contract NEEXIT relies on.
 func TestTransitionEdgeCases(t *testing.T) {
 	r := newRig(t)
 	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 1)

@@ -9,9 +9,9 @@ import (
 )
 
 // This file implements the privileged enclave-building instructions:
-// ECREATE, EADD, EEXTEND, EINIT, EREMOVE. The kernel driver (package kos)
-// invokes them on behalf of the untrusted loader; every byte they load is
-// folded into MRENCLAVE so EINIT and NASSO can detect tampering.
+// ECREATE, EADD, EEXTEND, EINIT, NASSO, EREMOVE. The kernel driver (package
+// kos) invokes them on behalf of the untrusted loader; every byte they load
+// is folded into MRENCLAVE so EINIT and NASSO can detect tampering.
 
 // ECreate allocates a new enclave: an SECS page in the EPC plus the
 // machine-private SECS state. ELRANGE is [base, base+size) and immutable.
@@ -173,6 +173,160 @@ func (m *Machine) EInit(s *SECS, cert *measure.SigStruct) error {
 	s.Cert = cert
 	s.Initialized = true
 	return nil
+}
+
+// NASSO is the kernel-privilege instruction that associates an inner/outer
+// enclave pair after both are initialized (paper §IV-B, Figure 4).
+//
+// The instruction reads MRENCLAVE and MRSIGNER from each SECS and validates
+// them against the expected values carried in the *other* enclave's signed
+// file: the inner enclave's certificate must name the outer's measurement
+// and vice versa. Only then are the SECS association fields updated. This is
+// the mechanism behind "secure binding of inner and outer enclaves"
+// (§VII-B): the kernel can invoke NASSO, but it cannot forge a pairing the
+// enclave authors did not sign off on. The machine's nesting model
+// (Config.Nesting) bounds the depth and the number of outers.
+func (m *Machine) NASSO(inner, outer *SECS) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if inner == nil || outer == nil {
+		return isa.GP("NASSO: nil enclave")
+	}
+	if inner.EID == outer.EID {
+		return isa.GP("NASSO: enclave %d cannot nest within itself", inner.EID)
+	}
+	if !inner.Initialized || !outer.Initialized {
+		return isa.GP("NASSO: both enclaves must be initialized (EINIT) first")
+	}
+	if inner.Nested.hasOuter(outer.EID) {
+		return isa.GP("NASSO: enclaves %d and %d already associated", inner.EID, outer.EID)
+	}
+	if len(inner.Nested.OuterEIDs) > 0 && !m.nesting.AllowMultipleOuters {
+		return isa.GP("NASSO: inner enclave %d already has an outer enclave (single-outer model)", inner.EID)
+	}
+
+	// Mutual measurement validation against the signed enclave files.
+	if inner.Cert == nil || !inner.Cert.AllowsOuter(outer.MRENCLAVE) {
+		return isa.GP("NASSO: inner enclave %d's certificate does not authorize outer measurement %v",
+			inner.EID, outer.MRENCLAVE)
+	}
+	if outer.Cert == nil || !outer.Cert.AllowsInner(inner.MRENCLAVE) {
+		return isa.GP("NASSO: outer enclave %d's certificate does not authorize inner measurement %v",
+			outer.EID, inner.MRENCLAVE)
+	}
+
+	// The association must not create a cycle: the outer's own outer
+	// closure must not contain the inner.
+	for _, o := range m.OuterChain(outer) {
+		if o.EID == inner.EID {
+			return isa.GP("NASSO: association would create a nesting cycle")
+		}
+	}
+
+	// Depth limit: the inner's subtree depth stacked on the outer's depth
+	// must fit the configured maximum.
+	if limit := m.nesting.MaxDepth; limit > 0 && m.depthOf(outer, map[isa.EID]bool{})+m.innerHeight(inner) > limit {
+		return isa.GP("NASSO: association exceeds maximum nesting depth %d", limit)
+	}
+
+	// ELRANGEs of associated enclaves share one process address space and
+	// must not overlap, or the validator's region tests would be ambiguous.
+	// (Real deployments guarantee this by construction; the instruction
+	// makes it explicit.)
+	for _, o := range append(m.OuterChain(outer), outer) {
+		if rangesOverlap(inner, o) {
+			return isa.GP("NASSO: ELRANGE of inner %d overlaps enclave %d", inner.EID, o.EID)
+		}
+	}
+
+	// TLB-coherence quiescence: association changes the accessible-region
+	// lattice for every core currently executing the inner enclave or one
+	// of its transitive inners — a vaddr in the new outer's ELRANGE may
+	// already be cached in such a core's TLB as an ordinary unsecure
+	// mapping, which the association retroactively turns into an
+	// enclave-range mapping outside the EPC. Like SGX's layout-change
+	// instructions, NASSO requires the affected subtree to be quiescent.
+	// (Found by exhaustive schedule exploration; regress_test.go
+	// "nasso-while-inner-resident".)
+	for _, aff := range append(m.innerClosure(inner), inner) {
+		for _, c := range m.cores {
+			if cur := c.Current(); cur != nil && cur.EID == aff.EID {
+				return isa.GP("NASSO: core %d is executing enclave %d; inner subtree must be quiescent",
+					c.ID, aff.EID)
+			}
+		}
+	}
+
+	inner.Nested.OuterEIDs = append(inner.Nested.OuterEIDs, outer.EID)
+	outer.Nested.InnerEIDs = append(outer.Nested.InnerEIDs, inner.EID)
+	// The association graph changed: invalidate every cached outer closure.
+	m.assocEpoch.Add(1)
+	return nil
+}
+
+// depthOf returns the nesting depth of the enclave: 1 for a top-level
+// enclave, 2 for an inner of a top-level outer, etc. With the lattice
+// extension it returns the longest path. Caller holds m.mu.
+func (m *Machine) depthOf(s *SECS, visiting map[isa.EID]bool) int {
+	if visiting[s.EID] {
+		return 1 // cycle guard; NASSO prevents cycles anyway
+	}
+	visiting[s.EID] = true
+	defer delete(visiting, s.EID)
+	max := 0
+	for _, oe := range s.Nested.OuterEIDs {
+		if o, ok := m.secsByEID[oe]; ok {
+			if d := m.depthOf(o, visiting); d > max {
+				max = d
+			}
+		}
+	}
+	return max + 1
+}
+
+// innerHeight returns the height of the inner-enclave tree rooted at s
+// (1 if s has no inners). Caller holds m.mu.
+func (m *Machine) innerHeight(s *SECS) int {
+	max := 0
+	for _, ie := range s.Nested.InnerEIDs {
+		if in, ok := m.secsByEID[ie]; ok {
+			if h := m.innerHeight(in); h > max {
+				max = h
+			}
+		}
+	}
+	return max + 1
+}
+
+// innerClosure returns the transitive inner enclaves of s (not including s
+// itself). Caller holds m.mu.
+func (m *Machine) innerClosure(s *SECS) []*SECS {
+	var out []*SECS
+	seen := map[isa.EID]bool{s.EID: true}
+	frontier := []*SECS{s}
+	for len(frontier) > 0 {
+		next := frontier[0]
+		frontier = frontier[1:]
+		for _, ie := range next.Nested.InnerEIDs {
+			if seen[ie] {
+				continue
+			}
+			seen[ie] = true
+			in, ok := m.secsByEID[ie]
+			if !ok {
+				continue
+			}
+			out = append(out, in)
+			frontier = append(frontier, in)
+		}
+	}
+	return out
+}
+
+func rangesOverlap(a, b *SECS) bool {
+	aEnd := uint64(a.Base) + a.Size
+	bEnd := uint64(b.Base) + b.Size
+	return uint64(a.Base) < bEnd && uint64(b.Base) < aEnd
 }
 
 // ERemove frees one EPC page. SECS pages are only removable when no other

@@ -1,27 +1,29 @@
 // Package sgx implements the SGX machine simulator: the enclave
 // lifecycle instructions (ECREATE/EADD/EEXTEND/EINIT/EREMOVE), enclave
 // entry/exit (EENTER/EEXIT/AEX/ERESUME), local attestation (EREPORT/EGETKEY),
-// EPC paging (EBLOCK/ETRACK/EWB/ELDU), and — at the heart of everything —
-// the TLB-miss access validator.
+// EPC paging (EBLOCK/ETRACK/EWB/ELDU), the TLB-miss access validator, and
+// the paper's nested-enclave extension (§IV), which lives here with the
+// instructions it extends and which every machine runs:
 //
-// The paper's change to SGX's access control is "one extra branch in the
-// TLB-miss access-validation flow" plus inner-aware ETRACK, so both live
-// here, once, and every machine runs them:
+//   - SECS fields: SECS.Nested holds the Figure-3 outer/inner association
+//     lists (secs.go).
+//   - Figure-6 branch: Machine.Validator, consulted on TLB misses, is
+//     Figure6Validator. Until NASSO links an inner to an outer no enclave
+//     has an outer, the flow's outer branches are empty, and it makes
+//     exactly SGX's Figure-2 checks (validate.go).
+//   - Inner-aware ETRACK: Machine.Tracker, which decides the cores a TLB
+//     shootdown must reach when an EPC mapping changes, is
+//     InnerAwareTracker, the §IV-E policy (validate.go).
+//   - Table I's instructions, Machine methods beside the ones they extend:
+//     NASSO beside ECREATE and EREMOVE (lifecycle.go), NEENTER/NEEXIT
+//     beside EENTER/EEXIT (transition.go), NEREPORT beside EREPORT
+//     (report.go). NASSO enforces the nesting model of Config.Nesting. It
+//     links a pair and EREMOVE unlinks it; they are the only writers of the
+//     association lists, and they invalidate the outer-closure cache behind
+//     Machine.OuterChain.
 //
-//   - Machine.Validator: the access-validation flow consulted on TLB misses.
-//     New installs Figure6Validator. Until NASSO links an inner to an outer
-//     no enclave has an outer, the flow's outer branches are empty, and it
-//     makes exactly SGX's Figure-2 checks.
-//   - Machine.Tracker: the ETRACK thread-tracking policy that decides which
-//     cores need TLB shootdowns when an EPC mapping changes. New installs
-//     InnerAwareTracker, the §IV-E policy.
-//
-// Both fields stay swappable, so tests can plant a broken flow or the
-// inner-oblivious BaselineTracker, and the ablation can broadcast. Package
-// core adds the new instructions (NASSO, NEENTER/NEEXIT, NEREPORT); NASSO
-// links a pair through Machine.AssociateLocked, and EREMOVE unlinks it, so
-// the outer-closure cache behind Machine.OuterChain is invalidated only
-// here.
+// Validator and Tracker stay swappable, so tests can plant a broken flow or
+// the inner-oblivious BaselineTracker, and the ablation can broadcast.
 package sgx
 
 import (
@@ -85,25 +87,45 @@ type Tracker interface {
 	CoresToShootdown(m *Machine, eid isa.EID, dst []*Core) []*Core
 }
 
-// Config sizes a machine.
+// Config sizes a machine and selects its nesting model.
 type Config struct {
 	Cores int
 	Phys  phys.Layout
 	LLC   cache.Config
+	// Nesting is the nesting model NASSO enforces. Its zero value allows
+	// unlimited depth; NestingConfig{MaxDepth: 1} is baseline SGX.
+	Nesting NestingConfig
 }
 
-// DefaultConfig models the paper's 4-core i7-7700 testbed.
+// NestingConfig selects the nesting model.
+type NestingConfig struct {
+	// MaxDepth bounds the nesting depth (2 = the paper's base inner/outer
+	// model; 1 = baseline SGX, where NASSO refuses every association).
+	// 0 means unlimited (§VIII multi-level nesting).
+	MaxDepth int
+	// AllowMultipleOuters enables the §VIII lattice extension: an inner
+	// enclave may bind to more than one outer enclave.
+	AllowMultipleOuters bool
+}
+
+// TwoLevel is the paper's base nesting model: two levels, single outer.
+func TwoLevel() NestingConfig { return NestingConfig{MaxDepth: 2} }
+
+// DefaultConfig models the paper's 4-core i7-7700 testbed under the
+// two-level nesting model.
 func DefaultConfig() Config {
-	return Config{Cores: 4, Phys: phys.DefaultLayout(), LLC: cache.DefaultConfig()}
+	return Config{Cores: 4, Phys: phys.DefaultLayout(), LLC: cache.DefaultConfig(), Nesting: TwoLevel()}
 }
 
 // SmallConfig is a reduced machine (64 MiB DRAM, 32 MiB PRM, 1 MiB LLC) for
-// tests that do not depend on the full-size memory system.
+// tests that do not depend on the full-size memory system, under the
+// two-level nesting model.
 func SmallConfig() Config {
 	return Config{
-		Cores: 4,
-		Phys:  phys.Layout{DRAMSize: 64 << 20, PRMBase: 16 << 20, PRMSize: 32 << 20},
-		LLC:   cache.Config{SizeBytes: 1 << 20, Ways: 16},
+		Cores:   4,
+		Phys:    phys.Layout{DRAMSize: 64 << 20, PRMBase: 16 << 20, PRMSize: 32 << 20},
+		LLC:     cache.Config{SizeBytes: 1 << 20, Ways: 16},
+		Nesting: TwoLevel(),
 	}
 }
 
@@ -132,12 +154,15 @@ type Machine struct {
 	Validator Validator
 	Tracker   Tracker
 
+	// nesting is the nesting model NASSO enforces; fixed at New.
+	nesting NestingConfig
+
 	cores     []*Core
 	secsByEID map[isa.EID]*SECS
 	nextEID   isa.EID
 
 	// assocEpoch versions the machine's enclave-association graph:
-	// AssociateLocked and EREMOVE bump it, invalidating the outer-closure
+	// NASSO and EREMOVE bump it, invalidating the outer-closure
 	// caches kept on each SECS (see OuterChain).
 	assocEpoch atomic.Uint64
 
@@ -210,6 +235,7 @@ func New(cfg Config) (*Machine, error) {
 		LLC:            llc,
 		EPC:            epc.NewManager(dram),
 		Rec:            rec,
+		nesting:        cfg.Nesting,
 		secsByEID:      make(map[isa.EID]*SECS),
 		nextEID:        1,
 		platformSecret: secret,
@@ -256,15 +282,6 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 func (m *Machine) Enclave(eid isa.EID) (*SECS, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	s, ok := m.secsByEID[eid]
-	return s, ok
-}
-
-// ResolveEID looks up an enclave without taking the machine lock. It exists
-// for code that already holds it: the nesting instructions inside
-// Atomically, and Validator and Tracker implementations; other callers must
-// use Enclave.
-func (m *Machine) ResolveEID(eid isa.EID) (*SECS, bool) {
 	s, ok := m.secsByEID[eid]
 	return s, ok
 }
@@ -327,9 +344,9 @@ func (c *Core) Current() *SECS {
 // CurrentTCS returns the active TCS, if any.
 func (c *Core) CurrentTCS() *TCS { return c.curTCS }
 
-// BillEID returns the attribution identity for the core's current execution:
+// billEID returns the attribution identity for the core's current execution:
 // the EID of the enclave it runs, or trace.NoEID outside enclave mode.
-func (c *Core) BillEID() uint64 {
+func (c *Core) billEID() uint64 {
 	if c.inEnclave && c.cur != nil {
 		return uint64(c.cur.EID)
 	}
@@ -337,7 +354,7 @@ func (c *Core) BillEID() uint64 {
 }
 
 // payer bills memory-hierarchy work to the core's current execution.
-func (c *Core) payer() trace.Payer { return trace.Payer{EID: c.BillEID(), Core: c.ID} }
+func (c *Core) payer() trace.Payer { return trace.Payer{EID: c.billEID(), Core: c.ID} }
 
 // NestingDepth returns how many enclave frames are active on the core
 // (1 inside a top-level enclave, 2 inside an inner enclave, ...).

@@ -9,10 +9,12 @@ import (
 	"nestedenclave/internal/measure"
 )
 
-// This file implements local attestation: EREPORT and EGETKEY. A REPORT is a
-// claim about the calling enclave's identity, MACed with a key derivable
-// only by the target enclave on the same platform — so the target can check
-// it without any trusted software in between.
+// This file implements local attestation: EREPORT, NEREPORT and EGETKEY. A
+// REPORT is a claim about the calling enclave's identity, MACed with a key
+// derivable only by the target enclave on the same platform — so the target
+// can check it without any trusted software in between. Report MACs are
+// computed only by reportMAC, inside the instructions; no exported method
+// returns one.
 
 // Report is the EREPORT output structure.
 type Report struct {
@@ -43,10 +45,28 @@ func (r *Report) macInput() []byte {
 }
 
 // reportKey derives the key a target enclave uses to verify reports
-// addressed to it. Only EREPORT (microcode) and EGETKEY invoked *by that
-// enclave* can produce it.
+// addressed to it. Only the report instructions (microcode) and EGETKEY
+// invoked *by that enclave* can produce it.
 func (m *Machine) reportKey(target measure.Digest) [16]byte {
 	return measure.DeriveKey(m.platformSecret, measure.KeyReport, target, measure.Digest{}, nil)
+}
+
+// reportMAC authenticates a report body under the report key of the target
+// enclave: EREPORT and NEREPORT sign with it, and the verifiers recompute it.
+func (m *Machine) reportMAC(target measure.Digest, body []byte) [32]byte {
+	key := m.reportKey(target)
+	mac := hmac.New(sha256.New, key[:])
+	mac.Write(body)
+	var out [32]byte
+	copy(out[:], mac.Sum(nil))
+	return out
+}
+
+// reportMACValid reports whether mac is body's MAC under target's report
+// key, comparing in constant time.
+func (m *Machine) reportMACValid(target measure.Digest, body []byte, mac [32]byte) bool {
+	want := m.reportMAC(target, body)
+	return hmac.Equal(want[:], mac[:])
 }
 
 // EReport creates a report about the enclave currently executing on core c,
@@ -65,10 +85,7 @@ func (m *Machine) EReport(c *Core, target measure.Digest, reportData [64]byte) (
 		ReportData:      reportData,
 		TargetMRENCLAVE: target,
 	}
-	key := m.reportKey(target)
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(r.macInput())
-	copy(r.MAC[:], mac.Sum(nil))
+	r.MAC = m.reportMAC(target, r.macInput())
 	return r, nil
 }
 
@@ -85,28 +102,116 @@ func (m *Machine) VerifyReport(c *Core, r *Report) error {
 		return isa.GP("report verify: report targets %v, not this enclave (%v)",
 			r.TargetMRENCLAVE, c.cur.MRENCLAVE)
 	}
-	key := m.reportKey(c.cur.MRENCLAVE)
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(r.macInput())
-	if !hmac.Equal(mac.Sum(nil)[:32], r.MAC[:]) {
+	if !m.reportMACValid(c.cur.MRENCLAVE, r.macInput(), r.MAC) {
 		return isa.GP("report verify: MAC mismatch")
 	}
 	return nil
 }
 
-// MACWithReportKey authenticates an arbitrary payload under the report key
-// of the target enclave. It is microcode support for NEREPORT (package
-// core), whose report covers the association relationship in addition to the
-// fields EREPORT signs.
-func (m *Machine) MACWithReportKey(target measure.Digest, payload []byte) [32]byte {
+// NestedReport is NEREPORT's output: an EREPORT-style claim extended with
+// the inner-outer relations of the reporting enclave (paper §IV-B, §IV-E
+// "Remote attestation"). An attestation to an outer enclave reports the
+// measurements of all inner enclaves sharing it, and an inner enclave's
+// report names its outer enclave(s) — so a challenger can verify not just
+// each enclave but the *shape* of the nesting.
+type NestedReport struct {
+	// Identity of the reporting enclave (as in EREPORT).
+	MRENCLAVE  measure.Digest
+	MRSIGNER   measure.Digest
+	Attributes uint64
+	ReportData [64]byte
+
+	// OuterMeasurements are the MRENCLAVEs of the enclaves this enclave is
+	// bound to as an inner, in association order.
+	OuterMeasurements []measure.Digest
+	// InnerMeasurements are the MRENCLAVEs of all inner enclaves bound to
+	// this enclave.
+	InnerMeasurements []measure.Digest
+
+	// TargetMRENCLAVE names the enclave able to verify this report.
+	TargetMRENCLAVE measure.Digest
+	MAC             [32]byte
+}
+
+func (r *NestedReport) macInput() []byte {
+	h := sha256.New()
+	h.Write([]byte("NEREPORT"))
+	h.Write(r.MRENCLAVE[:])
+	h.Write(r.MRSIGNER[:])
+	var a [8]byte
+	binary.LittleEndian.PutUint64(a[:], r.Attributes)
+	h.Write(a[:])
+	h.Write(r.ReportData[:])
+	binary.LittleEndian.PutUint64(a[:], uint64(len(r.OuterMeasurements)))
+	h.Write(a[:])
+	for _, d := range r.OuterMeasurements {
+		h.Write(d[:])
+	}
+	binary.LittleEndian.PutUint64(a[:], uint64(len(r.InnerMeasurements)))
+	h.Write(a[:])
+	for _, d := range r.InnerMeasurements {
+		h.Write(d[:])
+	}
+	h.Write(r.TargetMRENCLAVE[:])
+	return h.Sum(nil)
+}
+
+// NEREPORT produces a report about the enclave currently executing on core
+// c, including its association relationships, targeted at (verifiable by)
+// the enclave with measurement target.
+func (m *Machine) NEREPORT(c *Core, target measure.Digest, reportData [64]byte) (*NestedReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := m.reportKey(target)
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(payload)
-	var out [32]byte
-	copy(out[:], mac.Sum(nil))
-	return out
+	if !c.inEnclave {
+		return nil, isa.GP("NEREPORT: not in enclave mode")
+	}
+	s := c.cur
+	r := &NestedReport{
+		MRENCLAVE:       s.MRENCLAVE,
+		MRSIGNER:        s.MRSIGNER,
+		Attributes:      s.Attributes,
+		ReportData:      reportData,
+		TargetMRENCLAVE: target,
+	}
+	for _, oe := range s.Nested.OuterEIDs {
+		if o, ok := m.secsByEID[oe]; ok {
+			r.OuterMeasurements = append(r.OuterMeasurements, o.MRENCLAVE)
+		}
+	}
+	for _, ie := range s.Nested.InnerEIDs {
+		if in, ok := m.secsByEID[ie]; ok {
+			r.InnerMeasurements = append(r.InnerMeasurements, in.MRENCLAVE)
+		}
+	}
+	r.MAC = m.reportMAC(target, r.macInput())
+	return r, nil
+}
+
+// VerifyNestedReport checks a nested report addressed to the enclave running
+// on core c. Only that enclave can derive the report key, so a valid MAC
+// proves the report came from NEREPORT on the same platform.
+func (m *Machine) VerifyNestedReport(c *Core, r *NestedReport) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !c.inEnclave {
+		return isa.GP("nested report verify: not in enclave mode")
+	}
+	if r.TargetMRENCLAVE != c.cur.MRENCLAVE {
+		return isa.GP("nested report verify: report targets a different enclave")
+	}
+	if !m.reportMACValid(c.cur.MRENCLAVE, r.macInput(), r.MAC) {
+		return isa.GP("nested report verify: MAC mismatch")
+	}
+	return nil
+}
+
+// NestedReportValid reports whether r is a genuine NEREPORT output
+// addressed to the enclave measuring target. It is the platform quoting
+// service's check of reports targeted at its own measurement (the real
+// quoting enclave derives its report key with EGETKEY); it answers yes or
+// no and hands out no MAC, so it cannot mint a report.
+func (m *Machine) NestedReportValid(target measure.Digest, r *NestedReport) bool {
+	return r.TargetMRENCLAVE == target && m.reportMACValid(target, r.macInput(), r.MAC)
 }
 
 // SealPolicy selects the identity a sealing key binds to.

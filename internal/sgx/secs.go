@@ -15,7 +15,7 @@ import (
 //
 // The Nested field is the paper's Figure-3 extension: the outer/inner
 // association lists stored in reserved SECS space. Baseline SGX ignores it;
-// package core (the nested-enclave logic) populates it via NASSO.
+// NASSO populates it and EREMOVE unlinks it.
 type SECS struct {
 	// EID uniquely identifies the enclave (stand-in for the physical
 	// address of the SECS page, which is unique per enclave).
@@ -52,8 +52,8 @@ type SECS struct {
 
 	// outerChain caches this enclave's transitive outer closure, keyed to
 	// the machine's association epoch (see Machine.OuterChain). The
-	// page-walk hot path reads it lock-free; AssociateLocked and EREMOVE
-	// invalidate it by bumping the epoch.
+	// page-walk hot path reads it lock-free; NASSO and EREMOVE invalidate it
+	// by bumping the epoch.
 	outerChain atomic.Pointer[outerClosure]
 }
 
@@ -82,8 +82,8 @@ func (n *NestedInfo) IsInner() bool { return len(n.OuterEIDs) > 0 }
 // IsOuter reports whether any inner enclave is bound to this enclave.
 func (n *NestedInfo) IsOuter() bool { return len(n.InnerEIDs) > 0 }
 
-// HasInner reports whether eid is one of this enclave's inner enclaves.
-func (n *NestedInfo) HasInner(eid isa.EID) bool {
+// hasInner reports whether eid is one of this enclave's inner enclaves.
+func (n *NestedInfo) hasInner(eid isa.EID) bool {
 	for _, e := range n.InnerEIDs {
 		if e == eid {
 			return true
@@ -92,8 +92,8 @@ func (n *NestedInfo) HasInner(eid isa.EID) bool {
 	return false
 }
 
-// HasOuter reports whether eid is one of this enclave's outer enclaves.
-func (n *NestedInfo) HasOuter(eid isa.EID) bool {
+// hasOuter reports whether eid is one of this enclave's outer enclaves.
+func (n *NestedInfo) hasOuter(eid isa.EID) bool {
 	for _, e := range n.OuterEIDs {
 		if e == eid {
 			return true

@@ -2,6 +2,7 @@ package sgx_test
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -440,6 +441,25 @@ func TestReportAndKeys(t *testing.T) {
 	}
 	if _, err := r.m.EGetKey(r.c, measure.KeySeal, sgx.SealToEnclave, nil); err == nil {
 		t.Fatal("EGETKEY outside enclave accepted")
+	}
+}
+
+// TestNoMachineMethodHandsOutAMAC pins that untrusted code cannot obtain a
+// report MAC: no exported Machine method returns a [32]byte, so a MAC comes
+// only from EREPORT or NEREPORT run by the reporting enclave. A method that
+// MACed caller-supplied bytes under any enclave's report key let host code
+// forge an EREPORT its target accepted, and a nested report the quoting
+// service signed.
+func TestNoMachineMethodHandsOutAMAC(t *testing.T) {
+	mac := reflect.TypeOf([32]byte{})
+	machine := reflect.TypeOf(&sgx.Machine{})
+	for i := 0; i < machine.NumMethod(); i++ {
+		m := machine.Method(i)
+		for j := 0; j < m.Type.NumOut(); j++ {
+			if m.Type.Out(j) == mac {
+				t.Errorf("Machine.%s returns a [32]byte", m.Name)
+			}
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // frame of the entering inner enclave"), so it survives ocall round trips
 // and asynchronous exits of the inner enclave.
 
-// Ret returns the saved outer-enclave frame of a nested entry, nil for
-// top-level entries.
+// Ret reports whether the TCS holds the suspended outer-enclave frame of a
+// nested entry (false for top-level entries).
 func (t *TCS) Ret() bool { return t.ret != nil }
 
 // EEnter enters an initialized enclave through the TCS at tcsVaddr.
@@ -155,60 +155,100 @@ func (m *Machine) EResume(c *Core, t *TCS) error {
 	return nil
 }
 
-// --- Microcode support for package core (the nested-enclave extension). ---
+// NEENTER transitions between associated enclaves without any detour
+// through the untrusted world (paper §IV-B). Before the transition it
+// checks that the destination enclave exists and is *associated* with the
+// currently executing enclave — an inner enclave of it, or (upward) one of
+// its outer enclaves — that the destination TCS is idle, and that the core
+// is in enclave mode; any invalid invocation is a general-protection fault.
+// On success the current context and registers are saved to the
+// destination TCS's reserved frame, the TLB is flushed, the TCS is marked
+// busy, and control transfers to the destination's entry point.
 //
-// The methods below are the state-manipulation halves of NEENTER/NEEXIT.
-// The *semantic* checks — association validation, TCS ownership, #GP
-// conditions — live in package core with the rest of the paper's
-// contribution; these helpers only enforce machine-consistency contracts.
+// The downward direction (outer→inner) is the paper's base semantics. The
+// upward direction (inner→outer) implements n_ocall for inner enclaves that
+// were entered directly from untrusted code (the §VI-B deployments, where
+// clients ecall into their per-user inner enclave and the inner calls the
+// shared service): it grants the inner nothing new — the asymmetric
+// permission model already gives it full access to the outer enclave's
+// memory — while keeping the transition inside protected mode.
+func (m *Machine) NEENTER(c *Core, target *SECS, tcsVaddr isa.VAddr) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !c.inEnclave {
+		return isa.GP("NEENTER: core %d not in enclave mode", c.ID)
+	}
+	cur := c.cur
+	if target == nil || !target.Initialized {
+		return isa.GP("NEENTER: destination enclave does not exist or is uninitialized")
+	}
+	if _, ok := m.PoisonedReason(target.EID); ok {
+		return isa.MC("NEENTER: enclave %d poisoned", target.EID)
+	}
+	if !cur.Nested.hasInner(target.EID) && !cur.Nested.hasOuter(target.EID) {
+		return isa.GP("NEENTER: enclave %d is not associated with %d", target.EID, cur.EID)
+	}
+	t, err := target.FindTCS(tcsVaddr)
+	if err != nil {
+		return isa.GP("NEENTER: %v", err)
+	}
+	if t.Busy {
+		return isa.GP("NEENTER: destination TCS %#x busy", uint64(tcsVaddr))
+	}
+	t.ret = &enclaveFrame{secs: cur, tcs: c.curTCS, regs: c.Regs}
+	t.Busy = true
+	c.TLB.FlushAll()
+	delete(cur.epochEntries, c.ID)
+	c.cur = target
+	c.curTCS = t
+	c.TLB.BillEID = uint64(target.EID)
+	target.epochEntries[c.ID] = target.trackEpoch
+	m.Rec.ChargeTo(uint64(target.EID), c.ID, trace.EvNEENTER, trace.CostNEENTER)
+	return nil
+}
+
+// NEEXIT transitions from an inner enclave back to the outer enclave it was
+// entered from. It clears all the information of the inner enclave —
+// zeroing the register file and flushing the TLB — releases the TCS, and
+// restores the suspended outer context. Executing NEEXIT outside a nested
+// entry is a general-protection fault.
+func (m *Machine) NEEXIT(c *Core) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !c.inEnclave {
+		return isa.GP("NEEXIT: core %d not in enclave mode", c.ID)
+	}
+	t := c.curTCS
+	if t == nil || t.ret == nil {
+		return isa.GP("NEEXIT: no suspended outer context (not a nested entry)")
+	}
+	leaving := c.cur
+	f := t.ret
+	t.ret = nil
+	t.Busy = false
+	c.Regs.Scrub()
+	c.TLB.FlushAll()
+	delete(leaving.epochEntries, c.ID)
+	c.cur = f.secs
+	c.curTCS = f.tcs
+	c.Regs = f.regs
+	c.TLB.BillEID = uint64(f.secs.EID)
+	f.secs.epochEntries[c.ID] = f.secs.trackEpoch
+	m.Rec.ChargeTo(uint64(leaving.EID), c.ID, trace.EvNEEXIT, trace.CostNEEXIT)
+	return nil
+}
 
 // Atomically runs f with the machine lock held, serializing it against all
-// memory accesses and instructions. Package core implements its instructions
-// inside this.
+// memory accesses and instructions. The kernel's scheduler installs a core's
+// address space inside it (kos.Kernel.Schedule).
 func (m *Machine) Atomically(f func() error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return f()
 }
 
-// SwitchToNestedLocked performs NEENTER's context switch: the current
-// (outer) context and registers are saved into the inner TCS's reserved
-// frame, the TLB is flushed, the inner TCS is claimed, and the core enters
-// the inner enclave. Caller holds the machine lock (via Atomically) and has
-// validated the transition.
-func (c *Core) SwitchToNestedLocked(inner *SECS, t *TCS) {
-	t.ret = &enclaveFrame{secs: c.cur, tcs: c.curTCS, regs: c.Regs}
-	t.Busy = true
-	c.TLB.FlushAll()
-	delete(c.cur.epochEntries, c.ID)
-	c.inEnclave = true
-	c.cur = inner
-	c.curTCS = t
-	c.TLB.BillEID = uint64(inner.EID)
-	inner.epochEntries[c.ID] = inner.trackEpoch
-}
-
-// SwitchFromNestedLocked performs NEEXIT's context switch: the register file
-// is scrubbed (clearing "all the information of the inner enclave"), the TLB
-// flushed, the inner TCS released, and the suspended outer context restored.
-// Caller holds the machine lock and has validated the transition.
-func (c *Core) SwitchFromNestedLocked() {
-	t := c.curTCS
-	f := t.ret
-	t.ret = nil
-	t.Busy = false
-	c.Regs.Scrub()
-	c.TLB.FlushAll()
-	delete(c.cur.epochEntries, c.ID)
-	c.cur = f.secs
-	c.curTCS = f.tcs
-	c.Regs = f.regs
-	c.TLB.BillEID = uint64(f.secs.EID)
-	f.secs.epochEntries[c.ID] = f.secs.trackEpoch
-}
-
 // RetFrameEID returns the EID of the suspended outer enclave saved in the
-// TCS, or NoEnclave. Used by the thread-tracking extension.
+// TCS, or NoEnclave.
 func (t *TCS) RetFrameEID() isa.EID {
 	if t.ret == nil {
 		return isa.NoEnclave

@@ -50,7 +50,7 @@ func (Figure6Validator) Validate(c *Core, v isa.VAddr, pte pt.PTE, op isa.Access
 	m := c.m
 	paddr := isa.PAddr(pte.PPN << isa.PageShift)
 	var steps int64
-	defer func() { m.Rec.ChargeBatchTo(c.BillEID(), c.ID, trace.EvValidateStep, steps, trace.CostValidateStep) }()
+	defer func() { m.Rec.ChargeBatchTo(c.billEID(), c.ID, trace.EvValidateStep, steps, trace.CostValidateStep) }()
 
 	// The page-table permission applies in every mode; an OS-underpermitted
 	// page is an ordinary page fault.
@@ -164,8 +164,8 @@ func (Figure6Validator) Validate(c *Core, v isa.VAddr, pte pt.PTE, op isa.Access
 // It sits on the page-walk hot path (the validator consults it on every
 // nested-relevant TLB miss), so the common cases are allocation-free: an
 // enclave with no outer returns nil at once, and an inner reuses a closure
-// cached on its SECS until the association graph changes (AssociateLocked
-// and EREMOVE bump the machine's association epoch).
+// cached on its SECS until the association graph changes (NASSO and
+// EREMOVE bump the machine's association epoch).
 //
 // Caller holds m.mu, at least shared.
 func (m *Machine) OuterChain(s *SECS) []*SECS {
@@ -199,16 +199,6 @@ func (m *Machine) OuterChain(s *SECS) []*SECS {
 	// writer winning is fine.
 	s.outerChain.Store(&outerClosure{epoch: epoch, chain: out})
 	return out
-}
-
-// AssociateLocked records inner as an inner enclave of outer in both SECSs'
-// association lists (NASSO's final step, once every check has passed) and
-// invalidates every cached outer closure. Caller holds the machine lock
-// exclusively (inside Atomically).
-func (m *Machine) AssociateLocked(inner, outer *SECS) {
-	inner.Nested.OuterEIDs = append(inner.Nested.OuterEIDs, outer.EID)
-	outer.Nested.InnerEIDs = append(outer.Nested.InnerEIDs, inner.EID)
-	m.assocEpoch.Add(1)
 }
 
 // InnerAwareTracker is the §IV-E thread tracking that sgx.New installs.

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"nestedenclave/internal/cache"
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/model"
@@ -117,10 +116,9 @@ var sharedCerts = sync.OnceValue(func() *slotCerts {
 
 // Runner drives one machine and one oracle in lockstep. Single-goroutine.
 type Runner struct {
-	m   *sgx.Machine
-	ext *core.Extension
-	o   *model.Oracle
-	pt  *pt.Table
+	m  *sgx.Machine
+	o  *model.Oracle
+	pt *pt.Table
 
 	author  *measure.Author
 	digests [NumSlots]measure.Digest
@@ -144,17 +142,17 @@ type Runner struct {
 // NewRunner builds a fresh machine + oracle pair for one schedule.
 func NewRunner(maxDepth int, multiOuter bool) *Runner {
 	m := sgx.MustNew(sgx.Config{
-		Cores: machineCores,
-		Phys:  phys.Layout{DRAMSize: 8 << 20, PRMBase: prmBase, PRMSize: prmSize},
-		LLC:   cache.Config{SizeBytes: 256 << 10, Ways: 16},
+		Cores:   machineCores,
+		Phys:    phys.Layout{DRAMSize: 8 << 20, PRMBase: prmBase, PRMSize: prmSize},
+		LLC:     cache.Config{SizeBytes: 256 << 10, Ways: 16},
+		Nesting: sgx.NestingConfig{MaxDepth: maxDepth, AllowMultipleOuters: multiOuter},
 	})
-	ext := core.Enable(m, core.Config{MaxDepth: maxDepth, AllowMultipleOuters: multiOuter})
 	o := model.New(model.Config{
 		Cores: machineCores, PRMBase: prmBase, PRMSize: prmSize,
 		MaxDepth: maxDepth, MultiOuter: multiOuter,
 	})
 	r := &Runner{
-		m: m, ext: ext, o: o, pt: pt.New(),
+		m: m, o: o, pt: pt.New(),
 		blobs: make(map[isa.VAddr]*sgx.EvictedPage),
 		stale: make(map[isa.VAddr]*sgx.EvictedPage),
 	}
@@ -184,9 +182,6 @@ func NewRunner(maxDepth int, multiOuter bool) *Runner {
 
 // Machine exposes the machine under test to directed tests.
 func (r *Runner) Machine() *sgx.Machine { return r.m }
-
-// Ext exposes the nested-enclave extension handle.
-func (r *Runner) Ext() *core.Extension { return r.ext }
 
 // Oracle exposes the reference model.
 func (r *Runner) Oracle() *model.Oracle { return r.o }
@@ -291,7 +286,7 @@ func (r *Runner) apply(op Op) error {
 
 	case OpAssociate:
 		outerSlot := int(op.A) % NumSlots
-		err := r.ext.NASSO(r.slots[slot].secs, r.slots[outerSlot].secs)
+		err := r.m.NASSO(r.slots[slot].secs, r.slots[outerSlot].secs)
 		want := r.o.NASSO(r.slots[slot].eid, r.slots[outerSlot].eid)
 		return diffVerdict(fmt.Sprintf("NASSO(inner=slot%d, outer=slot%d)", slot, outerSlot), err, want)
 
@@ -310,12 +305,12 @@ func (r *Runner) apply(op Op) error {
 
 	case OpNEnter:
 		tcs := int(op.A) % numTCS
-		err := r.ext.NEENTER(c, r.slots[slot].secs, tcsVaddr(slot, tcs))
+		err := r.m.NEENTER(c, r.slots[slot].secs, tcsVaddr(slot, tcs))
 		want := r.o.NEEnter(coreID, r.slots[slot].eid, tcs)
 		return diffVerdict(fmt.Sprintf("NEENTER(core %d, slot%d, tcs%d)", coreID, slot, tcs), err, want)
 
 	case OpNExit:
-		err := r.ext.NEEXIT(c)
+		err := r.m.NEEXIT(c)
 		want := r.o.NEExit(coreID)
 		return diffVerdict(fmt.Sprintf("NEEXIT(core %d)", coreID), err, want)
 

@@ -3,8 +3,9 @@
 // Hierarchical Isolation with SGX" (Park et al., ISCA 2020).
 //
 // A System bundles the simulated SGX machine (EPC, EPCM, per-core TLBs,
-// cache + memory encryption engine), the untrusted kernel, the
-// nested-enclave hardware extension, and an SDK host process. The typical
+// cache + memory encryption engine, and the nested-enclave instructions
+// under the machine config's nesting model), the untrusted kernel, and an
+// SDK host process. The typical
 // flow mirrors the paper's Figure 4:
 //
 //	sys := nestedenclave.NewSystem()
@@ -28,7 +29,6 @@ package nestedenclave
 import (
 	"nestedenclave/internal/attest"
 	"nestedenclave/internal/channel"
-	"nestedenclave/internal/core"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
@@ -46,10 +46,9 @@ type (
 	MachineConfig = sgx.Config
 	// Kernel is the simulated (untrusted) operating system.
 	Kernel = kos.Kernel
-	// Extension is the nested-enclave instruction set handle.
-	Extension = core.Extension
-	// NestingConfig selects two-level / multi-level / multi-outer nesting.
-	NestingConfig = core.Config
+	// NestingConfig selects two-level / multi-level / multi-outer nesting
+	// (MachineConfig.Nesting).
+	NestingConfig = sgx.NestingConfig
 	// Host is an application process's untrusted runtime.
 	Host = sdk.Host
 	// Image is a declarative enclave image.
@@ -71,7 +70,7 @@ type (
 	// Digest is a 256-bit measurement (MRENCLAVE/MRSIGNER).
 	Digest = measure.Digest
 	// NestedReport is NEREPORT's output.
-	NestedReport = core.NestedReport
+	NestedReport = sgx.NestedReport
 	// Quote is a remotely-verifiable attestation statement.
 	Quote = attest.Quote
 	// QuotingService converts nested reports into quotes.
@@ -98,30 +97,24 @@ func NewImage(name string, base uint64, l Layout) *Image {
 func NewAuthor() *Author { return measure.MustNewAuthor() }
 
 // TwoLevel is the paper's base nesting configuration.
-func TwoLevel() NestingConfig { return core.TwoLevel() }
+func TwoLevel() NestingConfig { return sgx.TwoLevel() }
 
 // Options configure NewSystem.
 type Options struct {
-	// Machine sizes the simulated machine; zero value means the default
-	// 4-core, 128 MiB-PRM, 8 MiB-LLC configuration.
+	// Machine sizes the simulated machine and selects its nesting model;
+	// the zero value means the default 4-core, 128 MiB-PRM, 8 MiB-LLC
+	// configuration under the paper's two-level single-outer model, and any
+	// other value is used as given. A Nesting of {MaxDepth: 1} builds a
+	// baseline-SGX system — the paper's monolithic comparison — where NASSO
+	// refuses every association.
 	Machine MachineConfig
-	// Nesting selects the nesting model; zero value means the paper's
-	// two-level single-outer model.
-	Nesting NestingConfig
-	// DisableNesting builds a baseline-SGX system — the paper's monolithic
-	// comparison. It has no nesting instructions, so no enclave ever gets an
-	// outer, and the machine's Figure-6 validation makes Figure 2's checks.
-	DisableNesting bool
 }
 
-// System is a booted simulator: machine + kernel + nesting extension + one
-// host process.
+// System is a booted simulator: machine + kernel + one host process.
 type System struct {
 	Machine *Machine
 	Kernel  *Kernel
-	// Ext is nil when nesting is disabled.
-	Ext  *Extension
-	Host *Host
+	Host    *Host
 }
 
 // NewSystem boots a simulator with the given options (pass none for the
@@ -143,23 +136,15 @@ func NewSystemErr(opts ...Options) (*System, error) {
 		o = opts[0]
 	}
 	mc := o.Machine
-	if mc.Cores == 0 {
+	if mc == (MachineConfig{}) {
 		mc = sgx.DefaultConfig()
 	}
 	m, err := sgx.New(mc)
 	if err != nil {
 		return nil, err
 	}
-	var ext *Extension
-	if !o.DisableNesting {
-		nc := o.Nesting
-		if nc.MaxDepth == 0 && !nc.AllowMultipleOuters {
-			nc = core.TwoLevel()
-		}
-		ext = core.Enable(m, nc)
-	}
 	k := kos.New(m)
-	return &System{Machine: m, Kernel: k, Ext: ext, Host: sdk.NewHost(k, ext)}, nil
+	return &System{Machine: m, Kernel: k, Host: sdk.NewHost(k)}, nil
 }
 
 // Load builds and initializes an enclave in the system's host process.
@@ -174,10 +159,9 @@ func (s *System) RegisterOCall(name string, fn HostFunc) { s.Host.RegisterOCall(
 // Recorder returns the machine's counters and simulated-cycle clock.
 func (s *System) Recorder() *Recorder { return s.Machine.Rec }
 
-// NewQuotingService provisions remote attestation on the system. Requires
-// nesting.
+// NewQuotingService provisions remote attestation on the system.
 func (s *System) NewQuotingService() (*QuotingService, error) {
-	return attest.NewQuotingService(s.Ext)
+	return attest.NewQuotingService(s.Machine)
 }
 
 // VerifyQuote is the remote challenger's check.

@@ -16,8 +16,8 @@
 //   - detected: a typed detection error — ErrBlobReplay from the sealed-blob
 //     version counters, ErrReplayDetected from the reliable channel's
 //     sequence accounting, ErrContextLost from the trusted runtime's
-//     scheduling guard, a Figure-6 fault, or an invariant-audit finding —
-//     surfaces before any wrong data is returned.
+//     scheduling guard, or a Figure-6 fault — surfaces before any wrong
+//     data is returned.
 //
 // A strategy that ends any other way (wrong data, silent corruption) is a
 // breach, and the campaign test fails.
@@ -50,8 +50,9 @@ const (
 	// enclave's (fresh, authentic) sealed blob.
 	StratBlobCrossWire Strategy = "blob_crosswire"
 	// StratDropShootdown suppresses the ETRACK shootdown IPIs during
-	// eviction, leaving a cross-core reader with a stale translation, then
-	// escalates to EREMOVE when the hardware refuses the eviction.
+	// eviction, leaving a cross-core reader with a live translation, then
+	// escalates to EREMOVE when the hardware refuses the eviction; EREMOVE
+	// refuses too.
 	StratDropShootdown Strategy = "drop_shootdown"
 	// StratReorderShootdown delivers the shootdown IPIs only after the
 	// first EWB attempt instead of before it.

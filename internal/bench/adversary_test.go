@@ -24,7 +24,7 @@ var expectedVerdicts = map[adversary.Strategy]struct {
 	adversary.StratEldRedirect:      {VerdictDetected, "figure6-fault"},
 	adversary.StratBlobReplay:       {VerdictDetected, "blob-version-counter"},
 	adversary.StratBlobCrossWire:    {VerdictDetected, "blob-version-counter"},
-	adversary.StratDropShootdown:    {VerdictDetected, "invariant-audit"},
+	adversary.StratDropShootdown:    {VerdictDefended, ""},
 	adversary.StratReorderShootdown: {VerdictDefended, ""},
 	adversary.StratAEXPreempt:       {VerdictDefended, ""},
 	adversary.StratEresumeWrongCore: {VerdictDetected, "scheduling-guard"},

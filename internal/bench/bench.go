@@ -21,6 +21,7 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
@@ -162,6 +163,15 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
+}
+
+// streamQPS is the throughput of a stream whose operations took lat.
+func streamQPS(lat []time.Duration) float64 {
+	var sum time.Duration
+	for _, d := range lat {
+		sum += d
+	}
+	return float64(len(lat)) / sum.Seconds()
 }
 
 // f2, f3 format floats compactly.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nestedenclave/internal/cache"
+	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/phys"
@@ -113,7 +114,7 @@ func Figure10(cfg Figure10Config) ([]Figure10Row, error) {
 	var rows []Figure10Row
 
 	footprint := func(m *sgx.Machine) float64 {
-		used := m.EPC.NumPages() - m.EPC.FreePages()
+		used := epc.NumPagesIn(m.DRAM.Layout()) - m.FreeEPCPages()
 		return float64(used) * isa.PageSize / (1 << 20)
 	}
 	slot := vaSlots(cfg)

@@ -29,7 +29,7 @@ func storm(env *sdk.Env, n int) error {
 		secret := 0xDEAD_0000_0000_0000 | uint64(i+1)
 		c.Regs.GPR[3] = secret
 		t := c.CurrentTCS()
-		depth := c.NestingDepth()
+		cur, nested := nestedFrames(c)
 		if err := m.AEX(c); err != nil {
 			return fmt.Errorf("AEX %d: %w", i, err)
 		}
@@ -45,8 +45,8 @@ func storm(env *sdk.Env, n int) error {
 		if got := c.Regs.GPR[3]; got != secret {
 			return fmt.Errorf("interrupt %d: register not restored (got %#x)", i, got)
 		}
-		if c.NestingDepth() != depth {
-			return fmt.Errorf("interrupt %d: nesting depth %d -> %d", i, depth, c.NestingDepth())
+		if gotCur, gotNested := nestedFrames(c); gotCur != cur || gotNested != nested {
+			return fmt.Errorf("interrupt %d: context (%v, nested %v) -> (%v, nested %v)", i, cur, nested, gotCur, gotNested)
 		}
 		c.Regs.GPR[3] = 0
 	}

@@ -102,7 +102,7 @@ func TestConcurrentOuterEvictionShootsDownInnerTLBs(t *testing.T) {
 	if got, err := outer.ECall("nest_read", nil); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("final nested read: %q, %v", got, err)
 	}
-	if bad := r.m.AuditTLBs(); len(bad) != 0 {
+	if bad := r.m.AuditInvariants(); len(bad) != 0 {
 		t.Fatalf("TLB audit after concurrent eviction: %v", bad)
 	}
 }

@@ -28,6 +28,38 @@ func newRig(t *testing.T, nesting sgx.NestingConfig) *rig {
 	return &rig{m: m, k: k, host: sdk.NewHost(k)}
 }
 
+// sweepLLC evicts every line the LLC holds, writing dirty ones back through
+// the MEE: core 0 reads, out of enclave mode, untrusted memory twice the
+// LLC's size, after which each set's LRU ways hold only the sweep's clean
+// lines.
+func sweepLLC(t *testing.T, r *rig) {
+	t.Helper()
+	n := 2 * sgx.SmallConfig().LLC.SizeBytes
+	buf, err := r.host.Proc.Mmap(n, isa.PermR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := r.m.Core(0)
+	if err := r.k.Schedule(c, r.host.Proc); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < n; off += isa.PageSize {
+		if _, err := c.Read(buf+isa.VAddr(off), isa.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// nestedFrames reports the core's enclave context as the current enclave
+// and whether its TCS holds a suspended outer frame, the state a nested
+// entry sets up and AEX/ERESUME must preserve.
+func nestedFrames(c *sgx.Core) (cur *sgx.SECS, nested bool) {
+	if cur = c.Current(); cur == nil {
+		return nil, false
+	}
+	return cur, c.CurrentTCS().Ret()
+}
+
 // loadPair builds, signs (with mutual expectations) and loads an inner/outer
 // pair plus associates them.
 func loadPair(t *testing.T, r *rig, innerBase, outerBase isa.VAddr) (inner, outer *sdk.Enclave) {

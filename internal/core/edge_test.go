@@ -13,7 +13,6 @@ import (
 func TestAEXFromInnerEnclavePreservesNestedContext(t *testing.T) {
 	r := newRig(t, sgx.TwoLevel())
 	inner, outer := loadPair(t, r, 0x1000_0000, 0x2000_0000)
-	_ = inner
 
 	outer.Image().RegisterECall("nest_and_fault", func(env *sdk.Env, args []byte) ([]byte, error) {
 		return env.NECall(env.E.Inners()[0], "faulty", nil)
@@ -21,8 +20,8 @@ func TestAEXFromInnerEnclavePreservesNestedContext(t *testing.T) {
 	inner.Image().RegisterECall("faulty", func(env *sdk.Env, args []byte) ([]byte, error) {
 		c := env.C
 		m := r.m
-		if c.NestingDepth() != 2 {
-			t.Errorf("depth before AEX = %d", c.NestingDepth())
+		if cur, nested := nestedFrames(c); cur != inner.SECS() || !nested {
+			t.Errorf("before AEX: in %v, nested %v", cur, nested)
 		}
 		tcs := c.CurrentTCS()
 		c.Regs.GPR[5] = 0xABCD
@@ -38,8 +37,8 @@ func TestAEXFromInnerEnclavePreservesNestedContext(t *testing.T) {
 		if err := m.EResume(c, tcs); err != nil {
 			return nil, err
 		}
-		if c.NestingDepth() != 2 {
-			t.Errorf("depth after ERESUME = %d", c.NestingDepth())
+		if cur, nested := nestedFrames(c); cur != inner.SECS() || !nested {
+			t.Errorf("after ERESUME: in %v, nested %v", cur, nested)
 		}
 		if c.Regs.GPR[5] != 0xABCD {
 			t.Errorf("registers not restored: GPR5=%#x", c.Regs.GPR[5])
@@ -67,8 +66,8 @@ func TestReleaseExitFromNestedContextRejected(t *testing.T) {
 		if err := r.m.EExit(env.C, true); err == nil {
 			t.Error("release EEXIT from nested context accepted")
 		}
-		if env.C.NestingDepth() != 2 {
-			t.Errorf("nesting depth after rejected exit = %d", env.C.NestingDepth())
+		if cur, nested := nestedFrames(env.C); cur != inner.SECS() || !nested {
+			t.Errorf("after rejected exit: in %v, nested %v", cur, nested)
 		}
 		return nil, nil
 	})

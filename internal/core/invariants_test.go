@@ -3,10 +3,12 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
@@ -85,9 +87,10 @@ func TestSecurityInvariantsUnderRandomOperations(t *testing.T) {
 	framePool := func() []isa.PAddr {
 		var out []isa.PAddr
 		for _, eid := range []isa.EID{inner.SECS().EID, outer.SECS().EID} {
-			pages := r.m.EPC.PagesOf(eid)
+			pages := r.m.EPCPagesOf(eid)
+			slices.Sort(pages) // EPC order, SECS included
 			for _, p := range pages[:min(3, len(pages))] {
-				out = append(out, r.m.EPC.AddrOf(p))
+				out = append(out, epc.PageAddr(r.m.DRAM.Layout(), p))
 			}
 		}
 		if pa, ok := r.host.Proc.PageTable().Translate(unsec); ok {

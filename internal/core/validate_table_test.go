@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/pt"
@@ -59,6 +60,18 @@ func buildRaw(t *testing.T, r *rig, base isa.VAddr) *sgx.SECS {
 
 func rawTCS(s *sgx.SECS, k int) isa.VAddr { return s.Base + isa.VAddr(2+k)*isa.PageSize }
 
+// epcFrame returns the frame of the EPC page of s recorded at v, reading the
+// EPCM on a machine no other goroutine runs.
+func epcFrame(m *sgx.Machine, s *sgx.SECS, v isa.VAddr) (uint64, bool) {
+	for _, i := range m.EPCPagesOf(s.EID) {
+		pa := epc.PageAddr(m.DRAM.Layout(), i)
+		if ent, _ := m.EPCMEntry(pa); ent.Vaddr == v {
+			return pa.PPN(), true
+		}
+	}
+	return 0, false
+}
+
 // TestFigure6ValidateTable drives the nested (Figure-6) validator through the
 // full requester × owner × vaddr-region cross-product with fabricated PTEs:
 // host, outer, NEENTERed inner, and directly-EENTERed peer inner, against
@@ -96,10 +109,8 @@ func TestFigure6ValidateTable(t *testing.T) {
 	host, inA, inO, inB := m.Core(0), m.Core(1), m.Core(2), m.Core(3)
 
 	frameOf := func(s *sgx.SECS, v isa.VAddr) uint64 {
-		for _, i := range m.EPC.PagesOf(s.EID) {
-			if ent := m.EPC.Entry(i); ent.Vaddr == v {
-				return uint64(m.EPC.AddrOf(i)) >> isa.PageShift
-			}
+		if ppn, ok := epcFrame(m, s, v); ok {
+			return ppn
 		}
 		t.Fatalf("no EPC page at %#x", uint64(v))
 		return 0
@@ -179,12 +190,7 @@ func TestFigure6ValidateTable(t *testing.T) {
 
 	// Blocked outer page: the inner's nested access faults (not aborts) so
 	// the kernel can repair and retry. Runs last — EBLOCK mutates the EPCM.
-	var oIdx = -1
-	for _, i := range m.EPC.PagesOf(outerO.EID) {
-		if ent := m.EPC.Entry(i); ent.Vaddr == outerO.Base && ent.Type == isa.PTReg {
-			oIdx = i
-		}
-	}
+	oIdx, _ := m.FindRegPage(outerO, outerO.Base)
 	if err := m.EBlock(oIdx); err != nil {
 		t.Fatalf("EBLOCK: %v", err)
 	}
@@ -253,10 +259,8 @@ func TestOneFlowWithOrWithoutEnable(t *testing.T) {
 		for _, a := range accesses {
 			ppn := plain
 			if a.page >= 0 {
-				for _, i := range r.m.EPC.PagesOf(s.EID) {
-					if ent := r.m.EPC.Entry(i); ent.Vaddr == base+isa.VAddr(a.page)*isa.PageSize {
-						ppn = uint64(r.m.EPC.AddrOf(i)) >> isa.PageShift
-					}
+				if p, ok := epcFrame(r.m, s, base+isa.VAddr(a.page)*isa.PageSize); ok {
+					ppn = p
 				}
 			}
 			before := r.m.Rec.Get(trace.EvValidateStep)

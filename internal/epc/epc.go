@@ -48,10 +48,20 @@ type Manager struct {
 	nregs int
 }
 
+// The EPC's geometry is architectural (SGX reports it through CPUID leaf
+// 0x12): it covers the PRM of the machine's layout, so software that knows
+// the layout computes page addresses itself.
+
+// PageAddr returns the physical base address of EPC page i in layout l.
+func PageAddr(l phys.Layout, i int) isa.PAddr { return l.PRMBase + isa.PAddr(i)*isa.PageSize }
+
+// NumPagesIn returns the number of EPC pages in layout l.
+func NumPagesIn(l phys.Layout) int { return int(l.PRMSize / isa.PageSize) }
+
 // NewManager creates a manager covering the PRM of the given memory.
 func NewManager(mem *phys.Memory) *Manager {
 	l := mem.Layout()
-	n := int(l.PRMSize / isa.PageSize)
+	n := NumPagesIn(l)
 	m := &Manager{base: l.PRMBase, npages: n, entries: make([]Entry, n), free: make([]int, 0, n), regs: make(map[isa.EID]int)}
 	for i := n - 1; i >= 0; i-- {
 		m.free = append(m.free, i)

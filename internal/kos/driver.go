@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/pt"
@@ -105,7 +106,7 @@ func (d *Driver) addPage(p *Process, s *sgx.SECS, vaddr isa.VAddr, perms isa.Per
 	if err != nil {
 		return err
 	}
-	p.MapFixed(vaddr, d.k.m.EPC.AddrOf(page), perms)
+	p.MapFixed(vaddr, epc.PageAddr(d.k.m.DRAM.Layout(), page), perms)
 	return nil
 }
 
@@ -137,7 +138,7 @@ var errNoVictim = errors.New("no evictable EPC page found")
 // given core (trace.NoCore outside a fault). The caller holds d.pager.
 func (d *Driver) makeRoom(avoid isa.EID, core int) error {
 	m := d.k.m
-	n := m.EPC.NumPages()
+	n := epc.NumPagesIn(m.DRAM.Layout())
 	tryEvict := func(skip isa.EID) error {
 		start := d.victimCursor
 		for off := 0; off < n; {
@@ -173,7 +174,8 @@ func (d *Driver) InitEnclave(s *sgx.SECS, cert *measure.SigStruct) error {
 	return d.k.m.EInit(s, cert)
 }
 
-// DestroyEnclave unmaps and removes every page of the enclave.
+// DestroyEnclave unmaps the enclave and EREMOVEs every page of it, its SECS
+// last.
 func (d *Driver) DestroyEnclave(p *Process, s *sgx.SECS) error {
 	d.pager.Lock()
 	defer d.pager.Unlock()
@@ -188,7 +190,12 @@ func (d *Driver) DestroyEnclave(p *Process, s *sgx.SECS) error {
 			p.pt.Unmap(v)
 		}
 	}
-	return d.k.m.DestroyEnclave(s)
+	for _, page := range d.k.m.EPCPagesOf(s.EID) {
+		if err := d.k.m.ERemove(page); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EvictPage swaps one regular EPC page of the enclave out to kernel storage
@@ -284,7 +291,7 @@ func (d *Driver) reloadIfEvicted(c *sgx.Core, f *isa.Fault) bool {
 	// Re-establish the mapping in the address space the page was evicted
 	// from, the faulting core's. Remap is the last lie: the PTE pointing
 	// somewhere other than the page ELDU just loaded.
-	key.as.Map(vpage, h.Remap(owner, vpage, m.EPC.AddrOf(page)), perms)
+	key.as.Map(vpage, h.Remap(owner, vpage, epc.PageAddr(m.DRAM.Layout(), page)), perms)
 	return true
 }
 

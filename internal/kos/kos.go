@@ -130,18 +130,11 @@ func (p *Process) MapFixed(v isa.VAddr, pa isa.PAddr, perms isa.Perm) {
 	p.pt.Map(v, pa, perms)
 }
 
-// Schedule installs the process on a core (context switch: CR3 load). The
-// core must not be executing in enclave mode. The switch runs under the
-// machine lock, because EWB reads every core's TLB under it.
+// Schedule installs the process on a core: the context switch's CR3 load,
+// which the machine refuses while the core executes in enclave mode and
+// which flushes the core's TLB.
 func (k *Kernel) Schedule(c *sgx.Core, p *Process) error {
-	return k.m.Atomically(func() error {
-		if c.InEnclave() {
-			return fmt.Errorf("kos: cannot switch address space under an enclave")
-		}
-		c.PT = p.pt
-		c.TLB.FlushAll()
-		return nil
-	})
+	return k.m.LoadCR3(c, p.pt)
 }
 
 // handleFault is the kernel page-fault handler: it repairs faults it is

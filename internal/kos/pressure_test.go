@@ -165,7 +165,7 @@ func TestPagingDaemonThrashing(t *testing.T) {
 			}
 		}
 	}
-	if bad := m.AuditTLBs(); len(bad) != 0 {
+	if bad := m.AuditInvariants(); len(bad) != 0 {
 		t.Fatalf("stale translations after thrash: %v", bad)
 	}
 }

@@ -129,7 +129,7 @@ func TestParallelNestedCalls(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if bad := r.m.AuditTLBs(); len(bad) != 0 {
+	if bad := r.m.AuditInvariants(); len(bad) != 0 {
 		t.Errorf("stale translations after concurrent run: %v", bad)
 	}
 }

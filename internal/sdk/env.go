@@ -448,6 +448,12 @@ func (env *Env) VerifyReport(r *sgx.Report) error {
 	return env.E.host.K.Machine().VerifyReport(env.C, r)
 }
 
+// VerifyNestedReport checks a nested report (NEREPORT) addressed to this
+// enclave.
+func (env *Env) VerifyNestedReport(r *sgx.NestedReport) error {
+	return env.E.host.K.Machine().VerifyNestedReport(env.C, r)
+}
+
 // GetKey derives a sealing/report key for this enclave.
 func (env *Env) GetKey(name measure.KeyName, policy sgx.SealPolicy, extra []byte) ([16]byte, error) {
 	return env.E.host.K.Machine().EGetKey(env.C, name, policy, extra)

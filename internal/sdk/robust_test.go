@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"nestedenclave/internal/cache"
 	"nestedenclave/internal/chaos"
-	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
@@ -117,31 +115,33 @@ func TestNestedPanicPoisonsOnlyCrashedEnclave(t *testing.T) {
 // panicBackend passes line traffic through to the MEE but panics on the
 // first line fetch after it is armed: a fault below the cache, raised on
 // the access path while the core holds the machine read lock.
-type panicBackend struct {
-	cache.Backend
+// panicPlatform is an honest platform whose DRAM-fetch hook panics once
+// when armed: a fault raised below the cache, on the MEE's fetch path.
+type panicPlatform struct {
+	sgx.Honest
 	armed atomic.Bool
 }
 
-func (b *panicBackend) ReadLine(p isa.PAddr, dst []byte, tab *trace.Tab) error {
-	if b.armed.CompareAndSwap(true, false) {
+func (p *panicPlatform) Disturb([]byte) {
+	if p.armed.CompareAndSwap(true, false) {
 		panic("memory backend fault")
 	}
-	return b.Backend.ReadLine(p, dst, tab)
 }
 
 // TestPanicBelowCacheReleasesMachineLock: a panic raised under the cache
-// during a trusted heap read must unwind through the access path's read
-// lock, so the crash containment (which takes the write lock to evacuate
-// the core) completes and the machine keeps serving other enclaves.
+// during a trusted heap read, as the MEE fetches the line from DRAM, must
+// unwind through the access path's read lock, so the crash containment
+// (which takes the write lock to evacuate the core) completes and the
+// machine keeps serving other enclaves.
 func TestPanicBelowCacheReleasesMachineLock(t *testing.T) {
 	r := newRig(t, sgx.TwoLevel())
-	backend := &panicBackend{Backend: r.m.MEE}
+	platform := &panicPlatform{}
 	readHeap := func(env *sdk.Env, args []byte) ([]byte, error) {
 		return env.Read(env.E.Image().HeapBase(), 8)
 	}
 	victimImg := sdk.NewImage("victim", 0x1000_0000, sdk.DefaultLayout())
 	victimImg.RegisterECall("read", func(env *sdk.Env, args []byte) ([]byte, error) {
-		backend.armed.Store(true)
+		platform.armed.Store(true)
 		return readHeap(env, args)
 	})
 	otherImg := sdk.NewImage("bystander", 0x2000_0000, sdk.DefaultLayout())
@@ -149,12 +149,10 @@ func TestPanicBelowCacheReleasesMachineLock(t *testing.T) {
 	victim := mustLoad(t, r.host, victimImg.Sign(measure.MustNewAuthor(), nil, nil))
 	other := mustLoad(t, r.host, otherImg.Sign(measure.MustNewAuthor(), nil, nil))
 
-	// Write every dirty line back, then put a cold LLC over the backend so
-	// the victim's heap read reaches it.
-	if err := r.m.LLC.FlushAll(trace.NoPayer); err != nil {
-		t.Fatal(err)
-	}
-	r.m.LLC = cache.MustNew(sgx.SmallConfig().LLC, backend, r.m.Rec)
+	// Write every dirty line back and empty the LLC of enclave lines, so
+	// the victim's heap read reaches the MEE.
+	sweepLLC(t, r)
+	r.m.SetHostile(platform)
 
 	done := make(chan error, 1)
 	go func() {

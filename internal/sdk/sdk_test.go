@@ -30,6 +30,28 @@ func newRig(t *testing.T, nesting sgx.NestingConfig) *testRig {
 	return &testRig{m: m, k: k, host: sdk.NewHost(k)}
 }
 
+// sweepLLC evicts every line the LLC holds, writing dirty ones back through
+// the MEE: core 0 reads, out of enclave mode, untrusted memory twice the
+// LLC's size, after which each set's LRU ways hold only the sweep's clean
+// lines. It is the cache pressure any host code can apply.
+func sweepLLC(t *testing.T, r *testRig) {
+	t.Helper()
+	n := 2 * sgx.SmallConfig().LLC.SizeBytes
+	buf, err := r.host.Proc.Mmap(n, isa.PermR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := r.m.Core(0)
+	if err := r.k.Schedule(c, r.host.Proc); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < n; off += isa.PageSize {
+		if _, err := c.Read(buf+isa.VAddr(off), isa.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func mustLoad(t *testing.T, h *sdk.Host, si *sdk.SignedImage) *sdk.Enclave {
 	t.Helper()
 	e, err := h.Load(si)
@@ -163,14 +185,15 @@ func TestSecretIsCiphertextInDRAM(t *testing.T) {
 		t.Fatalf("stash: %v", err)
 	}
 	// Force writeback so the line reaches DRAM, then probe the bus.
-	if err := r.m.LLC.FlushAll(trace.NoPayer); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
+	sweepLLC(t, r)
 	pa, ok := r.host.Proc.PageTable().Translate(addr)
 	if !ok {
 		t.Fatalf("no translation for heap page")
 	}
 	raw := r.m.DRAM.Read(pa, len(secret))
+	if bytes.Equal(raw, make([]byte, len(secret))) {
+		t.Fatalf("the secret's line never reached DRAM")
+	}
 	if bytes.Contains(raw, secret[:8]) {
 		t.Fatalf("physical DRAM holds enclave plaintext")
 	}
@@ -390,8 +413,8 @@ func TestOCallFromInnerEnclave(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if env.C.NestingDepth() != 2 {
-			t.Errorf("nesting depth after ocall = %d, want 2", env.C.NestingDepth())
+		if env.C.Current() != env.E.SECS() || !env.C.CurrentTCS().Ret() {
+			t.Errorf("after ocall: in %v, nested %v; want the inner, nested", env.C.Current(), env.C.CurrentTCS().Ret())
 		}
 		return out, nil
 	})
@@ -429,7 +452,7 @@ func TestNEREPORTCoversAssociations(t *testing.T) {
 		return nil, err
 	})
 	outerImg.RegisterECall("verify", func(env *sdk.Env, args []byte) ([]byte, error) {
-		return nil, r.m.VerifyNestedReport(env.C, rep)
+		return nil, env.VerifyNestedReport(rep)
 	})
 
 	si, so := signPair(t, innerImg, outerImg)

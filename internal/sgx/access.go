@@ -147,7 +147,7 @@ func (c *Core) readChunk(v isa.VAddr, dst []byte) (fault, err error) {
 		}
 		return nil, nil
 	}
-	return nil, c.m.LLC.ReadInto(pa, dst, c.payer())
+	return nil, c.m.llc.ReadInto(pa, dst, c.payer())
 }
 
 // writeChunk writes one page-bounded chunk b at v.
@@ -158,7 +158,7 @@ func (c *Core) writeChunk(v isa.VAddr, b []byte) (fault, err error) {
 	if fault != nil || abort {
 		return fault, nil
 	}
-	return nil, c.m.LLC.Write(pa, b, c.payer())
+	return nil, c.m.llc.Write(pa, b, c.payer())
 }
 
 // fetchChunk translates v for execution.

@@ -57,7 +57,7 @@ func (m *Machine) AuditInvariants() []string {
 			if owner != cur {
 				inv = "inv4"
 			}
-			ent, ok := m.EPC.EntryAt(pa)
+			ent, ok := m.epc.EntryAt(pa)
 			switch {
 			case !inPRM:
 				out = append(out, fmt.Sprintf("%s: core %d enclave %d maps ELRANGE %#x of enclave %d outside PRM",

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/sgx"
 )
@@ -34,7 +35,7 @@ func TestSwitchToFromNestedLocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.m.Link(inner, outer)
+	sgx.Link(r.m, inner, outer)
 	r.enter(t, outer, outerTCSV)
 	r.c.Regs.GPR[0] = 111
 	if err := r.m.NEENTER(r.c, inner, innerTCSV); err != nil {
@@ -65,20 +66,31 @@ func TestSwitchToFromNestedLocked(t *testing.T) {
 	r.exit(t)
 }
 
+// TestEPCFootprintAndEnclaves reads one enclave's footprint through the
+// kernel's read window: EPCPagesOf lists its five pages with the SECS last,
+// EPCMEntry copies each page's EPCM entry, and Enclave resolves it.
 func TestEPCFootprintAndEnclaves(t *testing.T) {
 	r := newRig(t)
 	s, _ := buildEnclave(t, r.k, r.p, 0x100000, 3)
-	if got := r.m.EPCFootprint(s.EID); got != 5 { // 3 data + 1 TCS + SECS
-		t.Fatalf("footprint %d", got)
+	pages := r.m.EPCPagesOf(s.EID)
+	if len(pages) != 5 { // 3 data + 1 TCS + SECS
+		t.Fatalf("footprint %d", len(pages))
 	}
-	found := false
-	for _, e := range r.m.Enclaves() {
-		if e.EID == s.EID {
-			found = true
+	layout := r.m.DRAM.Layout()
+	for i, p := range pages {
+		ent, ok := r.m.EPCMEntry(epc.PageAddr(layout, p) + 17)
+		if !ok || !ent.Valid || ent.Owner != s.EID {
+			t.Fatalf("page %d: EPCM entry %+v, %v", p, ent, ok)
+		}
+		if last := i == len(pages)-1; last != (ent.Type == isa.PTSECS) {
+			t.Fatalf("page %d of %d has type %v: the SECS must come last", i, len(pages), ent.Type)
 		}
 	}
-	if !found {
-		t.Fatal("Enclaves() missed the enclave")
+	if _, ok := r.m.EPCMEntry(layout.PRMBase - isa.PageSize); ok {
+		t.Fatal("EPCMEntry resolved a frame below the EPC")
+	}
+	if got, ok := r.m.Enclave(s.EID); !ok || got != s {
+		t.Fatal("Enclave missed the enclave")
 	}
 	if s.String() == "" || !strings.Contains(s.String(), "eid") {
 		t.Fatalf("SECS stringer: %q", s.String())

@@ -61,7 +61,7 @@ func (m *Machine) SetHostile(h Hostile) {
 		h = Honest{}
 	}
 	m.hostile = h
-	m.MEE.Disturb = h.Disturb
+	m.mee.Disturb = h.Disturb
 }
 
 // Hostile returns the installed platform (Honest unless SetHostile says

@@ -42,8 +42,8 @@ func TestBaselineInvariantsUnderRandomOperations(t *testing.T) {
 	}
 	var frames []isa.PAddr
 	for _, eid := range []isa.EID{e1.EID, e2.EID} {
-		for _, p := range r.m.EPC.PagesOf(eid)[:2] {
-			frames = append(frames, r.m.EPC.AddrOf(p))
+		for _, p := range sgx.EPCOf(r.m).PagesOf(eid)[:2] {
+			frames = append(frames, sgx.EPCOf(r.m).AddrOf(p))
 		}
 	}
 	if pa, ok := r.p.PageTable().Translate(unsec); ok {

@@ -22,7 +22,7 @@ func (m *Machine) ECreate(base isa.VAddr, size uint64, attributes uint64) (*SECS
 		return nil, isa.GP("ECREATE: ELRANGE [%#x,+%#x) not page-aligned", uint64(base), size)
 	}
 	eid := m.nextEID
-	page, err := m.EPC.Alloc(eid, isa.PTSECS, 0, 0)
+	page, err := m.epc.Alloc(eid, isa.PTSECS, 0, 0)
 	if err != nil {
 		return nil, isa.GP("ECREATE: %v", err)
 	}
@@ -69,7 +69,7 @@ func (m *Machine) EAdd(s *SECS, a AddPageArgs) (int, error) {
 	if uint64(a.Vaddr)&isa.PageMask != 0 {
 		return 0, isa.GP("EADD: vaddr %#x not page-aligned", uint64(a.Vaddr))
 	}
-	if !s.InELRANGE(a.Vaddr, isa.PageSize) {
+	if !s.inELRANGE(a.Vaddr, isa.PageSize) {
 		return 0, isa.GP("EADD: vaddr %#x outside ELRANGE", uint64(a.Vaddr))
 	}
 	if len(a.Content) > isa.PageSize {
@@ -84,7 +84,7 @@ func (m *Machine) EAdd(s *SECS, a AddPageArgs) (int, error) {
 	default:
 		return 0, isa.GP("EADD: page type %v not addable", a.Type)
 	}
-	page, err := m.EPC.Alloc(s.EID, a.Type, a.Vaddr, perms)
+	page, err := m.epc.Alloc(s.EID, a.Type, a.Vaddr, perms)
 	if err != nil {
 		return 0, isa.GP("EADD: %v", err)
 	}
@@ -93,9 +93,9 @@ func (m *Machine) EAdd(s *SECS, a AddPageArgs) (int, error) {
 	// to the enclave under construction.
 	content := make([]byte, isa.PageSize)
 	copy(content, a.Content)
-	pa := m.EPC.AddrOf(page)
-	if err := m.LLC.Write(pa, content, trace.Payer{EID: uint64(s.EID), Core: trace.NoCore}); err != nil {
-		_ = m.EPC.Free(page)
+	pa := m.epc.AddrOf(page)
+	if err := m.llc.Write(pa, content, trace.Payer{EID: uint64(s.EID), Core: trace.NoCore}); err != nil {
+		_ = m.epc.Free(page)
 		return 0, err
 	}
 	offset := uint64(a.Vaddr - s.Base)
@@ -127,22 +127,22 @@ func (m *Machine) EAug(s *SECS, vaddr isa.VAddr, perms isa.Perm) (int, error) {
 	if uint64(vaddr)&isa.PageMask != 0 {
 		return 0, isa.GP("EAUG: vaddr %#x not page-aligned", uint64(vaddr))
 	}
-	if !s.InELRANGE(vaddr, isa.PageSize) {
+	if !s.inELRANGE(vaddr, isa.PageSize) {
 		return 0, isa.GP("EAUG: vaddr %#x outside ELRANGE", uint64(vaddr))
 	}
 	// The virtual page must not already be backed.
-	for _, i := range m.EPC.PagesOf(s.EID) {
-		if e := m.EPC.Entry(i); e.Type != isa.PTSECS && e.Vaddr == vaddr {
+	for _, i := range m.epc.PagesOf(s.EID) {
+		if e := m.epc.Entry(i); e.Type != isa.PTSECS && e.Vaddr == vaddr {
 			return 0, isa.GP("EAUG: vaddr %#x already backed", uint64(vaddr))
 		}
 	}
-	page, err := m.EPC.Alloc(s.EID, isa.PTReg, vaddr, perms)
+	page, err := m.epc.Alloc(s.EID, isa.PTReg, vaddr, perms)
 	if err != nil {
 		return 0, isa.GP("EAUG: %v", err)
 	}
 	// Dynamic growth bills to the enclave the page is augmented into.
-	if err := m.LLC.Write(m.EPC.AddrOf(page), make([]byte, isa.PageSize), trace.Payer{EID: uint64(s.EID), Core: trace.NoCore}); err != nil {
-		_ = m.EPC.Free(page)
+	if err := m.llc.Write(m.epc.AddrOf(page), make([]byte, isa.PageSize), trace.Payer{EID: uint64(s.EID), Core: trace.NoCore}); err != nil {
+		_ = m.epc.Free(page)
 		return 0, err
 	}
 	return page, nil
@@ -329,18 +329,32 @@ func rangesOverlap(a, b *SECS) bool {
 	return uint64(a.Base) < bEnd && uint64(b.Base) < aEnd
 }
 
-// ERemove frees one EPC page. SECS pages are only removable when no other
-// page of the enclave remains; removing the SECS destroys the enclave.
+// ERemove frees one EPC page. A REG or TCS page is refused with #GP, as
+// SGX's SGX_ENCLAVE_ACT, while a running thread can still reach it: while
+// any TLB maps its frame, or while any core has live context in its owner or
+// in a transitive inner of it (coreTouches, the §IV-E tracker's test), whose
+// next walk the Figure-6 outer branch would let through. The EPC hands a
+// freed frame to the next allocation, so either case would give that thread
+// another enclave's page. A SECS page needs no such check: software never
+// maps it, and it is removable only after every other page of the enclave,
+// each of which passed the check. Removing the SECS destroys the enclave.
 func (m *Machine) ERemove(page int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ent := m.EPC.Entry(page)
+	ent := m.epc.Entry(page)
 	if !ent.Valid {
 		return isa.GP("EREMOVE: page %d not valid", page)
 	}
-	if ent.Type == isa.PTSECS {
+	if ent.Type != isa.PTSECS {
+		ppn := m.epc.AddrOf(page).PPN()
+		for _, c := range m.cores {
+			if c.TLB.MapsFrame(ppn) || m.coreTouches(c, ent.Owner) {
+				return isa.GP("EREMOVE: core %d can still reach page %d of enclave %d", c.ID, page, ent.Owner)
+			}
+		}
+	} else {
 		owner := ent.Owner
-		for _, i := range m.EPC.PagesOf(owner) {
+		for _, i := range m.epc.PagesOf(owner) {
 			if i != page {
 				return isa.GP("EREMOVE: enclave %d still owns page %d", owner, i)
 			}
@@ -373,10 +387,10 @@ func (m *Machine) ERemove(page int) error {
 	// Scrub the page: drop cached lines without writeback, mark its MEE
 	// lines unwritten, zero the DRAM ciphertext. Order matters — a writeback
 	// after DropPage would mark a line of the dead page written again.
-	m.LLC.InvalidateRange(m.EPC.AddrOf(page), isa.PageSize)
-	m.MEE.DropPage(m.EPC.AddrOf(page))
-	m.DRAM.Zero(m.EPC.AddrOf(page), isa.PageSize)
-	return m.EPC.Free(page)
+	m.llc.InvalidateRange(m.epc.AddrOf(page), isa.PageSize)
+	m.mee.DropPage(m.epc.AddrOf(page))
+	m.DRAM.Zero(m.epc.AddrOf(page), isa.PageSize)
+	return m.epc.Free(page)
 }
 
 func removeEID(s []isa.EID, e isa.EID) []isa.EID {
@@ -387,38 +401,6 @@ func removeEID(s []isa.EID, e isa.EID) []isa.EID {
 		}
 	}
 	return out
-}
-
-// DestroyEnclave removes every page of the enclave, SECS last.
-func (m *Machine) DestroyEnclave(s *SECS) error {
-	m.mu.Lock()
-	pages := m.EPC.PagesOf(s.EID)
-	m.mu.Unlock()
-	var secsPage = -1
-	for _, p := range pages {
-		m.mu.Lock()
-		typ := m.EPC.Entry(p).Type
-		m.mu.Unlock()
-		if typ == isa.PTSECS {
-			secsPage = p
-			continue
-		}
-		if err := m.ERemove(p); err != nil {
-			return err
-		}
-	}
-	if secsPage >= 0 {
-		return m.ERemove(secsPage)
-	}
-	return nil
-}
-
-// EPCFootprint returns the number of valid EPC pages owned by the enclave
-// (code+data+TCS+SECS), the quantity Figure 10 tracks as memory footprint.
-func (m *Machine) EPCFootprint(eid isa.EID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.EPC.PagesOf(eid))
 }
 
 // FindTCS resolves a TCS by its virtual address within the enclave.

@@ -22,15 +22,23 @@
 //     association lists, and they invalidate the outer-closure cache behind
 //     Machine.OuterChain.
 //
+// Untrusted code reaches protection state only through instructions (paper
+// §II, §VII), so a Machine exports its instructions, the CR3 load among
+// them, and a short list beside them: core and enclave lookup, the hostile
+// platform, the kernel's EPCM read window (EvictionCandidate, FindRegPage,
+// FreeEPCPages, EPCPagesOf), crash containment, the report checks, and the
+// invariant audit. The EPC, the LLC and the MEE are private; DRAM stays
+// exported, since the threat model hands it to a physical attacker.
 // Validator and Tracker stay swappable, so tests can plant a broken flow or
-// the inner-oblivious BaselineTracker, and the ablation can broadcast.
+// the inner-oblivious BaselineTracker and the ablation can broadcast; a
+// planted flow reads the EPCM through EPCMEntry and the closure through
+// OuterChain. TestMachineSurface pins the list.
 package sgx
 
 import (
 	"crypto/cipher"
 	"crypto/rand"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -146,10 +154,14 @@ type Machine struct {
 	mu sync.RWMutex
 
 	DRAM *phys.Memory
-	MEE  *mee.Engine
-	LLC  *cache.Cache
-	EPC  *epc.Manager
 	Rec  *trace.Recorder
+
+	// epc is the EPC allocator and the EPCM, llc the last-level cache, and
+	// mee the memory encryption engine below it: hardware state that only
+	// instructions touch.
+	epc *epc.Manager
+	llc *cache.Cache
+	mee *mee.Engine
 
 	Validator Validator
 	Tracker   Tracker
@@ -231,10 +243,10 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{
 		DRAM:           dram,
-		MEE:            eng,
-		LLC:            llc,
-		EPC:            epc.NewManager(dram),
 		Rec:            rec,
+		epc:            epc.NewManager(dram),
+		llc:            llc,
+		mee:            eng,
 		nesting:        cfg.Nesting,
 		secsByEID:      make(map[isa.EID]*SECS),
 		nextEID:        1,
@@ -248,7 +260,7 @@ func New(cfg Config) (*Machine, error) {
 	// containment (poison the owner, refuse re-entry, let the host EREMOVE
 	// and restart it).
 	eng.Poison = func(p isa.PAddr) {
-		if ent, ok := m.EPC.EntryAt(p); ok && ent.Owner != 0 {
+		if ent, ok := m.epc.EntryAt(p); ok && ent.Owner != 0 {
 			m.poison(ent.Owner, fmt.Sprintf("MEE integrity failure at %#x", uint64(p)))
 		}
 	}
@@ -286,20 +298,6 @@ func (m *Machine) Enclave(eid isa.EID) (*SECS, bool) {
 	return s, ok
 }
 
-// Enclaves returns all live enclaves (for audits and footprint accounting),
-// sorted by EID so consumers iterate in a replay-stable order regardless of
-// the map's internal layout.
-func (m *Machine) Enclaves() []*SECS {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]*SECS, 0, len(m.secsByEID))
-	for _, s := range m.secsByEID {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].EID < out[j].EID })
-	return out
-}
-
 // Core is one logical processor.
 type Core struct {
 	m  *Machine
@@ -308,7 +306,7 @@ type Core struct {
 	// TLB is the core's translation cache.
 	TLB *tlb.TLB
 	// PT is the currently active address space, installed by the kernel
-	// scheduler (CR3). Untrusted.
+	// scheduler through Machine.LoadCR3. Untrusted.
 	PT *pt.Table
 
 	// Regs is the architectural register file visible to the running code.
@@ -356,15 +354,6 @@ func (c *Core) billEID() uint64 {
 // payer bills memory-hierarchy work to the core's current execution.
 func (c *Core) payer() trace.Payer { return trace.Payer{EID: c.billEID(), Core: c.ID} }
 
-// NestingDepth returns how many enclave frames are active on the core
-// (1 inside a top-level enclave, 2 inside an inner enclave, ...).
-func (c *Core) NestingDepth() int {
-	if !c.inEnclave {
-		return 0
-	}
-	return 1 + len(c.curTCS.retChainEIDs())
-}
-
 // anyFrame reports whether match holds for an enclave with live context on
 // the core, visiting the current enclave first and then each suspended
 // outer frame, and stopping at the first match. It builds no slice, so
@@ -382,16 +371,4 @@ func (c *Core) anyFrame(match func(isa.EID) bool) bool {
 		}
 	}
 	return false
-}
-
-// ExecutingEIDs returns the EIDs of every enclave with live context on the
-// core: the current enclave and all suspended outer frames, in the order
-// the ETRACK thread-tracking policies walk them (anyFrame).
-func (c *Core) ExecutingEIDs() []isa.EID {
-	var out []isa.EID
-	c.anyFrame(func(e isa.EID) bool {
-		out = append(out, e)
-		return false
-	})
-	return out
 }

@@ -107,7 +107,7 @@ func (m *Machine) sealParams(p *EvictedPage) (nonce, aad []byte) {
 func (m *Machine) EBlock(page int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ent := m.EPC.Entry(page)
+	ent := m.epc.Entry(page)
 	if !ent.Valid {
 		return isa.GP("EBLOCK: page %d not valid", page)
 	}
@@ -157,14 +157,14 @@ func (m *Machine) ShootdownFor(c *Core, eid isa.EID) {
 func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ent := m.EPC.Entry(page)
+	ent := m.epc.Entry(page)
 	if !ent.Valid {
 		return nil, isa.GP("EWB: page %d not valid", page)
 	}
 	if !ent.Blocked {
 		return nil, isa.GP("EWB: page %d not blocked", page)
 	}
-	pa := m.EPC.AddrOf(page)
+	pa := m.epc.AddrOf(page)
 	ppn := pa.PPN()
 	// The flush/seal memory traffic bills to the page's owner.
 	owner, vaddr := uint64(ent.Owner), ent.Vaddr
@@ -176,10 +176,10 @@ func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error
 			return nil, isa.GP("EWB: core %d still holds a translation for EPC page %d (incomplete shootdown)", c.ID, page)
 		}
 	}
-	if err := m.LLC.ReadInto(pa, m.pageBuf[:], payer); err != nil {
+	if err := m.llc.ReadInto(pa, m.pageBuf[:], payer); err != nil {
 		return nil, err
 	}
-	if err := m.LLC.FlushRange(pa, isa.PageSize, payer); err != nil {
+	if err := m.llc.FlushRange(pa, isa.PageSize, payer); err != nil {
 		return nil, err
 	}
 	m.vaSlotNext++
@@ -199,9 +199,9 @@ func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error
 		m.vaSlots = make(map[uint64]isa.EID)
 	}
 	m.vaSlots[slot] = ent.Owner
-	m.MEE.DropPage(pa)
+	m.mee.DropPage(pa)
 	m.DRAM.Zero(pa, isa.PageSize)
-	if err := m.EPC.Free(page); err != nil {
+	if err := m.epc.Free(page); err != nil {
 		return nil, err
 	}
 	m.Rec.ChargeToDetail(owner, core, trace.EvEWB, 0, uint64(vaddr))
@@ -236,12 +236,12 @@ func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	owner := uint64(blob.Owner)
 	op := m.Rec.BeginOp(trace.OpELD, core, owner, "")
 	defer op.End()
-	page, err := m.EPC.Alloc(blob.Owner, blob.Type, blob.Vaddr, blob.Perms)
+	page, err := m.epc.Alloc(blob.Owner, blob.Type, blob.Vaddr, blob.Perms)
 	if err != nil {
 		return 0, isa.GP("ELDU: %v", err)
 	}
-	if err := m.LLC.Write(m.EPC.AddrOf(page), content, trace.Payer{EID: owner, Core: core}); err != nil {
-		_ = m.EPC.Free(page)
+	if err := m.llc.Write(m.epc.AddrOf(page), content, trace.Payer{EID: owner, Core: core}); err != nil {
+		_ = m.epc.Free(page)
 		return 0, err
 	}
 	delete(m.vaSlots, blob.Slot)
@@ -266,15 +266,19 @@ func (m *Machine) forgetPaging(owner isa.EID) {
 	}
 }
 
-// FindRegPage returns, under the machine lock, the index of the valid
-// regular EPC page of enclave s recorded at vaddr. Kernel code (which runs on
-// its own thread of execution) must use this instead of scanning m.EPC
-// directly, which is only safe while holding the instruction lock.
+// The kernel's EPCM read window. Real SGX hands the kernel no EPCM reads,
+// but the Linux driver keeps the same facts in its own page tracking; here
+// the kernel reads them from the EPCM rather than keep a shadow of it. Each
+// read runs under the machine read lock and returns values, never EPCM
+// state.
+
+// FindRegPage returns the index of the valid regular EPC page of enclave s
+// recorded at vaddr.
 func (m *Machine) FindRegPage(s *SECS, vaddr isa.VAddr) (int, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for i := 0; i < m.EPC.NumPages(); i++ {
-		ent := m.EPC.Entry(i)
+	for i := 0; i < m.epc.NumPages(); i++ {
+		ent := m.epc.Entry(i)
 		if ent.Valid && ent.Owner == s.EID && ent.Type == isa.PTReg && ent.Vaddr == vaddr.PageBase() {
 			return i, true
 		}
@@ -288,38 +292,45 @@ func (m *Machine) FindRegPage(s *SECS, vaddr isa.VAddr) (int, bool) {
 func (m *Machine) EvictionCandidate(start, count int, skip isa.EID) (int, epc.Entry, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	i, ok := m.EPC.EvictionCandidate(start, count, skip)
+	i, ok := m.epc.EvictionCandidate(start, count, skip)
 	if !ok {
 		return 0, epc.Entry{}, false
 	}
-	return i, *m.EPC.Entry(i), true
+	return i, *m.epc.Entry(i), true
 }
 
-// FreeEPCPages returns the free-page count under the machine read lock.
+// FreeEPCPages returns the free-page count.
 func (m *Machine) FreeEPCPages() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.EPC.FreePages()
+	return m.epc.FreePages()
 }
 
-// AuditTLBs walks every TLB and reports entries whose physical page is a
-// freed or blocked EPC page. Tests and the adversary campaign run it next to
-// AuditInvariants.
-func (m *Machine) AuditTLBs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var bad []string
-	for _, c := range m.cores {
-		for _, e := range c.TLB.Entries() {
-			pa := isa.PAddr(e.PPN << isa.PageShift)
-			if !m.DRAM.PageInPRM(pa) {
-				continue
-			}
-			ent, ok := m.EPC.EntryAt(pa)
-			if !ok || !ent.Valid || ent.Blocked {
-				bad = append(bad, fmt.Sprintf("core %d vpn %#x -> stale EPC ppn %#x", c.ID, e.VPN, e.PPN))
-			}
+// EPCPagesOf returns the indices of the valid EPC pages of enclave eid in
+// the order EREMOVE accepts them: its other pages in EPC order, then its
+// SECS page.
+func (m *Machine) EPCPagesOf(eid isa.EID) []int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	pages := m.epc.PagesOf(eid)
+	for i, p := range pages {
+		if m.epc.Entry(p).Type == isa.PTSECS {
+			copy(pages[i:], pages[i+1:])
+			pages[len(pages)-1] = p
+			break
 		}
 	}
-	return bad
+	return pages
+}
+
+// EPCMEntry returns a copy of the EPCM entry governing physical address pa,
+// and false outside the EPC. It is the EPCM read of the Validator seam and
+// takes no lock: its caller holds the machine lock, as a Validator does, or
+// drives a machine no other goroutine runs.
+func (m *Machine) EPCMEntry(pa isa.PAddr) (epc.Entry, bool) {
+	ent, ok := m.epc.EntryAt(pa)
+	if !ok {
+		return epc.Entry{}, false
+	}
+	return *ent, true
 }

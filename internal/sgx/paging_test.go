@@ -2,10 +2,12 @@ package sgx_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/sgx"
+	"nestedenclave/internal/tlb"
 	"nestedenclave/internal/trace"
 )
 
@@ -21,11 +23,11 @@ func TestEvictionRoundTrip(t *testing.T) {
 	}
 	r.exit(t)
 
-	free := r.m.EPC.FreePages()
+	free := sgx.EPCOf(r.m).FreePages()
 	if err := r.k.Driver.EvictPage(r.p, s, 0x100000); err != nil {
 		t.Fatalf("evict: %v", err)
 	}
-	if r.m.EPC.FreePages() != free+1 {
+	if sgx.EPCOf(r.m).FreePages() != free+1 {
 		t.Fatal("EWB did not free the EPC page")
 	}
 	if r.k.Driver.EvictedCount() != 1 {
@@ -60,12 +62,12 @@ func TestEvictedBlobIsOpaqueToKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.exit(t)
-	pageIdx := r.m.EPC.PagesOf(s.EID)
+	pageIdx := sgx.EPCOf(r.m).PagesOf(s.EID)
 	_ = pageIdx
 	// Evict by hand so we hold the blob.
 	var idx = -1
-	for _, i := range r.m.EPC.PagesOf(s.EID) {
-		if e := r.m.EPC.Entry(i); e.Type == isa.PTReg {
+	for _, i := range sgx.EPCOf(r.m).PagesOf(s.EID) {
+		if e := sgx.EPCOf(r.m).Entry(i); e.Type == isa.PTReg {
 			idx = i
 		}
 	}
@@ -141,8 +143,8 @@ func TestBlockedPageFaultsInsteadOfAborting(t *testing.T) {
 	r := newRig(t)
 	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 1)
 	var idx = -1
-	for _, i := range r.m.EPC.PagesOf(s.EID) {
-		if e := r.m.EPC.Entry(i); e.Type == isa.PTReg {
+	for _, i := range sgx.EPCOf(r.m).PagesOf(s.EID) {
+		if e := sgx.EPCOf(r.m).Entry(i); e.Type == isa.PTReg {
 			idx = i
 		}
 	}
@@ -156,8 +158,8 @@ func TestBlockedPageFaultsInsteadOfAborting(t *testing.T) {
 	}
 	r.exit(t)
 	// EBLOCK of SECS pages is refused.
-	for _, i := range r.m.EPC.PagesOf(s.EID) {
-		if e := r.m.EPC.Entry(i); e.Type == isa.PTSECS {
+	for _, i := range sgx.EPCOf(r.m).PagesOf(s.EID) {
+		if e := sgx.EPCOf(r.m).Entry(i); e.Type == isa.PTSECS {
 			if err := r.m.EBlock(i); err == nil {
 				t.Fatal("EBLOCK of SECS accepted")
 			}
@@ -165,8 +167,8 @@ func TestBlockedPageFaultsInsteadOfAborting(t *testing.T) {
 	}
 	// EWB without EBLOCK is refused.
 	var tcsIdx = -1
-	for _, i := range r.m.EPC.PagesOf(s.EID) {
-		if e := r.m.EPC.Entry(i); e.Type == isa.PTTCS {
+	for _, i := range sgx.EPCOf(r.m).PagesOf(s.EID) {
+		if e := sgx.EPCOf(r.m).Entry(i); e.Type == isa.PTTCS {
 			tcsIdx = i
 		}
 	}
@@ -175,28 +177,45 @@ func TestBlockedPageFaultsInsteadOfAborting(t *testing.T) {
 	}
 }
 
+// TestAuditTLBsDetectsStaleEntries plants a TLB entry for a freed EPC frame
+// and checks that AuditInvariants flags it both in enclave mode (an ELRANGE
+// page mapped to an invalid EPC page) and out of it (a PRM frame mapped at
+// all). A live translation of a blocked page is not flagged: SGX allows it
+// until ETRACK's epoch ends, and EWB refuses the page while it stands.
 func TestAuditTLBsDetectsStaleEntries(t *testing.T) {
 	r := newRig(t)
-	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 2)
+	freedIdx, ok := r.m.FindRegPage(s, 0x101000)
+	if !ok {
+		t.Fatal("no page at 0x101000")
+	}
+	freed := sgx.EPCOf(r.m).AddrOf(freedIdx)
+	evictByHand(t, r, s, 0x101000, nil)
+	stale := tlb.Entry{VPN: isa.VAddr(0x101000).VPN(), PPN: freed.PPN(), Perms: isa.PermRW, FilledInEnclave: true, FilledEID: s.EID}
+
 	r.enter(t, s, tcsV)
 	if _, err := r.c.Read(0x100000, 4); err != nil {
 		t.Fatal(err)
 	}
-	if bad := r.m.AuditTLBs(); len(bad) != 0 {
+	if bad := r.m.AuditInvariants(); len(bad) != 0 {
 		t.Fatalf("clean state audited dirty: %v", bad)
 	}
-	// Block the page while its translation is live: the audit flags it.
-	for _, i := range r.m.EPC.PagesOf(s.EID) {
-		if e := r.m.EPC.Entry(i); e.Type == isa.PTReg {
-			if err := r.m.EBlock(i); err != nil {
-				t.Fatal(err)
-			}
-		}
+	live, _ := r.m.FindRegPage(s, 0x100000)
+	if err := r.m.EBlock(live); err != nil {
+		t.Fatal(err)
 	}
-	if bad := r.m.AuditTLBs(); len(bad) == 0 {
-		t.Fatal("stale translation not detected")
+	if bad := r.m.AuditInvariants(); len(bad) != 0 {
+		t.Fatalf("live translation of a blocked page audited dirty: %v", bad)
+	}
+	r.c.TLB.Insert(stale)
+	if bad := r.m.AuditInvariants(); len(bad) != 1 || !strings.HasPrefix(bad[0], "inv3") {
+		t.Fatalf("in enclave mode, freed-frame translation audited as %v, want one inv3", bad)
 	}
 	r.exit(t)
+	r.c.TLB.Insert(stale)
+	if bad := r.m.AuditInvariants(); len(bad) != 1 || !strings.HasPrefix(bad[0], "inv1") {
+		t.Fatalf("out of enclave mode, freed-frame translation audited as %v, want one inv1", bad)
+	}
 }
 
 // evictByHand runs EBLOCK, ETRACK with its shootdowns, and EWB on the
@@ -232,7 +251,7 @@ func TestEWBSealsIntoCallerBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.p.MapFixed(0x100000, r.m.EPC.AddrOf(page), isa.PermRW)
+	r.p.MapFixed(0x100000, sgx.EPCOf(r.m).AddrOf(page), isa.PermRW)
 	backing := &spent.Cipher[0]
 	blob := evictByHand(t, r, s, 0x101000, spent)
 	if blob != spent || &blob.Cipher[0] != backing {
@@ -245,7 +264,7 @@ func TestEWBSealsIntoCallerBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.p.MapFixed(0x101000, r.m.EPC.AddrOf(page), isa.PermRW)
+	r.p.MapFixed(0x101000, sgx.EPCOf(r.m).AddrOf(page), isa.PermRW)
 	r.enter(t, s, tcsV)
 	got, err := r.c.Read(0x101000, 4)
 	r.exit(t)
@@ -270,13 +289,13 @@ func TestTeardownForgetsPagingState(t *testing.T) {
 	last := evictByHand(t, r, s, 0x100000, nil)
 	evictByHand(t, r, s, 0x101000, nil)
 	kept := evictByHand(t, r, o, 0x200000, nil)
-	if lanes, slots := r.m.PagingStateOf(s.EID); lanes != 2 || slots != 2 {
+	if lanes, slots := sgx.PagingStateOf(r.m, s.EID); lanes != 2 || slots != 2 {
 		t.Fatalf("before teardown: %d lanes and %d slots, want 2 and 2", lanes, slots)
 	}
-	if err := r.m.DestroyEnclave(s); err != nil {
+	if err := r.k.Driver.DestroyEnclave(r.p, s); err != nil {
 		t.Fatal(err)
 	}
-	if lanes, slots := r.m.PagingStateOf(s.EID); lanes != 0 || slots != 0 {
+	if lanes, slots := sgx.PagingStateOf(r.m, s.EID); lanes != 0 || slots != 0 {
 		t.Fatalf("after teardown: %d lanes and %d slots left for enclave %d", lanes, slots, s.EID)
 	}
 	free := r.m.FreeEPCPages()
@@ -286,7 +305,7 @@ func TestTeardownForgetsPagingState(t *testing.T) {
 	if n := r.m.FreeEPCPages(); n != free {
 		t.Fatalf("refused ELDU moved the free EPC pages from %d to %d", free, n)
 	}
-	if lanes, slots := r.m.PagingStateOf(o.EID); lanes != 1 || slots != 1 {
+	if lanes, slots := sgx.PagingStateOf(r.m, o.EID); lanes != 1 || slots != 1 {
 		t.Fatalf("live enclave: %d lanes and %d slots, want 1 and 1", lanes, slots)
 	}
 	if _, err := r.m.ELDU(kept, trace.NoCore); err != nil {

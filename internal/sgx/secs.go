@@ -76,12 +76,6 @@ type NestedInfo struct {
 	InnerEIDs []isa.EID
 }
 
-// IsInner reports whether the enclave is bound to at least one outer.
-func (n *NestedInfo) IsInner() bool { return len(n.OuterEIDs) > 0 }
-
-// IsOuter reports whether any inner enclave is bound to this enclave.
-func (n *NestedInfo) IsOuter() bool { return len(n.InnerEIDs) > 0 }
-
 // hasInner reports whether eid is one of this enclave's inner enclaves.
 func (n *NestedInfo) hasInner(eid isa.EID) bool {
 	for _, e := range n.InnerEIDs {
@@ -102,14 +96,14 @@ func (n *NestedInfo) hasOuter(eid isa.EID) bool {
 	return false
 }
 
-// InELRANGE reports whether [v, v+n) lies inside the enclave's ELRANGE.
-func (s *SECS) InELRANGE(v isa.VAddr, n int) bool {
+// inELRANGE reports whether [v, v+n) lies inside the enclave's ELRANGE.
+func (s *SECS) inELRANGE(v isa.VAddr, n int) bool {
 	return v >= s.Base && uint64(v)+uint64(n) <= uint64(s.Base)+s.Size
 }
 
 // ContainsVPN reports whether the virtual page lies inside ELRANGE.
 func (s *SECS) ContainsVPN(vpn uint64) bool {
-	return s.InELRANGE(isa.VAddr(vpn<<isa.PageShift), isa.PageSize)
+	return s.inELRANGE(isa.VAddr(vpn<<isa.PageShift), isa.PageSize)
 }
 
 // TCSs returns the enclave's thread control structures.

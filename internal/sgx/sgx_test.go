@@ -2,14 +2,21 @@ package sgx_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"nestedenclave/internal/cache"
+	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/measure"
+	"nestedenclave/internal/mee"
 	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/trace"
 )
@@ -164,7 +171,7 @@ func TestEnclaveReadWriteAndTamper(t *testing.T) {
 	r.exit(t)
 
 	// Physical tamper of the EPC page is detected as #MC on next access.
-	if err := r.m.LLC.FlushAll(trace.NoPayer); err != nil {
+	if err := sgx.LLCOf(r.m).FlushAll(trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
 	pa, ok := r.p.PageTable().Translate(0x100010)
@@ -463,19 +470,220 @@ func TestNoMachineMethodHandsOutAMAC(t *testing.T) {
 	}
 }
 
+// machineInstructions is the machine's instruction set: SGX's lifecycle,
+// entry/exit, paging and attestation instructions, Table I's four nested
+// ones, and the CR3 load of the kernel's context switch.
+var machineInstructions = []string{
+	"ECreate", "EAdd", "EAug", "EInit", "ERemove", "NASSO",
+	"EEnter", "EExit", "AEX", "EResume", "NEENTER", "NEEXIT",
+	"EBlock", "ETrack", "EWB", "ELDU",
+	"EReport", "NEREPORT", "EGetKey",
+	"LoadCR3",
+}
+
+// machineNamedList is every other exported Machine method, each with the
+// reason it is exported.
+var machineNamedList = map[string]string{
+	"Core":               "the kernel, the SDK and the harnesses pick the core an instruction runs on",
+	"Cores":              "the kernel installs its page-fault handler on every core",
+	"Enclave":            "the paging daemon resolves a victim's owner from its EPCM entry",
+	"SetHostile":         "installs the untrusted platform: chaos injector, adversary engine, attack scripts",
+	"Hostile":            "the kernel asks the platform at each decision it makes",
+	"ShootdownFor":       "the effect of the shootdown IPI the kernel sends to each core ETRACK names",
+	"EvictionCandidate":  "kernel EPCM read window: the paging daemon's victim search",
+	"FindRegPage":        "kernel EPCM read window: the page an eviction or a reload names",
+	"FreeEPCPages":       "kernel EPCM read window: whether an allocation needs the paging daemon first",
+	"EPCPagesOf":         "kernel EPCM read window: the pages an enclave's teardown EREMOVEs, SECS last",
+	"EmergencyExit":      "crash containment: the machine-check cleanup of a crashed chain",
+	"ScrubTCS":           "crash containment: idles a TCS a crash stranded busy",
+	"PoisonEnclave":      "crash containment: the SDK marks an enclave whose trusted code crashed",
+	"PoisonedReason":     "crash containment: the supervisor reads why an enclave is poisoned",
+	"VerifyReport":       "report check: an enclave verifies an EREPORT addressed to it",
+	"VerifyNestedReport": "report check: an enclave verifies a NEREPORT addressed to it",
+	"NestedReportValid":  "report check: the quoting service checks a NEREPORT's MAC",
+	"AuditInvariants":    "the §VII-A invariant audit every harness runs",
+	"OuterChain":         "validator seam: a planted Figure-6 flow walks the outer closure",
+	"EPCMEntry":          "validator seam: a planted Figure-6 flow reads the EPCM",
+}
+
+// TestMachineSurface pins what untrusted code can reach on a Machine: its
+// exported methods are the instruction set plus the named list, its
+// exported fields are DRAM (the physical attacker's), the recorder, and the
+// Validator and Tracker seam, and no exported method or field of any sgx
+// type hands out the EPC allocator, an EPCM entry to write through, the LLC
+// or the MEE.
+func TestMachineSurface(t *testing.T) {
+	want := map[string]bool{}
+	for _, name := range machineInstructions {
+		want[name] = true
+	}
+	for name := range machineNamedList {
+		if want[name] {
+			t.Errorf("%s is both an instruction and on the named list", name)
+		}
+		want[name] = true
+	}
+	machine := reflect.TypeOf(&sgx.Machine{})
+	for i := 0; i < machine.NumMethod(); i++ {
+		if name := machine.Method(i).Name; !want[name] {
+			t.Errorf("Machine.%s is exported but neither an instruction nor on the named list", name)
+		}
+		delete(want, machine.Method(i).Name)
+	}
+	for name := range want {
+		t.Errorf("Machine.%s is pinned but missing", name)
+	}
+
+	wantFields := map[string]bool{"DRAM": true, "Rec": true, "Validator": true, "Tracker": true}
+	for _, f := range reflect.VisibleFields(machine.Elem()) {
+		if f.IsExported() && !wantFields[f.Name] {
+			t.Errorf("Machine field %s is exported", f.Name)
+		}
+	}
+
+	forbidden := map[reflect.Type]bool{
+		reflect.TypeFor[epc.Manager](): true, reflect.TypeFor[*epc.Manager](): true,
+		reflect.TypeFor[*epc.Entry]():  true,
+		reflect.TypeFor[cache.Cache](): true, reflect.TypeFor[*cache.Cache](): true,
+		reflect.TypeFor[mee.Engine](): true, reflect.TypeFor[*mee.Engine](): true,
+	}
+	types := []reflect.Type{
+		reflect.TypeFor[sgx.AddPageArgs](), reflect.TypeFor[sgx.BaselineTracker](),
+		reflect.TypeFor[sgx.BlobReplayError](), reflect.TypeFor[sgx.BroadcastTracker](),
+		reflect.TypeFor[sgx.Config](), reflect.TypeFor[sgx.Core](),
+		reflect.TypeFor[sgx.EvictedPage](), reflect.TypeFor[sgx.Figure6Validator](),
+		reflect.TypeFor[sgx.Honest](), reflect.TypeFor[sgx.Hostile](),
+		reflect.TypeFor[sgx.InnerAwareTracker](), reflect.TypeFor[sgx.Machine](),
+		reflect.TypeFor[sgx.NestedInfo](), reflect.TypeFor[sgx.NestedReport](),
+		reflect.TypeFor[sgx.NestingConfig](), reflect.TypeFor[sgx.Path](),
+		reflect.TypeFor[sgx.Registers](), reflect.TypeFor[sgx.Report](),
+		reflect.TypeFor[sgx.SECS](), reflect.TypeFor[sgx.SealPolicy](),
+		reflect.TypeFor[sgx.TCS](), reflect.TypeFor[sgx.Tracker](),
+		reflect.TypeFor[sgx.Validator](), reflect.TypeFor[sgx.Verdict](),
+	}
+	declared := declaredTypes(t)
+	for _, typ := range types {
+		if !declared[typ.Name()] {
+			t.Errorf("sgx.%s is listed but not declared", typ.Name())
+		}
+		delete(declared, typ.Name())
+	}
+	for name := range declared {
+		t.Errorf("exported type sgx.%s is not listed, so its surface goes unchecked", name)
+	}
+	for _, typ := range types {
+		recv := typ
+		if typ.Kind() != reflect.Interface {
+			recv = reflect.PointerTo(typ)
+		}
+		for i := 0; i < recv.NumMethod(); i++ {
+			// The receiver's own fields are checked below, once.
+			sig, seen := recv.Method(i).Type, map[reflect.Type]bool{recv: true}
+			if got := handsOut(sig, forbidden, seen); got != nil {
+				t.Errorf("%s.%s hands out a %v", typ.Name(), recv.Method(i).Name, got)
+			}
+		}
+		if typ.Kind() != reflect.Struct {
+			continue
+		}
+		for _, f := range reflect.VisibleFields(typ) {
+			if !f.IsExported() {
+				continue
+			}
+			if got := handsOut(f.Type, forbidden, map[reflect.Type]bool{}); got != nil {
+				t.Errorf("%s.%s holds a %v", typ.Name(), f.Name, got)
+			}
+		}
+	}
+}
+
+// handsOut returns the first forbidden type reachable from typ through
+// pointers, containers, function signatures, interface methods and exported
+// struct fields, or nil.
+func handsOut(typ reflect.Type, forbidden, seen map[reflect.Type]bool) reflect.Type {
+	if forbidden[typ] {
+		return typ
+	}
+	if seen[typ] {
+		return nil
+	}
+	seen[typ] = true
+	var next []reflect.Type
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+		next = append(next, typ.Elem())
+	case reflect.Map:
+		next = append(next, typ.Key(), typ.Elem())
+	case reflect.Func:
+		for i := 0; i < typ.NumIn(); i++ {
+			next = append(next, typ.In(i))
+		}
+		for i := 0; i < typ.NumOut(); i++ {
+			next = append(next, typ.Out(i))
+		}
+	case reflect.Interface:
+		for i := 0; i < typ.NumMethod(); i++ {
+			next = append(next, typ.Method(i).Type)
+		}
+	case reflect.Struct:
+		for _, f := range reflect.VisibleFields(typ) {
+			if f.IsExported() {
+				next = append(next, f.Type)
+			}
+		}
+	}
+	for _, n := range next {
+		if got := handsOut(n, forbidden, seen); got != nil {
+			return got
+		}
+	}
+	return nil
+}
+
+// declaredTypes returns the exported type names the package's non-test
+// files declare.
+func declaredTypes(t *testing.T) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	out := map[string]bool{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+				for _, spec := range gd.Specs {
+					if ts := spec.(*ast.TypeSpec); ts.Name.IsExported() {
+						out[ts.Name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
 func TestDestroyEnclaveAndEIDReuse(t *testing.T) {
 	r := newRig(t)
 	s, _ := buildEnclave(t, r.k, r.p, 0x100000, 1)
 	eid := s.EID
-	free := r.m.EPC.FreePages()
+	free := sgx.EPCOf(r.m).FreePages()
 	if err := r.k.Driver.DestroyEnclave(r.p, s); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := r.m.Enclave(eid); ok {
 		t.Fatal("destroyed enclave still resolvable")
 	}
-	if r.m.EPC.FreePages() != free+3 { // 1 data + 1 TCS + 1 SECS
-		t.Fatalf("EPC pages not reclaimed: %d -> %d", free, r.m.EPC.FreePages())
+	if sgx.EPCOf(r.m).FreePages() != free+3 { // 1 data + 1 TCS + 1 SECS
+		t.Fatalf("EPC pages not reclaimed: %d -> %d", free, sgx.EPCOf(r.m).FreePages())
 	}
 	// A fresh enclave gets a fresh EID.
 	s2, _ := buildEnclave(t, r.k, r.p, 0x100000, 1)
@@ -487,15 +695,115 @@ func TestDestroyEnclaveAndEIDReuse(t *testing.T) {
 func TestERemoveConstraints(t *testing.T) {
 	r := newRig(t)
 	s, _ := buildEnclave(t, r.k, r.p, 0x300000, 1)
-	pages := r.m.EPC.PagesOf(s.EID)
+	pages := sgx.EPCOf(r.m).PagesOf(s.EID)
 	var secsPage = -1
 	for _, p := range pages {
-		if r.m.EPC.Entry(p).Type == isa.PTSECS {
+		if sgx.EPCOf(r.m).Entry(p).Type == isa.PTSECS {
 			secsPage = p
 		}
 	}
 	if err := r.m.ERemove(secsPage); err == nil {
 		t.Fatal("SECS removed while enclave pages remain")
+	}
+}
+
+// TestERemoveRefusesLivePage: enclave A runs on core 0 and has read its
+// data page. EREMOVE of the page is refused while core 0's TLB maps it, and
+// still after a shootdown empties that TLB, since core 0 runs A and its next
+// walk would map the frame again. An ECREATE then cannot take the frame, so
+// A reads its own bytes; once A exits the page goes. An EREMOVE that looked
+// at no core let the ECREATE take the frame (the EPC free list is LIFO), and
+// A's next read reached the new enclave's page.
+func TestERemoveRefusesLivePage(t *testing.T) {
+	r := newRig(t)
+	a, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	page, _ := r.m.FindRegPage(a, 0x100000)
+	r.enter(t, a, tcsV)
+	if _, err := r.c.Read(0x100000, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.ERemove(page); !isa.IsFault(err, isa.FaultGP) {
+		t.Fatalf("EREMOVE of a page core 0 maps: %v, want #GP", err)
+	}
+	r.m.ShootdownFor(r.c, a.EID)
+	if err := r.m.ERemove(page); !isa.IsFault(err, isa.FaultGP) {
+		t.Fatalf("EREMOVE of a page of the enclave core 0 runs: %v, want #GP", err)
+	}
+	if _, err := r.k.Driver.CreateEnclave(0x300000, 2*isa.PageSize, 0); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.c.Read(0x100000, 8)
+	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0x5a}, 8)) {
+		t.Fatalf("A's page after the refused EREMOVE reads %x, %v", got, err)
+	}
+	if bad := r.m.AuditInvariants(); len(bad) != 0 {
+		t.Fatalf("audit: %v", bad)
+	}
+	r.exit(t)
+	if err := r.m.ERemove(page); err != nil {
+		t.Fatalf("EREMOVE once A exited: %v", err)
+	}
+}
+
+// TestERemoveRefusesOuterPageUnderDirectInner: an inner enclave entered
+// directly with EENTER, so no outer frame is live on its core, reads its
+// outer's page through the Figure-6 outer branch. EREMOVE of that outer page
+// is refused while the core's TLB maps it, and after a shootdown too, since
+// the core runs an inner of the page's owner. A check that asked only
+// whether a core runs the owner would let the page go.
+func TestERemoveRefusesOuterPageUnderDirectInner(t *testing.T) {
+	r := newRig(t)
+	outer, _ := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	inner, innerTCSV := buildEnclave(t, r.k, r.p, 0x200000, 1)
+	sgx.Link(r.m, inner, outer)
+	page, _ := r.m.FindRegPage(outer, 0x100000)
+	r.enter(t, inner, innerTCSV)
+	if _, err := r.c.Read(0x100000, 8); err != nil {
+		t.Fatalf("inner read of its outer's page: %v", err)
+	}
+	if err := r.m.ERemove(page); !isa.IsFault(err, isa.FaultGP) {
+		t.Fatalf("EREMOVE of an outer page the inner maps: %v, want #GP", err)
+	}
+	r.m.ShootdownFor(r.c, outer.EID)
+	if err := r.m.ERemove(page); !isa.IsFault(err, isa.FaultGP) {
+		t.Fatalf("EREMOVE of an outer page under a running inner: %v, want #GP", err)
+	}
+	r.exit(t)
+	if err := r.m.ERemove(page); err != nil {
+		t.Fatalf("EREMOVE once the inner exited: %v", err)
+	}
+}
+
+// TestLoadCR3RefusedInEnclaveMode: the CR3 load is refused while the core
+// runs an enclave and, out of enclave mode, installs the address space and
+// flushes the TLB.
+func TestLoadCR3RefusedInEnclaveMode(t *testing.T) {
+	r := newRig(t)
+	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	other := r.k.NewProcess()
+	r.enter(t, s, tcsV)
+	if err := r.m.LoadCR3(r.c, other.PageTable()); !isa.IsFault(err, isa.FaultGP) {
+		t.Fatalf("CR3 load in enclave mode: %v, want #GP", err)
+	}
+	if r.c.PT != r.p.PageTable() {
+		t.Fatal("refused CR3 load switched the address space")
+	}
+	if _, err := r.c.Read(0x100000, 8); err != nil {
+		t.Fatal(err)
+	}
+	r.exit(t)
+	buf, err := r.p.Mmap(isa.PageSize, isa.PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.c.Read(buf, 8); err != nil || len(r.c.TLB.Entries()) == 0 {
+		t.Fatalf("host read: %v, TLB entries %d", err, len(r.c.TLB.Entries()))
+	}
+	if err := r.m.LoadCR3(r.c, other.PageTable()); err != nil {
+		t.Fatal(err)
+	}
+	if r.c.PT != other.PageTable() || len(r.c.TLB.Entries()) != 0 {
+		t.Fatal("CR3 load did not install the address space and flush the TLB")
 	}
 }
 

@@ -2,6 +2,7 @@ package sgx
 
 import (
 	"nestedenclave/internal/isa"
+	"nestedenclave/internal/pt"
 	"nestedenclave/internal/trace"
 )
 
@@ -238,22 +239,19 @@ func (m *Machine) NEEXIT(c *Core) error {
 	return nil
 }
 
-// Atomically runs f with the machine lock held, serializing it against all
-// memory accesses and instructions. The kernel's scheduler installs a core's
-// address space inside it (kos.Kernel.Schedule).
-func (m *Machine) Atomically(f func() error) error {
+// LoadCR3 installs the address space p on core c, as the kernel's context
+// switch does (MOV to CR3), and flushes the core's TLB. It is refused in
+// enclave mode. It runs under the machine lock, because EWB reads every
+// core's TLB under it.
+func (m *Machine) LoadCR3(c *Core, p *pt.Table) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return f()
-}
-
-// RetFrameEID returns the EID of the suspended outer enclave saved in the
-// TCS, or NoEnclave.
-func (t *TCS) RetFrameEID() isa.EID {
-	if t.ret == nil {
-		return isa.NoEnclave
+	if c.inEnclave {
+		return isa.GP("CR3 load on core %d in enclave mode", c.ID)
 	}
-	return t.ret.secs.EID
+	c.PT = p
+	c.TLB.FlushAll()
+	return nil
 }
 
 // retChainEIDs walks the suspended-frame chain from t outward.

@@ -72,7 +72,7 @@ func (Figure6Validator) Validate(c *Core, v isa.VAddr, pte pt.PTE, op isa.Access
 	// (B) Enclave mode, physical page inside PRM: the EPCM entry decides.
 	steps++
 	if m.DRAM.PageInPRM(paddr) {
-		ent, ok := m.EPC.EntryAt(paddr)
+		ent, ok := m.epc.EntryAt(paddr)
 		steps++
 		if !ok || !ent.Valid {
 			return abortVerdict()

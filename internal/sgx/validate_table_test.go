@@ -40,9 +40,9 @@ func TestBaselineValidateTable(t *testing.T) {
 
 	// Physical frames of interest.
 	frameOf := func(s *sgx.SECS, v isa.VAddr) uint64 {
-		for _, i := range m.EPC.PagesOf(s.EID) {
-			if ent := m.EPC.Entry(i); ent.Vaddr == v {
-				return uint64(m.EPC.AddrOf(i)) >> isa.PageShift
+		for _, i := range sgx.EPCOf(m).PagesOf(s.EID) {
+			if ent := sgx.EPCOf(m).Entry(i); ent.Vaddr == v {
+				return uint64(sgx.EPCOf(m).AddrOf(i)) >> isa.PageShift
 			}
 		}
 		t.Fatalf("no EPC page at %#x", uint64(v))
@@ -56,13 +56,13 @@ func TestBaselineValidateTable(t *testing.T) {
 	var freeEPC uint64
 	used := map[int]bool{}
 	for _, s := range []*sgx.SECS{sA, sB} {
-		for _, i := range m.EPC.PagesOf(s.EID) {
+		for _, i := range sgx.EPCOf(m).PagesOf(s.EID) {
 			used[i] = true
 		}
 	}
 	for i := 0; ; i++ {
 		if !used[i] {
-			freeEPC = uint64(m.EPC.AddrOf(i)) >> isa.PageShift
+			freeEPC = uint64(sgx.EPCOf(m).AddrOf(i)) >> isa.PageShift
 			break
 		}
 	}
@@ -123,8 +123,8 @@ func TestBaselineValidateTable(t *testing.T) {
 	// blocking B's page turns the foreign-owner abort into #PF (the blocked
 	// check precedes the owner check, giving the kernel a fault to repair).
 	var bIdx = -1
-	for _, i := range m.EPC.PagesOf(sB.EID) {
-		if ent := m.EPC.Entry(i); ent.Vaddr == baseB && ent.Type == isa.PTReg {
+	for _, i := range sgx.EPCOf(m).PagesOf(sB.EID) {
+		if ent := sgx.EPCOf(m).Entry(i); ent.Vaddr == baseB && ent.Type == isa.PTReg {
 			bIdx = i
 		}
 	}

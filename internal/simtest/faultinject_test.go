@@ -46,7 +46,7 @@ func (flippedOuterELRANGE) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa
 	}
 	s := c.Current()
 	if m.DRAM.PageInPRM(paddr) {
-		ent, ok := m.EPC.EntryAt(paddr)
+		ent, ok := m.EPCMEntry(paddr)
 		if !ok || !ent.Valid {
 			return sgxAbort()
 		}
@@ -229,8 +229,8 @@ func TestSkipShootdownEWBDenied(t *testing.T) {
 	}
 	m := r.Machine()
 	blocked := false
-	for _, i := range m.EPC.PagesOf(r.Slot(0).EID) {
-		if ent := m.EPC.Entry(i); ent.Vaddr == dataVaddr(0, 0) && ent.Type == isa.PTReg {
+	for _, i := range m.EPCPagesOf(r.Slot(0).EID) {
+		if ent, _ := m.EPCMEntry(r.epcAddr(i)); ent.Vaddr == dataVaddr(0, 0) && ent.Type == isa.PTReg {
 			blocked = ent.Blocked
 		}
 	}
@@ -288,8 +288,8 @@ func TestInnerAwareTrackingRequired(t *testing.T) {
 	// (insufficient) tracked set, attempt EWB. The conservative EWB audit
 	// must refuse rather than evict under core 1's live translation.
 	var pageIdx = -1
-	for _, i := range m.EPC.PagesOf(outer.EID) {
-		if ent := m.EPC.Entry(i); ent.Type == isa.PTReg && ent.Vaddr == dataVaddr(0, 0) {
+	for _, i := range m.EPCPagesOf(outer.EID) {
+		if ent, _ := m.EPCMEntry(r.epcAddr(i)); ent.Type == isa.PTReg && ent.Vaddr == dataVaddr(0, 0) {
 			pageIdx = i
 		}
 	}
@@ -320,7 +320,8 @@ func TestStaleTLBInjectionCaughtByAudit(t *testing.T) {
 		t.Fatalf("clean state fails audit: %v", err)
 	}
 	m := r.Machine()
-	secsPA := m.EPC.AddrOf(m.EPC.PagesOf(r.Slot(0).EID)[0])
+	pages := m.EPCPagesOf(r.Slot(0).EID)
+	secsPA := r.epcAddr(pages[len(pages)-1])
 	m.Core(0).TLB.Insert(tlb.Entry{VPN: unsecVBase.VPN(), PPN: secsPA.PPN(), Perms: isa.PermRW})
 	if err := r.AuditInvariants(); err == nil {
 		t.Fatalf("audit missed an injected stale PRM translation")
@@ -370,9 +371,9 @@ func TestForcedEPCMMismatchAborts(t *testing.T) {
 	}
 	m := r.Machine()
 	var victimPA isa.PAddr
-	for _, i := range m.EPC.PagesOf(r.Slot(1).EID) {
-		if ent := m.EPC.Entry(i); ent.Type == isa.PTReg && ent.Vaddr == dataVaddr(1, 0) {
-			victimPA = m.EPC.AddrOf(i)
+	for _, i := range m.EPCPagesOf(r.Slot(1).EID) {
+		if ent, _ := m.EPCMEntry(r.epcAddr(i)); ent.Type == isa.PTReg && ent.Vaddr == dataVaddr(1, 0) {
+			victimPA = r.epcAddr(i)
 		}
 	}
 	r.pt.Map(dataVaddr(0, 0), victimPA, isa.PermRW)

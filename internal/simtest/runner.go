@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"nestedenclave/internal/cache"
+	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/model"
@@ -157,7 +158,9 @@ func NewRunner(maxDepth int, multiOuter bool) *Runner {
 		stale: make(map[isa.VAddr]*sgx.EvictedPage),
 	}
 	for _, c := range m.Cores() {
-		c.PT = r.pt
+		if err := m.LoadCR3(c, r.pt); err != nil {
+			panic(err) // a fresh machine runs no enclave
+		}
 	}
 	for i := 0; i < unsecPages; i++ {
 		r.pt.Map(unsecVBase+isa.VAddr(i)*isa.PageSize, unsecPBase+isa.PAddr(i)*isa.PageSize, unsecPerms[i])
@@ -375,7 +378,7 @@ func (r *Runner) buildSlot(slot int) error {
 	if err != nil {
 		return fmt.Errorf("build slot%d: ECREATE: %v", slot, err)
 	}
-	secsPages := r.m.EPC.PagesOf(s.EID)
+	secsPages := r.m.EPCPagesOf(s.EID)
 	if len(secsPages) != 1 {
 		return fmt.Errorf("build slot%d: fresh enclave owns %d pages, want 1 (SECS)", slot, len(secsPages))
 	}
@@ -401,7 +404,7 @@ func (r *Runner) buildSlot(slot int) error {
 		}
 		// The PTE grants RW even on the read-only page, so the effective
 		// permission comes from the EPCM intersection — the branch under test.
-		r.pt.Map(va, r.m.EPC.AddrOf(page), isa.PermRW)
+		r.pt.Map(va, r.epcAddr(page), isa.PermRW)
 	}
 	for k := 0; k < numTCS; k++ {
 		va := tcsVaddr(slot, k)
@@ -412,7 +415,7 @@ func (r *Runner) buildSlot(slot int) error {
 		if got := r.o.EAdd(eid, page, uint64(va), isa.PTTCS, 0); got != model.VOK {
 			return fmt.Errorf("build slot%d: oracle rejects EAdd tcs%d: %v", slot, k, got)
 		}
-		r.pt.Map(va, r.m.EPC.AddrOf(page), isa.PermR)
+		r.pt.Map(va, r.epcAddr(page), isa.PermR)
 	}
 	if err := r.m.EInit(s, r.certs[slot]); err != nil {
 		return fmt.Errorf("build slot%d: EINIT: %v", slot, err)
@@ -437,12 +440,17 @@ func (r *Runner) framePool() []isa.PAddr {
 		if r.slots[slot].secs == nil {
 			continue
 		}
-		for _, p := range r.m.EPC.PagesOf(r.slots[slot].eid) {
-			out = append(out, r.m.EPC.AddrOf(p))
+		pages := r.m.EPCPagesOf(r.slots[slot].eid)
+		slices.Sort(pages) // EPC order, SECS included
+		for _, p := range pages {
+			out = append(out, r.epcAddr(p))
 		}
 	}
 	return out
 }
+
+// epcAddr returns the physical address of EPC page i.
+func (r *Runner) epcAddr(i int) isa.PAddr { return epc.PageAddr(r.m.DRAM.Layout(), i) }
 
 // accessAddr resolves an access op's target: pool entry A at an 8-byte-safe
 // offset derived from B.
@@ -564,7 +572,7 @@ func (r *Runner) evict(slot int, op Op) error {
 		}
 		r.stale[target] = blob // consumed: exactly what a replaying kernel would hoard
 		delete(r.blobs, target)
-		r.pt.Map(target, r.m.EPC.AddrOf(page), isa.PermRW)
+		r.pt.Map(target, r.epcAddr(page), isa.PermRW)
 		return nil
 	}
 

@@ -3,8 +3,9 @@
 # DESIGN.md "Static analysis"), the race detector (the observability
 # layer's concurrent ring buffer and histograms are exercised under -race, as
 # is the cross-core eviction/shootdown test in internal/core), the
-# depth-6 exhaustive-exploration smoke, and the benchmark/ module's smoke
-# test (`benchmark-smoke`); tier3 is the differential
+# depth-6 exhaustive-exploration smoke, the benchmark/ module's smoke
+# test (`benchmark-smoke`), and one run of every command and example
+# (`cli-smoke`); tier3 is the differential
 # model-checking pass: 5000 randomized schedules against the reference
 # oracle, the full depth-8 exhaustive enumeration (`make modelcheck`), a
 # short native-fuzz smoke over every Fuzz target in the module (see
@@ -20,7 +21,7 @@ CHAOS_OPS ?= 2000
 
 ADVERSARY_SEED ?= 0xad5eed
 
-.PHONY: all build tier1 vet lint fmt-check race tier2 tier3 fuzz-smoke chaos chaos-smoke adversary adversary-smoke modelcheck modelcheck-smoke perf-gate baselines bench benchmark-smoke clean
+.PHONY: all build tier1 vet lint fmt-check race tier2 tier3 fuzz-smoke chaos chaos-smoke adversary adversary-smoke modelcheck modelcheck-smoke perf-gate baselines bench benchmark-smoke cli-smoke clean
 
 all: tier1
 
@@ -51,8 +52,31 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-tier2: vet fmt-check lint perf-gate modelcheck-smoke adversary-smoke bench benchmark-smoke
+tier2: vet fmt-check lint perf-gate modelcheck-smoke adversary-smoke bench benchmark-smoke cli-smoke
 	$(GO) test -race ./...
+
+# cli-smoke builds every program under cmd/ and examples/ into a temporary
+# directory and runs each once: the nesclave subcommands, repro's list and
+# its fast tables, heartbleed and the four examples. No Go test runs them. It
+# fails on a non-zero exit, or when the trace, folded-stack or flame file it
+# asks for is empty.
+cli-smoke:
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./cmd/... ./examples/...; \
+	run() { \
+		echo "cli-smoke: $$*"; bin="$$1"; shift; \
+		"$$dir/$$bin" "$$@" >"$$dir/log" 2>&1 || { cat "$$dir/log"; echo "cli-smoke: $$bin $$* failed"; exit 1; }; \
+	}; \
+	run nesclave info; run nesclave demo; run nesclave selftest; \
+	run nesclave stats; run nesclave stats -prom; run nesclave trace -o "$$dir/T.json"; \
+	run nesclave profile -queries 50 -folded "$$dir/F.txt" -o "$$dir/G.json"; \
+	run repro -list; run repro -only table3,table4,table5; \
+	run heartbleed; \
+	for ex in confinement fastchannel mlservice quickstart; do run "$$ex"; done; \
+	for f in T.json F.txt G.json; do \
+		[ -s "$$dir/$$f" ] || { echo "cli-smoke: $$f is empty"; exit 1; }; \
+	done; \
+	echo "cli-smoke: ok"
 
 # benchmark-smoke vets and tests the nested benchmark/ module, which
 # `go test ./...` skips: its TestWorkloads runs every workload briefly and

@@ -5,8 +5,8 @@
 //	nesclave selftest          # execute the Table VII attacks and report outcomes
 //	nesclave stats             # run the demo workload, print per-enclave counters
 //	nesclave trace [-o f.json] # run the demo workload, emit Chrome trace JSON
-//	nesclave profile           # profile the nested SQL service: call tree,
-//	                           # folded stacks, flame JSON
+//	nesclave profile           # profile the nested SQL service: call tree
+//	                           # with self cycles, folded stacks, flame JSON
 //
 // The trace output loads directly in chrome://tracing or
 // https://ui.perfetto.dev: each enclave appears as a process lane (pid = EID)
@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +30,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: nesclave <info|demo|selftest|stats|trace|profile> [args]")
 	fmt.Fprintln(os.Stderr, "  stats flags:   -n ITERS, -prom (Prometheus text exposition)")
 	fmt.Fprintln(os.Stderr, "  trace flags:   -o FILE (default stdout), -n ITERS, -log N (ring capacity)")
-	fmt.Fprintln(os.Stderr, "  profile flags: -queries N, -interval CYC, -folded FILE, -o FILE (flame JSON)")
+	fmt.Fprintln(os.Stderr, "  profile flags: -queries N, -folded FILE, -o FILE (flame JSON)")
 	os.Exit(2)
 }
 
@@ -252,32 +253,32 @@ func traceCmd(args []string) error {
 	return nil
 }
 
-// profileCmd runs the nested SQL service under span tracing and the
-// simulated-cycle sampling profiler, printing the causal call tree. The
-// folded-stack profile (flamegraph.pl input) and a Chrome trace_event flame
-// view are written on request.
+// profileCmd runs the nested SQL service under span tracing and prints the
+// causal call tree with inclusive and self cycles. The tree's self cycles as
+// folded stacks (flamegraph.pl input) and a Chrome trace_event flame view of
+// the spans are written on request.
 func profileCmd(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	queries := fs.Int("queries", 300, "deterministic YCSB-like queries to run")
-	interval := fs.Int64("interval", 2000, "profiler sampling interval (simulated cycles)")
-	folded := fs.String("folded", "", "write folded-stack profile to FILE (flamegraph.pl input)")
+	folded := fs.String("folded", "", "write folded stacks of self cycles to FILE (flamegraph.pl input)")
 	out := fs.String("o", "", "write Chrome trace_event flame JSON to FILE")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := bench.ProfileSQLService(bench.ProfileConfig{
-		Queries:  *queries,
-		Interval: *interval,
-	})
+	p, err := bench.ProfileSQLService(bench.ProfileConfig{Queries: *queries})
 	if err != nil {
 		return err
 	}
 	fmt.Print(p.RenderTree())
 	if *folded != "" {
-		if err := os.WriteFile(*folded, []byte(p.RenderFolded()), 0o644); err != nil {
+		var b bytes.Buffer
+		if err := trace.WriteFolded(&b, p.Tree); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d folded stacks to %s\n", len(p.Folded), *folded)
+		if err := os.WriteFile(*folded, b.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %d folded stacks to %s\n", bytes.Count(b.Bytes(), []byte("\n")), *folded)
 	}
 	if *out != "" {
 		b, err := trace.SpansToChrome(p.Spans, trace.CyclesPerUS)

@@ -8,10 +8,10 @@ import (
 // SpanPair guards the causal-tracing invariant behind the span layer: a span
 // opened with Recorder.BeginSpan, or an op opened with Recorder.BeginOp, must
 // be closed. An unclosed span stays on its core's stack forever — every
-// later event on that core is stamped with it, the profiler keeps sampling
-// it, and AggregateSpans inflates its inclusive cycles — so a single leak
-// quietly corrupts the whole call tree. An unclosed op also loses its
-// latency-histogram sample.
+// later event on that core is stamped with it, and the spans opened under
+// it name a parent that never reaches the ring, so AggregateSpans roots
+// them at the top level — so a single leak quietly corrupts the whole call
+// tree. An unclosed op also loses its latency-histogram sample.
 //
 // The check is intraprocedural over the packages that open spans on hot
 // simulator paths (sdk, sgx, switchless). A BeginSpan/BeginOp result

@@ -174,6 +174,25 @@ func streamQPS(lat []time.Duration) float64 {
 	return float64(len(lat)) / sum.Seconds()
 }
 
+// variantName names a build in error messages.
+func variantName(nested bool) string {
+	if nested {
+		return "nested"
+	}
+	return "monolithic"
+}
+
+// byteSize formats a byte count in the largest unit that divides it.
+func byteSize(n int) string {
+	switch {
+	case n >= 1<<20 && n%(1<<20) == 0:
+		return fmt.Sprintf("%dMB", n>>20)
+	case n >= 1<<10 && n%(1<<10) == 0:
+		return fmt.Sprintf("%dKB", n>>10)
+	}
+	return fmt.Sprintf("%dB", n)
+}
+
 // f2, f3 format floats compactly.
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
 func f3(x float64) string { return fmt.Sprintf("%.3f", x) }

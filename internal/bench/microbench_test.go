@@ -135,7 +135,7 @@ func BenchmarkPageWalk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.TLB.FlushVPN(uint64(uv) >> isa.PageShift)
+		r.M.INVLPG(c, uv)
 		if err := c.ReadInto(uv, dst); err != nil {
 			b.Fatal(err)
 		}

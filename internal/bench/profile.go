@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nestedenclave/internal/sdk"
@@ -11,20 +10,16 @@ import (
 
 // This file is the profiling workload behind `nesclave profile` and the
 // repro harness's "sqlservice" experiment: the nested SQL service of §VI-B
-// driven by a fixed, deterministic query stream with span tracing and the
-// simulated-cycle sampling profiler enabled. Unlike the Table VI throughput
-// runs, the client enclave stages every query through its trusted heap, so
-// each call exercises the full memory path — TLB refills after the
-// transition flushes, page walks, LLC/MEE traffic — and the resulting call
-// tree carries walk spans worth gating on.
+// driven by a fixed, deterministic query stream with span tracing enabled.
+// Unlike the Table VI throughput runs, the client enclave stages every
+// query through its trusted heap, so each call exercises the full memory
+// path — TLB refills after the transition flushes, page walks, LLC/MEE
+// traffic — and the resulting call tree carries walk spans worth gating on.
 
 // ProfileConfig tunes a profiling run. The zero value is ready.
 type ProfileConfig struct {
 	// Queries is the number of deterministic YCSB-like queries (0 → 200).
 	Queries int
-	// Interval is the profiler's sampling interval in simulated cycles
-	// (0 → 2000, a few samples per ecall round trip).
-	Interval int64
 }
 
 // profileLogCap sizes the profiling run's event log and span ring. It must
@@ -37,14 +32,11 @@ type ProfileResult struct {
 	Queries int
 	// Cycles is the rig's total simulated cycles.
 	Cycles int64
-	// Interval is the sampling interval used.
-	Interval int64
 	// Spans are the completed spans in completion order.
 	Spans []trace.Span
-	// Tree is the name-aggregated call tree over Spans.
+	// Tree is the name-aggregated call tree over Spans; trace.WriteFolded
+	// exports it as folded stacks.
 	Tree *trace.SpanNode
-	// Folded is the sampling profile (folded stack → samples).
-	Folded map[string]int64
 	// Hists are the flat PR-1 latency histograms, keyed by op name.
 	Hists map[string]trace.HistSnapshot
 	// Counters are the flat event counters, keyed by event name.
@@ -104,14 +96,11 @@ func stage(env *sdk.Env, b []byte, minLen int) ([]byte, error) {
 	return out, nil
 }
 
-// ProfileSQLService runs the profiling workload and returns the call tree,
-// the folded-stack profile, the histograms, and the flat counters.
+// ProfileSQLService runs the profiling workload and returns the spans, their
+// call tree, the histograms, and the flat counters.
 func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 	if cfg.Queries <= 0 {
 		cfg.Queries = 200
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2000
 	}
 	r, err := NewRig(SmallMachine())
 	if err != nil {
@@ -119,7 +108,6 @@ func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 	}
 	rec := r.M.Rec
 	rec.EnableObservation(profileLogCap)
-	rec.EnableProfiler(cfg.Interval)
 
 	s, err := BuildSQLService(r, true, true)
 	if err != nil {
@@ -140,9 +128,7 @@ func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 	res := &ProfileResult{
 		Queries:  cfg.Queries,
 		Cycles:   rec.Cycles(),
-		Interval: cfg.Interval,
 		Spans:    rec.Spans(),
-		Folded:   rec.FoldedStacks(),
 		Hists:    rec.HistSnapshots(),
 		Counters: rec.Snapshot(),
 	}
@@ -154,8 +140,8 @@ func ProfileSQLService(cfg ProfileConfig) (*ProfileResult, error) {
 	return res, nil
 }
 
-// RenderTree formats the call tree with per-node counts, inclusive cycles,
-// and the share of total root cycles.
+// RenderTree formats the call tree with per-node counts, inclusive and self
+// cycles, and the inclusive share of total root cycles.
 func (p *ProfileResult) RenderTree() string {
 	var total int64
 	for _, c := range p.Tree.Children {
@@ -164,33 +150,14 @@ func (p *ProfileResult) RenderTree() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "call tree (%d spans, %d queries, %d total root cycles):\n",
 		len(p.Spans), p.Queries, total)
-	fmt.Fprintf(&b, "  %-42s %10s %14s %7s\n", "span", "count", "cycles", "%root")
-	p.Tree.Walk(func(depth int, n *trace.SpanNode) {
-		name := strings.Repeat("  ", depth) + n.Name
+	fmt.Fprintf(&b, "  %-42s %10s %14s %14s %7s\n", "span", "count", "cycles", "self", "%root")
+	p.Tree.Walk(func(path []string, n *trace.SpanNode) {
+		name := strings.Repeat("  ", len(path)-1) + n.Name
 		share := 0.0
 		if total > 0 {
 			share = 100 * float64(n.Cycles) / float64(total)
 		}
-		fmt.Fprintf(&b, "  %-42s %10d %14d %6.1f%%\n", name, n.Count, n.Cycles, share)
+		fmt.Fprintf(&b, "  %-42s %10d %14d %14d %6.1f%%\n", name, n.Count, n.Cycles, n.Self, share)
 	})
-	return b.String()
-}
-
-// RenderFolded formats the sampling profile sorted by descending samples.
-func (p *ProfileResult) RenderFolded() string {
-	keys := make([]string, 0, len(p.Folded))
-	for k := range p.Folded {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if p.Folded[keys[i]] != p.Folded[keys[j]] {
-			return p.Folded[keys[i]] > p.Folded[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s %d\n", k, p.Folded[k])
-	}
 	return b.String()
 }

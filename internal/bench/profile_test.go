@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -44,30 +47,53 @@ func TestProfileTreeShape(t *testing.T) {
 	}
 }
 
-// TestProfileFoldedStacks verifies the sampling profiler saw the real stack
-// shapes: samples exist for both the root-only and the nested stack, and no
-// stack names an operation the workload never ran.
+// TestProfileFoldedStacks verifies the folded export of the call tree: the
+// root-only and the nested stack both carry self cycles, no stack names an
+// operation the workload never ran, and the lines sum to the tree's total
+// root cycles.
 func TestProfileFoldedStacks(t *testing.T) {
-	p, err := ProfileSQLService(ProfileConfig{Queries: 100, Interval: 1000})
+	p, err := ProfileSQLService(ProfileConfig{Queries: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Folded["ecall:query"] == 0 {
-		t.Error("no samples landed in the root-only ecall:query stack")
+	var buf bytes.Buffer
+	if err := trace.WriteFolded(&buf, p.Tree); err != nil {
+		t.Fatal(err)
 	}
-	if p.Folded["ecall:query;n_ocall:sql_exec"] == 0 {
-		t.Error("no samples landed in the nested ecall;n_ocall stack")
+	folded := map[string]int64{}
+	var sum int64
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		stack, n, ok := strings.Cut(line, " ")
+		v, err := strconv.ParseInt(n, 10, 64)
+		if !ok || err != nil || v <= 0 {
+			t.Fatalf("malformed folded line %q", line)
+		}
+		folded[stack] = v
+		sum += v
+	}
+	if folded["ecall:query"] == 0 {
+		t.Error("no self cycles in the root-only ecall:query stack")
+	}
+	if folded["ecall:query;n_ocall:sql_exec"] == 0 {
+		t.Error("no self cycles in the nested ecall;n_ocall stack")
 	}
 	valid := map[string]bool{
 		"ecall:query": true, "n_ocall:sql_exec": true, "page_walk": true,
 		"ewb": true, "eld": true,
 	}
-	for stack := range p.Folded {
+	for stack := range folded {
 		for _, frame := range strings.Split(stack, ";") {
 			if !valid[frame] {
 				t.Errorf("folded stack %q contains frame %q the workload never opened", stack, frame)
 			}
 		}
+	}
+	var root int64
+	for _, c := range p.Tree.Children {
+		root += c.Cycles
+	}
+	if sum != root {
+		t.Errorf("folded stacks sum to %d cycles, the tree's roots to %d", sum, root)
 	}
 }
 
@@ -126,8 +152,8 @@ func TestChaosInjectionAnnotatesSpan(t *testing.T) {
 }
 
 // TestProfileDeterministic pins the committed-baseline premise end to end:
-// two full profiling runs produce identical cycle totals, histograms, and
-// folded profiles.
+// two full profiling runs produce identical cycle totals, spans and call
+// trees.
 func TestProfileDeterministic(t *testing.T) {
 	run := func() *ProfileResult {
 		p, err := ProfileSQLService(ProfileConfig{Queries: 60})
@@ -140,12 +166,10 @@ func TestProfileDeterministic(t *testing.T) {
 	if a.Cycles != b.Cycles {
 		t.Fatalf("cycle totals diverged: %d vs %d", a.Cycles, b.Cycles)
 	}
-	if len(a.Spans) != len(b.Spans) {
-		t.Fatalf("span counts diverged: %d vs %d", len(a.Spans), len(b.Spans))
+	if !reflect.DeepEqual(a.Spans, b.Spans) {
+		t.Fatalf("spans diverged: %d vs %d", len(a.Spans), len(b.Spans))
 	}
-	for k, v := range a.Folded {
-		if b.Folded[k] != v {
-			t.Errorf("folded stack %q diverged: %d vs %d", k, v, b.Folded[k])
-		}
+	if !reflect.DeepEqual(a.Tree, b.Tree) {
+		t.Errorf("call trees diverged:\n%s\nvs\n%s", a.RenderTree(), b.RenderTree())
 	}
 }

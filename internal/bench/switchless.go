@@ -153,7 +153,7 @@ func measureNestedWalkAllocs(r *Rig, inner *sdk.Enclave, n int) (float64, error)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for i := from; i < to; i++ {
-			c.TLB.FlushVPN(uint64(uv) >> isa.PageShift)
+			r.M.INVLPG(c, uv)
 			if err := c.ReadInto(uv, dst); err != nil {
 				return 0, err
 			}

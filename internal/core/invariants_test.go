@@ -11,6 +11,7 @@ import (
 	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/measure"
+	"nestedenclave/internal/pt"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
 	"nestedenclave/internal/tlb"
@@ -163,6 +164,21 @@ func TestSecurityInvariantsUnderRandomOperations(t *testing.T) {
 	}
 }
 
+// plantingValidator is the installed flow except at one virtual page, where
+// it approves entry as it is: the seam through which a test puts into a TLB
+// a translation the flow would never produce.
+type plantingValidator struct {
+	sgx.Validator
+	entry tlb.Entry
+}
+
+func (p plantingValidator) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, sgx.Verdict) {
+	if v.VPN() == p.entry.VPN {
+		return p.entry, sgx.Verdict{}
+	}
+	return p.Validator.Validate(c, v, pte, op)
+}
+
 // TestAuditIsNestedAware runs the machine's audit while an inner enclave,
 // entered by NECall, is on the core. The inner's legitimate translation of
 // its outer's heap (Figure 6 path C) must audit clean; a planted entry that
@@ -179,7 +195,14 @@ func TestAuditIsNestedAware(t *testing.T) {
 			return nil, err
 		}
 		clean = r.m.AuditInvariants()
-		env.C.TLB.Insert(tlb.Entry{VPN: outerImg.Base.VPN(), PPN: innerPA.PPN(), Perms: isa.PermRW})
+		prev := r.m.Validator
+		r.m.Validator = plantingValidator{prev, tlb.Entry{VPN: outerImg.Base.VPN(), PPN: innerPA.PPN(), Perms: isa.PermRW}}
+		r.m.INVLPG(env.C, outerImg.Base)
+		_, err := env.Read(outerImg.Base, 8)
+		r.m.Validator = prev
+		if err != nil {
+			return nil, err
+		}
 		planted = r.m.AuditInvariants()
 		return nil, nil
 	})

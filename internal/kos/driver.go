@@ -257,7 +257,7 @@ func (d *Driver) reloadIfEvicted(c *sgx.Core, f *isa.Fault) bool {
 	defer d.pager.Unlock()
 	m := d.k.m
 	vpage := f.Addr.PageBase()
-	key := evictKey{as: c.PT, vaddr: vpage}
+	key := evictKey{as: c.AddressSpace(), vaddr: vpage}
 	blob, ok := d.evicted[key]
 	if !ok {
 		return false

@@ -101,7 +101,7 @@ func (h *Host) Switchless() *switchless.Engine {
 // and propagates the error through the calling ecall.
 func (h *Host) acquireCore() (*sgx.Core, error) {
 	c := <-h.cores
-	if c.PT != h.Proc.PageTable() {
+	if c.AddressSpace() != h.Proc.PageTable() {
 		// Context switch: new CR3, TLB flush.
 		if err := h.K.Schedule(c, h.Proc); err != nil {
 			h.cores <- c

@@ -20,7 +20,7 @@ const maxFaultRetries = 4
 // different cores proceed in parallel while mutating instructions hold the
 // write lock.
 func (c *Core) translateLocked(v isa.VAddr, op isa.Access) (pa isa.PAddr, abort bool, err error) {
-	if e, ok := c.TLB.Lookup(v); ok && e.Perms.Allows(op) {
+	if e, ok := c.tlb.Lookup(v); ok && e.Perms.Allows(op) {
 		return isa.PAddr(e.PPN<<isa.PageShift | v.Offset()), false, nil
 	}
 	// TLB miss: walk the (untrusted) page table, then validate. The whole
@@ -32,10 +32,10 @@ func (c *Core) translateLocked(v isa.VAddr, op isa.Access) (pa isa.PAddr, abort 
 	walk := rec.BeginOp(trace.OpPageWalk, c.ID, eid, "")
 	defer walk.End()
 	rec.ChargeToDetail(eid, c.ID, trace.EvPageWalk, trace.CostPageWalk, v.VPN())
-	if c.PT == nil {
+	if c.cr3 == nil {
 		return 0, false, isa.PF(v, op, "no address space installed")
 	}
-	pte, ok := c.PT.Walk(v)
+	pte, ok := c.cr3.Walk(v)
 	if !ok {
 		return 0, false, isa.PF(v, op, "unmapped")
 	}
@@ -62,7 +62,7 @@ func (c *Core) translateLocked(v isa.VAddr, op isa.Access) (pa isa.PAddr, abort 
 	case PathOuter:
 		walk.Op = trace.OpNestedWalk
 	}
-	c.TLB.Insert(entry)
+	c.tlb.Insert(entry)
 	return isa.PAddr(entry.PPN<<isa.PageShift | v.Offset()), false, nil
 }
 

@@ -34,7 +34,7 @@ func (m *Machine) AuditInvariants() []string {
 		if c.inEnclave {
 			cur = c.cur
 		}
-		for _, e := range c.TLB.Entries() {
+		for _, e := range c.tlb.Entries() {
 			pa := isa.PAddr(e.PPN << isa.PageShift)
 			v := isa.VAddr(e.VPN << isa.PageShift)
 			inPRM := m.DRAM.PageInPRM(pa)

@@ -79,11 +79,11 @@ func (m *Machine) EmergencyExit(c *Core) []isa.EID {
 	}
 	delete(c.cur.epochEntries, c.ID)
 	c.Regs.Scrub()
-	c.TLB.FlushAll()
+	c.tlb.FlushAll()
 	c.inEnclave = false
 	c.cur = nil
 	c.curTCS = nil
-	c.TLB.BillEID = trace.NoEID
+	c.tlb.BillEID = trace.NoEID
 	m.Rec.ChargeTo(uint64(torn[0]), c.ID, trace.EvAEX, trace.CostAEX)
 	return torn
 }

@@ -4,6 +4,7 @@ import (
 	"nestedenclave/internal/cache"
 	"nestedenclave/internal/epc"
 	"nestedenclave/internal/isa"
+	"nestedenclave/internal/tlb"
 )
 
 // This file hands the package's own tests the machine state and accessors
@@ -16,6 +17,9 @@ func EPCOf(m *Machine) *epc.Manager { return m.epc }
 
 // LLCOf returns the machine's last-level cache.
 func LLCOf(m *Machine) *cache.Cache { return m.llc }
+
+// InsertTLB plants e in core c's TLB, as no instruction would.
+func InsertTLB(c *Core, e tlb.Entry) { c.tlb.Insert(e) }
 
 // PagingStateOf reports how many version lanes and unspent version-array
 // slots the machine keeps for enclave eid.

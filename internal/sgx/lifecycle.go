@@ -348,7 +348,7 @@ func (m *Machine) ERemove(page int) error {
 	if ent.Type != isa.PTSECS {
 		ppn := m.epc.AddrOf(page).PPN()
 		for _, c := range m.cores {
-			if c.TLB.MapsFrame(ppn) || m.coreTouches(c, ent.Owner) {
+			if c.tlb.MapsFrame(ppn) || m.coreTouches(c, ent.Owner) {
 				return isa.GP("EREMOVE: core %d can still reach page %d of enclave %d", c.ID, page, ent.Owner)
 			}
 		}

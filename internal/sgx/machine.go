@@ -270,7 +270,7 @@ func New(cfg Config) (*Machine, error) {
 	for i := 0; i < cfg.Cores; i++ {
 		t := tlb.New(rec)
 		t.CoreID = i
-		m.cores = append(m.cores, &Core{m: m, ID: i, TLB: t})
+		m.cores = append(m.cores, &Core{m: m, ID: i, tlb: t})
 	}
 	return m, nil
 }
@@ -303,11 +303,13 @@ type Core struct {
 	m  *Machine
 	ID int
 
-	// TLB is the core's translation cache.
-	TLB *tlb.TLB
-	// PT is the currently active address space, installed by the kernel
+	// tlb is the core's translation cache. Host code changes it only
+	// through instructions: the transitions, LoadCR3, INVLPG and the
+	// shootdown.
+	tlb *tlb.TLB
+	// cr3 is the currently active address space, installed by the kernel
 	// scheduler through Machine.LoadCR3. Untrusted.
-	PT *pt.Table
+	cr3 *pt.Table
 
 	// Regs is the architectural register file visible to the running code.
 	Regs Registers
@@ -327,6 +329,13 @@ type Core struct {
 
 // Machine returns the owning machine.
 func (c *Core) Machine() *Machine { return c.m }
+
+// AddressSpace returns the address space the last LoadCR3 installed, nil
+// before the first.
+func (c *Core) AddressSpace() *pt.Table { return c.cr3 }
+
+// TLBEntries returns a copy of the core's cached translations.
+func (c *Core) TLBEntries() []tlb.Entry { return c.tlb.Entries() }
 
 // InEnclave reports whether the core executes in enclave mode.
 func (c *Core) InEnclave() bool { return c.inEnclave }

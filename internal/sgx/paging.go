@@ -139,7 +139,7 @@ func (m *Machine) ETrack(s *SECS, dst []*Core) []*Core {
 func (m *Machine) ShootdownFor(c *Core, eid isa.EID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c.TLB.FlushAll()
+	c.tlb.FlushAll()
 	m.Rec.ChargeTo(uint64(eid), c.ID, trace.EvIPI, trace.CostIPI)
 }
 
@@ -172,7 +172,7 @@ func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error
 	op := m.Rec.BeginOp(trace.OpEWB, core, owner, "")
 	defer op.End()
 	for _, c := range m.cores {
-		if c.TLB.MapsFrame(ppn) {
+		if c.tlb.MapsFrame(ppn) {
 			return nil, isa.GP("EWB: core %d still holds a translation for EPC page %d (incomplete shootdown)", c.ID, page)
 		}
 	}
@@ -245,6 +245,12 @@ func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 		return 0, err
 	}
 	delete(m.vaSlots, blob.Slot)
+	if blob.Type == isa.PTTCS {
+		// A TCS follows its page to the frame it reloads into.
+		if t, err := m.secsByEID[blob.Owner].FindTCS(blob.Vaddr); err == nil {
+			t.page = page
+		}
+	}
 	m.Rec.ChargeToDetail(owner, core, trace.EvELD, 0, uint64(blob.Vaddr))
 	return page, nil
 }

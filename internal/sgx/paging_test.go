@@ -207,12 +207,12 @@ func TestAuditTLBsDetectsStaleEntries(t *testing.T) {
 	if bad := r.m.AuditInvariants(); len(bad) != 0 {
 		t.Fatalf("live translation of a blocked page audited dirty: %v", bad)
 	}
-	r.c.TLB.Insert(stale)
+	sgx.InsertTLB(r.c, stale)
 	if bad := r.m.AuditInvariants(); len(bad) != 1 || !strings.HasPrefix(bad[0], "inv3") {
 		t.Fatalf("in enclave mode, freed-frame translation audited as %v, want one inv3", bad)
 	}
 	r.exit(t)
-	r.c.TLB.Insert(stale)
+	sgx.InsertTLB(r.c, stale)
 	if bad := r.m.AuditInvariants(); len(bad) != 1 || !strings.HasPrefix(bad[0], "inv1") {
 		t.Fatalf("out of enclave mode, freed-frame translation audited as %v, want one inv1", bad)
 	}

@@ -18,6 +18,7 @@ import (
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/mee"
 	"nestedenclave/internal/sgx"
+	"nestedenclave/internal/tlb"
 	"nestedenclave/internal/trace"
 )
 
@@ -472,13 +473,13 @@ func TestNoMachineMethodHandsOutAMAC(t *testing.T) {
 
 // machineInstructions is the machine's instruction set: SGX's lifecycle,
 // entry/exit, paging and attestation instructions, Table I's four nested
-// ones, and the CR3 load of the kernel's context switch.
+// ones, and the kernel's CR3 load and single-translation INVLPG.
 var machineInstructions = []string{
 	"ECreate", "EAdd", "EAug", "EInit", "ERemove", "NASSO",
 	"EEnter", "EExit", "AEX", "EResume", "NEENTER", "NEEXIT",
 	"EBlock", "ETrack", "EWB", "ELDU",
 	"EReport", "NEREPORT", "EGetKey",
-	"LoadCR3",
+	"LoadCR3", "INVLPG",
 }
 
 // machineNamedList is every other exported Machine method, each with the
@@ -509,9 +510,10 @@ var machineNamedList = map[string]string{
 // TestMachineSurface pins what untrusted code can reach on a Machine: its
 // exported methods are the instruction set plus the named list, its
 // exported fields are DRAM (the physical attacker's), the recorder, and the
-// Validator and Tracker seam, and no exported method or field of any sgx
-// type hands out the EPC allocator, an EPCM entry to write through, the LLC
-// or the MEE.
+// Validator and Tracker seam, a Core's exported fields are its ID, its
+// register file and the kernel's fault handler, and no exported method or
+// field of any sgx type hands out the EPC allocator, an EPCM entry to write
+// through, the LLC, the MEE or a core's TLB.
 func TestMachineSurface(t *testing.T) {
 	want := map[string]bool{}
 	for _, name := range machineInstructions {
@@ -534,10 +536,18 @@ func TestMachineSurface(t *testing.T) {
 		t.Errorf("Machine.%s is pinned but missing", name)
 	}
 
-	wantFields := map[string]bool{"DRAM": true, "Rec": true, "Validator": true, "Tracker": true}
-	for _, f := range reflect.VisibleFields(machine.Elem()) {
-		if f.IsExported() && !wantFields[f.Name] {
-			t.Errorf("Machine field %s is exported", f.Name)
+	for typ, fields := range map[reflect.Type][]string{
+		machine.Elem():              {"DRAM", "Rec", "Validator", "Tracker"},
+		reflect.TypeFor[sgx.Core](): {"ID", "Regs", "PFHandler"},
+	} {
+		var got []string
+		for _, f := range reflect.VisibleFields(typ) {
+			if f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !reflect.DeepEqual(got, fields) {
+			t.Errorf("%s's exported fields are %v, want %v", typ.Name(), got, fields)
 		}
 	}
 
@@ -546,6 +556,7 @@ func TestMachineSurface(t *testing.T) {
 		reflect.TypeFor[*epc.Entry]():  true,
 		reflect.TypeFor[cache.Cache](): true, reflect.TypeFor[*cache.Cache](): true,
 		reflect.TypeFor[mee.Engine](): true, reflect.TypeFor[*mee.Engine](): true,
+		reflect.TypeFor[tlb.TLB](): true, reflect.TypeFor[*tlb.TLB](): true,
 	}
 	types := []reflect.Type{
 		reflect.TypeFor[sgx.AddPageArgs](), reflect.TypeFor[sgx.BaselineTracker](),
@@ -774,6 +785,124 @@ func TestERemoveRefusesOuterPageUnderDirectInner(t *testing.T) {
 	}
 }
 
+// tcsPageOf returns the EPC index of enclave s's TCS page.
+func tcsPageOf(t *testing.T, r *rig, s *sgx.SECS) int {
+	t.Helper()
+	for _, i := range sgx.EPCOf(r.m).PagesOf(s.EID) {
+		if sgx.EPCOf(r.m).Entry(i).Type == isa.PTTCS {
+			return i
+		}
+	}
+	t.Fatalf("enclave %d has no TCS page", s.EID)
+	return -1
+}
+
+// TestEEnterRefusesDestroyedEnclave: an inner enclave linked to an outer is
+// destroyed through the kernel driver. EENTER through its old SECS and TCS
+// is refused with #GP. An EENTER that checked only the SECS it was handed
+// let the dead inner run and read its former outer's page through the
+// Figure-6 outer branch, which follows the dead SECS's own OuterEIDs.
+func TestEEnterRefusesDestroyedEnclave(t *testing.T) {
+	r := newRig(t)
+	outer, _ := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	inner, innerTCSV := buildEnclave(t, r.k, r.p, 0x200000, 1)
+	sgx.Link(r.m, inner, outer)
+	if err := r.k.Driver.DestroyEnclave(r.p, inner); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.EEnter(r.c, inner, innerTCSV, false); !isa.IsFault(err, isa.FaultGP) {
+		got, rerr := r.c.Read(0x100000, 4)
+		t.Fatalf("EENTER of a destroyed enclave: %v, want #GP; it then read its outer's page: %x, %v", err, got, rerr)
+	}
+	if r.c.InEnclave() {
+		t.Fatal("refused EENTER left the core in enclave mode")
+	}
+}
+
+// TestEResumeRefusesDestroyedEnclave: an enclave is entered and AEXed, so no
+// core is in enclave mode and the kernel driver's teardown is accepted.
+// ERESUME on the old TCS is refused with #GP. Accepting it left the core in
+// enclave mode for an EID the machine no longer resolves.
+func TestEResumeRefusesDestroyedEnclave(t *testing.T) {
+	r := newRig(t)
+	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	tcs, err := s.FindTCS(tcsV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.enter(t, s, tcsV)
+	if err := r.m.AEX(r.c); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.k.Driver.DestroyEnclave(r.p, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.EResume(r.c, tcs); !isa.IsFault(err, isa.FaultGP) {
+		_, live := r.m.Enclave(s.EID)
+		t.Fatalf("ERESUME into a destroyed enclave: %v, want #GP (in enclave %v, EID resolves %v)", err, r.c.InEnclave(), live)
+	}
+	if r.c.InEnclave() {
+		t.Fatal("refused ERESUME left the core in enclave mode")
+	}
+}
+
+// TestEntryRefusesRemovedTCS: EREMOVE of only an inner enclave's TCS page is
+// accepted, since no thread uses it. EENTER through that TCS, and NEENTER
+// into it from the outer, are then refused with #GP, though the SECS is
+// live: the TCS's page is gone from the EPC.
+func TestEntryRefusesRemovedTCS(t *testing.T) {
+	r := newRig(t)
+	outer, outerTCSV := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	inner, innerTCSV := buildEnclave(t, r.k, r.p, 0x200000, 1)
+	sgx.Link(r.m, inner, outer)
+	if err := r.m.ERemove(tcsPageOf(t, r, inner)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.EEnter(r.c, inner, innerTCSV, false); !isa.IsFault(err, isa.FaultGP) {
+		t.Fatalf("EENTER through a removed TCS: %v, want #GP", err)
+	}
+	r.enter(t, outer, outerTCSV)
+	if err := r.m.NEENTER(r.c, inner, innerTCSV); !isa.IsFault(err, isa.FaultGP) {
+		t.Fatalf("NEENTER through a removed TCS: %v, want #GP", err)
+	}
+	if got := r.c.Current(); got != outer {
+		t.Fatalf("refused NEENTER left the core in enclave %v", got)
+	}
+}
+
+// TestTCSFollowsItsPageThroughPaging: a TCS page evicted and reloaded into
+// another frame still admits EENTER, since ELDU moves the TCS to its page's
+// new frame.
+func TestTCSFollowsItsPageThroughPaging(t *testing.T) {
+	r := newRig(t)
+	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	page := tcsPageOf(t, r, s)
+	if err := r.m.EBlock(page); err != nil {
+		t.Fatal(err)
+	}
+	r.m.ETrack(s, nil)
+	blob, err := r.m.EWB(page, trace.NoCore, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.EEnter(r.c, s, tcsV, false); !isa.IsFault(err, isa.FaultGP) {
+		t.Fatalf("EENTER through an evicted TCS: %v, want #GP", err)
+	}
+	// The EPC free list is LIFO: this ECREATE takes the TCS's old frame.
+	if _, err := r.k.Driver.CreateEnclave(0x300000, 2*isa.PageSize, 0); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := r.m.ELDU(blob, trace.NoCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == page {
+		t.Fatalf("ELDU reloaded the TCS into its old frame %d", page)
+	}
+	r.enter(t, s, tcsV)
+	r.exit(t)
+}
+
 // TestLoadCR3RefusedInEnclaveMode: the CR3 load is refused while the core
 // runs an enclave and, out of enclave mode, installs the address space and
 // flushes the TLB.
@@ -785,7 +914,7 @@ func TestLoadCR3RefusedInEnclaveMode(t *testing.T) {
 	if err := r.m.LoadCR3(r.c, other.PageTable()); !isa.IsFault(err, isa.FaultGP) {
 		t.Fatalf("CR3 load in enclave mode: %v, want #GP", err)
 	}
-	if r.c.PT != r.p.PageTable() {
+	if r.c.AddressSpace() != r.p.PageTable() {
 		t.Fatal("refused CR3 load switched the address space")
 	}
 	if _, err := r.c.Read(0x100000, 8); err != nil {
@@ -796,13 +925,13 @@ func TestLoadCR3RefusedInEnclaveMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.c.Read(buf, 8); err != nil || len(r.c.TLB.Entries()) == 0 {
-		t.Fatalf("host read: %v, TLB entries %d", err, len(r.c.TLB.Entries()))
+	if _, err := r.c.Read(buf, 8); err != nil || len(r.c.TLBEntries()) == 0 {
+		t.Fatalf("host read: %v, TLB entries %d", err, len(r.c.TLBEntries()))
 	}
 	if err := r.m.LoadCR3(r.c, other.PageTable()); err != nil {
 		t.Fatal(err)
 	}
-	if r.c.PT != other.PageTable() || len(r.c.TLB.Entries()) != 0 {
+	if r.c.AddressSpace() != other.PageTable() || len(r.c.TLBEntries()) != 0 {
 		t.Fatal("CR3 load did not install the address space and flush the TLB")
 	}
 }

@@ -38,6 +38,9 @@ func (m *Machine) EEnter(c *Core, s *SECS, tcsVaddr isa.VAddr, resume bool) erro
 	if err != nil {
 		return isa.GP("EENTER: %v", err)
 	}
+	if !m.liveTCS(s, t) {
+		return isa.GP("EENTER: enclave %d or its TCS %#x was removed", s.EID, uint64(tcsVaddr))
+	}
 	if resume {
 		if !t.Busy {
 			return isa.GP("EENTER: resume into idle TCS %#x", uint64(tcsVaddr))
@@ -51,11 +54,11 @@ func (m *Machine) EEnter(c *Core, s *SECS, tcsVaddr isa.VAddr, resume bool) erro
 		}
 		t.Busy = true
 	}
-	c.TLB.FlushAll()
+	c.tlb.FlushAll()
 	c.inEnclave = true
 	c.cur = s
 	c.curTCS = t
-	c.TLB.BillEID = uint64(s.EID)
+	c.tlb.BillEID = uint64(s.EID)
 	s.epochEntries[c.ID] = s.trackEpoch
 	if resume {
 		m.Rec.ChargeTo(uint64(s.EID), c.ID, trace.EvEENTER, trace.CostEENTERResume)
@@ -86,12 +89,12 @@ func (m *Machine) EExit(c *Core, release bool) error {
 		}
 		t.Busy = false
 	}
-	c.TLB.FlushAll()
+	c.tlb.FlushAll()
 	cur := c.cur
 	c.inEnclave = false
 	c.cur = nil
 	c.curTCS = nil
-	c.TLB.BillEID = trace.NoEID
+	c.tlb.BillEID = trace.NoEID
 	delete(cur.epochEntries, c.ID)
 	m.Rec.ChargeTo(uint64(cur.EID), c.ID, trace.EvEEXIT, trace.CostEEXIT)
 	return nil
@@ -116,12 +119,12 @@ func (m *Machine) aexLocked(c *Core) error {
 	t.ssa = &savedFrame{regs: c.Regs, cur: c.cur, curTCS: t}
 	interrupted := c.cur.EID
 	c.Regs.Scrub()
-	c.TLB.FlushAll()
+	c.tlb.FlushAll()
 	delete(c.cur.epochEntries, c.ID)
 	c.inEnclave = false
 	c.cur = nil
 	c.curTCS = nil
-	c.TLB.BillEID = trace.NoEID
+	c.tlb.BillEID = trace.NoEID
 	sp := m.Rec.BeginSpan(c.ID, uint64(interrupted), "aex")
 	m.Rec.ChargeTo(uint64(interrupted), c.ID, trace.EvAEX, trace.CostAEX)
 	sp.End()
@@ -143,14 +146,17 @@ func (m *Machine) EResume(c *Core, t *TCS) error {
 	if reason, ok := m.PoisonedReason(t.ssa.cur.EID); ok {
 		return isa.MC("ERESUME: enclave %d poisoned: %s", t.ssa.cur.EID, reason)
 	}
+	if !m.liveTCS(t.ssa.cur, t.ssa.curTCS) {
+		return isa.GP("ERESUME: enclave %d or its TCS was removed", t.ssa.cur.EID)
+	}
 	f := t.ssa
 	t.ssa = nil
-	c.TLB.FlushAll()
+	c.tlb.FlushAll()
 	c.inEnclave = true
 	c.cur = f.cur
 	c.curTCS = f.curTCS
 	c.Regs = f.regs
-	c.TLB.BillEID = uint64(f.cur.EID)
+	c.tlb.BillEID = uint64(f.cur.EID)
 	f.cur.epochEntries[c.ID] = f.cur.trackEpoch
 	m.Rec.ChargeTo(uint64(f.cur.EID), c.ID, trace.EvEENTER, trace.CostEENTER)
 	return nil
@@ -193,16 +199,19 @@ func (m *Machine) NEENTER(c *Core, target *SECS, tcsVaddr isa.VAddr) error {
 	if err != nil {
 		return isa.GP("NEENTER: %v", err)
 	}
+	if !m.liveTCS(target, t) {
+		return isa.GP("NEENTER: enclave %d or its TCS %#x was removed", target.EID, uint64(tcsVaddr))
+	}
 	if t.Busy {
 		return isa.GP("NEENTER: destination TCS %#x busy", uint64(tcsVaddr))
 	}
 	t.ret = &enclaveFrame{secs: cur, tcs: c.curTCS, regs: c.Regs}
 	t.Busy = true
-	c.TLB.FlushAll()
+	c.tlb.FlushAll()
 	delete(cur.epochEntries, c.ID)
 	c.cur = target
 	c.curTCS = t
-	c.TLB.BillEID = uint64(target.EID)
+	c.tlb.BillEID = uint64(target.EID)
 	target.epochEntries[c.ID] = target.trackEpoch
 	m.Rec.ChargeTo(uint64(target.EID), c.ID, trace.EvNEENTER, trace.CostNEENTER)
 	return nil
@@ -228,12 +237,12 @@ func (m *Machine) NEEXIT(c *Core) error {
 	t.ret = nil
 	t.Busy = false
 	c.Regs.Scrub()
-	c.TLB.FlushAll()
+	c.tlb.FlushAll()
 	delete(leaving.epochEntries, c.ID)
 	c.cur = f.secs
 	c.curTCS = f.tcs
 	c.Regs = f.regs
-	c.TLB.BillEID = uint64(f.secs.EID)
+	c.tlb.BillEID = uint64(f.secs.EID)
 	f.secs.epochEntries[c.ID] = f.secs.trackEpoch
 	m.Rec.ChargeTo(uint64(leaving.EID), c.ID, trace.EvNEEXIT, trace.CostNEEXIT)
 	return nil
@@ -249,9 +258,31 @@ func (m *Machine) LoadCR3(c *Core, p *pt.Table) error {
 	if c.inEnclave {
 		return isa.GP("CR3 load on core %d in enclave mode", c.ID)
 	}
-	c.PT = p
-	c.TLB.FlushAll()
+	c.cr3 = p
+	c.tlb.FlushAll()
 	return nil
+}
+
+// INVLPG drops core c's translation of v, if it has one, as the kernel's
+// INVLPG does after changing a PTE. It works in either mode and charges
+// nothing. It runs under the machine lock, as LoadCR3 does.
+func (m *Machine) INVLPG(c *Core, v isa.VAddr) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c.tlb.FlushVPN(v.VPN())
+}
+
+// liveTCS reports whether s is still the live SECS of its EID and t's EPC
+// page is still a valid TCS page of s at t's vaddr. EREMOVE frees both
+// without touching the *SECS and *TCS a caller may hold, so each entry
+// instruction asks, lest a thread run in a destroyed enclave or through a
+// removed TCS. Caller holds m.mu.
+func (m *Machine) liveTCS(s *SECS, t *TCS) bool {
+	if m.secsByEID[s.EID] != s {
+		return false
+	}
+	ent := m.epc.Entry(t.page)
+	return ent.Valid && ent.Type == isa.PTTCS && ent.Owner == s.EID && ent.Vaddr == t.Vaddr
 }
 
 // retChainEIDs walks the suspended-frame chain from t outward.

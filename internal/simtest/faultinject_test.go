@@ -304,9 +304,26 @@ func TestInnerAwareTrackingRequired(t *testing.T) {
 	}
 }
 
+// plantingValidator is the installed flow except at one virtual page, where
+// it approves entry as it is: the seam through which a test puts into a TLB
+// a translation the flow would never produce.
+type plantingValidator struct {
+	sgx.Validator
+	entry tlb.Entry
+}
+
+func (p plantingValidator) Validate(c *sgx.Core, v isa.VAddr, pte pt.PTE, op isa.Access) (tlb.Entry, sgx.Verdict) {
+	if v.VPN() == p.entry.VPN {
+		return p.entry, sgx.Verdict{}
+	}
+	return p.Validator.Validate(c, v, pte, op)
+}
+
 // TestStaleTLBInjectionCaughtByAudit verifies the invariant audit itself has
 // teeth: an out-of-thin-air TLB entry mapping PRM at an out-of-ELRANGE vaddr
-// (which no validator would ever produce) must trip invariant 2.
+// (which the Figure-6 flow would never produce), planted by an access
+// through a validator that approves it for that one page, must trip
+// invariant 2.
 func TestStaleTLBInjectionCaughtByAudit(t *testing.T) {
 	r := NewRunner(2, false)
 	ops := []Op{
@@ -322,7 +339,10 @@ func TestStaleTLBInjectionCaughtByAudit(t *testing.T) {
 	m := r.Machine()
 	pages := m.EPCPagesOf(r.Slot(0).EID)
 	secsPA := r.epcAddr(pages[len(pages)-1])
-	m.Core(0).TLB.Insert(tlb.Entry{VPN: unsecVBase.VPN(), PPN: secsPA.PPN(), Perms: isa.PermRW})
+	r.SetValidator(plantingValidator{m.Validator, tlb.Entry{VPN: unsecVBase.VPN(), PPN: secsPA.PPN(), Perms: isa.PermRW}})
+	if _, err := m.Core(0).Read(unsecVBase, 8); err != nil {
+		t.Fatalf("read through the planted entry: %v", err)
+	}
 	if err := r.AuditInvariants(); err == nil {
 		t.Fatalf("audit missed an injected stale PRM translation")
 	} else {

@@ -646,7 +646,7 @@ func (r *Runner) diffState() error {
 		if meid != r.o.CurEID(i) {
 			return fmt.Errorf("core %d: machine runs EID %d, oracle EID %d", i, meid, r.o.CurEID(i))
 		}
-		ments := c.TLB.Entries()
+		ments := c.TLBEntries()
 		oents := r.o.TLB(i)
 		if len(ments) != len(oents) {
 			return fmt.Errorf("core %d: machine TLB has %d entries, oracle %d (machine %v, oracle%s)",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // This file renders the observability layer's data for external tools:
@@ -17,6 +18,8 @@ import (
 //   - WritePrometheus dumps the recorder as Prometheus text exposition:
 //     global counters, per-enclave counters, and the latency histograms in
 //     the standard _bucket/_sum/_count form.
+//   - SpansToChrome, AggregateSpans and WriteFolded render the completed
+//     spans as a flame view, a call tree with self cycles, and folded stacks.
 
 // chromeEvent is one trace_event entry. Field order fixes the JSON layout so
 // golden tests stay stable; map args marshal with sorted keys.
@@ -44,29 +47,11 @@ func ChromeTrace(recs []Record, cyclesPerUS float64) ([]byte, error) {
 	if cyclesPerUS <= 0 {
 		cyclesPerUS = CyclesPerUS
 	}
-	var events []chromeEvent
-
-	// Name the per-enclave "processes" so the viewer shows readable lanes.
 	eids := make(map[uint64]bool)
 	for _, r := range recs {
 		eids[r.EID] = true
 	}
-	sorted := make([]uint64, 0, len(eids))
-	for e := range eids {
-		sorted = append(sorted, e)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, e := range sorted {
-		name := fmt.Sprintf("enclave %d", e)
-		if e == NoEID {
-			name = "untrusted"
-		}
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: e,
-			Args: map[string]any{"name": name},
-		})
-	}
-
+	events := laneNames(eids)
 	for _, r := range recs {
 		ev := chromeEvent{
 			Name: r.Event.String(),
@@ -93,6 +78,28 @@ func ChromeTrace(recs []Record, cyclesPerUS float64) ([]byte, error) {
 		events = append(events, ev)
 	}
 	return json.Marshal(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+}
+
+// laneNames returns one process_name metadata event per EID, in ascending
+// EID order, so the viewer shows a readable lane per enclave.
+func laneNames(eids map[uint64]bool) []chromeEvent {
+	sorted := make([]uint64, 0, len(eids))
+	for e := range eids {
+		sorted = append(sorted, e)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var events []chromeEvent
+	for _, e := range sorted {
+		name := fmt.Sprintf("enclave %d", e)
+		if e == NoEID {
+			name = "untrusted"
+		}
+		events = append(events, chromeEvent{
+			Name: "process_name", Ph: "M", Pid: e,
+			Args: map[string]any{"name": name},
+		})
+	}
+	return events
 }
 
 // WritePrometheus dumps the recorder's counters, per-enclave counters, and
@@ -176,24 +183,6 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 	return err
 }
 
-// WriteFolded dumps the sampling profile in collapsed-stack ("folded")
-// format — one "frame;frame;frame count" line per distinct stack, sorted —
-// directly consumable by flamegraph.pl and speedscope.
-func WriteFolded(w io.Writer, r *Recorder) error {
-	folded := r.FoldedStacks()
-	keys := make([]string, 0, len(folded))
-	for k := range folded {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s %d\n", k, folded[k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SpansToChrome renders completed spans (as returned by Recorder.Spans) as
 // Chrome trace_event JSON: each span becomes a complete ("X") event carrying
 // its span and parent IDs, pid = EID, tid = core — the flame view of the
@@ -202,28 +191,11 @@ func SpansToChrome(spans []Span, cyclesPerUS float64) ([]byte, error) {
 	if cyclesPerUS <= 0 {
 		cyclesPerUS = CyclesPerUS
 	}
-	var events []chromeEvent
-
 	eids := make(map[uint64]bool)
 	for _, s := range spans {
 		eids[s.EID] = true
 	}
-	sorted := make([]uint64, 0, len(eids))
-	for e := range eids {
-		sorted = append(sorted, e)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, e := range sorted {
-		name := fmt.Sprintf("enclave %d", e)
-		if e == NoEID {
-			name = "untrusted"
-		}
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: e,
-			Args: map[string]any{"name": name},
-		})
-	}
-
+	events := laneNames(eids)
 	for _, s := range spans {
 		dur := float64(s.End-s.Start) / cyclesPerUS
 		args := map[string]any{"span": s.ID}
@@ -244,12 +216,17 @@ func SpansToChrome(spans []Span, cyclesPerUS float64) ([]byte, error) {
 }
 
 // SpanNode is one node of a name-aggregated call tree: all spans sharing the
-// same root-to-node name path merge into one node accumulating their count
-// and inclusive cycles.
+// same root-to-node name path merge into one node accumulating their count,
+// inclusive cycles and self cycles.
 type SpanNode struct {
-	Name     string
-	Count    int64
-	Cycles   int64 // inclusive: children's cycles are part of the parent's
+	Name   string
+	Count  int64
+	Cycles int64 // inclusive: children's cycles are part of the parent's
+	// Self is Cycles minus the inclusive cycles of the direct child spans
+	// still in the ring: the time spent in this node and none of its
+	// children. Self summed over a tree equals the inclusive cycles of its
+	// top-level nodes.
+	Self     int64
 	Children []*SpanNode
 }
 
@@ -265,18 +242,22 @@ func (n *SpanNode) child(name string) *SpanNode {
 	return c
 }
 
-// Walk visits the tree depth-first; depth starts at 0 for the root's
-// children (the root itself, an empty aggregation node, is skipped).
-func (n *SpanNode) Walk(visit func(depth int, node *SpanNode)) {
-	var rec func(depth int, node *SpanNode)
-	rec = func(depth int, node *SpanNode) {
-		visit(depth, node)
+// Walk visits the tree depth-first. path holds the names from the top level
+// down to node, node's own last; the root itself, an empty aggregation node,
+// is skipped. Walk reuses path between visits.
+func (n *SpanNode) Walk(visit func(path []string, node *SpanNode)) {
+	var path []string
+	var rec func(node *SpanNode)
+	rec = func(node *SpanNode) {
+		path = append(path, node.Name)
+		visit(path, node)
 		for _, c := range node.Children {
-			rec(depth+1, c)
+			rec(c)
 		}
+		path = path[:len(path)-1]
 	}
 	for _, c := range n.Children {
-		rec(0, c)
+		rec(c)
 	}
 }
 
@@ -300,6 +281,14 @@ func AggregateSpans(spans []Span) *SpanNode {
 		}
 		return []string{s.Name}
 	}
+	// childCycles[id] is the inclusive cycles of span id's children in the
+	// ring, the part of its own inclusive cycles that is not its self time.
+	childCycles := make(map[uint64]int64, len(spans))
+	for i := range spans {
+		if _, ok := byID[spans[i].Parent]; ok {
+			childCycles[spans[i].Parent] += spans[i].Cycles()
+		}
+	}
 	root := &SpanNode{}
 	for i := range spans {
 		s := &spans[i]
@@ -308,7 +297,8 @@ func AggregateSpans(spans []Span) *SpanNode {
 			node = node.child(name)
 		}
 		node.Count++
-		node.Cycles += s.End - s.Start
+		node.Cycles += s.Cycles()
+		node.Self += s.Cycles() - childCycles[s.ID]
 	}
 	var sortRec func(n *SpanNode)
 	sortRec = func(n *SpanNode) {
@@ -324,4 +314,26 @@ func AggregateSpans(spans []Span) *SpanNode {
 	}
 	sortRec(root)
 	return root
+}
+
+// WriteFolded dumps the call tree's self cycles in collapsed-stack
+// ("folded") format — one sorted "frame;frame;frame self-cycles" line per
+// node with self cycles — directly consumable by flamegraph.pl and
+// speedscope. While every span ends inside its parent, as it does on a core
+// no other goroutine drives, no Self is negative and the lines sum to the
+// tree's top-level inclusive cycles.
+func WriteFolded(w io.Writer, tree *SpanNode) error {
+	var lines []string
+	tree.Walk(func(path []string, n *SpanNode) {
+		if n.Self > 0 {
+			lines = append(lines, fmt.Sprintf("%s %d\n", strings.Join(path, ";"), n.Self))
+		}
+	})
+	sort.Strings(lines)
+	for _, l := range lines {
+		if _, err := io.WriteString(w, l); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -173,24 +173,29 @@ func TestWritePrometheusQuantiles(t *testing.T) {
 	}
 }
 
-// TestWriteFolded pins the collapsed-stack export: deterministic ordering,
-// "stack count" lines, flamegraph.pl-consumable.
+// TestWriteFolded pins the collapsed-stack export of the call tree: one
+// sorted "stack self-cycles" line per node with self cycles, none for a node
+// whose time is all in its children.
 func TestWriteFolded(t *testing.T) {
 	var r Recorder
 	r.EnableObservation(0)
-	r.EnableProfiler(100)
 	outer := r.BeginSpan(0, 1, "ecall:q")
-	r.ChargeTo(1, 0, EvEENTER, 350) // crosses 3 boundaries under the outer span
+	r.ChargeTo(1, 0, EvEENTER, 350)
 	inner := r.BeginSpan(0, 2, "n_ecall:f")
-	r.ChargeTo(2, 0, EvNEENTER, 100) // crosses 1 under outer;inner
+	r.ChargeTo(2, 0, EvNEENTER, 100)
 	inner.End()
 	outer.End()
+	wrap := r.BeginSpan(1, 1, "wrap")
+	walk := r.BeginSpan(1, 1, "page_walk")
+	r.ChargeTo(1, 1, EvPageWalk, 60)
+	walk.End()
+	wrap.End()
 
 	var buf bytes.Buffer
-	if err := WriteFolded(&buf, &r); err != nil {
+	if err := WriteFolded(&buf, AggregateSpans(r.Spans())); err != nil {
 		t.Fatal(err)
 	}
-	want := "ecall:q 3\necall:q;n_ecall:f 1\n"
+	want := "ecall:q 350\necall:q;n_ecall:f 100\nwrap;page_walk 60\n"
 	if buf.String() != want {
 		t.Errorf("folded output = %q, want %q", buf.String(), want)
 	}

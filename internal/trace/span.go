@@ -13,11 +13,9 @@ import (
 // live on per-core stacks inside the observation sink; every event-log
 // Record is stamped with the innermost open span on its core, which is how
 // zero-cost annotations (chaos injections, faults) attach to the call tree
-// they landed in.
-//
-// A simulated-cycle sampling profiler rides on the same stacks: each charge
-// that crosses a sampling boundary snapshots every core's open-span stack
-// into a pprof-style folded-stack profile (see WriteFolded / FoldedStacks).
+// they landed in. The completed spans are the profile too: AggregateSpans
+// folds them into a call tree with exact inclusive and self cycles, and
+// WriteFolded exports that tree as folded stacks.
 //
 // Like the rest of the observation layer, all of it vanishes when
 // observation is off: BeginSpan on a disabled recorder returns the zero
@@ -85,13 +83,11 @@ func (st *spanStack) top() uint64 {
 }
 
 // spanState is the span half of the observation sink: the ID allocator, the
-// per-core stacks of open spans, the ring of completed spans, and the
-// sampling profiler.
+// per-core stacks of open spans, and the ring of completed spans.
 type spanState struct {
 	seq    atomic.Uint64
 	stacks [spanSlots]spanStack
 	done   ring[Span]
-	prof   atomic.Pointer[profState]
 }
 
 // spanTop returns the innermost open span on the core's stack, 0 when empty.
@@ -230,111 +226,4 @@ func (r *Recorder) Spans() []Span {
 		return s.spans.done.snapshot(nil)
 	}
 	return nil
-}
-
-// profState is the simulated-cycle sampling profiler. Every observed charge
-// checks whether the clock crossed the next sampling boundary; the single
-// charge that wins the CAS snapshots every core's open-span stack and folds
-// it into the profile, weighted by the number of boundaries crossed. The
-// sampling clock is the simulated clock, so profiles are as deterministic as
-// the workload that produced them.
-type profState struct {
-	interval int64
-	next     atomic.Int64
-	mu       sync.Mutex
-	samples  map[string]int64
-}
-
-// EnableProfiler turns on simulated-cycle stack sampling with the given
-// interval (minimum 1 cycle). Observation must already be enabled; the
-// profiler is dropped with the rest of the sink on DisableObservation.
-func (r *Recorder) EnableProfiler(intervalCycles int64) {
-	s := r.sink.Load()
-	if s == nil {
-		return
-	}
-	if intervalCycles < 1 {
-		intervalCycles = 1
-	}
-	p := &profState{interval: intervalCycles, samples: make(map[string]int64)}
-	p.next.Store(r.Cycles() + intervalCycles)
-	s.spans.prof.Store(p)
-}
-
-// DisableProfiler stops sampling; the accumulated profile is dropped.
-func (r *Recorder) DisableProfiler() {
-	if s := r.sink.Load(); s != nil {
-		s.spans.prof.Store(nil)
-	}
-}
-
-// maybeSample folds the current span stacks into the profile if the clock
-// crossed a sampling boundary. Called on every observed charge.
-func (ss *spanState) maybeSample(clock int64) {
-	p := ss.prof.Load()
-	if p == nil {
-		return
-	}
-	next := p.next.Load()
-	if clock < next {
-		return
-	}
-	// Claim every boundary in (next, clock] in one CAS; the loser's charge
-	// simply isn't the sampling one.
-	crossed := (clock-next)/p.interval + 1
-	if !p.next.CompareAndSwap(next, next+crossed*p.interval) {
-		return
-	}
-	for slot := range ss.stacks {
-		st := &ss.stacks[slot]
-		st.mu.Lock()
-		if len(st.frames) == 0 {
-			st.mu.Unlock()
-			continue
-		}
-		var b []byte
-		for i, f := range st.frames {
-			if i > 0 {
-				b = append(b, ';')
-			}
-			b = append(b, f.name...)
-		}
-		key := string(b)
-		st.mu.Unlock()
-		p.mu.Lock()
-		p.samples[key] += crossed
-		p.mu.Unlock()
-	}
-}
-
-// FoldedStacks snapshots the sampling profile: folded stack ("root;child;
-// leaf") → sample count. Each sample represents one profiler interval of
-// simulated time on one core. Empty when the profiler is off.
-func (r *Recorder) FoldedStacks() map[string]int64 {
-	out := make(map[string]int64)
-	s := r.sink.Load()
-	if s == nil {
-		return out
-	}
-	p := s.spans.prof.Load()
-	if p == nil {
-		return out
-	}
-	p.mu.Lock()
-	for k, v := range p.samples {
-		out[k] = v
-	}
-	p.mu.Unlock()
-	return out
-}
-
-// ProfileInterval returns the profiler's sampling interval in simulated
-// cycles, 0 when the profiler is off.
-func (r *Recorder) ProfileInterval() int64 {
-	if s := r.sink.Load(); s != nil {
-		if p := s.spans.prof.Load(); p != nil {
-			return p.interval
-		}
-	}
-	return 0
 }

@@ -237,8 +237,8 @@ func TestSpanRingEviction(t *testing.T) {
 	}
 }
 
-// runProfiledWorkload is a fixed span/charge sequence used to pin profiler
-// determinism: same charges on the same simulated clock → same profile.
+// runProfiledWorkload is a fixed span/charge sequence used to pin profile
+// determinism: same charges on the same simulated clock → same call tree.
 func runProfiledWorkload(r *Recorder) {
 	for i := 0; i < 50; i++ {
 		outer := r.BeginSpan(0, 1, "ecall:q")
@@ -252,74 +252,60 @@ func runProfiledWorkload(r *Recorder) {
 	}
 }
 
-// TestProfilerDeterministic runs the identical workload twice and demands
-// identical folded-stack profiles: sampling rides the simulated clock, not
-// wall time, so profiles are exactly reproducible.
-func TestProfilerDeterministic(t *testing.T) {
-	run := func() (map[string]int64, int64) {
-		var r Recorder
-		r.EnableObservation(4096)
-		r.EnableProfiler(500)
-		runProfiledWorkload(&r)
-		return r.FoldedStacks(), r.Cycles()
+// selfSum returns Σ Self over the tree and Σ Cycles over its top level.
+func selfSum(tree *SpanNode) (self, top int64) {
+	tree.Walk(func(_ []string, n *SpanNode) { self += n.Self })
+	for _, c := range tree.Children {
+		top += c.Cycles
 	}
-	p1, c1 := run()
-	p2, c2 := run()
-	if c1 != c2 {
-		t.Fatalf("clock diverged: %d vs %d", c1, c2)
-	}
-	if len(p1) == 0 {
-		t.Fatal("profiler collected no samples")
-	}
-	if !reflect.DeepEqual(p1, p2) {
-		t.Errorf("profiles differ:\n  run1: %v\n  run2: %v", p1, p2)
-	}
-	// Total samples must equal the boundaries the clock crossed: one sample
-	// per interval per core with an open stack — here exactly one core is
-	// ever active, so total == floor(cycles/interval) within one interval.
-	var total int64
-	for k, v := range p1 {
-		if k != "ecall:q" && k != "ecall:q;n_ecall:f" {
-			t.Errorf("unexpected folded stack %q", k)
-		}
-		total += v
-	}
-	want := c1 / 500
-	if total < want-1 || total > want {
-		t.Errorf("total samples = %d, want ~%d (cycles %d / interval 500)", total, want, c1)
-	}
+	return self, top
 }
 
-// TestProfilerInterval pins the enable/disable lifecycle.
-func TestProfilerInterval(t *testing.T) {
-	var r Recorder
-	r.EnableProfiler(100) // observation off: no-op
-	if got := r.ProfileInterval(); got != 0 {
-		t.Errorf("profiler enabled without observation: interval %d", got)
+// TestProfilerDeterministic runs the identical workload twice and demands
+// identical call trees whose self cycles are exactly the charges made
+// directly under each span, and checks that Σ Self equals the top-level
+// inclusive cycles — also when spans are missing from the ring.
+func TestProfilerDeterministic(t *testing.T) {
+	run := func() ([]Span, *SpanNode) {
+		var r Recorder
+		r.EnableObservation(4096)
+		runProfiledWorkload(&r)
+		spans := r.Spans()
+		return spans, AggregateSpans(spans)
 	}
-	r.EnableObservation(64)
-	r.EnableProfiler(0) // clamps to 1
-	if got := r.ProfileInterval(); got != 1 {
-		t.Errorf("interval = %d, want clamp to 1", got)
+	spans, t1 := run()
+	_, t2 := run()
+	if !reflect.DeepEqual(t1, t2) {
+		t.Fatal("two runs of the same workload built different call trees")
 	}
-	r.DisableProfiler()
-	if got := r.ProfileInterval(); got != 0 {
-		t.Errorf("interval after disable = %d, want 0", got)
+	if len(t1.Children) != 1 || len(t1.Children[0].Children) != 1 {
+		t.Fatalf("tree shape: want ecall:q → n_ecall:f, got %d top-level nodes", len(t1.Children))
 	}
-	if got := r.FoldedStacks(); len(got) != 0 {
-		t.Errorf("profile after disable has %d stacks", len(got))
+	outer, inner := t1.Children[0], t1.Children[0].Children[0]
+	if want := int64(50 * (CostEENTER + CostEEXIT)); outer.Self != want {
+		t.Errorf("ecall:q self = %d, want %d", outer.Self, want)
+	}
+	if want := int64(50 * (CostNEENTER + CostNEEXIT)); inner.Self != want || inner.Cycles != want {
+		t.Errorf("n_ecall:f self/inclusive = %d/%d, want %d", inner.Self, inner.Cycles, want)
+	}
+	// A span missing from the slice models ring eviction. Without the first
+	// child, its parent keeps the child's time as self; without the last
+	// parent, its child moves to the top level. The identity holds for both.
+	for _, part := range [][]Span{spans[1:], spans[:len(spans)-1]} {
+		if self, top := selfSum(AggregateSpans(part)); self != top {
+			t.Errorf("%d of %d spans: Σ self = %d, Σ top-level inclusive = %d", len(part), len(spans), self, top)
+		}
 	}
 }
 
 // TestSpanRaceHammer mirrors TestRecorderRaceHammer for the span layer: many
 // goroutines open/close nested spans and ops on distinct and shared cores
-// and charge inside them, while readers snapshot spans, folded stacks, and
-// the log, and the profiler samples throughout — all against a small,
-// constantly wrapping span ring. Run under -race in tier2.
+// and charge inside them, while readers snapshot the spans, fold them into
+// call trees, and snapshot the log — all against a small, constantly
+// wrapping span ring. Run under -race in tier2.
 func TestSpanRaceHammer(t *testing.T) {
 	var r Recorder
 	r.EnableObservation(64)
-	r.EnableProfiler(50)
 
 	var wg sync.WaitGroup
 	const writers, per = 8, 1500
@@ -361,8 +347,7 @@ func TestSpanRaceHammer(t *testing.T) {
 				return
 			default:
 			}
-			_ = r.Spans()
-			_ = r.FoldedStacks()
+			_ = AggregateSpans(r.Spans())
 			if l := r.Log(); l != nil {
 				_ = l.Snapshot()
 			}
@@ -381,5 +366,10 @@ func TestSpanRaceHammer(t *testing.T) {
 		if s.End < s.Start {
 			t.Fatalf("span %d (%s) ends (%d) before it starts (%d)", s.ID, s.Name, s.End, s.Start)
 		}
+	}
+	// Shared cores interleave frames, so a span can outlive the one it
+	// parents to; Σ self still equals the top level by construction.
+	if self, top := selfSum(AggregateSpans(spans)); self != top {
+		t.Errorf("Σ self = %d, Σ top-level inclusive = %d", self, top)
 	}
 }

@@ -201,7 +201,7 @@ func (t *Counters) Reset() {
 }
 
 // CounterSet is a flat, allocation-free snapshot of all counters, indexed by
-// Event. It is the hot-path alternative to the map-based Snapshot/Diff.
+// Event. It is the hot-path alternative to the map-based Snapshot.
 type CounterSet [numEvents]int64
 
 // Get returns the snapshot's count for the event.
@@ -255,23 +255,6 @@ func (t *Counters) Snapshot() map[string]int64 {
 	return cs.Map()
 }
 
-// Diff returns counters accumulated since the snapshot prev.
-func (t *Counters) Diff(prev map[string]int64) map[string]int64 {
-	cur := t.Snapshot()
-	out := make(map[string]int64)
-	for k, v := range cur {
-		if d := v - prev[k]; d != 0 {
-			out[k] = d
-		}
-	}
-	for k, v := range prev {
-		if _, ok := cur[k]; !ok && v != 0 {
-			out[k] = -v
-		}
-	}
-	return out
-}
-
 func (t *Counters) String() string {
 	snap := t.Snapshot()
 	keys := make([]string, 0, len(snap))
@@ -322,8 +305,8 @@ type Payer struct {
 var NoPayer = Payer{EID: NoEID, Core: NoCore}
 
 // sink is the enabled-observation state: per-enclave counter sets, the
-// optional event log, and the span layer (stacks, completed-span ring,
-// profiler — see span.go). A Recorder points at one only while observation
+// optional event log, and the span layer (stacks and completed-span ring —
+// see span.go). A Recorder points at one only while observation
 // is on, so the disabled fast path is a single atomic pointer load.
 type sink struct {
 	perEID sync.Map // uint64 EID -> *Counters
@@ -340,8 +323,7 @@ func (s *sink) counters(eid uint64) *Counters {
 }
 
 // record bills n occurrences of the event, costing cost cycles in all, to
-// the enclave, appends one log record for them and gives the profiler its
-// chance to sample.
+// the enclave and appends one log record for them.
 func (s *sink) record(eid uint64, core int, e Event, n, cost, clock int64, detail uint64) {
 	s.counters(eid).Add(e, n)
 	if s.log != nil {
@@ -355,7 +337,6 @@ func (s *sink) record(eid uint64, core int, e Event, n, cost, clock int64, detai
 			Span:   s.spans.spanTop(core),
 		})
 	}
-	s.spans.maybeSample(clock)
 }
 
 // Recorder bundles counters, a clock, latency histograms, and the optional
@@ -533,34 +514,4 @@ func (r *Recorder) HistSnapshots() map[string]HistSnapshot {
 		}
 	}
 	return out
-}
-
-// Region is a named measurement scope used by the bench harness to attribute
-// counter deltas to workload phases. Regions are independent snapshots over
-// the recorder's atomic counters: concurrent BeginRegion/End calls on
-// different regions (or different recorders) never contend.
-type Region struct {
-	Name  string
-	start CounterSet
-	rec   *Recorder
-}
-
-// BeginRegion snapshots the recorder for a later End.
-func (r *Recorder) BeginRegion(name string) *Region {
-	reg := &Region{Name: name, rec: r}
-	r.Counters.SnapshotInto(&reg.start)
-	return reg
-}
-
-// End returns the counter deltas since the region began, in map form.
-func (reg *Region) End() map[string]int64 {
-	var d CounterSet
-	reg.EndInto(&d)
-	return d.Map()
-}
-
-// EndInto stores the counter deltas since the region began into dst without
-// allocating — the hot-path form for per-iteration measurement loops.
-func (reg *Region) EndInto(dst *CounterSet) {
-	reg.rec.Counters.DiffInto(&reg.start, dst)
 }

@@ -26,21 +26,6 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	var c Counters
-	c.Inc(EvECall)
-	before := c.Snapshot()
-	c.Add(EvECall, 4)
-	c.Inc(EvNECall)
-	d := c.Diff(before)
-	if d["ecall"] != 4 || d["n_ecall"] != 1 {
-		t.Fatalf("diff: %v", d)
-	}
-	if _, ok := d["ocall"]; ok {
-		t.Fatal("diff includes untouched counter")
-	}
-}
-
 func TestClock(t *testing.T) {
 	var c Clock
 	c.Advance(100)
@@ -59,18 +44,6 @@ func TestRecorderCharge(t *testing.T) {
 	r.Charge(EvEENTER, CostEENTER)
 	if r.Get(EvEENTER) != 1 || r.Cycles() != CostEENTER {
 		t.Fatalf("charge: count=%d cycles=%d", r.Get(EvEENTER), r.Cycles())
-	}
-}
-
-func TestRegion(t *testing.T) {
-	var r Recorder
-	r.Inc(EvECall)
-	reg := r.BeginRegion("work")
-	r.Add(EvECall, 2)
-	r.Inc(EvTLBFlush)
-	d := reg.End()
-	if d["ecall"] != 2 || d["tlb_flush"] != 1 {
-		t.Fatalf("region diff: %v", d)
 	}
 }
 
@@ -109,26 +82,6 @@ func TestDiffInto(t *testing.T) {
 	m := delta.Map()
 	if len(m) != 2 || m["ecall"] != 4 {
 		t.Fatalf("map form: %v", m)
-	}
-}
-
-func TestRegionEndInto(t *testing.T) {
-	var r Recorder
-	reg := r.BeginRegion("loop")
-	r.Inc(EvNOCall)
-	r.Add(EvTLBHit, 7)
-	var d CounterSet
-	reg.EndInto(&d)
-	if d.Get(EvNOCall) != 1 || d.Get(EvTLBHit) != 7 {
-		t.Fatalf("EndInto: %v", d.Map())
-	}
-	// Regions are independent snapshots: a second, later region sees only
-	// its own window.
-	reg2 := r.BeginRegion("second")
-	r.Inc(EvNOCall)
-	reg2.EndInto(&d)
-	if d.Get(EvNOCall) != 1 || d.Get(EvTLBHit) != 0 {
-		t.Fatalf("second region: %v", d.Map())
 	}
 }
 

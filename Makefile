@@ -171,7 +171,9 @@ adversary-smoke:
 
 # bench runs the paper-experiment benchmarks (root package) once each, and
 # the host-cost microbenchmarks (internal/bench: ECall, OCall, NECall,
-# PageWalk, SwitchlessOCall, EPCFault — one evict-and-reload round trip —
+# NOCall — one n_ocall on the upward path Table VI's service takes and one
+# on the fast path Table II's nocall_driver takes — PageWalk,
+# SwitchlessOCall, EPCFault — one evict-and-reload round trip —
 # EPCFaultUnderPressure — one demand fault through the paging daemon's
 # victim search, EWB and ELDU, with an enclave heap twice the EPC —
 # LLCMiss — one 256 B write whose four lines all miss and evict dirty

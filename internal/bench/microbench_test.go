@@ -67,6 +67,20 @@ func newMicroRig(b *testing.B) *microRig {
 		}
 		return nil, nil
 	})
+	outerImg.RegisterNOCall("noop", func(env *sdk.Env, args []byte) ([]byte, error) {
+		return payload, nil
+	})
+	innerImg.RegisterECall("nocall_loop", func(env *sdk.Env, args []byte) ([]byte, error) {
+		for i := 0; i < mr.loops; i++ {
+			if _, err := env.NOCall("noop", payload); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	outerImg.RegisterECall("nocall_driver", func(env *sdk.Env, args []byte) ([]byte, error) {
+		return env.NECall(env.E.Inners()[0], "nocall_loop", nil)
+	})
 	r.Host.RegisterOCall("mb_noop", func(args []byte) ([]byte, error) { return payload, nil })
 	r.Host.RegisterOCall("mb_fast", func(args []byte) ([]byte, error) { return payload, nil })
 	if mr.inner, mr.outer, err = r.LoadPair(innerImg, outerImg); err != nil {
@@ -104,6 +118,27 @@ func BenchmarkOCall(b *testing.B) {
 
 func BenchmarkNECall(b *testing.B) {
 	newMicroRig(b).runLoop(b, "necall_loop")
+}
+
+// BenchmarkNOCall is one n_ocall on each of its two paths. On the upward
+// path the host ecalls the inner directly and the inner's n_ocall NEENTERs
+// its outer, as Table VI's per-client enclaves call the shared SQL engine.
+// On the fast path the outer NECalls the inner first, so the n_ocall
+// NEEXITs to the suspended outer and NEENTERs back, as Table II's
+// nocall_driver does.
+func BenchmarkNOCall(b *testing.B) {
+	b.Run("upward", func(b *testing.B) {
+		mr := newMicroRig(b)
+		mr.loops = b.N
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := mr.inner.ECall("nocall_loop", nil); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("fast", func(b *testing.B) {
+		newMicroRig(b).runLoop(b, "nocall_driver")
+	})
 }
 
 func BenchmarkSwitchlessOCall(b *testing.B) {

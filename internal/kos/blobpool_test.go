@@ -15,9 +15,9 @@ import (
 // the EPC reads the next page each time, so every read faults, and the
 // paging daemon evicts a page (EBLOCK, ETRACK with shootdowns, EWB into a
 // spent blob) before ELDU reloads the page read and the kernel remaps it.
-// None of that allocates: the one allocation left is the *isa.Fault the
-// core hands the kernel. Not parallel: it reads the process-wide
-// allocation counter.
+// None of that allocates, and neither does the fault: the core hands the
+// kernel its own fault record, and a repaired fault never leaves the core.
+// Not parallel: it reads the process-wide allocation counter.
 func TestPressuredFaultAllocatesOnlyItsFault(t *testing.T) {
 	m := epcMachine(64)
 	k := kos.New(m)
@@ -55,8 +55,8 @@ func TestPressuredFaultAllocatesOnlyItsFault(t *testing.T) {
 	if n, r := m.Rec.Get(trace.EvEWB)-ewb, m.Rec.Get(trace.EvELD)-eld; n != runs+1 || r != runs+1 {
 		t.Fatalf("%d reads ran %d EWB and %d ELDU, want one each", runs+1, n, r)
 	}
-	if allocs > 1 {
-		t.Errorf("a pressured demand fault allocates %.0f times, want at most 1 (the #PF)", allocs)
+	if allocs != 0 {
+		t.Errorf("a pressured demand fault allocates %.0f times, want 0", allocs)
 	}
 	if err := m.EExit(c, true); err != nil {
 		t.Fatal(err)

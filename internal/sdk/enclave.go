@@ -112,15 +112,15 @@ func (e *Enclave) eCall(name string, args []byte, budget int64) ([]byte, error) 
 	if !ok {
 		return nil, fmt.Errorf("sdk: enclave %s has no ecall %q", e.img.Name, name)
 	}
-	// The uRTS marshals arguments into an untrusted buffer the enclave will
-	// copy in; the simulator models the copy cost with a defensive copy.
-	// The output is not re-copied: ownership of a trusted function's return
-	// buffer transfers to the caller (handlers must not retain it).
-	marshalled := append([]byte(nil), args...)
+	// The handler runs on a private copy of args staged on the core's
+	// stack, as the tRTS copies [in] buffers into the enclave. The output
+	// is not re-copied unless it shares the staged bytes: ownership of a
+	// trusted function's return buffer transfers to the caller (handlers
+	// must not retain it).
 	var out []byte
 	err := e.enterRun(name, budget, func(env *Env) error {
 		var ferr error
-		out, ferr = runNested(env, name, fn, marshalled)
+		out, ferr = runNested(env, name, fn, args)
 		return ferr
 	})
 	if err != nil {
@@ -145,8 +145,7 @@ func (e *Enclave) ECallBatch(name string, batch [][]byte) ([][]byte, error) {
 	outs := make([][]byte, 0, len(batch))
 	err := e.enterRun(name, 0, func(env *Env) error {
 		for i, args := range batch {
-			marshalled := append([]byte(nil), args...)
-			out, ferr := runNested(env, name, fn, marshalled)
+			out, ferr := runNested(env, name, fn, args)
 			if ferr != nil {
 				return fmt.Errorf("batch item %d: %w", i, ferr)
 			}
@@ -179,11 +178,13 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 	if err := m.EEnter(c, e.secs, tcsV, false); err != nil {
 		return err
 	}
-	env := &Env{E: e, C: c, tcsV: tcsV}
+	st := &e.host.stacks[c.ID]
+	env := st.pushEnv(Env{E: e, C: c, tcsV: tcsV, stack: st})
 	if budget > 0 {
 		env.budget = &callBudget{deadline: op.Start() + budget, cycles: budget}
 	}
 	ferr := body(env)
+	st.popEnv()
 	// The tRTS scrubs the register file before leaving the enclave.
 	c.Regs.Scrub()
 	if !c.InEnclave() {

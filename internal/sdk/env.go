@@ -16,6 +16,9 @@ import (
 // code: memory access through the hardware-validated path, the trusted heap,
 // and the four transition interfaces (ocall, and for nested enclaves
 // n_ecall/n_ocall; the initial ecall created this Env).
+//
+// An Env is a frame of the call that received it, valid only until that
+// call returns: the runtime reuses it for later calls on the same core.
 type Env struct {
 	// E is the enclave this code runs in.
 	E *Enclave
@@ -27,6 +30,9 @@ type Env struct {
 	// budget bounds the enclosing call (ECallWithin), nil = unbounded. Every
 	// environment of one call chain shares it.
 	budget *callBudget
+	// stack is the staging stack of the chain's core, which holds this
+	// frame and the arguments of every call of the chain.
+	stack *callStack
 }
 
 // callBudget is the simulated-cycle allowance of one ECallWithin call and
@@ -41,10 +47,11 @@ type callBudget struct {
 	expired bool
 }
 
-// nested returns the environment of enclave e entered through TCS tcsV on
-// this call chain's core. It shares the chain's budget.
+// nested pushes the environment of enclave e entered through TCS tcsV on
+// this call chain's core. It shares the chain's budget and staging stack;
+// the caller pops it with env.stack.popEnv.
 func (env *Env) nested(e *Enclave, tcsV isa.VAddr) *Env {
-	return &Env{E: e, C: env.C, tcsV: tcsV, budget: env.budget}
+	return env.stack.pushEnv(Env{E: e, C: env.C, tcsV: tcsV, budget: env.budget, stack: env.stack})
 }
 
 // preempt enforces the call deadline at every trusted-runtime operation.
@@ -109,22 +116,34 @@ func (env *Env) guardContext() error {
 	return nil
 }
 
-// Read reads n bytes of (virtual) memory through the access-validated path.
-// Reads of memory this enclave may not see return 0xFF bytes (abort-page
-// semantics), exactly like the hardware — but if the execution context
-// itself was torn down mid-read (wrong-core ERESUME), the data is withheld
-// and a typed *ContextLost detection error returned instead.
+// Read reads n bytes of (virtual) memory through the access-validated path
+// into a new buffer; see ReadInto.
 func (env *Env) Read(v isa.VAddr, n int) ([]byte, error) {
-	if err := env.preempt(); err != nil {
+	b := make([]byte, n)
+	if err := env.ReadInto(v, b); err != nil {
 		return nil, err
 	}
-	b, err := env.C.Read(v, n)
-	if err == nil {
-		if cerr := env.guardContext(); cerr != nil {
-			return nil, cerr
-		}
+	return b, nil
+}
+
+// ReadInto reads len(dst) bytes of (virtual) memory at v into dst through
+// the access-validated path, allocating nothing. Reads of memory this
+// enclave may not see return 0xFF bytes (abort-page semantics), exactly like
+// the hardware — but if the execution context itself was torn down
+// mid-read (wrong-core ERESUME), dst is cleared and a typed *ContextLost
+// detection error returned instead.
+func (env *Env) ReadInto(v isa.VAddr, dst []byte) error {
+	if err := env.preempt(); err != nil {
+		return err
 	}
-	return b, err
+	if err := env.C.ReadInto(v, dst); err != nil {
+		return err
+	}
+	if err := env.guardContext(); err != nil {
+		clear(dst)
+		return err
+	}
+	return nil
 }
 
 // Write stores b at v through the access-validated path. Writes to memory
@@ -258,23 +277,36 @@ func (env *Env) NECall(inner *Enclave, name string, args []byte) ([]byte, error)
 	m.Rec.ChargeTo(uint64(inner.secs.EID), env.C.ID, trace.EvNECall, 0)
 	tcsV := inner.claimTCS()
 	defer inner.releaseTCS(tcsV)
-	marshalled := append([]byte(nil), args...)
 	if err := m.NEENTER(env.C, inner.secs, tcsV); err != nil {
 		return nil, err
 	}
-	out, ferr := runNested(env.nested(inner, tcsV), name, fn, marshalled)
+	out, ferr := runNested(env.nested(inner, tcsV), name, fn, args)
+	env.stack.popEnv()
 	if _, crashed := IsCrash(ferr); crashed {
 		// The inner crashed; runNested already popped back to this frame
 		// (or evacuated the core). Surface the typed error to the caller.
 		return nil, ferr
 	}
-	if err := m.NEEXIT(env.C); err != nil {
+	if err := env.neexit(); err != nil {
 		return nil, err
 	}
 	if ferr != nil {
 		return nil, ferr
 	}
 	return out, nil
+}
+
+// neexit returns from the nested entry the core is in. When NEEXIT refuses
+// with its frame still in place, because the enclave it would return into
+// was removed meanwhile, the core is evacuated as after a crash, so it goes
+// back to the pool usable and every caller up the chain fails.
+func (env *Env) neexit() error {
+	m := env.E.host.K.Machine()
+	err := m.NEEXIT(env.C)
+	if t := env.C.CurrentTCS(); err != nil && t != nil && t.Ret() {
+		m.EmergencyExit(env.C)
+	}
+	return err
 }
 
 // NECallBatch invokes an inner entry point once per argument set over a
@@ -307,12 +339,12 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 	outs := make([][]byte, 0, len(batch))
 	var ferr error
 	for i, args := range batch {
-		marshalled := append([]byte(nil), args...)
-		out, ierr := runNested(innerEnv, name, fn, marshalled)
+		out, ierr := runNested(innerEnv, name, fn, args)
 		if ierr != nil {
 			if _, crashed := IsCrash(ierr); crashed {
 				// The inner crashed; runNested already popped back to this
 				// frame (or evacuated the core). No NEEXIT of our own.
+				env.stack.popEnv()
 				return nil, ierr
 			}
 			ferr = fmt.Errorf("batch item %d: %w", i, ierr)
@@ -320,7 +352,8 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 		}
 		outs = append(outs, out)
 	}
-	if err := m.NEEXIT(env.C); err != nil {
+	env.stack.popEnv()
+	if err := env.neexit(); err != nil {
 		return nil, err
 	}
 	if ferr != nil {
@@ -329,7 +362,9 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 	return outs, nil
 }
 
-// runNested runs a trusted function with panic containment: a panic poisons
+// runNested runs a trusted function with env on a copy of args staged on
+// the chain's core stack, and pops the copy when fn returns or crashes,
+// copying out a result that shares it. It contains a crash: a panic poisons
 // the executing enclave and converts the crash into a typed
 // *EnclaveCrashed. When a suspended caller frame exists (an n_ecall or
 // n_ocall), it NEEXITs back to it, which scrubs the register file so no
@@ -338,7 +373,11 @@ func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]by
 // the core is force-evacuated, scrubbing registers and every suspended frame
 // of the nested chain.
 func runNested(env *Env, call string, fn TrustedFunc, args []byte) (out []byte, err error) {
+	st := env.stack
+	top := st.top
+	staged := st.pushArgs(args)
 	defer func() {
+		out = st.popArgs(top, staged, out)
 		if r := recover(); r != nil {
 			m := env.E.host.K.Machine()
 			eid := env.E.secs.EID
@@ -353,7 +392,7 @@ func runNested(env *Env, call string, fn TrustedFunc, args []byte) (out []byte, 
 			out, err = nil, &EnclaveCrashed{Enclave: env.E.img.Name, Call: call, EID: eid, Panic: r}
 		}
 	}()
-	return fn(env, args)
+	return fn(env, staged)
 }
 
 // NOCall invokes a function the outer enclave exposes to its inners via
@@ -388,16 +427,16 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 	op := m.Rec.BeginOp(trace.OpNOCall, env.C.ID, uint64(outer.secs.EID), name)
 	defer op.End()
 	m.Rec.ChargeTo(uint64(outer.secs.EID), env.C.ID, trace.EvNOCall, 0)
-	marshalled := append([]byte(nil), args...)
 
 	// Fast path: this inner was NEENTERed from the outer enclave, so NEEXIT
 	// restores the suspended outer context directly (scrubbing registers
 	// and flushing the TLB)...
 	if t := env.C.CurrentTCS(); t != nil && t.Ret() {
-		if err := m.NEEXIT(env.C); err != nil {
+		if err := env.neexit(); err != nil {
 			return nil, err
 		}
-		out, ferr := runNested(env.nested(outer, env.C.CurrentTCS().Vaddr), name, fn, marshalled)
+		out, ferr := runNested(env.nested(outer, env.C.CurrentTCS().Vaddr), name, fn, args)
+		env.stack.popEnv()
 		if _, crashed := IsCrash(ferr); crashed {
 			// The outer crashed while serving this call; there is no frame
 			// to NEENTER back through (runNested evacuated the core).
@@ -422,12 +461,13 @@ func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
 	if err := m.NEENTER(env.C, outer.secs, outerTCSV); err != nil {
 		return nil, err
 	}
-	out, ferr := runNested(env.nested(outer, outerTCSV), name, fn, marshalled)
+	out, ferr := runNested(env.nested(outer, outerTCSV), name, fn, args)
+	env.stack.popEnv()
 	if _, crashed := IsCrash(ferr); crashed {
 		// The outer crashed; runNested already NEEXITed back to this inner.
 		return nil, ferr
 	}
-	if err := m.NEEXIT(env.C); err != nil {
+	if err := env.neexit(); err != nil {
 		return nil, err
 	}
 	if ferr != nil {

@@ -22,6 +22,9 @@ type Host struct {
 	sw     *switchless.Engine
 
 	cores chan *sgx.Core
+	// stacks[i] is core i's staging stack. Whoever holds core i from the
+	// pool owns it.
+	stacks []callStack
 }
 
 // NewHost creates a host process on the kernel.
@@ -31,6 +34,7 @@ func NewHost(k *kos.Kernel) *Host {
 		Proc:   k.NewProcess(),
 		ocalls: make(map[string]HostFunc),
 		cores:  make(chan *sgx.Core, len(k.Machine().Cores())),
+		stacks: make([]callStack, len(k.Machine().Cores())),
 	}
 	for _, c := range k.Machine().Cores() {
 		h.cores <- c

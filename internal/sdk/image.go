@@ -22,10 +22,19 @@ import (
 	"nestedenclave/internal/measure"
 )
 
-// TrustedFunc is an enclave entry point: code that runs inside the enclave.
+// TrustedFunc is an enclave entry point: code that runs inside the enclave,
+// reached by an ecall, an n_ecall or an n_ocall.
+//
+// Like an SGX [in] buffer, args is the handler's private copy, valid only
+// for the call: the runtime stages it on the core's call stack and reuses
+// the bytes once the call returns, so a handler may change args but must
+// not keep it, or env, past its return. A result may alias args; the
+// runtime then copies it out. Ownership of any other result passes to the
+// caller, so a handler must not keep that either.
 type TrustedFunc func(env *Env, args []byte) ([]byte, error)
 
-// HostFunc is an untrusted ocall handler.
+// HostFunc is an untrusted ocall handler. Its args are its own copy, which
+// it may keep.
 type HostFunc func(args []byte) ([]byte, error)
 
 // Layout sizes an enclave image. One page is 4 KiB.
@@ -84,7 +93,8 @@ func NewImage(name string, base isa.VAddr, l Layout) *Image {
 	}
 }
 
-// RegisterECall adds an entry point.
+// RegisterECall adds an entry point. fn's args and env are valid only for
+// the call (see TrustedFunc).
 func (img *Image) RegisterECall(name string, fn TrustedFunc) *Image {
 	img.ECalls[name] = fn
 	return img

@@ -40,7 +40,8 @@ func (c *Core) translateLocked(v isa.VAddr, op isa.Access) (pa isa.PAddr, abort 
 		return 0, false, isa.PF(v, op, "unmapped")
 	}
 	if !pte.Present {
-		return 0, false, isa.PF(v, op, "not present")
+		c.pf = isa.Fault{Class: isa.FaultPF, Addr: v, Op: op, Reason: "not present"}
+		return 0, false, &c.pf
 	}
 	// The kernel owns the page table: a frame past the end of DRAM must be
 	// refused here, before the cache hierarchy dereferences it.
@@ -93,7 +94,8 @@ func (c *Core) handleFault(err error) bool {
 // repairFaults runs step, one translate-and-access of a chunk, and hands a
 // #PF it returns to the kernel's handler, running step again after each
 // repair, at most maxFaultRetries times. A memory-system error ends it at
-// once.
+// once. A demand fault that escapes to the caller leaves as a heap copy of
+// the core's record, which the core's next fault overwrites.
 func (c *Core) repairFaults(step func() (fault, err error)) error {
 	for attempt := 0; ; attempt++ {
 		fault, err := step()
@@ -104,6 +106,10 @@ func (c *Core) repairFaults(step func() (fault, err error)) error {
 			return nil
 		}
 		if attempt >= maxFaultRetries || !c.handleFault(fault) {
+			if fault == error(&c.pf) {
+				f := c.pf
+				return &f
+			}
 			return fault
 		}
 	}

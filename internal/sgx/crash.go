@@ -68,12 +68,9 @@ func (m *Machine) EmergencyExit(c *Core) []isa.EID {
 	// Scrub the whole suspended-frame chain: each TCS in it drops its
 	// frame, saved state, and busy claim.
 	for t := c.curTCS; t != nil; {
-		next := (*TCS)(nil)
-		if t.ret != nil {
-			next = t.ret.tcs
-		}
-		t.ret = nil
-		t.ssa = nil
+		next := t.ret.tcs
+		t.ret = enclaveFrame{}
+		t.ssa = enclaveFrame{}
 		t.Busy = false
 		t = next
 	}
@@ -94,7 +91,7 @@ func (m *Machine) EmergencyExit(c *Core) []isa.EID {
 func (m *Machine) ScrubTCS(t *TCS) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t.ssa = nil
-	t.ret = nil
+	t.ssa = enclaveFrame{}
+	t.ret = enclaveFrame{}
 	t.Busy = false
 }

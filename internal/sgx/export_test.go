@@ -68,7 +68,7 @@ func (c *Core) ExecutingEIDs() []isa.EID {
 // RetFrameEID returns the EID of the suspended outer enclave saved in the
 // TCS, or NoEnclave.
 func (t *TCS) RetFrameEID() isa.EID {
-	if t.ret == nil {
+	if t.ret.empty() {
 		return isa.NoEnclave
 	}
 	return t.ret.secs.EID

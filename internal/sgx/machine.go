@@ -323,8 +323,15 @@ type Core struct {
 
 	// PFHandler, when set, is invoked for page faults raised by memory
 	// accesses (the kernel's fault handler: it can reload evicted EPC pages
-	// and retry). Installed by package kos.
+	// and retry). Installed by package kos. The fault it is handed may be
+	// the core's own demand-fault record (pf), valid only during the call.
 	PFHandler func(c *Core, f *isa.Fault) bool
+
+	// pf records the core's latest demand fault ("not present"), so a fault
+	// the kernel repairs allocates nothing; repairFaults copies it to the
+	// heap when it escapes to the caller. Owned by the goroutine running
+	// the core, like the TLB.
+	pf isa.Fault
 }
 
 // Machine returns the owning machine.
@@ -374,7 +381,7 @@ func (c *Core) anyFrame(match func(isa.EID) bool) bool {
 	if match(c.cur.EID) {
 		return true
 	}
-	for t := c.curTCS; t != nil && t.ret != nil; t = t.ret.tcs {
+	for t := c.curTCS; t != nil && !t.ret.empty(); t = t.ret.tcs {
 		if match(t.ret.secs.EID) {
 			return true
 		}

@@ -130,21 +130,14 @@ type TCS struct {
 	// ret is the reserved stack frame holding the suspended outer-enclave
 	// context while this TCS's enclave runs as a nested inner (the paper:
 	// NEENTER "saves the current context ... to a reserved stack frame of
-	// the entering inner enclave"). nil for top-level entries.
-	ret *enclaveFrame
-	// ssa holds the state saved by an asynchronous enclave exit.
-	ssa *savedFrame
+	// the entering inner enclave"). Empty for top-level entries.
+	ret enclaveFrame
+	// ssa is the state-save area: the context an asynchronous enclave exit
+	// saved, consumed by ERESUME. Its tcs is this TCS. Suspended nested
+	// frames need no saving here: they already live in the ret chain.
+	ssa enclaveFrame
 
 	page int // EPC page index backing the TCS
-}
-
-// savedFrame is the simulator's SSA: the core state snapshot written by AEX
-// and consumed by ERESUME. Suspended nested frames need no saving here —
-// they already live in the TCS ret chain.
-type savedFrame struct {
-	regs   Registers
-	cur    *SECS
-	curTCS *TCS
 }
 
 // Registers models the architectural register file that transitions must
@@ -162,10 +155,15 @@ func (r *Registers) Scrub() { *r = Registers{} }
 // IsZero reports whether every register is zero.
 func (r *Registers) IsZero() bool { return *r == Registers{} }
 
-// enclaveFrame records a suspended enclave context on the core's nested
-// entry stack (the outer enclave's state while an inner enclave runs).
+// enclaveFrame records a suspended enclave context: the outer enclave's
+// state while an inner enclave runs (TCS.ret), or an interrupted thread's
+// (TCS.ssa). Both live in the TCS, as SGX keeps them in TCS-owned pages, so
+// no entry or exit allocates one. A nil secs means the frame is empty.
 type enclaveFrame struct {
 	secs *SECS
 	tcs  *TCS
 	regs Registers
 }
+
+// empty reports whether the frame holds no suspended context.
+func (f *enclaveFrame) empty() bool { return f.secs == nil }

@@ -17,7 +17,7 @@ import (
 
 // Ret reports whether the TCS holds the suspended outer-enclave frame of a
 // nested entry (false for top-level entries).
-func (t *TCS) Ret() bool { return t.ret != nil }
+func (t *TCS) Ret() bool { return !t.ret.empty() }
 
 // EEnter enters an initialized enclave through the TCS at tcsVaddr.
 // With resume=false the TCS must be idle and is claimed; with resume=true
@@ -49,7 +49,7 @@ func (m *Machine) EEnter(c *Core, s *SECS, tcsVaddr isa.VAddr, resume bool) erro
 		if t.Busy {
 			return isa.GP("EENTER: TCS %#x busy", uint64(tcsVaddr))
 		}
-		if t.ret != nil {
+		if !t.ret.empty() {
 			return isa.GP("EENTER: TCS %#x holds a suspended nested frame", uint64(tcsVaddr))
 		}
 		t.Busy = true
@@ -84,7 +84,7 @@ func (m *Machine) EExit(c *Core, release bool) error {
 	}
 	t := c.curTCS
 	if release {
-		if t.ret != nil {
+		if !t.ret.empty() {
 			return isa.GP("EEXIT: releasing TCS with suspended outer frame (NEEXIT first)")
 		}
 		t.Busy = false
@@ -116,7 +116,7 @@ func (m *Machine) aexLocked(c *Core) error {
 		return isa.GP("AEX: core %d not in enclave mode", c.ID)
 	}
 	t := c.curTCS
-	t.ssa = &savedFrame{regs: c.Regs, cur: c.cur, curTCS: t}
+	t.ssa = enclaveFrame{secs: c.cur, tcs: t, regs: c.Regs}
 	interrupted := c.cur.EID
 	c.Regs.Scrub()
 	c.tlb.FlushAll()
@@ -138,27 +138,28 @@ func (m *Machine) EResume(c *Core, t *TCS) error {
 	if c.inEnclave {
 		return isa.GP("ERESUME: core %d already in enclave mode", c.ID)
 	}
-	if t.ssa == nil {
+	f := &t.ssa
+	if f.empty() {
 		return isa.GP("ERESUME: TCS has no saved state")
 	}
 	// Refuse to resume a poisoned enclave *before* consuming the saved
 	// state, so the caller can still EmergencyExit/ScrubTCS cleanly.
-	if reason, ok := m.PoisonedReason(t.ssa.cur.EID); ok {
-		return isa.MC("ERESUME: enclave %d poisoned: %s", t.ssa.cur.EID, reason)
+	if reason, ok := m.PoisonedReason(f.secs.EID); ok {
+		return isa.MC("ERESUME: enclave %d poisoned: %s", f.secs.EID, reason)
 	}
-	if !m.liveTCS(t.ssa.cur, t.ssa.curTCS) {
-		return isa.GP("ERESUME: enclave %d or its TCS was removed", t.ssa.cur.EID)
+	if !m.liveTCS(f.secs, f.tcs) {
+		return isa.GP("ERESUME: enclave %d or its TCS was removed", f.secs.EID)
 	}
-	f := t.ssa
-	t.ssa = nil
+	s := f.secs
 	c.tlb.FlushAll()
 	c.inEnclave = true
-	c.cur = f.cur
-	c.curTCS = f.curTCS
+	c.cur = s
+	c.curTCS = f.tcs
 	c.Regs = f.regs
-	c.tlb.BillEID = uint64(f.cur.EID)
-	f.cur.epochEntries[c.ID] = f.cur.trackEpoch
-	m.Rec.ChargeTo(uint64(f.cur.EID), c.ID, trace.EvEENTER, trace.CostEENTER)
+	*f = enclaveFrame{}
+	c.tlb.BillEID = uint64(s.EID)
+	s.epochEntries[c.ID] = s.trackEpoch
+	m.Rec.ChargeTo(uint64(s.EID), c.ID, trace.EvEENTER, trace.CostEENTER)
 	return nil
 }
 
@@ -205,7 +206,7 @@ func (m *Machine) NEENTER(c *Core, target *SECS, tcsVaddr isa.VAddr) error {
 	if t.Busy {
 		return isa.GP("NEENTER: destination TCS %#x busy", uint64(tcsVaddr))
 	}
-	t.ret = &enclaveFrame{secs: cur, tcs: c.curTCS, regs: c.Regs}
+	t.ret = enclaveFrame{secs: cur, tcs: c.curTCS, regs: c.Regs}
 	t.Busy = true
 	c.tlb.FlushAll()
 	delete(cur.epochEntries, c.ID)
@@ -221,7 +222,9 @@ func (m *Machine) NEENTER(c *Core, target *SECS, tcsVaddr isa.VAddr) error {
 // entered from. It clears all the information of the inner enclave —
 // zeroing the register file and flushing the TLB — releases the TCS, and
 // restores the suspended outer context. Executing NEEXIT outside a nested
-// entry is a general-protection fault.
+// entry is a general-protection fault, and so is returning into an outer
+// enclave or TCS that was removed while the inner ran: the frame then stays
+// in place, for the runtime to evacuate the core.
 func (m *Machine) NEEXIT(c *Core) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -229,21 +232,25 @@ func (m *Machine) NEEXIT(c *Core) error {
 		return isa.GP("NEEXIT: core %d not in enclave mode", c.ID)
 	}
 	t := c.curTCS
-	if t == nil || t.ret == nil {
+	if t == nil || t.ret.empty() {
 		return isa.GP("NEEXIT: no suspended outer context (not a nested entry)")
 	}
+	f := &t.ret
+	if !m.liveTCS(f.secs, f.tcs) {
+		return isa.GP("NEEXIT: enclave %d or its TCS %#x was removed", f.secs.EID, uint64(f.tcs.Vaddr))
+	}
 	leaving := c.cur
-	f := t.ret
-	t.ret = nil
+	outer := f.secs
 	t.Busy = false
 	c.Regs.Scrub()
 	c.tlb.FlushAll()
 	delete(leaving.epochEntries, c.ID)
-	c.cur = f.secs
+	c.cur = outer
 	c.curTCS = f.tcs
 	c.Regs = f.regs
-	c.tlb.BillEID = uint64(f.secs.EID)
-	f.secs.epochEntries[c.ID] = f.secs.trackEpoch
+	*f = enclaveFrame{}
+	c.tlb.BillEID = uint64(outer.EID)
+	outer.epochEntries[c.ID] = outer.trackEpoch
 	m.Rec.ChargeTo(uint64(leaving.EID), c.ID, trace.EvNEEXIT, trace.CostNEEXIT)
 	return nil
 }
@@ -288,7 +295,7 @@ func (m *Machine) liveTCS(s *SECS, t *TCS) bool {
 // retChainEIDs walks the suspended-frame chain from t outward.
 func (t *TCS) retChainEIDs() []isa.EID {
 	var out []isa.EID
-	for cur := t; cur != nil && cur.ret != nil; cur = cur.ret.tcs {
+	for cur := t; cur != nil && !cur.ret.empty(); cur = cur.ret.tcs {
 		out = append(out, cur.ret.secs.EID)
 	}
 	return out

@@ -59,11 +59,16 @@ type (
 	SignedImage = sdk.SignedImage
 	// Enclave is a loaded enclave handle.
 	Enclave = sdk.Enclave
-	// Env is the in-enclave execution environment.
+	// Env is the in-enclave execution environment, valid only for the call
+	// that received it.
 	Env = sdk.Env
-	// TrustedFunc is an enclave entry point.
+	// TrustedFunc is an enclave entry point, installed with RegisterECall or
+	// RegisterNOCall. Its args, like an SGX [in] buffer, and its Env are
+	// valid only for the call: the runtime reuses both afterwards. A result
+	// may alias args (the runtime copies it out); any other result passes to
+	// the caller.
 	TrustedFunc = sdk.TrustedFunc
-	// HostFunc is an untrusted ocall handler.
+	// HostFunc is an untrusted ocall handler; it keeps its own copy of args.
 	HostFunc = sdk.HostFunc
 	// Author signs enclave images.
 	Author = measure.Author

@@ -2,12 +2,23 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
-// DB is an in-memory database.
+// DB is an in-memory database. It is not safe for concurrent use: Exec
+// parses into a statement the DB owns, so its callers must issue one query
+// at a time.
 type DB struct {
 	tables map[string]*table
+
+	// Exec's working state, reused by every query so that a point query
+	// allocates only what it stores or returns. Exec leaves none of it
+	// holding text of its query.
+	stmt  stmts  // the statement Exec parses into
+	where []cond // the WHERE clause, resolved against its table
+	cols  []int  // SELECT's projection, or UPDATE's SET columns
+	ids   []int  // the rows the WHERE clause matched
 }
 
 type table struct {
@@ -20,7 +31,16 @@ type table struct {
 	live  int
 }
 
-// Result carries statement output.
+// cond is a WHERE condition resolved against its table: the column's index,
+// and the literal coerced to the column's kind.
+type cond struct {
+	ci  int
+	op  string
+	val Value
+}
+
+// Result carries statement output. It shares nothing with the DB or the
+// query: a later statement never changes it.
 type Result struct {
 	Columns  []string
 	Rows     [][]Value
@@ -30,13 +50,23 @@ type Result struct {
 // New creates an empty database.
 func New() *DB { return &DB{tables: make(map[string]*table)} }
 
-// Exec parses and executes one statement.
+// Exec parses and executes one statement. The statement's names slice sql
+// and its text literals are copies; the executor copies the names the DB
+// keeps (a new table's name and columns), and Exec then empties the
+// statement, so the DB does not keep sql alive.
 func (db *DB) Exec(sql string) (*Result, error) {
-	st, err := Parse(sql)
+	defer db.release()
+	st, err := parse(sql, &db.stmt)
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecStmt(st)
+	return db.execStmt(st)
+}
+
+// release empties Exec's working state of the query it ran.
+func (db *DB) release() {
+	db.stmt.reset()
+	db.where = emptied(db.where)
 }
 
 // MustExec is Exec for statements that must succeed (setup code).
@@ -48,9 +78,9 @@ func (db *DB) MustExec(sql string) *Result {
 	return r
 }
 
-// ExecStmt executes a pre-parsed statement (the fast path for prepared
-// workloads like YCSB).
-func (db *DB) ExecStmt(st Stmt) (*Result, error) {
+// execStmt executes a parsed statement. It may rewrite the statement's
+// UPDATE values in place.
+func (db *DB) execStmt(st Stmt) (*Result, error) {
 	switch s := st.(type) {
 	case *CreateStmt:
 		return db.execCreate(s)
@@ -97,7 +127,12 @@ func (db *DB) execCreate(s *CreateStmt) (*Result, error) {
 		}
 		seen[c.Name] = true
 	}
-	db.tables[s.Table] = &table{name: s.Table, cols: s.Cols, pk: s.PK, index: NewBTree()}
+	cols := make([]ColDef, len(s.Cols))
+	for i, c := range s.Cols {
+		cols[i] = ColDef{Name: strings.Clone(c.Name), Kind: c.Kind}
+	}
+	name := strings.Clone(s.Table)
+	db.tables[name] = &table{name: name, cols: cols, pk: s.PK, index: NewBTree()}
 	return &Result{}, nil
 }
 
@@ -146,15 +181,11 @@ func (db *DB) execInsert(s *InsertStmt) (*Result, error) {
 	return &Result{Affected: 1}, nil
 }
 
-// matchRows returns the row ids satisfying the conjunctive conditions,
-// using the primary-key index for point and range predicates on the PK.
-func (t *table) matchRows(where []Cond) ([]int, error) {
-	// Validate and locate condition columns.
-	type cc struct {
-		ci int
-		Cond
-	}
-	var conds []cc
+// matchRows returns the ids of the rows satisfying the conjunctive
+// conditions, using the primary-key index for point and range predicates on
+// the PK. The ids are db.ids, valid until the next statement.
+func (db *DB) matchRows(t *table, where []Cond) ([]int, error) {
+	db.where = db.where[:0]
 	for _, c := range where {
 		ci, err := t.colIndex(c.Col)
 		if err != nil {
@@ -164,60 +195,64 @@ func (t *table) matchRows(where []Cond) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Val = v
-		conds = append(conds, cc{ci: ci, Cond: c})
+		db.where = append(db.where, cond{ci: ci, op: c.Op, val: v})
 	}
-	match := func(row []Value) bool {
-		for _, c := range conds {
-			if !evalCond(row[c.ci], c.Op, c.Val) {
-				return false
-			}
-		}
-		return true
-	}
+	conds := db.where
+	db.ids = db.ids[:0]
 
 	// Index path: an equality on the PK resolves to at most one row.
 	for _, c := range conds {
-		if c.ci == t.pk && c.Op == "=" {
-			id, ok := t.index.Get(c.Val)
-			if !ok || t.rows[id] == nil || !match(t.rows[id]) {
-				return nil, nil
+		if c.ci == t.pk && c.op == "=" {
+			if id, ok := t.index.Get(c.val); ok && matches(t.rows[id], conds) {
+				db.ids = append(db.ids, id)
 			}
-			return []int{id}, nil
+			return db.ids, nil
 		}
 	}
 	// Index path: PK range predicates bound an ordered scan.
 	var lo, hi *Value
 	ranged := false
-	for _, c := range conds {
+	for i := range conds {
+		c := &conds[i]
 		if c.ci != t.pk {
 			continue
 		}
-		v := c.Val
-		switch c.Op {
+		switch c.op {
 		case ">", ">=":
-			lo, ranged = &v, true
+			lo, ranged = &c.val, true
 		case "<", "<=":
-			hi, ranged = &v, true
+			hi, ranged = &c.val, true
 		}
 	}
-	var ids []int
 	if ranged {
 		t.index.ScanRange(lo, hi, func(_ Value, id int) bool {
-			if t.rows[id] != nil && match(t.rows[id]) {
-				ids = append(ids, id)
+			if matches(t.rows[id], conds) {
+				db.ids = append(db.ids, id)
 			}
 			return true
 		})
-		return ids, nil
+		return db.ids, nil
 	}
 	// Full scan.
 	for id, row := range t.rows {
-		if row != nil && match(row) {
-			ids = append(ids, id)
+		if matches(row, conds) {
+			db.ids = append(db.ids, id)
 		}
 	}
-	return ids, nil
+	return db.ids, nil
+}
+
+// matches reports whether row is live and satisfies every condition.
+func matches(row []Value, conds []cond) bool {
+	if row == nil {
+		return false
+	}
+	for _, c := range conds {
+		if !evalCond(row[c.ci], c.op, c.val) {
+			return false
+		}
+	}
+	return true
 }
 
 func evalCond(a Value, op string, b Value) bool {
@@ -247,20 +282,18 @@ func (db *DB) execSelect(s *SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids, err := t.matchRows(s.Where)
+	ids, err := db.matchRows(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
 	if s.Count {
 		return &Result{Columns: []string{"COUNT(*)"}, Rows: [][]Value{{Int(int64(len(ids)))}}}, nil
 	}
-	// Projection.
-	proj := make([]int, 0, len(t.cols))
-	var names []string
-	if s.Cols == nil {
-		for i, c := range t.cols {
+	// Projection; no columns named means *.
+	proj := db.cols[:0]
+	if len(s.Cols) == 0 {
+		for i := range t.cols {
 			proj = append(proj, i)
-			names = append(names, c.Name)
 		}
 	} else {
 		for _, cn := range s.Cols {
@@ -269,32 +302,42 @@ func (db *DB) execSelect(s *SelectStmt) (*Result, error) {
 				return nil, err
 			}
 			proj = append(proj, ci)
-			names = append(names, cn)
 		}
 	}
+	db.cols = proj
 	if s.OrderBy != "" {
 		oi, err := t.colIndex(s.OrderBy)
 		if err != nil {
 			return nil, err
 		}
-		sort.SliceStable(ids, func(a, b int) bool {
-			c := Compare(t.rows[ids[a]][oi], t.rows[ids[b]][oi])
+		slices.SortStableFunc(ids, func(a, b int) int {
+			c := Compare(t.rows[a][oi], t.rows[b][oi])
 			if s.Desc {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		})
 	}
 	if s.Limit >= 0 && len(ids) > s.Limit {
 		ids = ids[:s.Limit]
 	}
-	res := &Result{Columns: names}
-	for _, id := range ids {
-		out := make([]Value, len(proj))
-		for i, ci := range proj {
-			out[i] = t.rows[id][ci]
+	// The names are the table's and the cells are copies of the stored
+	// values, so the result shares no memory with the query.
+	res := &Result{Columns: make([]string, len(proj))}
+	for i, ci := range proj {
+		res.Columns[i] = t.cols[ci].Name
+	}
+	if len(ids) > 0 {
+		n := len(proj)
+		cells := make([]Value, len(ids)*n)
+		res.Rows = make([][]Value, len(ids))
+		for r, id := range ids {
+			out := cells[r*n : (r+1)*n : (r+1)*n]
+			for i, ci := range proj {
+				out[i] = t.rows[id][ci]
+			}
+			res.Rows[r] = out
 		}
-		res.Rows = append(res.Rows, out)
 	}
 	return res, nil
 }
@@ -304,40 +347,40 @@ func (db *DB) execUpdate(s *UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids, err := t.matchRows(s.Where)
+	ids, err := db.matchRows(t, s.Where)
 	if err != nil {
 		return nil, err
 	}
-	type setOp struct {
-		ci int
-		v  Value
-	}
-	var sets []setOp
-	for _, st := range s.Sets {
-		ci, err := t.colIndex(st.Col)
+	// Resolve every SET before changing a row.
+	cols := db.cols[:0]
+	for i, set := range s.Sets {
+		ci, err := t.colIndex(set.Col)
 		if err != nil {
 			return nil, err
 		}
-		v, err := coerce(st.Val, t.cols[ci].Kind)
+		v, err := coerce(set.Val, t.cols[ci].Kind)
 		if err != nil {
 			return nil, err
 		}
-		sets = append(sets, setOp{ci: ci, v: v})
+		s.Sets[i].Val = v
+		cols = append(cols, ci)
 	}
+	db.cols = cols
 	for _, id := range ids {
-		for _, so := range sets {
-			if so.ci == t.pk {
+		for i, ci := range cols {
+			v := s.Sets[i].Val
+			if ci == t.pk {
 				// Primary-key update: maintain the index.
 				old := t.rows[id][t.pk]
-				if Compare(old, so.v) != 0 {
-					if _, exists := t.index.Get(so.v); exists {
-						return nil, fmt.Errorf("sqldb: duplicate primary key %s", so.v)
+				if Compare(old, v) != 0 {
+					if _, exists := t.index.Get(v); exists {
+						return nil, fmt.Errorf("sqldb: duplicate primary key %s", v)
 					}
 					t.index.Delete(old)
-					t.index.Set(so.v, id)
+					t.index.Set(v, id)
 				}
 			}
-			t.rows[id][so.ci] = so.v
+			t.rows[id][ci] = v
 		}
 	}
 	return &Result{Affected: len(ids)}, nil
@@ -348,7 +391,7 @@ func (db *DB) execDelete(s *DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids, err := t.matchRows(s.Where)
+	ids, err := db.matchRows(t, s.Where)
 	if err != nil {
 		return nil, err
 	}

@@ -10,192 +10,191 @@ import (
 // FormatStmt renders a parsed statement back to SQL. The nested SQL service
 // uses it to rewrite queries (the inner enclave parses, encrypts literal
 // values, and forwards the rewritten text to the shared database service).
-// The text is written into one builder, sized up front from the
-// statement's names and literals.
+// It walks the statement twice: once counting the text's length, then
+// writing the text into one builder grown to exactly that length.
 func FormatStmt(st Stmt) (string, error) {
-	var b strings.Builder
+	n := stmtLen(st)
+	if n < 0 {
+		return "", fmt.Errorf("sqldb: cannot format %T", st)
+	}
+	var w textWriter
+	w.b.Grow(n)
+	w.stmt(st)
+	return w.b.String(), nil
+}
+
+// stmtLen is the length of the text FormatStmt writes for st, or -1 when
+// it cannot format st.
+func stmtLen(st Stmt) int {
+	w := textWriter{counting: true}
+	if !w.stmt(st) {
+		return -1
+	}
+	return w.n
+}
+
+// textWriter writes a statement's text into b or, when counting, only adds
+// its length to n, so one walk of the statement serves both passes.
+type textWriter struct {
+	b        strings.Builder
+	n        int
+	counting bool
+}
+
+func (w *textWriter) put(s string) {
+	if w.counting {
+		w.n += len(s)
+		return
+	}
+	w.b.WriteString(s)
+}
+
+func (w *textWriter) putBytes(p []byte) {
+	if w.counting {
+		w.n += len(p)
+		return
+	}
+	w.b.Write(p)
+}
+
+// stmt writes st and reports whether it is a statement it can format.
+func (w *textWriter) stmt(st Stmt) bool {
 	switch s := st.(type) {
 	case *CreateStmt:
-		n := len("CREATE TABLE  () PRIMARY KEY") + len(s.Table)
-		for _, c := range s.Cols {
-			n += len(", ") + len(c.Name) + len(" FLOAT")
-		}
-		b.Grow(n)
-		b.WriteString("CREATE TABLE ")
-		b.WriteString(s.Table)
-		b.WriteString(" (")
+		w.put("CREATE TABLE ")
+		w.put(s.Table)
+		w.put(" (")
 		for i, c := range s.Cols {
 			if i > 0 {
-				b.WriteString(", ")
+				w.put(", ")
 			}
-			b.WriteString(c.Name)
-			b.WriteByte(' ')
-			b.WriteString(c.Kind.String())
+			w.put(c.Name)
+			w.put(" ")
+			w.put(c.Kind.String())
 			if i == s.PK {
-				b.WriteString(" PRIMARY KEY")
+				w.put(" PRIMARY KEY")
 			}
 		}
-		b.WriteByte(')')
+		w.put(")")
 	case *InsertStmt:
-		n := len("INSERT INTO  () VALUES ()") + len(s.Table) + listLen(s.Cols)
-		for _, v := range s.Vals {
-			n += len(", ") + literalLen(v)
-		}
-		b.Grow(n)
-		b.WriteString("INSERT INTO ")
-		b.WriteString(s.Table)
+		w.put("INSERT INTO ")
+		w.put(s.Table)
 		if len(s.Cols) > 0 {
-			b.WriteString(" (")
-			writeList(&b, s.Cols)
-			b.WriteByte(')')
+			w.put(" (")
+			w.list(s.Cols)
+			w.put(")")
 		}
-		b.WriteString(" VALUES (")
+		w.put(" VALUES (")
 		for i, v := range s.Vals {
 			if i > 0 {
-				b.WriteString(", ")
+				w.put(", ")
 			}
-			writeLiteral(&b, v)
+			w.literal(v)
 		}
-		b.WriteByte(')')
+		w.put(")")
 	case *SelectStmt:
-		b.Grow(len("SELECT COUNT(*) FROM  ORDER BY  DESC LIMIT ") + maxNumLen +
-			listLen(s.Cols) + len(s.Table) + whereLen(s.Where) + len(s.OrderBy))
-		b.WriteString("SELECT ")
+		w.put("SELECT ")
 		switch {
 		case s.Count:
-			b.WriteString("COUNT(*)")
+			w.put("COUNT(*)")
 		case s.Cols == nil:
-			b.WriteByte('*')
+			w.put("*")
 		default:
-			writeList(&b, s.Cols)
+			w.list(s.Cols)
 		}
-		b.WriteString(" FROM ")
-		b.WriteString(s.Table)
-		writeWhere(&b, s.Where)
+		w.put(" FROM ")
+		w.put(s.Table)
+		w.where(s.Where)
 		if s.OrderBy != "" {
-			b.WriteString(" ORDER BY ")
-			b.WriteString(s.OrderBy)
+			w.put(" ORDER BY ")
+			w.put(s.OrderBy)
 			if s.Desc {
-				b.WriteString(" DESC")
+				w.put(" DESC")
 			}
 		}
 		if s.Limit >= 0 {
-			var num [maxNumLen]byte
-			b.WriteString(" LIMIT ")
-			b.Write(strconv.AppendInt(num[:0], int64(s.Limit), 10))
+			w.put(" LIMIT ")
+			w.literal(Int(int64(s.Limit)))
 		}
 	case *UpdateStmt:
-		n := len("UPDATE  SET ") + len(s.Table) + whereLen(s.Where)
-		for _, set := range s.Sets {
-			n += len(", ") + len(set.Col) + len(" = ") + literalLen(set.Val)
-		}
-		b.Grow(n)
-		b.WriteString("UPDATE ")
-		b.WriteString(s.Table)
-		b.WriteString(" SET ")
+		w.put("UPDATE ")
+		w.put(s.Table)
+		w.put(" SET ")
 		for i, set := range s.Sets {
 			if i > 0 {
-				b.WriteString(", ")
+				w.put(", ")
 			}
-			b.WriteString(set.Col)
-			b.WriteString(" = ")
-			writeLiteral(&b, set.Val)
+			w.put(set.Col)
+			w.put(" = ")
+			w.literal(set.Val)
 		}
-		writeWhere(&b, s.Where)
+		w.where(s.Where)
 	case *DeleteStmt:
-		b.Grow(len("DELETE FROM ") + len(s.Table) + whereLen(s.Where))
-		b.WriteString("DELETE FROM ")
-		b.WriteString(s.Table)
-		writeWhere(&b, s.Where)
+		w.put("DELETE FROM ")
+		w.put(s.Table)
+		w.where(s.Where)
 	default:
-		return "", fmt.Errorf("sqldb: cannot format %T", st)
+		return false
 	}
-	return b.String(), nil
+	return true
+}
+
+func (w *textWriter) list(names []string) {
+	for i, name := range names {
+		if i > 0 {
+			w.put(", ")
+		}
+		w.put(name)
+	}
+}
+
+func (w *textWriter) where(where []Cond) {
+	for i, c := range where {
+		if i == 0 {
+			w.put(" WHERE ")
+		} else {
+			w.put(" AND ")
+		}
+		w.put(c.Col)
+		w.put(" ")
+		w.put(c.Op)
+		w.put(" ")
+		w.literal(c.Val)
+	}
 }
 
 // maxNumLen bounds the text of an int64 or a shortest-form float64, with
 // the ".0" a whole float gets.
 const maxNumLen = 32
 
-// listLen bounds the length of names written by writeList.
-func listLen(names []string) int {
-	n := 0
-	for _, name := range names {
-		n += len(", ") + len(name)
-	}
-	return n
-}
-
-func writeList(b *strings.Builder, names []string) {
-	for i, name := range names {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(name)
-	}
-}
-
-// whereLen bounds the length of the clause writeWhere writes.
-func whereLen(where []Cond) int {
-	n := 0
-	for _, c := range where {
-		n += len(" WHERE ") + len(c.Col) + len("  ") + len(c.Op) + literalLen(c.Val)
-	}
-	return n
-}
-
-func writeWhere(b *strings.Builder, where []Cond) {
-	for i, c := range where {
-		if i == 0 {
-			b.WriteString(" WHERE ")
-		} else {
-			b.WriteString(" AND ")
-		}
-		b.WriteString(c.Col)
-		b.WriteByte(' ')
-		b.WriteString(c.Op)
-		b.WriteByte(' ')
-		writeLiteral(b, c.Val)
-	}
-}
-
-// literalLen bounds the length of the literal writeLiteral writes for v.
-func literalLen(v Value) int {
-	if v.Kind == KText {
-		return len(v.S) + strings.Count(v.S, "'") + 2
-	}
-	return maxNumLen
-}
-
-// writeLiteral writes v as a SQL literal: text quoted with its quotes
-// doubled, a float always with a '.' or an exponent so it reads back as a
-// float.
-func writeLiteral(b *strings.Builder, v Value) {
+// literal writes v as a SQL literal: text quoted with its quotes doubled, a
+// float always with a '.' or an exponent so it reads back as a float.
+func (w *textWriter) literal(v Value) {
 	var num [maxNumLen]byte
 	switch v.Kind {
 	case KText:
-		b.WriteByte('\'')
+		w.put("'")
 		s := v.S
 		for {
 			i := strings.IndexByte(s, '\'')
 			if i < 0 {
 				break
 			}
-			b.WriteString(s[:i+1])
-			b.WriteByte('\'')
+			w.put(s[:i+1])
+			w.put("'")
 			s = s[i+1:]
 		}
-		b.WriteString(s)
-		b.WriteByte('\'')
+		w.put(s)
+		w.put("'")
 	case KInt:
-		b.Write(strconv.AppendInt(num[:0], v.I, 10))
+		w.putBytes(strconv.AppendInt(num[:0], v.I, 10))
 	case KFloat:
 		f := strconv.AppendFloat(num[:0], v.F, 'g', -1, 64)
-		b.Write(f)
+		w.putBytes(f)
 		if !bytes.ContainsAny(f, ".eE") {
-			b.WriteString(".0")
+			w.put(".0")
 		}
 	default:
-		b.WriteString("NULL")
+		w.put("NULL")
 	}
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -64,5 +65,37 @@ func TestFormatTextProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFormatGrowsToExactLength checks that the size FormatStmt grows its
+// builder to, stmtLen, is the length of the text it writes: for every
+// statement the golden corpus parses, and for hand-built ones the parser
+// never makes.
+func TestFormatGrowsToExactLength(t *testing.T) {
+	stmts := []Stmt{
+		&CreateStmt{Table: "t", Cols: []ColDef{{"a", KInt}, {"b", KNull}, {"c", Kind(9)}}, PK: 5},
+		&InsertStmt{Table: "t", Cols: []string{}, Vals: []Value{
+			Int(math.MinInt64), Float(math.NaN()), Float(math.Inf(-1)), Float(-math.MaxFloat64),
+			Float(5e-324), Float(math.Copysign(0, -1)), Float(1e21), Text(""), Text("''"), {Kind: Kind(9)},
+		}},
+		&SelectStmt{Table: "t", Cols: []string{}, Limit: math.MaxInt},
+		&SelectStmt{Table: "t", Count: true, OrderBy: "a", Desc: true, Limit: 0},
+		&UpdateStmt{Table: "t"},
+		&DeleteStmt{Table: "t", Where: []Cond{{Col: "a", Op: "<>", Val: Text("it's")}, {Col: "b", Op: "=", Val: Null()}}},
+	}
+	for _, sql := range goldenInputs() {
+		if st, err := Parse(sql); err == nil {
+			stmts = append(stmts, st)
+		}
+	}
+	for _, st := range stmts {
+		text, err := FormatStmt(st)
+		if err != nil {
+			t.Fatalf("%#v: %v", st, err)
+		}
+		if n := stmtLen(st); n != len(text) {
+			t.Errorf("FormatStmt grows to %d bytes and writes %d: %q", n, len(text), text)
+		}
 	}
 }

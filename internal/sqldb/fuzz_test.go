@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,10 +18,20 @@ func mustNotPanic(t *testing.T, sql string) {
 			t.Fatalf("panic on %q: %v", sql, r)
 		}
 	}()
+	_, _ = preloaded().Exec(sql)
+}
+
+// preloaded returns the database the robustness checks run their input
+// against: table t with four rows, neither their keys nor their values in
+// insertion order, one value NULL.
+func preloaded() *DB {
 	db := New()
 	db.MustExec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
-	db.MustExec("INSERT INTO t VALUES (1, 'x')")
-	_, _ = db.Exec(sql)
+	db.MustExec("INSERT INTO t VALUES (3, 'x')")
+	db.MustExec("INSERT INTO t VALUES (1, 'z')")
+	db.MustExec("INSERT INTO t VALUES (4, NULL)")
+	db.MustExec("INSERT INTO t VALUES (2, 'y')")
+	return db
 }
 
 // robustnessCorpus is hostile input the parser and executor must survive;
@@ -130,6 +142,60 @@ func FuzzParse(f *testing.F) {
 		}
 		if text2 != text {
 			t.Fatalf("format is not a fixed point: %q, then %q (from %q)", text, text2, sql)
+		}
+	})
+}
+
+// execPairs are query pairs whose second query reads differently if the
+// first leaves a field behind in Exec's reused statement or scratch: a
+// projection, COUNT, ORDER BY, DESC or LIMIT, a WHERE clause, INSERT
+// columns, SET pairs, or a primary-key column, left by a query that
+// succeeded or by one that failed part-way.
+var execPairs = [][2]string{
+	{"SELECT COUNT(*) FROM t WHERE v != 'x' ORDER BY id DESC LIMIT 1", "SELECT * FROM t"},
+	{"SELECT v FROM t WHERE id > 1 ORDER BY v", "SELECT * FROM t"},
+	{"SELECT v, id FROM t WHERE id < 4 ORDER BY v DESC LIMIT", "SELECT * FROM t WHERE id >= 2"},
+	{"INSERT INTO t (v, id) VALUES ('q', 7)", "INSERT INTO t VALUES (8, 'r')"},
+	{"INSERT INTO t (v, id) VALUES ('q', 1)", "INSERT INTO t VALUES (9, 'p')"},
+	{"UPDATE t SET v = 'w', id = 9 WHERE id = 1", "UPDATE t SET v = 'u'"},
+	{"UPDATE t SET v = 'w' WHERE v = 'y' AND nope = 1", "UPDATE t SET v = 'u' WHERE id > 2"},
+	{"DELETE FROM t WHERE id = 2", "DELETE FROM t"},
+	{"CREATE TABLE u (a TEXT, b INT PRIMARY KEY)", "CREATE TABLE w (c INT, d TEXT)"},
+	{"CREATE TABLE t (a INT PRIMARY KEY)", "CREATE TABLE w (c INT)"},
+}
+
+// FuzzExec checks DB.Exec, which parses each query into the statement the
+// DB reuses, against Parse, whose statement is new, and the statement
+// executor on a twin database. It runs two queries, so what the first
+// leaves behind in the reused statement or scratch shows in the second.
+// Both queries must return equal Results and error texts, and the two
+// databases must end with equal tables.
+func FuzzExec(f *testing.F) {
+	seeds := append(append([]string{}, robustnessCorpus...), goldenCases...)
+	for i, sql := range seeds {
+		f.Add(sql, seeds[(i+1)%len(seeds)])
+	}
+	for _, pair := range execPairs {
+		f.Add(pair[0], pair[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		db, twin := preloaded(), preloaded()
+		for _, sql := range []string{a, b} {
+			got, gotErr := db.Exec(sql)
+			var want *Result
+			st, wantErr := Parse(sql)
+			if wantErr == nil {
+				want, wantErr = twin.execStmt(st)
+			}
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%q then %q: Exec of %q fails with %v, Parse and execStmt with %v", a, b, sql, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q then %q: Exec of %q returns %#v, Parse and execStmt %#v", a, b, sql, got, want)
+			}
+		}
+		if !reflect.DeepEqual(db.tables, twin.tables) {
+			t.Fatalf("%q then %q: the tables differ after Exec and after Parse and execStmt", a, b)
 		}
 	})
 }

@@ -76,11 +76,57 @@ type parser struct {
 	tok token
 	// lexErr is the first lex error; tok stays tkEOF from there on.
 	lexErr error
+	// into, when set, holds the statements to parse into; otherwise each
+	// statement is new.
+	into *stmts
 }
 
-// Parse compiles one SQL statement.
+// stmts holds one statement of each kind for DB.Exec to parse into, so a
+// query reuses the slices an earlier one grew.
+type stmts struct {
+	create CreateStmt
+	insert InsertStmt
+	sel    SelectStmt
+	update UpdateStmt
+	del    DeleteStmt
+}
+
+// reset empties every statement in s, keeping its slices' capacity, so s
+// holds no text of the query parsed into it.
+func (s *stmts) reset() {
+	s.create = CreateStmt{Cols: emptied(s.create.Cols)}
+	s.insert = InsertStmt{Cols: emptied(s.insert.Cols), Vals: emptied(s.insert.Vals)}
+	s.sel = SelectStmt{Cols: emptied(s.sel.Cols), Where: emptied(s.sel.Where)}
+	s.update = UpdateStmt{Sets: emptied(s.update.Sets), Where: emptied(s.update.Where)}
+	s.del = DeleteStmt{Where: emptied(s.del.Where)}
+}
+
+// emptied zeroes the elements of s and returns it with length 0.
+func emptied[S ~[]E, E any](s S) S {
+	clear(s)
+	return s[:0]
+}
+
+// newOrReused returns the statement to fill: into's statement of its kind,
+// which reused picks, or a new one when the parser has no into.
+func newOrReused[T any](p *parser, reused func(*stmts) *T) *T {
+	if p.into == nil {
+		return new(T)
+	}
+	return reused(p.into)
+}
+
+// Parse compiles one SQL statement into a new statement. Its text literals
+// are copies, so a value kept from it does not keep sql alive; its names
+// slice sql.
 func Parse(sql string) (Stmt, error) {
-	p := parser{src: sql}
+	return parse(sql, nil)
+}
+
+// parse compiles sql into a new statement, or, when into is set, into the
+// statement of its kind there.
+func parse(sql string, into *stmts) (Stmt, error) {
+	p := parser{src: sql, into: into}
 	p.advance()
 	var (
 		st  Stmt
@@ -216,7 +262,8 @@ func (p *parser) parseCreate() (Stmt, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	st := &CreateStmt{Table: name, PK: 0}
+	st := newOrReused(p, func(s *stmts) *CreateStmt { return &s.create })
+	st.Table = name
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -264,7 +311,8 @@ func (p *parser) parseInsert() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &InsertStmt{Table: name}
+	st := newOrReused(p, func(s *stmts) *InsertStmt { return &s.insert })
+	st.Table = name
 	if p.acceptPunct("(") {
 		for {
 			col, err := p.ident()
@@ -299,24 +347,25 @@ func (p *parser) parseInsert() (Stmt, error) {
 	return st, p.expectPunct(")")
 }
 
-func (p *parser) parseWhere() ([]Cond, error) {
+// parseWhere appends the conditions of a WHERE clause, if one follows, to
+// conds.
+func (p *parser) parseWhere(conds []Cond) ([]Cond, error) {
 	if !p.acceptKw("WHERE") {
-		return nil, nil
+		return conds, nil
 	}
-	var conds []Cond
 	for {
 		col, err := p.ident()
 		if err != nil {
-			return nil, err
+			return conds, err
 		}
 		op := compareOp(p.tok)
 		if op == "" {
-			return nil, fmt.Errorf("sqldb: expected comparison operator, got %q", p.tok.text)
+			return conds, fmt.Errorf("sqldb: expected comparison operator, got %q", p.tok.text)
 		}
 		p.advance()
 		v, err := p.literal()
 		if err != nil {
-			return nil, err
+			return conds, err
 		}
 		conds = append(conds, Cond{Col: col, Op: op, Val: v})
 		if !p.acceptKw("AND") {
@@ -343,7 +392,8 @@ func compareOp(t token) string {
 }
 
 func (p *parser) parseSelect() (Stmt, error) {
-	st := &SelectStmt{Limit: -1}
+	st := newOrReused(p, func(s *stmts) *SelectStmt { return &s.sel })
+	st.Limit = -1
 	if p.acceptKw("COUNT") {
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
@@ -375,7 +425,7 @@ func (p *parser) parseSelect() (Stmt, error) {
 		return nil, err
 	}
 	st.Table = name
-	if st.Where, err = p.parseWhere(); err != nil {
+	if st.Where, err = p.parseWhere(st.Where); err != nil {
 		return nil, err
 	}
 	if p.acceptKw("ORDER") {
@@ -406,7 +456,8 @@ func (p *parser) parseUpdate() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &UpdateStmt{Table: name}
+	st := newOrReused(p, func(s *stmts) *UpdateStmt { return &s.update })
+	st.Table = name
 	if err := p.expectKw("SET"); err != nil {
 		return nil, err
 	}
@@ -430,7 +481,7 @@ func (p *parser) parseUpdate() (Stmt, error) {
 			break
 		}
 	}
-	st.Where, err = p.parseWhere()
+	st.Where, err = p.parseWhere(st.Where)
 	return st, err
 }
 
@@ -442,7 +493,8 @@ func (p *parser) parseDelete() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &DeleteStmt{Table: name}
-	st.Where, err = p.parseWhere()
+	st := newOrReused(p, func(s *stmts) *DeleteStmt { return &s.del })
+	st.Table = name
+	st.Where, err = p.parseWhere(st.Where)
 	return st, err
 }

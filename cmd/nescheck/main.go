@@ -16,7 +16,9 @@
 // status is 1 when findings exist, 2 on load errors. Suppress a finding with
 // an explicit, reasoned directive: //nescheck:allow <rule> <reason>.
 // -stale-allows additionally reports allow directives that no longer
-// suppress anything, so suppressions cannot outlive their findings.
+// suppress anything, so suppressions cannot outlive their findings, and
+// rule-catalog entries that name nothing their package declares, so a
+// rule cannot silently stop applying when the code it names is deleted.
 package main
 
 import (
@@ -31,7 +33,7 @@ import (
 func main() {
 	rules := flag.Bool("rules", false, "print the rule catalog and exit")
 	root := flag.String("root", "", "module root to analyze (default: the module containing the working directory)")
-	staleAllows := flag.Bool("stale-allows", false, "also report //nescheck:allow directives that suppress nothing")
+	staleAllows := flag.Bool("stale-allows", false, "also report //nescheck:allow directives that suppress nothing and rule-catalog entries that name nothing")
 	graph := flag.Bool("graph", false, "dump the interprocedural call/lock graph summary and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: nescheck [-root dir] [-stale-allows] [./...]\n       nescheck -graph\n       nescheck -rules\n")

@@ -163,7 +163,8 @@ func shortFile(name string) string {
 
 // Options configures Analyze.
 type Options struct {
-	// ReportStale adds stale //nescheck:allow directives to Result.Stale.
+	// ReportStale adds stale //nescheck:allow directives, and rule-catalog
+	// entries that name nothing their package declares, to Result.Stale.
 	// Only set it when running the FULL catalog: a partial run cannot tell a
 	// stale directive from one whose rule was skipped.
 	ReportStale bool
@@ -173,7 +174,8 @@ type Options struct {
 type Result struct {
 	Findings []Finding
 	// Stale holds one "nescheck/stale-allow" finding per directive that
-	// suppressed nothing (empty unless Options.ReportStale).
+	// suppressed nothing and one "nescheck/stale-catalog" finding per
+	// catalog entry that names nothing (empty unless Options.ReportStale).
 	Stale []Finding
 }
 
@@ -186,7 +188,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 
 // Analyze runs per-package analyzers package by package, builds the
 // interprocedural Program if any analyzer needs it, runs the program-level
-// analyzers, and optionally reports stale allow directives.
+// analyzers, and optionally reports stale allow directives and catalog
+// entries.
 func Analyze(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 	var findings []Finding
 	merged := newAllowIndex()
@@ -217,7 +220,7 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 	sortFindings(findings)
 	res := Result{Findings: findings}
 	if opts.ReportStale {
-		res.Stale = merged.stale()
+		res.Stale = append(merged.stale(), staleCatalog(pkgs)...)
 		sortFindings(res.Stale)
 	}
 	return res
@@ -235,7 +238,10 @@ func sortFindings(findings []Finding) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Rule < b.Rule
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Msg < b.Msg
 	})
 }
 

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -127,6 +128,46 @@ func TestLockGraphFixture(t *testing.T) { runFixture(t, "lockgraph", []*Analyzer
 // TestLockOrderFixture checks the lock hierarchy (lockgraph's rank table:
 // machine-level locks before page-table locks) on its own tree.
 func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", []*Analyzer{LockGraph}) }
+
+// TestStaleCatalogEntry plants one entry in each name-matching catalog that
+// names nothing the fixture's kos package declares (a method, a field, a
+// package-level function, a type), and two that name what it does, and
+// requires ReportStale to report exactly the four. The kos entries of the
+// real catalogs are declared there; the other catalog packages are not
+// loaded, so they prove nothing.
+func TestStaleCatalogEntry(t *testing.T) {
+	ops, sources, sinks, ranks := transitionOps, secretSources, secretSinks, lockRanks
+	t.Cleanup(func() { transitionOps, secretSources, secretSinks, lockRanks = ops, sources, sinks, ranks })
+	transitionOps = append(slices.Clip(ops), struct{ pkgSuffix, typeName, funcName string }{"internal/kos", "IPCService", "Sends"})
+	secretSources = append(slices.Clip(sources),
+		taintSource{"internal/kos", "IPCService", "secret", true, "planted"},
+		taintSource{"internal/kos", "IPCService", "log", true, "planted, declared"})
+	secretSinks = append(slices.Clip(sinks),
+		taintSink{"internal/kos", "", "Publish", 0, "planted"},
+		taintSink{"internal/kos", "", "NewIPCService", 0, "planted, declared"})
+	lockRanks = append(slices.Clip(ranks), struct {
+		pkgSuffix, owner string
+		rank             int
+	}{"internal/kos", "Scheduler", 0})
+
+	pkgs, err := LoadTree(mustAbs(t, "testdata/src/stalecatalog"), fixtureModule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range Analyze(pkgs, nil, Options{ReportStale: true}).Stale {
+		got = append(got, f.Rule+": "+f.Msg)
+	}
+	want := []string{ // findings on one line sort by message
+		"nescheck/stale-catalog: lockRanks entry Scheduler names nothing fix/internal/kos declares; delete it",
+		"nescheck/stale-catalog: secretSinks entry Publish names nothing fix/internal/kos declares; delete it",
+		"nescheck/stale-catalog: secretSources entry IPCService.secret names nothing fix/internal/kos declares; delete it",
+		"nescheck/stale-catalog: transitionOps entry IPCService.Sends names nothing fix/internal/kos declares; delete it",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("stale findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
 
 // TestMetaHarness proves the fixture runner itself cannot silently pass: the
 // meta tree contains a want annotation on a clean line (stale) and a real

@@ -29,8 +29,7 @@ var SpanPair = &Analyzer{
 
 // spanPairPkgs are the packages the rule applies to: the layers that open
 // spans around transitions, walks, and paging. trace itself (the
-// implementation), channel (its helper hands SpanRefs to callers), and tests
-// are out of scope.
+// implementation) and tests are out of scope.
 var spanPairPkgs = []string{"internal/sdk", "internal/sgx", "internal/switchless"}
 
 func runSpanPair(p *Pass) {

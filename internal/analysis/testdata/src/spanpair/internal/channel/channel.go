@@ -1,6 +1,6 @@
-// Fixture: channel is OUT of spanpair's scope — its beginSpan helper hands
-// SpanRefs to callers, so an in-function End requirement would be wrong.
-// Nothing here may produce a finding.
+// Fixture: a package outside spanpair's scope may hand SpanRefs to its
+// callers, where an in-function End requirement would be wrong. Nothing
+// here may produce a finding.
 package channel
 
 import "fix/internal/trace"

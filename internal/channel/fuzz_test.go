@@ -59,10 +59,9 @@ func (s *scriptRoute) Route(_ string, log [][]byte, msg []byte) [][]byte {
 
 // FuzzReliableRoute drives a reliable channel through a kernel that drops,
 // duplicates, replays, corrupts, truncates and forges frames. Bursts of one
-// to three sends alternate plain and batch frames, each burst drained with
-// the repair loop. Every accepted payload must be the next one sent, so
-// none is forged or delivered twice, and every error must be a *GapError or
-// a *ReplayError.
+// to three sends are each drained with the repair loop. Every accepted
+// payload must be the next one sent, so none is forged or delivered twice,
+// and every error must be a *GapError or a *ReplayError.
 func FuzzReliableRoute(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 0, 4, 77, 5, 128, 6, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -70,20 +69,7 @@ func FuzzReliableRoute(f *testing.F) {
 		const frames, window = 16, 8
 		k, tx, rx := reliablePair(t, window)
 		k.Machine().SetHostile(&scriptRoute{script: script})
-		payloads := func(i int) [][]byte {
-			if i%2 == 0 {
-				return [][]byte{[]byte(fmt.Sprintf("m%02d", i))}
-			}
-			return [][]byte{[]byte(fmt.Sprintf("b%02d-x", i)), []byte(fmt.Sprintf("b%02d-y", i)), nil}
-		}
-		// recv receives frame i with the call matching how it was sent.
-		recv := func(i int) ([][]byte, bool, error) {
-			if i%2 == 0 {
-				pt, ok, err := rx.RecvRepaired(tx, 4)
-				return [][]byte{pt}, ok, err
-			}
-			return rx.RecvBatchRepaired(tx, 4)
-		}
+		payload := func(i int) []byte { return []byte(fmt.Sprintf("m%02d", i)) }
 		typed := func(err error) {
 			var ge *GapError
 			var re *ReplayError
@@ -94,18 +80,14 @@ func FuzzReliableRoute(f *testing.F) {
 		sent, delivered := 0, 0
 		for sent < frames {
 			for n := 1 + sent%3; n > 0 && sent < frames; n-- {
-				if p := payloads(sent); sent%2 == 0 {
-					tx.Send(p[0])
-				} else {
-					tx.SendBatch(p)
-				}
+				tx.Send(payload(sent))
 				sent++
 			}
 			for guard := 0; delivered < sent; guard++ {
 				if guard > 2*(len(script)+frames) {
 					t.Fatalf("frame %d never delivered", delivered)
 				}
-				got, ok, err := recv(delivered)
+				got, ok, err := rx.RecvRepaired(tx, 4)
 				switch {
 				case err != nil:
 					typed(err)
@@ -115,7 +97,7 @@ func FuzzReliableRoute(f *testing.F) {
 						t.Fatal(err)
 					}
 				default:
-					if want := payloads(delivered); !samePayloads(got, want) {
+					if want := payload(delivered); !bytes.Equal(got, want) {
 						t.Fatalf("frame %d accepted as %q, want %q", delivered, got, want)
 					}
 					delivered++
@@ -135,16 +117,4 @@ func FuzzReliableRoute(f *testing.F) {
 			t.Fatalf("payload %q accepted after all %d frames were delivered", pt, frames)
 		}
 	})
-}
-
-func samePayloads(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -9,7 +9,6 @@ import (
 
 	"nestedenclave/internal/chaos"
 	"nestedenclave/internal/kos"
-	"nestedenclave/internal/trace"
 )
 
 // ReliableChannel layers sequence-gap detection and bounded retransmission
@@ -35,12 +34,6 @@ type ReliableChannel struct {
 
 	// stash holds authenticated frames that arrived ahead of a gap.
 	stash map[uint64][]byte
-
-	// rec, when set (Trace), opens a span per send/receive/retransmit, so
-	// kernel-level IPC fault injections — which fire inside ipc.Send, below
-	// any core context — attach to the channel operation that carried them,
-	// and a repaired gap shows its retransmits nested inside the receive.
-	rec *trace.Recorder
 }
 
 // NewReliable creates an endpoint. Both ends construct it with the same name
@@ -72,18 +65,6 @@ func NewReliable(ipc *kos.IPCService, name string, key [16]byte, window int) (*R
 // the machine's platform.
 func (ch *ReliableChannel) credit(site chaos.Site) {
 	chaos.From(ch.ipc.Kernel().Machine().Hostile()).Recovered(site)
-}
-
-// Trace opens spans for channel operations on the recorder (nil disables).
-func (ch *ReliableChannel) Trace(rec *trace.Recorder) { ch.rec = rec }
-
-// beginSpan opens a machine-global span when tracing is on; the zero SpanRef
-// otherwise (its End is a no-op).
-func (ch *ReliableChannel) beginSpan(op string) trace.SpanRef {
-	if ch.rec == nil {
-		return trace.SpanRef{}
-	}
-	return ch.rec.BeginSpan(trace.NoCore, trace.NoEID, op+":"+ch.name)
 }
 
 // GapError reports a detected loss: the receiver needs frame Want but saw
@@ -138,27 +119,15 @@ func (e *ReplayError) Error() string {
 func (e *ReplayError) Is(target error) bool { return target == ErrReplayDetected }
 
 // frame is [8-byte LE seq || AES-GCM(payload, nonce=seq, AAD=name)].
-// When tracing is on, the software-crypto cost model charges one GCM seal
-// over the payload — the fixed per-call cost dominates small messages, which
-// is what SendBatch amortizes.
 func (ch *ReliableChannel) seal(seq uint64, payload []byte) []byte {
 	out := make([]byte, 8, 8+len(payload)+16)
 	binary.LittleEndian.PutUint64(out, seq)
-	if ch.rec != nil {
-		ch.rec.Advance(trace.GCMCycles(len(payload)))
-	}
 	return ch.aead.Seal(out, gcmNonce(seq), payload, []byte(ch.name))
 }
 
 // Send seals the payload under the next sequence number, records the frame
 // in the retransmit window, and hands it to the kernel.
 func (ch *ReliableChannel) Send(payload []byte) {
-	sp := ch.beginSpan("chan_send")
-	defer sp.End()
-	ch.sendFrame(payload)
-}
-
-func (ch *ReliableChannel) sendFrame(payload []byte) {
 	frame := ch.seal(ch.sendSeq, payload)
 	ch.window[ch.sendSeq] = frame
 	delete(ch.window, ch.sendSeq-uint64(ch.winSize))
@@ -166,72 +135,9 @@ func (ch *ReliableChannel) sendFrame(payload []byte) {
 	ch.ipc.Send(ch.name, frame)
 }
 
-// SendBatch packs the payloads length-prefixed into ONE sealed frame under
-// ONE sequence number: one AES-GCM seal (one CostGCMFixed instead of N) and
-// one kernel crossing carry the whole batch. Loss, duplication and
-// retransmission operate on the batch as a unit — a repaired gap redelivers
-// every payload in it. An empty batch sends nothing.
-func (ch *ReliableChannel) SendBatch(payloads [][]byte) {
-	if len(payloads) == 0 {
-		return
-	}
-	sp := ch.beginSpan("chan_send_batch")
-	defer sp.End()
-	ch.sendFrame(packBatch(payloads))
-}
-
-// packBatch is [u32 count || (u32 len || bytes)*].
-func packBatch(payloads [][]byte) []byte {
-	n := 4
-	for _, p := range payloads {
-		n += 4 + len(p)
-	}
-	out := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(out, uint32(len(payloads)))
-	for _, p := range payloads {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(p)))
-		out = append(out, l[:]...)
-		out = append(out, p...)
-	}
-	return out
-}
-
-func unpackBatch(channel string, b []byte) ([][]byte, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("channel %s: batch frame truncated", channel)
-	}
-	count := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	// Each payload needs at least its 4-byte length prefix, which bounds any
-	// honest count; a garbage frame must not size an allocation.
-	if uint64(count)*4 > uint64(len(b)) {
-		return nil, fmt.Errorf("channel %s: batch count %d exceeds frame", channel, count)
-	}
-	out := make([][]byte, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("channel %s: batch frame truncated at payload %d", channel, i)
-		}
-		l := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < l {
-			return nil, fmt.Errorf("channel %s: batch frame truncated at payload %d", channel, i)
-		}
-		out = append(out, b[:l:l])
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("channel %s: %d trailing bytes after batch", channel, len(b))
-	}
-	return out, nil
-}
-
 // Retransmit resends the frame with the given sequence number from the
 // window. It fails if the frame has already been evicted.
 func (ch *ReliableChannel) Retransmit(seq uint64) error {
-	sp := ch.beginSpan("chan_retransmit")
-	defer sp.End()
 	frame, ok := ch.window[seq]
 	if !ok {
 		return fmt.Errorf("channel %s: frame %d no longer in retransmit window", ch.name, seq)
@@ -260,11 +166,6 @@ func (ch *ReliableChannel) Recv() (payload []byte, ok bool, err error) {
 			return nil, true, &GapError{Channel: ch.name, Want: ch.recvSeq, Corrupt: true}
 		}
 		seq := binary.LittleEndian.Uint64(raw)
-		// The open runs over the whole ciphertext before authentication can
-		// fail, so its cost is charged unconditionally when tracing is on.
-		if ch.rec != nil {
-			ch.rec.Advance(trace.GCMCycles(len(raw) - 8))
-		}
 		pt, aerr := ch.aead.Open(nil, gcmNonce(seq), raw[8:], []byte(ch.name))
 		if aerr != nil {
 			// The claimed sequence number is untrustworthy (the corruption
@@ -294,36 +195,11 @@ func (ch *ReliableChannel) Recv() (payload []byte, ok bool, err error) {
 	}
 }
 
-// RecvBatch dequeues one batch frame sent by SendBatch and unpacks it. ok is
-// false when no frame is pending; a gap or corruption surfaces exactly as in
-// Recv so the usual repair loop applies.
-func (ch *ReliableChannel) RecvBatch() (payloads [][]byte, ok bool, err error) {
-	pt, ok, err := ch.Recv()
-	if !ok || err != nil {
-		return nil, ok, err
-	}
-	payloads, err = unpackBatch(ch.name, pt)
-	return payloads, true, err
-}
-
-// RecvBatchRepaired is RecvBatch driving the retransmit repair loop (see
-// RecvRepaired). A repaired gap redelivers the whole batch.
-func (ch *ReliableChannel) RecvBatchRepaired(sender *ReliableChannel, maxRepairs int) (payloads [][]byte, ok bool, err error) {
-	pt, ok, err := ch.RecvRepaired(sender, maxRepairs)
-	if !ok || err != nil {
-		return nil, ok, err
-	}
-	payloads, err = unpackBatch(ch.name, pt)
-	return payloads, true, err
-}
-
 // RecvRepaired is Recv driving the repair loop against the sending endpoint:
 // on a gap or corruption it asks sender to retransmit the missing frame and
 // retries, up to maxRepairs times. Successful repairs credit the drop or
 // corruption fault site.
 func (ch *ReliableChannel) RecvRepaired(sender *ReliableChannel, maxRepairs int) (payload []byte, ok bool, err error) {
-	sp := ch.beginSpan("chan_recv")
-	defer sp.End()
 	if maxRepairs <= 0 {
 		maxRepairs = 8
 	}

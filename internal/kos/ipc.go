@@ -19,9 +19,7 @@ type IPCService struct {
 
 	queues map[string][][]byte
 	// log holds every payload ever sent on each channel, in order: the
-	// kernel's log, and the count of datagrams that entered it. Batched
-	// channel frames (channel.SendBatch) show up as one send per batch,
-	// which is the point of batching.
+	// kernel's log, which Route may replay from and Eavesdrop reads.
 	log map[string][][]byte
 }
 
@@ -70,14 +68,6 @@ func (s *IPCService) Eavesdrop(channel string) [][]byte {
 		out = append(out, append([]byte(nil), m...))
 	}
 	return out
-}
-
-// Sends reports how many datagrams have entered the channel — the kernel
-// crossings a sender has paid for, including ones the platform dropped.
-func (s *IPCService) Sends(channel string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.log[channel])
 }
 
 // Pending reports the queue depth (tests).

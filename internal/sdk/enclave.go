@@ -96,76 +96,13 @@ func (e *Enclave) releaseTCS(v isa.VAddr) { e.tcsFree <- v }
 // (registers and saved state scrubbed, enclave poisoned) and surfaced as a
 // typed *EnclaveCrashed error.
 func (e *Enclave) ECall(name string, args []byte) ([]byte, error) {
-	return e.eCall(name, args, 0)
-}
-
-// ECallWithin is ECall with a budget of simulated cycles: when the call
-// exceeds it, the enclave is preempted with a real AEX + ERESUME round trip
-// and every subsequent trusted-runtime operation fails with *CallTimeout,
-// forcing the call to unwind.
-func (e *Enclave) ECallWithin(name string, args []byte, budget int64) ([]byte, error) {
-	return e.eCall(name, args, budget)
-}
-
-func (e *Enclave) eCall(name string, args []byte, budget int64) ([]byte, error) {
 	fn, ok := e.img.ECalls[name]
 	if !ok {
 		return nil, fmt.Errorf("sdk: enclave %s has no ecall %q", e.img.Name, name)
 	}
-	// The handler runs on a private copy of args staged on the core's
-	// stack, as the tRTS copies [in] buffers into the enclave. The output
-	// is not re-copied unless it shares the staged bytes: ownership of a
-	// trusted function's return buffer transfers to the caller (handlers
-	// must not retain it).
-	var out []byte
-	err := e.enterRun(name, budget, func(env *Env) error {
-		var ferr error
-		out, ferr = runNested(env, name, fn, args)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ECallBatch invokes a trusted entry point once per argument set over a
-// single EENTER/EEXIT round trip, amortizing the transition cost across the
-// batch (the switchless companion for the host→enclave direction). The
-// whole batch runs on one core and one TCS; the first failing item aborts
-// the remainder and surfaces its error annotated with the item index.
-func (e *Enclave) ECallBatch(name string, batch [][]byte) ([][]byte, error) {
-	fn, ok := e.img.ECalls[name]
-	if !ok {
-		return nil, fmt.Errorf("sdk: enclave %s has no ecall %q", e.img.Name, name)
-	}
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	outs := make([][]byte, 0, len(batch))
-	err := e.enterRun(name, 0, func(env *Env) error {
-		for i, args := range batch {
-			out, ferr := runNested(env, name, fn, args)
-			if ferr != nil {
-				return fmt.Errorf("batch item %d: %w", i, ferr)
-			}
-			outs = append(outs, out)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// enterRun owns the shared ecall machinery — core and TCS acquisition, span
-// and transition accounting, EENTER/EEXIT, evacuation recovery, and error
-// wrapping — around a body that runs inside the enclave.
-func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error) error {
 	c, err := e.host.acquireCore()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer e.host.releaseCore(c)
 	tcsV := e.claimTCS()
@@ -176,14 +113,15 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 	defer op.End()
 	m.Rec.ChargeTo(uint64(e.secs.EID), c.ID, trace.EvECall, 0)
 	if err := m.EEnter(c, e.secs, tcsV, false); err != nil {
-		return err
+		return nil, err
 	}
 	st := &e.host.stacks[c.ID]
-	env := st.pushEnv(Env{E: e, C: c, tcsV: tcsV, stack: st})
-	if budget > 0 {
-		env.budget = &callBudget{deadline: op.Start() + budget, cycles: budget}
-	}
-	ferr := body(env)
+	// The handler runs on a private copy of args staged on the core's
+	// stack, as the tRTS copies [in] buffers into the enclave. The output
+	// is not re-copied unless it shares the staged bytes: ownership of a
+	// trusted function's return buffer transfers to the caller (handlers
+	// must not retain it).
+	out, ferr := runNested(st.pushEnv(Env{E: e, C: c, tcsV: tcsV, stack: st}), name, fn, args)
 	st.popEnv()
 	// The tRTS scrubs the register file before leaving the enclave.
 	c.Regs.Scrub()
@@ -199,20 +137,20 @@ func (e *Enclave) enterRun(name string, budget int64, body func(env *Env) error)
 			ferr = fmt.Errorf("sdk: enclave evacuated mid-call")
 		}
 		if _, isCrash := IsCrash(ferr); isCrash {
-			return ferr
+			return nil, ferr
 		}
-		return &EnclaveError{Enclave: e.img.Name, Call: name, Err: ferr}
+		return nil, &EnclaveError{Enclave: e.img.Name, Call: name, Err: ferr}
 	}
 	if err := m.EExit(c, true); err != nil {
-		return err
+		return nil, err
 	}
 	if ferr != nil {
 		if _, isCrash := IsCrash(ferr); isCrash {
-			return ferr
+			return nil, ferr
 		}
-		return &EnclaveError{Enclave: e.img.Name, Call: name, Err: ferr}
+		return nil, &EnclaveError{Enclave: e.img.Name, Call: name, Err: ferr}
 	}
-	return nil
+	return out, nil
 }
 
 // EnclaveError marks failures raised by enclave code (as opposed to

@@ -27,60 +27,16 @@ type Env struct {
 
 	tcsV isa.VAddr
 
-	// budget bounds the enclosing call (ECallWithin), nil = unbounded. Every
-	// environment of one call chain shares it.
-	budget *callBudget
 	// stack is the staging stack of the chain's core, which holds this
 	// frame and the arguments of every call of the chain.
 	stack *callStack
 }
 
-// callBudget is the simulated-cycle allowance of one ECallWithin call and
-// every nested call it makes.
-type callBudget struct {
-	// deadline is the absolute simulated-cycle bound; cycles is the original
-	// allowance, kept for the error message.
-	deadline int64
-	cycles   int64
-	// expired latches once the deadline fires: the first expiry delivers a
-	// real AEX + ERESUME preemption, later checks fail fast.
-	expired bool
-}
-
 // nested pushes the environment of enclave e entered through TCS tcsV on
-// this call chain's core. It shares the chain's budget and staging stack;
-// the caller pops it with env.stack.popEnv.
+// this call chain's core. It shares the chain's staging stack; the caller
+// pops it with env.stack.popEnv.
 func (env *Env) nested(e *Enclave, tcsV isa.VAddr) *Env {
-	return env.stack.pushEnv(Env{E: e, C: env.C, tcsV: tcsV, budget: env.budget, stack: env.stack})
-}
-
-// preempt enforces the call deadline at every trusted-runtime operation.
-// The first time the budget is exceeded anywhere in the call chain, the
-// enclave is preempted with a real AEX (context saved and scrubbed, TLB
-// flushed) and ERESUMEd so the trusted code observes the timeout error;
-// from then on every operation of the chain fails with the same
-// *CallTimeout until the call unwinds.
-func (env *Env) preempt() error {
-	b := env.budget
-	if b == nil {
-		return nil
-	}
-	if !b.expired {
-		m := env.E.host.K.Machine()
-		if m.Rec.Cycles() < b.deadline {
-			return nil
-		}
-		b.expired = true
-		if env.C.InEnclave() {
-			t := env.C.CurrentTCS()
-			if err := m.AEX(env.C); err == nil {
-				if err := m.EResume(env.C, t); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return &CallTimeout{Enclave: env.E.img.Name, Budget: b.cycles}
+	return env.stack.pushEnv(Env{E: e, C: env.C, tcsV: tcsV, stack: env.stack})
 }
 
 // --- Memory ---
@@ -133,9 +89,6 @@ func (env *Env) Read(v isa.VAddr, n int) ([]byte, error) {
 // mid-read (wrong-core ERESUME), dst is cleared and a typed *ContextLost
 // detection error returned instead.
 func (env *Env) ReadInto(v isa.VAddr, dst []byte) error {
-	if err := env.preempt(); err != nil {
-		return err
-	}
 	if err := env.C.ReadInto(v, dst); err != nil {
 		return err
 	}
@@ -150,9 +103,6 @@ func (env *Env) ReadInto(v isa.VAddr, dst []byte) error {
 // this enclave may not touch are silently dropped; a write whose execution
 // context was torn down mid-operation reports *ContextLost.
 func (env *Env) Write(v isa.VAddr, b []byte) error {
-	if err := env.preempt(); err != nil {
-		return err
-	}
 	err := env.C.Write(v, b)
 	if err == nil {
 		if cerr := env.guardContext(); cerr != nil {
@@ -164,9 +114,6 @@ func (env *Env) Write(v isa.VAddr, b []byte) error {
 
 // Malloc allocates n bytes on the enclave's trusted heap.
 func (env *Env) Malloc(n int) (isa.VAddr, error) {
-	if err := env.preempt(); err != nil {
-		return 0, err
-	}
 	h := env.E.Heap()
 	env.E.mu.Lock()
 	defer env.E.mu.Unlock()
@@ -186,9 +133,6 @@ func (env *Env) Free(v isa.VAddr) error {
 // OCall leaves the enclave to run a registered untrusted host function, then
 // re-enters. The EDL must whitelist the function.
 func (env *Env) OCall(name string, args []byte) ([]byte, error) {
-	if err := env.preempt(); err != nil {
-		return nil, err
-	}
 	if !env.E.img.AllowedOCalls[name] {
 		return nil, fmt.Errorf("sdk: ocall %q not in enclave %s's EDL", name, env.E.img.Name)
 	}
@@ -227,9 +171,6 @@ func (env *Env) OCall(name string, args []byte) ([]byte, error) {
 // it degrades to the synchronous OCall path, so callers may use it
 // unconditionally for switchless-capable functions.
 func (env *Env) OCallAsync(name string, args []byte) ([]byte, error) {
-	if err := env.preempt(); err != nil {
-		return nil, err
-	}
 	if !env.E.img.SwitchlessOCalls[name] {
 		return env.OCall(name, args)
 	}
@@ -264,9 +205,6 @@ func (env *Env) OCallAsync(name string, args []byte) ([]byte, error) {
 // function runs with the inner enclave's environment; on return NEEXIT
 // restores this enclave's context.
 func (env *Env) NECall(inner *Enclave, name string, args []byte) ([]byte, error) {
-	if err := env.preempt(); err != nil {
-		return nil, err
-	}
 	fn, ok := inner.img.ECalls[name]
 	if !ok {
 		return nil, fmt.Errorf("sdk: inner enclave %s has no entry %q", inner.img.Name, name)
@@ -309,59 +247,6 @@ func (env *Env) neexit() error {
 	return err
 }
 
-// NECallBatch invokes an inner entry point once per argument set over a
-// single NEENTER/NEEXIT round trip, amortizing the nested transition across
-// the batch. The first failing item aborts the remainder and surfaces its
-// error annotated with the item index; an inner crash mid-batch behaves
-// exactly as in NECall (the typed error passes through, no NEEXIT is
-// attempted on the evacuated frame).
-func (env *Env) NECallBatch(inner *Enclave, name string, batch [][]byte) ([][]byte, error) {
-	if err := env.preempt(); err != nil {
-		return nil, err
-	}
-	fn, ok := inner.img.ECalls[name]
-	if !ok {
-		return nil, fmt.Errorf("sdk: inner enclave %s has no entry %q", inner.img.Name, name)
-	}
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	m := env.E.host.K.Machine()
-	op := m.Rec.BeginOp(trace.OpNECallBatch, env.C.ID, uint64(inner.secs.EID), name)
-	defer op.End()
-	m.Rec.ChargeTo(uint64(inner.secs.EID), env.C.ID, trace.EvNECall, 0)
-	tcsV := inner.claimTCS()
-	defer inner.releaseTCS(tcsV)
-	if err := m.NEENTER(env.C, inner.secs, tcsV); err != nil {
-		return nil, err
-	}
-	innerEnv := env.nested(inner, tcsV)
-	outs := make([][]byte, 0, len(batch))
-	var ferr error
-	for i, args := range batch {
-		out, ierr := runNested(innerEnv, name, fn, args)
-		if ierr != nil {
-			if _, crashed := IsCrash(ierr); crashed {
-				// The inner crashed; runNested already popped back to this
-				// frame (or evacuated the core). No NEEXIT of our own.
-				env.stack.popEnv()
-				return nil, ierr
-			}
-			ferr = fmt.Errorf("batch item %d: %w", i, ierr)
-			break
-		}
-		outs = append(outs, out)
-	}
-	env.stack.popEnv()
-	if err := env.neexit(); err != nil {
-		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	return outs, nil
-}
-
 // runNested runs a trusted function with env on a copy of args staged on
 // the chain's core stack, and pops the copy when fn returns or crashes,
 // copying out a result that shares it. It contains a crash: a panic poisons
@@ -400,9 +285,6 @@ func runNested(env *Env, call string, fn TrustedFunc, args []byte) (out []byte, 
 // syntax ("an application in an inner enclave can call library functions
 // isolated in the outer enclave").
 func (env *Env) NOCall(name string, args []byte) ([]byte, error) {
-	if err := env.preempt(); err != nil {
-		return nil, err
-	}
 	// Resolve the function across the associated outer enclaves (one, in
 	// the base model), under the enclave's lock instead of on a copy of its
 	// outer list.

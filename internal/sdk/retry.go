@@ -39,19 +39,6 @@ func IsCrash(err error) (*EnclaveCrashed, bool) {
 	return nil, false
 }
 
-// CallTimeout is returned by every trusted-runtime operation of a call whose
-// cycle budget (ECallWithin) has expired: the first expiry is delivered as a
-// real AEX + ERESUME preemption, after which the trusted code is expected to
-// observe this error and unwind promptly.
-type CallTimeout struct {
-	Enclave string
-	Budget  int64
-}
-
-func (e *CallTimeout) Error() string {
-	return fmt.Sprintf("enclave %s: call exceeded budget of %d cycles", e.Enclave, e.Budget)
-}
-
 // RetryPolicy retries transient faults (injected EPC-allocation failures,
 // injected channel loss) with exponential backoff and deterministic jitter.
 // Backoff is simulated time — it advances the machine clock, not the wall

@@ -12,7 +12,6 @@ import (
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
-	"nestedenclave/internal/trace"
 )
 
 // --- Panic containment ---
@@ -169,94 +168,6 @@ func TestPanicBelowCacheReleasesMachineLock(t *testing.T) {
 	}
 	if _, err := other.ECall("read", nil); err != nil {
 		t.Fatalf("second enclave after the contained crash: %v", err)
-	}
-}
-
-// --- Deadlines ---
-
-func TestECallWithinDeadline(t *testing.T) {
-	r := newRig(t, sgx.TwoLevel())
-	img := sdk.NewImage("slow", 0x1000_0000, sdk.DefaultLayout())
-	img.RegisterECall("spin", func(env *sdk.Env, args []byte) ([]byte, error) {
-		// A loop of trusted-runtime operations: the preemption hook on each
-		// one observes the expired budget and fails the call.
-		buf, err := env.Malloc(64)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < 1_000_000; i++ {
-			if err := env.Write(buf, make([]byte, 64)); err != nil {
-				return nil, err
-			}
-		}
-		return []byte("done"), nil
-	})
-	e := mustLoad(t, r.host, img.Sign(measure.MustNewAuthor(), nil, nil))
-
-	_, err := e.ECallWithin("spin", nil, 50_000)
-	var to *sdk.CallTimeout
-	if !errors.As(err, &to) {
-		t.Fatalf("want *CallTimeout, got %v", err)
-	}
-	if to.Budget != 50_000 {
-		t.Fatalf("timeout = %+v", to)
-	}
-	// A timeout is a clean unwind, not a crash: the enclave stays usable.
-	if _, poisoned := r.m.PoisonedReason(e.SECS().EID); poisoned {
-		t.Fatal("timeout poisoned the enclave")
-	}
-	if v := r.m.AuditInvariants(); len(v) > 0 {
-		t.Fatalf("invariants violated after timeout: %v", v)
-	}
-}
-
-// TestECallWithinDeadlineSharedByCallChain pins that one call chain shares
-// one budget: an expiry inside an inner enclave is delivered as a single AEX
-// + ERESUME, and the outer, once control returns to it, fails fast with the
-// same *CallTimeout instead of being preempted a second time.
-func TestECallWithinDeadlineSharedByCallChain(t *testing.T) {
-	r := newRig(t, sgx.TwoLevel())
-	innerImg := sdk.NewImage("inner", 0x1000_0000, sdk.DefaultLayout())
-	innerImg.RegisterECall("spin", func(env *sdk.Env, args []byte) ([]byte, error) {
-		buf, err := env.Malloc(64)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < 1_000_000; i++ {
-			if err := env.Write(buf, make([]byte, 64)); err != nil {
-				return nil, err
-			}
-		}
-		return []byte("done"), nil
-	})
-	outerImg := sdk.NewImage("outer", 0x2000_0000, sdk.DefaultLayout())
-	var innerErr, outerErr error
-	outerImg.RegisterECall("run", func(env *sdk.Env, args []byte) ([]byte, error) {
-		_, innerErr = env.NECall(env.E.Inners()[0], "spin", nil)
-		// Back in the outer enclave, past the chain's deadline.
-		_, outerErr = env.Malloc(64)
-		return nil, outerErr
-	})
-	si, so := signPair(t, innerImg, outerImg)
-	outer := mustLoad(t, r.host, so)
-	inner := mustLoad(t, r.host, si)
-	if err := r.host.Associate(inner, outer); err != nil {
-		t.Fatal(err)
-	}
-
-	aex0 := r.m.Rec.Get(trace.EvAEX)
-	_, err := outer.ECallWithin("run", nil, 50_000)
-	var to *sdk.CallTimeout
-	for _, e := range []error{innerErr, outerErr, err} {
-		if !errors.As(e, &to) || to.Budget != 50_000 {
-			t.Fatalf("want *CallTimeout of 50000 cycles from inner, outer and call; got %v, %v, %v", innerErr, outerErr, err)
-		}
-	}
-	if got := r.m.Rec.Get(trace.EvAEX) - aex0; got != 1 {
-		t.Fatalf("one expired budget delivered %d AEX, want 1", got)
-	}
-	if v := r.m.AuditInvariants(); len(v) > 0 {
-		t.Fatalf("invariants violated after timeout: %v", v)
 	}
 }
 

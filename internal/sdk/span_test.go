@@ -1,7 +1,6 @@
 package sdk_test
 
 import (
-	"errors"
 	"testing"
 
 	"nestedenclave/internal/measure"
@@ -115,42 +114,6 @@ func TestSpanClosedOnCrash(t *testing.T) {
 	}
 	if sp := booms[0]; sp.End < sp.Start {
 		t.Errorf("crash span [%d,%d] never properly closed", sp.Start, sp.End)
-	}
-	assertNoOpenSpans(t, rec, 8)
-}
-
-// TestSpanClosedOnTimeout pins span closure through the deadline path: an
-// expired call budget unwinds with *CallTimeout and still closes the span.
-func TestSpanClosedOnTimeout(t *testing.T) {
-	r := newRig(t, sgx.TwoLevel())
-	rec := r.m.Rec
-	rec.EnableObservation(1 << 10)
-
-	img := sdk.NewImage("slow", 0x1000_0000, sdk.DefaultLayout())
-	img.RegisterECall("spin", func(env *sdk.Env, args []byte) ([]byte, error) {
-		buf, err := env.Malloc(64)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < 1_000_000; i++ {
-			if err := env.Write(buf, make([]byte, 64)); err != nil {
-				return nil, err
-			}
-		}
-		return []byte("done"), nil
-	})
-	e := mustLoad(t, r.host, img.Sign(measure.MustNewAuthor(), nil, nil))
-
-	_, err := e.ECallWithin("spin", nil, 50_000)
-	var to *sdk.CallTimeout
-	if !errors.As(err, &to) {
-		t.Fatalf("want *CallTimeout, got %v", err)
-	}
-
-	byName := spansByName(rec.Spans())
-	spins := byName["ecall:spin"]
-	if len(spins) != 1 {
-		t.Fatalf("got %d completed ecall:spin spans, want 1 (closed through timeout unwind)", len(spins))
 	}
 	assertNoOpenSpans(t, rec, 8)
 }

@@ -188,9 +188,6 @@ func TestHandlerCannotChangeCallerArgs(t *testing.T) {
 			if _, err := env.NECall(env.E.Inners()[0], "mutate", args); err != nil {
 				return nil, err
 			}
-			if _, err := env.NECallBatch(env.E.Inners()[0], "mutate", [][]byte{args, args}); err != nil {
-				return nil, err
-			}
 			expectArgs(t, "down after NECall", args, buf)
 			return nil, nil
 		})
@@ -207,7 +204,6 @@ func TestHandlerCannotChangeCallerArgs(t *testing.T) {
 		call func() error
 	}{
 		{"ECall", func() error { _, err := sr.outer.ECall("mutate", buf); return err }},
-		{"ECallBatch", func() error { _, err := sr.outer.ECallBatch("mutate", [][]byte{buf, buf}); return err }},
 		{"NECall", func() error { _, err := sr.outer.ECall("down", buf); return err }},
 		{"NOCall", func() error { _, err := sr.inner.ECall("up", buf); return err }},
 	}
@@ -223,8 +219,8 @@ func TestHandlerCannotChangeCallerArgs(t *testing.T) {
 
 // TestEchoResultsAreNeverOverwritten: handlers that return their args, or
 // a slice of them with a reduced capacity, hand back results that no later
-// call of any kind overwrites, batch outputs included; and appending to
-// such a result does not reach a later call's args.
+// call of any kind overwrites; and appending to such a result does not reach
+// a later call's args.
 func TestEchoResultsAreNeverOverwritten(t *testing.T) {
 	type kept struct {
 		name      string
@@ -250,12 +246,12 @@ func TestEchoResultsAreNeverOverwritten(t *testing.T) {
 				return nil, err
 			}
 			keep("NECall", out, y1)
-			outs, err := env.NECallBatch(in, "echo", [][]byte{y2, y3})
-			if err != nil {
-				return nil, err
+			for _, y := range [][]byte{y2, y3} {
+				if out, err = env.NECall(in, "echo", y); err != nil {
+					return nil, err
+				}
+				keep("NECall", out, y)
 			}
-			keep("NECallBatch[0]", outs[0], y2)
-			keep("NECallBatch[1]", outs[1], y3)
 			fastIn, fastWant = pattern(0x64, 41), pattern(0x64, 41)
 			_, err = env.NECall(in, "fast", nil)
 			return nil, err
@@ -288,12 +284,12 @@ func TestEchoResultsAreNeverOverwritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep("ECall of a 3-index slice", out, x2[1:3])
-	outs, err := sr.outer.ECallBatch("echo", [][]byte{x3, x4})
-	if err != nil {
-		t.Fatal(err)
+	for _, x := range [][]byte{x3, x4} {
+		if out, err = sr.outer.ECall("echo", x); err != nil {
+			t.Fatal(err)
+		}
+		keep("ECall", out, x)
 	}
-	keep("ECallBatch[0]", outs[0], x3)
-	keep("ECallBatch[1]", outs[1], x4)
 	if _, err := sr.outer.ECall("collect", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +311,6 @@ func TestEchoResultsAreNeverOverwritten(t *testing.T) {
 		if _, err := sr.outer.ECall("echo", junk); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sr.outer.ECallBatch("echo", [][]byte{junk, junk}); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := sr.outer.ECall("collect", nil); err != nil {
 			t.Fatal(err)
 		}
@@ -333,10 +326,9 @@ func TestEchoResultsAreNeverOverwritten(t *testing.T) {
 	sr.expectEmpty(t, "the echo calls")
 }
 
-// TestStackEmptyAfterCrashAndTimeout: an inner crash contained mid-chain
-// and an ECallWithin timeout both leave every core's staging stack empty,
-// and the next call receives its args intact.
-func TestStackEmptyAfterCrashAndTimeout(t *testing.T) {
+// TestStackEmptyAfterCrash: an inner crash contained mid-chain leaves every
+// core's staging stack empty, and the next call receives its args intact.
+func TestStackEmptyAfterCrash(t *testing.T) {
 	sr := newStackRig(t, func(innerImg, outerImg *sdk.Image) {
 		innerImg.RegisterECall("boom", func(env *sdk.Env, args []byte) ([]byte, error) {
 			panic("inner bug")
@@ -344,31 +336,8 @@ func TestStackEmptyAfterCrashAndTimeout(t *testing.T) {
 		outerImg.RegisterECall("crash_inner", func(env *sdk.Env, args []byte) ([]byte, error) {
 			return env.NECall(env.E.Inners()[0], "boom", pattern(0x22, 4096))
 		})
-		outerImg.RegisterECall("spin", func(env *sdk.Env, args []byte) ([]byte, error) {
-			buf, err := env.Malloc(64)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < 1_000_000; i++ {
-				if _, err := env.NECall(env.E.Inners()[0], "nil", args); err != nil {
-					return nil, err
-				}
-				if err := env.Write(buf, args[:64]); err != nil {
-					return nil, err
-				}
-			}
-			return nil, nil
-		})
 	})
-	_, err := sr.outer.ECallWithin("spin", pattern(0x23, 3000), 50_000)
-	var to *sdk.CallTimeout
-	if !errors.As(err, &to) {
-		t.Fatalf("spin: %v, want *CallTimeout", err)
-	}
-	sr.expectEmpty(t, "an ECallWithin timeout")
-	sr.expectCheck(t, "an ECallWithin timeout")
-
-	_, err = sr.outer.ECall("crash_inner", pattern(0x21, 2000))
+	_, err := sr.outer.ECall("crash_inner", pattern(0x21, 2000))
 	if _, crashed := sdk.IsCrash(err); !crashed {
 		t.Fatalf("inner panic: %v, want *EnclaveCrashed", err)
 	}
@@ -378,12 +347,10 @@ func TestStackEmptyAfterCrashAndTimeout(t *testing.T) {
 
 // TestTrustedCallsAllocateNothing pins the host cost of the staged calls:
 // with a nil-returning handler, ECall, NECall and both NOCall paths
-// allocate nothing once the stacks have grown, and the batch calls
-// allocate only the slice of results they return. Not parallel: it reads
-// the process-wide allocation counter.
+// allocate nothing once the stacks have grown. Not parallel: it reads the
+// process-wide allocation counter.
 func TestTrustedCallsAllocateNothing(t *testing.T) {
 	args := make([]byte, 64)
-	batch := [][]byte{args, args, args, args}
 	measured := map[string]float64{}
 	measure := func(name string, op func() error) {
 		var err error
@@ -400,7 +367,6 @@ func TestTrustedCallsAllocateNothing(t *testing.T) {
 		outerImg.RegisterECall("measure", func(env *sdk.Env, _ []byte) ([]byte, error) {
 			in := env.E.Inners()[0]
 			measure("NECall", func() error { _, err := env.NECall(in, "nil", args); return err })
-			measure("NECallBatch", func() error { _, err := env.NECallBatch(in, "nil", batch); return err })
 			_, err := env.NECall(in, "measure_fast", nil)
 			return nil, err
 		})
@@ -414,7 +380,6 @@ func TestTrustedCallsAllocateNothing(t *testing.T) {
 		})
 	})
 	measure("ECall", func() error { _, err := sr.outer.ECall("nil", args); return err })
-	measure("ECallBatch", func() error { _, err := sr.outer.ECallBatch("nil", batch); return err })
 	for _, call := range []struct {
 		e    *sdk.Enclave
 		name string
@@ -425,7 +390,6 @@ func TestTrustedCallsAllocateNothing(t *testing.T) {
 	}
 	want := map[string]float64{
 		"ECall": 0, "NECall": 0, "fast-path NOCall": 0, "upward NOCall": 0,
-		"ECallBatch": 1, "NECallBatch": 1, // the [][]byte of results
 	}
 	for name, w := range want {
 		got, ok := measured[name]

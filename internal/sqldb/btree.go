@@ -17,7 +17,8 @@ func (n *btreeNode) leaf() bool { return len(n.children) == 0 }
 // BTree is the index structure.
 type BTree struct {
 	root *btreeNode
-	size int
+	size int // live keys
+	dead int // tombstoned keys, at most size (see Delete)
 }
 
 // NewBTree creates an empty tree.
@@ -102,10 +103,7 @@ func (t *BTree) insertNonFull(n *btreeNode, key Value, rowID int) bool {
 	for {
 		i, ok := findIdx(n, key)
 		if ok {
-			// Reviving a tombstoned key counts as an insertion.
-			wasDead := n.vals[i] == tombstone
-			n.vals[i] = rowID
-			return wasDead
+			return t.replace(n, i, rowID)
 		}
 		if n.leaf() {
 			n.keys = append(n.keys, Value{})
@@ -118,9 +116,7 @@ func (t *BTree) insertNonFull(n *btreeNode, key Value, rowID int) bool {
 		if len(n.children[i].keys) == 2*btreeOrder-1 {
 			t.splitChild(n, i)
 			if Compare(key, n.keys[i]) == 0 {
-				wasDead := n.vals[i] == tombstone
-				n.vals[i] = rowID
-				return wasDead
+				return t.replace(n, i, rowID)
 			}
 			if Compare(key, n.keys[i]) > 0 {
 				i++
@@ -130,14 +126,23 @@ func (t *BTree) insertNonFull(n *btreeNode, key Value, rowID int) bool {
 	}
 }
 
-// Delete removes key, reporting whether it existed. The implementation
-// rebuilds the affected leaf path lazily (no rebalancing); lookups stay
-// correct and the tree is rebuilt by the table on bulk deletions. For the
-// workload sizes here this is the standard engineering trade-off SQLite
-// itself makes with its lazy vacuum.
+// replace stores rowID in entry i of n. Reviving a tombstoned key counts
+// as an insertion.
+func (t *BTree) replace(n *btreeNode, i, rowID int) bool {
+	wasDead := n.vals[i] == tombstone
+	n.vals[i] = rowID
+	if wasDead {
+		t.dead--
+	}
+	return wasDead
+}
+
+// Delete removes key, reporting whether it existed. It replaces the entry's
+// row id with a tombstone, which lookups and scans skip, instead of
+// rebalancing; once tombstones outnumber live keys it rebuilds the tree
+// from the live entries, so the tree never holds more than twice its live
+// keys and the rebuilds cost O(log n) per deletion amortized.
 func (t *BTree) Delete(key Value) bool {
-	// Standard B-tree deletion is intricate; we mark-and-skip instead:
-	// replace the entry with a tombstone row id and filter in scans.
 	n := t.root
 	for {
 		i, ok := findIdx(n, key)
@@ -147,6 +152,10 @@ func (t *BTree) Delete(key Value) bool {
 			}
 			n.vals[i] = tombstone
 			t.size--
+			t.dead++
+			if t.dead > t.size {
+				t.rebuild()
+			}
 			return true
 		}
 		if n.leaf() {
@@ -156,42 +165,56 @@ func (t *BTree) Delete(key Value) bool {
 	}
 }
 
+// rebuild replaces the tree with one holding only its live entries.
+func (t *BTree) rebuild() {
+	live := NewBTree()
+	t.Scan(func(k Value, id int) bool {
+		live.Set(k, id)
+		return true
+	})
+	t.root, t.dead = live.root, 0
+}
+
 const tombstone = -1
 
 // Scan calls fn for every live (key, rowID) in ascending key order; fn
 // returning false stops the scan.
 func (t *BTree) Scan(fn func(key Value, rowID int) bool) {
-	t.scanNode(t.root, fn)
-}
-
-func (t *BTree) scanNode(n *btreeNode, fn func(Value, int) bool) bool {
-	for i := range n.keys {
-		if !n.leaf() {
-			if !t.scanNode(n.children[i], fn) {
-				return false
-			}
-		}
-		if n.vals[i] != tombstone {
-			if !fn(n.keys[i], n.vals[i]) {
-				return false
-			}
-		}
-	}
-	if !n.leaf() {
-		return t.scanNode(n.children[len(n.keys)], fn)
-	}
-	return true
+	ascend(t.root, nil, fn)
 }
 
 // ScanRange visits live keys in [lo, hi] inclusive (nil bounds are open).
+// It descends straight to lo and examines only the entries from there to
+// the first key past hi, which stops it: O(log n + k) for k entries.
 func (t *BTree) ScanRange(lo, hi *Value, fn func(key Value, rowID int) bool) {
-	t.Scan(func(k Value, id int) bool {
-		if lo != nil && Compare(k, *lo) < 0 {
-			return true
-		}
+	ascend(t.root, lo, func(k Value, id int) bool {
 		if hi != nil && Compare(k, *hi) > 0 {
 			return false
 		}
 		return fn(k, id)
 	})
+}
+
+// ascend calls fn for every live entry of n's subtree whose key is at least
+// lo (nil: every entry), in ascending key order, and reports false once fn
+// does. Only the path to lo is searched: every subtree after it holds
+// greater keys and is walked whole.
+func ascend(n *btreeNode, lo *Value, fn func(Value, int) bool) bool {
+	i := 0
+	if lo != nil {
+		i, _ = findIdx(n, *lo)
+	}
+	for ; i < len(n.keys); i++ {
+		if !n.leaf() && !ascend(n.children[i], lo, fn) {
+			return false
+		}
+		lo = nil
+		if n.vals[i] != tombstone && !fn(n.keys[i], n.vals[i]) {
+			return false
+		}
+	}
+	if !n.leaf() {
+		return ascend(n.children[len(n.keys)], lo, fn)
+	}
+	return true
 }

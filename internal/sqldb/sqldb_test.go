@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -317,30 +318,39 @@ func quickRand(t *testing.T) *rand.Rand {
 }
 
 func TestBTreeMatchesMapProperty(t *testing.T) {
+	// An op sets or deletes the Run%32+1 keys from Key%512 on. Keys fall in
+	// [-511, 542], so deletions hit live keys, tombstones come to outnumber
+	// them and the tree rebuilds; runs make it several levels deep.
 	type op struct {
 		Key int16
+		Run uint8
 		Del bool
 	}
-	f := func(ops []op) bool {
+	// rng is one ScanRange per case; an open bound is nil.
+	type rng struct {
+		Lo, Hi         int16
+		OpenLo, OpenHi bool
+	}
+	f := func(ops []op, c rng) bool {
 		bt := NewBTree()
 		ref := map[int64]int{}
 		for i, o := range ops {
-			k := int64(o.Key)
-			if o.Del {
+			for k := int64(o.Key % 512); k <= int64(o.Key%512)+int64(o.Run%32); k++ {
 				_, inRef := ref[k]
-				if bt.Delete(Int(k)) != inRef {
-					return false
+				if o.Del {
+					if bt.Delete(Int(k)) != inRef {
+						return false
+					}
+					delete(ref, k)
+				} else {
+					if bt.Set(Int(k), i) == inRef {
+						return false
+					}
+					ref[k] = i
 				}
-				delete(ref, k)
-			} else {
-				_, inRef := ref[k]
-				if bt.Set(Int(k), i) == inRef {
-					return false
-				}
-				ref[k] = i
 			}
 		}
-		if bt.Len() != len(ref) {
+		if bt.Len() != len(ref) || bt.dead > bt.size {
 			return false
 		}
 		for k, v := range ref {
@@ -360,9 +370,96 @@ func TestBTreeMatchesMapProperty(t *testing.T) {
 			n++
 			return true
 		})
-		return sorted && n == len(ref)
+		if !sorted || n != len(ref) {
+			return false
+		}
+		// One range scan, against the map's keys in the range.
+		lo, hi := Int(int64(c.Lo%512)), Int(int64(c.Hi%512))
+		var want []int64
+		for k := range ref {
+			if (c.OpenLo || k >= lo.I) && (c.OpenHi || k <= hi.I) {
+				want = append(want, k)
+			}
+		}
+		slices.Sort(want)
+		var got []int64
+		plo, phi := &lo, &hi
+		if c.OpenLo {
+			plo = nil
+		}
+		if c.OpenHi {
+			phi = nil
+		}
+		bt.ScanRange(plo, phi, func(k Value, id int) bool {
+			if id != ref[k.I] {
+				return false
+			}
+			got = append(got, k.I)
+			return true
+		})
+		return slices.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: quickRand(t)}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScanRangeSeeksToLo pins a range scan's cost at O(log n + k): on a
+// 1,000-key tree an 11-key range examines 12 keys wherever it lies, the
+// eleven it returns and the first past hi, which stops it. ScanRange is
+// ascend from lo with that stop, so the keys are counted on ascend.
+func TestScanRangeSeeksToLo(t *testing.T) {
+	bt := NewBTree()
+	for k := 0; k < 1000; k++ {
+		bt.Set(Int(int64(k)), k)
+	}
+	for _, from := range []int64{0, 500, 980} {
+		lo, hi := Int(from), Int(from+10)
+		var got []int64
+		bt.ScanRange(&lo, &hi, func(k Value, _ int) bool {
+			got = append(got, k.I)
+			return true
+		})
+		if len(got) != 11 || got[0] != from || got[10] != from+10 {
+			t.Fatalf("ScanRange [%d,%d] returned %v", from, from+10, got)
+		}
+		examined := 0
+		ascend(bt.root, &lo, func(k Value, _ int) bool {
+			examined++
+			return Compare(k, hi) <= 0
+		})
+		if examined > 12 {
+			t.Errorf("a scan of [%d,%d] examines %d keys, want at most 12", from, from+10, examined)
+		}
+	}
+}
+
+// TestKeyUpdatesKeepIndexBounded: a primary-key UPDATE tombstones the old
+// key and inserts the new one, so without rebuilds the index would grow by
+// a key per statement. After every one of 1,000 such UPDATEs on a 100-row
+// table the index holds at most twice its live keys.
+func TestKeyUpdatesKeepIndexBounded(t *testing.T) {
+	db := setup(t)
+	for i := 0; i < 100; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO users VALUES (%d, 'u%d', 0.0)", i, i))
+	}
+	idx := db.tables["users"].index
+	var keys func(n *btreeNode) int
+	keys = func(n *btreeNode) int {
+		k := len(n.keys)
+		for _, c := range n.children {
+			k += keys(c)
+		}
+		return k
+	}
+	for i := 0; i < 1000; i++ {
+		db.MustExec(fmt.Sprintf("UPDATE users SET id = %d WHERE id = %d", i+100, i))
+		if k := keys(idx.root); k > 2*idx.Len() {
+			t.Fatalf("after UPDATE %d the index holds %d keys for %d live", i, k, idx.Len())
+		}
+	}
+	r := db.MustExec("SELECT name FROM users WHERE id >= 1000 ORDER BY id")
+	if idx.Len() != 100 || len(r.Rows) != 100 || r.Rows[0][0].S != "u0" || r.Rows[99][0].S != "u99" {
+		t.Fatalf("after the UPDATEs: %d keys, rows %v", idx.Len(), r.Rows)
 	}
 }

@@ -28,7 +28,6 @@ const (
 	OpEWB                       // page eviction: seal + LLC flush + free
 	OpELD                       // page reload: open + EPC alloc + LLC fill
 	OpSwitchlessOCall           // ocall served through the switchless ring (no transition)
-	OpNECallBatch               // n_ecall batch: one NEENTER .. N bodies .. NEEXIT
 
 	numOps
 )
@@ -46,7 +45,6 @@ var opNames = [...]string{
 	OpEWB:             "ewb",
 	OpELD:             "eld",
 	OpSwitchlessOCall: "switchless_ocall",
-	OpNECallBatch:     "n_ecall_batch",
 }
 
 func (o Op) String() string {

@@ -198,9 +198,6 @@ func (r *Recorder) BeginOp(op Op, core int, eid uint64, name string) OpRef {
 	return o
 }
 
-// Start returns the clock reading the operation began at.
-func (o *OpRef) Start() int64 { return o.start }
-
 // End samples the histogram and closes the span. Every path samples, failed
 // operations included. The pointer receiver lets `defer op.End()` see a
 // reclassification made after the defer statement.

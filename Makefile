@@ -172,7 +172,8 @@ adversary-smoke:
 # bench runs the paper-experiment benchmarks (root package) once each, and
 # the host-cost microbenchmarks (internal/bench: ECall, OCall, NECall,
 # NOCall — one n_ocall on the upward path Table VI's service takes and one
-# on the fast path Table II's nocall_driver takes — PageWalk,
+# on the fast path Table II's nocall_driver takes — EnvRead — one ecall
+# making 64 Env.Reads of 256 B, as outer-stream's consumer does — PageWalk,
 # SwitchlessOCall, EPCFault — one evict-and-reload round trip —
 # EPCFaultUnderPressure — one demand fault through the paging daemon's
 # victim search, EWB and ELDU, with an enclave heap twice the EPC —
@@ -186,7 +187,7 @@ adversary-smoke:
 # with ns/op and allocs/op reporting.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='ECall|OCall|PageWalk|EPCFault|LLCMiss|SQLQuery|NewMachine' -benchtime=200x -run=^$$ ./internal/bench
+	$(GO) test -bench='ECall|OCall|EnvRead|PageWalk|EPCFault|LLCMiss|SQLQuery|NewMachine' -benchtime=200x -run=^$$ ./internal/bench
 	$(GO) test -bench='^BenchmarkExec$$' -benchtime=2000x -run=^$$ ./internal/sqldb
 
 clean:

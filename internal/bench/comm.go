@@ -107,11 +107,13 @@ func registerMEEPump(img *sdk.Image) {
 	img.RegisterECall("pump_read", func(env *sdk.Env, args []byte) ([]byte, error) {
 		base, footprint, stride, count, start := unpackPump(args)
 		slots := footprint / stride
+		// One buffer for every message: a Read result would stay on the
+		// core's stack until the call returns, up to the whole footprint.
+		got := make([]byte, stride)
 		for j := 0; j < count; j++ {
 			i := start + j
 			off := (i % slots) * stride
-			got, err := env.Read(base+isa.VAddr(off), stride)
-			if err != nil {
+			if err := env.ReadInto(base+isa.VAddr(off), got); err != nil {
 				return nil, err
 			}
 			if got[0] != byte(i) || got[stride-1] != 0x5c {
@@ -164,11 +166,11 @@ func registerGCMPump(img *sdk.Image, key [16]byte, rec *trace.Recorder) {
 		chunk := stride - 16
 		slots := footprint / stride
 		aead := newAEAD()
+		ct := make([]byte, stride) // reused, as in the plain pump
 		for j := 0; j < count; j++ {
 			i := start + j
 			off := (i % slots) * stride
-			ct, err := env.Read(base+isa.VAddr(off), stride)
-			if err != nil {
+			if err := env.ReadInto(base+isa.VAddr(off), ct); err != nil {
 				return nil, err
 			}
 			pt, err := aead.Open(nil, nonce(i), ct, nil)

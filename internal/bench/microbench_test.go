@@ -81,6 +81,15 @@ func newMicroRig(b *testing.B) *microRig {
 	outerImg.RegisterECall("nocall_driver", func(env *sdk.Env, args []byte) ([]byte, error) {
 		return env.NECall(env.E.Inners()[0], "nocall_loop", nil)
 	})
+	outerImg.RegisterECall("read64", func(env *sdk.Env, args []byte) ([]byte, error) {
+		heap := env.E.Image().HeapBase()
+		for i := 0; i < 64; i++ {
+			if _, err := env.Read(heap+isa.VAddr(i*256), 256); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
 	r.Host.RegisterOCall("mb_noop", func(args []byte) ([]byte, error) { return payload, nil })
 	r.Host.RegisterOCall("mb_fast", func(args []byte) ([]byte, error) { return payload, nil })
 	if mr.inner, mr.outer, err = r.LoadPair(innerImg, outerImg); err != nil {
@@ -139,6 +148,27 @@ func BenchmarkNOCall(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		newMicroRig(b).runLoop(b, "nocall_driver")
 	})
+}
+
+// BenchmarkEnvRead is one ecall that makes 64 Env.Reads of 256 B from its
+// heap, as outer-stream's consumer reads its batch. A call's Read results
+// stay on its core's stack until it returns, so each iteration is its own
+// ecall rather than b.N Reads inside one. One call per core first grows
+// every core's stack, as a running service's first requests do.
+func BenchmarkEnvRead(b *testing.B) {
+	mr := newMicroRig(b)
+	for i := 0; i < len(mr.r.M.Cores()); i++ {
+		if _, err := mr.outer.ECall("read64", nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mr.outer.ECall("read64", nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkSwitchlessOCall(b *testing.B) {

@@ -69,10 +69,3 @@ func (s *IPCService) Eavesdrop(channel string) [][]byte {
 	}
 	return out
 }
-
-// Pending reports the queue depth (tests).
-func (s *IPCService) Pending(channel string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queues[channel])
-}

@@ -103,9 +103,6 @@ func TestIPCDelivery(t *testing.T) {
 	k := newKernel(t)
 	k.IPC.Send("ch", []byte("m1"))
 	k.IPC.Send("ch", []byte("m2"))
-	if k.IPC.Pending("ch") != 2 {
-		t.Fatalf("pending = %d", k.IPC.Pending("ch"))
-	}
 	m, ok := k.IPC.TryRecv("ch")
 	if !ok || string(m) != "m1" {
 		t.Fatalf("recv %q %v", m, ok)

@@ -118,9 +118,9 @@ func (e *Enclave) ECall(name string, args []byte) ([]byte, error) {
 	st := &e.host.stacks[c.ID]
 	// The handler runs on a private copy of args staged on the core's
 	// stack, as the tRTS copies [in] buffers into the enclave. The output
-	// is not re-copied unless it shares the staged bytes: ownership of a
-	// trusted function's return buffer transfers to the caller (handlers
-	// must not retain it).
+	// is not re-copied unless it shares the staged bytes (args or a Read
+	// result): ownership of a trusted function's return buffer transfers to
+	// the caller (handlers must not retain it).
 	out, ferr := runNested(st.pushEnv(Env{E: e, C: c, tcsV: tcsV, stack: st}), name, fn, args)
 	st.popEnv()
 	// The tRTS scrubs the register file before leaving the enclave.

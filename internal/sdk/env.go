@@ -18,7 +18,9 @@ import (
 // n_ecall/n_ocall; the initial ecall created this Env).
 //
 // An Env is a frame of the call that received it, valid only until that
-// call returns: the runtime reuses it for later calls on the same core.
+// call returns: the runtime reuses it for later calls on the same core. So
+// is every result of its Read, which lives on the call's stack frame (see
+// Read); ReadInto fills a buffer the caller owns.
 type Env struct {
 	// E is the enclave this code runs in.
 	E *Enclave
@@ -28,7 +30,7 @@ type Env struct {
 	tcsV isa.VAddr
 
 	// stack is the staging stack of the chain's core, which holds this
-	// frame and the arguments of every call of the chain.
+	// frame and the arguments and Read results of every call of the chain.
 	stack *callStack
 }
 
@@ -73,10 +75,21 @@ func (env *Env) guardContext() error {
 }
 
 // Read reads n bytes of (virtual) memory through the access-validated path
-// into a new buffer; see ReadInto.
+// into a buffer reserved on the executing core's call stack; see ReadInto.
+//
+// Like the call's args, the result is valid only until the trusted call
+// that made it returns: the call's reads stay on its core's stack until
+// then, and the stack clears and reuses their bytes afterwards. A handler
+// may return a Read result (the runtime copies it out); to keep bytes past
+// the call, use bytes.Clone or ReadInto. A loop that reads more than it
+// keeps should reuse one buffer with ReadInto. The result's capacity ends
+// at its length, so an append reallocates. A failed Read releases its
+// reservation.
 func (env *Env) Read(v isa.VAddr, n int) ([]byte, error) {
-	b := make([]byte, n)
+	top := env.stack.top
+	b := env.stack.push(n)
 	if err := env.ReadInto(v, b); err != nil {
+		env.stack.popTo(top)
 		return nil, err
 	}
 	return b, nil
@@ -248,11 +261,11 @@ func (env *Env) neexit() error {
 }
 
 // runNested runs a trusted function with env on a copy of args staged on
-// the chain's core stack, and pops the copy when fn returns or crashes,
-// copying out a result that shares it. It contains a crash: a panic poisons
-// the executing enclave and converts the crash into a typed
-// *EnclaveCrashed. When a suspended caller frame exists (an n_ecall or
-// n_ocall), it NEEXITs back to it, which scrubs the register file so no
+// the chain's core stack, and pops the copy and fn's Read results when fn
+// returns or crashes, copying out a result that shares them. It contains a
+// crash: a panic poisons the executing enclave and converts the crash into
+// a typed *EnclaveCrashed. When a suspended caller frame exists (an n_ecall
+// or n_ocall), it NEEXITs back to it, which scrubs the register file so no
 // crashed-enclave state leaks into the caller. Without a frame to return to
 // — always so under an ecall, because EENTER refuses a TCS that holds one —
 // the core is force-evacuated, scrubbing registers and every suspended frame
@@ -262,7 +275,7 @@ func runNested(env *Env, call string, fn TrustedFunc, args []byte) (out []byte, 
 	top := st.top
 	staged := st.pushArgs(args)
 	defer func() {
-		out = st.popArgs(top, staged, out)
+		out = st.popArgs(top, out)
 		if r := recover(); r != nil {
 			m := env.E.host.K.Machine()
 			eid := env.E.secs.EID

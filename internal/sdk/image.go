@@ -26,11 +26,13 @@ import (
 // reached by an ecall, an n_ecall or an n_ocall.
 //
 // Like an SGX [in] buffer, args is the handler's private copy, valid only
-// for the call: the runtime stages it on the core's call stack and reuses
-// the bytes once the call returns, so a handler may change args but must
-// not keep it, or env, past its return. A result may alias args; the
-// runtime then copies it out. Ownership of any other result passes to the
-// caller, so a handler must not keep that either.
+// for the call: the runtime stages it on the core's call stack and clears
+// and reuses the bytes once the call returns, so a handler may change args
+// but must not keep it, env, or a result of env.Read past its return. The
+// call's Read results share that lifetime and stack (bytes.Clone or
+// env.ReadInto keeps bytes longer). A result may alias args or a Read
+// result; the runtime then copies it out. Ownership of any other result
+// passes to the caller, so a handler must not keep that either.
 type TrustedFunc func(env *Env, args []byte) ([]byte, error)
 
 // HostFunc is an untrusted ocall handler. Its args are its own copy, which

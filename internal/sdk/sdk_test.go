@@ -478,37 +478,37 @@ func TestNEREPORTCoversAssociations(t *testing.T) {
 }
 
 // TestEnvReadIntoAllocatesNothing: Env.ReadInto reads what Env.Read reads,
-// into the caller's buffer, and allocates nothing. Not parallel: it reads
-// the process-wide allocation counter.
+// into the caller's buffer, and allocates nothing. The Read result is
+// compared inside the handler, because it is valid only until the call
+// returns. Not parallel: it reads the process-wide allocation counter.
 func TestEnvReadIntoAllocatesNothing(t *testing.T) {
 	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout())
 	secret := []byte("read-into-target")
 	var allocs float64
-	var got, want []byte
 	img.RegisterECall("read", func(env *sdk.Env, args []byte) ([]byte, error) {
 		v := env.E.Image().HeapBase()
 		if err := env.Write(v, secret); err != nil {
 			return nil, err
 		}
-		var err error
-		if want, err = env.Read(v, len(secret)); err != nil {
+		want, err := env.Read(v, len(secret))
+		if err != nil {
 			return nil, err
 		}
-		got = make([]byte, len(secret))
+		got := make([]byte, len(secret))
 		allocs = testing.AllocsPerRun(100, func() {
 			if e := env.ReadInto(v, got); e != nil && err == nil {
 				err = e
 			}
 		})
+		if !bytes.Equal(got, secret) || !bytes.Equal(want, secret) {
+			t.Errorf("ReadInto read %q and Read %q, want %q", got, want, secret)
+		}
 		return nil, err
 	})
 	e := mustLoad(t, r.host, img.Sign(measure.MustNewAuthor(), nil, nil))
 	if _, err := e.ECall("read", nil); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) || !bytes.Equal(want, secret) {
-		t.Fatalf("ReadInto read %q and Read %q, want %q", got, want, secret)
 	}
 	if allocs != 0 {
 		t.Fatalf("Env.ReadInto allocates %.0f times, want 0", allocs)

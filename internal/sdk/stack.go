@@ -9,13 +9,14 @@ import (
 // simulator's counterpart of the enclave stack onto which an SGX edger8r
 // bridge copies [in] arguments that live only for the call. Every ecall,
 // n_ecall and n_ocall copies its arguments onto the stack of the core it
-// runs on and takes its Env frame from it, and pops both when the call
-// returns, fails or crashes. A call chain never leaves the core
-// acquireCore gave it, and a core serves one chain at a time, so the stack
-// needs no lock. Once it has grown to a chain's deepest nesting and largest
-// arguments, a call allocates nothing.
+// runs on and takes its Env frame from it, every Env.Read reserves its
+// result above them, and the call pops all of it when it returns, fails or
+// crashes. A call chain never leaves the core acquireCore gave it, and a
+// core serves one chain at a time, so the stack needs no lock. Once it has
+// grown to a chain's deepest nesting, largest arguments and reads, a call
+// allocates nothing.
 type callStack struct {
-	buf   []byte // staged argument bytes; live frames own buf[:top]
+	buf   []byte // staged arguments and Read results; live frames own buf[:top]
 	top   int
 	envs  []*Env // Env frames; live frames own envs[:depth]
 	depth int
@@ -39,35 +40,52 @@ func (s *callStack) popEnv() {
 	*s.envs[s.depth] = Env{}
 }
 
-// pushArgs copies args onto the stack and returns the copy: the private
-// buffer the handler runs on, which the caller can no longer change. Its
-// capacity ends at its length, so an append by the handler reallocates
-// instead of spilling into the next frame. Empty args stage as nil.
-func (s *callStack) pushArgs(args []byte) []byte {
-	n := len(args)
+// push reserves n bytes on the stack and returns them. Their capacity ends
+// at their length, so an append by the handler reallocates instead of
+// spilling into the next reservation. An empty reservation is nil.
+func (s *callStack) push(n int) []byte {
 	if n == 0 {
 		return nil
 	}
 	if s.top+n > len(s.buf) {
 		// Live frames keep the old buffer alive through their own slices;
-		// the new one is used from the same offset on.
+		// the new one is used from the same offset on, and the old one is
+		// never staged into again.
 		s.buf = make([]byte, max(2*len(s.buf), s.top+n))
 	}
-	staged := s.buf[s.top : s.top+n : s.top+n]
-	copy(staged, args)
+	b := s.buf[s.top : s.top+n : s.top+n]
 	s.top += n
+	return b
+}
+
+// pushArgs copies args onto the stack and returns the copy: the private
+// buffer the handler runs on, which the caller can no longer change.
+func (s *callStack) pushArgs(args []byte) []byte {
+	staged := s.push(len(args))
+	copy(staged, args)
 	return staged
 }
 
-// popArgs releases everything staged since the stack's top was top. A
-// result that shares the staged bytes (a handler may return args or a
-// slice of it) is copied out first, so a later call cannot overwrite it and
-// ownership of a result still passes to the caller.
-func (s *callStack) popArgs(top int, staged, out []byte) []byte {
-	if overlaps(out, staged) {
+// popTo releases everything staged since the stack's top was top and clears
+// it, so a slice kept past its call reads zeros, not a later call's bytes.
+// Bytes left in a buffer the stack outgrew are not cleared, but no later
+// call writes them either.
+func (s *callStack) popTo(top int) {
+	clear(s.buf[top:s.top])
+	s.top = top
+}
+
+// popArgs releases the frame that began when the stack's top was top: its
+// args and every Read result it staged. A result that shares those bytes
+// (a handler may return its args, a Read result or a slice of either) is
+// copied out first, so ownership of a result still passes to the caller.
+// Only the current buffer is checked: a buffer that a later push outgrew
+// is never staged into again, so a result there stays intact.
+func (s *callStack) popArgs(top int, out []byte) []byte {
+	if overlaps(out, s.buf[top:]) {
 		out = bytes.Clone(out)
 	}
-	s.top = top
+	s.popTo(top)
 	return out
 }
 

@@ -13,8 +13,9 @@ import (
 )
 
 // Tests of the staging contract: each trusted call runs on a private copy of
-// its arguments kept on its core's staging stack, valid only for the call,
-// and a result that shares the copy is copied out before the stack pops.
+// its arguments kept on its core's staging stack, its Env.Read results are
+// reserved on the same stack, both are valid only for the call, and a result
+// that shares them is copied out before the stack pops and clears.
 
 // pattern returns n bytes counting up from tag.
 func pattern(tag byte, n int) []byte {
@@ -42,9 +43,36 @@ func expectArgs(t *testing.T, where string, args, want []byte) {
 
 func head(b []byte) []byte { return b[:min(len(b), 8)] }
 
+// readBytes is the size of each Read the "read" handlers make.
+const readBytes = 256
+
+// readLoop returns a handler that makes n Reads of readBytes from its
+// enclave's heap and returns nothing.
+func readLoop(n int) sdk.TrustedFunc {
+	return func(env *sdk.Env, _ []byte) ([]byte, error) {
+		heap := env.E.Image().HeapBase()
+		for i := 0; i < n; i++ {
+			if _, err := env.Read(heap+isa.VAddr(i*readBytes), readBytes); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}
+}
+
+// readback writes args to its enclave's heap and returns a Read of them.
+func readback(env *sdk.Env, args []byte) ([]byte, error) {
+	heap := env.E.Image().HeapBase()
+	if err := env.Write(heap, args); err != nil {
+		return nil, err
+	}
+	return env.Read(heap, len(args))
+}
+
 // stackRig is an outer/inner pair whose images carry the handlers the
-// staging tests call: "echo" and "nil" everywhere, "mutate" everywhere,
-// and "check", which fails the call unless its args equal the rig's want.
+// staging tests call: "echo", "nil", "mutate", "read" (one Read of
+// readBytes), "read64" (64 of them) and "readback" everywhere, and "check",
+// which fails the call unless its args equal the rig's want.
 type stackRig struct {
 	*testRig
 	outer, inner *sdk.Enclave
@@ -70,9 +98,12 @@ func newStackRig(t *testing.T, extra func(innerImg, outerImg *sdk.Image)) *stack
 	}
 	for _, img := range []*sdk.Image{innerImg, outerImg} {
 		img.RegisterECall("echo", echo).RegisterECall("nil", nilFn).
-			RegisterECall("mutate", mutate).RegisterECall("check", check)
+			RegisterECall("mutate", mutate).RegisterECall("check", check).
+			RegisterECall("read", readLoop(1)).RegisterECall("read64", readLoop(64)).
+			RegisterECall("readback", readback)
 	}
-	outerImg.RegisterNOCall("echo", echo).RegisterNOCall("nil", nilFn).RegisterNOCall("mutate", mutate)
+	outerImg.RegisterNOCall("echo", echo).RegisterNOCall("nil", nilFn).RegisterNOCall("mutate", mutate).
+		RegisterNOCall("read", readLoop(1)).RegisterNOCall("readback", readback)
 	if extra != nil {
 		extra(innerImg, outerImg)
 	}
@@ -347,8 +378,9 @@ func TestStackEmptyAfterCrash(t *testing.T) {
 
 // TestTrustedCallsAllocateNothing pins the host cost of the staged calls:
 // with a nil-returning handler, ECall, NECall and both NOCall paths
-// allocate nothing once the stacks have grown. Not parallel: it reads the
-// process-wide allocation counter.
+// allocate nothing once the stacks have grown, and neither do the Env.Read
+// results such a handler makes (an ecall's 64 Reads, one Read under each
+// nested path). Not parallel: it reads the process-wide allocation counter.
 func TestTrustedCallsAllocateNothing(t *testing.T) {
 	args := make([]byte, 64)
 	measured := map[string]float64{}
@@ -367,19 +399,23 @@ func TestTrustedCallsAllocateNothing(t *testing.T) {
 		outerImg.RegisterECall("measure", func(env *sdk.Env, _ []byte) ([]byte, error) {
 			in := env.E.Inners()[0]
 			measure("NECall", func() error { _, err := env.NECall(in, "nil", args); return err })
+			measure("NECall with a Read", func() error { _, err := env.NECall(in, "read", args); return err })
 			_, err := env.NECall(in, "measure_fast", nil)
 			return nil, err
 		})
 		innerImg.RegisterECall("measure_fast", func(env *sdk.Env, _ []byte) ([]byte, error) {
 			measure("fast-path NOCall", func() error { _, err := env.NOCall("nil", args); return err })
+			measure("fast-path NOCall with a Read", func() error { _, err := env.NOCall("read", args); return err })
 			return nil, nil
 		})
 		innerImg.RegisterECall("measure_up", func(env *sdk.Env, _ []byte) ([]byte, error) {
 			measure("upward NOCall", func() error { _, err := env.NOCall("nil", args); return err })
+			measure("upward NOCall with a Read", func() error { _, err := env.NOCall("read", args); return err })
 			return nil, nil
 		})
 	})
 	measure("ECall", func() error { _, err := sr.outer.ECall("nil", args); return err })
+	measure("ECall of 64 Reads", func() error { _, err := sr.outer.ECall("read64", args); return err })
 	for _, call := range []struct {
 		e    *sdk.Enclave
 		name string
@@ -390,6 +426,8 @@ func TestTrustedCallsAllocateNothing(t *testing.T) {
 	}
 	want := map[string]float64{
 		"ECall": 0, "NECall": 0, "fast-path NOCall": 0, "upward NOCall": 0,
+		"ECall of 64 Reads": 0, "NECall with a Read": 0,
+		"fast-path NOCall with a Read": 0, "upward NOCall with a Read": 0,
 	}
 	for name, w := range want {
 		got, ok := measured[name]
@@ -434,4 +472,223 @@ func TestNEEXITIntoDestroyedOuterEvacuatesCore(t *testing.T) {
 			t.Fatalf("inner ecall %d after the evacuation: %v", i, err)
 		}
 	}
+}
+
+// TestReturnedReadResultsSurvive: a handler that returns an Env.Read result
+// hands back bytes that no later call overwrites, on ECall, NECall and
+// both NOCall paths: the runtime copies the result out before the frame's
+// reads are cleared and reused.
+func TestReturnedReadResultsSurvive(t *testing.T) {
+	type kept struct {
+		name      string
+		got, want []byte
+	}
+	var results []kept
+	// The first round's results are kept; later rounds read other bytes
+	// at the same stack offsets.
+	tag := byte(0x40)
+	keep := func(name string, got, want []byte) {
+		if tag == 0x40 {
+			results = append(results, kept{name, got, want})
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("later %s read %x..., want %x...", name, head(got), head(want))
+		}
+	}
+	sr := newStackRig(t, func(innerImg, outerImg *sdk.Image) {
+		outerImg.RegisterECall("collect", func(env *sdk.Env, args []byte) ([]byte, error) {
+			y := pattern(tag+1, 700)
+			out, err := env.NECall(env.E.Inners()[0], "readback", y)
+			if err != nil {
+				return nil, err
+			}
+			keep("NECall", out, y)
+			_, err = env.NECall(env.E.Inners()[0], "fast", nil)
+			return nil, err
+		})
+		innerImg.RegisterECall("fast", func(env *sdk.Env, args []byte) ([]byte, error) {
+			z := pattern(tag+2, 90)
+			out, err := env.NOCall("readback", z)
+			if err != nil {
+				return nil, err
+			}
+			keep("fast-path NOCall", out, z)
+			return nil, nil
+		})
+		innerImg.RegisterECall("up", func(env *sdk.Env, args []byte) ([]byte, error) {
+			w := pattern(tag+3, 1500)
+			out, err := env.NOCall("readback", w)
+			if err != nil {
+				return nil, err
+			}
+			keep("upward NOCall", out, w)
+			return nil, nil
+		})
+	})
+	// More rounds than cores, so every core's stack serves later calls.
+	for round := 0; round < 2*len(sr.m.Cores()); round++ {
+		x := pattern(tag, 64)
+		out, err := sr.outer.ECall("readback", x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep("ECall", out, x)
+		if _, err := sr.outer.ECall("collect", nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sr.inner.ECall("up", nil); err != nil {
+			t.Fatal(err)
+		}
+		tag += 0x10
+	}
+	for _, k := range results {
+		if !bytes.Equal(k.got, k.want) {
+			t.Errorf("%s Read result overwritten: %x..., want %x...", k.name, head(k.got), head(k.want))
+		}
+	}
+	sr.expectEmpty(t, "the readback calls")
+}
+
+// TestKeptReadResultReadsZeros: a handler that keeps an Env.Read result
+// past its call, against the contract, finds it cleared when the call
+// returns, and still cleared after later calls on every core read other
+// secrets at the same stack offsets; never a later call's bytes.
+func TestKeptReadResultReadsZeros(t *testing.T) {
+	var kept [][]byte
+	keep := func(env *sdk.Env, args []byte) ([]byte, error) {
+		b, err := readback(env, args)
+		if err != nil {
+			return nil, err
+		}
+		kept = append(kept, b)
+		return nil, nil
+	}
+	expectZeros := func(where string) {
+		t.Helper()
+		for i, b := range kept {
+			if !bytes.Equal(b, make([]byte, 300)) {
+				t.Errorf("%s: kept Read result %d reads %d bytes %x..., want 300 zeros", where, i, len(b), head(b))
+			}
+		}
+	}
+	sr := newStackRig(t, func(innerImg, outerImg *sdk.Image) {
+		innerImg.RegisterECall("keep", keep)
+		outerImg.RegisterECall("keep", keep)
+		outerImg.RegisterECall("nested_keep", func(env *sdk.Env, args []byte) ([]byte, error) {
+			if _, err := env.NECall(env.E.Inners()[0], "keep", args); err != nil {
+				return nil, err
+			}
+			expectZeros("after the NECall returned")
+			return nil, nil
+		})
+	})
+	if _, err := sr.outer.ECall("keep", pattern(0x11, 300)); err != nil {
+		t.Fatal(err)
+	}
+	expectZeros("after the ECall returned")
+	if _, err := sr.outer.ECall("nested_keep", pattern(0x22, 300)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*len(sr.m.Cores()); i++ {
+		if _, err := sr.outer.ECall("readback", pattern(byte(0x80+i), 300)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sr.inner.ECall("readback", pattern(byte(0xC0+i), 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expectZeros("after later calls")
+	if len(kept) != 2 {
+		t.Fatalf("kept %d Read results, want 2", len(kept))
+	}
+}
+
+// TestReadsOutgrowingStackKeepEarlierResults: on fresh stacks, one ecall
+// makes Reads that grow fourfold, with an n_ecall in between whose own
+// Read outgrows the stack again, so the stack reallocates several times
+// mid-call. Every earlier result stays intact until the call returns, and
+// the result it returns, staged in a buffer the stack has since outgrown,
+// reaches the caller intact.
+func TestReadsOutgrowingStackKeepEarlierResults(t *testing.T) {
+	fill := pattern(0x21, 16<<10)
+	big := pattern(0x7A, 32<<10)
+	sr := newStackRig(t, func(innerImg, outerImg *sdk.Image) {
+		outerImg.RegisterECall("grow", func(env *sdk.Env, args []byte) ([]byte, error) {
+			heap := env.E.Image().HeapBase()
+			if err := env.Write(heap, fill); err != nil {
+				return nil, err
+			}
+			var reads [][]byte
+			for n := 16; n <= len(fill); n *= 4 {
+				b, err := env.Read(heap, n)
+				if err != nil {
+					return nil, err
+				}
+				reads = append(reads, b)
+				if n == 256 {
+					out, err := env.NECall(env.E.Inners()[0], "readback", big)
+					if err != nil {
+						return nil, err
+					}
+					expectArgs(t, "the n_ecall's Read result", out, big)
+				}
+			}
+			for _, b := range reads {
+				expectArgs(t, "an earlier Read result", b, fill[:len(b)])
+			}
+			return reads[0], nil
+		})
+	})
+	out, err := sr.outer.ECall("grow", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, fill[:16]) {
+		t.Fatalf("returned Read result %x, want %x", out, fill[:16])
+	}
+	sr.expectEmpty(t, "the growing reads")
+}
+
+// TestFailedReadLeavesStackTop: a Read that fails releases its
+// reservation, so the stack's top is where it was, and the call's earlier
+// and later Reads are intact.
+func TestFailedReadLeavesStackTop(t *testing.T) {
+	var sr *stackRig
+	sr = newStackRig(t, func(innerImg, outerImg *sdk.Image) {
+		outerImg.RegisterECall("fail", func(env *sdk.Env, args []byte) ([]byte, error) {
+			heap := env.E.Image().HeapBase()
+			if err := env.Write(heap, pattern(0x33, 64)); err != nil {
+				return nil, err
+			}
+			first, err := env.Read(heap, 64)
+			if err != nil {
+				return nil, err
+			}
+			before, _ := sdk.Staged(sr.host)
+			// The page after the image is mapped by no one, so the kernel
+			// cannot repair the #PF.
+			bad, err := env.Read(env.E.Image().Base+isa.VAddr(env.E.Image().Size()), 4096)
+			if err == nil {
+				t.Errorf("Read past the image succeeded with %d bytes", len(bad))
+			} else if bad != nil {
+				t.Errorf("failed Read returned %d bytes", len(bad))
+			}
+			if after, _ := sdk.Staged(sr.host); after != before {
+				t.Errorf("a failed Read moved the stack's top from %d to %d", before, after)
+			}
+			second, err := env.Read(heap, 64)
+			if err != nil {
+				return nil, err
+			}
+			if after, _ := sdk.Staged(sr.host); after != before+64 {
+				t.Errorf("a 64-byte Read moved the stack's top from %d to %d", before, after)
+			}
+			expectArgs(t, "the Read before the failure", first, pattern(0x33, 64))
+			expectArgs(t, "the Read after the failure", second, pattern(0x33, 64))
+			return nil, nil
+		})
+	})
+	if _, err := sr.outer.ECall("fail", pattern(0x44, 100)); err != nil {
+		t.Fatal(err)
+	}
+	sr.expectEmpty(t, "a failed Read")
 }

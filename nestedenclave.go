@@ -60,13 +60,16 @@ type (
 	// Enclave is a loaded enclave handle.
 	Enclave = sdk.Enclave
 	// Env is the in-enclave execution environment, valid only for the call
-	// that received it.
+	// that received it. So is every result of its Read: a call's reads stay
+	// on its core's stack until it returns, so keep bytes past the call with
+	// bytes.Clone or ReadInto, and have a loop that reads more than it keeps
+	// reuse one buffer with ReadInto.
 	Env = sdk.Env
 	// TrustedFunc is an enclave entry point, installed with RegisterECall or
-	// RegisterNOCall. Its args, like an SGX [in] buffer, and its Env are
-	// valid only for the call: the runtime reuses both afterwards. A result
-	// may alias args (the runtime copies it out); any other result passes to
-	// the caller.
+	// RegisterNOCall. Its args, like an SGX [in] buffer, its Env and its
+	// Env.Read results are valid only for the call: the runtime clears and
+	// reuses them afterwards. A result may alias args or a Read result (the
+	// runtime copies it out); any other result passes to the caller.
 	TrustedFunc = sdk.TrustedFunc
 	// HostFunc is an untrusted ocall handler; it keeps its own copy of args.
 	HostFunc = sdk.HostFunc

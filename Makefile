@@ -89,8 +89,8 @@ benchmark-smoke:
 # perf-gate re-runs the headline experiments (table2, sqlservice, mlservice,
 # switchless) and compares their simulated-cycle metrics — histogram
 # means/counts, walk and paging counters, total cycles, and the gated extras
-# (per-op ocall cycles on both paths, allocations per nested walk, ring
-# occupancy) — against the committed baselines/ snapshots. Gated metrics are
+# (per-op ocall cycles on both paths, allocations per nested walk) —
+# against the committed baselines/ snapshots. Gated metrics are
 # deterministic functions of the cost model and workloads, so the gate is
 # exact: a metric that differs from its baseline in either direction fails;
 # regenerate baselines with `make baselines` when a cost-model change is

@@ -13,8 +13,7 @@
 //	errcheck     — fault-returning APIs (mee.New, kos allocation, the sdk
 //	               ECall family) may not have their errors discarded
 //	spanpair     — every Recorder.BeginSpan/BeginOp in the span-opening
-//	               layers (sdk, sgx, switchless) has its End called on
-//	               all paths
+//	               layers (sdk, sgx) has its End called on all paths
 //
 // and three program rules over the module-wide call graph:
 //

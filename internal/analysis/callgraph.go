@@ -149,8 +149,8 @@ type funcNode struct {
 	directAcquires map[*types.Var]*acqWitness
 	localEdges     []lockEdge
 	// transitionOp is non-empty when this function IS a configured domain
-	// transition (sdk ECall family, switchless ring submit, the sgx
-	// transition instructions).
+	// transition (the sdk ECall and OCall families, the sgx transition
+	// instructions).
 	transitionOp string
 
 	// Fixed-point summaries:
@@ -175,9 +175,7 @@ type guardNeed struct {
 
 // transitionOps configures which functions count as domain transitions for
 // the lockgraph held-across-transition rule: the host↔enclave and
-// outer↔inner crossing points, plus the switchless ring submit (the
-// transition's lock-free replacement — blocking on it with a lock held
-// stalls the lock until a host worker serves the ring).
+// outer↔inner crossing points, the switchless ocall included.
 var transitionOps = []struct {
 	pkgSuffix string
 	typeName  string // "" for package-level functions
@@ -188,7 +186,6 @@ var transitionOps = []struct {
 	{"internal/sdk", "Env", "OCallAsync"},
 	{"internal/sdk", "Env", "NECall"},
 	{"internal/sdk", "Env", "NOCall"},
-	{"internal/switchless", "Engine", "Submit"},
 	{"internal/sgx", "Machine", "EEnter"},
 	{"internal/sgx", "Machine", "EExit"},
 	{"internal/sgx", "Machine", "EResume"},
@@ -404,7 +401,7 @@ func lockDisplay(v *types.Var) string {
 	return pkg + "." + v.Name()
 }
 
-// fieldDisplay renders a struct field for messages: "switchless.slot.state".
+// fieldDisplay renders a struct field for messages: "sgx.Machine.assocEpoch".
 func fieldDisplay(v *types.Var) string { return lockDisplay(v) }
 
 // fieldOwners caches field → owning-struct-name resolution.

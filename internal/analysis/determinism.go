@@ -17,7 +17,6 @@ var replayCriticalPkgs = []string{
 	"internal/chaos",
 	"internal/channel",
 	"internal/adversary",
-	"internal/switchless",
 }
 
 // injectRandPkgs are workload generators: deterministic corpora are their

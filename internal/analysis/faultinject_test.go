@@ -4,7 +4,7 @@ package analysis
 // via a load-time file overlay (nothing on disk changes) and require that each
 // produces exactly one finding, with a correct cross-function trace. This is
 // the end-to-end demonstration that the interprocedural rules guard the
-// lock-free hot path: a plain read of a switchless ring slot state word, the
+// lock-free hot path: a plain copy of the machine's association epoch, the
 // host lock held across an ECall reached through a helper, and the kernel
 // driver's lock held across the machine's NEENTER reached through a helper.
 import (
@@ -25,14 +25,15 @@ func TestFaultInjectionProof(t *testing.T) {
 	}
 
 	overlay := map[string][]byte{
-		// Fault 1: a ring slot's state word copied out plainly. The state
-		// word mediates the producer/worker hand-over; a plain read is a
-		// torn-read race on the lock-free hot path.
-		"internal/switchless/zz_injected_fault.go": []byte(`package switchless
+		// Fault 1: the association epoch copied out plainly. Every nested
+		// walk loads it lock-free to validate its cached outer closure, and
+		// NASSO and EREMOVE bump it; a plain copy is a torn-read race on
+		// that hot path.
+		"internal/sgx/zz_injected_fault.go": []byte(`package sgx
 
-func (e *Engine) injectedPeek() uint32 {
-	s := e.rings[0].slots[0].state
-	return s.Load()
+func (m *Machine) injectedPeek() uint64 {
+	e := m.assocEpoch
+	return e.Load()
 }
 `),
 		// Fault 2: the host lock held across a domain transition, reached
@@ -85,10 +86,10 @@ func (d *Driver) injectedHeldEnter(c *sgx.Core, s *sgx.SECS) {
 	}{
 		{
 			family: "atomicsafety",
-			file:   "internal/switchless/zz_injected_fault.go",
+			file:   "internal/sgx/zz_injected_fault.go",
 			// The cite must point at the real module's atomic use of the
 			// same field — the cross-function half of the trace.
-			msgRE: `slot\.state is a sync/atomic value but is copied out plainly here.*; switchless\.Engine\..* it atomically at switchless/`,
+			msgRE: `sgx\.Machine\.assocEpoch is a sync/atomic value but is copied out plainly here.*; sgx\.Machine\..* it atomically at sgx/`,
 		},
 		{
 			family: "lockgraph",

@@ -16,8 +16,8 @@ package analysis
 //                      are not reentrant, so this is a self-deadlock unless
 //                      both holds are read locks;
 //   - held-transition: any module lock held across a domain transition
-//                      (ECall/OCall/NECall families, the sgx entry/exit
-//                      instructions, a switchless ring submit). A transition
+//                      (ECall/OCall/NECall families, the switchless ocall,
+//                      the sgx entry/exit instructions). A transition
 //                      parks the goroutine on another protection domain's
 //                      progress; holding a lock across it extends that wait
 //                      to every thread contending the lock.

@@ -5,7 +5,7 @@ package analysis
 // tracks actual values: anything derived from the source catalog in
 // summary.go (the platform secret, EGETKEY/DeriveKey results, unsealed blob
 // plaintext) must not reach a kernel- or host-visible sink (IPC sends, raw
-// DRAM writes, the switchless ring, ocall arguments, trace/log output)
+// DRAM writes, ocall arguments, switchless ones included, trace/log output)
 // unless it passed through a Seal/Encrypt/MAC sanitizer first. Flows are
 // tracked across calls via the param→sink and return→source summaries, so
 // the finding's message reconstructs the full call chain from the secret's

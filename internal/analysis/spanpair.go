@@ -14,9 +14,8 @@ import (
 // tree. An unclosed op also loses its latency-histogram sample.
 //
 // The check is intraprocedural over the packages that open spans on hot
-// simulator paths (sdk, sgx, switchless). A BeginSpan/BeginOp result
-// must be bound to a variable and that variable must have its End called
-// either deferred (covers every exit, including the panic-unwind crash
+// simulator paths (sdk, sgx). A BeginSpan/BeginOp result must be bound to a
+// variable and that variable must have its End called either deferred (covers every exit, including the panic-unwind crash
 // paths) or linearly in the same block as the opening call (the
 // straight-line pattern transition.go uses). An End reachable only inside a
 // nested block is conditional — some path skips it — and discarding the
@@ -30,7 +29,7 @@ var SpanPair = &Analyzer{
 // spanPairPkgs are the packages the rule applies to: the layers that open
 // spans around transitions, walks, and paging. trace itself (the
 // implementation) and tests are out of scope.
-var spanPairPkgs = []string{"internal/sdk", "internal/sgx", "internal/switchless"}
+var spanPairPkgs = []string{"internal/sdk", "internal/sgx"}
 
 func runSpanPair(p *Pass) {
 	if !pathMatchesAny(p.Pkg.Path, spanPairPkgs) {

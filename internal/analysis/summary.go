@@ -113,7 +113,6 @@ type taintSink struct {
 var secretSinks = []taintSink{
 	{"internal/kos", "IPCService", "Send", 1, "the kernel-visible IPC channel"},
 	{"internal/phys", "Memory", "Write", 1, "raw untrusted DRAM"},
-	{"internal/switchless", "Engine", "Submit", 3, "the host-shared switchless ring"},
 	{"internal/sdk", "Env", "OCall", 1, "ocall arguments leaving the enclave"},
 	{"internal/sdk", "Env", "OCallAsync", 1, "ocall arguments leaving the enclave"},
 	{"internal/trace", "Recorder", "*", 0, "the host-readable trace recorder"},

@@ -7,7 +7,6 @@ import (
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
-	"nestedenclave/internal/switchless"
 	"nestedenclave/internal/trace"
 	"nestedenclave/internal/ycsb"
 )
@@ -173,8 +172,6 @@ func BenchmarkEnvRead(b *testing.B) {
 
 func BenchmarkSwitchlessOCall(b *testing.B) {
 	mr := newMicroRig(b)
-	mr.r.Host.StartSwitchless(switchless.Config{})
-	defer mr.r.Host.StopSwitchless()
 	mr.runLoop(b, "sw_loop")
 }
 

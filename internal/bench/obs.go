@@ -31,9 +31,9 @@ type ExperimentSnapshot struct {
 	// Histograms holds merged latency histograms keyed by operation name.
 	Histograms map[string]HistogramJSON `json:"histograms,omitempty"`
 	// Extra holds experiment-specific scalar metrics recorded via
-	// RecordExtra — derived quantities (per-op cycles, allocations per walk,
-	// ring occupancy) that the counter merge cannot compute. The perf gate
-	// compares them like any other metric.
+	// RecordExtra — derived quantities (per-op cycles, allocations per walk)
+	// that the counter merge cannot compute. The perf gate compares them
+	// like any other metric.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 

@@ -7,16 +7,14 @@ import (
 
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/sdk"
-	"nestedenclave/internal/switchless"
 	"nestedenclave/internal/trace"
 )
 
 // This file is the switchless-transition experiment: the Occlum-style
-// asynchronous ocall engine versus the synchronous EEXIT+EENTER(resume)
-// path, on the same hot no-op handler. It also measures the access-path
-// allocation work per nested page walk and the engine's ring behaviour, and
-// records all of it as gated extras so `repro -gate` catches a regression in
-// any of the three.
+// switchless ocall versus the synchronous EEXIT+EENTER(resume) path, on the
+// same hot no-op handler. It also measures the access-path allocation work
+// per nested page walk, and records both as gated extras so `repro -gate`
+// catches a regression in either.
 
 // SwitchlessResult is the experiment's outcome.
 type SwitchlessResult struct {
@@ -31,11 +29,6 @@ type SwitchlessResult struct {
 	// WalkAllocsPerOp is host allocations per TLB-missing nested (path C)
 	// access — the quantity the cached outer-closure drives to zero.
 	WalkAllocsPerOp float64
-	// RingOccupancy and Fallbacks are the engine's lifetime stats for the
-	// run: with one caller awaiting each request, occupancy stays at 1 and
-	// no request falls back.
-	RingOccupancy int64
-	Fallbacks     int64
 }
 
 // Switchless runs the comparison with iters hot ocalls per path.
@@ -79,9 +72,9 @@ func Switchless(iters int) (*SwitchlessResult, error) {
 
 	res := &SwitchlessResult{Iters: iters}
 
-	// Access-path probe first, with no engine goroutines running: host
-	// allocations per TLB-missing unsecure read from the inner enclave (the
-	// Figure-6 path that consults the outer closure on every walk).
+	// Access-path probe first: host allocations per TLB-missing unsecure
+	// read from the inner enclave (the Figure-6 path that consults the
+	// outer closure on every walk).
 	res.WalkAllocsPerOp, err = measureNestedWalkAllocs(r, inner, 5000)
 	if err != nil {
 		return nil, err
@@ -94,18 +87,13 @@ func Switchless(iters int) (*SwitchlessResult, error) {
 	}
 	res.SyncCyclesPerOp = float64(rec.Cycles()-start) / float64(iters)
 
-	eng := r.Host.StartSwitchless(switchless.Config{})
 	start = rec.Cycles()
 	if _, err := outer.ECall("sw_loop", nil); err != nil {
 		return nil, err
 	}
 	res.SwitchlessCyclesPerOp = float64(rec.Cycles()-start) / float64(iters)
-	r.Host.StopSwitchless()
-	st := eng.Stats()
-	res.RingOccupancy = st.MaxOccupancy
-	res.Fallbacks = st.Fallbacks
-	if st.Completed != int64(iters) {
-		return nil, fmt.Errorf("switchless: %d of %d requests completed through the ring", st.Completed, iters)
+	if n := rec.Hist(trace.OpSwitchlessOCall).Count(); n != int64(iters) {
+		return nil, fmt.Errorf("switchless: %d of %d requests went through the ring", n, iters)
 	}
 	res.ReductionPct = 100 * (1 - res.SwitchlessCyclesPerOp/res.SyncCyclesPerOp)
 
@@ -115,7 +103,6 @@ func Switchless(iters int) (*SwitchlessResult, error) {
 	RecordExtra("sync_ocall_cycles_per_op", res.SyncCyclesPerOp)
 	RecordExtra("switchless_ocall_cycles_per_op", res.SwitchlessCyclesPerOp)
 	RecordExtra("walk_allocs_per_op_plus1", 1+res.WalkAllocsPerOp)
-	RecordExtra("switchless_ring_occupancy", float64(res.RingOccupancy))
 	return res, nil
 }
 
@@ -170,7 +157,7 @@ func measureNestedWalkAllocs(r *Rig, inner *sdk.Enclave, n int) (float64, error)
 // RenderSwitchless formats the result.
 func RenderSwitchless(res *SwitchlessResult) *Table {
 	t := &Table{
-		Title:   "Switchless transitions — async ring vs synchronous hot ocall",
+		Title:   "Switchless transitions — ring vs synchronous hot ocall",
 		Headers: []string{"Metric", "Value"},
 		Notes: []string{
 			fmt.Sprintf("%d hot ocalls per path; cycles are simulated", res.Iters),
@@ -182,7 +169,5 @@ func RenderSwitchless(res *SwitchlessResult) *Table {
 	t.AddRow("switchless ocall (cycles/op)", f2(res.SwitchlessCyclesPerOp))
 	t.AddRow("cycle reduction", f2(res.ReductionPct)+"%")
 	t.AddRow("nested walk allocs/op", f2(res.WalkAllocsPerOp))
-	t.AddRow("peak ring occupancy", fmt.Sprintf("%d", res.RingOccupancy))
-	t.AddRow("fallbacks to sync", fmt.Sprintf("%d", res.Fallbacks))
 	return t
 }

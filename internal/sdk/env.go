@@ -175,41 +175,35 @@ func (env *Env) OCall(name string, args []byte) ([]byte, error) {
 	return out, nil
 }
 
-// OCallAsync performs an ocall through the host's switchless engine when the
-// EDL marks the function switchless (AllowSwitchless) and the engine is
-// running: the request is posted on the calling core's ring and served by a
-// host worker while this enclave thread polls, eliding the EEXIT/EENTER
-// transition pair. On any deterministic obstacle — unmarked function, no
-// engine, ring full, engine stopping, or the wait budget expiring unclaimed —
-// it degrades to the synchronous OCall path, so callers may use it
-// unconditionally for switchless-capable functions.
+// OCallAsync performs a switchless ocall, as Occlum's switchless calls do,
+// when the EDL marks the function switchless (AllowSwitchless): the thread
+// stays in the enclave, so the EEXIT/EENTER pair is elided, and the enclave
+// pays the ring protocol instead, CostRingSubmit on the calling core to post
+// the request and CostRingService, on no core, for the host worker that
+// serves it. Those two charges are the ring's whole cost, whatever the
+// host's scheduling, so the handler simply runs inline. An unmarked function
+// takes the synchronous OCall path, so callers may use OCallAsync
+// unconditionally.
 func (env *Env) OCallAsync(name string, args []byte) ([]byte, error) {
 	if !env.E.img.SwitchlessOCalls[name] {
-		return env.OCall(name, args)
-	}
-	eng := env.E.host.Switchless()
-	if eng == nil || !eng.Running() {
 		return env.OCall(name, args)
 	}
 	if !env.E.img.AllowedOCalls[name] {
 		return nil, fmt.Errorf("sdk: ocall %q not in enclave %s's EDL", name, env.E.img.Name)
 	}
-	if _, ok := env.E.host.ocall(name); !ok {
+	fn, ok := env.E.host.ocall(name)
+	if !ok {
 		return nil, fmt.Errorf("sdk: host has no ocall handler %q", name)
 	}
 	m := env.E.host.K.Machine()
 	eid := uint64(env.E.secs.EID)
 	op := m.Rec.BeginOp(trace.OpSwitchlessOCall, env.C.ID, eid, name)
 	defer op.End()
-	// One marshalling copy into the shared (untrusted) ring buffer; the
-	// response buffer is produced by the host and ownership transfers here.
-	marshalled := append([]byte(nil), args...)
-	out, ferr, ok := eng.Submit(env.C.ID, eid, name, marshalled)
-	if !ok {
-		// Ring full, engine stopped, or starved past the wait budget: pay the
-		// transition after all, inside this op.
-		return env.OCall(name, args)
-	}
+	m.Rec.ChargeTo(eid, env.C.ID, trace.EvSwitchless, trace.CostRingSubmit)
+	// One marshalling copy into the host-shared request; the response
+	// buffer is produced by the host and ownership transfers here.
+	out, ferr := fn(append([]byte(nil), args...))
+	m.Rec.ChargeTo(eid, trace.NoCore, trace.EvSwitchless, trace.CostRingService)
 	return out, ferr
 }
 

@@ -9,3 +9,15 @@ func Staged(h *Host) (args, frames int) {
 	}
 	return args, frames
 }
+
+// MaxKeptStack is the largest staging buffer a core keeps between calls.
+const MaxKeptStack = maxKeptStack
+
+// LargestStack reports the largest staging buffer any core of h holds.
+func LargestStack(h *Host) int {
+	n := 0
+	for i := range h.stacks {
+		n = max(n, len(h.stacks[i].buf))
+	}
+	return n
+}

@@ -7,7 +7,6 @@ import (
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/kos"
 	"nestedenclave/internal/sgx"
-	"nestedenclave/internal/switchless"
 )
 
 // Host is the untrusted runtime (uRTS) of one application process: it loads
@@ -19,7 +18,6 @@ type Host struct {
 
 	mu     sync.Mutex
 	ocalls map[string]HostFunc
-	sw     *switchless.Engine
 
 	cores chan *sgx.Core
 	// stacks[i] is core i's staging stack. Whoever holds core i from the
@@ -54,50 +52,6 @@ func (h *Host) ocall(name string) (HostFunc, bool) {
 	defer h.mu.Unlock()
 	fn, ok := h.ocalls[name]
 	return fn, ok
-}
-
-// StartSwitchless launches (creating on first use) the host's switchless
-// ocall engine: host worker goroutines servicing per-core request rings so
-// enclaves can invoke switchless-marked ocalls without an EEXIT/EENTER pair
-// (Env.OCallAsync). The engine resolves requests against the host's ocall
-// table. Zero-value cfg fields take defaults; Rings defaults to the
-// machine's core count.
-func (h *Host) StartSwitchless(cfg switchless.Config) *switchless.Engine {
-	h.mu.Lock()
-	if h.sw == nil {
-		if cfg.Rings <= 0 {
-			cfg.Rings = len(h.K.Machine().Cores())
-		}
-		h.sw = switchless.New(h.K.Machine().Rec, func(name string) (switchless.HostFunc, bool) {
-			fn, ok := h.ocall(name)
-			if !ok {
-				return nil, false
-			}
-			return switchless.HostFunc(fn), true
-		}, cfg)
-	}
-	sw := h.sw
-	h.mu.Unlock()
-	sw.Start()
-	return sw
-}
-
-// StopSwitchless halts the engine's workers; in-flight requests drain and
-// later OCallAsync invocations fall back to the synchronous path.
-func (h *Host) StopSwitchless() {
-	h.mu.Lock()
-	sw := h.sw
-	h.mu.Unlock()
-	if sw != nil {
-		sw.Stop()
-	}
-}
-
-// Switchless returns the engine, nil before the first StartSwitchless.
-func (h *Host) Switchless() *switchless.Engine {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sw
 }
 
 // acquireCore takes a core from the pool and installs the host's address

@@ -72,10 +72,10 @@ type Image struct {
 	// AllowedOCalls restricts which host functions this enclave's code may
 	// invoke; empty means none (the EDL's untrusted interface).
 	AllowedOCalls map[string]bool
-	// SwitchlessOCalls marks allowed ocalls the enclave may route through
-	// the host's switchless engine (Env.OCallAsync) instead of paying the
-	// EEXIT/EENTER transition — the EDL's `transition_using_threads`
-	// annotation. Always a subset of AllowedOCalls.
+	// SwitchlessOCalls marks allowed ocalls the enclave may make switchless
+	// (Env.OCallAsync), paying the ring protocol instead of the EEXIT/EENTER
+	// transition — the EDL's `transition_using_threads` annotation. Always
+	// a subset of AllowedOCalls.
 	SwitchlessOCalls map[string]bool
 }
 
@@ -117,9 +117,9 @@ func (img *Image) AllowOCall(names ...string) *Image {
 }
 
 // AllowSwitchless whitelists host functions in the EDL and additionally
-// marks them switchless-capable: Env.OCallAsync may serve them through the
-// host's ring engine without an enclave transition. The marking is part of
-// the EDL and therefore folded into the measurement.
+// marks them switchless-capable: Env.OCallAsync serves them without an
+// enclave transition. The marking is part of the EDL and therefore folded
+// into the measurement.
 func (img *Image) AllowSwitchless(names ...string) *Image {
 	for _, n := range names {
 		img.AllowedOCalls[n] = true

@@ -14,7 +14,7 @@ import (
 // crashes. A call chain never leaves the core acquireCore gave it, and a
 // core serves one chain at a time, so the stack needs no lock. Once it has
 // grown to a chain's deepest nesting, largest arguments and reads, a call
-// allocates nothing.
+// allocates nothing, unless those stage more than maxKeptStack bytes.
 type callStack struct {
 	buf   []byte // staged arguments and Read results; live frames own buf[:top]
 	top   int
@@ -50,8 +50,13 @@ func (s *callStack) push(n int) []byte {
 	if s.top+n > len(s.buf) {
 		// Live frames keep the old buffer alive through their own slices;
 		// the new one is used from the same offset on, and the old one is
-		// never staged into again.
-		s.buf = make([]byte, max(2*len(s.buf), s.top+n))
+		// never staged into again. Growth within maxKeptStack stops there,
+		// so a chain that stages no more than that keeps its buffer.
+		size := max(2*len(s.buf), s.top+n)
+		if s.top+n <= maxKeptStack {
+			size = min(size, maxKeptStack)
+		}
+		s.buf = make([]byte, size)
 	}
 	b := s.buf[s.top : s.top+n : s.top+n]
 	s.top += n
@@ -66,13 +71,24 @@ func (s *callStack) pushArgs(args []byte) []byte {
 	return staged
 }
 
+// maxKeptStack bounds the buffer a core's staging stack keeps between call
+// chains: a chain that staged more (large args or a large Read) leaves its
+// buffer behind when the stack empties, so one large call does not pin its
+// bytes on the core for the host's lifetime. A chain that stages at most
+// this much allocates nothing once the stack has grown.
+const maxKeptStack = 64 << 10
+
 // popTo releases everything staged since the stack's top was top and clears
 // it, so a slice kept past its call reads zeros, not a later call's bytes.
 // Bytes left in a buffer the stack outgrew are not cleared, but no later
-// call writes them either.
+// call writes them either. An emptied stack drops a buffer larger than
+// maxKeptStack.
 func (s *callStack) popTo(top int) {
 	clear(s.buf[top:s.top])
 	s.top = top
+	if top == 0 && len(s.buf) > maxKeptStack {
+		s.buf = nil
+	}
 }
 
 // popArgs releases the frame that began when the stack's top was top: its

@@ -396,6 +396,16 @@ func TestTrustedCallsAllocateNothing(t *testing.T) {
 		}
 	}
 	sr := newStackRig(t, func(innerImg, outerImg *sdk.Image) {
+		// With 24 KiB of args, four 8 KiB Reads stage 56 KiB: within
+		// sdk.MaxKeptStack, though doubling the stack would pass it.
+		outerImg.RegisterECall("read4x8k", func(env *sdk.Env, _ []byte) ([]byte, error) {
+			for i := 0; i < 4; i++ {
+				if _, err := env.Read(env.E.Image().HeapBase(), 8<<10); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
+		})
 		outerImg.RegisterECall("measure", func(env *sdk.Env, _ []byte) ([]byte, error) {
 			in := env.E.Inners()[0]
 			measure("NECall", func() error { _, err := env.NECall(in, "nil", args); return err })
@@ -416,6 +426,8 @@ func TestTrustedCallsAllocateNothing(t *testing.T) {
 	})
 	measure("ECall", func() error { _, err := sr.outer.ECall("nil", args); return err })
 	measure("ECall of 64 Reads", func() error { _, err := sr.outer.ECall("read64", args); return err })
+	bigArgs := make([]byte, 24<<10)
+	measure("ECall staging 56 KiB", func() error { _, err := sr.outer.ECall("read4x8k", bigArgs); return err })
 	for _, call := range []struct {
 		e    *sdk.Enclave
 		name string
@@ -426,7 +438,7 @@ func TestTrustedCallsAllocateNothing(t *testing.T) {
 	}
 	want := map[string]float64{
 		"ECall": 0, "NECall": 0, "fast-path NOCall": 0, "upward NOCall": 0,
-		"ECall of 64 Reads": 0, "NECall with a Read": 0,
+		"ECall of 64 Reads": 0, "ECall staging 56 KiB": 0, "NECall with a Read": 0,
 		"fast-path NOCall with a Read": 0, "upward NOCall with a Read": 0,
 	}
 	for name, w := range want {
@@ -691,4 +703,49 @@ func TestFailedReadLeavesStackTop(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr.expectEmpty(t, "a failed Read")
+}
+
+// TestLargeReadDoesNotPinItsStack: each core serves a call that makes one
+// 1 MiB Read of untrusted memory. Once the calls return, no core keeps a
+// staging buffer larger than sdk.MaxKeptStack, the kept result reads
+// zeros, and later calls work from fresh buffers.
+func TestLargeReadDoesNotPinItsStack(t *testing.T) {
+	const big = 1 << 20
+	var (
+		src  isa.VAddr
+		kept [][]byte
+	)
+	sr := newStackRig(t, func(innerImg, outerImg *sdk.Image) {
+		outerImg.RegisterECall("read_big", func(env *sdk.Env, args []byte) ([]byte, error) {
+			if err := env.Write(src, args); err != nil {
+				return nil, err
+			}
+			b, err := env.Read(src, big)
+			if err != nil {
+				return nil, err
+			}
+			expectArgs(t, "the 1 MiB Read's head", b[:len(args)], args)
+			kept = append(kept, b)
+			return nil, nil
+		})
+	})
+	var err error
+	if src, err = sr.host.Proc.Mmap(big, isa.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	for i := range sr.m.Cores() {
+		if _, err := sr.outer.ECall("read_big", pattern(byte(0x10*i), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sdk.LargestStack(sr.host); n > sdk.MaxKeptStack {
+		t.Errorf("a core keeps a %d-byte staging buffer after its 1 MiB Read, want at most %d", n, sdk.MaxKeptStack)
+	}
+	for i, b := range kept {
+		if !bytes.Equal(b[:64], make([]byte, 64)) {
+			t.Errorf("kept 1 MiB Read result %d reads %x..., want zeros", i, head(b))
+		}
+	}
+	sr.expectEmpty(t, "the 1 MiB Reads")
+	sr.expectCheck(t, "the 1 MiB Reads")
 }

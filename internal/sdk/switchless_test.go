@@ -3,19 +3,19 @@ package sdk_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"nestedenclave/internal/measure"
 	"nestedenclave/internal/sdk"
 	"nestedenclave/internal/sgx"
-	"nestedenclave/internal/switchless"
 	"nestedenclave/internal/trace"
 )
 
 // TestOCallAsyncElidesTransition drives N switchless ocalls from inside one
-// ecall and checks that the ring path was taken: the switchless counters
-// advance, no EEXIT/EENTER pairs beyond the enclosing ecall's occur, and the
-// per-call cycle cost is the fixed ring protocol cost rather than the full
-// transition cost.
+// ecall and checks that the ring path was taken: every call is one
+// switchless_ocall op with its two ring charges, no EEXIT/EENTER pairs beyond
+// the enclosing ecall's occur, and the per-call cycle cost is the fixed ring
+// protocol cost rather than the full transition cost.
 func TestOCallAsyncElidesTransition(t *testing.T) {
 	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout()).
@@ -35,8 +35,6 @@ func TestOCallAsyncElidesTransition(t *testing.T) {
 	r.host.RegisterOCall("upper", func(args []byte) ([]byte, error) {
 		return bytes.ToUpper(args), nil
 	})
-	r.host.StartSwitchless(switchless.Config{})
-	defer r.host.StopSwitchless()
 
 	e := mustLoad(t, r.host, img.Sign(measure.MustNewAuthor(), nil, nil))
 	exits := r.m.Rec.Get(trace.EvEEXIT)
@@ -50,9 +48,6 @@ func TestOCallAsyncElidesTransition(t *testing.T) {
 	if got := r.m.Rec.Get(trace.EvSwitchless); got != 2*n {
 		t.Fatalf("switchless events %d, want %d (submit+service per call)", got, 2*n)
 	}
-	if got := r.m.Rec.Get(trace.EvSwitchlessFallback); got != 0 {
-		t.Fatalf("fallbacks %d", got)
-	}
 	if got := r.m.Rec.Get(trace.EvOCall); got != 0 {
 		t.Fatalf("synchronous ocalls %d, want 0", got)
 	}
@@ -60,46 +55,83 @@ func TestOCallAsyncElidesTransition(t *testing.T) {
 	if got := r.m.Rec.Get(trace.EvEEXIT) - exits; got != 1 {
 		t.Fatalf("EEXITs during ecall %d, want 1", got)
 	}
-	st := r.host.Switchless().Stats()
-	if st.Completed != n || st.Fallbacks != 0 {
-		t.Fatalf("engine stats %+v", st)
+	h := r.m.Rec.Hist(trace.OpSwitchlessOCall)
+	if want := int64(trace.CostRingSubmit + trace.CostRingService); h.Count() != n || h.Mean() != float64(want) {
+		t.Fatalf("switchless_ocall ops: %d with mean %.1f cycles, want %d with %d", h.Count(), h.Mean(), n, want)
 	}
 }
 
-// TestOCallAsyncFallsBackSynchronously covers the degradation ladder: an
-// unmarked function and a stopped engine both route through the ordinary
-// transition-paying OCall with identical results.
+// TestOCallAsyncFallsBackSynchronously: an unmarked function routes through
+// the ordinary transition-paying OCall with identical results.
 func TestOCallAsyncFallsBackSynchronously(t *testing.T) {
 	r := newRig(t, sgx.TwoLevel())
 	img := sdk.NewImage("app", 0x1000_0000, sdk.DefaultLayout()).
-		AllowOCall("plain").
-		AllowSwitchless("fast")
+		AllowOCall("plain")
 	img.RegisterECall("plain", func(env *sdk.Env, args []byte) ([]byte, error) {
 		return env.OCallAsync("plain", args) // not switchless-marked
 	})
-	img.RegisterECall("fast", func(env *sdk.Env, args []byte) ([]byte, error) {
-		return env.OCallAsync("fast", args) // marked, but no engine running
-	})
-	echo := func(args []byte) ([]byte, error) { return args, nil }
-	r.host.RegisterOCall("plain", echo)
-	r.host.RegisterOCall("fast", echo)
+	r.host.RegisterOCall("plain", func(args []byte) ([]byte, error) { return args, nil })
 
 	e := mustLoad(t, r.host, img.Sign(measure.MustNewAuthor(), nil, nil))
-	for _, call := range []string{"plain", "fast"} {
-		before := r.m.Rec.Get(trace.EvOCall)
-		out, err := e.ECall(call, []byte("x"))
-		if err != nil {
-			t.Fatalf("%s: %v", call, err)
-		}
-		if string(out) != "x" {
-			t.Fatalf("%s returned %q", call, out)
-		}
-		if got := r.m.Rec.Get(trace.EvOCall) - before; got != 1 {
-			t.Fatalf("%s: synchronous ocall count %d, want 1", call, got)
-		}
+	out, err := e.ECall("plain", []byte("x"))
+	if err != nil {
+		t.Fatalf("plain: %v", err)
+	}
+	if string(out) != "x" {
+		t.Fatalf("plain returned %q", out)
+	}
+	if got := r.m.Rec.Get(trace.EvOCall); got != 1 {
+		t.Fatalf("synchronous ocall count %d, want 1", got)
 	}
 	if got := r.m.Rec.Get(trace.EvSwitchless); got != 0 {
-		t.Fatalf("ring events without a running engine: %d", got)
+		t.Fatalf("ring events for an unmarked function: %d", got)
+	}
+}
+
+// TestReentrantSwitchlessOCall: a switchless ocall whose host handler ECalls
+// a second enclave, which makes a switchless ocall of its own. The outer
+// ecall returns the innermost handler's result. A host that served the
+// outer request on a worker of its own would wait on itself here.
+func TestReentrantSwitchlessOCall(t *testing.T) {
+	r := newRig(t, sgx.TwoLevel())
+	outerImg := sdk.NewImage("front", 0x1000_0000, sdk.DefaultLayout()).
+		AllowSwitchless("hop")
+	outerImg.RegisterECall("run", func(env *sdk.Env, args []byte) ([]byte, error) {
+		return env.OCallAsync("hop", args)
+	})
+	leafImg := sdk.NewImage("back", 0x2000_0000, sdk.DefaultLayout()).
+		AllowSwitchless("upper")
+	leafImg.RegisterECall("leaf", func(env *sdk.Env, args []byte) ([]byte, error) {
+		return env.OCallAsync("upper", args)
+	})
+	leaf := mustLoad(t, r.host, leafImg.Sign(measure.MustNewAuthor(), nil, nil))
+	front := mustLoad(t, r.host, outerImg.Sign(measure.MustNewAuthor(), nil, nil))
+	r.host.RegisterOCall("hop", func(args []byte) ([]byte, error) {
+		return leaf.ECall("leaf", args)
+	})
+	r.host.RegisterOCall("upper", func(args []byte) ([]byte, error) {
+		return bytes.ToUpper(args), nil
+	})
+
+	type result struct {
+		out []byte
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := front.ECall("run", []byte("nested"))
+		done <- result{out, err}
+	}()
+	select {
+	case res := <-done:
+		if res.err != nil || string(res.out) != "NESTED" {
+			t.Fatalf("re-entrant switchless ocall returned %q, %v; want \"NESTED\"", res.out, res.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("re-entrant switchless ocall did not return within 10 s")
+	}
+	if got := r.m.Rec.Hist(trace.OpSwitchlessOCall).Count(); got != 2 {
+		t.Fatalf("switchless_ocall ops %d, want 2", got)
 	}
 }
 

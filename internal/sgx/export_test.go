@@ -21,22 +21,20 @@ func LLCOf(m *Machine) *cache.Cache { return m.llc }
 // InsertTLB plants e in core c's TLB, as no instruction would.
 func InsertTLB(c *Core, e tlb.Entry) { c.tlb.Insert(e) }
 
-// PagingStateOf reports how many version lanes and unspent version-array
-// slots the machine keeps for enclave eid.
-func PagingStateOf(m *Machine, eid isa.EID) (lanes, slots int) {
+// PagingStateOf reports how many version lanes the machine keeps for
+// enclave eid, and how many of them have a blob out.
+func PagingStateOf(m *Machine, eid isa.EID) (lanes, out int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for k := range m.blobVer {
+	for k, l := range m.blobLanes {
 		if k.owner == eid {
 			lanes++
+			if l.out {
+				out++
+			}
 		}
 	}
-	for _, o := range m.vaSlots {
-		if o == eid {
-			slots++
-		}
-	}
-	return lanes, slots
+	return lanes, out
 }
 
 // Link records inner as an inner enclave of outer, as NASSO's last step

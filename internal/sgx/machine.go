@@ -191,13 +191,12 @@ type Machine struct {
 	nonce [12]byte    //nescheck:guard mu
 	aad   [8 * 5]byte //nescheck:guard mu
 
-	// Version-array state for EPC paging freshness (see paging.go): the
-	// owner of each unspent one-time slot, the last slot handed out, and the
-	// monotonic eviction counter per (owner, vaddr). EREMOVE of a SECS drops
-	// the enclave's slots and lanes (forgetPaging).
-	vaSlots    map[uint64]isa.EID //nescheck:guard mu
-	vaSlotNext uint64             //nescheck:guard mu
-	blobVer    map[blobKey]uint64 //nescheck:guard mu
+	// EPC paging state (see paging.go): the last one-time GCM nonce handed
+	// out, and the freshness lane of every evicted (owner, vaddr), its
+	// eviction counter and whether its blob is out. EREMOVE of a SECS drops
+	// the enclave's lanes (forgetPaging).
+	vaSlotNext uint64               //nescheck:guard mu
+	blobLanes  map[blobKey]blobLane //nescheck:guard mu
 
 	// hostile is the untrusted platform consulted at every hook point
 	// (hostile.go); never nil. Set with SetHostile, read without the

@@ -23,33 +23,42 @@ import (
 
 // EvictedPage is the encrypted blob EWB hands to the kernel for storage in
 // untrusted memory. Confidentiality, integrity and freshness are protected:
-// the content is sealed under a paging key with a one-time version slot and a
-// per-(owner, vaddr) monotonic version counter, so the kernel can neither
+// the content is sealed under a paging key, with a per-(owner, vaddr)
+// monotonic version counter bound into the seal, so the kernel can neither
 // read, modify, nor replay it — not even by presenting a stale blob of the
-// same page from an earlier eviction round.
+// same page from an earlier eviction round, or the current blob twice.
 type EvictedPage struct {
 	Owner   isa.EID
 	Vaddr   isa.VAddr
 	Type    isa.PageType
 	Perms   isa.Perm
-	Slot    uint64 // version-array slot id (one-time, anti-replay)
+	Slot    uint64 // GCM nonce: one-time, from a machine-wide counter; a forged one fails the open
 	Version uint64 // monotonic per-(owner, vaddr) eviction counter, bound into the AAD
 	Cipher  []byte // AES-GCM(page content), nonce bound to Slot
 }
 
-// blobKey identifies the version-counter lane of an evicted page: one
-// monotonic counter per (owner enclave, page base) pair.
+// blobKey identifies the version lane of an evicted page: one per (owner
+// enclave, page base) pair.
 type blobKey struct {
 	owner isa.EID
 	vaddr isa.VAddr
 }
 
+// blobLane is the freshness record of one page: the version of its latest
+// eviction, and whether that version's blob is out (evicted, not yet
+// reloaded). ELDU accepts only the current version's blob, and only while
+// it is out.
+type blobLane struct {
+	ver uint64
+	out bool
+}
+
 // ErrBlobReplay is the sentinel all blob-freshness failures match via
 // errors.Is: the kernel presented a sealed EWB blob that is not the most
-// recent eviction of its page (a replay), or one whose one-time slot was
-// already consumed (a double load). It is a *detection* — the malicious input
-// was rejected before any stale data entered the EPC — and it is permanent:
-// retrying the same blob can never succeed.
+// recent eviction of its page (a replay), or the most recent one after it
+// was already loaded (a double load). It is a *detection* — the malicious
+// input was rejected before any stale data entered the EPC — and it is
+// permanent: retrying the same blob can never succeed.
 var ErrBlobReplay = errors.New("sgx: evicted-page blob replay detected")
 
 // BlobReplayError carries the freshness evidence for an ELDU rejection.
@@ -58,7 +67,7 @@ type BlobReplayError struct {
 	Vaddr    isa.VAddr
 	Have     uint64 // version presented by the kernel
 	Want     uint64 // current counter for this (owner, vaddr)
-	Consumed bool   // true when the version matched but the one-time slot was spent
+	Consumed bool   // true when the version matched but its blob was already loaded
 }
 
 func (e *BlobReplayError) Error() string {
@@ -183,22 +192,18 @@ func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error
 		return nil, err
 	}
 	m.vaSlotNext++
-	slot := m.vaSlotNext
-	if m.blobVer == nil {
-		m.blobVer = make(map[blobKey]uint64)
+	if m.blobLanes == nil {
+		m.blobLanes = make(map[blobKey]blobLane)
 	}
 	bk := blobKey{ent.Owner, ent.Vaddr}
-	m.blobVer[bk]++
+	lane := blobLane{ver: m.blobLanes[bk].ver + 1, out: true}
+	m.blobLanes[bk] = lane
 	if dst == nil {
 		dst = new(EvictedPage)
 	}
-	*dst = EvictedPage{Owner: ent.Owner, Vaddr: ent.Vaddr, Type: ent.Type, Perms: ent.Perms, Slot: slot, Version: m.blobVer[bk], Cipher: dst.Cipher[:0]}
+	*dst = EvictedPage{Owner: ent.Owner, Vaddr: ent.Vaddr, Type: ent.Type, Perms: ent.Perms, Slot: m.vaSlotNext, Version: lane.ver, Cipher: dst.Cipher[:0]}
 	nonce, aad := m.sealParams(dst)
 	dst.Cipher = m.pagingAEAD.Seal(dst.Cipher, nonce, m.pageBuf[:], aad)
-	if m.vaSlots == nil {
-		m.vaSlots = make(map[uint64]isa.EID)
-	}
-	m.vaSlots[slot] = ent.Owner
 	m.mee.DropPage(pa)
 	m.DRAM.Zero(pa, isa.PageSize)
 	if err := m.epc.Free(page); err != nil {
@@ -210,23 +215,25 @@ func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error
 
 // ELDU reloads an evicted page into a fresh EPC page, verifying integrity
 // and freshness. Its owner must still exist: as SGX checks the SECS operand
-// first, a blob of a removed enclave is a #GP. Freshness is double-checked:
-// the blob's monotonic version must equal the current counter for its
-// (owner, vaddr) lane, and its one-time slot must be unspent. Either
-// mismatch is a typed *BlobReplayError (errors.Is ErrBlobReplay) — a
-// detection verdict, not a generic fault. core is the processor running the
-// instruction, as for EWB.
+// first, a blob of a removed enclave is a #GP. Freshness is the blob's
+// (owner, vaddr) lane: its version must equal the lane's counter, and that
+// version's blob must still be out. Either failure is a typed
+// *BlobReplayError (errors.Is ErrBlobReplay) — a detection verdict, not a
+// generic fault. Any other change to the blob fails the GCM open, a #GP.
+// core is the processor running the instruction, as for EWB.
 func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.secsByEID[blob.Owner]; !ok {
 		return 0, isa.GP("ELDU: owner enclave %d no longer exists", blob.Owner)
 	}
-	if cur := m.blobVer[blobKey{blob.Owner, blob.Vaddr}]; blob.Version != cur {
-		return 0, &BlobReplayError{Owner: blob.Owner, Vaddr: blob.Vaddr, Have: blob.Version, Want: cur}
+	bk := blobKey{blob.Owner, blob.Vaddr}
+	lane := m.blobLanes[bk]
+	if blob.Version != lane.ver {
+		return 0, &BlobReplayError{Owner: blob.Owner, Vaddr: blob.Vaddr, Have: blob.Version, Want: lane.ver}
 	}
-	if _, unspent := m.vaSlots[blob.Slot]; !unspent {
-		return 0, &BlobReplayError{Owner: blob.Owner, Vaddr: blob.Vaddr, Have: blob.Version, Want: blob.Version, Consumed: true}
+	if !lane.out {
+		return 0, &BlobReplayError{Owner: blob.Owner, Vaddr: blob.Vaddr, Have: blob.Version, Want: lane.ver, Consumed: true}
 	}
 	nonce, aad := m.sealParams(blob)
 	content, err := m.pagingAEAD.Open(m.pageBuf[:0], nonce, blob.Cipher, aad)
@@ -244,7 +251,7 @@ func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 		_ = m.epc.Free(page)
 		return 0, err
 	}
-	delete(m.vaSlots, blob.Slot)
+	m.blobLanes[bk] = blobLane{ver: lane.ver}
 	if blob.Type == isa.PTTCS {
 		// A TCS follows its page to the frame it reloads into.
 		if t, err := m.secsByEID[blob.Owner].FindTCS(blob.Vaddr); err == nil {
@@ -255,19 +262,14 @@ func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	return page, nil
 }
 
-// forgetPaging drops a removed enclave's paging bookkeeping: its version
-// lanes and its unspent version-array slots. EIDs are never reused, so
-// nothing can consult them again; ELDU refuses any blob of the enclave for
-// want of its SECS. Caller holds m.mu exclusively.
+// forgetPaging drops a removed enclave's paging bookkeeping, its version
+// lanes. EIDs are never reused, so nothing can consult them again; ELDU
+// refuses any blob of the enclave for want of its SECS. Caller holds m.mu
+// exclusively.
 func (m *Machine) forgetPaging(owner isa.EID) {
-	for k := range m.blobVer {
+	for k := range m.blobLanes {
 		if k.owner == owner {
-			delete(m.blobVer, k)
-		}
-	}
-	for slot, o := range m.vaSlots {
-		if o == owner {
-			delete(m.vaSlots, slot)
+			delete(m.blobLanes, k)
 		}
 	}
 }

@@ -274,10 +274,9 @@ func TestEWBSealsIntoCallerBlob(t *testing.T) {
 }
 
 // TestTeardownForgetsPagingState swaps pages of two enclaves out and
-// destroys one of them. The machine then keeps no version lane and no
-// unspent slot for the dead EID, ELDU still refuses its last blob without
-// taking an EPC page, and the live enclave's lane, slot and blob are
-// untouched.
+// destroys one of them. The machine then keeps no version lane for the dead
+// EID, ELDU still refuses its last blob without taking an EPC page, and the
+// live enclave's lane and blob are untouched.
 func TestTeardownForgetsPagingState(t *testing.T) {
 	r := newRig(t)
 	s, _ := buildEnclave(t, r.k, r.p, 0x100000, 2)
@@ -289,14 +288,14 @@ func TestTeardownForgetsPagingState(t *testing.T) {
 	last := evictByHand(t, r, s, 0x100000, nil)
 	evictByHand(t, r, s, 0x101000, nil)
 	kept := evictByHand(t, r, o, 0x200000, nil)
-	if lanes, slots := sgx.PagingStateOf(r.m, s.EID); lanes != 2 || slots != 2 {
-		t.Fatalf("before teardown: %d lanes and %d slots, want 2 and 2", lanes, slots)
+	if lanes, out := sgx.PagingStateOf(r.m, s.EID); lanes != 2 || out != 2 {
+		t.Fatalf("before teardown: %d lanes and %d blobs out, want 2 and 2", lanes, out)
 	}
 	if err := r.k.Driver.DestroyEnclave(r.p, s); err != nil {
 		t.Fatal(err)
 	}
-	if lanes, slots := sgx.PagingStateOf(r.m, s.EID); lanes != 0 || slots != 0 {
-		t.Fatalf("after teardown: %d lanes and %d slots left for enclave %d", lanes, slots, s.EID)
+	if lanes, out := sgx.PagingStateOf(r.m, s.EID); lanes != 0 || out != 0 {
+		t.Fatalf("after teardown: %d lanes and %d blobs out left for enclave %d", lanes, out, s.EID)
 	}
 	free := r.m.FreeEPCPages()
 	if _, err := r.m.ELDU(last, trace.NoCore); !isa.IsFault(err, isa.FaultGP) {
@@ -305,8 +304,8 @@ func TestTeardownForgetsPagingState(t *testing.T) {
 	if n := r.m.FreeEPCPages(); n != free {
 		t.Fatalf("refused ELDU moved the free EPC pages from %d to %d", free, n)
 	}
-	if lanes, slots := sgx.PagingStateOf(r.m, o.EID); lanes != 1 || slots != 1 {
-		t.Fatalf("live enclave: %d lanes and %d slots, want 1 and 1", lanes, slots)
+	if lanes, out := sgx.PagingStateOf(r.m, o.EID); lanes != 1 || out != 1 {
+		t.Fatalf("live enclave: %d lanes and %d blobs out, want 1 and 1", lanes, out)
 	}
 	if _, err := r.m.ELDU(kept, trace.NoCore); err != nil {
 		t.Fatalf("live enclave's blob after another's teardown: %v", err)

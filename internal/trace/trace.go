@@ -71,11 +71,10 @@ const (
 	EvChaosInject  // a fault was injected
 	EvChaosRecover // an injected fault was recovered (retry/retransmit/restart)
 
-	// Switchless calls (package switchless). A switchless request elides the
-	// EEXIT/EENTER pair; the ring protocol costs below are charged instead so
-	// the elided transitions remain attributed.
-	EvSwitchless         // a request completed through the ring
-	EvSwitchlessFallback // a request fell back to the synchronous path
+	// Switchless calls (sdk's Env.OCallAsync). A switchless request elides
+	// the EEXIT/EENTER pair; the ring protocol costs below are charged
+	// instead so the elided transitions remain attributed.
+	EvSwitchless // one leg of a request through the ring: submit or service
 
 	numEvents
 )
@@ -84,35 +83,34 @@ const (
 const NumEvents = int(numEvents)
 
 var eventNames = [...]string{
-	EvECall:              "ecall",
-	EvOCall:              "ocall",
-	EvNECall:             "n_ecall",
-	EvNOCall:             "n_ocall",
-	EvEENTER:             "EENTER",
-	EvEEXIT:              "EEXIT",
-	EvNEENTER:            "NEENTER",
-	EvNEEXIT:             "NEEXIT",
-	EvAEX:                "AEX",
-	EvTLBHit:             "tlb_hit",
-	EvTLBMiss:            "tlb_miss",
-	EvTLBFlush:           "tlb_flush",
-	EvPageWalk:           "page_walk",
-	EvValidateStep:       "validate_step",
-	EvNestedValidate:     "nested_validate",
-	EvMEEEncrypt:         "mee_encrypt",
-	EvMEEDecrypt:         "mee_decrypt",
-	EvLLCHit:             "llc_hit",
-	EvLLCMiss:            "llc_miss",
-	EvFaultGP:            "fault_gp",
-	EvFaultPF:            "fault_pf",
-	EvFaultMC:            "fault_mc",
-	EvEWB:                "ewb",
-	EvELD:                "eld",
-	EvIPI:                "ipi",
-	EvChaosInject:        "chaos_inject",
-	EvChaosRecover:       "chaos_recover",
-	EvSwitchless:         "switchless",
-	EvSwitchlessFallback: "switchless_fallback",
+	EvECall:          "ecall",
+	EvOCall:          "ocall",
+	EvNECall:         "n_ecall",
+	EvNOCall:         "n_ocall",
+	EvEENTER:         "EENTER",
+	EvEEXIT:          "EEXIT",
+	EvNEENTER:        "NEENTER",
+	EvNEEXIT:         "NEEXIT",
+	EvAEX:            "AEX",
+	EvTLBHit:         "tlb_hit",
+	EvTLBMiss:        "tlb_miss",
+	EvTLBFlush:       "tlb_flush",
+	EvPageWalk:       "page_walk",
+	EvValidateStep:   "validate_step",
+	EvNestedValidate: "nested_validate",
+	EvMEEEncrypt:     "mee_encrypt",
+	EvMEEDecrypt:     "mee_decrypt",
+	EvLLCHit:         "llc_hit",
+	EvLLCMiss:        "llc_miss",
+	EvFaultGP:        "fault_gp",
+	EvFaultPF:        "fault_pf",
+	EvFaultMC:        "fault_mc",
+	EvEWB:            "ewb",
+	EvELD:            "eld",
+	EvIPI:            "ipi",
+	EvChaosInject:    "chaos_inject",
+	EvChaosRecover:   "chaos_recover",
+	EvSwitchless:     "switchless",
 }
 
 func (e Event) String() string {

@@ -31,13 +31,20 @@ type Backend interface {
 	WriteLine(p isa.PAddr, data []byte, tab *trace.Tab) error
 }
 
+// line is one way of a set, 80 bytes. tag is the line index (paddr >>
+// LineShift) plus one, so the zero line is invalid; lru is the tick of the
+// line's last access shifted left by one, with the dirty bit in bit 0.
 type line struct {
-	tag   uint64 // line index (paddr >> LineShift)
-	valid bool
-	dirty bool
-	lru   uint64
-	data  [isa.LineSize]byte
+	tag  uint64
+	lru  uint64
+	data [isa.LineSize]byte
 }
+
+// dirty is line.lru's low bit: the line differs from the backend's copy.
+const dirty = 1
+
+// addr returns the physical address of a valid line.
+func (l *line) addr() isa.PAddr { return isa.PAddr((l.tag - 1) << isa.LineShift) }
 
 // Config sizes the cache.
 type Config struct {
@@ -121,82 +128,58 @@ func (c *Cache) settle() {
 func (c *Cache) lookup(idx uint64) *line {
 	set := c.sets[idx&(c.nsets-1)]
 	for i := range set {
-		if set[i].valid && set[i].tag == idx {
+		if set[i].tag == idx+1 {
 			return &set[i]
 		}
 	}
 	return nil
 }
 
-// victim picks the LRU way in the line's set, writing it back if dirty.
-func (c *Cache) victim(idx uint64) (*line, error) {
-	set := c.sets[idx&(c.nsets-1)]
-	v := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			v = &set[i]
-			break
-		}
-		if set[i].lru < v.lru {
-			v = &set[i]
-		}
-	}
-	if v.valid && v.dirty {
-		if err := c.backend.WriteLine(isa.PAddr(v.tag<<isa.LineShift), v.data[:], &c.tab); err != nil {
-			return nil, err
-		}
-	}
-	v.valid = false
-	v.dirty = false
-	return v, nil
-}
-
-// fill brings the line at idx into the cache and returns it. The line is
-// fetched before the victim is written back, so a fetch that faults leaves
-// the victim in place.
-func (c *Cache) fill(idx uint64) (*line, error) {
-	if err := c.backend.ReadLine(isa.PAddr(idx<<isa.LineShift), c.fetch[:], &c.tab); err != nil {
-		return nil, err
-	}
-	v, err := c.victim(idx)
-	if err != nil {
-		return nil, err
-	}
-	v.tag = idx
-	v.valid = true
-	v.data = c.fetch
-	return v, nil
-}
-
 func (c *Cache) access(p isa.PAddr, write bool) (*line, error) {
 	idx := uint64(p) >> isa.LineShift
 	if !c.Enabled {
 		// Uncached mode: synthesize a transient line per access.
-		l := &line{tag: idx, valid: true}
+		l := &line{tag: idx + 1}
 		if err := c.backend.ReadLine(p.LineBase(), l.data[:], &c.tab); err != nil {
 			return nil, err
 		}
 		return l, nil
 	}
 	c.tick++
-	if l := c.lookup(idx); l != nil {
-		c.tab.Charge(trace.EvLLCHit, trace.CostLLCHit)
-		l.lru = c.tick
-		if write {
-			l.dirty = true
+	var mark uint64
+	if write {
+		mark = dirty
+	}
+	// One pass over the set finds the line, or else the victim: the first
+	// invalid way, else the least recently used, the first on ties.
+	set := c.sets[idx&(c.nsets-1)]
+	v := &set[0]
+	for i := range set {
+		l := &set[i]
+		if l.tag == idx+1 {
+			c.tab.Charge(trace.EvLLCHit, trace.CostLLCHit)
+			l.lru = c.tick<<1 | l.lru&dirty | mark
+			return l, nil
 		}
-		return l, nil
+		if v.tag != 0 && (l.tag == 0 || l.lru>>1 < v.lru>>1) {
+			v = l
+		}
 	}
 	c.tab.Charge(trace.EvLLCMiss, trace.CostDRAMAccess)
-	l, err := c.fill(idx)
-	if err != nil {
+	// The line is fetched before the victim is written back, so a fetch
+	// that faults leaves the victim in place.
+	if err := c.backend.ReadLine(isa.PAddr(idx<<isa.LineShift), c.fetch[:], &c.tab); err != nil {
 		return nil, err
 	}
-	l.lru = c.tick
-	if write {
-		l.dirty = true
+	if v.tag != 0 && v.lru&dirty != 0 {
+		if err := c.backend.WriteLine(v.addr(), v.data[:], &c.tab); err != nil {
+			return nil, err
+		}
 	}
-	return l, nil
+	v.tag = idx + 1
+	v.lru = c.tick<<1 | mark
+	v.data = c.fetch
+	return v, nil
 }
 
 // Read copies n bytes at physical address p through the cache.
@@ -262,13 +245,12 @@ func (c *Cache) FlushAll(payer trace.Payer) error {
 	for si := range c.sets {
 		for wi := range c.sets[si] {
 			l := &c.sets[si][wi]
-			if l.valid && l.dirty {
-				if err := c.backend.WriteLine(isa.PAddr(l.tag<<isa.LineShift), l.data[:], &c.tab); err != nil {
+			if l.tag != 0 && l.lru&dirty != 0 {
+				if err := c.backend.WriteLine(l.addr(), l.data[:], &c.tab); err != nil {
 					return err
 				}
 			}
-			l.valid = false
-			l.dirty = false
+			l.tag, l.lru = 0, 0
 		}
 	}
 	return nil
@@ -288,13 +270,12 @@ func (c *Cache) flushLineLocked(p isa.PAddr) error {
 	if l == nil {
 		return nil
 	}
-	if l.dirty {
+	if l.lru&dirty != 0 {
 		if err := c.backend.WriteLine(p.LineBase(), l.data[:], &c.tab); err != nil {
 			return err
 		}
 	}
-	l.valid = false
-	l.dirty = false
+	l.tag, l.lru = 0, 0
 	return nil
 }
 
@@ -306,8 +287,7 @@ func (c *Cache) InvalidateRange(p isa.PAddr, n int) {
 	defer c.mu.Unlock()
 	for cur := p.LineBase(); cur < p+isa.PAddr(n); cur += isa.LineSize {
 		if l := c.lookup(uint64(cur) >> isa.LineShift); l != nil {
-			l.valid = false
-			l.dirty = false
+			l.tag, l.lru = 0, 0
 		}
 	}
 }
@@ -332,9 +312,9 @@ func (c *Cache) Stats() (validLines, dirtyLines int) {
 	defer c.mu.Unlock()
 	for si := range c.sets {
 		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
+			if l := &c.sets[si][wi]; l.tag != 0 {
 				validLines++
-				if c.sets[si][wi].dirty {
+				if l.lru&dirty != 0 {
 					dirtyLines++
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/mee"
@@ -344,5 +345,57 @@ func TestSettleOncePerCacheOp(t *testing.T) {
 	}
 	if d := rec.Cycles() - clock; d != cycles {
 		t.Errorf("clock moved %d cycles, want %d", d, cycles)
+	}
+}
+
+// TestLineSize pins a way at 80 bytes: the tag word carries validity and
+// the LRU word the dirty bit, so the line is its two words and its data.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 80 {
+		t.Errorf("a cache line is %d bytes, want 80", got)
+	}
+}
+
+// TestVictimIsFirstInvalidElseLRU pins the replacement policy: a miss
+// fills the set's first invalid way, and once every way is valid it evicts
+// the least recently used one.
+func TestVictimIsFirstInvalidElseLRU(t *testing.T) {
+	b := newMemBackend()
+	cfg := tiny()
+	c := MustNew(cfg, b, nil)
+	stride := isa.PAddr(cfg.SizeBytes / cfg.Ways) // same set, next tag
+	at := func(i int) isa.PAddr { return isa.PAddr(i) * stride }
+	touch := func(i int) {
+		t.Helper()
+		if err := c.Write(at(i), []byte{byte(i)}, trace.NoPayer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ways := func() []uint64 {
+		var idx []uint64
+		for _, l := range c.sets[0] {
+			if l.tag == 0 {
+				idx = append(idx, 0)
+			} else {
+				idx = append(idx, uint64(l.addr()/stride))
+			}
+		}
+		return idx
+	}
+	for i := 1; i <= 4; i++ {
+		touch(i)
+	}
+	c.InvalidateRange(at(3), 1) // way 2 invalid
+	touch(1)                    // line 2 is now the least recently used
+	touch(5)
+	if got := fmt.Sprint(ways()); got != "[1 2 5 4]" {
+		t.Fatalf("after a miss with way 2 invalid the set holds %s, want [1 2 5 4]", got)
+	}
+	touch(6)
+	if got := fmt.Sprint(ways()); got != "[1 6 5 4]" {
+		t.Fatalf("after a miss in a full set it holds %s, want [1 6 5 4]: line 2 was least recently used", got)
+	}
+	if b.writes != 1 || b.data[uint64(at(2))>>isa.LineShift][0] != 2 {
+		t.Fatalf("evicting dirty line 2 wrote %d lines back", b.writes)
 	}
 }

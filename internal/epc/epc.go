@@ -15,8 +15,15 @@ import (
 	"nestedenclave/internal/phys"
 )
 
-// Entry is one EPCM record. The zero value describes a free page.
+// Entry is one EPCM record, 24 bytes: the two words first, then the four
+// one-byte fields. The zero value describes a free page.
 type Entry struct {
+	// Owner is the owning enclave (the enclave whose SECS this is, for
+	// PT_SECS pages the enclave the SECS defines).
+	Owner isa.EID
+	// Vaddr is the one virtual address the page may be mapped at
+	// (meaningless for PT_SECS/PT_VA pages, which software never maps).
+	Vaddr isa.VAddr
 	// Valid is set while the page is in use by an enclave.
 	Valid bool
 	// Blocked is set by EBLOCK during eviction; blocked pages fail
@@ -24,12 +31,6 @@ type Entry struct {
 	Blocked bool
 	// Type is the architectural page type.
 	Type isa.PageType
-	// Owner is the owning enclave (the enclave whose SECS this is, for
-	// PT_SECS pages the enclave the SECS defines).
-	Owner isa.EID
-	// Vaddr is the one virtual address the page may be mapped at
-	// (meaningless for PT_SECS/PT_VA pages, which software never maps).
-	Vaddr isa.VAddr
 	// Perms are the enclave-author-specified access permissions.
 	Perms isa.Perm
 }

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/phys"
@@ -219,5 +220,13 @@ func TestEvictionCandidateMatchesScan(t *testing.T) {
 				t.Fatalf("trial %d: EvictionCandidate(%d, %d, %d) = %d, %v; scan finds %d, %v", trial, start, count, skip, gi, gok, wi, wok)
 			}
 		}
+	}
+}
+
+// TestEntrySize pins an EPCM entry at 24 bytes: its two words, then its
+// four one-byte fields.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Errorf("an EPCM entry is %d bytes, want 24", got)
 	}
 }

@@ -15,7 +15,11 @@ import (
 // evicted page's genuine blob. Mutation kind%8 with parameters a and b:
 //
 //	0 Owner ^= a, 1 Vaddr ^= a, 2 Type ^= a, 3 Perms ^= a, 4 Slot ^= a,
-//	5 Version += a, 6 Cipher byte a%len ^= b, 7 Cipher truncated to a%len.
+//	5 Version += a, 6 byte at of Cipher then Tag ^= b,
+//	7 Cipher then Tag cut at byte at, the Tag's cut bytes zeroed,
+//
+// where at = a%(len(Cipher)+16) addresses the sealed page as GCM lays it
+// out, ciphertext then tag.
 type scriptReload struct {
 	sgx.Honest
 	kind    uint8
@@ -29,6 +33,8 @@ func (s *scriptReload) Reload(_ isa.EID, _ isa.VAddr, genuine *sgx.EvictedPage) 
 	s.genuine = genuine
 	forged := *genuine
 	forged.Cipher = append([]byte(nil), genuine.Cipher...)
+	n := uint64(len(forged.Cipher))
+	at := s.a % (n + uint64(len(forged.Tag)))
 	switch s.kind % 8 {
 	case 0:
 		forged.Owner ^= isa.EID(s.a)
@@ -43,12 +49,16 @@ func (s *scriptReload) Reload(_ isa.EID, _ isa.VAddr, genuine *sgx.EvictedPage) 
 	case 5:
 		forged.Version += s.a
 	case 6:
-		if len(forged.Cipher) > 0 {
-			forged.Cipher[s.a%uint64(len(forged.Cipher))] ^= s.b
+		if at < n {
+			forged.Cipher[at] ^= s.b
+		} else {
+			forged.Tag[at-n] ^= s.b
 		}
 	case 7:
-		if len(forged.Cipher) > 0 {
-			forged.Cipher = forged.Cipher[:s.a%uint64(len(forged.Cipher))]
+		if at < n {
+			forged.Cipher = forged.Cipher[:at]
+		} else {
+			clear(forged.Tag[at-n:])
 		}
 	}
 	s.handed = &forged

@@ -37,13 +37,23 @@ import (
 )
 
 // lineMeta is one PRM line's integrity state: the version its nonce
-// carries, the GCM tag of its current ciphertext, and whether it holds
-// ciphertext at all.
+// carries, with the written bit (whether the line holds ciphertext at all)
+// in the word's top bit, and the GCM tag of its current ciphertext.
 type lineMeta struct {
 	version uint64
 	tag     [16]byte
-	written bool
 }
+
+const (
+	// written is lineMeta.version's top bit: the line holds ciphertext.
+	written = 1 << 63
+	// maxVersion bounds a line's version: its bits 32-55 ride in nonce
+	// bytes 5-7 (see nonceFor), so a line seals at most 2^56-1 times.
+	maxVersion = 1<<56 - 1
+	// maxLines bounds the DRAM's line count, so that every line index
+	// leaves nonce bytes 5-7 zero for the version.
+	maxLines = 1 << 40
+)
 
 // pageMeta is the integrity state of every line of one PRM page.
 type pageMeta [isa.PageSize / isa.LineSize]lineMeta
@@ -83,8 +93,13 @@ type Engine struct {
 	Poison func(p isa.PAddr)
 }
 
-// New builds an engine over the DRAM with a fresh random platform key.
+// New builds an engine over the DRAM with a fresh random platform key. It
+// refuses a DRAM of more than 2^40 lines, whose line indices would share
+// nonce bytes with the version.
 func New(mem *phys.Memory) (*Engine, error) {
+	if lines := mem.Size() >> isa.LineShift; lines > maxLines {
+		return nil, fmt.Errorf("mee: %d lines of DRAM, at most %d have unique nonces", lines, uint64(maxLines))
+	}
 	key := make([]byte, 16)
 	if _, err := rand.Read(key); err != nil {
 		return nil, fmt.Errorf("mee: key generation: %w", err)
@@ -117,14 +132,14 @@ func MustNew(mem *phys.Memory) *Engine {
 }
 
 // nonceFor writes the nonce of line idx at version into the engine's nonce
-// buffer and returns it.
+// buffer and returns it: the index in bytes 0-4 (New bounds it below 2^40),
+// version bits 32-55 in bytes 5-7 and bits 0-31 in bytes 8-11, so no two
+// (line, version) pairs below maxVersion share a nonce. Below version 2^32
+// bytes 5-7 are zero.
 func (e *Engine) nonceFor(idx, version uint64) []byte {
 	n := e.nonce[:]
-	binary.LittleEndian.PutUint64(n[:8], idx)
+	binary.LittleEndian.PutUint64(n[:8], idx|version>>32<<40)
 	binary.LittleEndian.PutUint32(n[8:], uint32(version))
-	// Version counters exceed 2^32 only after 4 billion writebacks of a
-	// single line; fold the high bits in to keep nonces unique regardless.
-	n[11] ^= byte(version >> 32)
 	return n
 }
 
@@ -151,9 +166,12 @@ func (e *Engine) WriteLine(p isa.PAddr, data []byte, tab *trace.Tab) error {
 		e.pages[pi] = new(pageMeta)
 	}
 	m := &e.pages[pi][p.Offset()>>isa.LineShift]
-	m.version++
-	m.written = true
-	ct := e.aead.Seal(e.buf[:0], e.nonceFor(uint64(p)>>isa.LineShift, m.version), data, nil)
+	v := m.version&^written + 1
+	if v > maxVersion {
+		return fmt.Errorf("mee: line %#x has used all %d versions of its nonce", uint64(p), uint64(maxVersion))
+	}
+	m.version = v | written
+	ct := e.aead.Seal(e.buf[:0], e.nonceFor(uint64(p)>>isa.LineShift, v), data, nil)
 	copy(m.tag[:], ct[isa.LineSize:])
 	e.mem.Write(p, ct[:isa.LineSize])
 	tab.Charge(trace.EvMEEEncrypt, trace.CostMEELine)
@@ -178,7 +196,7 @@ func (e *Engine) ReadLine(p isa.PAddr, dst []byte, tab *trace.Tab) error {
 	if pm := e.pages[(p-e.prm)>>isa.PageShift]; pm != nil {
 		m = &pm[p.Offset()>>isa.LineShift]
 	}
-	if m == nil || !m.written {
+	if m == nil || m.version&written == 0 {
 		// Never written through the engine: architecturally the content of a
 		// fresh EPC page is undefined; the simulator returns zeroes (EPC
 		// pages are zeroed by EADD/EAUG before use anyway).
@@ -191,7 +209,7 @@ func (e *Engine) ReadLine(p isa.PAddr, dst []byte, tab *trace.Tab) error {
 	if e.Disturb != nil {
 		e.Disturb(ct[:isa.LineSize])
 	}
-	if _, err := e.aead.Open(dst[:0], e.nonceFor(uint64(p)>>isa.LineShift, m.version), ct, nil); err != nil {
+	if _, err := e.aead.Open(dst[:0], e.nonceFor(uint64(p)>>isa.LineShift, m.version&^written), ct, nil); err != nil {
 		tab.Charge(trace.EvFaultMC, 0)
 		if e.Poison != nil {
 			e.Poison(p)
@@ -204,16 +222,16 @@ func (e *Engine) ReadLine(p isa.PAddr, dst []byte, tab *trace.Tab) error {
 
 // DropPage marks every line of the PRM page at p unwritten, so reads of the
 // recycled page see zeroes instead of failing integrity. Each line keeps its
-// version: its next writeback seals under a nonce the page's previous
-// contents never used (GCM under a repeated nonce and key leaks the XOR of
-// the two plaintexts). A no-op outside PRM.
+// version, clearing only the written bit: its next writeback seals under a
+// nonce the page's previous contents never used (GCM under a repeated nonce
+// and key leaks the XOR of the two plaintexts). A no-op outside PRM.
 func (e *Engine) DropPage(p isa.PAddr) {
 	if !e.mem.InPRM(p) {
 		return
 	}
 	if pm := e.pages[(p-e.prm)>>isa.PageShift]; pm != nil {
 		for i := range pm {
-			pm[i].written = false
+			pm[i].version &^= written
 		}
 	}
 }

@@ -2,8 +2,10 @@ package mee
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nestedenclave/internal/isa"
 	"nestedenclave/internal/phys"
@@ -221,5 +223,57 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNonceCarriesVersionHighBits: versions of one line that differ only
+// above bit 31 seal under distinct nonces, and below 2^32 the nonce is the
+// line index and then the version's low word. Folding bits 32-39 into byte
+// 11 gave versions 2^24 and 2^32 of line 7 the same nonce.
+func TestNonceCarriesVersionHighBits(t *testing.T) {
+	e, _, _ := newEngine()
+	seen := make(map[string]uint64)
+	for _, v := range []uint64{1, 1 << 24, 1 << 32, 1<<32 | 1<<24, 1 << 40, 1 << 48, 1<<56 - 1} {
+		n := hex.EncodeToString(e.nonceFor(7, v))
+		if w, ok := seen[n]; ok {
+			t.Errorf("line 7 seals versions %#x and %#x under one nonce %s", w, v, n)
+		}
+		seen[n] = v
+	}
+	if got, want := hex.EncodeToString(e.nonceFor(7, 0x12345678)), "070000000000000078563412"; got != want {
+		t.Errorf("nonce of line 7 at version 0x12345678 is %s, want %s", got, want)
+	}
+}
+
+// TestWritebackRefusesExhaustedVersion: a line whose next version would
+// leave the nonce's 56 version bits is not sealed, and keeps what it held.
+func TestWritebackRefusesExhaustedVersion(t *testing.T) {
+	e, mem, tab := newEngine()
+	p := layout().PRMBase + 5*isa.LineSize
+	if err := e.WriteLine(p, line(0x11), tab); err != nil {
+		t.Fatal(err)
+	}
+	m := &e.pages[0][5]
+	m.version = maxVersion - 1 | written
+	if err := e.WriteLine(p, line(0x22), tab); err != nil {
+		t.Fatalf("writeback at the last version: %v", err)
+	}
+	ct := mem.Read(p, isa.LineSize)
+	if err := e.WriteLine(p, line(0x33), tab); err == nil {
+		t.Fatal("writeback past the last version sealed")
+	}
+	if m.version != maxVersion|written || !bytes.Equal(mem.Read(p, isa.LineSize), ct) {
+		t.Fatal("refused writeback changed the line")
+	}
+	if got, err := readLine(e, p, tab); err != nil || !bytes.Equal(got, line(0x22)) {
+		t.Fatalf("line after a refused writeback reads %v, %v", got[:8], err)
+	}
+}
+
+// TestPageTableSize pins one PRM page's line table at 24 bytes a line: the
+// written bit rides in the version word.
+func TestPageTableSize(t *testing.T) {
+	if got := unsafe.Sizeof(pageMeta{}); got != 1536 {
+		t.Errorf("a PRM page's line table is %d bytes, want 1536", got)
 	}
 }

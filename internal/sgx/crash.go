@@ -74,7 +74,6 @@ func (m *Machine) EmergencyExit(c *Core) []isa.EID {
 		t.Busy = false
 		t = next
 	}
-	delete(c.cur.epochEntries, c.ID)
 	c.Regs.Scrub()
 	c.tlb.FlushAll()
 	c.inEnclave = false

@@ -28,13 +28,12 @@ func (m *Machine) ECreate(base isa.VAddr, size uint64, attributes uint64) (*SECS
 	}
 	m.nextEID++
 	s := &SECS{
-		EID:          eid,
-		Base:         base,
-		Size:         size,
-		Attributes:   attributes,
-		builder:      measure.NewBuilder(),
-		secsPage:     page,
-		epochEntries: make(map[int]uint64),
+		EID:        eid,
+		Base:       base,
+		Size:       size,
+		Attributes: attributes,
+		builder:    measure.NewBuilder(),
+		secsPage:   page,
 	}
 	s.builder.ECreate(size, attributes)
 	m.secsByEID[eid] = s

@@ -183,9 +183,11 @@ type Machine struct {
 	// key derived from platformSecret.
 	pagingAEAD cipher.AEAD
 
-	// pageBuf carries page content through EWB (LLC to seal) and ELDU
-	// (open to LLC), both of which hold the write lock.
-	pageBuf [isa.PageSize]byte //nescheck:guard mu
+	// pageBuf carries one page and its GCM tag through EWB (LLC, then
+	// sealed in place, then out to the blob) and ELDU (in from the blob,
+	// then opened in place, then to the LLC), both of which hold the write
+	// lock.
+	pageBuf [isa.PageSize + 16]byte //nescheck:guard mu
 	// nonce and aad carry a blob's GCM nonce and authenticated metadata into
 	// EWB's seal and ELDU's open (see sealParams).
 	nonce [12]byte    //nescheck:guard mu

@@ -32,9 +32,10 @@ type EvictedPage struct {
 	Vaddr   isa.VAddr
 	Type    isa.PageType
 	Perms   isa.Perm
-	Slot    uint64 // GCM nonce: one-time, from a machine-wide counter; a forged one fails the open
-	Version uint64 // monotonic per-(owner, vaddr) eviction counter, bound into the AAD
-	Cipher  []byte // AES-GCM(page content), nonce bound to Slot
+	Slot    uint64   // GCM nonce: one-time, from a machine-wide counter; a forged one fails the open
+	Version uint64   // monotonic per-(owner, vaddr) eviction counter, bound into the AAD
+	Cipher  []byte   // AES-GCM(page content), nonce bound to Slot: exactly one page
+	Tag     [16]byte // the GCM tag over Cipher and the metadata
 }
 
 // blobKey identifies the version lane of an evicted page: one per (owner
@@ -127,16 +128,15 @@ func (m *Machine) EBlock(page int) error {
 	return nil
 }
 
-// ETrack opens a tracking epoch for the enclave and appends to dst the cores
-// whose TLBs may hold stale translations and therefore need shootdown IPIs,
-// returning the extended slice (nil dst is fine). The selection policy is
-// Machine.Tracker — baseline SGX scans threads of the enclave itself; the
-// installed InnerAwareTracker adds cores running its inner enclaves. The
-// kernel passes a buffer of its own, so ETRACK allocates nothing.
+// ETrack asks the machine's Tracker which cores' TLBs may hold stale
+// translations of the enclave's pages and therefore need shootdown IPIs,
+// and appends them to dst, returning the extended slice (nil dst is fine).
+// Baseline SGX scans threads of the enclave itself; the installed
+// InnerAwareTracker adds cores running its inner enclaves. The kernel
+// passes a buffer of its own, so ETRACK allocates nothing.
 func (m *Machine) ETrack(s *SECS, dst []*Core) []*Core {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s.trackEpoch++
 	return m.Tracker.CoresToShootdown(m, s.EID, dst)
 }
 
@@ -161,8 +161,10 @@ func (m *Machine) ShootdownFor(c *Core, eid isa.EID) {
 //
 // The sealed blob goes where the kernel says, as SGX's EWB writes to the page
 // PAGEINFO.SRCPGE names: dst is overwritten, struct and ciphertext, reusing
-// the ciphertext's capacity, and returned; a nil dst gets a fresh blob. On
-// error dst is left to the caller.
+// the ciphertext's array when it holds a page, and returned; a nil dst gets
+// a fresh blob. Cipher is left exactly one page long, len and cap, with the
+// tag beside it in Tag, so a stored blob fills its allocation. On error dst
+// is left to the caller.
 func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -185,7 +187,7 @@ func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error
 			return nil, isa.GP("EWB: core %d still holds a translation for EPC page %d (incomplete shootdown)", c.ID, page)
 		}
 	}
-	if err := m.llc.ReadInto(pa, m.pageBuf[:], payer); err != nil {
+	if err := m.llc.ReadInto(pa, m.pageBuf[:isa.PageSize], payer); err != nil {
 		return nil, err
 	}
 	if err := m.llc.FlushRange(pa, isa.PageSize, payer); err != nil {
@@ -201,9 +203,15 @@ func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error
 	if dst == nil {
 		dst = new(EvictedPage)
 	}
-	*dst = EvictedPage{Owner: ent.Owner, Vaddr: ent.Vaddr, Type: ent.Type, Perms: ent.Perms, Slot: m.vaSlotNext, Version: lane.ver, Cipher: dst.Cipher[:0]}
+	ct := dst.Cipher
+	if cap(ct) < isa.PageSize {
+		ct = make([]byte, isa.PageSize)
+	}
+	*dst = EvictedPage{Owner: ent.Owner, Vaddr: ent.Vaddr, Type: ent.Type, Perms: ent.Perms, Slot: m.vaSlotNext, Version: lane.ver, Cipher: ct[:isa.PageSize:isa.PageSize]}
 	nonce, aad := m.sealParams(dst)
-	dst.Cipher = m.pagingAEAD.Seal(dst.Cipher, nonce, m.pageBuf[:], aad)
+	sealed := m.pagingAEAD.Seal(m.pageBuf[:0], nonce, m.pageBuf[:isa.PageSize], aad)
+	copy(dst.Cipher, sealed)
+	copy(dst.Tag[:], sealed[isa.PageSize:])
 	m.mee.DropPage(pa)
 	m.DRAM.Zero(pa, isa.PageSize)
 	if err := m.epc.Free(page); err != nil {
@@ -219,8 +227,10 @@ func (m *Machine) EWB(page int, core int, dst *EvictedPage) (*EvictedPage, error
 // (owner, vaddr) lane: its version must equal the lane's counter, and that
 // version's blob must still be out. Either failure is a typed
 // *BlobReplayError (errors.Is ErrBlobReplay) — a detection verdict, not a
-// generic fault. Any other change to the blob fails the GCM open, a #GP.
-// core is the processor running the instruction, as for EWB.
+// generic fault. A Cipher that is not one page long is a #GP, and any other
+// change to the blob fails the GCM open, a #GP; either way the lane keeps
+// its blob out, so the genuine blob still reloads. core is the processor
+// running the instruction, as for EWB.
 func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -235,8 +245,13 @@ func (m *Machine) ELDU(blob *EvictedPage, core int) (int, error) {
 	if !lane.out {
 		return 0, &BlobReplayError{Owner: blob.Owner, Vaddr: blob.Vaddr, Have: blob.Version, Want: lane.ver, Consumed: true}
 	}
+	if len(blob.Cipher) != isa.PageSize {
+		return 0, isa.GP("ELDU: blob holds %d bytes of ciphertext, want %d", len(blob.Cipher), isa.PageSize)
+	}
+	copy(m.pageBuf[:], blob.Cipher)
+	copy(m.pageBuf[isa.PageSize:], blob.Tag[:])
 	nonce, aad := m.sealParams(blob)
-	content, err := m.pagingAEAD.Open(m.pageBuf[:0], nonce, blob.Cipher, aad)
+	content, err := m.pagingAEAD.Open(m.pageBuf[:0], nonce, m.pageBuf[:], aad)
 	if err != nil {
 		return 0, isa.GP("ELDU: integrity check failed: %v", err)
 	}

@@ -242,7 +242,9 @@ func evictByHand(t *testing.T, r *rig, s *sgx.SECS, vaddr isa.VAddr, dst *sgx.Ev
 
 // TestEWBSealsIntoCallerBlob reloads a page and evicts another into the
 // first page's spent blob: EWB returns that blob, reuses its ciphertext's
-// backing array, and ELDU reloads the second page's bytes from it.
+// backing array, leaves the ciphertext exactly one page long, and ELDU
+// reloads the second page's bytes from it. A round trip through a spare
+// blob allocates nothing.
 func TestEWBSealsIntoCallerBlob(t *testing.T) {
 	r := newRig(t)
 	s, tcsV := buildEnclave(t, r.k, r.p, 0x100000, 2)
@@ -260,6 +262,29 @@ func TestEWBSealsIntoCallerBlob(t *testing.T) {
 	if blob.Owner != s.EID || blob.Vaddr != 0x101000 || blob.Version != 1 {
 		t.Fatalf("reused blob describes enclave %d page %#x version %d", blob.Owner, uint64(blob.Vaddr), blob.Version)
 	}
+	if len(blob.Cipher) != isa.PageSize || cap(blob.Cipher) != isa.PageSize {
+		t.Fatalf("blob ciphertext has len %d, cap %d; want one page, %d", len(blob.Cipher), cap(blob.Cipher), isa.PageSize)
+	}
+	// The second page goes round trips through its own blob, ELDU then
+	// EWB into the blob ELDU spent.
+	allocs := testing.AllocsPerRun(10, func() {
+		page, err := r.m.ELDU(blob, trace.NoCore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.m.EBlock(page); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.m.EWB(page, trace.NoCore, blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("an ELDU and an EWB into the spare blob allocate %.0f times, want 0", allocs)
+	}
+	if &blob.Cipher[0] != backing || len(blob.Cipher) != isa.PageSize || cap(blob.Cipher) != isa.PageSize {
+		t.Fatal("round trips through the spare blob moved or resized its ciphertext")
+	}
 	page, err = r.m.ELDU(blob, trace.NoCore)
 	if err != nil {
 		t.Fatal(err)
@@ -270,6 +295,37 @@ func TestEWBSealsIntoCallerBlob(t *testing.T) {
 	r.exit(t)
 	if err != nil || !bytes.Equal(got, []byte{0x5a, 0x5a, 0x5a, 0x5a}) {
 		t.Fatalf("page reloaded from a reused blob reads %v, %v", got, err)
+	}
+}
+
+// TestELDURefusesMalformedBlob hands ELDU a blob whose ciphertext is short
+// of a page and one with a flipped tag byte. Each is a #GP that takes no
+// EPC page and leaves the page's blob out, so the genuine blob still
+// reloads.
+func TestELDURefusesMalformedBlob(t *testing.T) {
+	r := newRig(t)
+	s, _ := buildEnclave(t, r.k, r.p, 0x100000, 1)
+	blob := evictByHand(t, r, s, 0x100000, nil)
+	short, flipped := *blob, *blob
+	short.Cipher = blob.Cipher[:isa.PageSize-1]
+	flipped.Tag[15] ^= 0x80
+	free := r.m.FreeEPCPages()
+	for _, bad := range []struct {
+		name string
+		blob *sgx.EvictedPage
+	}{{"short ciphertext", &short}, {"flipped tag", &flipped}} {
+		if _, err := r.m.ELDU(bad.blob, trace.NoCore); !isa.IsFault(err, isa.FaultGP) {
+			t.Errorf("ELDU of a blob with a %s: %v, want #GP", bad.name, err)
+		}
+		if n := r.m.FreeEPCPages(); n != free {
+			t.Errorf("refused ELDU of a blob with a %s moved the free EPC pages from %d to %d", bad.name, free, n)
+		}
+		if lanes, out := sgx.PagingStateOf(r.m, s.EID); lanes != 1 || out != 1 {
+			t.Errorf("after refusing a blob with a %s: %d lanes and %d blobs out, want 1 and 1", bad.name, lanes, out)
+		}
+	}
+	if _, err := r.m.ELDU(blob, trace.NoCore); err != nil {
+		t.Fatalf("genuine blob after two refused ones: %v", err)
 	}
 }
 

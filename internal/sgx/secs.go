@@ -46,9 +46,6 @@ type SECS struct {
 	secsPage int
 	// tcss are the enclave's thread control structures.
 	tcss []*TCS
-	// epochs implement ETRACK: see paging.go.
-	trackEpoch   uint64
-	epochEntries map[int]uint64 // coreID -> epoch at which it entered
 
 	// outerChain caches this enclave's transitive outer closure, keyed to
 	// the machine's association epoch (see Machine.OuterChain). The

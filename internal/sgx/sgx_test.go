@@ -936,21 +936,83 @@ func TestLoadCR3RefusedInEnclaveMode(t *testing.T) {
 	}
 }
 
-// TestNewMachineFootprint bounds the host bytes one full-size machine costs
-// to build. DRAM frames are allocated on first write, so a fresh machine's
-// 256 MiB of simulated DRAM costs only its frame table; the bound leaves room
-// for the LLC's line array and the MEE's per-page table.
+// TestNewMachineFootprint bounds the host bytes a machine costs to build.
+// DRAM frames are allocated on first write, so a fresh machine's simulated
+// DRAM costs only its frame table; the rest is the LLC's 80-byte lines, the
+// EPCM's 24-byte entries and free list, and the MEE's page-table slots.
+// Each bound is the figure measured on amd64 plus 3%.
 func TestNewMachineFootprint(t *testing.T) {
-	const bound = 32 << 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m, err := sgx.New(sgx.DefaultConfig())
-	runtime.ReadMemStats(&after)
-	if err != nil {
+	for _, tc := range []struct {
+		name  string
+		cfg   sgx.Config
+		bound uint64
+	}{
+		{"SmallConfig", sgx.SmallConfig(), 1_867_000},      // 1,812,664 B
+		{"DefaultConfig", sgx.DefaultConfig(), 12_909_000}, // 12,533,312 B
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := sgx.New(tc.cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.bound {
+			t.Errorf("sgx.New(%s()) allocated %d bytes, want at most %d", tc.name, got, tc.bound)
+		}
+		runtime.KeepAlive(m)
+	}
+}
+
+// liveHeap returns the bytes the heap holds after two collections, the
+// second of which frees what sync.Pool victim caches held through the first.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestPagingFootprint pins the live host bytes a paging machine keeps for
+// each PRM page the LLC writes back, its DRAM frame and its MEE line table
+// (4,096 + 1,536 B), and for each EWB blob the kernel stores, the struct
+// and exactly one page of ciphertext (80 + 4,096 B). Each bound is that
+// figure plus 128 B; a blob of ciphertext and tag in one slice lands in
+// Go's 4,864 B size class, and 32-byte line records make a 2,048 B table.
+func TestPagingFootprint(t *testing.T) {
+	const n = 128
+	r := newRig(t)
+	s, _ := buildEnclave(t, r.k, r.p, 0x100000, n)
+	written := int64(len(r.m.EPCPagesOf(s.EID))) // n data pages, the TCS and the SECS
+	before := liveHeap()
+	if err := sgx.LLCOf(r.m).FlushAll(trace.NoPayer); err != nil {
 		t.Fatal(err)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-		t.Errorf("sgx.New(DefaultConfig()) allocated %d bytes, want at most %d", got, bound)
+	perPage := (liveHeap() - before) / written
+	if perPage > isa.PageSize+1536+128 {
+		t.Errorf("a written PRM page keeps %d live bytes, want at most %d", perPage, isa.PageSize+1536+128)
 	}
-	runtime.KeepAlive(m)
+	// One round of evictions and reloads makes every page's version lane,
+	// so the measured round adds only its blobs.
+	for i := 0; i < n; i++ {
+		blob := evictByHand(t, r, s, 0x100000+isa.VAddr(i)*isa.PageSize, nil)
+		page, err := r.m.ELDU(blob, trace.NoCore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.p.MapFixed(blob.Vaddr, sgx.EPCOf(r.m).AddrOf(page), isa.PermRW)
+	}
+	blobs := make([]*sgx.EvictedPage, n)
+	before = liveHeap()
+	for i := range blobs {
+		blobs[i] = evictByHand(t, r, s, 0x100000+isa.VAddr(i)*isa.PageSize, nil)
+	}
+	perBlob := (liveHeap() - before) / n
+	if perBlob > 80+isa.PageSize+128 {
+		t.Errorf("a stored blob keeps %d live bytes, want at most %d", perBlob, 80+isa.PageSize+128)
+	}
+	runtime.KeepAlive(blobs)
+	runtime.KeepAlive(r)
+	t.Logf("live bytes: %d per written PRM page, %d per stored blob", perPage, perBlob)
 }

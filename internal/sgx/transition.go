@@ -59,7 +59,6 @@ func (m *Machine) EEnter(c *Core, s *SECS, tcsVaddr isa.VAddr, resume bool) erro
 	c.cur = s
 	c.curTCS = t
 	c.tlb.BillEID = uint64(s.EID)
-	s.epochEntries[c.ID] = s.trackEpoch
 	if resume {
 		m.Rec.ChargeTo(uint64(s.EID), c.ID, trace.EvEENTER, trace.CostEENTERResume)
 	} else {
@@ -95,7 +94,6 @@ func (m *Machine) EExit(c *Core, release bool) error {
 	c.cur = nil
 	c.curTCS = nil
 	c.tlb.BillEID = trace.NoEID
-	delete(cur.epochEntries, c.ID)
 	m.Rec.ChargeTo(uint64(cur.EID), c.ID, trace.EvEEXIT, trace.CostEEXIT)
 	return nil
 }
@@ -120,7 +118,6 @@ func (m *Machine) aexLocked(c *Core) error {
 	interrupted := c.cur.EID
 	c.Regs.Scrub()
 	c.tlb.FlushAll()
-	delete(c.cur.epochEntries, c.ID)
 	c.inEnclave = false
 	c.cur = nil
 	c.curTCS = nil
@@ -158,7 +155,6 @@ func (m *Machine) EResume(c *Core, t *TCS) error {
 	c.Regs = f.regs
 	*f = enclaveFrame{}
 	c.tlb.BillEID = uint64(s.EID)
-	s.epochEntries[c.ID] = s.trackEpoch
 	m.Rec.ChargeTo(uint64(s.EID), c.ID, trace.EvEENTER, trace.CostEENTER)
 	return nil
 }
@@ -209,11 +205,9 @@ func (m *Machine) NEENTER(c *Core, target *SECS, tcsVaddr isa.VAddr) error {
 	t.ret = enclaveFrame{secs: cur, tcs: c.curTCS, regs: c.Regs}
 	t.Busy = true
 	c.tlb.FlushAll()
-	delete(cur.epochEntries, c.ID)
 	c.cur = target
 	c.curTCS = t
 	c.tlb.BillEID = uint64(target.EID)
-	target.epochEntries[c.ID] = target.trackEpoch
 	m.Rec.ChargeTo(uint64(target.EID), c.ID, trace.EvNEENTER, trace.CostNEENTER)
 	return nil
 }
@@ -244,13 +238,11 @@ func (m *Machine) NEEXIT(c *Core) error {
 	t.Busy = false
 	c.Regs.Scrub()
 	c.tlb.FlushAll()
-	delete(leaving.epochEntries, c.ID)
 	c.cur = outer
 	c.curTCS = f.tcs
 	c.Regs = f.regs
 	*f = enclaveFrame{}
 	c.tlb.BillEID = uint64(outer.EID)
-	outer.epochEntries[c.ID] = outer.trackEpoch
 	m.Rec.ChargeTo(uint64(leaving.EID), c.ID, trace.EvNEEXIT, trace.CostNEEXIT)
 	return nil
 }
